@@ -11,7 +11,6 @@ quadratic interaction cost, optionally exponentially discounted.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -23,8 +22,7 @@ from . import linalg
 from .gaussian import GaussianModel
 from .matrix import InteractionMatrix, SubsetState, validate
 from .percolation import (NotApplicable, PercolationModel, SubsetFunction,
-                          exact_expectation, expectation_curve,
-                          functional_table)
+                          expectation_curve, functional_table)
 
 COLUMN_SLACK = 1e-12
 
@@ -125,44 +123,20 @@ def _check_k(xi: InteractionMatrix, k: int):
 def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConstants,
                               H0: SubsetFunction | None = None,
                               use_chat: bool = False, h3: float = 0.0,
-                              uniform: bool = False, tol: float = 1e-6) -> float:
+                              uniform: bool = False, tol: float = 1e-6):
     """E_v[H0(X_T)] + int_0^T E_v[cost(X_t)] dt through the exact engine.
 
     cost is C (quadratic interaction cost) or, with use_chat, the sharper
     C-hat built from a three-particle entropy bound h3.  In uniform mode both
     terms carry the discount exp(-sigma^2 t / 4 eta) at their own times, and
     sigma^2 > 12 eta gamma is enforced.  Quadrature is adaptive Simpson at
-    relative tolerance tol.
+    relative tolerance tol.  v=None gives every start subset at once (a
+    vector over masks); a single v integrates its own scalar curve.
     """
     T = constants.T
     if T <= 0:
         raise ValueError("constants.T must be positive")
-    v = SubsetState.of(v, model.n)
-    rate = constants.discount_rate() if uniform else 0.0
-    spec = ("chat", {"constants": constants, "h3": h3}) if use_chat \
-        else ("C", {"constants": constants})
-    cost = functional_table(spec, model.xi)
-    curve = expectation_curve(model, cost, T, tol=min(1e-10, tol))
-    mask = v.mask
-
-    def integrand(t):
-        return math.exp(-rate * t) * curve.eval(t, mask)
-
-    total = float(linalg.simpson_adaptive(integrand, 0.0, T, rel_tol=tol))
-    if H0 is not None:
-        total += math.exp(-rate * T) * exact_expectation(model, H0, v, T)
-    return total
-
-
-def percolation_entropy_bound_all(model: PercolationModel, constants: ModelConstants,
-                                  H0: SubsetFunction | None = None,
-                                  use_chat: bool = False, h3: float = 0.0,
-                                  uniform: bool = False,
-                                  tol: float = 1e-6) -> np.ndarray:
-    """The same bound for every start subset at once (vector over masks)."""
-    T = constants.T
-    if T <= 0:
-        raise ValueError("constants.T must be positive")
+    sel = slice(None) if v is None else SubsetState.of(v, model.n).mask
     rate = constants.discount_rate() if uniform else 0.0
     spec = ("chat", {"constants": constants, "h3": h3}) if use_chat \
         else ("C", {"constants": constants})
@@ -170,14 +144,13 @@ def percolation_entropy_bound_all(model: PercolationModel, constants: ModelConst
     curve = expectation_curve(model, cost, T, tol=min(1e-10, tol))
 
     def integrand(t):
-        return math.exp(-rate * t) * curve.eval_all(t)
+        return math.exp(-rate * t) * curve.eval_all(t)[sel]
 
     total = linalg.simpson_adaptive(integrand, 0.0, T, rel_tol=tol)
-    total = np.asarray(total, dtype=float)
     if H0 is not None:
         h_curve = expectation_curve(model, H0, T, tol=min(1e-10, tol))
-        total = total + math.exp(-rate * T) * h_curve.eval_all(T)
-    return total
+        total = total + math.exp(-rate * T) * h_curve.eval_all(T)[sel]
+    return total if v is None else float(total)
 
 
 def h3_bound(constants: ModelConstants, delta: float, uniform: bool = False) -> float:
@@ -329,38 +302,3 @@ def gaussian_fk_constants(gm: GaussianModel) -> ModelConstants:
     """
     M = float(np.diag(gm.sigma_T).max())
     return ModelConstants(gamma=2.0 * gm.T, M=M, sigma=1.0, T=gm.T)
-
-
-# ---------------------------------------------------------------------------
-# Batch plumbing
-
-def bound_table(xi: InteractionMatrix, requests,
-                constants: ModelConstants | None = None) -> list[BoundReport]:
-    """Evaluate ("max"|"avg"|"avg-2way", k) or ("setwise", v) requests in order."""
-    out = []
-    for theorem, arg in requests:
-        if theorem == "max":
-            out.append(max_entropy_bound(xi, int(arg), constants))
-        elif theorem == "avg":
-            out.append(avg_entropy_bound(xi, int(arg), constants))
-        elif theorem == "avg-2way":
-            out.append(sharper_avg_bound(xi, int(arg), constants))
-        elif theorem == "setwise":
-            out.append(setwise_bound(xi, arg, constants))
-        else:
-            raise ValueError(f"unknown theorem {theorem!r} in batch request")
-    return out
-
-
-def save_reports_csv(reports, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theorem", "structural", "explicit", "inputs"])
-        for r in reports:
-            w.writerow(r.csv_row())
-
-
-def save_report_json(report: BoundReport, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

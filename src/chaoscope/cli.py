@@ -50,18 +50,18 @@ def _add_source(p: argparse.ArgumentParser, random_n: bool = False,
 
 
 def _build_xi(args) -> InteractionMatrix:
-    if args.matrix:
+    if args.matrix is not None:
         return load_matrix(args.matrix)
-    if args.mean_field:
+    if args.mean_field is not None:
         return build_mean_field(args.mean_field)
-    if args.random_walk:
+    if args.random_walk is not None:
         return build_random_walk(Graph.from_file(args.random_walk))
-    if args.er:
+    if args.er is not None:
         n, prob = int(args.er[0]), float(args.er[1])
         return build_random_walk(sample_erdos_renyi(n, prob, args.seed))
-    if args.sequential:
+    if args.sequential is not None:
         return build_sequential(args.sequential)
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         return verify_mod.random_substochastic(args.n, stream(args.seed))
     raise MatrixError("no matrix source given")
 
@@ -159,9 +159,7 @@ def _add_constants(p: argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_matrix(args) -> int:
-    outputs: list = []
-    t0 = time.perf_counter()
+def cmd_matrix(args, outputs: list) -> int:
     xi = _build_xi(args)
     rows_ok = validate(xi).ok
     full = validate(xi, check_columns=True)
@@ -197,13 +195,10 @@ def cmd_matrix(args) -> int:
     else:
         text = _json_text(report)
     _deliver(text, args, outputs)
-    _write_manifests("matrix", args, outputs, time.perf_counter() - t0)
     return 0
 
 
-def cmd_percolate(args) -> int:
-    outputs: list = []
-    t0 = time.perf_counter()
+def cmd_percolate(args, outputs: list) -> int:
     xi = _build_xi(args)
     model = PercolationModel(xi, args.kappa)
     v = _parse_subset(args.v, xi.n)
@@ -234,13 +229,10 @@ def cmd_percolate(args) -> int:
     _deliver(text, args, outputs)
     if args.emit_gnuplot and args.out and args.format == "csv":
         _emit_gnuplot(args.out, 4, 5, "t", args.functional, outputs)
-    _write_manifests("percolate", args, outputs, time.perf_counter() - t0)
     return 0
 
 
-def cmd_verify(args) -> int:
-    outputs: list = []
-    t0 = time.perf_counter()
+def cmd_verify(args, outputs: list) -> int:
     results = verify_mod.run_suite(args.suite, args.instances, args.seed)
     for r in results:
         slacks = [c.slack for c in r.checks if c.slack is not None]
@@ -255,13 +247,10 @@ def cmd_verify(args) -> int:
     if args.out:
         verify_mod.save_results(results, args.out)
         outputs.append(args.out)
-    _write_manifests("verify", args, outputs, time.perf_counter() - t0)
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_gaussian(args) -> int:
-    outputs: list = []
-    t0 = time.perf_counter()
+def cmd_gaussian(args, outputs: list) -> int:
     xi = _build_xi(args)
     gm = gauss.sigma_T(xi, args.T)
     info = {"n": gm.n, "T": gm.T, "rho": gm.rho, "small_time": gm.small_time()}
@@ -304,13 +293,10 @@ def cmd_gaussian(args) -> int:
         text = _csv_text(header, rows) if args.format == "csv" \
             else _json_text(dict(info, subsets=recs))
     _deliver(text, args, outputs)
-    _write_manifests("gaussian", args, outputs, time.perf_counter() - t0)
     return 0
 
 
-def cmd_bound(args) -> int:
-    outputs: list = []
-    t0 = time.perf_counter()
+def cmd_bound(args, outputs: list) -> int:
     constants = _constants_from(args, required=args.theorem in ("h3", "growth"))
     if args.theorem == "h3":
         if args.delta is None:
@@ -347,7 +333,11 @@ def cmd_bound(args) -> int:
             else:  # avg-markov
                 if args.pi:
                     with open(args.pi) as fh:
-                        pi = json.load(fh)
+                        doc = json.load(fh)
+                    try:
+                        pi = np.asarray(doc, dtype=float)
+                    except TypeError:
+                        raise MatrixError(f"{args.pi}: want a JSON list of weights") from None
                 else:
                     pi = np.full(xi.n, 1.0 / xi.n)
                 report = bounds_mod.weighted_avg_bound(xi, args.k, pi, constants)
@@ -359,13 +349,10 @@ def cmd_bound(args) -> int:
     else:
         text = _json_text(report.to_json_dict())
     _deliver(text, args, outputs)
-    _write_manifests("bound", args, outputs, time.perf_counter() - t0)
     return 0
 
 
-def cmd_simulate(args) -> int:
-    outputs: list = []
-    t0 = time.perf_counter()
+def cmd_simulate(args, outputs: list) -> int:
     xi = _build_xi(args)
     if args.drift == "linear":
         drift = sde.DriftSpec.linear()
@@ -407,7 +394,6 @@ def cmd_simulate(args) -> int:
     _deliver(text, args, outputs)
     if args.emit_gnuplot and args.out and args.format == "csv":
         _emit_gnuplot(args.out, 3, 4, "empirical", "oracle", outputs)
-    _write_manifests("simulate", args, outputs, time.perf_counter() - t0)
     return 0
 
 
@@ -507,10 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def console_main(argv=None) -> int:
+    """Run one subcommand; its handler fills `outputs`, each of which gets a manifest."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    outputs: list = []
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args, outputs)
+        _write_manifests(args.subcommand, args, outputs, time.perf_counter() - t0)
+        return code
     except (ValueError, OSError, EngineTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ two-sided checks are reproducible to the digit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -66,9 +65,6 @@ class EntropyPair:
     upper: float
     small_time: bool  # lower is only asserted when this holds
 
-    def row(self):
-        return (str(self.v), self.exact, self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class AvgEntropy:
@@ -78,12 +74,6 @@ class AvgEntropy:
     value: float
     stderr: float | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {"k": self.k, "T": self.T, "mode": self.mode, "value": self.value}
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-        return out
-
 
 def h(x):
     """x - log(1+x); the spectral integrand of Gaussian relative entropy."""
@@ -91,21 +81,6 @@ def h(x):
     if (x <= -1.0).any():
         raise InvalidCovariance("h needs arguments > -1")
     return x - np.log1p(x)
-
-
-def gamma_m(xi: InteractionMatrix, m: int) -> np.ndarray:
-    """The m-th series coefficient of e^{t xi} e^{t xi^T}.
-
-    Gamma_0 = I and Gamma_{m+1} = xi Gamma_m + Gamma_m xi^T, which reproduces
-    the binomial sum over xi^r (xi^T)^(m-r) without forming any powers.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    d = xi.dense()
-    g = np.eye(xi.n)
-    for _ in range(m):
-        g = d @ g + g @ d.T
-    return g
 
 
 def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianModel:
@@ -194,33 +169,45 @@ def gaussian_kl(cov0, cov1) -> float:
     return 0.5 * (float(np.trace(solved)) - k + logdet0 - logdet1)
 
 
-def exact_entropy(model: GaussianModel, v) -> float:
-    """H of the subset marginal against Brownian motion: half the h-trace.
+def subset_entropies(model: GaussianModel, masks):
+    """Exact entropy and its quadratic-trace sandwich at each nonempty bitmask.
 
-    Eigenvalues of T^{-1} Sigma^v_T - I feed h(x) = x - log(1+x); a spectral
-    evaluation, not a matrix log, so values near -1 stay stable.
+    Returns (exact, lower, upper) arrays aligned with masks.  With
+    A = T^{-1} Sigma^v_T - I, exact is half the h-trace of A's eigenvalues
+    (a spectral evaluation, not a matrix log, so values near -1 stay
+    stable); lower = Tr(A^2)/6 is asserted only in the small-time window
+    T <= log2 / 2 rho; upper = e^{6 rho T} Tr(A^2) holds for all T.  Masks
+    of one size share a single stacked eigenvalue call.
     """
-    v = SubsetState.of(v, model.n)
-    if v.size == 0:
+    masks = np.asarray(masks)
+    if (masks <= 0).any():
         raise ValueError("v must be nonempty")
-    lam = np.linalg.eigvalsh(model.centered(v))
-    if (lam <= -1.0).any():
-        raise InvalidCovariance("subset covariance is numerically not positive definite")
-    return 0.5 * float(h(lam).sum())
+    bits = (masks[:, None] >> np.arange(model.n)) & 1
+    sizes = bits.sum(axis=1)
+    exact = np.empty(masks.size)
+    tr2 = np.empty(masks.size)
+    for k in np.unique(sizes):
+        rows = np.nonzero(sizes == k)[0]
+        mem = np.nonzero(bits[rows])[1].reshape(rows.size, k)
+        a = model.sigma_T[mem[:, :, None], mem[:, None, :]] / model.T - np.eye(k)
+        lam = np.linalg.eigvalsh(a)
+        if (lam <= -1.0).any():
+            raise InvalidCovariance("subset covariance is numerically not positive definite")
+        exact[rows] = 0.5 * h(lam).sum(axis=1)
+        tr2[rows] = (a * a).reshape(rows.size, -1).sum(axis=1)
+    return exact, tr2 / 6.0, math.exp(6.0 * model.rho * model.T) * tr2
+
+
+def exact_entropy(model: GaussianModel, v) -> float:
+    """H of the subset marginal against Brownian motion: half the h-trace."""
+    return float(subset_entropies(model, [SubsetState.of(v, model.n).mask])[0][0])
 
 
 def entropy_bounds(model: GaussianModel, v) -> EntropyPair:
-    """Quadratic-trace sandwich around the exact subset entropy.
-
-    lower = Tr(A^2)/6 with A = T^{-1} Sigma^v_T - I (asserted only in the
-    small-time window T <= log2 / 2 rho); upper = e^{6 rho T} Tr(A^2), all T.
-    """
+    """Quadratic-trace sandwich around the exact subset entropy (see subset_entropies)."""
     v = SubsetState.of(v, model.n)
-    a = model.centered(v)
-    tr2 = float((a * a).sum())
-    return EntropyPair(v, exact_entropy(model, v), tr2 / 6.0,
-                       math.exp(6.0 * model.rho * model.T) * tr2,
-                       model.small_time())
+    exact, lower, upper = (float(x[0]) for x in subset_entropies(model, [v.mask]))
+    return EntropyPair(v, exact, lower, upper, model.small_time())
 
 
 def clique_lower(xi: InteractionMatrix, v, T: float) -> float:
@@ -370,24 +357,3 @@ def avg_entropy_sandwich(model: GaussianModel, k: int,
         w1 * 16.0 * T * T * math.exp(4.0 * rho * T) * s2
         + w2 * (8.0 * dt + 32.0 * T ** 4 * math.exp(4.0 * rho * T) * r_sum))
     return lower, upper
-
-
-def entropy_table(model: GaussianModel, subsets) -> list[EntropyPair]:
-    return [entropy_bounds(model, v) for v in subsets]
-
-
-def save_entropy_table(pairs, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v", "exact", "lower", "upper"])
-        for p in pairs:
-            v, exact, lower, upper = p.row()
-            w.writerow([v, repr(exact), repr(lower), repr(upper)])
-
-
-def save_average(avg: AvgEntropy, path):
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(avg.to_json_dict(), fh, indent=1)
-        fh.write("\n")

@@ -267,16 +267,6 @@ def build_random_walk(g: Graph) -> InteractionMatrix:
     return InteractionMatrix(g.n, ii, jj, vals)
 
 
-def build_scaled_adjacency(g: Graph, scale: float) -> InteractionMatrix:
-    """xi = scale * adjacency; symmetric.  Row-sum validity is validate's job."""
-    if scale <= 0:
-        raise MatrixError("scale must be positive")
-    ii, jj = [], []
-    for u, v in g.edges:
-        ii.extend((u, v)); jj.extend((v, u))
-    return InteractionMatrix(g.n, ii, jj, [scale] * (2 * len(g.edges)))
-
-
 def sample_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Each unordered pair kept independently with probability p; seed-deterministic."""
     if not (0.0 <= p <= 1.0):

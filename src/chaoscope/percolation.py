@@ -16,7 +16,6 @@ with the model's rate scale kappa throughout.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,11 +66,6 @@ class SubsetFunction:
         object.__setattr__(self, "values", _frozen(vals))
 
     @classmethod
-    def from_callable(cls, n: int, fn) -> "SubsetFunction":
-        vals = [fn(SubsetState.from_mask(m, n)) for m in range(1 << n)]
-        return cls(np.array(vals, dtype=float), n)
-
-    @classmethod
     def constant(cls, n: int, c: float) -> "SubsetFunction":
         return cls(np.full(1 << n, float(c)), n)
 
@@ -103,18 +97,6 @@ class Trajectory:
             members.add(idx)
         return SubsetState(frozenset(members), self.n)
 
-    def final_mask(self) -> int:
-        m = self.initial.mask
-        for idx in self.added:
-            m |= 1 << idx
-        return m
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("time,added_index\n")
-            for when, idx in zip(self.times, self.added):
-                fh.write(f"{when!r},{idx}\n")
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -122,11 +104,6 @@ class McEstimate:
     stderr: float
     reps: int
     seed: int
-
-    def to_json_dict(self, functional: str, v: SubsetState, t: float) -> dict:
-        return {"functional": functional, "v": v.sorted_members(), "t": t,
-                "mean": self.mean, "stderr": self.stderr,
-                "reps": self.reps, "seed": self.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +187,6 @@ class UniformizedCurve:
         w = linalg.poisson_weights(self.lam * t, self.coeffs.shape[0] - 1)
         return w @ self.coeffs
 
-    def eval(self, t: float, mask: int) -> float:
-        return float(self.eval_all(t)[mask])
-
 
 def expectation_curve(model: PercolationModel, F: SubsetFunction,
                       t_max: float, tol: float = 1e-10) -> UniformizedCurve:
@@ -234,20 +208,17 @@ def expectation_curve(model: PercolationModel, F: SubsetFunction,
 
 
 def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
-                      tol: float = 1e-10) -> float:
-    """E_v[F(X_t)] with truncation error certified <= tol * ||F||_inf."""
-    v = SubsetState.of(v, model.n)
-    if t == 0.0:
-        return F[v.mask]
-    return expectation_curve(model, F, t, tol).eval(t, v.mask)
+                      tol: float = 1e-10):
+    """E_v[F(X_t)] with truncation error certified <= tol * ||F||_inf.
 
-
-def exact_expectation_all(model: PercolationModel, F: SubsetFunction, t: float,
-                          tol: float = 1e-10) -> np.ndarray:
-    """E_v[F(X_t)] for every start subset at once (vector over masks)."""
+    v=None gives every start subset at once (a vector over masks).
+    """
+    mask = None if v is None else SubsetState.of(v, model.n).mask
     if t == 0.0:
-        return np.array(F.values, dtype=float)
-    return expectation_curve(model, F, t, tol).eval_all(t)
+        vals = np.array(F.values, dtype=float)
+    else:
+        vals = expectation_curve(model, F, t, tol).eval_all(t)
+    return vals if mask is None else float(vals[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +234,16 @@ def _gillespie_run(dense: np.ndarray, kappa: float, n: int, v: SubsetState,
     mask = v.mask
     clock = 0.0
     while True:
-        total = rates.sum()
+        cs = rates.cumsum()
+        total = cs[-1]
         if total <= 0.0:
             break
         clock += gen.exponential(1.0 / total)
         if clock > t:
             break
+        # u < cs[-1], so the search lands on a bin of positive rate
         u = gen.random() * total
-        j = int(np.searchsorted(np.cumsum(rates), u, side="right"))
-        while rates[j] == 0.0:  # guard against landing on a zero-rate boundary
-            j += 1
+        j = int(np.searchsorted(cs, u, side="right"))
         times.append(clock)
         added.append(j)
         mask |= 1 << j
@@ -386,8 +357,8 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
 # ---------------------------------------------------------------------------
 # Named functionals (shared between the exact and Monte Carlo engines)
 
-def resolve_functional(spec, xi: InteractionMatrix):
-    """Return (name, table or None, mask evaluator) for a functional spec.
+def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
+    """The functional evaluated at each bitmask of an int64 array.
 
     spec is a name ("size", "size2", "size3"), a (name, payload) pair for
     payload-carrying functionals ("linear"/"quadratic" with x or G and
@@ -395,45 +366,26 @@ def resolve_functional(spec, xi: InteractionMatrix):
     SubsetState -> float.
     """
     n = xi.n
+    masks = np.asarray(masks, dtype=np.int64)
     if callable(spec):
-        return getattr(spec, "__name__", "custom"), None, lambda m: float(spec(SubsetState.from_mask(m, n)))
+        return np.array([float(spec(SubsetState.from_mask(m, n))) for m in masks.tolist()])
     if isinstance(spec, str):
         name, payload = spec, {}
     else:
         name, payload = spec[0], dict(spec[1])
-    small = n <= EXACT_ENGINE_LIMIT
-    ind, sizes = _lattice(n) if small else (None, None)
+    sizes = np.bitwise_count(masks).astype(float)
 
     if name in ("size", "size2", "size3"):
-        p = {"size": 1, "size2": 2, "size3": 3}[name]
-        table = sizes ** p if small else None
-        return name, table, lambda m: float(bin(m).count("1") ** p)
+        return sizes ** {"size": 1, "size2": 2, "size3": 3}[name]
 
-    if name == "linear":
-        x = np.asarray(payload["x"], dtype=float)
+    if name in ("linear", "quadratic"):
+        ind = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
         ell = int(payload.get("ell", 0))
-        if small:
-            table = (ind @ x) * sizes ** ell
+        if name == "linear":
+            base = ind @ np.asarray(payload["x"], dtype=float)
         else:
-            table = None
-
-        def at(m):
-            s = SubsetState.from_mask(m, n)
-            return float(s.size ** ell * x[s.sorted_members()].sum())
-        return name, table, at
-
-    if name == "quadratic":
-        G = np.asarray(payload["G"], dtype=float)
-        ell = int(payload.get("ell", 0))
-        if small:
-            table = np.einsum("mi,mi->m", ind @ G, ind) * sizes ** ell
-        else:
-            table = None
-
-        def at(m):
-            mem = SubsetState.from_mask(m, n).sorted_members()
-            return float(len(mem) ** ell * G[np.ix_(mem, mem)].sum())
-        return name, table, at
+            base = np.einsum("mi,mi->m", ind @ np.asarray(payload["G"], dtype=float), ind)
+        return base * sizes ** ell
 
     if name in ("C", "chat"):
         from .matrix import C_of_v, Chat_of_v
@@ -443,14 +395,8 @@ def resolve_functional(spec, xi: InteractionMatrix):
         else:
             h3 = float(payload.get("h3", 0.0))
             fn = lambda s: Chat_of_v(xi, s, constants, h3)
-        table = None
-        if small:
-            vals = np.empty(1 << n)
-            vals[0] = 0.0
-            for m in range(1, 1 << n):
-                vals[m] = fn(SubsetState.from_mask(m, n))
-            table = vals
-        return name, table, lambda m: 0.0 if m == 0 else fn(SubsetState.from_mask(m, n))
+        return np.array([0.0 if m == 0 else fn(SubsetState.from_mask(m, n))
+                         for m in masks.tolist()])
 
     raise ValueError(f"unknown functional {name!r}")
 
@@ -458,10 +404,8 @@ def resolve_functional(spec, xi: InteractionMatrix):
 def functional_table(spec, xi: InteractionMatrix) -> SubsetFunction:
     """The functional tabulated over all subsets (exact-engine sizes only)."""
     _require_exact(xi.n)
-    name, table, at = resolve_functional(spec, xi)
-    if table is None:
-        table = np.array([at(m) for m in range(1 << xi.n)])
-    return SubsetFunction(np.asarray(table, dtype=float), xi.n)
+    masks = np.arange(1 << xi.n, dtype=np.int64)
+    return SubsetFunction(functional_values(spec, xi, masks), xi.n)
 
 
 def mc_expectation(model: PercolationModel, functional, v, t: float, reps: int,
@@ -474,12 +418,9 @@ def mc_expectation(model: PercolationModel, functional, v, t: float, reps: int,
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
-    name, table, at = resolve_functional(functional, model.xi)
+    functional_values(functional, model.xi, [])  # reject a bad spec before sampling
     masks = terminal_masks(model, v, t, reps, seed, method=method, threads=threads)
-    if table is not None:
-        vals = np.asarray(table, dtype=float)[masks]
-    else:
-        vals = np.array([at(int(m)) for m in masks])
+    vals = functional_values(functional, model.xi, masks)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(reps))
     return McEstimate(mean, stderr, reps, seed)
@@ -534,89 +475,62 @@ def _quadratic_ingredients(model: PercolationModel, G: np.ndarray, t: float,
 
 
 def expectation_bound(model: PercolationModel, family: str, v, t: float,
-                      x=None, G=None, tol: float = 1e-8) -> float:
+                      x=None, G=None, tol: float = 1e-8):
     """Closed-form upper bound on the matching moment of X_t started from v.
 
     size/size2/size3 bound E|X|^p; linear and its size-weighted variants
     bound E[|X|^p <1_X, x>]; quadratic and size-quadratic bound
     E[|X|^p <1_X, G 1_X>].  Row sums of xi must be <= 1 and payloads
-    nonnegative (the hypotheses under which the bounds hold).
+    nonnegative (the hypotheses under which the bounds hold).  v=None gives
+    every start subset at once (a vector over masks, exact-engine sizes
+    only); a single v is one indicator row, so any n works.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick one of {_FAMILIES}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     _require_row_sums(model.xi)
-    v = SubsetState.of(v, model.n)
-    k = float(v.size)
+    if v is None:
+        _require_exact(model.n)
+        ind, sizes = _lattice(model.n)
+    else:
+        v = SubsetState.of(v, model.n)
+        ind, sizes = v.indicator()[None, :], np.array([float(v.size)])
     kap = model.kappa
     if family == "size":
-        return math.exp(kap * t) * k
-    if family == "size2":
-        return 2.0 * math.exp(2.0 * kap * t) * k * k
-    if family == "size3":
-        return 8.0 * math.exp(3.0 * kap * t) * k ** 3
-    ind = v.indicator()
-    d = model.xi.dense()
-    if family in ("linear", "size-linear", "size2-linear"):
+        vals = math.exp(kap * t) * sizes
+    elif family == "size2":
+        vals = 2.0 * math.exp(2.0 * kap * t) * sizes ** 2
+    elif family == "size3":
+        vals = 8.0 * math.exp(3.0 * kap * t) * sizes ** 3
+    elif family in ("linear", "size-linear", "size2-linear"):
+        d = model.xi.dense()
         xv = _check_payload(x, "x")
         if xv.shape != (model.n,):
             raise ValueError("x must be a length-n vector")
         if family == "linear":
-            return float(ind @ linalg.expm_action(kap * t * d, xv))
-        if family == "size-linear":
+            vals = ind @ linalg.expm_action(kap * t * d, xv)
+        elif family == "size-linear":
             y = xv + d @ xv
-            return k * math.exp(kap * t) * float(ind @ linalg.expm_action(kap * t * d, y))
-        y = xv + d @ xv
-        y = y + d @ y
-        return 2.0 * k * k * math.exp(2.0 * kap * t) * float(
-            ind @ linalg.expm_action(kap * t * d, y))
-    Gm = _check_payload(G, "G")
-    if Gm.shape != (model.n, model.n):
-        raise ValueError("G must be an n x n matrix")
-    g_t, int_a, int_b = _quadratic_ingredients(model, Gm, t, tol)
-    if family == "quadratic":
-        return float(ind @ g_t @ ind) + float(ind @ int_a)
-    mid = d @ g_t + g_t @ d.T + g_t
-    return k * math.exp(kap * t) * (float(ind @ mid @ ind) + float(ind @ int_b))
-
-
-def expectation_bound_all(model: PercolationModel, family: str, t: float,
-                          x=None, G=None, tol: float = 1e-8) -> np.ndarray:
-    """expectation_bound for every subset at once (vector over masks)."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; pick one of {_FAMILIES}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    _require_exact(model.n)
-    _require_row_sums(model.xi)
-    ind, sizes = _lattice(model.n)
-    kap = model.kappa
-    if family == "size":
-        return math.exp(kap * t) * sizes
-    if family == "size2":
-        return 2.0 * math.exp(2.0 * kap * t) * sizes ** 2
-    if family == "size3":
-        return 8.0 * math.exp(3.0 * kap * t) * sizes ** 3
-    d = model.xi.dense()
-    if family in ("linear", "size-linear", "size2-linear"):
-        xv = _check_payload(x, "x")
-        if family == "linear":
-            return ind @ linalg.expm_action(kap * t * d, xv)
-        if family == "size-linear":
+            vals = sizes * math.exp(kap * t) * (ind @ linalg.expm_action(kap * t * d, y))
+        else:
             y = xv + d @ xv
-            return sizes * math.exp(kap * t) * (ind @ linalg.expm_action(kap * t * d, y))
-        y = xv + d @ xv
-        y = y + d @ y
-        return 2.0 * sizes ** 2 * math.exp(2.0 * kap * t) * (
-            ind @ linalg.expm_action(kap * t * d, y))
-    Gm = _check_payload(G, "G")
-    g_t, int_a, int_b = _quadratic_ingredients(model, Gm, t, tol)
-    if family == "quadratic":
-        return np.einsum("mi,mi->m", ind @ g_t, ind) + ind @ int_a
-    mid = d @ g_t + g_t @ d.T + g_t
-    return sizes * math.exp(kap * t) * (
-        np.einsum("mi,mi->m", ind @ mid, ind) + ind @ int_b)
+            y = y + d @ y
+            vals = 2.0 * sizes ** 2 * math.exp(2.0 * kap * t) * (
+                ind @ linalg.expm_action(kap * t * d, y))
+    else:
+        d = model.xi.dense()
+        Gm = _check_payload(G, "G")
+        if Gm.shape != (model.n, model.n):
+            raise ValueError("G must be an n x n matrix")
+        g_t, int_a, int_b = _quadratic_ingredients(model, Gm, t, tol)
+        if family == "quadratic":
+            vals = np.einsum("mi,mi->m", ind @ g_t, ind) + ind @ int_a
+        else:
+            mid = d @ g_t + g_t @ d.T + g_t
+            vals = sizes * math.exp(kap * t) * (
+                np.einsum("mi,mi->m", ind @ mid, ind) + ind @ int_b)
+    return vals if v is None else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +619,3 @@ def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
         cur = nxt
         acc = acc + w[m] * cur
     return float(acc[k0])
-
-
-def save_estimate(est: McEstimate, functional: str, v: SubsetState, t: float, path):
-    with open(path, "w") as fh:
-        json.dump(est.to_json_dict(functional, v, t), fh, indent=1)
-        fh.write("\n")

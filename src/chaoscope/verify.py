@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import linalg
 from . import percolation as perc
-from .matrix import InteractionMatrix, SubsetState, p_xi, q_xi
+from .matrix import InteractionMatrix, MatrixError, SubsetState, q_xi
 from .rng import stream
 
 SLACK_TOL = 1e-9
@@ -77,6 +77,8 @@ class _Slack:
 def random_substochastic(n: int, gen: np.random.Generator,
                          columns: bool = True) -> InteractionMatrix:
     """Random nonnegative zero-diagonal matrix with row (and column) sums <= 1."""
+    if n < 1:
+        raise MatrixError("random substochastic matrix needs n >= 1")
     d = gen.random((n, n))
     d[gen.random((n, n)) < 0.3] = 0.0  # mix in sparsity
     np.fill_diagonal(d, 0.0)
@@ -161,30 +163,12 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         for t in _EXPECTATION_T:
             for fam in tables:
                 exact = curves[fam].eval_all(t)
-                bound = perc.expectation_bound_all(model, fam, t, x=x, G=G)
+                bound = perc.expectation_bound(model, fam, None, t, x=x, G=G)
                 agg.add(f"expectations.{fam}", bound - exact)
     return SuiteResult("expectations", seed, instances, agg.checks())
 
 
 # ---------------------------------------------------------------------------
-
-def _entropy_table(gm: gauss.GaussianModel):
-    """exact, lower, upper over every nonempty mask (index = bitmask)."""
-    n = gm.n
-    size = 1 << n
-    exact = np.zeros(size)
-    lower = np.zeros(size)
-    upper = np.zeros(size)
-    scale = math.exp(6.0 * gm.rho * gm.T)
-    for mask in range(1, size):
-        a = gm.centered(SubsetState.from_mask(mask, n))
-        lam = np.linalg.eigvalsh(a)
-        exact[mask] = 0.5 * float(gauss.h(lam).sum())
-        tr2 = float((a * a).sum())
-        lower[mask] = tr2 / 6.0
-        upper[mask] = scale * tr2
-    return exact, lower, upper
-
 
 def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
     agg = _Slack()
@@ -206,19 +190,20 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
                 lam_all - (math.exp(-2 * gm.rho * T) - 1.0))
         agg.add("gaussian.eig-window.high",
                 (math.exp(2 * gm.rho * T) - 1.0) - lam_all)
-        exact, lower, upper = _entropy_table(gm)
-        agg.add("gaussian.sandwich.lower", (exact - lower)[1:])
-        agg.add("gaussian.sandwich.upper", (upper - exact)[1:])
-        ind, sizes = perc._lattice(n)
+        # every nonempty subset; entry m - 1 belongs to mask m
+        exact, lower, upper = gauss.subset_entropies(gm, np.arange(1, 1 << n))
+        agg.add("gaussian.sandwich.lower", exact - lower)
+        agg.add("gaussian.sandwich.upper", upper - exact)
+        ind, sizes = (a[1:] for a in perc._lattice(n))
         d = xi.dense()
         sq = np.einsum("mi,mi->m", ind @ (d * d), ind)
-        agg.add("gaussian.clique-lower", (exact - T * T / 12.0 * sq)[1:])
+        agg.add("gaussian.clique-lower", exact - T * T / 12.0 * sq)
         maxes = math.exp(10.0 * gm.rho * T) * xi.delta ** 2 * sizes ** 2
-        agg.add("gaussian.max-upper", (maxes - exact)[1:])
+        agg.add("gaussian.max-upper", maxes - exact)
         # data processing: adding one index never decreases the entropy
         mono = np.inf
         for j in range(n):
-            absent = np.nonzero(ind[:, j] == 0)[0][1:]  # skip empty set
+            absent = np.nonzero(ind[:, j] == 0)[0]
             mono = min(mono, float((exact[absent + (1 << j)] - exact[absent]).min()))
         agg.add("gaussian.monotone-in-v", mono)
         a_full = gm.centered()
@@ -339,9 +324,9 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
         gm = gauss.sigma_T(xi, 0.5)
         constants = bounds_mod.gaussian_fk_constants(gm)
         model = perc.PercolationModel(xi, constants.rate_scale())
-        bound = bounds_mod.percolation_entropy_bound_all(model, constants)
-        exact, _, _ = _entropy_table(gm)
-        fk_worst = min(fk_worst, float((bound[1:] - exact[1:]).min()))
+        bound = bounds_mod.percolation_entropy_bound(model, None, constants)
+        exact, _, _ = gauss.subset_entropies(gm, np.arange(1, 1 << n))
+        fk_worst = min(fk_worst, float((bound[1:] - exact).min()))
     checks.append(Check("bounds.feynman-kac-dominates", fk_worst >= -SLACK_TOL, fk_worst))
     return SuiteResult("bounds", seed, instances, checks)
 

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chaoscope.bounds import gaussian_fk_constants, percolation_entropy_bound_all
+from chaoscope.bounds import gaussian_fk_constants, percolation_entropy_bound
 from chaoscope.cli import console_main
 from chaoscope.gaussian import (avg_entropy, avg_entropy_sandwich,
                                 avg_trace_sq, d_T, exact_entropy, sigma_T)
@@ -155,7 +155,7 @@ def test_growth_route_dominates_exact_entropy():
         gm = sigma_T(xi, T)
         constants = gaussian_fk_constants(gm)
         model = PercolationModel(xi, constants.rate_scale())
-        bound = percolation_entropy_bound_all(model, constants, tol=1e-8)
+        bound = percolation_entropy_bound(model, None, constants, tol=1e-8)
         for mask in range(1, 1 << xi.n):
             exact = exact_entropy(gm, SubsetState.from_mask(mask, xi.n))
             assert bound[mask] >= exact - 1e-9, (idx, mask)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,13 +5,10 @@ import pytest
 import scipy.integrate
 
 from chaoscope.bounds import (BoundReport, ModelConstants, avg_entropy_bound,
-                              bound_table, gaussian_fk_constants, h3_bound,
-                              lsi_constants, max_entropy_bound,
-                              percolation_entropy_bound,
-                              percolation_entropy_bound_all, reversed_variant,
-                              save_report_json, save_reports_csv,
-                              setwise_bound, sharper_avg_bound,
-                              weighted_avg_bound)
+                              gaussian_fk_constants, h3_bound, lsi_constants,
+                              max_entropy_bound, percolation_entropy_bound,
+                              reversed_variant, setwise_bound,
+                              sharper_avg_bound, weighted_avg_bound)
 from chaoscope.gaussian import sigma_T
 from chaoscope.matrix import SubsetState, build_mean_field, p_xi, q_xi
 from chaoscope.percolation import (NotApplicable, PercolationModel,
@@ -91,7 +87,7 @@ def test_growth_bound_h0_term(single_edge):
 def test_growth_bound_all_matches_single(four_cycle):
     c = ModelConstants(gamma=1.0, M=1.5, sigma=1.0, T=0.6)
     model = PercolationModel(four_cycle, c.rate_scale())
-    vec = percolation_entropy_bound_all(model, c, tol=1e-8)
+    vec = percolation_entropy_bound(model, None, c, tol=1e-8)
     for mask in (0b0001, 0b0101, 0b1111):
         single = percolation_entropy_bound(
             model, SubsetState.from_mask(mask, 4), c, tol=1e-8)
@@ -200,25 +196,6 @@ def test_gaussian_fk_constants():
     assert c.gamma == pytest.approx(1.0)
     assert c.M == pytest.approx(float(np.diag(gm.sigma_T).max()))
     assert c.sigma == 1.0 and c.T == 0.5
-
-
-def test_bound_table_and_serialization(tmp_path):
-    xi = build_mean_field(5)
-    reports = bound_table(xi, [("max", 2), ("avg", 2), ("avg-2way", 3),
-                               ("setwise", [0, 1])])
-    assert [r.theorem for r in reports] == ["max", "avg", "avg-2way", "setwise"]
-    csv_path = tmp_path / "reports.csv"
-    save_reports_csv(reports, csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "theorem,structural,explicit,inputs"
-    assert len(lines) == 5
-    json_path = tmp_path / "report.json"
-    save_report_json(reports[0], json_path)
-    doc = json.loads(json_path.read_text())
-    assert doc["theorem"] == "max"
-    assert doc["structural"] == pytest.approx(reports[0].structural)
-    with pytest.raises(ValueError):
-        bound_table(xi, [("nope", 1)])
 
 
 def test_with_verdict():

@@ -230,3 +230,17 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
                "--dt", "0.1", "--samples", "5") == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 4
+    # bad input is a usage error with the builder's own message
+    pi = tmp_path / "pi.json"
+    pi.write_text('{"0": 0.5}')
+    cases = [
+        (("bound", "--theorem", "avg-markov", "--mean-field", "4", "--k", "2",
+          "--pi", str(pi)), "want a JSON list of weights"),
+        (("matrix", "--mean-field", "0"), "mean field needs n >= 2"),
+        (("matrix", "--sequential", "0"), "sequential case needs n >= 2"),
+        (("gaussian", "--n", "0", "--T", "0.1"), "random substochastic matrix needs n >= 1"),
+    ]
+    for argv, message in cases:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, argv

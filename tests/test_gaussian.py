@@ -6,12 +6,12 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from chaoscope.gaussian import (GaussianModel, InvalidCovariance, avg_entropy,
+from chaoscope.gaussian import (InvalidCovariance, avg_entropy,
                                 avg_entropy_sandwich, avg_trace_sq,
                                 clique_lower, d_T, d_T_envelope,
-                                d_T_quadrature, entropy_bounds, entropy_table,
-                                exact_entropy, gamma_m, gaussian_kl, h,
-                                max_upper, sigma_T, sigma_T_quadrature)
+                                d_T_quadrature, entropy_bounds, exact_entropy,
+                                gaussian_kl, h, max_upper, sigma_T,
+                                sigma_T_quadrature, subset_entropies)
 from chaoscope.matrix import InteractionMatrix, SubsetState, build_sequential
 from chaoscope.rng import stream
 
@@ -52,17 +52,6 @@ def test_sigma_T_zero_matrix_is_T_identity():
     assert gm.rho == 0.0 and gm.small_time()
 
 
-def test_gamma_m_recurrence_matches_binomial():
-    xi = random_matrices(1, seed=42, n_lo=4, n_hi=4)[0]
-    d = xi.dense()
-    for m in range(5):
-        want = sum(math.comb(m, r)
-                   * np.linalg.matrix_power(d, r)
-                   @ np.linalg.matrix_power(d.T, m - r)
-                   for r in range(m + 1))
-        assert np.allclose(gamma_m(xi, m), want, rtol=1e-12, atol=1e-12)
-
-
 def test_h_properties():
     x = np.array([-0.5, -0.1, 0.0, 0.3, 2.0])
     vals = h(x)
@@ -94,12 +83,16 @@ def test_exact_entropy_is_kl_against_reference():
     for xi in random_matrices(6, seed=44, n_lo=2, n_hi=6):
         T = 0.4
         gm = sigma_T(xi, T)
-        for mask in (1, (1 << xi.n) - 1):
+        masks = np.arange(1, 1 << xi.n)
+        exact, _, _ = subset_entropies(gm, masks)
+        for mask, got in zip(masks.tolist(), exact):
             v = SubsetState.from_mask(mask, xi.n)
             mem = v.sorted_members()
             sub = gm.sigma_T[np.ix_(mem, mem)]
             want = gaussian_kl(T * np.eye(v.size), sub)
-            assert exact_entropy(gm, v) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            if mask in (1, (1 << xi.n) - 1):
+                assert exact_entropy(gm, v) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_entropy_bounds_sandwich_small_time():
@@ -190,17 +183,6 @@ def test_avg_entropy_sandwich_brackets_enumeration():
             lo_e, hi_e = avg_entropy_sandwich(gm, k, explicit=True)
             assert lo - 1e-12 <= val <= hi + 1e-12
             assert lo_e - 1e-12 <= val <= hi_e + 1e-12
-
-
-def test_entropy_table_rows():
-    xi = random_matrices(1, seed=51, n_lo=3, n_hi=3)[0]
-    gm = sigma_T(xi, 0.2)
-    subsets = [[0], [0, 1], [0, 1, 2]]
-    pairs = entropy_table(gm, subsets)
-    assert len(pairs) == 3
-    for pair, v in zip(pairs, subsets):
-        assert pair.v.sorted_members() == v
-        assert pair.lower <= pair.exact + 1e-12 <= pair.upper + 2e-12
 
 
 def test_centered_submatrix_consistency():

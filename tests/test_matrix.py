@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from chaoscope.matrix import (C_of_v, Chat_of_v, Graph, InteractionMatrix,
                               MatrixError, SubsetState, build_mean_field,
                               build_random_walk, build_rank_one,
-                              build_scaled_adjacency, build_sequential,
-                              load_matrix, p_xi, q_xi, sample_erdos_renyi,
-                              save_matrix, validate)
+                              build_sequential, load_matrix, p_xi, q_xi,
+                              sample_erdos_renyi, save_matrix, validate)
 from chaoscope.rng import stream
 
 from conftest import random_matrices
@@ -43,14 +42,6 @@ def test_random_walk_rows_and_isolated_vertices():
     assert xi.row_sums[3] == 0.0 and xi.row_sums[4] == 0.0
     assert xi.delta_i[3] == 0.0
     assert xi.delta == pytest.approx(0.5)
-
-
-def test_scaled_adjacency():
-    g = Graph(n=3, edges=((0, 1), (1, 2)))
-    xi = build_scaled_adjacency(g, 0.25)
-    assert xi.dense()[0, 1] == 0.25
-    assert xi.dense()[2, 2] == 0.0
-    assert xi.symmetric
 
 
 def test_sequential_rows():

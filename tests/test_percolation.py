@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chaoscope.matrix import InteractionMatrix, SubsetState, build_mean_field
+from chaoscope.bounds import ModelConstants
+from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
+                              build_mean_field)
 from chaoscope.percolation import (EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction,
-                                   _lattice, exact_expectation,
-                                   exact_expectation_all, expectation_bound,
-                                   expectation_bound_all, expectation_curve,
+                                   _gillespie_run, _lattice, exact_expectation,
+                                   expectation_bound, expectation_curve,
                                    fpp_simulate, functional_table,
-                                   generator_apply, lemma_linear_rhs,
-                                   lemma_polynomial_rhs, lemma_quadratic_rhs,
-                                   mc_expectation, mean_field_size_expectation,
-                                   simulate, terminal_masks,
-                                   yule_second_moment)
+                                   functional_values, generator_apply,
+                                   lemma_linear_rhs, lemma_polynomial_rhs,
+                                   lemma_quadratic_rhs, mc_expectation,
+                                   mean_field_size_expectation, simulate,
+                                   terminal_masks, yule_second_moment)
 from chaoscope.rng import stream
 
 from conftest import random_matrices
@@ -70,7 +71,7 @@ def test_exact_expectation_matches_scipy_expm():
         q = full_rate_matrix(xi, kappa)
         for t in (0.3, 1.7):
             want = scipy.linalg.expm(t * q) @ f
-            got = exact_expectation_all(model, SubsetFunction(f, xi.n), t, tol=1e-12)
+            got = exact_expectation(model, SubsetFunction(f, xi.n), None, t, tol=1e-12)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-10)
 
 
@@ -79,7 +80,7 @@ def test_exact_expectation_t0_returns_f():
     model = PercolationModel(xi, 1.0)
     f = SubsetFunction(np.arange(16.0), 4)
     assert exact_expectation(model, f, [2], 0.0) == f[0b0100]
-    assert np.array_equal(exact_expectation_all(model, f, 0.0), f.values)
+    assert np.array_equal(exact_expectation(model, f, None, 0.0), f.values)
 
 
 def test_single_edge_closed_form(single_edge):
@@ -105,7 +106,7 @@ def test_curve_reuse_and_range_guard():
     tab = functional_table("size", xi)
     curve = expectation_curve(model, tab, 2.0, tol=1e-12)
     for t in (0.0, 0.5, 2.0):
-        assert curve.eval(t, 0b001) == pytest.approx(
+        assert curve.eval_all(t)[0b001] == pytest.approx(
             exact_expectation(model, tab, [0], t, tol=1e-12), abs=1e-11)
     with pytest.raises(ValueError):
         curve.eval_all(2.5)
@@ -125,6 +126,52 @@ def test_trajectory_shape_and_growth(four_cycle):
     for earlier, later in zip(masks, masks[1:]):
         assert earlier & later == earlier  # growth is monotone
     assert np.all(np.diff(traj.times) >= 0.0)
+
+
+class _TopDraws:
+    """Stub generator: unit holding times and the largest uniform below 1."""
+
+    def exponential(self, scale):
+        return 1.0
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def test_gillespie_top_uniform_stays_in_range():
+    # a row whose pairwise sum exceeds its last cumulative sum: scaling the
+    # top uniform by the pairwise total used to search past the last bin
+    row = stream(3).random(31)
+    row[0] = 0.0
+    assert row.sum() > np.cumsum(row)[-1]
+    dense = np.zeros((31, 31))
+    dense[0] = row
+    times, added, mask = _gillespie_run(dense, 1.0, 31, SubsetState.of([0], 31),
+                                        1.5, _TopDraws())
+    assert times == [1.0] and added == [30] and mask == 1 | 1 << 30
+
+
+def test_functional_values_match_per_mask_reference():
+    xi = random_matrices(1, seed=24, n_lo=5, n_hi=5)[0]
+    g = stream(25)
+    x, G = g.random(5), g.random((5, 5))
+    c = ModelConstants(gamma=0.7, M=1.5, sigma=1.2, T=1.0)
+    masks = g.integers(1, 32, size=40)
+    members = [SubsetState.from_mask(m, 5).sorted_members() for m in masks.tolist()]
+    cases = [
+        ("size3", [len(mem) ** 3 for mem in members]),
+        (("linear", {"x": x, "ell": 1}), [len(mem) * x[mem].sum() for mem in members]),
+        (("quadratic", {"G": G, "ell": 2}),
+         [len(mem) ** 2 * G[np.ix_(mem, mem)].sum() for mem in members]),
+        (("C", {"constants": c}), [C_of_v(xi, mem, c) for mem in members]),
+    ]
+    for spec, want in cases:
+        assert np.allclose(functional_values(spec, xi, masks), want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(functional_table("size", xi).values[masks], [len(m) for m in members])
+    # popcounts, no indicator rows: fine beyond the exact-engine limit
+    wide = np.array([0, 1, (1 << 47) | 5, (1 << 48) - 1], dtype=np.int64)
+    assert np.array_equal(functional_values("size2", build_mean_field(48), wide),
+                          [0.0, 1.0, 9.0, 48.0 ** 2])
 
 
 def test_fpp_matches_gillespie_on_single_edge(single_edge):
@@ -289,7 +336,7 @@ def test_expectation_bound_all_matches_single():
     t = 0.9
     for family in ("size", "size2", "size3", "linear", "size-linear",
                    "size2-linear", "quadratic", "size-quadratic"):
-        vec = expectation_bound_all(model, family, t, x=x, G=G)
+        vec = expectation_bound(model, family, None, t, x=x, G=G)
         for mask in (1, 3, 7):
             v = SubsetState.from_mask(mask, 3)
             single = expectation_bound(model, family, v, t, x=x, G=G)
