@@ -46,8 +46,8 @@ class ModelConstants:
     def __post_init__(self):
         if self.gamma <= 0 or self.M <= 0 or self.sigma <= 0:
             raise ValueError("gamma, M, sigma must be positive")
-        if self.T < 0:
-            raise ValueError("T must be nonnegative")
+        if not 0 <= self.T < math.inf:
+            raise ValueError("T must be finite and nonnegative")
         if self.C0 < 0:
             raise ValueError("C0 must be nonnegative")
         if self.eta is not None and self.eta <= 0:

@@ -4,8 +4,8 @@ certification, SDE simulation, and the verification battery.
 Every output file gets a `<file>.manifest.json` sidecar recording the
 subcommand, full parameter echo, seed, version, wall-clock, and output list.
 Payload files carry only numbers, so reruns with the same parameters and seed
-are byte-identical whatever the thread count; wall-clock lives in the
-manifest alone.  Exit codes: 0 success, 1 failed checks, 2 usage error.
+are byte-identical; wall-clock lives in the manifest alone.  Exit codes:
+0 success, 1 failed checks, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .matrix import (Graph, InteractionMatrix, MatrixError, SubsetState,
                      build_mean_field, build_random_walk, build_sequential,
                      load_matrix, p_xi, q_xi, sample_erdos_renyi, save_matrix,
                      validate)
-from .percolation import EngineTooLarge, PercolationModel
+from .percolation import PercolationModel
 from .rng import stream
 
 
@@ -78,9 +79,12 @@ def _parse_subset(spec: str, n: int) -> SubsetState:
 
 def _parse_times(spec: str) -> list[float]:
     try:
-        return [float(s) for s in spec.replace(",", " ").split()]
+        times = [float(s) for s in spec.replace(",", " ").split()]
     except ValueError:
         raise MatrixError(f"cannot parse time list {spec!r}")
+    if not times or not all(0 <= t < math.inf for t in times):
+        raise MatrixError(f"time list {spec!r} must hold finite nonnegative numbers")
+    return times
 
 
 def _fmt(x) -> str:
@@ -214,7 +218,7 @@ def cmd_percolate(args, outputs: list) -> int:
             method = "gillespie" if args.engine == "mc" else "fpp"
             est = perc.mc_expectation(model, args.functional, v, t,
                                       reps=args.reps, seed=args.seed,
-                                      method=method, threads=args.threads)
+                                      method=method)
             val, est_err, reps, seed = est.mean, est.stderr, est.reps, est.seed
         rows.append([args.engine, args.functional, str(v), float(t), float(val),
                      None if est_err is None else float(est_err),
@@ -363,7 +367,7 @@ def cmd_simulate(args, outputs: list) -> int:
     cfg = sde.SimConfig(dt=args.dt, T=args.T, samples=args.samples,
                         seed=args.seed, sigma=args.sigma)
     run = sde.simulate_projection if args.projection else sde.simulate_particles
-    samples = run(xi, drift, cfg, threads=args.threads)
+    samples = run(xi, drift, cfg)
     if args.save_samples:
         sde.save_samples(samples, args.save_samples)
         outputs.append(args.save_samples)
@@ -429,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, metavar="TIMES", help="comma-separated times")
     p.add_argument("--kappa", type=float, default=1.0, help="rate scale")
     p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored; runs are serial")
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=cmd_percolate)
 
@@ -484,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--projection", action="store_true",
                    help="simulate the decoupled projection instead of particles")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored; runs are serial")
     p.add_argument("--save-samples", metavar="FILE")
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -502,7 +508,7 @@ def console_main(argv=None) -> int:
         code = args.func(args, outputs)
         _write_manifests(args.subcommand, args, outputs, time.perf_counter() - t0)
         return code
-    except (ValueError, OSError, EngineTooLarge) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

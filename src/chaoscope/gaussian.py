@@ -89,8 +89,8 @@ def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianMode
     Stops once sum_{m>M} T^m (2 rho)^m / (m+1)! <= tol, which bounds the
     sup-norm error of T^{-1} Sigma_T.  Cross-check with sigma_T_quadrature.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = xi.dense()
@@ -126,8 +126,8 @@ def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianMode
 
 def sigma_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-8) -> np.ndarray:
     """Independent route: composite-Simpson quadrature of e^{s xi} e^{s xi^T}."""
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     d = xi.dense()
 
     def f(s):
@@ -232,8 +232,8 @@ def d_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> float:
     Vanishes whenever every diagonal of every power vanishes (e.g. strictly
     triangular xi).  Cross-check: d_T_quadrature integrates e^{s xi} instead.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     d = xi.dense()
     rho = linalg.op_norm(d)
     s = np.zeros(xi.n)

@@ -94,7 +94,8 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
 
     The error budget is rel_tol relative to a coarse whole-interval estimate
     (max-abs for array values), with abs_floor as a lower scale guard so
-    near-zero integrals do not demand impossible refinement.
+    near-zero integrals do not demand impossible refinement.  Raises
+    RuntimeError when a subinterval still fails the error test at max_depth.
     """
     if b <= a:
         return 0.0 * np.asarray(f(a), dtype=float)
@@ -116,8 +117,10 @@ def _adapt(f, a, b, fa, fm, fb, whole, eps, depth):
     left = _simpson(a, m, fa, flm, fm)
     right = _simpson(m, b, fm, frm, fb)
     delta = left + right - whole
-    if depth <= 0 or float(np.max(np.abs(delta))) <= 15.0 * eps:
+    if float(np.max(np.abs(delta))) <= 15.0 * eps:
         return left + right + delta / 15.0
+    if depth <= 0:
+        raise RuntimeError("simpson_adaptive: no convergence at max_depth")
     return (_adapt(f, a, m, fa, flm, fm, left, eps / 2, depth - 1)
             + _adapt(f, m, b, fm, frm, fb, right, eps / 2, depth - 1))
 

@@ -439,9 +439,12 @@ def load_matrix(path) -> InteractionMatrix:
         return InteractionMatrix.from_dense(a)
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "coo" or "n" not in doc:
+    if not isinstance(doc, dict) or doc.get("format") != "coo" or "n" not in doc:
         raise MatrixError(f"{path}: expected JSON with format='coo' and 'n'")
     entries = doc.get("entries", [])
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 3 for e in entries):
+        raise MatrixError(f"{path}: entries must be [i, j, value] triples")
     ii = [e[0] for e in entries]
     jj = [e[1] for e in entries]
     vals = [e[2] for e in entries]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .matrix import InteractionMatrix, SubsetState, validate, _frozen
-from .rng import stream, run_chunked
+from .rng import stream
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
 MASK_LIMIT = 63           # trajectories carry int64 bitmasks
@@ -192,8 +192,8 @@ def expectation_curve(model: PercolationModel, F: SubsetFunction,
                       t_max: float, tol: float = 1e-10) -> UniformizedCurve:
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and nonnegative")
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
     eng = _engine(model)
@@ -322,36 +322,25 @@ def fpp_simulate(model: PercolationModel, v, t: float, seed: int) -> Trajectory:
 
 
 def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
-                   method: str = "gillespie", threads: int | None = None) -> np.ndarray:
-    """Terminal-state bitmasks of `reps` independent paths; chunk-deterministic.
+                   method: str = "gillespie") -> np.ndarray:
+    """Terminal-state bitmasks of `reps` independent paths.
 
-    Replication r always uses the stream (seed, r), and chunks are combined in
-    index order, so the output is identical for every thread count.
+    Replication r always uses the stream (seed, r), so the output depends
+    only on the seed.
     """
     if model.n > MASK_LIMIT:
         raise EngineTooLarge(f"trajectory masks support n <= {MASK_LIMIT}")
     v = SubsetState.of(v, model.n)
     if method == "gillespie":
         dense = model.xi.dense()
-
-        def work(lo, hi):
-            out = np.empty(hi - lo, dtype=np.int64)
-            for r in range(lo, hi):
-                out[r - lo] = _gillespie_run(dense, model.kappa, model.n, v, t,
-                                             stream(seed, r))[2]
-            return out
+        run = lambda gen: _gillespie_run(dense, model.kappa, model.n, v, t, gen)
     elif method == "fpp":
         if not model.xi.symmetric:
             raise NotApplicable("edge-clock growth needs a symmetric matrix")
-
-        def work(lo, hi):
-            out = np.empty(hi - lo, dtype=np.int64)
-            for r in range(lo, hi):
-                out[r - lo] = _fpp_run(model, v, t, stream(seed, r))[2]
-            return out
+        run = lambda gen: _fpp_run(model, v, t, gen)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    return np.concatenate(run_chunked(work, reps, threads=threads))
+    return np.array([run(stream(seed, r))[2] for r in range(reps)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +398,16 @@ def functional_table(spec, xi: InteractionMatrix) -> SubsetFunction:
 
 
 def mc_expectation(model: PercolationModel, functional, v, t: float, reps: int,
-                   seed: int, method: str = "gillespie",
-                   threads: int | None = None) -> McEstimate:
+                   seed: int, method: str = "gillespie") -> McEstimate:
     """Sample mean of F(X_t) over independent trajectories.
 
     stderr is the sample standard deviation / sqrt(reps).  Identical seeds
-    give identical estimates for any thread count.
+    give identical estimates.
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
     functional_values(functional, model.xi, [])  # reject a bad spec before sampling
-    masks = terminal_masks(model, v, t, reps, seed, method=method, threads=threads)
+    masks = terminal_masks(model, v, t, reps, seed, method=method)
     vals = functional_values(functional, model.xi, masks)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(reps))

@@ -1,22 +1,19 @@
-"""Deterministic random streams and chunked parallel execution.
+"""Deterministic random streams.
 
 Every stochastic routine in the package draws from a Philox counter-based
 generator keyed by (seed, stream index).  Stream i under seed s yields the
-same bit sequence no matter which thread, chunk, or call order touches it,
-so serial and parallel runs agree exactly, across platforms.
+same bit sequence no matter which block or call order touches it, so a
+result depends only on the seed, across platforms.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Fixed work-unit size for Monte Carlo loops.  Chunk boundaries must never
-# depend on the thread count, or determinism across --threads breaks.
+# Replications per block where a sampler materialises all of a block's draws
+# at once (the SDE noise tensor); bounds memory, never changes results.
 CHUNK = 4096
 
 
@@ -26,30 +23,5 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else CHAOSCOPE_THREADS, else all cores."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("CHAOSCOPE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def chunk_ranges(total: int, size: int = CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def run_chunked(work, total: int, threads: int | None = None, size: int = CHUNK) -> list:
-    """Run work(lo, hi) over fixed chunks; results returned in chunk order.
-
-    The reduction order is by chunk index, not completion order, so the
-    combined result is identical for any worker count.
-    """
-    ranges = chunk_ranges(total, size)
-    n_workers = min(thread_count(threads), max(1, len(ranges)))
-    if n_workers == 1:
-        return [work(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]

@@ -8,8 +8,8 @@ xi with a common pairwise drift, where every coordinate solves one
 McKean-Vlasov equation approximated by the ensemble's own empirical law.
 
 Paths start at zero.  Replication r always draws its Brownian increments
-from the stream (seed, r), so terminal samples are bit-identical for every
-thread count, and particle/projection runs share noise when seeded alike.
+from the stream (seed, r), so terminal samples depend only on the seed, and
+particle/projection runs share noise when seeded alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .matrix import InteractionMatrix
 from .percolation import NotApplicable
-from .rng import run_chunked, stream
+from .rng import chunk_ranges, stream
 
 STOCHASTIC_TOL = 1e-9
 
@@ -79,8 +79,8 @@ class SimConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+            raise ValueError("dt and T must be positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.sigma <= 0:
@@ -132,40 +132,30 @@ def _particle_interaction(xi: InteractionMatrix, drift: DriftSpec):
     return interaction
 
 
-def simulate_particles(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig,
-                       threads: int | None = None) -> np.ndarray:
+def simulate_particles(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig) -> np.ndarray:
     """Terminal samples of the coupled system, shape (samples, n*d)."""
     n, d = xi.n, drift.d
     interaction = _particle_interaction(xi, drift)
-
-    def work(lo, hi):
-        noise = _draw_noise(lo, hi, cfg.steps, n, d, cfg.seed)
-        return _step_block(noise, cfg, interaction)
-
-    out = np.concatenate(run_chunked(work, cfg.samples, threads=threads))
+    # one noise block at a time bounds memory at CHUNK samples
+    out = np.concatenate([
+        _step_block(_draw_noise(lo, hi, cfg.steps, n, d, cfg.seed), cfg, interaction)
+        for lo, hi in chunk_ranges(cfg.samples)])
     return out.reshape(cfg.samples, n * d)
 
 
-def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig,
-                        threads: int | None = None) -> np.ndarray:
+def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig) -> np.ndarray:
     """Terminal samples of the independent projection, shape (samples, n*d).
 
     linear drift: the neighbor means vanish, so each coordinate is exactly
-    sigma * Brownian motion (simulated with the same stepper and streams, so
-    the xi = 0 particle run is bit-identical).  Row-stochastic xi with a
-    mean_field hook: one self-consistent pass where the drift sees the
-    ensemble's empirical law, necessarily unchunked (samples interact).
+    sigma * Brownian motion, i.e. the particle run under zero drift (same
+    stepper and streams, so the xi = 0 particle run is bit-identical).
+    Row-stochastic xi with a mean_field hook: one self-consistent pass where
+    the drift sees the ensemble's empirical law, necessarily unchunked
+    (samples interact).
     """
     n, d = xi.n, drift.d
     if drift.kind in ("linear", "zero") or not xi.vals.size:
-        interaction = lambda t, x: np.zeros_like(x)
-
-        def work(lo, hi):
-            noise = _draw_noise(lo, hi, cfg.steps, n, d, cfg.seed)
-            return _step_block(noise, cfg, interaction)
-
-        out = np.concatenate(run_chunked(work, cfg.samples, threads=threads))
-        return out.reshape(cfg.samples, n * d)
+        return simulate_particles(xi, DriftSpec("zero", d=d), cfg)
     row_sums = xi.row_sums
     if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:
         raise NotApplicable(

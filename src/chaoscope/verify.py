@@ -338,6 +338,8 @@ _DEFAULT_INSTANCES = {"generator": 50, "expectations": 50,
 
 
 def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[SuiteResult]:
+    if instances is not None and instances < 1:
+        raise ValueError("instances must be >= 1")
     names = SUITES if name == "all" else (name,)
     out = []
     for nm in names:

@@ -20,8 +20,9 @@ from conftest import random_matrices
 def test_constants_validation():
     with pytest.raises(ValueError):
         ModelConstants(gamma=0.0, M=1.0, sigma=1.0, T=1.0)
-    with pytest.raises(ValueError):
-        ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=-0.1)
+    for T in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=T)
     with pytest.raises(ValueError):
         ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=0.0)
     c = ModelConstants(gamma=2.0, M=3.0, sigma=0.5, T=1.0)

@@ -216,7 +216,7 @@ def test_simulate_cli_projection_and_samples(tmp_path):
     assert manifest["subcommand"] == "simulate"
 
 
-def test_usage_and_runtime_errors(tmp_path, capsys):
+def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:  # argparse: unknown engine
         run("percolate", "--mean-field", "4", "--v", "0", "--t", "1",
             "--engine", "warp")
@@ -233,14 +233,42 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
     # bad input is a usage error with the builder's own message
     pi = tmp_path / "pi.json"
     pi.write_text('{"0": 0.5}')
+    listed = tmp_path / "listed.json"
+    listed.write_text('[[0, 1, 0.5]]')
+    short = tmp_path / "short.json"
+    short.write_text('{"format": "coo", "n": 2, "entries": [[0, 1]]}')
+    growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
+              "--gamma", "1", "--big-m", "1", "--sigma-const", "1")
     cases = [
         (("bound", "--theorem", "avg-markov", "--mean-field", "4", "--k", "2",
           "--pi", str(pi)), "want a JSON list of weights"),
         (("matrix", "--mean-field", "0"), "mean field needs n >= 2"),
         (("matrix", "--sequential", "0"), "sequential case needs n >= 2"),
         (("gaussian", "--n", "0", "--T", "0.1"), "random substochastic matrix needs n >= 1"),
+        (("matrix", "--matrix", str(listed)), f"{listed}: expected JSON"),
+        (("matrix", "--matrix", str(short)), f"{short}: entries must be"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "inf"),
+         "finite nonnegative numbers"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "nan",
+          "--engine", "mc"), "finite nonnegative numbers"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", ""),
+         "finite nonnegative numbers"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "0.5,-1",
+          "--engine", "mc"), "finite nonnegative numbers"),
+        (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "nan",
+          "--samples", "10"), "dt and T must be positive and finite"),
+        (("gaussian", "--mean-field", "4", "--T", "nan"), "T must be positive and finite"),
+        ((*growth, "--horizon", "nan"), "T must be finite and nonnegative"),
+        (("verify", "--instances", "0"), "instances must be >= 1"),
+        (("verify", "--instances", "-2"), "instances must be >= 1"),
     ]
     for argv, message in cases:
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, argv
+    # non-convergence is an error line, not a traceback
+    def stalled(*args):
+        raise RuntimeError("simpson_adaptive: no convergence at max_depth")
+    monkeypatch.setattr(cli.verify_mod, "run_suite", stalled)
+    assert run("verify") == 2
+    assert capsys.readouterr().err.startswith("error: simpson_adaptive")

@@ -52,6 +52,14 @@ def test_sigma_T_zero_matrix_is_T_identity():
     assert gm.rho == 0.0 and gm.small_time()
 
 
+def test_horizon_must_be_positive_and_finite():
+    xi = build_sequential(3)
+    for T in (0.0, math.inf, math.nan):
+        for fn in (sigma_T, d_T):
+            with pytest.raises(ValueError):
+                fn(xi, T)
+
+
 def test_h_properties():
     x = np.array([-0.5, -0.1, 0.0, 0.3, 2.0])
     vals = h(x)

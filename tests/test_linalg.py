@@ -67,6 +67,12 @@ def test_simpson_adaptive_vector():
     assert np.allclose(got, want, rtol=1e-8)
 
 
+def test_simpson_adaptive_raises_at_max_depth():
+    step = lambda x: 1.0 if x > 0.3 else 0.0
+    with pytest.raises(RuntimeError):
+        simpson_adaptive(step, 0.0, 1.0, rel_tol=1e-6)
+
+
 def test_simpson_empty_interval():
     assert simpson_adaptive(math.exp, 1.0, 1.0) == 0.0
 

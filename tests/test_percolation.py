@@ -110,6 +110,9 @@ def test_curve_reuse_and_range_guard():
             exact_expectation(model, tab, [0], t, tol=1e-12), abs=1e-11)
     with pytest.raises(ValueError):
         curve.eval_all(2.5)
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            expectation_curve(model, tab, t_max)
 
 
 def test_engine_size_limit():
@@ -187,16 +190,6 @@ def test_fpp_rejects_asymmetric():
     model = PercolationModel(xi, 1.0)
     with pytest.raises(NotApplicable):
         fpp_simulate(model, [0], 1.0, seed=1)
-
-
-def test_terminal_masks_thread_invariance(four_cycle):
-    model = PercolationModel(four_cycle, 1.0)
-    for method in ("gillespie", "fpp"):
-        one = terminal_masks(model, [0], 0.8, reps=5000, seed=3,
-                             method=method, threads=1)
-        many = terminal_masks(model, [0], 0.8, reps=5000, seed=3,
-                              method=method, threads=6)
-        assert np.array_equal(one, many)
 
 
 def test_mc_agrees_with_exact(four_cycle):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from chaoscope.rng import CHUNK, chunk_ranges, run_chunked, stream, thread_count
+from chaoscope.rng import CHUNK, chunk_ranges, stream
 
 
 def test_stream_is_keyed_by_seed_and_index():
@@ -18,25 +18,5 @@ def test_chunk_ranges_cover_total_exactly():
     assert ranges[0] == (0, CHUNK)
     assert ranges[-1] == (2 * CHUNK, 2 * CHUNK + 7)
     assert sum(hi - lo for lo, hi in ranges) == 2 * CHUNK + 7
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))  # in order, no gaps
 
-
-def test_run_chunked_preserves_chunk_order():
-    total = 3 * CHUNK + 11
-
-    def work(lo, hi):
-        return np.arange(lo, hi)
-
-    serial = np.concatenate(run_chunked(work, total, threads=1))
-    parallel = np.concatenate(run_chunked(work, total, threads=4))
-    assert np.array_equal(serial, np.arange(total))
-    assert np.array_equal(serial, parallel)
-
-
-def test_thread_count_resolution_order(monkeypatch):
-    monkeypatch.setenv("CHAOSCOPE_THREADS", "3")
-    assert thread_count(2) == 2
-    assert thread_count(None) == 3
-    monkeypatch.delenv("CHAOSCOPE_THREADS")
-    assert thread_count(None) >= 1
-    monkeypatch.setenv("CHAOSCOPE_THREADS", "0")
-    assert thread_count(None) == 1

@@ -30,8 +30,9 @@ def cov_close(emp, want, samples, nsig):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0, T=1.0, samples=10, seed=0)
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, T=-1.0, samples=10, seed=0)
+    for T in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SimConfig(dt=0.1, T=T, samples=10, seed=0)
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, T=1.0, samples=0, seed=0)
     with pytest.raises(ValueError):
@@ -67,18 +68,6 @@ def test_projection_linear_equals_decoupled_particles():
     assert np.array_equal(proj, decoupled)
     proj_zero = simulate_projection(zero_matrix(3), DriftSpec.zero(), cfg)
     assert np.array_equal(proj_zero, decoupled)
-
-
-def test_thread_invariance():
-    cfg = SimConfig(dt=0.05, T=0.5, samples=600, seed=3)
-    xi = build_mean_field(4)
-    for drift in (DriftSpec.linear(), DriftSpec.custom("sine")):
-        one = simulate_particles(xi, drift, cfg, threads=1)
-        many = simulate_particles(xi, drift, cfg, threads=5)
-        assert np.array_equal(one, many)
-    p1 = simulate_projection(xi, DriftSpec.linear(), cfg, threads=1)
-    p5 = simulate_projection(xi, DriftSpec.linear(), cfg, threads=5)
-    assert np.array_equal(p1, p5)
 
 
 def test_sine_projection_runs_on_stochastic_rows():
