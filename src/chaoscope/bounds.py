@@ -44,14 +44,15 @@ class ModelConstants:
     C0: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.M <= 0 or self.sigma <= 0:
-            raise ValueError("gamma, M, sigma must be positive")
-        if not 0 <= self.T < math.inf:
-            raise ValueError("T must be finite and nonnegative")
-        if self.C0 < 0:
-            raise ValueError("C0 must be nonnegative")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive when given")
+        positive = [("gamma", self.gamma), ("M", self.M), ("sigma", self.sigma)]
+        if self.eta is not None:
+            positive.append(("eta", self.eta))
+        for name, val in positive:
+            if not 0 < val < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {val}")
+        for name, val in (("T", self.T), ("C0", self.C0)):
+            if not 0 <= val < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {val}")
 
     def rate_scale(self) -> float:
         """gamma / sigma^2: the growth-process rate the entropy proofs use."""

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .matrix import InteractionMatrix, SubsetState, _frozen
+from .matrix import InteractionMatrix, SubsetState, indicators, lattice, _frozen
 from .rng import stream
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -182,13 +182,13 @@ def subset_entropies(model: GaussianModel, masks):
     masks = np.asarray(masks)
     if (masks <= 0).any():
         raise ValueError("v must be nonempty")
-    bits = (masks[:, None] >> np.arange(model.n)) & 1
-    sizes = bits.sum(axis=1)
+    ind = indicators(masks, model.n)
+    sizes = ind.sum(axis=1).astype(int)
     exact = np.empty(masks.size)
     tr2 = np.empty(masks.size)
     for k in np.unique(sizes):
         rows = np.nonzero(sizes == k)[0]
-        mem = np.nonzero(bits[rows])[1].reshape(rows.size, k)
+        mem = np.nonzero(ind[rows])[1].reshape(rows.size, k)
         a = model.sigma_T[mem[:, :, None], mem[:, None, :]] / model.T - np.eye(k)
         lam = np.linalg.eigvalsh(a)
         if (lam <= -1.0).any():
@@ -210,20 +210,24 @@ def entropy_bounds(model: GaussianModel, v) -> EntropyPair:
     return EntropyPair(v, exact, lower, upper, model.small_time())
 
 
-def clique_lower(xi: InteractionMatrix, v, T: float) -> float:
-    """(T^2/12) sum_{i,j in v} xi_ij^2; valid in the small-time window."""
-    v = SubsetState.of(v, xi.n)
-    mem = v.sorted_members()
-    sub = xi.dense()[np.ix_(mem, mem)]
-    return T * T / 12.0 * float((sub * sub).sum())
+def clique_lower(xi: InteractionMatrix, v, T: float):
+    """(T^2/12) sum_{i,j in v} xi_ij^2; valid in the small-time window.
+
+    v=None gives every subset at once (a vector over all 2^n masks).
+    """
+    ind = lattice(xi.n)[0] if v is None else \
+        indicators([SubsetState.of(v, xi.n).mask], xi.n)
+    d = xi.dense()
+    vals = T * T / 12.0 * np.einsum("mi,mi->m", ind @ (d * d), ind)
+    return vals if v is None else float(vals[0])
 
 
-def max_upper(model: GaussianModel, v) -> float:
-    """e^{10 rho T} delta^2 |v|^2; needs row sums <= 1."""
+def max_upper(model: GaussianModel, v):
+    """e^{10 rho T} delta^2 |v|^2; needs row sums <= 1.  v=None: every mask."""
     if float(model.xi.row_sums.max(initial=0.0)) > 1.0 + 1e-12:
         raise ValueError("max_upper needs row sums <= 1")
-    v = SubsetState.of(v, model.n)
-    return math.exp(10.0 * model.rho * model.T) * model.xi.delta ** 2 * v.size ** 2
+    sizes = lattice(model.n)[1] if v is None else float(SubsetState.of(v, model.n).size)
+    return math.exp(10.0 * model.rho * model.T) * model.xi.delta ** 2 * sizes ** 2
 
 
 def d_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> float:

@@ -67,6 +67,7 @@ def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
     For entrywise-nonnegative a the top eigenvector of a^T a can be taken
     nonnegative, so the all-ones start overlaps the leading eigenspace of
     every diagonal block and the iteration converges to the global maximum.
+    Raises RuntimeError when it has not converged after max_iter steps.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0 or not a.any():
@@ -85,7 +86,7 @@ def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
         if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
             return math.sqrt(max(lam_new, 0.0))
         lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    raise RuntimeError(f"op_norm: power iteration did not converge in {max_iter} steps")
 
 
 def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-8,

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,6 +142,32 @@ class SubsetState:
 
     def __str__(self):
         return "{" + ",".join(str(i) for i in self.sorted_members()) + "}"
+
+
+# ---------------------------------------------------------------------------
+# Subset lattice: tables over subsets are indexed by bitmask, bit i for member i
+
+def indicators(masks, n: int) -> np.ndarray:
+    """0/1 rows of length n, one per mask; Python-int masks above bit 63 work too."""
+    masks = np.asarray(masks)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+
+
+@lru_cache(maxsize=8)
+def lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator rows and sizes of all 2^n masks, in mask order (read-only)."""
+    ind = indicators(np.arange(1 << n, dtype=np.int64), n)
+    return _frozen(ind), _frozen(ind.sum(axis=1))
+
+
+def step_pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views (lo, hi) of a mask-ordered table, each of shape (-1, 2^j).
+
+    lo holds the entries at the masks lacking j, hi the entries at the same
+    masks with j added, so hi - lo is the increment from adding j.
+    """
+    blocks = f.reshape(-1, 2, 1 << j)
+    return blocks[:, 0], blocks[:, 1]
 
 
 class InteractionMatrix:

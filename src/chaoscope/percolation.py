@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .matrix import InteractionMatrix, SubsetState, validate, _frozen
+from .matrix import (InteractionMatrix, SubsetState, indicators, lattice, step_pairs,
+                     validate, _frozen)
 from .rng import stream
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
@@ -44,8 +45,8 @@ class PercolationModel:
     kappa: float  # rate scale multiplying every transition rate
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     @property
     def n(self) -> int:
@@ -68,9 +69,6 @@ class SubsetFunction:
     @classmethod
     def constant(cls, n: int, c: float) -> "SubsetFunction":
         return cls(np.full(1 << n, float(c)), n)
-
-    def __getitem__(self, mask: int) -> float:
-        return float(self.values[mask])
 
 
 @dataclass(frozen=True)
@@ -107,15 +105,7 @@ class McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Subset lattice
-
-@lru_cache(maxsize=8)
-def _lattice(n: int):
-    """Indicator table over all bitmasks and the matching cardinalities."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    ind = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    return _frozen(ind), _frozen(ind.sum(axis=1))
-
+# Exact subset engine
 
 def _require_exact(n: int):
     if n > EXACT_ENGINE_LIMIT:
@@ -126,24 +116,21 @@ class _Engine:
     """Per-model tables for the exact subset engine."""
 
     def __init__(self, model: PercolationModel):
-        _require_exact(model.n)
         n = model.n
-        self.n = n
+        _require_exact(n)
         self.kappa = model.kappa
-        d = model.xi.dense()
-        ind, sizes = _lattice(n)
-        self.ind, self.sizes = ind, sizes
-        # rate_in[m, j] = sum_{i in m} xi[i, j]; joining rate of j is kappa * that
-        self.rate_in = ind @ d
-        self.absent = [np.nonzero(ind[:, j] == 0)[0] for j in range(n)]
-        max_row = float(model.xi.row_sums.max()) if n else 0.0
-        self.lam = model.kappa * n * max(1.0, max_row)
+        # sums[j, m] = sum_{i in m} xi[i, j]; j joins mask m at rate kappa * that
+        sums = np.ascontiguousarray((lattice(n)[0] @ model.xi.dense()).T)
+        # kept only at the masks lacking j, in step_pairs' (-1, 2^j) layout
+        self.rates = [step_pairs(sums[j], j)[0].copy() for j in range(n)]
+        self.lam = model.kappa * n * max(1.0, float(model.xi.row_sums.max()))
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
         out = np.zeros_like(f)
-        for j in range(self.n):
-            idx = self.absent[j]
-            out[idx] += self.rate_in[idx, j] * (f[idx + (1 << j)] - f[idx])
+        for j, rate in enumerate(self.rates):
+            lo, hi = step_pairs(f, j)
+            acc = step_pairs(out, j)[0]
+            acc += rate * (hi - lo)
         return self.kappa * out
 
     def apply_kernel(self, f: np.ndarray) -> np.ndarray:
@@ -181,6 +168,18 @@ class UniformizedCurve:
     t_max: float
     tol: float
 
+    @classmethod
+    def build(cls, kernel, f: np.ndarray, lam: float, t_max: float,
+              tol: float) -> "UniformizedCurve":
+        """Apply the stochastic kernel I + A/lam up to the Poisson(lam t_max)
+        truncation order (Fox & Glynn, CACM 1988)."""
+        kmax = linalg.poisson_truncation(lam * t_max, tol)
+        coeffs = np.empty((kmax + 1, f.size))
+        coeffs[0] = f
+        for k in range(1, kmax + 1):
+            coeffs[k] = kernel(coeffs[k - 1])
+        return cls(_frozen(coeffs), lam, t_max, tol)
+
     def eval_all(self, t: float) -> np.ndarray:
         if t < 0 or t > self.t_max * (1 + 1e-12):
             raise ValueError("curve evaluated outside [0, t_max]")
@@ -197,14 +196,7 @@ def expectation_curve(model: PercolationModel, F: SubsetFunction,
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
     eng = _engine(model)
-    kmax = linalg.poisson_truncation(eng.lam * t_max, tol)
-    coeffs = np.empty((kmax + 1, 1 << model.n))
-    cur = np.asarray(F.values, dtype=float)
-    coeffs[0] = cur
-    for k in range(1, kmax + 1):
-        cur = eng.apply_kernel(cur)
-        coeffs[k] = cur
-    return UniformizedCurve(_frozen(coeffs), eng.lam, t_max, tol)
+    return UniformizedCurve.build(eng.apply_kernel, F.values, eng.lam, t_max, tol)
 
 
 def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
@@ -214,10 +206,7 @@ def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
     v=None gives every start subset at once (a vector over masks).
     """
     mask = None if v is None else SubsetState.of(v, model.n).mask
-    if t == 0.0:
-        vals = np.array(F.values, dtype=float)
-    else:
-        vals = expectation_curve(model, F, t, tol).eval_all(t)
+    vals = expectation_curve(model, F, t, tol).eval_all(t)
     return vals if mask is None else float(vals[mask])
 
 
@@ -368,7 +357,7 @@ def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
         return sizes ** {"size": 1, "size2": 2, "size3": 3}[name]
 
     if name in ("linear", "quadratic"):
-        ind = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        ind = indicators(masks, n)
         ell = int(payload.get("ell", 0))
         if name == "linear":
             base = ind @ np.asarray(payload["x"], dtype=float)
@@ -434,8 +423,8 @@ def _check_payload(arr, name):
 
 
 def _quadratic_ingredients(model: PercolationModel, G: np.ndarray, t: float,
-                           tol: float):
-    """G_t and the two time-integral vectors shared by the quadratic families."""
+                           tol: float, sized: bool):
+    """G_t and the time-integral vector of quadratic (or, sized, size-quadratic)."""
     d = model.xi.dense()
     k = model.kappa
 
@@ -443,23 +432,15 @@ def _quadratic_ingredients(model: PercolationModel, G: np.ndarray, t: float,
         e = linalg.expm(k * s * d)
         return e @ G @ e.T
 
-    g_t = g_at(t)
-
-    def integrand_a(s):
-        return d @ (linalg.expm(k * (t - s) * d) @ np.diag(g_at(s)).copy())
-
-    def integrand_b(s):
+    def integrand(s):
+        if not sized:
+            return d @ (linalg.expm(k * (t - s) * d) @ np.diag(g_at(s)).copy())
         gs = g_at(s)
         w = np.diag(d @ gs + gs @ d.T + 2.0 * gs).copy()
         z = d @ w
         return linalg.expm_action(k * (t - s) * d, z + d @ z)
 
-    if t == 0.0:
-        zero = np.zeros(model.n)
-        return g_t, zero, zero
-    int_a = k * linalg.simpson_adaptive(integrand_a, 0.0, t, rel_tol=tol)
-    int_b = k * linalg.simpson_adaptive(integrand_b, 0.0, t, rel_tol=tol)
-    return g_t, int_a, int_b
+    return g_at(t), k * linalg.simpson_adaptive(integrand, 0.0, t, rel_tol=tol)
 
 
 def expectation_bound(model: PercolationModel, family: str, v, t: float,
@@ -480,10 +461,10 @@ def expectation_bound(model: PercolationModel, family: str, v, t: float,
     _require_row_sums(model.xi)
     if v is None:
         _require_exact(model.n)
-        ind, sizes = _lattice(model.n)
+        ind, sizes = lattice(model.n)
     else:
-        v = SubsetState.of(v, model.n)
-        ind, sizes = v.indicator()[None, :], np.array([float(v.size)])
+        ind = indicators([SubsetState.of(v, model.n).mask], model.n)
+        sizes = ind.sum(axis=1)
     kap = model.kappa
     if family == "size":
         vals = math.exp(kap * t) * sizes
@@ -511,13 +492,14 @@ def expectation_bound(model: PercolationModel, family: str, v, t: float,
         Gm = _check_payload(G, "G")
         if Gm.shape != (model.n, model.n):
             raise ValueError("G must be an n x n matrix")
-        g_t, int_a, int_b = _quadratic_ingredients(model, Gm, t, tol)
+        g_t, integral = _quadratic_ingredients(model, Gm, t, tol,
+                                               sized=family == "size-quadratic")
         if family == "quadratic":
-            vals = np.einsum("mi,mi->m", ind @ g_t, ind) + ind @ int_a
+            vals = np.einsum("mi,mi->m", ind @ g_t, ind) + ind @ integral
         else:
             mid = d @ g_t + g_t @ d.T + g_t
             vals = sizes * math.exp(kap * t) * (
-                np.einsum("mi,mi->m", ind @ mid, ind) + ind @ int_b)
+                np.einsum("mi,mi->m", ind @ mid, ind) + ind @ integral)
     return vals if v is None else float(vals[0])
 
 
@@ -528,7 +510,7 @@ def lemma_polynomial_rhs(model: PercolationModel, ell: int) -> SubsetFunction:
     """kappa * |v| * ((|v|+1)^ell - |v|^ell)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    _, sizes = _lattice(model.n)
+    _, sizes = lattice(model.n)
     vals = model.kappa * sizes * ((sizes + 1.0) ** ell - sizes ** ell)
     return SubsetFunction(vals, model.n)
 
@@ -538,7 +520,7 @@ def lemma_linear_rhs(model: PercolationModel, x, ell: int) -> SubsetFunction:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     xv = _check_payload(x, "x")
-    ind, sizes = _lattice(model.n)
+    ind, sizes = lattice(model.n)
     d = model.xi.dense()
     vals = model.kappa * ((sizes + 1.0) ** ell * (ind @ (d @ xv))
                           + sizes * ((sizes + 1.0) ** ell - sizes ** ell) * (ind @ xv))
@@ -550,7 +532,7 @@ def lemma_quadratic_rhs(model: PercolationModel, G, ell: int) -> SubsetFunction:
     if ell not in (0, 1):
         raise ValueError("quadratic bound is stated for ell in {0, 1}")
     Gm = _check_payload(G, "G")
-    ind, sizes = _lattice(model.n)
+    ind, sizes = lattice(model.n)
     d = model.xi.dense()
     diag_term = ind @ (d @ np.diag(Gm).copy())
     cross = d @ Gm + Gm @ d.T
@@ -597,13 +579,6 @@ def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
     f = np.asarray(power(ks), dtype=float) if callable(power) else ks ** power
     if lam <= 0 or t == 0.0:
         return float(f[k0])
-    kmax = linalg.poisson_truncation(lam * t, tol)
-    w = linalg.poisson_weights(lam * t, kmax)
-    cur = f.copy()
-    acc = w[0] * cur
-    for m in range(1, kmax + 1):
-        nxt = cur + (birth * (np.roll(cur, -1) - cur)) / lam
-        nxt[n] = cur[n]  # full state is absorbing
-        cur = nxt
-        acc = acc + w[m] * cur
-    return float(acc[k0])
+    # birth[n] = 0 keeps the full state absorbing under the wrap-around roll
+    kernel = lambda cur: cur + (birth * (np.roll(cur, -1) - cur)) / lam
+    return float(UniformizedCurve.build(kernel, f, lam, t, tol).eval_all(t)[k0])

@@ -29,7 +29,7 @@ STOCHASTIC_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Pairwise drift contract: dX^i = (b0(t,X^i) + sum_j xi_ij b(t,X^i,X^j)) dt + sigma dB^i.
+    """Pairwise drift contract: dX^i = sum_j xi_ij b(t,X^i,X^j) dt + sigma dB^i.
 
     mean_field(t, x, pool) must return the pool-average of y -> b(t, x, y);
     it is required only for the McKean-Vlasov projection of custom drifts.
@@ -37,7 +37,6 @@ class DriftSpec:
 
     kind: str
     d: int = 1
-    b0: Optional[Callable] = None
     b: Optional[Callable] = None
     mean_field: Optional[Callable] = None
 
@@ -119,15 +118,12 @@ def _particle_interaction(xi: InteractionMatrix, drift: DriftSpec):
         # sum_j xi_ij x_j: contract the particle axis against xi's rows
         return lambda t, x: np.einsum("ij,bjd->bid", dense, x)
     b = drift.b
-    b0 = drift.b0
 
     def interaction(t, x):
         out = np.zeros_like(x)
         for i in range(xi.n):
             pair = b(t, x[:, i:i + 1, :], x)           # (block, n, d)
             out[:, i, :] = np.einsum("j,bjd->bd", dense[i], pair)
-        if b0 is not None:
-            out = out + b0(t, x)
         return out
     return interaction
 
@@ -169,14 +165,11 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     noise = _draw_noise(0, cfg.samples, cfg.steps, n, d, cfg.seed)
     x = np.zeros((cfg.samples, n, d))
     root = cfg.sigma * math.sqrt(cfg.dt)
-    b0 = drift.b0
     for s in range(cfg.steps):
         t = s * cfg.dt
         out = np.empty_like(x)
         for i in range(n):
             out[:, i, :] = drift.mean_field(t, x[:, i, :], x[:, i, :])
-        if b0 is not None:
-            out = out + b0(t, x)
         x = x + cfg.dt * out + root * noise[:, s]
     return x.reshape(cfg.samples, n * d)
 

@@ -19,7 +19,8 @@ from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import linalg
 from . import percolation as perc
-from .matrix import InteractionMatrix, MatrixError, SubsetState, q_xi
+from .matrix import (InteractionMatrix, MatrixError, SubsetState, lattice, q_xi,
+                     step_pairs)
 from .rng import stream
 
 SLACK_TOL = 1e-9
@@ -113,7 +114,7 @@ def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         G = gen.random((n, n))
         if gen.random() < 0.5:
             G = (G + G.T) / 2.0
-        ind, sizes = perc._lattice(n)
+        ind, sizes = lattice(n)
         for ell in (1, 2, 3):
             lhs = perc.generator_apply(model, perc.SubsetFunction(sizes ** ell, n))
             rhs = perc.lemma_polynomial_rhs(model, ell)
@@ -149,7 +150,7 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         model = perc.PercolationModel(xi, kappa)
         x = gen.random(n)
         G = gen.random((n, n))
-        ind, sizes = perc._lattice(n)
+        ind, sizes = lattice(n)
         tables = {
             "size": sizes, "size2": sizes ** 2, "size3": sizes ** 3,
             "linear": ind @ x, "size-linear": sizes * (ind @ x),
@@ -194,18 +195,15 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         exact, lower, upper = gauss.subset_entropies(gm, np.arange(1, 1 << n))
         agg.add("gaussian.sandwich.lower", exact - lower)
         agg.add("gaussian.sandwich.upper", upper - exact)
-        ind, sizes = (a[1:] for a in perc._lattice(n))
-        d = xi.dense()
-        sq = np.einsum("mi,mi->m", ind @ (d * d), ind)
-        agg.add("gaussian.clique-lower", exact - T * T / 12.0 * sq)
-        maxes = math.exp(10.0 * gm.rho * T) * xi.delta ** 2 * sizes ** 2
-        agg.add("gaussian.max-upper", maxes - exact)
-        # data processing: adding one index never decreases the entropy
-        mono = np.inf
+        agg.add("gaussian.clique-lower", exact - gauss.clique_lower(xi, None, T)[1:])
+        agg.add("gaussian.max-upper", gauss.max_upper(gm, None)[1:] - exact)
+        # data processing: adding one index never decreases the entropy; the
+        # empty set has no entry, and -inf there drops its pairs from the minimum
+        by_mask = np.concatenate(([-np.inf], exact))
         for j in range(n):
-            absent = np.nonzero(ind[:, j] == 0)[0]
-            mono = min(mono, float((exact[absent + (1 << j)] - exact[absent]).min()))
-        agg.add("gaussian.monotone-in-v", mono)
+            lo, hi = step_pairs(by_mask, j)
+            agg.add("gaussian.monotone-in-v", hi - lo)
+        sizes = lattice(n)[1][1:]
         a_full = gm.centered()
         for k in range(1, n + 1):
             brute = np.mean([((a_full[np.ix_(c, c)]) ** 2).sum()
@@ -262,17 +260,14 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
             rev = bounds_mod.reversed_variant(avg)
             agg.add("bounds.reversed-smaller", avg.structural - rev.structural)
         if n <= 6:
-            vals = {}
-            for mask in range(1, 1 << n):
-                v = SubsetState.from_mask(mask, n)
-                vals[mask] = q_xi(xi, v)
-                agg.add("bounds.setwise-cap",
-                        8.0 * xi.delta ** 2 * v.size ** 3 - vals[mask])
-            for mask in range(1, 1 << n):
-                for j in range(n):
-                    if not (mask >> j) & 1:
-                        agg.add("bounds.setwise-monotone",
-                                vals[mask | (1 << j)] - vals[mask])
+            # q_xi over the masks; -inf at the empty set drops its pairs below
+            q = np.array([-np.inf] + [q_xi(xi, SubsetState.from_mask(m, n))
+                                      for m in range(1, 1 << n)])
+            sizes = lattice(n)[1]
+            agg.add("bounds.setwise-cap", 8.0 * xi.delta ** 2 * sizes[1:] ** 3 - q[1:])
+            for j in range(n):
+                lo, hi = step_pairs(q, j)
+                agg.add("bounds.setwise-monotone", hi - lo)
     checks = agg.checks()
 
     # uniform-in-time gate: refuses exactly when sigma^2 <= 12 eta gamma

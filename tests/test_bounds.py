@@ -25,6 +25,11 @@ def test_constants_validation():
             ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=T)
     with pytest.raises(ValueError):
         ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=0.0)
+    base = dict(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=0.1, C0=0.0)
+    for name in ("gamma", "M", "sigma", "eta", "C0"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                ModelConstants(**dict(base, **{name: bad}))
     c = ModelConstants(gamma=2.0, M=3.0, sigma=0.5, T=1.0)
     assert c.rate_scale() == pytest.approx(8.0)
 

@@ -259,6 +259,14 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
           "--samples", "10"), "dt and T must be positive and finite"),
         (("gaussian", "--mean-field", "4", "--T", "nan"), "T must be positive and finite"),
         ((*growth, "--horizon", "nan"), "T must be finite and nonnegative"),
+        ((*growth, "--horizon", "1", "--c0", "nan"), "C0 must be finite and nonnegative"),
+        (("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0", "--gamma",
+          "nan", "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
+         "gamma must be positive and finite"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--engine", "mc",
+          "--kappa", "nan"), "kappa must be positive and finite"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--engine", "mc",
+          "--kappa", "inf"), "kappa must be positive and finite"),
         (("verify", "--instances", "0"), "instances must be >= 1"),
         (("verify", "--instances", "-2"), "instances must be >= 1"),
     ]

@@ -103,6 +103,23 @@ def test_exact_entropy_is_kl_against_reference():
                 assert exact_entropy(gm, v) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def test_subset_entropy_above_bit_63():
+    # n = 70: the mask of {0, 68} is a Python int beyond int64
+    xi = random_matrices(1, seed=46, n_lo=70, n_hi=70)[0]
+    T = 0.3
+    gm = sigma_T(xi, T)
+    v = SubsetState.of([0, 68], 70)
+    assert v.mask >= 1 << 63
+    sub = gm.sigma_T[np.ix_([0, 68], [0, 68])]
+    want = gaussian_kl(T * np.eye(2), sub)
+    assert exact_entropy(gm, v) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    pair = entropy_bounds(gm, v)
+    a = sub / T - np.eye(2)
+    assert pair.exact == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert pair.lower == pytest.approx((a * a).sum() / 6.0, rel=1e-12)
+    assert pair.upper == pytest.approx(math.exp(6 * gm.rho * T) * (a * a).sum(), rel=1e-12)
+
+
 def test_entropy_bounds_sandwich_small_time():
     for xi in random_matrices(10, seed=45):
         rho = max(sigma_T(xi, 1.0).rho, 1e-9)

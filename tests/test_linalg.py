@@ -52,6 +52,13 @@ def test_op_norm_matches_svd():
     assert op_norm(np.zeros((3, 3))) == 0.0
 
 
+def test_op_norm_raises_without_convergence():
+    a = stream(5).random((6, 6))
+    assert op_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-8)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        op_norm(a, max_iter=2)
+
+
 def test_simpson_adaptive_scalar():
     got = simpson_adaptive(math.exp, 0.0, 2.0, rel_tol=1e-10)
     want = math.exp(2.0) - 1.0

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from chaoscope.matrix import (C_of_v, Chat_of_v, Graph, InteractionMatrix,
                               MatrixError, SubsetState, build_mean_field,
                               build_random_walk, build_rank_one,
-                              build_sequential, load_matrix, p_xi, q_xi,
-                              sample_erdos_renyi, save_matrix, validate)
+                              build_sequential, indicators, lattice,
+                              load_matrix, p_xi, q_xi, sample_erdos_renyi,
+                              save_matrix, step_pairs, validate)
 from chaoscope.rng import stream
 
 from conftest import random_matrices
@@ -99,6 +100,21 @@ def test_subset_state_roundtrip():
     assert list(v.indicator()) == [0.0, 1.0, 0.0, 1.0, 0.0]
     with pytest.raises(MatrixError):
         SubsetState.of([5], 5)
+
+
+def test_lattice_rows_are_subset_indicators():
+    for n in range(1, 7):
+        ind, sizes = lattice(n)
+        for m in range(1 << n):
+            v = SubsetState.from_mask(m, n)
+            assert np.array_equal(ind[m], v.indicator())
+            assert sizes[m] == v.size
+        assert np.array_equal(indicators(np.arange(1 << n), n), ind)
+    table = np.arange(16.0)
+    for j in range(4):
+        lo, hi = step_pairs(table, j)
+        assert np.array_equal(hi - lo, np.full(8, float(1 << j)).reshape(-1, 1 << j))
+        assert not ((lo.astype(int) >> j) & 1).any()
 
 
 def test_p_xi_brute_force():

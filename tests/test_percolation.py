@@ -6,10 +6,10 @@ import scipy.linalg
 
 from chaoscope.bounds import ModelConstants
 from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
-                              build_mean_field)
+                              build_mean_field, lattice)
 from chaoscope.percolation import (EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction,
-                                   _gillespie_run, _lattice, exact_expectation,
+                                   _gillespie_run, exact_expectation,
                                    expectation_bound, expectation_curve,
                                    fpp_simulate, functional_table,
                                    functional_values, generator_apply,
@@ -54,7 +54,10 @@ def full_rate_matrix(xi, kappa):
 
 def test_generator_matches_definition():
     g = stream(11)
-    for xi in random_matrices(8, seed=12, n_lo=2, n_hi=6):
+    # n=1 and n=8 reach the first (2^0) and widest (2^7) step_pairs blocks
+    edges = [InteractionMatrix.from_dense(np.zeros((1, 1))),
+             random_matrices(1, seed=19, n_lo=8, n_hi=8)[0]]
+    for xi in random_matrices(8, seed=12, n_lo=2, n_hi=6) + edges:
         kappa = float(g.uniform(0.3, 2.0))
         model = PercolationModel(xi, kappa)
         f = g.random(1 << xi.n)
@@ -79,7 +82,7 @@ def test_exact_expectation_t0_returns_f():
     xi = build_mean_field(4)
     model = PercolationModel(xi, 1.0)
     f = SubsetFunction(np.arange(16.0), 4)
-    assert exact_expectation(model, f, [2], 0.0) == f[0b0100]
+    assert exact_expectation(model, f, [2], 0.0) == f.values[0b0100]
     assert np.array_equal(exact_expectation(model, f, None, 0.0), f.values)
 
 
@@ -226,7 +229,7 @@ def test_callable_functional(four_cycle):
 def test_lemma_rhs_formulas():
     for xi in random_matrices(4, seed=15, n_lo=2, n_hi=5):
         model = PercolationModel(xi, 0.7)
-        ind, sizes = _lattice(xi.n)
+        ind, sizes = lattice(xi.n)
         d = xi.dense()
         for ell in (1, 2, 3):
             want = 0.7 * sizes * ((sizes + 1.0) ** ell - sizes ** ell)
@@ -248,7 +251,7 @@ def test_lemma_quadratic_rhs_formula():
         d = xi.dense()
         model = PercolationModel(xi, 1.1)
         G = g.random((xi.n, xi.n))
-        ind, sizes = _lattice(xi.n)
+        ind, sizes = lattice(xi.n)
         diag = ind @ (d @ np.diag(G))
         cross = np.einsum("mi,mi->m", ind @ (d @ G + G @ d.T), ind)
         quad = np.einsum("mi,mi->m", ind @ G, ind)
@@ -320,6 +323,25 @@ def test_expectation_bound_quadratic_vs_quadrature():
     assert got == pytest.approx(want, rel=1e-7)
 
 
+def test_quadratic_bounds_integrate_once(monkeypatch):
+    import chaoscope.linalg as linalg
+    calls = []
+    quadrature = linalg.simpson_adaptive
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "simpson_adaptive", counted)
+    xi = random_matrices(1, seed=20, n_lo=4, n_hi=4)[0]
+    model = PercolationModel(xi, 0.8)
+    G = stream(19).random((4, 4))
+    for family in ("quadratic", "size-quadratic"):
+        calls.clear()
+        expectation_bound(model, family, [0, 2], 0.7, G=G)
+        assert len(calls) == 1, family
+
+
 def test_expectation_bound_all_matches_single():
     xi = random_matrices(1, seed=22, n_lo=3, n_hi=3)[0]
     model = PercolationModel(xi, 1.2)
@@ -370,5 +392,6 @@ def test_mean_field_size_chain_callable():
 
 def test_model_validates_kappa():
     xi = build_mean_field(3)
-    with pytest.raises(ValueError):
-        PercolationModel(xi, 0.0)
+    for kappa in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            PercolationModel(xi, kappa)
