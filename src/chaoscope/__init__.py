@@ -19,9 +19,8 @@ from .matrix import (Graph, InteractionMatrix, SubsetState, build_mean_field,
                      build_random_walk, build_sequential, load_matrix, p_xi,
                      q_xi, sample_erdos_renyi, save_matrix, validate)
 from .percolation import (PercolationModel, SubsetFunction, exact_expectation,
-                          expectation_bound, fpp_simulate, functional_table,
-                          generator_apply, mc_expectation, simulate,
-                          yule_second_moment)
+                          expectation_bound, functional_table, generator_apply,
+                          mc_expectation, yule_second_moment)
 from .sde import DriftSpec, SimConfig, simulate_particles, simulate_projection
 from .verify import run_suite
 
@@ -37,8 +36,8 @@ __all__ = [
     "build_random_walk", "build_sequential", "load_matrix", "p_xi", "q_xi",
     "sample_erdos_renyi", "save_matrix", "validate",
     "PercolationModel", "SubsetFunction", "exact_expectation",
-    "expectation_bound", "fpp_simulate", "functional_table", "generator_apply",
-    "mc_expectation", "simulate", "yule_second_moment",
+    "expectation_bound", "functional_table", "generator_apply",
+    "mc_expectation", "yule_second_moment",
     "DriftSpec", "SimConfig", "simulate_particles", "simulate_projection",
     "run_suite",
 ]

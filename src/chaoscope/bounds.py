@@ -53,6 +53,10 @@ class ModelConstants:
         for name, val in (("T", self.T), ("C0", self.C0)):
             if not 0 <= val < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {val}")
+        s2 = self.sigma * self.sigma  # inf, not OverflowError, for a huge sigma
+        if s2 == 0 or not all(0 < val / s2 < math.inf for val in (self.gamma, self.M)):
+            raise ValueError("sigma must keep gamma / sigma^2 and M / sigma^2 "
+                             f"positive and finite, got {self.sigma}")
 
     def rate_scale(self) -> float:
         """gamma / sigma^2: the growth-process rate the entropy proofs use."""

@@ -468,11 +468,15 @@ def load_matrix(path) -> InteractionMatrix:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "coo" or "n" not in doc:
         raise MatrixError(f"{path}: expected JSON with format='coo' and 'n'")
+    if type(doc["n"]) is not int:
+        raise MatrixError(f"{path}: 'n' must be an integer, got {doc['n']!r}")
     entries = doc.get("entries", [])
     if not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 3 for e in entries):
-        raise MatrixError(f"{path}: entries must be [i, j, value] triples")
+            isinstance(e, list) and len(e) == 3 and type(e[0]) is type(e[1]) is int
+            and type(e[2]) in (int, float) for e in entries):
+        raise MatrixError(f"{path}: entries must be [i, j, value] triples of "
+                          "integer indices and a number")
     ii = [e[0] for e in entries]
     jj = [e[1] for e in entries]
     vals = [e[2] for e in entries]
-    return InteractionMatrix(int(doc["n"]), ii, jj, vals)
+    return InteractionMatrix(doc["n"], ii, jj, vals)

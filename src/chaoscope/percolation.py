@@ -28,7 +28,7 @@ from .matrix import (InteractionMatrix, SubsetState, indicators, lattice, step_p
 from .rng import stream
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
-MASK_LIMIT = 63           # trajectories carry int64 bitmasks
+MASK_LIMIT = 63           # terminal states are int64 bitmasks
 
 
 class EngineTooLarge(RuntimeError):
@@ -69,31 +69,6 @@ class SubsetFunction:
     @classmethod
     def constant(cls, n: int, c: float) -> "SubsetFunction":
         return cls(np.full(1 << n, float(c)), n)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One sampled path: strictly increasing jump times, one added index each."""
-
-    initial: SubsetState
-    times: tuple[float, ...]
-    added: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.added):
-            raise ValueError("times and added indices must align")
-
-    @property
-    def n(self) -> int:
-        return self.initial.n
-
-    def members_at(self, t: float) -> SubsetState:
-        members = set(self.initial.members)
-        for when, idx in zip(self.times, self.added):
-            if when > t:
-                break
-            members.add(idx)
-        return SubsetState(frozenset(members), self.n)
 
 
 @dataclass(frozen=True)
@@ -213,123 +188,90 @@ def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 
-def _gillespie_run(dense: np.ndarray, kappa: float, n: int, v: SubsetState,
-                   t: float, gen: np.random.Generator):
-    members = np.zeros(n, dtype=bool)
+def _gillespie_run(dense: np.ndarray, kappa: float, v: SubsetState, t: float,
+                   gen: np.random.Generator) -> int:
+    """Terminal mask of one jump-chain path: Exp holding times, next index by rate."""
+    members = np.zeros(v.n, dtype=bool)
     members[v.sorted_members()] = True
     rates = kappa * dense[members].sum(axis=0)
     rates[members] = 0.0
-    times, added = [], []
     mask = v.mask
     clock = 0.0
     while True:
         cs = rates.cumsum()
         total = cs[-1]
         if total <= 0.0:
-            break
+            return mask
         clock += gen.exponential(1.0 / total)
         if clock > t:
-            break
+            return mask
         # u < cs[-1], so the search lands on a bin of positive rate
         u = gen.random() * total
         j = int(np.searchsorted(cs, u, side="right"))
-        times.append(clock)
-        added.append(j)
         mask |= 1 << j
         members[j] = True
         rates = rates + kappa * dense[j]
         rates[members] = 0.0
-    return times, added, mask
 
 
-def simulate(model: PercolationModel, v, t: float, seed: int) -> Trajectory:
-    """One Gillespie path up to time t: Exp holding times, next index by rate."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if model.n > MASK_LIMIT:
-        raise EngineTooLarge(f"trajectory masks support n <= {MASK_LIMIT}")
-    v = SubsetState.of(v, model.n)
-    times, added, _ = _gillespie_run(model.xi.dense(), model.kappa, model.n,
-                                     v, t, stream(seed))
-    return Trajectory(v, tuple(times), tuple(added))
-
-
-def _fpp_edges(xi: InteractionMatrix):
+def _fpp_edges(model: PercolationModel):
+    """(neighbour, edge) adjacency lists and the mean clock 1/(kappa xi_ij) per edge."""
+    xi = model.xi
     upper = xi.ii < xi.jj
-    return xi.ii[upper], xi.jj[upper], xi.vals[upper]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(xi.n)]
+    for e, (a, b) in enumerate(zip(xi.ii[upper].tolist(), xi.jj[upper].tolist())):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    return adj, 1.0 / (model.kappa * xi.vals[upper])
 
 
-def _fpp_run(model: PercolationModel, v: SubsetState, t: float,
-             gen: np.random.Generator):
-    eu, ev, w = _fpp_edges(model.xi)
-    clocks = gen.exponential(1.0 / (model.kappa * w)) if w.size else np.empty(0)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(model.n)]
-    for a, b, c in zip(eu, ev, clocks):
-        adj[a].append((int(b), float(c)))
-        adj[b].append((int(a), float(c)))
+def _fpp_run(adj: list, scale: np.ndarray, v: SubsetState, t: float,
+             gen: np.random.Generator) -> int:
+    """Terminal mask of one edge-clock path: Dijkstra from v, stopped beyond t."""
+    clocks = gen.exponential(scale).tolist()
     dist = {i: 0.0 for i in v.members}
-    heap = [(0.0, i) for i in sorted(v.members)]
-    heapq.heapify(heap)
-    settled = {}
+    heap = [(0.0, i) for i in sorted(v.members)]  # sorted, so already a heap
+    mask = 0  # the settled nodes
     while heap:
         d, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled[node] = d
         if d > t:
-            continue  # still settled, but nothing beyond t can extend the ball
-        for nbr, c in adj[node]:
-            nd = d + c
-            if nbr not in settled and nd < dist.get(nbr, math.inf):
+            return mask
+        if mask >> node & 1:
+            continue
+        mask |= 1 << node
+        for nbr, e in adj[node]:
+            nd = d + clocks[e]
+            if not mask >> nbr & 1 and nd < dist.get(nbr, math.inf):
                 dist[nbr] = nd
                 heapq.heappush(heap, (nd, nbr))
-    hits = sorted((d, i) for i, d in settled.items() if i not in v.members and d <= t)
-    times = tuple(d for d, _ in hits)
-    added = tuple(i for _, i in hits)
-    mask = v.mask
-    for i in added:
-        mask |= 1 << i
-    return times, added, mask
-
-
-def fpp_simulate(model: PercolationModel, v, t: float, seed: int) -> Trajectory:
-    """Growth ball from independent edge clocks Exp(kappa * xi_ij).
-
-    Requires symmetric xi; the output law equals simulate's because the
-    minimum of the relevant exponential clocks is exponential in the total
-    rate and memoryless at every growth step.
-    """
-    if not model.xi.symmetric:
-        raise NotApplicable("edge-clock growth needs a symmetric matrix")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if model.n > MASK_LIMIT:
-        raise EngineTooLarge(f"trajectory masks support n <= {MASK_LIMIT}")
-    v = SubsetState.of(v, model.n)
-    times, added, _ = _fpp_run(model, v, t, stream(seed))
-    return Trajectory(v, times, added)
+    return mask
 
 
 def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
                    method: str = "gillespie") -> np.ndarray:
-    """Terminal-state bitmasks of `reps` independent paths.
+    """Bitmasks of X_t for `reps` independent paths started at v.
 
-    Replication r always uses the stream (seed, r), so the output depends
-    only on the seed.
+    "gillespie" samples the jump chain; "fpp" grows the first-passage ball of
+    independent edge clocks Exp(kappa * xi_ij), which for symmetric xi has the
+    same law (the minimum of the relevant clocks is exponential in the total
+    rate and memoryless).  Path r uses the stream (seed, r).
     """
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if model.n > MASK_LIMIT:
-        raise EngineTooLarge(f"trajectory masks support n <= {MASK_LIMIT}")
+        raise EngineTooLarge(f"terminal masks support n <= {MASK_LIMIT}")
     v = SubsetState.of(v, model.n)
     if method == "gillespie":
         dense = model.xi.dense()
-        run = lambda gen: _gillespie_run(dense, model.kappa, model.n, v, t, gen)
+        run = lambda gen: _gillespie_run(dense, model.kappa, v, t, gen)
     elif method == "fpp":
         if not model.xi.symmetric:
             raise NotApplicable("edge-clock growth needs a symmetric matrix")
-        run = lambda gen: _fpp_run(model, v, t, gen)
+        adj, scale = _fpp_edges(model)
+        run = lambda gen: _fpp_run(adj, scale, v, t, gen)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    return np.array([run(stream(seed, r))[2] for r in range(reps)], dtype=np.int64)
+    return np.array([run(stream(seed, r)) for r in range(reps)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +513,8 @@ def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
     the 2^n subset engine and any n is cheap.  power is an exponent for
     f(k) = k^power, or a callable applied to the size vector 0..n.
     """
-    if not (1 <= k0 <= n):
-        raise ValueError("need 1 <= k0 <= n")
+    if n < 2 or not 1 <= k0 <= n:
+        raise ValueError(f"need n >= 2 and 1 <= k0 <= n, got n={n}, k0={k0}")
     ks = np.arange(n + 1, dtype=float)
     birth = kappa * ks * (n - ks) / (n - 1)
     lam = float(birth.max())

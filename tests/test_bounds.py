@@ -30,6 +30,11 @@ def test_constants_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 ModelConstants(**dict(base, **{name: bad}))
+    # sigma^2 underflows to 0 (1e-200), gamma / sigma^2 overflows (1e-160),
+    # or gamma / sigma^2 underflows to 0 (1e200)
+    for sigma in (1e-200, 1e-160, 1e200):
+        with pytest.raises(ValueError, match="^sigma must keep gamma / sigma"):
+            ModelConstants(**dict(base, sigma=sigma))
     c = ModelConstants(gamma=2.0, M=3.0, sigma=0.5, T=1.0)
     assert c.rate_scale() == pytest.approx(8.0)
 

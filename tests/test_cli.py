@@ -237,6 +237,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     listed.write_text('[[0, 1, 0.5]]')
     short = tmp_path / "short.json"
     short.write_text('{"format": "coo", "n": 2, "entries": [[0, 1]]}')
+    listed_n = tmp_path / "listed_n.json"
+    listed_n.write_text('{"n": [3], "format": "coo", "entries": []}')
+    null_index = tmp_path / "null_index.json"
+    null_index.write_text('{"n": 3, "format": "coo", "entries": [[null, 1, 0.5]]}')
     growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
               "--gamma", "1", "--big-m", "1", "--sigma-const", "1")
     cases = [
@@ -247,6 +251,8 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("gaussian", "--n", "0", "--T", "0.1"), "random substochastic matrix needs n >= 1"),
         (("matrix", "--matrix", str(listed)), f"{listed}: expected JSON"),
         (("matrix", "--matrix", str(short)), f"{short}: entries must be"),
+        (("matrix", "--matrix", str(listed_n)), f"{listed_n}: 'n' must be an integer"),
+        (("matrix", "--matrix", str(null_index)), f"{null_index}: entries must be"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "inf"),
          "finite nonnegative numbers"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "nan",
@@ -263,6 +269,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0", "--gamma",
           "nan", "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
          "gamma must be positive and finite"),
+        ((*growth, "--sigma-const", "1e-200", "--horizon", "1"),
+         "sigma must keep gamma / sigma^2"),
+        ((*growth, "--sigma-const", "1e-160", "--horizon", "1"),
+         "sigma must keep gamma / sigma^2"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--engine", "mc",
           "--kappa", "nan"), "kappa must be positive and finite"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--engine", "mc",

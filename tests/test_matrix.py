@@ -207,6 +207,15 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text(json.dumps({"rows": 3}))
     with pytest.raises(MatrixError, match="coo"):
         load_matrix(path)
+    # non-integer n or indices used to raise TypeError or truncate silently
+    for doc, message in (({"n": [3], "entries": []}, "'n' must be an integer"),
+                         ({"n": 3.0, "entries": []}, "'n' must be an integer"),
+                         ({"n": 3, "entries": [[None, 1, 0.5]]}, "entries must be"),
+                         ({"n": 3, "entries": [[0.5, 1, 0.5]]}, "entries must be"),
+                         ({"n": 3, "entries": [[0, 1, {}]]}, "entries must be")):
+        path.write_text(json.dumps(dict(doc, format="coo")))
+        with pytest.raises(MatrixError, match=message):
+            load_matrix(path)
 
 
 def test_graph_file_roundtrip_and_errors(tmp_path):

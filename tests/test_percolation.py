@@ -11,12 +11,12 @@ from chaoscope.percolation import (EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction,
                                    _gillespie_run, exact_expectation,
                                    expectation_bound, expectation_curve,
-                                   fpp_simulate, functional_table,
+                                   functional_table,
                                    functional_values, generator_apply,
                                    lemma_linear_rhs, lemma_polynomial_rhs,
                                    lemma_quadratic_rhs, mc_expectation,
-                                   mean_field_size_expectation, simulate,
-                                   terminal_masks, yule_second_moment)
+                                   mean_field_size_expectation, terminal_masks,
+                                   yule_second_moment)
 from chaoscope.rng import stream
 
 from conftest import random_matrices
@@ -124,16 +124,6 @@ def test_engine_size_limit():
         functional_table("size", xi)
 
 
-def test_trajectory_shape_and_growth(four_cycle):
-    model = PercolationModel(four_cycle, 1.0)
-    traj = simulate(model, [0], 3.0, seed=4)
-    assert traj.members_at(0.0).mask == 0b0001
-    masks = [traj.members_at(t).mask for t in (0.0, 0.5, 1.0, 3.0)]
-    for earlier, later in zip(masks, masks[1:]):
-        assert earlier & later == earlier  # growth is monotone
-    assert np.all(np.diff(traj.times) >= 0.0)
-
-
 class _TopDraws:
     """Stub generator: unit holding times and the largest uniform below 1."""
 
@@ -152,9 +142,8 @@ def test_gillespie_top_uniform_stays_in_range():
     assert row.sum() > np.cumsum(row)[-1]
     dense = np.zeros((31, 31))
     dense[0] = row
-    times, added, mask = _gillespie_run(dense, 1.0, 31, SubsetState.of([0], 31),
-                                        1.5, _TopDraws())
-    assert times == [1.0] and added == [30] and mask == 1 | 1 << 30
+    mask = _gillespie_run(dense, 1.0, SubsetState.of([0], 31), 1.5, _TopDraws())
+    assert mask == 1 | 1 << 30
 
 
 def test_functional_values_match_per_mask_reference():
@@ -188,11 +177,30 @@ def test_fpp_matches_gillespie_on_single_edge(single_edge):
     assert np.array_equal(a, b)
 
 
+def test_fpp_masks_are_first_passage_balls():
+    # reference: every shortest-path distance from v over the same edge
+    # clocks, with no early stop, then the ball of radius t
+    from scipy.sparse.csgraph import dijkstra
+    g = stream(26)
+    a = g.random((9, 9)) * (g.random((9, 9)) < 0.5)
+    a = np.triu(a, 1) + np.triu(a, 1).T
+    xi = InteractionMatrix.from_dense(a)
+    v, t = [0, 4], 0.6
+    masks = terminal_masks(PercolationModel(xi, 1.3), v, t, reps=60, seed=9, method="fpp")
+    upper = xi.ii < xi.jj
+    for r, mask in enumerate(masks.tolist()):
+        graph = np.zeros((9, 9))
+        graph[xi.ii[upper], xi.jj[upper]] = stream(9, r).exponential(1.0 / (1.3 * xi.vals[upper]))
+        dist = dijkstra(graph, directed=False, indices=v, min_only=True)
+        assert mask == sum(1 << i for i in range(9) if dist[i] <= t)
+    assert len(set(masks.tolist())) > 10
+
+
 def test_fpp_rejects_asymmetric():
     xi = InteractionMatrix.from_dense(np.array([[0.0, 0.5], [0.25, 0.0]]))
     model = PercolationModel(xi, 1.0)
     with pytest.raises(NotApplicable):
-        fpp_simulate(model, [0], 1.0, seed=1)
+        terminal_masks(model, [0], 1.0, reps=1, seed=1, method="fpp")
 
 
 def test_mc_agrees_with_exact(four_cycle):
@@ -202,6 +210,19 @@ def test_mc_agrees_with_exact(four_cycle):
     est = mc_expectation(model, "size", [0], 0.8, reps=20000, seed=21)
     assert abs(est.mean - want) <= 4.0 * est.stderr
     assert est.stderr > 0.0
+    for method in ("gillespie", "fpp"):
+        masks = terminal_masks(model, [0, 2], 0.8, reps=500, seed=21, method=method)
+        assert np.all(masks & 0b0101 == 0b0101)  # every path keeps its start set
+
+
+def test_sampling_rejects_bad_times(four_cycle):
+    model = PercolationModel(four_cycle, 1.0)
+    for t in (-1.0, math.nan, math.inf):
+        for method in ("gillespie", "fpp"):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                terminal_masks(model, [0], t, reps=5, seed=0, method=method)
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            mc_expectation(model, "size", [0], t, reps=5, seed=0)
 
 
 def test_mc_needs_two_reps(four_cycle):
@@ -382,6 +403,12 @@ def test_mean_field_size_chain_matches_exact_engine():
                 want = exact_expectation(model, tab, v, t, tol=1e-12)
                 got = mean_field_size_expectation(n, 1.1, k0, t, power=2)
                 assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_mean_field_size_chain_needs_two_sites():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"need n >= 2 .*got n={n}"):
+            mean_field_size_expectation(n, 1.0, 1, 1.0)
 
 
 def test_mean_field_size_chain_callable():
