@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .gaussian import GaussianModel
 from .matrix import InteractionMatrix, SubsetState, validate
 from .percolation import (NotApplicable, PercolationModel, SubsetFunction,
@@ -134,9 +133,11 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     cost is C (quadratic interaction cost) or, with use_chat, the sharper
     C-hat built from a three-particle entropy bound h3.  In uniform mode both
     terms carry the discount exp(-sigma^2 t / 4 eta) at their own times, and
-    sigma^2 > 12 eta gamma is enforced.  Quadrature is adaptive Simpson at
-    relative tolerance tol.  v=None gives every start subset at once (a
-    vector over masks); a single v integrates its own scalar curve.
+    sigma^2 > 12 eta gamma is enforced.  Both curves are truncated at
+    tol' = min(tol, 1e-10); the time integral is the curve's closed-form
+    Poisson mixture, certified at T * tol' * ||C||_inf, and the H0 term at
+    tol' * ||H0||_inf.  v=None gives every start subset at once (a vector
+    over masks).
     """
     T = constants.T
     if T <= 0:
@@ -147,11 +148,7 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
         else ("C", {"constants": constants})
     cost = functional_table(spec, model.xi)
     curve = expectation_curve(model, cost, T, tol=min(1e-10, tol))
-
-    def integrand(t):
-        return math.exp(-rate * t) * curve.eval_all(t)[sel]
-
-    total = linalg.simpson_adaptive(integrand, 0.0, T, rel_tol=tol)
+    total = curve.integral_all(T, rate)[sel]
     if H0 is not None:
         h_curve = expectation_curve(model, H0, T, tol=min(1e-10, tol))
         total = total + math.exp(-rate * T) * h_curve.eval_all(T)[sel]

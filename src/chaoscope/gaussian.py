@@ -124,17 +124,25 @@ def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianMode
     return GaussianModel(xi, T, rho, sig, order, tail)
 
 
-def sigma_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-8) -> np.ndarray:
-    """Independent route: composite-Simpson quadrature of e^{s xi} e^{s xi^T}."""
+def sigma_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-12) -> np.ndarray:
+    """Independent route: Sigma_T as one block exponential (Van Loan, IEEE TAC 1978).
+
+    The time-T operator (Y, X) -> (T (xi Y + Y xi^T + X), 0) started at (0, I)
+    ends at Y = int_0^T e^{s xi} e^{s xi^T} ds.  Its norm is at most
+    T (2 ||xi||_inf + 1), so the truncation is certified at tol * ||Sigma_T||_max
+    per scaling stage without the power-iteration rho the series relies on.
+    """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     d = xi.dense()
 
-    def f(s):
-        e = linalg.expm(s * d)
-        return e @ e.T
+    def apply(z):
+        y, x = z
+        return np.stack((T * (d @ y + y @ d.T + x), np.zeros_like(x)))
 
-    return linalg.integrate_doubling(f, 0.0, T, tol=tol)
+    start = np.stack((np.zeros((xi.n, xi.n)), np.eye(xi.n)))
+    mu = T * (2.0 * float(np.linalg.norm(d, np.inf)) + 1.0)
+    return linalg.expm_action(apply, start, tol=tol, mu=mu)[0]
 
 
 def _check_covariance(c, name) -> np.ndarray:
@@ -259,11 +267,19 @@ def d_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> float:
     return float((s * s).sum())
 
 
-def d_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-9) -> float:
-    """Same quantity through (1/T) int_0^T e^{s xi} ds minus the linear part."""
+def d_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-12) -> float:
+    """Same quantity through (1/T) int_0^T e^{s xi} ds minus the linear part.
+
+    The integral is the top block of exp(T [[xi, I], [0, 0]]) applied to
+    [0; I], certified at tol times its largest entry per scaling stage.
+    """
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     d = xi.dense()
-    m_t = linalg.integrate_doubling(lambda s: linalg.expm(s * d), 0.0, T, tol=tol)
-    inner = np.diag(m_t / T - np.eye(xi.n) - (T / 2.0) * d)
+    eye, zero = np.eye(xi.n), np.zeros((xi.n, xi.n))
+    block = np.block([[d, eye], [zero, zero]])
+    m_t = linalg.expm_action(T * block, np.vstack((zero, eye)), tol=tol)[:xi.n]
+    inner = np.diag(m_t / T - eye - (T / 2.0) * d)
     return float((inner * inner).sum())
 
 

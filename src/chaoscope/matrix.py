@@ -80,12 +80,17 @@ class Graph:
                 if not line:
                     continue
                 parts = line.split()
-                if len(parts) == 1 and declared_n is None and not edges:
-                    declared_n = int(parts[0])
-                    continue
-                if len(parts) != 2:
+                header = len(parts) == 1 and declared_n is None and not edges
+                if len(parts) != 2 and not header:
                     raise MatrixError(f"{path}:{lineno}: expected 'u v', got {raw!r}")
-                edges.append((int(parts[0]), int(parts[1])))
+                try:
+                    nums = tuple(int(p) for p in parts)
+                except ValueError:
+                    raise MatrixError(f"{path}:{lineno}: expected integers, got {raw!r}") from None
+                if header:
+                    declared_n = nums[0]
+                else:
+                    edges.append(nums)
         n = declared_n if declared_n is not None else (max(max(e) for e in edges) + 1 if edges else 1)
         return cls(n=n, edges=tuple(edges))
 

@@ -175,17 +175,15 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
     agg = _Slack()
     gen_master = stream(seed)
     series_vs_quad = 0.0
-    for idx in range(instances):
+    for _ in range(instances):
         n = int(gen_master.integers(2, 11))
         xi = random_substochastic(n, gen_master)
         rho = linalg.op_norm(xi.dense())
         window = math.log(2.0) / (2.0 * rho) if rho > 0 else 1.0
         T = float(gen_master.uniform(0.2, 1.0)) * window
         gm = gauss.sigma_T(xi, T)
-        if idx % 5 == 0:
-            quad = gauss.sigma_T_quadrature(xi, T)
-            series_vs_quad = max(series_vs_quad,
-                                 float(np.abs(gm.sigma_T - quad).max()))
+        quad = gauss.sigma_T_quadrature(xi, T)
+        series_vs_quad = max(series_vs_quad, float(np.abs(gm.sigma_T - quad).max()))
         lam_all = np.linalg.eigvalsh(gm.centered())
         agg.add("gaussian.eig-window.low",
                 lam_all - (math.exp(-2 * gm.rho * T) - 1.0))

@@ -241,6 +241,8 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     listed_n.write_text('{"n": [3], "format": "coo", "entries": []}')
     null_index = tmp_path / "null_index.json"
     null_index.write_text('{"n": 3, "format": "coo", "entries": [[null, 1, 0.5]]}')
+    edge_list = tmp_path / "edges.txt"
+    edge_list.write_text("3\n0 1\n1 x\n")
     growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
               "--gamma", "1", "--big-m", "1", "--sigma-const", "1")
     cases = [
@@ -253,6 +255,7 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("matrix", "--matrix", str(short)), f"{short}: entries must be"),
         (("matrix", "--matrix", str(listed_n)), f"{listed_n}: 'n' must be an integer"),
         (("matrix", "--matrix", str(null_index)), f"{null_index}: entries must be"),
+        (("matrix", "--random-walk", str(edge_list)), f"{edge_list}:3: expected integers"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "inf"),
          "finite nonnegative numbers"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "nan",
@@ -286,7 +289,7 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         assert err.startswith("error:") and message in err, argv
     # non-convergence is an error line, not a traceback
     def stalled(*args):
-        raise RuntimeError("simpson_adaptive: no convergence at max_depth")
+        raise RuntimeError("expm_action: Taylor series failed to converge")
     monkeypatch.setattr(cli.verify_mod, "run_suite", stalled)
     assert run("verify") == 2
-    assert capsys.readouterr().err.startswith("error: simpson_adaptive")
+    assert capsys.readouterr().err.startswith("error: expm_action")

@@ -1,14 +1,9 @@
-import math
-
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 import scipy.stats
 
-from chaoscope.linalg import (expm, expm_action, integrate_doubling, op_norm,
-                              poisson_truncation, poisson_weights,
-                              simpson_adaptive)
+from chaoscope.linalg import expm_action, op_norm, poisson_truncation, poisson_weights
 from chaoscope.rng import stream
 
 
@@ -34,7 +29,22 @@ def test_expm_action_matrix_argument():
 def test_expm_matches_scipy():
     g = stream(3)
     a = 2.0 * g.standard_normal((6, 6))
-    assert np.allclose(expm(a), scipy.linalg.expm(a), rtol=1e-9, atol=1e-11)
+    assert np.allclose(expm_action(a, np.eye(6)), scipy.linalg.expm(a), rtol=1e-9, atol=1e-11)
+
+
+def test_expm_action_operator_form():
+    # the Sylvester operator X -> a X + X a^T, applied matrix-free, is the
+    # Kronecker sum a (+) a acting on vec(X)
+    g = stream(6)
+    a = g.standard_normal((4, 4))
+    x0 = g.standard_normal((4, 4))
+    kron = np.kron(a, np.eye(4)) + np.kron(np.eye(4), a)
+    mu = np.linalg.norm(kron, np.inf)
+    got = expm_action(lambda x: a @ x + x @ a.T, x0, mu=mu)
+    want = (scipy.linalg.expm(kron) @ x0.ravel()).reshape(4, 4)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+    with pytest.raises(ValueError, match="norm bound"):
+        expm_action(lambda x: a @ x, x0)
 
 
 def test_expm_action_zero_matrix():
@@ -57,42 +67,6 @@ def test_op_norm_raises_without_convergence():
     assert op_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-8)
     with pytest.raises(RuntimeError, match="did not converge"):
         op_norm(a, max_iter=2)
-
-
-def test_simpson_adaptive_scalar():
-    got = simpson_adaptive(math.exp, 0.0, 2.0, rel_tol=1e-10)
-    want = math.exp(2.0) - 1.0
-    assert abs(got - want) <= 1e-9 * want
-
-
-def test_simpson_adaptive_vector():
-    def f(t):
-        return np.array([math.sin(t), t ** 4])
-
-    got = simpson_adaptive(f, 0.0, 1.0, rel_tol=1e-10)
-    want = np.array([1.0 - math.cos(1.0), 0.2])
-    assert np.allclose(got, want, rtol=1e-8)
-
-
-def test_simpson_adaptive_raises_at_max_depth():
-    step = lambda x: 1.0 if x > 0.3 else 0.0
-    with pytest.raises(RuntimeError):
-        simpson_adaptive(step, 0.0, 1.0, rel_tol=1e-6)
-
-
-def test_simpson_empty_interval():
-    assert simpson_adaptive(math.exp, 1.0, 1.0) == 0.0
-
-
-def test_integrate_doubling_matches_quad():
-    def f(s):
-        return np.array([[math.cos(3 * s), s], [s * s, math.exp(-s)]])
-
-    got = integrate_doubling(f, 0.0, 1.5, tol=1e-10)
-    for i in range(2):
-        for j in range(2):
-            want, _ = scipy.integrate.quad(lambda s: f(s)[i, j], 0.0, 1.5)
-            assert abs(got[i, j] - want) <= 1e-8
 
 
 def test_poisson_truncation_certifies_tail():

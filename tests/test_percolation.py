@@ -344,23 +344,95 @@ def test_expectation_bound_quadratic_vs_quadrature():
     assert got == pytest.approx(want, rel=1e-7)
 
 
-def test_quadratic_bounds_integrate_once(monkeypatch):
+def test_quadratic_bounds_match_quad_vec():
+    import scipy.integrate
+    g = stream(21)
+    kappa = 0.8
+    for n in (2, 4, 6):
+        xi = random_matrices(1, seed=29 + n, n_lo=n, n_hi=n)[0]
+        model = PercolationModel(xi, kappa)
+        G = g.random((n, n))
+        d = xi.dense()
+        ind, sizes = lattice(n)
+
+        def g_mat(s):
+            e = scipy.linalg.expm(kappa * s * d)
+            return e @ G @ e.T
+
+        def quadratic(s, t):
+            return d @ scipy.linalg.expm(kappa * (t - s) * d) @ np.diag(g_mat(s))
+
+        def size_quadratic(s, t):
+            gs = g_mat(s)
+            w = np.diag(d @ gs + gs @ d.T + 2.0 * gs)
+            return scipy.linalg.expm(kappa * (t - s) * d) @ (d @ w + d @ (d @ w))
+
+        for t in (0.1, 0.7, 2.0):
+            g_t = g_mat(t)
+            quad = np.einsum("mi,mi->m", ind @ g_t, ind)
+            tail = kappa * scipy.integrate.quad_vec(lambda s: quadratic(s, t), 0.0, t,
+                                                    epsabs=1e-13, epsrel=1e-12)[0]
+            want = quad + ind @ tail
+            got = expectation_bound(model, "quadratic", None, t, G=G)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (n, t)
+            mid = np.einsum("mi,mi->m", ind @ (d @ g_t + g_t @ d.T + g_t), ind)
+            tail = kappa * scipy.integrate.quad_vec(lambda s: size_quadratic(s, t), 0.0, t,
+                                                    epsabs=1e-13, epsrel=1e-12)[0]
+            want = sizes * math.exp(kappa * t) * (mid + ind @ tail)
+            got = expectation_bound(model, "size-quadratic", None, t, G=G)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (n, t)
+
+
+def test_block_operator_norm_bounds(monkeypatch):
+    """Each matrix-free block operator's mu dominates the infinity norm of the
+    dense matrix it applies, which the Taylor remainder certificate needs."""
     import chaoscope.linalg as linalg
-    calls = []
-    quadrature = linalg.simpson_adaptive
+    from chaoscope.gaussian import sigma_T_quadrature
+    seen = []
+    real = linalg.expm_action
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return quadrature(*args, **kwargs)
+    def recording(a, b, tol=1e-12, mu=None):
+        if callable(a):
+            seen.append((a, np.asarray(b, dtype=float), mu))
+        return real(a, b, tol=tol, mu=mu)
 
-    monkeypatch.setattr(linalg, "simpson_adaptive", counted)
-    xi = random_matrices(1, seed=20, n_lo=4, n_hi=4)[0]
-    model = PercolationModel(xi, 0.8)
-    G = stream(19).random((4, 4))
-    for family in ("quadratic", "size-quadratic"):
-        calls.clear()
-        expectation_bound(model, family, [0, 2], 0.7, G=G)
-        assert len(calls) == 1, family
+    monkeypatch.setattr(linalg, "expm_action", recording)
+    g = stream(25)
+    for xi in random_matrices(12, seed=26, n_lo=2, n_hi=6):
+        model = PercolationModel(xi, float(g.uniform(0.2, 3.0)))
+        G = g.random((xi.n, xi.n))
+        t = float(g.uniform(0.05, 2.0))
+        expectation_bound(model, "quadratic", [0], t, G=G)
+        expectation_bound(model, "size-quadratic", [0], t, G=G)
+        sigma_T_quadrature(xi, t)
+    assert len(seen) == 36
+    for apply, b, mu in seen:
+        cols = []
+        for i in range(b.size):
+            e = np.zeros(b.size)
+            e[i] = 1.0
+            cols.append(np.asarray(apply(e.reshape(b.shape))).ravel())
+        dense = np.column_stack(cols)
+        assert mu >= np.abs(dense).sum(axis=1).max() * (1.0 - 1e-12)
+
+
+def test_curve_integral_matches_quad():
+    import scipy.integrate
+    xi = random_matrices(1, seed=27, n_lo=4, n_hi=4)[0]
+    model = PercolationModel(xi, 1.3)
+    F = SubsetFunction(stream(28).random(16), 4)
+    T = 0.9
+    curve = expectation_curve(model, F, T, tol=1e-12)
+    for rate in (0.0, 0.7):
+        got = curve.integral_all(T, rate)
+        for mask in range(16):
+            want, _ = scipy.integrate.quad(
+                lambda t: math.exp(-rate * t) * curve.eval_all(t)[mask], 0.0, T,
+                epsabs=1e-14, epsrel=1e-13)
+            assert got[mask] == pytest.approx(want, rel=1e-10), (rate, mask)
+    assert np.array_equal(curve.integral_all(0.0), np.zeros(16))
+    with pytest.raises(ValueError):
+        curve.integral_all(2 * T)
 
 
 def test_expectation_bound_all_matches_single():
