@@ -24,6 +24,7 @@ from .percolation import (NotApplicable, PercolationModel, SubsetFunction,
                           expectation_curve, functional_table)
 
 COLUMN_SLACK = 1e-12
+CURVE_TOL = 1e-10  # Poisson truncation of both growth-bound curves
 
 
 @dataclass(frozen=True)
@@ -127,16 +128,16 @@ def _check_k(xi: InteractionMatrix, k: int):
 def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConstants,
                               H0: SubsetFunction | None = None,
                               use_chat: bool = False, h3: float = 0.0,
-                              uniform: bool = False, tol: float = 1e-6):
+                              uniform: bool = False):
     """E_v[H0(X_T)] + int_0^T E_v[cost(X_t)] dt through the exact engine.
 
     cost is C (quadratic interaction cost) or, with use_chat, the sharper
     C-hat built from a three-particle entropy bound h3.  In uniform mode both
     terms carry the discount exp(-sigma^2 t / 4 eta) at their own times, and
     sigma^2 > 12 eta gamma is enforced.  Both curves are truncated at
-    tol' = min(tol, 1e-10); the time integral is the curve's closed-form
-    Poisson mixture, certified at T * tol' * ||C||_inf, and the H0 term at
-    tol' * ||H0||_inf.  v=None gives every start subset at once (a vector
+    CURVE_TOL = 1e-10: the time integral is the curve's closed-form Poisson
+    mixture, certified at T * 1e-10 * ||C||_inf, and the H0 term at
+    1e-10 * ||H0||_inf.  v=None gives every start subset at once (a vector
     over masks).
     """
     T = constants.T
@@ -147,10 +148,10 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     spec = ("chat", {"constants": constants, "h3": h3}) if use_chat \
         else ("C", {"constants": constants})
     cost = functional_table(spec, model.xi)
-    curve = expectation_curve(model, cost, T, tol=min(1e-10, tol))
+    curve = expectation_curve(model, cost, T, tol=CURVE_TOL)
     total = curve.integral_all(T, rate)[sel]
     if H0 is not None:
-        h_curve = expectation_curve(model, H0, T, tol=min(1e-10, tol))
+        h_curve = expectation_curve(model, H0, T, tol=CURVE_TOL)
         total = total + math.exp(-rate * T) * h_curve.eval_all(T)[sel]
     return total if v is None else float(total)
 
@@ -162,8 +163,8 @@ def h3_bound(constants: ModelConstants, delta: float, uniform: bool = False) -> 
     Uniform: 8 (C0 + M / (sigma^2 (r - 3 gamma))) * delta^2 * 27 with the
     discount rate r = sigma^2/4 eta, which must exceed 3 gamma.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     g, M, s2 = constants.gamma, constants.M, constants.sigma ** 2
     if uniform:
         r = constants.discount_rate()

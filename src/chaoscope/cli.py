@@ -258,7 +258,7 @@ def cmd_gaussian(args, outputs: list) -> int:
     xi = _build_xi(args)
     gm = gauss.sigma_T(xi, args.T)
     info = {"n": gm.n, "T": gm.T, "rho": gm.rho, "small_time": gm.small_time()}
-    if args.avg_k:
+    if args.avg_k is not None:
         avg = gauss.avg_entropy(gm, args.avg_k, mode=args.mode,
                                 reps=args.reps, seed=args.seed)
         lo, hi = gauss.avg_entropy_sandwich(gm, args.avg_k)
@@ -311,6 +311,8 @@ def cmd_bound(args, outputs: list) -> int:
                         **bounds_mod._echo(constants)}, 1.0, explicit=val)
     else:
         xi = _build_xi(args)
+        if args.theorem in ("setwise", "growth") and args.v is None:
+            raise MatrixError(f"--theorem {args.theorem} needs --v")
         if args.theorem == "growth":
             v = _parse_subset(args.v, xi.n)
             model = PercolationModel(xi, constants.rate_scale())
@@ -508,8 +510,10 @@ def console_main(argv=None) -> int:
         code = args.func(args, outputs)
         _write_manifests(args.subcommand, args, outputs, time.perf_counter() - t0)
         return code
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+        # an overflow's own message ("math range error") does not say what it is
+        kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .matrix import InteractionMatrix, SubsetState, indicators, lattice, _frozen
-from .rng import stream
+from .rng import chunk_ranges, stream
 
 ENUMERATION_LIMIT = 10 ** 6
 
@@ -327,21 +327,28 @@ def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
     if mode == "enumerate":
         if math.comb(n, k) > ENUMERATION_LIMIT:
             raise ValueError("enumeration too large; use mode='sample'")
+        masks = [sum(1 << i for i in mem) for mem in combinations(range(n), k)]
+        # a plain running sum in combination order: sum() compensates from
+        # Python 3.12 on, which would make the bits depend on the version
         total = 0.0
-        for mem in combinations(range(n), k):
-            total += exact_entropy(model, SubsetState.of(mem, n))
-        return AvgEntropy(k, model.T, "enumerate", total / math.comb(n, k))
+        for val in _entropies(model, masks).tolist():
+            total += val
+        return AvgEntropy(k, model.T, "enumerate", total / len(masks))
     if mode == "sample":
         if reps < 2:
             raise ValueError("sample mode needs reps >= 2")
         gen = stream(seed)
-        vals = np.empty(reps)
-        for r in range(reps):
-            mem = gen.choice(n, size=k, replace=False)
-            vals[r] = exact_entropy(model, SubsetState.of(mem, n))
+        draws = [gen.choice(n, size=k, replace=False) for _ in range(reps)]
+        vals = _entropies(model, [SubsetState.of(mem, n).mask for mem in draws])
         return AvgEntropy(k, model.T, "sample", float(vals.mean()),
                           float(vals.std(ddof=1) / math.sqrt(reps)))
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _entropies(model: GaussianModel, masks: list) -> np.ndarray:
+    """subset_entropies' exact values, CHUNK masks per call to bound memory."""
+    return np.concatenate([subset_entropies(model, masks[lo:hi])[0]
+                           for lo, hi in chunk_ranges(len(masks))])
 
 
 def avg_entropy_sandwich(model: GaussianModel, k: int,

@@ -425,8 +425,8 @@ def Chat_of_v(xi: InteractionMatrix, v, constants, h3: float) -> float:
        + M/sigma^2 * sum_{i,j in v} xi_ij^2."""
     if constants.sigma <= 0:
         raise MatrixError("sigma must be positive")
-    if h3 < 0:
-        raise MatrixError("h3 must be nonnegative")
+    if not 0 <= h3 < math.inf:
+        raise MatrixError(f"h3 must be finite and nonnegative, got {h3}")
     v = SubsetState.of(v, xi.n)
     if v.size == 0:
         raise MatrixError("Chat_of_v needs a nonempty subset")

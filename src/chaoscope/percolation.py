@@ -8,9 +8,11 @@ absorbing.  Three engines compute E_v[F(X_t)]:
   * Gillespie sampling of the jump chain,
   * first-passage edge clocks (symmetric xi only; same law by memorylessness).
 
-The closed-form upper bounds on moments (size, linear, and quadratic
-families, each with optional size weights) are evaluated here too, stated
-with the model's rate scale kappa throughout.
+FAMILIES names the moment families once: size, linear and quadratic
+functionals with size weights |v|^ell.  Each name gives its functional
+(functional_values), its pointwise generator bound (lemma_rhs) and its
+closed-form ceiling on E_v[F(X_t)] (expectation_bound), stated with the
+model's rate scale kappa throughout.
 """
 
 from __future__ import annotations
@@ -300,13 +302,27 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
 # ---------------------------------------------------------------------------
 # Named functionals (shared between the exact and Monte Carlo engines)
 
+# The moment families: name -> (kind, ell), for F(v) = |v|^ell * base(v) with
+# base 1 (size), <1_v, x> (linear) or <1_v, G 1_v> (quadratic).
+FAMILIES = {"size": ("size", 1), "size2": ("size", 2), "size3": ("size", 3),
+            "linear": ("linear", 0), "size-linear": ("linear", 1),
+            "size2-linear": ("linear", 2), "quadratic": ("quadratic", 0),
+            "size-quadratic": ("quadratic", 1)}
+
+
+def _family(name: str) -> tuple[str, int]:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; pick one of {tuple(FAMILIES)}")
+    return FAMILIES[name]
+
+
 def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
     """The functional evaluated at each bitmask of an int64 array.
 
-    spec is a name ("size", "size2", "size3"), a (name, payload) pair for
-    payload-carrying functionals ("linear"/"quadratic" with x or G and
-    optional ell; "C"/"chat" with constants and h3), or a callable
-    SubsetState -> float.
+    spec is a family name of FAMILIES, alone for the size families or as a
+    (name, payload) pair whose payload carries x (linear kinds) or G
+    (quadratic kinds); a ("C" or "chat", payload) pair with constants and h3;
+    or a callable SubsetState -> float.
     """
     n = xi.n
     masks = np.asarray(masks, dtype=np.int64)
@@ -316,19 +332,6 @@ def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
         name, payload = spec, {}
     else:
         name, payload = spec[0], dict(spec[1])
-    sizes = np.bitwise_count(masks).astype(float)
-
-    if name in ("size", "size2", "size3"):
-        return sizes ** {"size": 1, "size2": 2, "size3": 3}[name]
-
-    if name in ("linear", "quadratic"):
-        ind = indicators(masks, n)
-        ell = int(payload.get("ell", 0))
-        if name == "linear":
-            base = ind @ np.asarray(payload["x"], dtype=float)
-        else:
-            base = np.einsum("mi,mi->m", ind @ np.asarray(payload["G"], dtype=float), ind)
-        return base * sizes ** ell
 
     if name in ("C", "chat"):
         from .matrix import C_of_v, Chat_of_v
@@ -341,7 +344,18 @@ def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
         return np.array([0.0 if m == 0 else fn(SubsetState.from_mask(m, n))
                          for m in masks.tolist()])
 
-    raise ValueError(f"unknown functional {name!r}")
+    kind, ell = _family(name)
+    if not payload.keys() <= {"x", "G"}:
+        raise ValueError(f"family {name!r} takes a payload of x or G, got {sorted(payload)}")
+    sizes = np.bitwise_count(masks).astype(float)
+    if kind == "size":
+        return sizes ** ell
+    ind = indicators(masks, n)
+    if kind == "linear":
+        base = ind @ np.asarray(payload["x"], dtype=float)
+    else:
+        base = np.einsum("mi,mi->m", ind @ np.asarray(payload["G"], dtype=float), ind)
+    return base * sizes ** ell
 
 
 def functional_table(spec, xi: InteractionMatrix) -> SubsetFunction:
@@ -371,8 +385,8 @@ def mc_expectation(model: PercolationModel, functional, v, t: float, reps: int,
 # ---------------------------------------------------------------------------
 # Moment upper bounds, stated with the rate scale kappa
 
-_FAMILIES = ("size", "size2", "size3", "linear", "size-linear",
-             "size2-linear", "quadratic", "size-quadratic")
+# _WEIGHT[ell] e^{ell kappa t} |v|^ell is the size weight of each family's ceiling
+_WEIGHT = (1.0, 1.0, 2.0, 8.0)
 
 
 def _require_row_sums(xi: InteractionMatrix):
@@ -426,11 +440,12 @@ def _quadratic_ingredients(model: PercolationModel, G: np.ndarray, t: float,
 
 def expectation_bound(model: PercolationModel, family: str, v, t: float,
                       x=None, G=None, tol: float = 1e-12):
-    """Closed-form upper bound on the matching moment of X_t started from v.
+    """Closed-form upper bound on E_v[F(X_t)] for F the named member of FAMILIES.
 
-    size/size2/size3 bound E|X|^p; linear and its size-weighted variants
-    bound E[|X|^p <1_X, x>]; quadratic and size-quadratic bound
-    E[|X|^p <1_X, G 1_X>].  Row sums of xi must be <= 1 and payloads
+    Every ceiling is _WEIGHT[ell] e^{ell kappa t} |v|^ell times 1 (size),
+    <1_v, e^{kappa t xi} (I + xi)^ell x> (linear), or the quadratic form of
+    G_t (ell = 0) or xi G_t + G_t xi^T + G_t (ell = 1) plus the time integral
+    of the drift (quadratic).  Row sums of xi must be <= 1 and payloads
     nonnegative (the hypotheses under which the bounds hold).  v=None gives
     every start subset at once (a vector over masks, exact-engine sizes
     only); a single v is one indicator row, so any n works.  tol applies to
@@ -438,8 +453,7 @@ def expectation_bound(model: PercolationModel, family: str, v, t: float,
     block exponential whose Taylor truncation is certified at tol times the
     largest entry of that (integral, G_t) state per scaling stage.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; pick one of {_FAMILIES}")
+    kind, ell = _family(family)
     if t < 0:
         raise ValueError("t must be nonnegative")
     _require_row_sums(model.xi)
@@ -449,84 +463,53 @@ def expectation_bound(model: PercolationModel, family: str, v, t: float,
     else:
         ind = indicators([SubsetState.of(v, model.n).mask], model.n)
         sizes = ind.sum(axis=1)
-    kap = model.kappa
-    if family == "size":
-        vals = math.exp(kap * t) * sizes
-    elif family == "size2":
-        vals = 2.0 * math.exp(2.0 * kap * t) * sizes ** 2
-    elif family == "size3":
-        vals = 8.0 * math.exp(3.0 * kap * t) * sizes ** 3
-    elif family in ("linear", "size-linear", "size2-linear"):
-        d = model.xi.dense()
-        xv = _check_payload(x, "x")
-        if xv.shape != (model.n,):
+    d = model.xi.dense()
+    vals = _WEIGHT[ell] * math.exp(ell * model.kappa * t) * sizes ** ell
+    if kind == "linear":
+        y = _check_payload(x, "x")
+        if y.shape != (model.n,):
             raise ValueError("x must be a length-n vector")
-        if family == "linear":
-            vals = ind @ linalg.expm_action(kap * t * d, xv)
-        elif family == "size-linear":
-            y = xv + d @ xv
-            vals = sizes * math.exp(kap * t) * (ind @ linalg.expm_action(kap * t * d, y))
-        else:
-            y = xv + d @ xv
+        for _ in range(ell):
             y = y + d @ y
-            vals = 2.0 * sizes ** 2 * math.exp(2.0 * kap * t) * (
-                ind @ linalg.expm_action(kap * t * d, y))
-    else:
-        d = model.xi.dense()
+        vals = vals * (ind @ linalg.expm_action(model.kappa * t * d, y))
+    elif kind == "quadratic":
         Gm = _check_payload(G, "G")
         if Gm.shape != (model.n, model.n):
             raise ValueError("G must be an n x n matrix")
-        g_t, integral = _quadratic_ingredients(model, Gm, t, tol,
-                                               sized=family == "size-quadratic")
-        if family == "quadratic":
-            vals = np.einsum("mi,mi->m", ind @ g_t, ind) + ind @ integral
-        else:
-            mid = d @ g_t + g_t @ d.T + g_t
-            vals = sizes * math.exp(kap * t) * (
-                np.einsum("mi,mi->m", ind @ mid, ind) + ind @ integral)
+        g_t, integral = _quadratic_ingredients(model, Gm, t, tol, sized=ell == 1)
+        mid = g_t if ell == 0 else d @ g_t + g_t @ d.T + g_t
+        vals = vals * (np.einsum("mi,mi->m", ind @ mid, ind) + ind @ integral)
     return vals if v is None else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
 # Pointwise generator inequalities (right-hand sides as subset tables)
 
-def lemma_polynomial_rhs(model: PercolationModel, ell: int) -> SubsetFunction:
-    """kappa * |v| * ((|v|+1)^ell - |v|^ell)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    _, sizes = lattice(model.n)
-    vals = model.kappa * sizes * ((sizes + 1.0) ** ell - sizes ** ell)
-    return SubsetFunction(vals, model.n)
+def lemma_rhs(model: PercolationModel, family: str, x=None, G=None) -> SubsetFunction:
+    """The generator bound AF <= RHS for F the named member of FAMILIES.
 
-
-def lemma_linear_rhs(model: PercolationModel, x, ell: int) -> SubsetFunction:
-    """kappa (|v|+1)^ell <1_v, xi x> + kappa |v|((|v|+1)^ell - |v|^ell) <1_v, x>."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    xv = _check_payload(x, "x")
+    With g = |v|((|v|+1)^ell - |v|^ell): kappa g (size);
+    kappa ((|v|+1)^ell <1_v, xi x> + g <1_v, x>) (linear);
+    kappa ((|v|+1)^ell drift + g <1_v, G 1_v>) (quadratic), where
+    drift = <1_v, xi diag(G)> + <1_v, (xi G + G xi^T) 1_v>.
+    """
+    kind, ell = _family(family)
     ind, sizes = lattice(model.n)
     d = model.xi.dense()
-    vals = model.kappa * ((sizes + 1.0) ** ell * (ind @ (d @ xv))
-                          + sizes * ((sizes + 1.0) ** ell - sizes ** ell) * (ind @ xv))
-    return SubsetFunction(vals, model.n)
-
-
-def lemma_quadratic_rhs(model: PercolationModel, G, ell: int) -> SubsetFunction:
-    """The generator bound for <1_v, G 1_v> (ell = 0) or |v| <1_v, G 1_v> (ell = 1)."""
-    if ell not in (0, 1):
-        raise ValueError("quadratic bound is stated for ell in {0, 1}")
-    Gm = _check_payload(G, "G")
-    ind, sizes = lattice(model.n)
-    d = model.xi.dense()
-    diag_term = ind @ (d @ np.diag(Gm).copy())
-    cross = d @ Gm + Gm @ d.T
-    cross_term = np.einsum("mi,mi->m", ind @ cross, ind)
-    if ell == 0:
-        vals = model.kappa * (diag_term + cross_term)
+    grow = (sizes + 1.0) ** ell
+    step = grow - sizes ** ell
+    if kind == "size":
+        return SubsetFunction(model.kappa * sizes * step, model.n)
+    g = sizes * step
+    if kind == "linear":
+        xv = _check_payload(x, "x")
+        vals = grow * (ind @ (d @ xv)) + g * (ind @ xv)
     else:
-        quad = np.einsum("mi,mi->m", ind @ Gm, ind)
-        vals = model.kappa * ((sizes + 1.0) * (diag_term + cross_term) + sizes * quad)
-    return SubsetFunction(vals, model.n)
+        Gm = _check_payload(G, "G")
+        drift = (ind @ (d @ np.diag(Gm).copy())
+                 + np.einsum("mi,mi->m", ind @ (d @ Gm + Gm @ d.T), ind))
+        vals = grow * drift + g * np.einsum("mi,mi->m", ind @ Gm, ind)
+    return SubsetFunction(model.kappa * vals, model.n)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ class SimConfig:
             raise ValueError("dt and T must be positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError("T must be an integral number of steps")
@@ -162,16 +162,14 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     # One coordinate-wise McKean-Vlasov pass over the whole ensemble: with
     # row sums 1 and a common kernel every coordinate solves the same
     # equation, and the ensemble across samples estimates its law.
-    noise = _draw_noise(0, cfg.samples, cfg.steps, n, d, cfg.seed)
-    x = np.zeros((cfg.samples, n, d))
-    root = cfg.sigma * math.sqrt(cfg.dt)
-    for s in range(cfg.steps):
-        t = s * cfg.dt
+    def mean_field(t, x):
         out = np.empty_like(x)
         for i in range(n):
             out[:, i, :] = drift.mean_field(t, x[:, i, :], x[:, i, :])
-        x = x + cfg.dt * out + root * noise[:, s]
-    return x.reshape(cfg.samples, n * d)
+        return out
+
+    noise = _draw_noise(0, cfg.samples, cfg.steps, n, d, cfg.seed)
+    return _step_block(noise, cfg, mean_field).reshape(cfg.samples, n * d)
 
 
 def gaussian_entropy_from_samples(samples: np.ndarray, v, T: float,

@@ -103,6 +103,11 @@ def _ensemble(instances: int, seed: int, n_max: int = 10):
 
 # ---------------------------------------------------------------------------
 
+def _check_name(family: str) -> str:
+    kind, ell = perc.FAMILIES[family]
+    return f"{'polynomial' if kind == 'size' else kind}.l{ell}"
+
+
 def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
     """Pointwise generator inequalities over every subset, exact evaluation."""
     agg = _Slack()
@@ -114,24 +119,13 @@ def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         G = gen.random((n, n))
         if gen.random() < 0.5:
             G = (G + G.T) / 2.0
-        ind, sizes = lattice(n)
-        for ell in (1, 2, 3):
-            lhs = perc.generator_apply(model, perc.SubsetFunction(sizes ** ell, n))
-            rhs = perc.lemma_polynomial_rhs(model, ell)
-            agg.add(f"generator.polynomial.l{ell}", rhs.values - lhs.values)
-        lin = ind @ x
-        for ell in (0, 1, 2):
-            lhs = perc.generator_apply(model, perc.SubsetFunction(sizes ** ell * lin, n))
-            rhs = perc.lemma_linear_rhs(model, x, ell)
-            agg.add(f"generator.linear.l{ell}", rhs.values - lhs.values)
-        quad = np.einsum("mi,mi->m", ind @ G, ind)
-        for ell in (0, 1):
-            lhs = perc.generator_apply(model, perc.SubsetFunction(sizes ** ell * quad, n))
-            rhs = perc.lemma_quadratic_rhs(model, G, ell)
-            agg.add(f"generator.quadratic.l{ell}", rhs.values - lhs.values)
+        for fam in perc.FAMILIES:
+            lhs = perc.generator_apply(model, perc.functional_table((fam, {"x": x, "G": G}), xi))
+            rhs = perc.lemma_rhs(model, fam, x=x, G=G)
+            agg.add(f"generator.{_check_name(fam)}", rhs.values - lhs.values)
         const = perc.generator_apply(model, perc.SubsetFunction.constant(n, 3.5))
         exact_zero = max(exact_zero, float(np.abs(const.values).max()))
-        full = perc.generator_apply(model, perc.SubsetFunction(sizes ** 2, n))
+        full = perc.generator_apply(model, perc.functional_table("size2", xi))
         exact_zero = max(exact_zero, abs(full.values[(1 << n) - 1]))
     out = SuiteResult("generator", seed, instances, agg.checks())
     out.checks.append(Check("generator.annihilates-constants-and-full-set",
@@ -150,19 +144,12 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         model = perc.PercolationModel(xi, kappa)
         x = gen.random(n)
         G = gen.random((n, n))
-        ind, sizes = lattice(n)
-        tables = {
-            "size": sizes, "size2": sizes ** 2, "size3": sizes ** 3,
-            "linear": ind @ x, "size-linear": sizes * (ind @ x),
-            "size2-linear": sizes ** 2 * (ind @ x),
-            "quadratic": np.einsum("mi,mi->m", ind @ G, ind),
-        }
-        tables["size-quadratic"] = sizes * tables["quadratic"]
-        curves = {fam: perc.expectation_curve(model, perc.SubsetFunction(tab, n),
-                                              _EXPECTATION_T[-1])
-                  for fam, tab in tables.items()}
+        curves = {fam: perc.expectation_curve(
+                      model, perc.functional_table((fam, {"x": x, "G": G}), xi),
+                      _EXPECTATION_T[-1])
+                  for fam in perc.FAMILIES}
         for t in _EXPECTATION_T:
-            for fam in tables:
+            for fam in perc.FAMILIES:
                 exact = curves[fam].eval_all(t)
                 bound = perc.expectation_bound(model, fam, None, t, x=x, G=G)
                 agg.add(f"expectations.{fam}", bound - exact)

@@ -58,13 +58,13 @@ def test_growth_bound_single_edge_closed_form(single_edge):
     c_full = 2.0 * a * a * c.M / c.sigma ** 2
 
     # start at the full set: the cost is frozen at its full-set value
-    got = percolation_entropy_bound(model, [0, 1], c, tol=1e-9)
+    got = percolation_entropy_bound(model, [0, 1], c)
     assert got == pytest.approx(c.T * c_full, rel=1e-8)
 
     # start at a singleton: cost turns on once the neighbor joins
     rate = kappa * a
     want = c_full * (c.T - (1.0 - math.exp(-rate * c.T)) / rate)
-    got = percolation_entropy_bound(model, [0], c, tol=1e-9)
+    got = percolation_entropy_bound(model, [0], c)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -79,7 +79,7 @@ def test_growth_bound_discounted(single_edge):
     want, _ = scipy.integrate.quad(
         lambda t: math.exp(-r * t) * c_full * (1.0 - math.exp(-rate * t)),
         0.0, c.T, epsabs=1e-13, epsrel=1e-13)
-    got = percolation_entropy_bound(model, [0], c, uniform=True, tol=1e-9)
+    got = percolation_entropy_bound(model, [0], c, uniform=True)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -98,10 +98,9 @@ def test_growth_bound_h0_term(single_edge):
 def test_growth_bound_all_matches_single(four_cycle):
     c = ModelConstants(gamma=1.0, M=1.5, sigma=1.0, T=0.6)
     model = PercolationModel(four_cycle, c.rate_scale())
-    vec = percolation_entropy_bound(model, None, c, tol=1e-8)
+    vec = percolation_entropy_bound(model, None, c)
     for mask in (0b0001, 0b0101, 0b1111):
-        single = percolation_entropy_bound(
-            model, SubsetState.from_mask(mask, 4), c, tol=1e-8)
+        single = percolation_entropy_bound(model, SubsetState.from_mask(mask, 4), c)
         assert vec[mask] == pytest.approx(single, rel=1e-6, abs=1e-12)
     assert vec[0] == pytest.approx(0.0, abs=1e-12)
 

@@ -282,6 +282,26 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
           "--kappa", "inf"), "kappa must be positive and finite"),
         (("verify", "--instances", "0"), "instances must be >= 1"),
         (("verify", "--instances", "-2"), "instances must be >= 1"),
+        (("bound", "--theorem", "setwise", "--mean-field", "4"),
+         "--theorem setwise needs --v"),
+        (("bound", "--theorem", "growth", "--mean-field", "3", "--gamma", "1", "--big-m",
+          "1", "--sigma-const", "1", "--horizon", "1"), "--theorem growth needs --v"),
+        # results beyond the floating-point range
+        (("gaussian", "--mean-field", "4", "--T", "200"), "OverflowError"),
+        (("bound", "--theorem", "h3", "--delta", "0.1", "--gamma", "1", "--big-m", "1",
+          "--sigma-const", "1", "--horizon", "1000"), "OverflowError"),
+        (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
+          "--sigma", "1e200"), "OverflowError"),
+        # numbers that were accepted silently
+        (("gaussian", "--mean-field", "4", "--T", "0.1", "--avg-k", "0"), "need 1 <= k <= n"),
+        (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
+          "--sigma", "nan"), "sigma must be positive and finite"),
+        (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
+          "--sigma", "inf"), "sigma must be positive and finite"),
+        ((*growth, "--horizon", "1", "--use-chat", "--h3-value", "nan"),
+         "h3 must be finite and nonnegative"),
+        (("bound", "--theorem", "h3", "--delta", "nan", "--gamma", "1", "--big-m", "1",
+          "--sigma-const", "1", "--horizon", "1"), "delta must be finite and nonnegative"),
     ]
     for argv, message in cases:
         assert run(*argv) == 2, argv

@@ -7,17 +7,17 @@ import scipy.linalg
 from chaoscope.bounds import ModelConstants
 from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
                               build_mean_field, lattice)
-from chaoscope.percolation import (EngineTooLarge, NotApplicable,
+from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction,
                                    _gillespie_run, exact_expectation,
                                    expectation_bound, expectation_curve,
                                    functional_table,
                                    functional_values, generator_apply,
-                                   lemma_linear_rhs, lemma_polynomial_rhs,
-                                   lemma_quadratic_rhs, mc_expectation,
+                                   lemma_rhs, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
                                    yule_second_moment)
 from chaoscope.rng import stream
+from chaoscope.verify import run_suite
 
 from conftest import random_matrices
 
@@ -153,15 +153,22 @@ def test_functional_values_match_per_mask_reference():
     c = ModelConstants(gamma=0.7, M=1.5, sigma=1.2, T=1.0)
     masks = g.integers(1, 32, size=40)
     members = [SubsetState.from_mask(m, 5).sorted_members() for m in masks.tolist()]
+    k = np.array([len(mem) for mem in members], dtype=float)
+    lin = np.array([x[mem].sum() for mem in members])
+    quad = np.array([G[np.ix_(mem, mem)].sum() for mem in members])
     cases = [
-        ("size3", [len(mem) ** 3 for mem in members]),
-        (("linear", {"x": x, "ell": 1}), [len(mem) * x[mem].sum() for mem in members]),
-        (("quadratic", {"G": G, "ell": 2}),
-         [len(mem) ** 2 * G[np.ix_(mem, mem)].sum() for mem in members]),
+        ("size", k), ("size2", k ** 2), ("size3", k ** 3),
+        (("linear", {"x": x}), lin), (("size-linear", {"x": x}), k * lin),
+        (("size2-linear", {"x": x, "G": G}), k ** 2 * lin),
+        (("quadratic", {"G": G}), quad), (("size-quadratic", {"G": G}), k * quad),
         (("C", {"constants": c}), [C_of_v(xi, mem, c) for mem in members]),
     ]
+    assert {spec if isinstance(spec, str) else spec[0] for spec, _ in cases} >= set(FAMILIES)
     for spec, want in cases:
         assert np.allclose(functional_values(spec, xi, masks), want, rtol=1e-12, atol=0.0)
+    # the size weight lives in the family name; a leftover ell payload is an error
+    with pytest.raises(ValueError, match="payload"):
+        functional_values(("linear", {"x": x, "ell": 1}), xi, masks)
     assert np.array_equal(functional_table("size", xi).values[masks], [len(m) for m in members])
     # popcounts, no indicator rows: fine beyond the exact-engine limit
     wide = np.array([0, 1, (1 << 47) | 5, (1 << 48) - 1], dtype=np.int64)
@@ -252,17 +259,17 @@ def test_lemma_rhs_formulas():
         model = PercolationModel(xi, 0.7)
         ind, sizes = lattice(xi.n)
         d = xi.dense()
-        for ell in (1, 2, 3):
+        for ell, fam in enumerate(("size", "size2", "size3"), start=1):
             want = 0.7 * sizes * ((sizes + 1.0) ** ell - sizes ** ell)
-            got = lemma_polynomial_rhs(model, ell).values
+            got = lemma_rhs(model, fam).values
             assert np.allclose(got, want, rtol=1e-12)
         x = np.abs(stream(16).random(xi.n))
         lin = ind @ x
         xix = ind @ (d @ x)
-        for ell in (0, 1, 2):
+        for ell, fam in enumerate(("linear", "size-linear", "size2-linear")):
             want = 0.7 * ((sizes + 1.0) ** ell * xix
                           + sizes * ((sizes + 1.0) ** ell - sizes ** ell) * lin)
-            got = lemma_linear_rhs(model, x, ell).values
+            got = lemma_rhs(model, fam, x=x).values
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
@@ -278,8 +285,35 @@ def test_lemma_quadratic_rhs_formula():
         quad = np.einsum("mi,mi->m", ind @ G, ind)
         want0 = 1.1 * (diag + cross)
         want1 = 1.1 * ((sizes + 1.0) * (diag + cross) + sizes * quad)
-        assert np.allclose(lemma_quadratic_rhs(model, G, 0).values, want0, rtol=1e-12)
-        assert np.allclose(lemma_quadratic_rhs(model, G, 1).values, want1, rtol=1e-12)
+        assert np.allclose(lemma_rhs(model, "quadratic", G=G).values, want0, rtol=1e-12)
+        assert np.allclose(lemma_rhs(model, "size-quadratic", G=G).values, want1, rtol=1e-12)
+
+
+def test_unknown_family_is_rejected():
+    xi = build_mean_field(3)
+    model = PercolationModel(xi, 1.0)
+    x, G = np.ones(3), np.ones((3, 3))
+    for name in ("size4", "size2-quadratic"):
+        with pytest.raises(ValueError, match="unknown family"):
+            functional_values((name, {"x": x, "G": G}), xi, [1, 3])
+        with pytest.raises(ValueError, match="unknown family"):
+            expectation_bound(model, name, [0], 1.0, x=x, G=G)
+        with pytest.raises(ValueError, match="unknown family"):
+            lemma_rhs(model, name, x=x, G=G)
+
+
+def test_family_suites_keep_their_check_names():
+    (gen,) = run_suite("generator", instances=1, seed=0)
+    (exp,) = run_suite("expectations", instances=1, seed=0)
+    assert [c.name for c in gen.checks] == [
+        "generator.linear.l0", "generator.linear.l1", "generator.linear.l2",
+        "generator.polynomial.l1", "generator.polynomial.l2", "generator.polynomial.l3",
+        "generator.quadratic.l0", "generator.quadratic.l1",
+        "generator.annihilates-constants-and-full-set"]
+    assert [c.name for c in exp.checks] == [
+        f"expectations.{fam}" for fam in ("linear", "quadratic", "size", "size-linear",
+                                          "size-quadratic", "size2", "size2-linear",
+                                          "size3")]
 
 
 def test_expectation_bound_rejects_invalid_inputs():
