@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,18 +81,12 @@ class BoundReport:
     inputs: dict
     prefactor: float      # the (delta k + 1)-type factor inside structural
     explicit: Optional[float] = None  # only when a proof pins the constant
-    verdict: Optional[bool] = None    # vs a caller-supplied oracle value
-
-    def with_verdict(self, oracle_value: float) -> "BoundReport":
-        return replace(self, verdict=bool(self.structural >= oracle_value))
 
     def to_json_dict(self) -> dict:
         out = {"theorem": self.theorem, "structural": self.structural,
                "inputs": self.inputs, "prefactor": self.prefactor}
         if self.explicit is not None:
             out["explicit"] = self.explicit
-        if self.verdict is not None:
-            out["verdict"] = self.verdict
         return out
 
     def csv_row(self):
@@ -241,7 +235,7 @@ def setwise_bound(xi: InteractionMatrix, v,
     v = SubsetState.of(v, xi.n)
     val = q_xi(xi, v)
     pref = xi.delta * v.size + 1.0
-    inputs = {"v": v.sorted_members(), "n": xi.n, "delta": xi.delta,
+    inputs = {"v": v.members, "n": xi.n, "delta": xi.delta,
               **_echo(constants)}
     return BoundReport("setwise", val, inputs, pref)
 
@@ -252,7 +246,7 @@ def reversed_variant(report: BoundReport) -> BoundReport:
         raise ValueError("already reversed")
     return BoundReport(report.theorem + ".reversed",
                        report.structural / report.prefactor,
-                       dict(report.inputs), 1.0, report.explicit, None)
+                       dict(report.inputs), 1.0, report.explicit)
 
 
 # ---------------------------------------------------------------------------

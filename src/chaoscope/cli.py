@@ -180,7 +180,7 @@ def cmd_matrix(args, outputs: list) -> int:
     }
     if args.v:
         v = _parse_subset(args.v, xi.n)
-        report["v"] = v.sorted_members()
+        report["v"] = v.members
         report["q_xi"] = float(q_xi(xi, v))
     if args.save:
         save_matrix(xi, args.save)
@@ -224,7 +224,7 @@ def cmd_percolate(args, outputs: list) -> int:
                      None if est_err is None else float(est_err),
                      "" if reps is None else reps, "" if seed is None else seed])
         rec = {"engine": args.engine, "functional": args.functional,
-               "v": v.sorted_members(), "t": t, "value": val}
+               "v": v.members, "t": t, "value": val}
         if est_err is not None:
             rec.update(stderr=est_err, reps=reps, seed=seed)
         records.append(rec)
@@ -287,7 +287,7 @@ def cmd_gaussian(args, outputs: list) -> int:
             rows.append([str(v), float(pair.exact), float(pair.lower),
                          float(pair.upper), float(clique),
                          None if worst is None else float(worst)])
-            rec = {"v": v.sorted_members(), "exact": pair.exact,
+            rec = {"v": v.members, "exact": pair.exact,
                    "lower": pair.lower, "upper": pair.upper,
                    "clique_lower": clique, "small_time": pair.small_time}
             if worst is not None:
@@ -321,7 +321,7 @@ def cmd_bound(args, outputs: list) -> int:
                 h3=args.h3_value, uniform=args.uniform)
             report = bounds_mod.BoundReport(
                 "growth", val,
-                {"v": v.sorted_members(), "n": xi.n, "use_chat": args.use_chat,
+                {"v": v.members, "n": xi.n, "use_chat": args.use_chat,
                  "uniform": args.uniform, **bounds_mod._echo(constants)},
                 1.0, explicit=val)
         elif args.theorem == "setwise":
@@ -359,6 +359,8 @@ def cmd_bound(args, outputs: list) -> int:
 
 
 def cmd_simulate(args, outputs: list) -> int:
+    if args.samples < 2:
+        raise ValueError(f"--samples must be >= 2 for a covariance, got {args.samples}")
     xi = _build_xi(args)
     if args.drift == "linear":
         drift = sde.DriftSpec.linear()

@@ -31,7 +31,6 @@ class InvalidCovariance(ValueError):
 class GaussianModel:
     xi: InteractionMatrix
     T: float
-    rho: float             # operator norm of xi
     sigma_T: np.ndarray    # covariance of the interacting system at time T
     series_order: int      # highest series term used to build sigma_T
     tail_bound: float      # certified sup-norm remainder of sigma_T / T
@@ -43,6 +42,10 @@ class GaussianModel:
     def n(self) -> int:
         return self.xi.n
 
+    @property
+    def rho(self) -> float:  # operator norm of xi
+        return self.xi.rho
+
     def small_time(self) -> bool:
         """Whether T sits inside the window where the lower bounds are asserted."""
         return self.rho == 0.0 or self.T <= math.log(2.0) / (2.0 * self.rho)
@@ -52,7 +55,7 @@ class GaussianModel:
         if v is None:
             sub = self.sigma_T
         else:
-            mem = SubsetState.of(v, self.n).sorted_members()
+            mem = SubsetState.of(v, self.n).members
             sub = self.sigma_T[np.ix_(mem, mem)]
         return sub / self.T - np.eye(sub.shape[0])
 
@@ -94,7 +97,7 @@ def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianMode
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = xi.dense()
-    rho = linalg.op_norm(d)
+    rho = xi.rho
     n = xi.n
     acc = np.eye(n)
     g = np.eye(n)
@@ -121,7 +124,7 @@ def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianMode
                 raise RuntimeError("sigma_T series failed to converge")
     sig = T * acc
     sig = (sig + sig.T) / 2.0  # symmetrize away roundoff
-    return GaussianModel(xi, T, rho, sig, order, tail)
+    return GaussianModel(xi, T, sig, order, tail)
 
 
 def sigma_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-12) -> np.ndarray:
@@ -247,7 +250,7 @@ def d_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> float:
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     d = xi.dense()
-    rho = linalg.op_norm(d)
+    rho = xi.rho
     s = np.zeros(xi.n)
     if rho > 0.0:
         power = d @ d
@@ -290,7 +293,7 @@ def d_T_envelope(xi: InteractionMatrix, T: float) -> tuple[float, float]:
     upper: 2 T^4 e^{2 rho T} (sum_i (sum_j xi_ij^2)^2 + transposed sum).
     """
     d = xi.dense()
-    rho = linalg.op_norm(d)
+    rho = xi.rho
     mixed = (d * d.T).sum(axis=1)
     lower = T ** 4 / 36.0 * float((mixed * mixed).sum())
     row_sq = (d * d).sum(axis=1)

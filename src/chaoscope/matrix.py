@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .rng import stream
 
 DENSE_MIRROR_LIMIT = 64
@@ -103,16 +104,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class SubsetState:
-    """A subset of {0,..,n-1}: the state of the growth process."""
+    """A subset of {0,..,n-1} as a bitmask, bit i for member i: the state of the growth process."""
 
-    members: frozenset
+    mask: int
     n: int
 
     def __post_init__(self):
-        members = frozenset(int(i) for i in self.members)
-        if any(i < 0 or i >= self.n for i in members):
-            raise MatrixError(f"subset members out of range for n={self.n}")
-        object.__setattr__(self, "members", members)
+        mask, n = int(self.mask), int(self.n)
+        if not (n >= 0 and 0 <= mask < 1 << n):
+            raise MatrixError(f"mask {mask} out of range for n={n}")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def of(cls, members, n: int) -> "SubsetState":
@@ -120,33 +122,24 @@ class SubsetState:
             if members.n != n:
                 raise MatrixError("subset has mismatched ambient size")
             return members
-        return cls(frozenset(members), n)
-
-    @classmethod
-    def from_mask(cls, mask: int, n: int) -> "SubsetState":
-        return cls(frozenset(i for i in range(n) if (mask >> i) & 1), n)
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.members:
-            m |= 1 << i
-        return m
+        mask = 0
+        for i in map(int, members):
+            if not 0 <= i < n:
+                raise MatrixError(f"subset members out of range for n={n}")
+            mask |= 1 << i
+        return cls(mask, n)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
-    def indicator(self) -> np.ndarray:
-        ind = np.zeros(self.n)
-        ind[sorted(self.members)] = 1.0
-        return ind
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
+    @property
+    def members(self) -> list[int]:
+        """The member indices in increasing order."""
+        return [i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1"]
 
     def __str__(self):
-        return "{" + ",".join(str(i) for i in self.sorted_members()) + "}"
+        return "{" + ",".join(map(str, self.members)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +172,15 @@ class InteractionMatrix:
     """Nonnegative square matrix with cached row/column sums and maxima.
 
     The caches (row_sums, col_sums, delta, delta_i, symmetric) are computed
-    once at construction and exposed read-only.  Construction does not reject
+    once at construction and exposed read-only; the operator norm rho is
+    computed on first use and kept.  Construction does not reject
     invalid input (nonzero diagonal, negative entries): `validate` reports
     violations so callers can decide, and the builders below always produce
     valid matrices.
     """
 
     __slots__ = ("n", "ii", "jj", "vals", "row_sums", "col_sums",
-                 "delta", "delta_i", "symmetric", "_dense")
+                 "delta", "delta_i", "symmetric", "_dense", "_rho")
 
     def __init__(self, n: int, ii, jj, vals):
         if n < 1:
@@ -215,6 +209,7 @@ class InteractionMatrix:
         self.delta_i = _frozen(di)
         self.symmetric = self._check_symmetric(keys)
         self._dense = self._materialize() if n < DENSE_MIRROR_LIMIT else None
+        self._rho = None
 
     def _check_symmetric(self, keys: np.ndarray) -> bool:
         t_order = np.lexsort((self.ii, self.jj))
@@ -242,6 +237,13 @@ class InteractionMatrix:
         if self.n > 4096:
             raise MatrixError(f"refusing to densify n={self.n}")
         return self._materialize()
+
+    @property
+    def rho(self) -> float:
+        """Operator norm ||xi||_2 (a power-iteration estimate, see linalg.op_norm)."""
+        if self._rho is None:
+            self._rho = linalg.op_norm(self.dense())
+        return self._rho
 
     def transpose_vals(self) -> np.ndarray:
         """For entry k holding xi[i_k, j_k], the value xi[j_k, i_k] (0 if absent)."""
@@ -383,27 +385,36 @@ def p_xi(xi: InteractionMatrix) -> float:
     return cubic + float(np.sum((r2 + c2) ** 2))
 
 
-def q_xi(xi: InteractionMatrix, v) -> float:
-    """(delta|v| + 1) * (sum_{i,j in v} xi_ij^2 + delta * sum_{i,j in v}(xi^T xi + xi xi^T)_ij + delta^2 |v|).
-
-    The middle block uses sum_{i,j in v}(xi^T xi)_ij = |xi 1_v|^2 (and the
-    transpose twin), so no n x n product is ever formed.
-    """
+def _subset_row(xi: InteractionMatrix, v, name: str) -> tuple[int, np.ndarray]:
+    """|v| and the indicator row of a nonempty subset v."""
     v = SubsetState.of(v, xi.n)
     if v.size == 0:
-        raise MatrixError("q_xi needs a nonempty subset")
-    ind = v.indicator()
+        raise MatrixError(f"{name} needs a nonempty subset")
+    return v.size, indicators([v.mask], xi.n)[0]
+
+
+def _squares_within(xi: InteractionMatrix, ind: np.ndarray) -> float:
+    """sum_{i,j in v} xi_ij^2."""
     inside = ind[xi.ii].astype(bool) & ind[xi.jj].astype(bool)
-    sq = float(np.sum(xi.vals[inside] ** 2))
-    gram = float(np.sum(xi.matvec(ind) ** 2) + np.sum(xi.rmatvec(ind) ** 2))
-    k = v.size
-    return (xi.delta * k + 1.0) * (sq + xi.delta * gram + xi.delta ** 2 * k)
+    return float(np.sum(xi.vals[inside] ** 2))
 
 
 def _row_sums_within(xi: InteractionMatrix, ind: np.ndarray) -> np.ndarray:
     """s_i = sum_{j in v} xi_ij for i in v (zero outside v)."""
     s = np.bincount(xi.ii, weights=xi.vals * ind[xi.jj], minlength=xi.n)
     return s * ind
+
+
+def q_xi(xi: InteractionMatrix, v) -> float:
+    """(delta|v| + 1) * (sum_{i,j in v} xi_ij^2 + delta * sum_{i,j in v}(xi^T xi + xi xi^T)_ij + delta^2 |v|).
+
+    The middle block uses sum_{i,j in v}(xi^T xi)_ij = |xi 1_v|^2 (and the
+    transpose twin), so no n x n product is ever formed.
+    """
+    k, ind = _subset_row(xi, v, "q_xi")
+    sq = _squares_within(xi, ind)
+    gram = float(np.sum(xi.matvec(ind) ** 2) + np.sum(xi.rmatvec(ind) ** 2))
+    return (xi.delta * k + 1.0) * (sq + xi.delta * gram + xi.delta ** 2 * k)
 
 
 def C_of_v(xi: InteractionMatrix, v, constants) -> float:
@@ -413,10 +424,7 @@ def C_of_v(xi: InteractionMatrix, v, constants) -> float:
     """
     if constants.sigma <= 0:
         raise MatrixError("sigma must be positive")
-    v = SubsetState.of(v, xi.n)
-    if v.size == 0:
-        raise MatrixError("C_of_v needs a nonempty subset")
-    s = _row_sums_within(xi, v.indicator())
+    s = _row_sums_within(xi, _subset_row(xi, v, "C_of_v")[1])
     return constants.M / constants.sigma ** 2 * float(np.sum(s ** 2))
 
 
@@ -427,16 +435,11 @@ def Chat_of_v(xi: InteractionMatrix, v, constants, h3: float) -> float:
         raise MatrixError("sigma must be positive")
     if not 0 <= h3 < math.inf:
         raise MatrixError(f"h3 must be finite and nonnegative, got {h3}")
-    v = SubsetState.of(v, xi.n)
-    if v.size == 0:
-        raise MatrixError("Chat_of_v needs a nonempty subset")
-    ind = v.indicator()
+    ind = _subset_row(xi, v, "Chat_of_v")[1]
     s = _row_sums_within(xi, ind)
-    inside = ind[xi.ii].astype(bool) & ind[xi.jj].astype(bool)
-    sq = float(np.sum(xi.vals[inside] ** 2))
     sig2 = constants.sigma ** 2
     return (math.sqrt(constants.gamma * constants.M * h3) / sig2 * float(np.sum(s ** 2))
-            + constants.M / sig2 * sq)
+            + constants.M / sig2 * _squares_within(xi, ind))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,6 @@ class UniformizedCurve:
     coeffs: np.ndarray
     lam: float
     t_max: float
-    tol: float
 
     @classmethod
     def build(cls, kernel, f: np.ndarray, lam: float, t_max: float,
@@ -155,7 +154,7 @@ class UniformizedCurve:
         coeffs[0] = f
         for k in range(1, kmax + 1):
             coeffs[k] = kernel(coeffs[k - 1])
-        return cls(_frozen(coeffs), lam, t_max, tol)
+        return cls(_frozen(coeffs), lam, t_max)
 
     def eval_all(self, t: float) -> np.ndarray:
         if t < 0 or t > self.t_max * (1 + 1e-12):
@@ -213,14 +212,13 @@ def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 
-def _gillespie_run(dense: np.ndarray, kappa: float, v: SubsetState, t: float,
+def _gillespie_run(dense: np.ndarray, kappa: float, mask: int, members: list, t: float,
                    gen: np.random.Generator) -> int:
-    """Terminal mask of one jump-chain path: Exp holding times, next index by rate."""
-    members = np.zeros(v.n, dtype=bool)
-    members[v.sorted_members()] = True
-    rates = kappa * dense[members].sum(axis=0)
-    rates[members] = 0.0
-    mask = v.mask
+    """Terminal mask of one jump-chain path from the start mask (members its indices)."""
+    inside = np.zeros(dense.shape[0], dtype=bool)
+    inside[members] = True
+    rates = kappa * dense[inside].sum(axis=0)
+    rates[inside] = 0.0
     clock = 0.0
     while True:
         cs = rates.cumsum()
@@ -234,9 +232,9 @@ def _gillespie_run(dense: np.ndarray, kappa: float, v: SubsetState, t: float,
         u = gen.random() * total
         j = int(np.searchsorted(cs, u, side="right"))
         mask |= 1 << j
-        members[j] = True
+        inside[j] = True
         rates = rates + kappa * dense[j]
-        rates[members] = 0.0
+        rates[inside] = 0.0
 
 
 def _fpp_edges(model: PercolationModel):
@@ -250,12 +248,12 @@ def _fpp_edges(model: PercolationModel):
     return adj, 1.0 / (model.kappa * xi.vals[upper])
 
 
-def _fpp_run(adj: list, scale: np.ndarray, v: SubsetState, t: float,
+def _fpp_run(adj: list, scale: np.ndarray, members: list, t: float,
              gen: np.random.Generator) -> int:
-    """Terminal mask of one edge-clock path: Dijkstra from v, stopped beyond t."""
+    """Terminal mask of one edge-clock path: Dijkstra from the sorted start members."""
     clocks = gen.exponential(scale).tolist()
-    dist = {i: 0.0 for i in v.members}
-    heap = [(0.0, i) for i in sorted(v.members)]  # sorted, so already a heap
+    dist = {i: 0.0 for i in members}
+    heap = [(0.0, i) for i in members]  # sorted, so already a heap
     mask = 0  # the settled nodes
     while heap:
         d, node = heapq.heappop(heap)
@@ -286,14 +284,15 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
     if model.n > MASK_LIMIT:
         raise EngineTooLarge(f"terminal masks support n <= {MASK_LIMIT}")
     v = SubsetState.of(v, model.n)
+    mask, members = v.mask, v.members
     if method == "gillespie":
         dense = model.xi.dense()
-        run = lambda gen: _gillespie_run(dense, model.kappa, v, t, gen)
+        run = lambda gen: _gillespie_run(dense, model.kappa, mask, members, t, gen)
     elif method == "fpp":
         if not model.xi.symmetric:
             raise NotApplicable("edge-clock growth needs a symmetric matrix")
         adj, scale = _fpp_edges(model)
-        run = lambda gen: _fpp_run(adj, scale, v, t, gen)
+        run = lambda gen: _fpp_run(adj, scale, members, t, gen)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
     return np.array([run(stream(seed, r)) for r in range(reps)], dtype=np.int64)
@@ -327,7 +326,7 @@ def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
     n = xi.n
     masks = np.asarray(masks, dtype=np.int64)
     if callable(spec):
-        return np.array([float(spec(SubsetState.from_mask(m, n))) for m in masks.tolist()])
+        return np.array([float(spec(SubsetState(m, n))) for m in masks.tolist()])
     if isinstance(spec, str):
         name, payload = spec, {}
     else:
@@ -341,8 +340,7 @@ def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
         else:
             h3 = float(payload.get("h3", 0.0))
             fn = lambda s: Chat_of_v(xi, s, constants, h3)
-        return np.array([0.0 if m == 0 else fn(SubsetState.from_mask(m, n))
-                         for m in masks.tolist()])
+        return np.array([0.0 if m == 0 else fn(SubsetState(m, n)) for m in masks.tolist()])
 
     kind, ell = _family(name)
     if not payload.keys() <= {"x", "G"}:
@@ -454,8 +452,8 @@ def expectation_bound(model: PercolationModel, family: str, v, t: float,
     largest entry of that (integral, G_t) state per scaling stage.
     """
     kind, ell = _family(family)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     _require_row_sums(model.xi)
     if v is None:
         _require_exact(model.n)

@@ -82,8 +82,9 @@ class SimConfig:
             raise ValueError("dt and T must be positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (0 < self.sigma and self.sigma * self.sigma < math.inf):
+            raise ValueError("sigma must be positive and finite, with a finite square, "
+                             f"got {self.sigma}")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError("T must be an integral number of steps")
@@ -189,7 +190,7 @@ def gaussian_entropy_from_samples(samples: np.ndarray, v, T: float,
         raise ValueError("v must be nonempty")
     if samples.shape[0] < 10 * v.size ** 2:
         raise ValueError("need at least 10 |v|^2 samples")
-    sub = samples[:, v.sorted_members()]
+    sub = samples[:, v.members]
     cov = np.atleast_2d(np.cov(sub, rowvar=False)) + shrinkage * np.eye(v.size)
     lam = np.linalg.eigvalsh(cov / T - np.eye(v.size))
     if (lam <= -1.0).any():

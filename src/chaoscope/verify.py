@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import gaussian as gauss
-from . import linalg
 from . import percolation as perc
 from .matrix import (InteractionMatrix, MatrixError, SubsetState, lattice, q_xi,
                      step_pairs)
@@ -165,7 +164,7 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
     for _ in range(instances):
         n = int(gen_master.integers(2, 11))
         xi = random_substochastic(n, gen_master)
-        rho = linalg.op_norm(xi.dense())
+        rho = xi.rho
         window = math.log(2.0) / (2.0 * rho) if rho > 0 else 1.0
         T = float(gen_master.uniform(0.2, 1.0)) * window
         gm = gauss.sigma_T(xi, T)
@@ -246,8 +245,7 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
             agg.add("bounds.reversed-smaller", avg.structural - rev.structural)
         if n <= 6:
             # q_xi over the masks; -inf at the empty set drops its pairs below
-            q = np.array([-np.inf] + [q_xi(xi, SubsetState.from_mask(m, n))
-                                      for m in range(1, 1 << n)])
+            q = np.array([-np.inf] + [q_xi(xi, SubsetState(m, n)) for m in range(1, 1 << n)])
             sizes = lattice(n)[1]
             agg.add("bounds.setwise-cap", 8.0 * xi.delta ** 2 * sizes[1:] ** 3 - q[1:])
             for j in range(n):

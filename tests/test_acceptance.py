@@ -157,7 +157,7 @@ def test_growth_route_dominates_exact_entropy():
         model = PercolationModel(xi, constants.rate_scale())
         bound = percolation_entropy_bound(model, None, constants)
         for mask in range(1, 1 << xi.n):
-            exact = exact_entropy(gm, SubsetState.from_mask(mask, xi.n))
+            exact = exact_entropy(gm, SubsetState(mask, xi.n))
             assert bound[mask] >= exact - 1e-9, (idx, mask)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from chaoscope.bounds import (BoundReport, ModelConstants, avg_entropy_bound,
+from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
                               gaussian_fk_constants, h3_bound, lsi_constants,
                               max_entropy_bound, percolation_entropy_bound,
                               reversed_variant, setwise_bound,
@@ -100,7 +100,7 @@ def test_growth_bound_all_matches_single(four_cycle):
     model = PercolationModel(four_cycle, c.rate_scale())
     vec = percolation_entropy_bound(model, None, c)
     for mask in (0b0001, 0b0101, 0b1111):
-        single = percolation_entropy_bound(model, SubsetState.from_mask(mask, 4), c)
+        single = percolation_entropy_bound(model, SubsetState(mask, 4), c)
         assert vec[mask] == pytest.approx(single, rel=1e-6, abs=1e-12)
     assert vec[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -207,8 +207,3 @@ def test_gaussian_fk_constants():
     assert c.M == pytest.approx(float(np.diag(gm.sigma_T).max()))
     assert c.sigma == 1.0 and c.T == 0.5
 
-
-def test_with_verdict():
-    rep = BoundReport("max", 2.0, {}, 1.0)
-    assert rep.with_verdict(1.5).verdict is True
-    assert rep.with_verdict(2.5).verdict is False

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -291,13 +292,15 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("bound", "--theorem", "h3", "--delta", "0.1", "--gamma", "1", "--big-m", "1",
           "--sigma-const", "1", "--horizon", "1000"), "OverflowError"),
         (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
-          "--sigma", "1e200"), "OverflowError"),
+          "--sigma", "1e200"), "sigma must be positive and finite, with a finite square"),
         # numbers that were accepted silently
         (("gaussian", "--mean-field", "4", "--T", "0.1", "--avg-k", "0"), "need 1 <= k <= n"),
         (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
           "--sigma", "nan"), "sigma must be positive and finite"),
         (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
           "--sigma", "inf"), "sigma must be positive and finite"),
+        (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "1"),
+         "--samples must be >= 2"),
         ((*growth, "--horizon", "1", "--use-chat", "--h3-value", "nan"),
          "h3 must be finite and nonnegative"),
         (("bound", "--theorem", "h3", "--delta", "nan", "--gamma", "1", "--big-m", "1",
@@ -313,3 +316,12 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.verify_mod, "run_suite", stalled)
     assert run("verify") == 2
     assert capsys.readouterr().err.startswith("error: expm_action")
+
+
+def test_simulate_refuses_sigma_whose_square_overflows(capsys):
+    # refused before any sampling, so no overflow warning is ever raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1",
+                   "--samples", "10", "--sigma", "1e200") == 2
+    assert "sigma must be positive and finite, with a finite square" in capsys.readouterr().err

@@ -94,8 +94,8 @@ def test_exact_entropy_is_kl_against_reference():
         masks = np.arange(1, 1 << xi.n)
         exact, _, _ = subset_entropies(gm, masks)
         for mask, got in zip(masks.tolist(), exact):
-            v = SubsetState.from_mask(mask, xi.n)
-            mem = v.sorted_members()
+            v = SubsetState(mask, xi.n)
+            mem = v.members
             sub = gm.sigma_T[np.ix_(mem, mem)]
             want = gaussian_kl(T * np.eye(v.size), sub)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -126,7 +126,7 @@ def test_entropy_bounds_sandwich_small_time():
         T = min(0.9 * math.log(2.0) / (2.0 * rho), 1.0)
         gm = sigma_T(xi, T)
         for mask in range(1, 1 << xi.n):
-            v = SubsetState.from_mask(mask, xi.n)
+            v = SubsetState(mask, xi.n)
             pair = entropy_bounds(gm, v)
             assert pair.lower <= pair.exact + 1e-12
             assert pair.exact <= pair.upper + 1e-12
@@ -214,7 +214,7 @@ def test_centered_submatrix_consistency():
     xi = random_matrices(1, seed=52, n_lo=5, n_hi=5)[0]
     gm = sigma_T(xi, 0.4)
     v = SubsetState.of([1, 3], 5)
-    mem = v.sorted_members()
+    mem = v.members
     want = gm.sigma_T[np.ix_(mem, mem)] / 0.4 - np.eye(2)
     assert np.allclose(gm.centered(v), want, rtol=0, atol=1e-15)
 

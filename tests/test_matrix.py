@@ -94,20 +94,41 @@ def test_validate_diagonal():
 def test_subset_state_roundtrip():
     v = SubsetState.of([3, 1], 5)
     assert v.mask == 0b01010
-    assert SubsetState.from_mask(v.mask, 5) == v
+    assert SubsetState(v.mask, 5) == v
     assert v.size == 2
+    assert v.members == [1, 3]
     assert str(v) == "{1,3}"
-    assert list(v.indicator()) == [0.0, 1.0, 0.0, 1.0, 0.0]
+    assert list(indicators([v.mask], 5)[0]) == [0.0, 1.0, 0.0, 1.0, 0.0]
     with pytest.raises(MatrixError):
         SubsetState.of([5], 5)
+
+
+def test_subset_state_mask_members_roundtrip():
+    cases = [(m, n) for n in range(1, 9) for m in range(1 << n)] + [((1 << 68) | 1, 70)]
+    for m, n in cases:
+        v = SubsetState(m, n)
+        assert SubsetState.of(v.members, n) == v
+        assert v.members == [i for i in range(n) if m >> i & 1]
+        assert v.size == len(v.members)
+        assert str(v) == "{" + ",".join(map(str, v.members)) + "}"
+    assert SubsetState((1 << 68) | 1, 70).members == [0, 68]
+    # numpy integers are stored as Python ints
+    v = SubsetState(np.int64(5), np.int64(3))
+    assert type(v.mask) is int and type(v.n) is int and v == SubsetState(5, 3)
+    for members in ([-1], [0, 5]):
+        with pytest.raises(MatrixError):
+            SubsetState.of(members, 5)
+    for mask in (-1, 32, 1 << 70):
+        with pytest.raises(MatrixError):
+            SubsetState(mask, 5)
 
 
 def test_lattice_rows_are_subset_indicators():
     for n in range(1, 7):
         ind, sizes = lattice(n)
         for m in range(1 << n):
-            v = SubsetState.from_mask(m, n)
-            assert np.array_equal(ind[m], v.indicator())
+            v = SubsetState(m, n)
+            assert np.array_equal(ind[m], indicators([v.mask], n)[0])
             assert sizes[m] == v.size
         assert np.array_equal(indicators(np.arange(1 << n), n), ind)
     table = np.arange(16.0)
@@ -131,9 +152,9 @@ def test_q_xi_brute_force():
         d = xi.dense()
         n = xi.n
         mask = int(g.integers(1, 1 << n))
-        v = SubsetState.from_mask(mask, n)
-        ind = v.indicator()
-        sub = d[np.ix_(v.sorted_members(), v.sorted_members())]
+        v = SubsetState(mask, n)
+        ind = indicators([mask], n)[0]
+        sub = d[np.ix_(v.members, v.members)]
         gram = d.T @ d + d @ d.T
         brute = (xi.delta * v.size + 1.0) * (
             float((sub ** 2).sum())
@@ -154,8 +175,8 @@ def test_C_of_v_brute_force():
         d = xi.dense()
         n = xi.n
         for mask in (1, (1 << n) - 1):
-            v = SubsetState.from_mask(mask, n)
-            mem = v.sorted_members()
+            v = SubsetState(mask, n)
+            mem = v.members
             brute = c.M / c.sigma ** 2 * sum(
                 d[i, mem].sum() ** 2 for i in mem)
             assert C_of_v(xi, v, c) == pytest.approx(brute, rel=1e-12, abs=1e-15)
@@ -167,8 +188,8 @@ def test_Chat_of_v_brute_force():
     for xi in random_matrices(8, seed=34, n_lo=2, n_hi=6):
         d = xi.dense()
         n = xi.n
-        v = SubsetState.from_mask((1 << n) - 1, n)
-        mem = v.sorted_members()
+        v = SubsetState((1 << n) - 1, n)
+        mem = v.members
         lead = math.sqrt(c.gamma * c.M * h3) / c.sigma ** 2
         brute = lead * sum(d[i, mem].sum() ** 2 for i in mem)
         brute += c.M / c.sigma ** 2 * float((d ** 2).sum())

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from chaoscope.bounds import ModelConstants
 from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
-                              build_mean_field, lattice)
+                              build_mean_field, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction,
                                    _gillespie_run, exact_expectation,
@@ -142,7 +142,7 @@ def test_gillespie_top_uniform_stays_in_range():
     assert row.sum() > np.cumsum(row)[-1]
     dense = np.zeros((31, 31))
     dense[0] = row
-    mask = _gillespie_run(dense, 1.0, SubsetState.of([0], 31), 1.5, _TopDraws())
+    mask = _gillespie_run(dense, 1.0, 1, [0], 1.5, _TopDraws())
     assert mask == 1 | 1 << 30
 
 
@@ -152,7 +152,7 @@ def test_functional_values_match_per_mask_reference():
     x, G = g.random(5), g.random((5, 5))
     c = ModelConstants(gamma=0.7, M=1.5, sigma=1.2, T=1.0)
     masks = g.integers(1, 32, size=40)
-    members = [SubsetState.from_mask(m, 5).sorted_members() for m in masks.tolist()]
+    members = [SubsetState(m, 5).members for m in masks.tolist()]
     k = np.array([len(mem) for mem in members], dtype=float)
     lin = np.array([x[mem].sum() for mem in members])
     quad = np.array([G[np.ix_(mem, mem)].sum() for mem in members])
@@ -248,7 +248,7 @@ def test_callable_functional(four_cycle):
     model = PercolationModel(four_cycle, 1.0)
 
     def biggest(v):
-        return float(max(v.sorted_members(), default=0))
+        return float(max(v.members, default=0))
 
     est = mc_expectation(model, biggest, [1], 0.0, reps=50, seed=0)
     assert est.mean == 1.0
@@ -328,6 +328,16 @@ def test_expectation_bound_rejects_invalid_inputs():
         expectation_bound(PercolationModel(hot, 1.0), "size", [0], 1.0)
 
 
+def test_expectation_bound_rejects_non_finite_t():
+    model = PercolationModel(build_mean_field(3), 1.0)
+    x, G = np.ones(3), np.ones((3, 3))
+    for family in FAMILIES:
+        for v in ([0], None):
+            for t in (math.nan, math.inf, -1.0):
+                with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                    expectation_bound(model, family, v, t, x=x, G=G)
+
+
 def test_expectation_bound_families_closed_forms():
     xi = build_mean_field(4)
     model = PercolationModel(xi, 0.9)
@@ -342,7 +352,7 @@ def test_expectation_bound_families_closed_forms():
     x = np.full(4, 0.5)
     d = xi.dense()
     e = scipy.linalg.expm(0.9 * t * d)
-    ind = v.indicator()
+    ind = indicators([v.mask], 4)[0]
     assert expectation_bound(model, "linear", v, t, x=x) == pytest.approx(
         float(ind @ (e @ x)), rel=1e-10)
     assert expectation_bound(model, "size-linear", v, t, x=x) == pytest.approx(
@@ -366,7 +376,7 @@ def test_expectation_bound_quadratic_vs_quadrature():
 
     # quadratic family: <1_v, G_t 1_v> + kappa * int_0^t <1_v, xi e^{kappa(t-s) xi} diag(G_s)> ds
     v = SubsetState.of([0, 2], 4)
-    ind = v.indicator()
+    ind = indicators([v.mask], 4)[0]
 
     def integrand(s):
         return float(ind @ (d @ scipy.linalg.expm(0.8 * (t - s) * d) @ np.diag(g_mat(s))))
@@ -480,7 +490,7 @@ def test_expectation_bound_all_matches_single():
                    "size2-linear", "quadratic", "size-quadratic"):
         vec = expectation_bound(model, family, None, t, x=x, G=G)
         for mask in (1, 3, 7):
-            v = SubsetState.from_mask(mask, 3)
+            v = SubsetState(mask, 3)
             single = expectation_bound(model, family, v, t, x=x, G=G)
             assert vec[mask] == pytest.approx(single, rel=1e-9, abs=1e-12)
 
