@@ -146,8 +146,8 @@ class SubsetState:
 # Subset lattice: tables over subsets are indexed by bitmask, bit i for member i
 
 def indicators(masks, n: int) -> np.ndarray:
-    """0/1 rows of length n, one per mask; Python-int masks above bit 63 work too."""
-    masks = np.asarray(masks)
+    """0/1 rows of length n, one per mask; for n > 63 the masks are shifted as Python ints."""
+    masks = np.asarray(masks, dtype=np.int64 if n <= 63 else object)
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 

@@ -212,9 +212,10 @@ def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 
-def _gillespie_run(dense: np.ndarray, kappa: float, mask: int, members: list, t: float,
+def _gillespie_run(dense: np.ndarray, kappa: float, members: list, t: float,
                    gen: np.random.Generator) -> int:
-    """Terminal mask of one jump-chain path from the start mask (members its indices)."""
+    """Terminal mask of one jump-chain path from the start members."""
+    mask = sum(1 << i for i in members)
     inside = np.zeros(dense.shape[0], dtype=bool)
     inside[members] = True
     rates = kappa * dense[inside].sum(axis=0)
@@ -283,11 +284,10 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     if model.n > MASK_LIMIT:
         raise EngineTooLarge(f"terminal masks support n <= {MASK_LIMIT}")
-    v = SubsetState.of(v, model.n)
-    mask, members = v.mask, v.members
+    members = SubsetState.of(v, model.n).members
     if method == "gillespie":
         dense = model.xi.dense()
-        run = lambda gen: _gillespie_run(dense, model.kappa, mask, members, t, gen)
+        run = lambda gen: _gillespie_run(dense, model.kappa, members, t, gen)
     elif method == "fpp":
         if not model.xi.symmetric:
             raise NotApplicable("edge-clock growth needs a symmetric matrix")

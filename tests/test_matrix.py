@@ -94,16 +94,7 @@ def test_validate_diagonal():
 def test_subset_state_roundtrip():
     v = SubsetState.of([3, 1], 5)
     assert v.mask == 0b01010
-    assert SubsetState(v.mask, 5) == v
-    assert v.size == 2
-    assert v.members == [1, 3]
-    assert str(v) == "{1,3}"
     assert list(indicators([v.mask], 5)[0]) == [0.0, 1.0, 0.0, 1.0, 0.0]
-    with pytest.raises(MatrixError):
-        SubsetState.of([5], 5)
-
-
-def test_subset_state_mask_members_roundtrip():
     cases = [(m, n) for n in range(1, 9) for m in range(1 << n)] + [((1 << 68) | 1, 70)]
     for m, n in cases:
         v = SubsetState(m, n)
@@ -111,16 +102,40 @@ def test_subset_state_mask_members_roundtrip():
         assert v.members == [i for i in range(n) if m >> i & 1]
         assert v.size == len(v.members)
         assert str(v) == "{" + ",".join(map(str, v.members)) + "}"
+    assert str(SubsetState.of([3, 1], 5)) == "{1,3}"
     assert SubsetState((1 << 68) | 1, 70).members == [0, 68]
     # numpy integers are stored as Python ints
     v = SubsetState(np.int64(5), np.int64(3))
     assert type(v.mask) is int and type(v.n) is int and v == SubsetState(5, 3)
-    for members in ([-1], [0, 5]):
+    for members in ([-1], [0, 5], [5]):
         with pytest.raises(MatrixError):
             SubsetState.of(members, 5)
     for mask in (-1, 32, 1 << 70):
         with pytest.raises(MatrixError):
             SubsetState(mask, 5)
+
+
+def test_setwise_functionals_at_high_bits():
+    # masks at or above 2^63 do not fit an int64
+    c = Consts()
+    xi = build_sequential(70)
+    d = xi.dense()
+    for mem in ([63], [62, 63], [0, 63, 69], [64, 68]):
+        v = SubsetState.of(mem, 70)
+        ind = np.zeros(70)
+        ind[mem] = 1.0
+        assert np.array_equal(indicators([v.mask], 70)[0], ind)
+        sub = d[np.ix_(mem, mem)]
+        gram = d.T @ d + d @ d.T
+        brute_q = (xi.delta * v.size + 1.0) * (
+            float((sub ** 2).sum()) + xi.delta * float(ind @ gram @ ind)
+            + xi.delta ** 2 * v.size)
+        assert q_xi(xi, v) == pytest.approx(brute_q, rel=1e-12, abs=1e-15)
+        brute_c = c.M / c.sigma ** 2 * float((sub.sum(axis=1) ** 2).sum())
+        assert C_of_v(xi, v, c) == pytest.approx(brute_c, rel=1e-12, abs=1e-15)
+        brute_chat = (math.sqrt(c.gamma * c.M * 0.8) / c.M) * brute_c
+        brute_chat += c.M / c.sigma ** 2 * float((sub ** 2).sum())
+        assert Chat_of_v(xi, v, c, 0.8) == pytest.approx(brute_chat, rel=1e-12, abs=1e-15)
 
 
 def test_lattice_rows_are_subset_indicators():

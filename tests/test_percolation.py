@@ -142,7 +142,7 @@ def test_gillespie_top_uniform_stays_in_range():
     assert row.sum() > np.cumsum(row)[-1]
     dense = np.zeros((31, 31))
     dense[0] = row
-    mask = _gillespie_run(dense, 1.0, 1, [0], 1.5, _TopDraws())
+    mask = _gillespie_run(dense, 1.0, [0], 1.5, _TopDraws())
     assert mask == 1 | 1 << 30
 
 
