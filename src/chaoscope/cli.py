@@ -32,6 +32,7 @@ from .matrix import (Graph, InteractionMatrix, MatrixError, SubsetState,
                      validate)
 from .percolation import PercolationModel
 from .rng import stream
+from .verify import json_text
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +100,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
         w.writerow(["" if c is None else (_fmt(c) if isinstance(c, float) else c)
                     for c in row])
     return buf.getvalue()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=1) + "\n"
 
 
 def _deliver(text: str, args, outputs: list):
@@ -197,7 +194,7 @@ def cmd_matrix(args, outputs: list) -> int:
                              not isinstance(val, bool) else str(val)])
         text = _csv_text(["quantity", "value"], rows)
     else:
-        text = _json_text(report)
+        text = json_text(report)
     _deliver(text, args, outputs)
     return 0
 
@@ -229,7 +226,7 @@ def cmd_percolate(args, outputs: list) -> int:
             rec.update(stderr=est_err, reps=reps, seed=seed)
         records.append(rec)
     header = ["engine", "functional", "v", "t", "value", "stderr", "reps", "seed"]
-    text = _csv_text(header, rows) if args.format == "csv" else _json_text(records)
+    text = _csv_text(header, rows) if args.format == "csv" else json_text(records)
     _deliver(text, args, outputs)
     if args.emit_gnuplot and args.out and args.format == "csv":
         _emit_gnuplot(args.out, 4, 5, "t", args.functional, outputs)
@@ -272,7 +269,7 @@ def cmd_gaussian(args, outputs: list) -> int:
         rows = [[args.avg_k, avg.mode, float(avg.value),
                  None if avg.stderr is None else float(avg.stderr),
                  float(lo), float(hi), float(lo_e), float(hi_e)]]
-        text = _csv_text(header, rows) if args.format == "csv" else _json_text(rec)
+        text = _csv_text(header, rows) if args.format == "csv" else json_text(rec)
     else:
         if args.v:
             subsets = [_parse_subset(s, xi.n) for s in args.v]
@@ -295,7 +292,7 @@ def cmd_gaussian(args, outputs: list) -> int:
             recs.append(rec)
         header = ["v", "exact", "lower", "upper", "clique_lower", "max_upper"]
         text = _csv_text(header, rows) if args.format == "csv" \
-            else _json_text(dict(info, subsets=recs))
+            else json_text(dict(info, subsets=recs))
     _deliver(text, args, outputs)
     return 0
 
@@ -353,7 +350,7 @@ def cmd_bound(args, outputs: list) -> int:
         text = _csv_text(["theorem", "structural", "explicit", "inputs"],
                          [list(report.csv_row())])
     else:
-        text = _json_text(report.to_json_dict())
+        text = json_text(report.to_json_dict())
     _deliver(text, args, outputs)
     return 0
 
@@ -398,7 +395,7 @@ def cmd_simulate(args, outputs: list) -> int:
                 rec.update(oracle=ora, abs_diff=diff)
             recs.append(rec)
     header = ["i", "j", "empirical", "oracle", "abs_diff", "stderr"]
-    text = _csv_text(header, rows) if args.format == "csv" else _json_text(recs)
+    text = _csv_text(header, rows) if args.format == "csv" else json_text(recs)
     _deliver(text, args, outputs)
     if args.emit_gnuplot and args.out and args.format == "csv":
         _emit_gnuplot(args.out, 3, 4, "empirical", "oracle", outputs)

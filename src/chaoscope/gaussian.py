@@ -133,7 +133,7 @@ def sigma_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-12) -> n
     The time-T operator (Y, X) -> (T (xi Y + Y xi^T + X), 0) started at (0, I)
     ends at Y = int_0^T e^{s xi} e^{s xi^T} ds.  Its norm is at most
     T (2 ||xi||_inf + 1), so the truncation is certified at tol * ||Sigma_T||_max
-    per scaling stage without the power-iteration rho the series relies on.
+    per scaling stage without the rho bound the series relies on.
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")

@@ -240,7 +240,7 @@ class InteractionMatrix:
 
     @property
     def rho(self) -> float:
-        """Operator norm ||xi||_2 (a power-iteration estimate, see linalg.op_norm)."""
+        """A certified upper bound on the operator norm ||xi||_2 (see linalg.op_norm)."""
         if self._rho is None:
             self._rho = linalg.op_norm(self.dense())
         return self._rho

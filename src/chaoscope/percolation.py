@@ -89,8 +89,25 @@ def _require_exact(n: int):
         raise EngineTooLarge(f"exact engine handles n <= {EXACT_ENGINE_LIMIT}, got {n}")
 
 
+def _pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """step_pairs(f, j), transposed for j < 4 so the long axis is innermost.
+
+    The rows of the low bits hold 1-8 entries; iterating 2^(n-1-j) of them
+    costs far more than one strided pass along the other axis.
+    """
+    lo, hi = step_pairs(f, j)
+    return (lo.T, hi.T) if j < 4 else (lo, hi)
+
+
 class _Engine:
-    """Per-model tables for the exact subset engine."""
+    """Per-model tables for the exact subset engine.
+
+    The uniformization rate is lam = kappa * max_m sum_{j not in m} sums[j, m]
+    * (1 + 1e-12): the largest exit rate of any mask, the least rate for which
+    I + A/lam is stochastic, inflated by a relative 1e-12 so that rounding
+    cannot push a diagonal entry below zero.  A model with no exit anywhere
+    (n = 1, or a zero matrix) has A = 0 and takes lam = kappa.
+    """
 
     def __init__(self, model: PercolationModel):
         n = model.n
@@ -98,21 +115,35 @@ class _Engine:
         self.kappa = model.kappa
         # sums[j, m] = sum_{i in m} xi[i, j]; j joins mask m at rate kappa * that
         sums = np.ascontiguousarray((lattice(n)[0] @ model.xi.dense()).T)
-        # kept only at the masks lacking j, in step_pairs' (-1, 2^j) layout
-        self.rates = [step_pairs(sums[j], j)[0].copy() for j in range(n)]
-        self.lam = model.kappa * n * max(1.0, float(model.xi.row_sums.max()))
+        # kept only at the masks lacking j, in _pairs' layout
+        self.rates = [_pairs(sums[j], j)[0].copy() for j in range(n)]
+        exits = np.zeros(1 << n)
+        for j, rate in enumerate(self.rates):
+            lo = _pairs(exits, j)[0]
+            lo += rate
+        top = float(exits.max())
+        self.lam = model.kappa * top * (1.0 + 1e-12) if top > 0.0 else model.kappa
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
+        # one scratch buffer per call: subtract, scale, accumulate, per bit
         out = np.zeros_like(f)
+        buf = np.empty(f.size // 2)
         for j, rate in enumerate(self.rates):
-            lo, hi = step_pairs(f, j)
-            acc = step_pairs(out, j)[0]
-            acc += rate * (hi - lo)
-        return self.kappa * out
+            lo, hi = _pairs(f, j)
+            step = buf.reshape(lo.shape)
+            np.subtract(hi, lo, out=step)
+            np.multiply(step, rate, out=step)
+            acc = _pairs(out, j)[0]
+            acc += step
+        out *= self.kappa
+        return out
 
     def apply_kernel(self, f: np.ndarray) -> np.ndarray:
         # one step of the uniformized (stochastic) kernel I + A/lam
-        return f + self.apply_generator(f) / self.lam
+        out = self.apply_generator(f)
+        out /= self.lam
+        out += f
+        return out
 
 
 @lru_cache(maxsize=6)
@@ -135,9 +166,11 @@ def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunctio
 class UniformizedCurve:
     """Coefficients of e^{tA}F as a Poisson mixture, valid for any t <= t_max.
 
-    coeffs[k] holds P^k F over all masks; the Poisson(lam*t) tail beyond the
-    stored order is monotone in t, so one truncation certifies the whole
-    interval at tol * ||F||_inf.
+    coeffs[k] holds P^k F over all masks, P = I + A/lam; the Poisson(lam*t)
+    tail beyond the stored order is monotone in t, so one truncation
+    certifies the whole interval at tol * ||F||_inf.  The exact engine's lam
+    is its largest exit rate times 1 + 1e-12, or kappa when no mask has an
+    exit (see _Engine), so the order grows with that rate, not with n.
     """
 
     coeffs: np.ndarray

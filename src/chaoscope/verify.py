@@ -328,9 +328,38 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[Su
     return out
 
 
+def _first_non_finite(obj, path: str = ""):
+    """(path, value) of the first inf or NaN float in nested dicts and lists."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path or "result", obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, val in items:
+        hit = _first_non_finite(val, sub)
+        if hit is not None:
+            return hit
+    return None
+
+
+def json_text(obj) -> str:
+    """Indented JSON with a final newline.  JSON has no inf or NaN, so a
+    non-finite number raises ValueError naming where it sits."""
+    try:
+        return json.dumps(obj, indent=1, allow_nan=False) + "\n"
+    except ValueError:
+        hit = _first_non_finite(obj)
+        if hit is None:
+            raise
+        raise ValueError(f"non-finite result {hit[0]} = {hit[1]}, "
+                         "which JSON cannot hold; nothing written") from None
+
+
 def save_results(results: list[SuiteResult], path):
-    payload = {"passed": all(r.passed for r in results),
-               "suites": [r.to_json_dict() for r in results]}
+    text = json_text({"passed": all(r.passed for r in results),
+                      "suites": [r.to_json_dict() for r in results]})
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)

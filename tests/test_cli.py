@@ -8,7 +8,7 @@ import chaoscope.cli as cli
 from chaoscope.matrix import build_mean_field, load_matrix
 from chaoscope.percolation import (PercolationModel, exact_expectation,
                                    functional_table)
-from chaoscope.verify import Check, SuiteResult
+from chaoscope.verify import Check, SuiteResult, save_results
 
 
 def run(*argv):
@@ -325,3 +325,24 @@ def test_simulate_refuses_sigma_whose_square_overflows(capsys):
         assert run("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1",
                    "--samples", "10", "--sigma", "1e200") == 2
     assert "sigma must be positive and finite, with a finite square" in capsys.readouterr().err
+
+
+def test_non_finite_results_are_refused(tmp_path, capsys, monkeypatch):
+    # sigma^2 is finite, but the sample covariance overflows to inf
+    out = tmp_path / "cov.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1",
+                   "--samples", "10", "--sigma", "1e154", "--out", str(out)) == 2
+    assert "error: non-finite result [0].empirical = inf" in capsys.readouterr().err
+    assert not out.exists()
+    # a verify report with a NaN slack is refused the same way
+    fake = [SuiteResult("generator", 0, 1, [Check("made-up", False, float("nan"))])]
+    report = tmp_path / "verify.json"
+    with pytest.raises(ValueError, match=r"suites\[0\]\.checks\[0\]\.slack = nan"):
+        save_results(fake, report)
+    assert not report.exists()
+    monkeypatch.setattr(cli.verify_mod, "run_suite", lambda *a: fake)
+    assert run("verify", "--suite", "generator", "--out", str(report)) == 2
+    assert "non-finite result suites[0].checks[0].slack = nan" in capsys.readouterr().err
+    assert not report.exists()

@@ -5,6 +5,7 @@ import scipy.stats
 
 from chaoscope.linalg import expm_action, op_norm, poisson_truncation, poisson_weights
 from chaoscope.rng import stream
+from chaoscope.verify import random_substochastic
 
 
 def test_expm_action_matches_scipy():
@@ -67,6 +68,20 @@ def test_op_norm_raises_without_convergence():
     assert op_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-8)
     with pytest.raises(RuntimeError, match="did not converge"):
         op_norm(a, max_iter=2)
+
+
+def test_op_norm_bounds_nonnegative_matrices_from_above():
+    g = stream(7)
+    for _ in range(500):
+        a = random_substochastic(int(g.integers(2, 11)), g).dense()
+        want = scipy.linalg.svdvals(a)[0]
+        assert want <= op_norm(a) <= want * (1 + 1e-11)
+    # two blocks of nearly equal norm: the Rayleigh quotient settles while
+    # the iterate still mixes both, so an estimate stops below 0.5
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 0] = 0.5
+    a[2, 3] = a[3, 2] = 0.5 * (1 - 1e-7)
+    assert 0.5 <= op_norm(a) <= 0.5 * (1 + 1e-14)
 
 
 def test_poisson_truncation_certifies_tail():

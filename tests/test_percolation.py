@@ -8,7 +8,7 @@ from chaoscope.bounds import ModelConstants
 from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
                               build_mean_field, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
-                                   PercolationModel, SubsetFunction,
+                                   PercolationModel, SubsetFunction, _engine,
                                    _gillespie_run, exact_expectation,
                                    expectation_bound, expectation_curve,
                                    functional_table,
@@ -122,6 +122,50 @@ def test_engine_size_limit():
     xi = build_mean_field(17)
     with pytest.raises(EngineTooLarge):
         functional_table("size", xi)
+
+
+def exit_rates(xi, kappa):
+    """kappa * sum_{j not in m} sum_{i in m} xi_ij at every mask m."""
+    ind = lattice(xi.n)[0]
+    return kappa * ((1 - ind) * (ind @ xi.dense())).sum(axis=1)
+
+
+def test_uniformization_rate_is_the_largest_exit_rate():
+    mean_field = build_mean_field(16)
+    for xi, kappa in ((mean_field, 1.0), (random_matrices(1, seed=41, n_lo=10, n_hi=10)[0], 0.7)):
+        lam = _engine(PercolationModel(xi, kappa)).lam
+        top = exit_rates(xi, kappa).max()
+        assert top <= lam <= (1 + 1e-11) * top
+    # the largest exit is from 8 of 16 sites: 8 * 8 / 15, where n = 16 was used
+    assert _engine(PercolationModel(mean_field, 1.0)).lam == pytest.approx(64 / 15, rel=1e-11)
+
+
+def test_uniformized_kernel_is_stochastic():
+    xi = random_matrices(1, seed=42, n_lo=5, n_hi=5)[0]
+    eng = _engine(PercolationModel(xi, 1.4))
+    kernel = np.column_stack([eng.apply_kernel(e) for e in np.eye(32)])
+    assert kernel.min() >= 0.0
+    assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-15
+
+
+def test_models_without_exits_keep_f():
+    for n in (1, 4):
+        model = PercolationModel(InteractionMatrix.from_dense(np.zeros((n, n))), 1.3)
+        assert _engine(model).lam == 1.3
+        f = SubsetFunction(np.arange(1 << n) + 0.5, n)
+        for mask in range(1 << n):
+            got = exact_expectation(model, f, SubsetState(mask, n).members, 2.0)
+            assert got == pytest.approx(f.values[mask], abs=1e-10 * f.values.max())
+
+
+def test_kernel_step_matches_definition():
+    # n = 8 runs the transposed layout of bits 0-3 and the plain one of bits 4-7
+    xi = random_matrices(1, seed=43, n_lo=8, n_hi=8)[0]
+    kappa = 0.9
+    eng = _engine(PercolationModel(xi, kappa))
+    f = stream(44).random(1 << 8)
+    want = f + brute_generator(xi, kappa, f) / eng.lam
+    assert np.abs(eng.apply_kernel(f) - want).max() <= 1e-13
 
 
 class _TopDraws:
