@@ -125,7 +125,7 @@ class _Engine:
         self.lam = model.kappa * top * (1.0 + 1e-12) if top > 0.0 else model.kappa
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
-        # one scratch buffer per call: subtract, scale, accumulate, per bit
+        # one scratch buffer serves every bit, so no bit allocates a temporary
         out = np.zeros_like(f)
         buf = np.empty(f.size // 2)
         for j, rate in enumerate(self.rates):
