@@ -132,7 +132,8 @@ def exit_rates(xi, kappa):
 
 def test_uniformization_rate_is_the_largest_exit_rate():
     mean_field = build_mean_field(16)
-    for xi, kappa in ((mean_field, 1.0), (random_matrices(1, seed=41, n_lo=10, n_hi=10)[0], 0.7)):
+    directed = random_matrices(1, seed=41, n_lo=10, n_hi=10)[0]
+    for xi, kappa in ((mean_field, 1.0), (directed, 0.7)):
         lam = _engine(PercolationModel(xi, kappa)).lam
         top = exit_rates(xi, kappa).max()
         assert top <= lam <= (1 + 1e-11) * top
