@@ -24,7 +24,7 @@ from .percolation import (NotApplicable, PercolationModel, SubsetFunction,
                           expectation_curve, functional_table)
 
 COLUMN_SLACK = 1e-12
-CURVE_TOL = 1e-10  # Poisson truncation of both growth-bound curves
+CURVE_TOL = 1e-10  # Poisson truncation of the growth-bound curve
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ class BoundReport:
         return out
 
     def csv_row(self):
-        return (self.theorem, repr(self.structural),
-                "" if self.explicit is None else repr(self.explicit),
+        return (self.theorem, self.structural, self.explicit,
                 json.dumps(self.inputs, sort_keys=True))
 
 
@@ -128,11 +127,11 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     cost is C (quadratic interaction cost) or, with use_chat, the sharper
     C-hat built from a three-particle entropy bound h3.  In uniform mode both
     terms carry the discount exp(-sigma^2 t / 4 eta) at their own times, and
-    sigma^2 > 12 eta gamma is enforced.  Both curves are truncated at
-    CURVE_TOL = 1e-10: the time integral is the curve's closed-form Poisson
-    mixture, certified at T * 1e-10 * ||C||_inf, and the H0 term at
-    1e-10 * ||H0||_inf.  v=None gives every start subset at once (a vector
-    over masks).
+    sigma^2 > 12 eta gamma is enforced.  Cost and H0 share one curve, a
+    stack of the two tables, truncated at CURVE_TOL = 1e-10: the time
+    integral is the curve's closed-form Poisson mixture, certified at
+    T * 1e-10 * ||C||_inf, and the H0 term at 1e-10 * ||H0||_inf.  v=None
+    gives every start subset at once (a vector over masks).
     """
     T = constants.T
     if T <= 0:
@@ -142,11 +141,15 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     spec = ("chat", {"constants": constants, "h3": h3}) if use_chat \
         else ("C", {"constants": constants})
     cost = functional_table(spec, model.xi)
-    curve = expectation_curve(model, cost, T, tol=CURVE_TOL)
-    total = curve.integral_all(T, rate)[sel]
-    if H0 is not None:
-        h_curve = expectation_curve(model, H0, T, tol=CURVE_TOL)
-        total = total + math.exp(-rate * T) * h_curve.eval_all(T)[sel]
+    if H0 is None:
+        total = expectation_curve(model, cost, T, tol=CURVE_TOL).integral_all(T, rate)[sel]
+    else:
+        if H0.n != model.n or H0.values.ndim != 1:
+            raise ValueError("H0 must be one table over the model's subsets")
+        both = SubsetFunction(np.column_stack((cost.values, H0.values)), model.n)
+        curve = expectation_curve(model, both, T, tol=CURVE_TOL)
+        total = (curve.integral_all(T, rate)[sel, 0]
+                 + math.exp(-rate * T) * curve.eval_all(T)[sel, 1])
     return total if v is None else float(total)
 
 

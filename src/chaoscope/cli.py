@@ -93,10 +93,16 @@ def _fmt(x) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    """CSV with a header line.  As for JSON, a non-finite float raises
+    ValueError naming its row and column, before anything is written."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
+    for i, row in enumerate(rows):
+        for name, c in zip(header, row):
+            if isinstance(c, float) and not math.isfinite(c):
+                raise ValueError(f"non-finite result in row {i}, column {name} = {c}; "
+                                 "nothing written")
         w.writerow(["" if c is None else (_fmt(c) if isinstance(c, float) else c)
                     for c in row])
     return buf.getvalue()

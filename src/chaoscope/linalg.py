@@ -52,12 +52,12 @@ def expm_action(a, b: np.ndarray, tol: float = 1e-12, mu: float | None = None) -
         term = out
         for k in range(1, _MAX_TAYLOR_TERMS):
             term = apply(term) / (stages * k)
-            acc = acc + term
-            tn = np.max(np.abs(term))
+            acc += term
+            tn = np.abs(term).max()
             # Remaining tail: ||term_k|| * sum_{j>=1} theta^j / prod(k+1..k+j)
             #   <= ||term_k|| * (theta/(k+1)) / (1 - theta/(k+2)).
             rem = tn * (theta / (k + 1)) / (1.0 - theta / (k + 2))
-            scale = max(np.max(np.abs(acc)), 1e-300)
+            scale = max(np.abs(acc).max(), 1e-300)
             if rem <= step_tol * scale:
                 break
         else:

@@ -159,12 +159,13 @@ def lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step_pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views (lo, hi) of a mask-ordered table, each of shape (-1, 2^j).
+    """Views (lo, hi) of a mask-ordered table, each of shape (-1, 2^j, ...).
 
     lo holds the entries at the masks lacking j, hi the entries at the same
-    masks with j added, so hi - lo is the increment from adding j.
+    masks with j added, so hi - lo is the increment from adding j.  Axes
+    after the first (a stack of tables) are carried along.
     """
-    blocks = f.reshape(-1, 2, 1 << j)
+    blocks = f.reshape((-1, 2, 1 << j) + f.shape[1:])
     return blocks[:, 0], blocks[:, 1]
 
 

@@ -57,20 +57,20 @@ class PercolationModel:
 
 @dataclass(frozen=True)
 class SubsetFunction:
-    """F : subsets of {0,..,n-1} -> R, tabulated over all 2^n bitmasks."""
+    """F : subsets of {0,..,n-1} -> R, tabulated over all 2^n bitmasks.
+
+    values is one table, shape (2^n,), or a stack of c tables, shape (2^n, c),
+    one functional per column; the exact engine serves a stack in one pass.
+    """
 
     values: np.ndarray
     n: int
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (1 << self.n,):
-            raise ValueError(f"need exactly 2^{self.n} values")
+        if vals.ndim not in (1, 2) or vals.shape[0] != 1 << self.n:
+            raise ValueError(f"need 2^{self.n} values, or a stack of 2^{self.n} rows")
         object.__setattr__(self, "values", _frozen(vals))
-
-    @classmethod
-    def constant(cls, n: int, c: float) -> "SubsetFunction":
-        return cls(np.full(1 << n, float(c)), n)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def _pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     """step_pairs(f, j), transposed for j < 4 so the long axis is innermost.
 
     The rows of the low bits hold 1-8 entries; iterating 2^(n-1-j) of them
-    costs far more than one strided pass along the other axis.
+    costs far more than one strided pass along the other axis.  The transpose
+    reverses every axis, so a stack's column axis comes first there.
     """
     lo, hi = step_pairs(f, j)
     return (lo.T, hi.T) if j < 4 else (lo, hi)
@@ -106,7 +107,8 @@ class _Engine:
     * (1 + 1e-12): the largest exit rate of any mask, the least rate for which
     I + A/lam is stochastic, inflated by a relative 1e-12 so that rounding
     cannot push a diagonal entry below zero.  A model with no exit anywhere
-    (n = 1, or a zero matrix) has A = 0 and takes lam = kappa.
+    (n = 1, or a zero matrix) has A = 0 and takes lam = kappa; its curves
+    need no kernel step, since e^{tA}F = F, so curve_lam is 0 there.
     """
 
     def __init__(self, model: PercolationModel):
@@ -123,16 +125,21 @@ class _Engine:
             lo += rate
         top = float(exits.max())
         self.lam = model.kappa * top * (1.0 + 1e-12) if top > 0.0 else model.kappa
+        self.curve_lam = self.lam if top > 0.0 else 0.0
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
-        # one scratch buffer serves every bit, so no bit allocates a temporary
-        out = np.zeros_like(f)
+        # f is one table (2^n,) or a stack (2^n, c).  One scratch buffer serves
+        # every bit, so no bit allocates a temporary.  A stack's column axis
+        # leads in the transposed low bits, where the rates broadcast as they
+        # are, and trails in the others, where they take a trailing axis.
+        out = np.zeros(f.shape)
         buf = np.empty(f.size // 2)
+        stacked = f.ndim == 2
         for j, rate in enumerate(self.rates):
             lo, hi = _pairs(f, j)
             step = buf.reshape(lo.shape)
             np.subtract(hi, lo, out=step)
-            np.multiply(step, rate, out=step)
+            np.multiply(step, rate[:, :, None] if stacked and j >= 4 else rate, out=step)
             acc = _pairs(out, j)[0]
             acc += step
         out *= self.kappa
@@ -152,7 +159,8 @@ def _engine(model: PercolationModel) -> _Engine:
 
 
 def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunction:
-    """Exact AF on every subset; AF([n]) = 0 and A annihilates constants."""
+    """Exact AF on every subset, column by column for a stack; AF([n]) = 0
+    and A annihilates constants."""
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
     eng = _engine(model)
@@ -166,11 +174,13 @@ def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunctio
 class UniformizedCurve:
     """Coefficients of e^{tA}F as a Poisson mixture, valid for any t <= t_max.
 
-    coeffs[k] holds P^k F over all masks, P = I + A/lam; the Poisson(lam*t)
-    tail beyond the stored order is monotone in t, so one truncation
-    certifies the whole interval at tol * ||F||_inf.  The exact engine's lam
-    is its largest exit rate times 1 + 1e-12, or kappa when no mask has an
-    exit (see _Engine), so the order grows with that rate, not with n.
+    coeffs[k] holds P^k F over all masks, P = I + A/lam, with F one table or
+    a stack of tables (a trailing column axis, kept by every method); the
+    Poisson(lam*t) tail beyond the stored order is monotone in t, so one
+    truncation certifies the whole interval at tol * ||F||_inf.  The exact
+    engine's lam is its largest exit rate times 1 + 1e-12, so the order grows
+    with that rate, not with n; with no exit anywhere lam is 0 and the curve
+    is F itself at order 0 (see _Engine).
     """
 
     coeffs: np.ndarray
@@ -183,7 +193,7 @@ class UniformizedCurve:
         """Apply the stochastic kernel I + A/lam up to the Poisson(lam t_max)
         truncation order (Fox & Glynn, CACM 1988)."""
         kmax = linalg.poisson_truncation(lam * t_max, tol)
-        coeffs = np.empty((kmax + 1, f.size))
+        coeffs = np.empty((kmax + 1,) + f.shape)
         coeffs[0] = f
         for k in range(1, kmax + 1):
             coeffs[k] = kernel(coeffs[k - 1])
@@ -193,7 +203,7 @@ class UniformizedCurve:
         if t < 0 or t > self.t_max * (1 + 1e-12):
             raise ValueError("curve evaluated outside [0, t_max]")
         w = linalg.poisson_weights(self.lam * t, self.coeffs.shape[0] - 1)
-        return w @ self.coeffs
+        return np.tensordot(w, self.coeffs, 1)
 
     def integral_all(self, t: float, rate: float = 0.0) -> np.ndarray:
         """int_0^t e^{-rate s} eval_all(s) ds in closed form, for rate >= 0.
@@ -203,12 +213,15 @@ class UniformizedCurve:
         stored order leaves out at most the Poisson(lam s) tail beyond it,
         <= tol at every s <= t_max, so the error is certified at
         t * tol * ||F||_inf.  The tails are summed from the top down, never
-        as 1 - cumsum.
+        as 1 - cumsum.  At lam = 0 the curve is constant and its integral
+        is c_0 (1 - e^{-rate t})/rate, or c_0 t at rate 0.
         """
         if t < 0 or t > self.t_max * (1 + 1e-12):
             raise ValueError("curve integrated outside [0, t_max]")
         if not 0 <= rate < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+        if self.lam == 0.0:
+            return self.coeffs[0] * (t if rate == 0.0 else -math.expm1(-rate * t) / rate)
         kmax = self.coeffs.shape[0] - 1
         total = self.lam + rate
         mass = total * t
@@ -216,7 +229,7 @@ class UniformizedCurve:
         top = max(kmax + 1, linalg.poisson_truncation(mass, 1e-20))
         tail = np.cumsum(linalg.poisson_weights(mass, top)[::-1])[::-1]
         w = (self.lam / total) ** np.arange(kmax + 1) / total * tail[1:kmax + 2]
-        return w @ self.coeffs
+        return np.tensordot(w, self.coeffs, 1)
 
 
 def expectation_curve(model: PercolationModel, F: SubsetFunction,
@@ -228,7 +241,7 @@ def expectation_curve(model: PercolationModel, F: SubsetFunction,
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
     eng = _engine(model)
-    return UniformizedCurve.build(eng.apply_kernel, F.values, eng.lam, t_max, tol)
+    return UniformizedCurve.build(eng.apply_kernel, F.values, eng.curve_lam, t_max, tol)
 
 
 def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
@@ -450,9 +463,9 @@ def _quadratic_ingredients(model: PercolationModel, G: np.ndarray, t: float,
     if sized:
         b = 2.0 * float(np.linalg.norm(d, np.inf)) + 2.0
         diag_b = lambda x: (np.einsum("ij,ji->i", d, x) + np.einsum("ij,ij->i", x, d)
-                            + 2.0 * np.diag(x))
+                            + 2.0 * x.diagonal())
     else:
-        b, diag_b = 1.0, np.diag
+        b, diag_b = 1.0, np.diagonal
 
     def apply(z):
         y, x = z[:, 0], z[:, 1:]

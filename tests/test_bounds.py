@@ -12,7 +12,8 @@ from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
 from chaoscope.gaussian import sigma_T
 from chaoscope.matrix import SubsetState, build_mean_field, p_xi, q_xi
 from chaoscope.percolation import (NotApplicable, PercolationModel,
-                                   SubsetFunction)
+                                   SubsetFunction, expectation_curve,
+                                   functional_table)
 
 from conftest import random_matrices
 
@@ -93,6 +94,25 @@ def test_growth_bound_h0_term(single_edge):
     p_joined = 1.0 - math.exp(-rate * c.T)
     want_h0 = 5.0 * p_joined + 1.0 * (1.0 - p_joined)
     assert with_h0 - base == pytest.approx(want_h0, rel=1e-8)
+
+
+def test_growth_bound_h0_shares_one_curve():
+    # cost and H0 through one stacked curve equal the two curves taken apart
+    xi = random_matrices(1, seed=71, n_lo=7, n_hi=7)[0]
+    h0 = SubsetFunction(np.linspace(0.0, 3.0, 1 << 7), 7)
+    for uniform in (False, True):
+        c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7, eta=0.05)
+        model = PercolationModel(xi, c.rate_scale())
+        rate = c.discount_rate() if uniform else 0.0
+        cost = functional_table(("C", {"constants": c}), xi)
+        want = (expectation_curve(model, cost, c.T, tol=1e-10).integral_all(c.T, rate)
+                + math.exp(-rate * c.T) * expectation_curve(model, h0, c.T, tol=1e-10).eval_all(c.T))
+        got = percolation_entropy_bound(model, None, c, H0=h0, uniform=uniform)
+        assert np.array_equal(got, want)
+        assert percolation_entropy_bound(model, [0, 2], c, H0=h0, uniform=uniform) == want[0b101]
+    for bad in (SubsetFunction(np.zeros((1 << 7, 2)), 7), SubsetFunction(np.zeros(8), 3)):
+        with pytest.raises(ValueError, match="H0 must be one table"):
+            percolation_entropy_bound(model, None, c, H0=bad)
 
 
 def test_growth_bound_all_matches_single(four_cycle):

@@ -336,6 +336,16 @@ def test_non_finite_results_are_refused(tmp_path, capsys, monkeypatch):
                    "--samples", "10", "--sigma", "1e154", "--out", str(out)) == 2
     assert "error: non-finite result [0].empirical = inf" in capsys.readouterr().err
     assert not out.exists()
+    # the CSV route refuses it too, naming the row and column
+    out_csv = tmp_path / "cov.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1",
+                   "--samples", "10", "--sigma", "1e154", "--format", "csv",
+                   "--out", str(out_csv)) == 2
+    assert ("error: non-finite result in row 0, column empirical = inf"
+            in capsys.readouterr().err)
+    assert not out_csv.exists()
     # a verify report with a NaN slack is refused the same way
     fake = [SuiteResult("generator", 0, 1, [Check("made-up", False, float("nan"))])]
     report = tmp_path / "verify.json"

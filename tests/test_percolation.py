@@ -17,7 +17,7 @@ from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    mean_field_size_expectation, terminal_masks,
                                    yule_second_moment)
 from chaoscope.rng import stream
-from chaoscope.verify import run_suite
+from chaoscope.verify import random_substochastic, run_suite
 
 from conftest import random_matrices
 
@@ -156,7 +156,11 @@ def test_models_without_exits_keep_f():
         f = SubsetFunction(np.arange(1 << n) + 0.5, n)
         for mask in range(1 << n):
             got = exact_expectation(model, f, SubsetState(mask, n).members, 2.0)
-            assert got == pytest.approx(f.values[mask], abs=1e-10 * f.values.max())
+            assert got == f.values[mask]
+        curve = expectation_curve(model, f, 2.0)
+        assert np.array_equal(curve.integral_all(2.0), f.values * 2.0)
+        assert np.array_equal(curve.integral_all(2.0, 0.5),
+                              f.values * (-math.expm1(-1.0) / 0.5))
 
 
 def test_kernel_step_matches_definition():
@@ -167,6 +171,36 @@ def test_kernel_step_matches_definition():
     f = stream(44).random(1 << 8)
     want = f + brute_generator(xi, kappa, f) / eng.lam
     assert np.abs(eng.apply_kernel(f) - want).max() <= 1e-13
+
+
+def test_stacked_tables_match_their_columns():
+    # n = 1..10 runs both bit layouts; the columns must be bitwise those of
+    # the same calls made one table at a time
+    for n in range(1, 11):
+        gen = stream(60 + n)
+        model = PercolationModel(random_substochastic(n, gen), float(gen.uniform(0.3, 1.0)))
+        eng = _engine(model)
+        stack = SubsetFunction(gen.random((1 << n, 3)), n)
+        lhs = generator_apply(model, stack).values
+        step = eng.apply_kernel(stack.values)
+        curve = expectation_curve(model, stack, 2.0)
+        for k in range(3):
+            col = SubsetFunction(stack.values[:, k], n)
+            assert np.array_equal(lhs[:, k], generator_apply(model, col).values)
+            assert np.array_equal(step[:, k], eng.apply_kernel(col.values))
+            one = expectation_curve(model, col, 2.0)
+            for t in (0.0, 0.4, 1.3, 2.0):
+                assert np.array_equal(curve.eval_all(t)[:, k], one.eval_all(t))
+                for rate in (0.0, 0.7):
+                    assert np.array_equal(curve.integral_all(t, rate)[:, k],
+                                          one.integral_all(t, rate))
+
+
+def test_subset_function_shapes():
+    assert SubsetFunction(np.zeros((8, 2)), 3).values.shape == (8, 2)
+    for bad in (np.zeros((8, 2, 1)), np.zeros((4, 2)), np.zeros(7)):
+        with pytest.raises(ValueError, match="2\\^3"):
+            SubsetFunction(bad, 3)
 
 
 class _TopDraws:
