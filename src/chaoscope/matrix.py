@@ -174,10 +174,10 @@ class InteractionMatrix:
 
     The caches (row_sums, col_sums, delta, delta_i, symmetric) are computed
     once at construction and exposed read-only; the operator norm rho is
-    computed on first use and kept.  Construction does not reject
-    invalid input (nonzero diagonal, negative entries): `validate` reports
-    violations so callers can decide, and the builders below always produce
-    valid matrices.
+    computed on first use and kept.  Construction refuses only NaN and inf
+    entries; `validate` reports the other violations (nonzero diagonal,
+    negative entries) so callers can decide, and the builders below always
+    produce valid matrices.
     """
 
     __slots__ = ("n", "ii", "jj", "vals", "row_sums", "col_sums",
@@ -191,6 +191,8 @@ class InteractionMatrix:
         vals = np.asarray(vals, dtype=float)
         if not (ii.shape == jj.shape == vals.shape):
             raise MatrixError("coordinate arrays must have equal length")
+        if not np.isfinite(vals).all():
+            raise MatrixError("matrix entries must be finite")
         if ii.size and (ii.min() < 0 or ii.max() >= n or jj.min() < 0 or jj.max() >= n):
             raise MatrixError("coordinate indices out of range")
         keep = vals != 0.0  # store the support only

@@ -11,8 +11,8 @@ absorbing.  Three engines compute E_v[F(X_t)]:
 FAMILIES names the moment families once: size, linear and quadratic
 functionals with size weights |v|^ell.  Each name gives its functional
 (functional_values), its pointwise generator bound (lemma_rhs) and its
-closed-form ceiling on E_v[F(X_t)] (expectation_bound), stated with the
-model's rate scale kappa throughout.
+ceiling on E_v[F(X_t)] (expectation_bounds, one slice: expectation_bound),
+stated with the model's rate scale kappa throughout.
 """
 
 from __future__ import annotations
@@ -438,68 +438,42 @@ def _require_row_sums(xi: InteractionMatrix):
         raise ValueError("moment bounds need a valid matrix with row sums <= 1")
 
 
-def _check_payload(arr, name):
-    a = np.asarray(arr, dtype=float)
-    if (a < 0).any():
-        raise ValueError(f"{name} must be entrywise nonnegative")
+def _check_payload(arr, name: str, shape: tuple) -> np.ndarray:
+    a = np.asarray(arr, dtype=float)  # a missing payload is a 0-d NaN
+    if a.shape != shape:
+        raise ValueError(f"{name} must be {'an n x n matrix' if shape[1:] else 'a length-n vector'}")
+    if not ((a >= 0) & (a < math.inf)).all():
+        raise ValueError(f"{name} must be entrywise nonnegative and finite")
     return a
 
 
-def _quadratic_ingredients(model: PercolationModel, G: np.ndarray, t: float,
-                           tol: float, sized: bool):
-    """G_t and the time-integral vector of quadratic (or, sized, size-quadratic).
+def expectation_bounds(model: PercolationModel, v, times, x=None, G=None,
+                       tol: float = 1e-12) -> np.ndarray:
+    """Every FAMILIES ceiling on E_v[F(X_t)] at each of the sorted times.
 
-    One block exponential (Van Loan, IEEE TAC 1978), applied matrix-free to the
-    state (y, X) from (0, G): X' = kappa (xi X + X xi^T) makes X = G_s, and
-    y' = kappa xi y + diag(B X) makes y(t) = int_0^t e^{kappa(t-s) xi} diag(B G_s) ds,
-    with B the identity, or X -> xi X + X xi^T + 2X when sized.  On the time-t
-    operator (y, X) -> (A y + t diag(B X), A X + X A^T), A = kappa t xi, each
-    diagonal entry of B X is at most b = 1 (sized: 2 ||xi||_inf + 2) times
-    ||X||_max, so mu = max(||A||_inf + t b, 2 ||A||_inf) bounds its norm.
+    Shape (len(times), rows, len(FAMILIES)), the rows every start subset for
+    v=None (exact-engine sizes only), else v alone, so any n works.  A ceiling
+    is _WEIGHT[ell] e^{ell kappa t} |v|^ell times 1 (size), <1_v, e^{kappa t xi}
+    (I + xi)^ell x> (linear), or the quadratic form of G_t (ell = 0) or
+    xi G_t + G_t xi^T + G_t (ell = 1) plus the drift integral (quadratic).
+    They hold for row sums of xi <= 1 and nonnegative payloads; a payload
+    left None is zero, and so are its families' ceilings.
+
+    One block exponential (Van Loan, IEEE TAC 1978) steps the n x (n+5) state
+    z = [Y | y0 | y1 | X] matrix-free from time to time, from
+    ((I + xi)^ell x, ell = 0, 1, 2 | 0 | 0 | G): Y' = kappa xi Y,
+    X' = kappa (xi X + X xi^T) and y_ell' = kappa xi y_ell + diag(B_ell X),
+    with B_0 X = X and B_1 X = xi X + X xi^T + 2X; kappa xi y0 and
+    kappa (xi + xi^2) y1 are the drift integrals.  A step of length h maps z
+    to A z, A = kappa h xi, plus h diag(B_ell X) in y_ell and X A^T in X, of
+    infinity norm at most mu = h max((kappa + 2) ||xi||_inf + 2, 2 kappa ||xi||_inf).
+    Each scaling stage of step k is truncated within tol / stages times
+    ||z_k||_max (entries only grow), and step j amplifies errors <= e^{mu_j}
+    times, so z(times[K]) is within tol sum_{k<=K} ||z_k|| prod_{j=k..K} e^{mu_j}.
     """
-    d = model.xi.dense()
-    a = model.kappa * t * d
-    norm_a = float(np.linalg.norm(a, np.inf))
-    if sized:
-        b = 2.0 * float(np.linalg.norm(d, np.inf)) + 2.0
-        diag_b = lambda x: (np.einsum("ij,ji->i", d, x) + np.einsum("ij,ij->i", x, d)
-                            + 2.0 * x.diagonal())
-    else:
-        b, diag_b = 1.0, np.diagonal
-
-    def apply(z):
-        y, x = z[:, 0], z[:, 1:]
-        out = np.empty_like(z)
-        out[:, 0] = a @ y + t * diag_b(x)
-        out[:, 1:] = a @ x + x @ a.T
-        return out
-
-    start = np.column_stack((np.zeros(model.n), G))
-    end = linalg.expm_action(apply, start, tol=tol, mu=max(norm_a + t * b, 2.0 * norm_a))
-    z = d @ end[:, 0]
-    if sized:
-        z = z + d @ z
-    return end[:, 1:], model.kappa * z
-
-
-def expectation_bound(model: PercolationModel, family: str, v, t: float,
-                      x=None, G=None, tol: float = 1e-12):
-    """Closed-form upper bound on E_v[F(X_t)] for F the named member of FAMILIES.
-
-    Every ceiling is _WEIGHT[ell] e^{ell kappa t} |v|^ell times 1 (size),
-    <1_v, e^{kappa t xi} (I + xi)^ell x> (linear), or the quadratic form of
-    G_t (ell = 0) or xi G_t + G_t xi^T + G_t (ell = 1) plus the time integral
-    of the drift (quadratic).  Row sums of xi must be <= 1 and payloads
-    nonnegative (the hypotheses under which the bounds hold).  v=None gives
-    every start subset at once (a vector over masks, exact-engine sizes
-    only); a single v is one indicator row, so any n works.  tol applies to
-    the quadratic families only: their G_t and time integral come from one
-    block exponential whose Taylor truncation is certified at tol times the
-    largest entry of that (integral, G_t) state per scaling stage.
-    """
-    kind, ell = _family(family)
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    times = [float(t) for t in times]
+    if not all(0 <= s <= t < math.inf for s, t in zip([0.0] + times, times)):
+        raise ValueError(f"t must be finite and nonnegative, and times sorted, got {times}")
     _require_row_sums(model.xi)
     if v is None:
         _require_exact(model.n)
@@ -507,22 +481,43 @@ def expectation_bound(model: PercolationModel, family: str, v, t: float,
     else:
         ind = indicators([SubsetState.of(v, model.n).mask], model.n)
         sizes = ind.sum(axis=1)
-    d = model.xi.dense()
-    vals = _WEIGHT[ell] * math.exp(ell * model.kappa * t) * sizes ** ell
-    if kind == "linear":
-        y = _check_payload(x, "x")
-        if y.shape != (model.n,):
-            raise ValueError("x must be a length-n vector")
-        for _ in range(ell):
-            y = y + d @ y
-        vals = vals * (ind @ linalg.expm_action(model.kappa * t * d, y))
-    elif kind == "quadratic":
-        Gm = _check_payload(G, "G")
-        if Gm.shape != (model.n, model.n):
-            raise ValueError("G must be an n x n matrix")
-        g_t, integral = _quadratic_ingredients(model, Gm, t, tol, sized=ell == 1)
-        mid = g_t if ell == 0 else d @ g_t + g_t @ d.T + g_t
-        vals = vals * (np.einsum("mi,mi->m", ind @ mid, ind) + ind @ integral)
+    n, kappa, d = model.n, model.kappa, model.xi.dense()
+    z = np.zeros((n, n + 5))
+    if x is not None:
+        z[:, 0] = _check_payload(x, "x", (n,))
+        z[:, 1] = z[:, 0] + d @ z[:, 0]
+        z[:, 2] = z[:, 1] + d @ z[:, 1]
+    if G is not None:
+        z[:, 5:] = _check_payload(G, "G", (n, n))
+    ells = np.array([ell for _, ell in FAMILIES.values()])
+    norm_d = float(np.linalg.norm(d, np.inf))
+    rate = max((kappa + 2.0) * norm_d + 2.0, 2.0 * kappa * norm_d)  # mu per unit step
+    out = np.empty((len(times), sizes.size, len(FAMILIES)))
+    for i, (s, t) in enumerate(zip([0.0] + times, times)):
+        def apply(w, a=kappa * (t - s) * d, h=t - s):
+            res = a @ w
+            res[:, 5:] += w[:, 5:] @ a.T
+            res[:, 3] += h * w[:, 5:].diagonal()
+            res[:, 4] += res[:, 5:].diagonal() / kappa + 2.0 * h * w[:, 5:].diagonal()
+            return res
+        z = linalg.expm_action(apply, z, tol=tol, mu=(t - s) * rate)
+        mid = d @ z[:, 5:] + z[:, 5:] @ d.T + z[:, 5:]
+        parts = np.column_stack((  # one column per family, in FAMILIES order
+            np.ones((sizes.size, 3)), ind @ z[:, :3],
+            np.einsum("mi,mi->m", ind @ z[:, 5:], ind) + ind @ (kappa * (d @ z[:, 3])),
+            np.einsum("mi,mi->m", ind @ mid, ind) + ind @ (kappa * ((d + d @ d) @ z[:, 4]))))
+        weight = np.array([_WEIGHT[ell] * math.exp(ell * kappa * t) for ell in ells])
+        out[i] = parts * (weight * sizes[:, None] ** ells)
+    return out
+
+
+def expectation_bound(model: PercolationModel, family: str, v, t: float,
+                      x=None, G=None, tol: float = 1e-12):
+    """The named family's ceiling at time t: one slice of expectation_bounds."""
+    kind, _ = _family(family)
+    x = _check_payload(x, "x", (model.n,)) if kind == "linear" else None
+    G = _check_payload(G, "G", (model.n, model.n)) if kind == "quadratic" else None
+    vals = expectation_bounds(model, v, [t], x, G, tol)[0, :, list(FAMILIES).index(family)]
     return vals if v is None else float(vals[0])
 
 
@@ -535,9 +530,10 @@ def lemma_rhs(model: PercolationModel, family: str, x=None, G=None) -> SubsetFun
     With g = |v|((|v|+1)^ell - |v|^ell): kappa g (size);
     kappa ((|v|+1)^ell <1_v, xi x> + g <1_v, x>) (linear);
     kappa ((|v|+1)^ell drift + g <1_v, G 1_v>) (quadratic), where
-    drift = <1_v, xi diag(G)> + <1_v, (xi G + G xi^T) 1_v>.
+    drift = <1_v, xi diag(G)> + <1_v, (xi G + G xi^T) 1_v>, for row sums <= 1.
     """
     kind, ell = _family(family)
+    _require_row_sums(model.xi)
     ind, sizes = lattice(model.n)
     d = model.xi.dense()
     grow = (sizes + 1.0) ** ell
@@ -546,10 +542,10 @@ def lemma_rhs(model: PercolationModel, family: str, x=None, G=None) -> SubsetFun
         return SubsetFunction(model.kappa * sizes * step, model.n)
     g = sizes * step
     if kind == "linear":
-        xv = _check_payload(x, "x")
+        xv = _check_payload(x, "x", (model.n,))
         vals = grow * (ind @ (d @ xv)) + g * (ind @ xv)
     else:
-        Gm = _check_payload(G, "G")
+        Gm = _check_payload(G, "G", (model.n, model.n))
         drift = (ind @ (d @ np.diag(Gm).copy())
                  + np.einsum("mi,mi->m", ind @ (d @ Gm + Gm @ d.T), ind))
         vals = grow * drift + g * np.einsum("mi,mi->m", ind @ Gm, ind)
@@ -584,12 +580,14 @@ def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
     """
     if n < 2 or not 1 <= k0 <= n:
         raise ValueError(f"need n >= 2 and 1 <= k0 <= n, got n={n}, k0={k0}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     ks = np.arange(n + 1, dtype=float)
     birth = kappa * ks * (n - ks) / (n - 1)
     lam = float(birth.max())
     f = np.asarray(power(ks), dtype=float) if callable(power) else ks ** power
-    if lam <= 0 or t == 0.0:
-        return float(f[k0])
     # birth[n] = 0 keeps the full state absorbing under the wrap-around roll
     kernel = lambda cur: cur + (birth * (np.roll(cur, -1) - cur)) / lam
     return float(UniformizedCurve.build(kernel, f, lam, t, tol).eval_all(t)[k0])

@@ -244,6 +244,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     null_index.write_text('{"n": 3, "format": "coo", "entries": [[null, 1, 0.5]]}')
     edge_list = tmp_path / "edges.txt"
     edge_list.write_text("3\n0 1\n1 x\n")
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("0,nan\n0.5,0\n")
+    inf_json = tmp_path / "inf.json"
+    inf_json.write_text('{"n": 2, "format": "coo", "entries": [[0, 1, Infinity]]}')
     growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
               "--gamma", "1", "--big-m", "1", "--sigma-const", "1")
     cases = [
@@ -257,6 +261,13 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("matrix", "--matrix", str(listed_n)), f"{listed_n}: 'n' must be an integer"),
         (("matrix", "--matrix", str(null_index)), f"{null_index}: entries must be"),
         (("matrix", "--random-walk", str(edge_list)), f"{edge_list}:3: expected integers"),
+        # non-finite entries once passed as a value of 1.0 (exact) or crashed (mc)
+        (("percolate", "--matrix", str(nan_csv), "--v", "0", "--t", "1"),
+         "matrix entries must be finite"),
+        (("percolate", "--matrix", str(nan_csv), "--v", "0", "--t", "1", "--engine", "mc"),
+         "matrix entries must be finite"),
+        (("percolate", "--matrix", str(inf_json), "--v", "0", "--t", "1"),
+         "matrix entries must be finite"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "inf"),
          "finite nonnegative numbers"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "nan",

@@ -10,8 +10,8 @@ from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction, _engine,
                                    _gillespie_run, exact_expectation,
-                                   expectation_bound, expectation_curve,
-                                   functional_table,
+                                   expectation_bound, expectation_bounds,
+                                   expectation_curve, functional_table,
                                    functional_values, generator_apply,
                                    lemma_rhs, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
@@ -399,12 +399,43 @@ def test_expectation_bound_rejects_invalid_inputs():
     xi = build_mean_field(3)
     model = PercolationModel(xi, 1.0)
     with pytest.raises(ValueError):
-        expectation_bound(model, "linear", [0], 1.0, x=np.array([-1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
         expectation_bound(model, "nope", [0], 1.0)
     hot = InteractionMatrix.from_dense(np.array([[0.0, 2.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         expectation_bound(PercolationModel(hot, 1.0), "size", [0], 1.0)
+    # the ceilings and the generator bounds refuse the same payloads, in numpy's stead
+    bad = [("linear", {}, "x must be a length-n vector"),
+           ("linear", {"x": np.ones(2)}, "x must be a length-n vector"),
+           ("linear", {"x": np.ones((3, 3))}, "x must be a length-n vector"),
+           ("size-linear", {"x": np.array([-1.0, 0.0, 0.0])}, "x must be entrywise nonnegative"),
+           ("size2-linear", {"x": np.array([math.nan, 0.0, 0.0])},
+            "x must be entrywise nonnegative"),
+           ("quadratic", {}, "G must be an n x n matrix"),
+           ("quadratic", {"G": np.ones(3)}, "G must be an n x n matrix"),
+           ("size-quadratic", {"G": np.ones((2, 2))}, "G must be an n x n matrix"),
+           ("size-quadratic", {"G": -np.ones((3, 3))}, "G must be entrywise nonnegative"),
+           ("quadratic", {"G": np.diag([math.inf, 0.0, 0.0])}, "G must be .* and finite")]
+    for family, payload, message in bad:
+        with pytest.raises(ValueError, match=message):
+            expectation_bound(model, family, [0], 1.0, **payload)
+        with pytest.raises(ValueError, match=message):
+            lemma_rhs(model, family, **payload)
+    with pytest.raises(ValueError, match="x must be entrywise nonnegative"):
+        expectation_bounds(model, None, [1.0], x=-np.ones(3))
+    for times in ([1.0, 0.5], [0.5, math.nan], [-1.0]):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            expectation_bounds(model, None, times)
+
+
+def test_lemma_rhs_needs_row_sums():
+    # with a row sum of 2 the size "bound" kappa |v| falls below A|v| = 2 kappa at {0}
+    hot = PercolationModel(InteractionMatrix.from_dense(
+        np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])), 1.0)
+    lhs = generator_apply(hot, functional_table("size", hot.xi)).values
+    assert lhs[1] == 2.0
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match="row sums <= 1"):
+            lemma_rhs(hot, family, x=np.ones(3), G=np.ones((3, 3)))
 
 
 def test_expectation_bound_rejects_non_finite_t():
@@ -524,11 +555,11 @@ def test_block_operator_norm_bounds(monkeypatch):
     for xi in random_matrices(12, seed=26, n_lo=2, n_hi=6):
         model = PercolationModel(xi, float(g.uniform(0.2, 3.0)))
         G = g.random((xi.n, xi.n))
-        t = float(g.uniform(0.05, 2.0))
-        expectation_bound(model, "quadratic", [0], t, G=G)
-        expectation_bound(model, "size-quadratic", [0], t, G=G)
-        sigma_T_quadrature(xi, t)
-    assert len(seen) == 36
+        # the stepped operator at three step lengths
+        times = np.sort(g.uniform(0.05, 2.0, 3))
+        expectation_bounds(model, [0], times, x=g.random(xi.n), G=G)
+        sigma_T_quadrature(xi, float(times[-1]))
+    assert len(seen) == 48
     for apply, b, mu in seen:
         cols = []
         for i in range(b.size):
@@ -537,6 +568,40 @@ def test_block_operator_norm_bounds(monkeypatch):
             cols.append(np.asarray(apply(e.reshape(b.shape))).ravel())
         dense = np.column_stack(cols)
         assert mu >= np.abs(dense).sum(axis=1).max() * (1.0 - 1e-12)
+
+
+def test_stepped_bounds_within_their_certificate():
+    """Ceilings stepped through several times agree with one-step calls within
+    the propagated certificate of expectation_bounds, bounded a priori."""
+    g = stream(41)
+    for xi in random_matrices(6, seed=42, n_lo=2, n_hi=6):
+        n, kappa = xi.n, float(g.uniform(0.3, 2.0))
+        model = PercolationModel(xi, kappa)
+        x, G = g.random(n), g.random((n, n))
+        times = [0.0] + sorted(g.uniform(0.05, 2.5, 4).tolist())
+        norm_d = float(np.linalg.norm(xi.dense(), np.inf))
+        rate = max((kappa + 2.0) * norm_d + 2.0, 2.0 * kappa * norm_d)
+        # with row sums <= 1: Y <= 4 e^{kappa t} max x, G_t <= e^{2 kappa t} max G,
+        # y0 <= t e^{2 kappa t} max G and y1 <= 4 t e^{2 kappa t} max G
+        state = [max(4.0 * math.exp(kappa * t) * x.max(),
+                     max(1.0, 4.0 * t) * math.exp(2.0 * kappa * t) * G.max()) for t in times]
+        _, sizes = lattice(n)
+        # each ceiling is a linear form in the state; these bound its coefficients
+        coef = {"linear": sizes, "quadratic": sizes ** 2 + kappa * sizes}
+        for tol in (1e-12, 1e-6):
+            stepped = expectation_bounds(model, None, times, x=x, G=G, tol=tol)
+            for k, t in enumerate(times):
+                single = expectation_bounds(model, None, [t], x=x, G=G, tol=tol)[0]
+                err = tol * sum(state[i] * math.exp(rate * (t - times[i - 1] if i else t))
+                                for i in range(k + 1))
+                err += tol * state[k] * math.exp(rate * t)
+                for j, (kind, ell) in enumerate(FAMILIES.values()):
+                    if kind == "size":
+                        assert np.array_equal(stepped[k, :, j], single[:, j])
+                        continue
+                    weight = (2.0 if ell == 2 else 1.0) * math.exp(ell * kappa * t) * sizes ** ell
+                    scale = (3.0 if kind == "quadratic" and ell else 1.0) * coef[kind] * weight
+                    assert (np.abs(stepped[k, :, j] - single[:, j]) <= scale * err).all()
 
 
 def test_curve_integral_matches_quad():
@@ -604,6 +669,16 @@ def test_mean_field_size_chain_needs_two_sites():
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"need n >= 2 .*got n={n}"):
             mean_field_size_expectation(n, 1.0, 1, 1.0)
+
+
+def test_mean_field_size_chain_validates_inputs():
+    for kappa in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            mean_field_size_expectation(5, kappa, 2, 1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            mean_field_size_expectation(5, 1.0, 2, t)
+    assert mean_field_size_expectation(5, 1.0, 2, 0.0) == 4.0
 
 
 def test_mean_field_size_chain_callable():
