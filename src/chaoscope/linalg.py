@@ -129,6 +129,8 @@ def poisson_truncation(lam: float, tol: float) -> int:
     """
     if tol <= 0.0:
         raise ValueError("poisson_truncation: tol must be positive")
+    if not math.isfinite(lam):
+        raise ValueError(f"poisson_truncation: the Poisson mean must be finite, got {lam}")
     if lam <= 0.0:
         return 0
     log_tol = math.log(tol)
@@ -136,8 +138,12 @@ def poisson_truncation(lam: float, tol: float) -> int:
     step = max(1, int(math.sqrt(lam) / 4))
     while True:
         if k + 2 > lam:
+            gap = 1.0 - lam / (k + 2)
+            if gap <= 0.0:  # K + 2 and lam agree to every bit a double holds
+                raise ValueError(f"poisson_truncation: Poisson mean {lam:.6g} is too large "
+                                 "for a truncation order in double precision")
             log_p = (k + 1) * math.log(lam) - lam - math.lgamma(k + 2.0)
-            if log_p - math.log(1.0 - lam / (k + 2)) <= log_tol:
+            if log_p - math.log(gap) <= log_tol:
                 return k
         k += step
 

@@ -368,7 +368,7 @@ def validate(xi: InteractionMatrix, check_columns: bool = False) -> ValidityRepo
     """Report nonnegativity, zero diagonal, and (sub)stochastic row/column sums."""
     neg = tuple((int(i), int(j)) for i, j in
                 zip(xi.ii[xi.vals < 0], xi.jj[xi.vals < 0]))
-    diag = tuple(int(i) for i, j in zip(xi.ii, xi.jj) if i == j)
+    diag = tuple(int(i) for i in xi.ii[xi.ii == xi.jj])
     limit = 1.0 + ROW_SUM_RTOL
     rows = tuple(int(i) for i in np.nonzero(xi.row_sums > limit)[0])
     cols = tuple(int(j) for j in np.nonzero(xi.col_sums > limit)[0]) if check_columns else None

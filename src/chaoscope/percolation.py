@@ -101,25 +101,46 @@ def _pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Engine:
-    """Per-model tables for the exact subset engine.
+    """Per-model tables for the exact subset engine, over the up-set of v.
 
-    The uniformization rate is lam = kappa * max_m sum_{j not in m} sums[j, m]
-    * (1 + 1e-12): the largest exit rate of any mask, the least rate for which
-    I + A/lam is stochastic, inflated by a relative 1e-12 so that rounding
-    cannot push a diagonal entry below zero.  A model with no exit anywhere
-    (n = 1, or a zero matrix) has A = 0 and takes lam = kappa; its curves
-    need no kernel step, since e^{tA}F = F, so curve_lam is 0 there.
+    Started at the mask v, the process only adds sites, so it visits only
+    the supersets v | u, u a subset of the free sites c outside v.  They form
+    a copy of the lattice on c: masks[u] = v | u, with u in the bit order of
+    c, so u = 0 is v itself; v = 0 gives the full lattice in mask order.
+    Site c[j] joins v | u at rate kappa * sums[j, u], sums[j, u] =
+    sum_{i in v | u} xi[i, c[j]], added in index order, so that each up-set's
+    rates, kernel and curve coefficients are bitwise a slice of the full
+    lattice's.
+
+    The uniformization rate is lam = kappa * max_u sum_j sums[j, u] over u
+    lacking j, times 1 + 1e-12: the largest exit rate over the up-set, never
+    above the full lattice's, the least rate for which I + A/lam is
+    stochastic, inflated by a relative 1e-12 so that rounding cannot push a
+    diagonal entry below zero.  An up-set with no exit (v the full set, n =
+    1, or a zero matrix) has A = 0 and takes lam = kappa; its curves need no
+    kernel step, since e^{tA}F = F, so curve_lam is 0 there.
     """
 
-    def __init__(self, model: PercolationModel):
+    def __init__(self, model: PercolationModel, v: int = 0):
         n = model.n
         _require_exact(n)
         self.kappa = model.kappa
-        # sums[j, m] = sum_{i in m} xi[i, j]; j joins mask m at rate kappa * that
-        sums = np.ascontiguousarray((lattice(n)[0] @ model.xi.dense()).T)
-        # kept only at the masks lacking j, in _pairs' layout
-        self.rates = [_pairs(sums[j], j)[0].copy() for j in range(n)]
-        exits = np.zeros(1 << n)
+        d = model.xi.dense()
+        free = [j for j in range(n) if not v >> j & 1]
+        sums = np.zeros((len(free), 1 << len(free)))
+        self.masks = np.full(1 << len(free), v, dtype=np.int64)
+        size = 1
+        for i in range(n):  # sums[:, :size] covers the free sites below i
+            row = d[i, free][:, None]
+            if v >> i & 1:
+                sums[:, :size] += row
+            else:
+                np.add(sums[:, :size], row, out=sums[:, size:2 * size])
+                np.bitwise_or(self.masks[:size], 1 << i, out=self.masks[size:2 * size])
+                size *= 2
+        # kept only at the up-set masks lacking each free site, in _pairs' layout
+        self.rates = [_pairs(sums[j], j)[0].copy() for j in range(len(free))]
+        exits = np.zeros(size)
         for j, rate in enumerate(self.rates):
             lo = _pairs(exits, j)[0]
             lo += rate
@@ -128,10 +149,11 @@ class _Engine:
         self.curve_lam = self.lam if top > 0.0 else 0.0
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
-        # f is one table (2^n,) or a stack (2^n, c).  One scratch buffer serves
-        # every bit, so no bit allocates a temporary.  A stack's column axis
-        # leads in the transposed low bits, where the rates broadcast as they
-        # are, and trails in the others, where they take a trailing axis.
+        # f is one table over the up-set, or a stack (rows, c).  One scratch
+        # buffer serves every bit, so no bit allocates a temporary.  A stack's
+        # column axis leads in the transposed low bits, where the rates
+        # broadcast as they are, and trails in the others, where they take a
+        # trailing axis.
         out = np.zeros(f.shape)
         buf = np.empty(f.size // 2)
         stacked = f.ndim == 2
@@ -154,8 +176,8 @@ class _Engine:
 
 
 @lru_cache(maxsize=6)
-def _engine(model: PercolationModel) -> _Engine:
-    return _Engine(model)
+def _engine(model: PercolationModel, v: int = 0) -> _Engine:
+    return _Engine(model, v)
 
 
 def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunction:
@@ -232,27 +254,38 @@ class UniformizedCurve:
         return np.tensordot(w, self.coeffs, 1)
 
 
-def expectation_curve(model: PercolationModel, F: SubsetFunction,
-                      t_max: float, tol: float = 1e-10) -> UniformizedCurve:
+def expectation_curve(model: PercolationModel, F: SubsetFunction, t_max: float,
+                      tol: float = 1e-10, v=None) -> UniformizedCurve:
+    """The curve of e^{tA}F for t <= t_max, over every mask or over an up-set.
+
+    v=None gives the rows of all 2^n masks in mask order.  A start subset v
+    gives the rows of its 2^(n-|v|) supersets v | u, u over the sites outside
+    v in their bit order, so row 0 is v; F is read at those masks (a stack
+    keeps its columns), and lam is the largest exit rate over them (see
+    _Engine).  Either way the truncation is certified at tol times the
+    largest |F| over the rows, which for an up-set is never looser.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and nonnegative")
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
-    eng = _engine(model)
-    return UniformizedCurve.build(eng.apply_kernel, F.values, eng.curve_lam, t_max, tol)
+    eng = _engine(model, 0 if v is None else SubsetState.of(v, model.n).mask)
+    return UniformizedCurve.build(eng.apply_kernel, F.values[eng.masks], eng.curve_lam,
+                                  t_max, tol)
 
 
 def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
                       tol: float = 1e-10):
     """E_v[F(X_t)] with truncation error certified <= tol * ||F||_inf.
 
-    v=None gives every start subset at once (a vector over masks).
+    v=None gives every start subset at once (a vector over masks).  A start
+    subset runs on its up-set alone, 2^(n-|v|) states, and reads row 0 of
+    its curve; its certificate is tol times the largest |F| over that up-set.
     """
-    mask = None if v is None else SubsetState.of(v, model.n).mask
-    vals = expectation_curve(model, F, t, tol).eval_all(t)
-    return vals if mask is None else float(vals[mask])
+    vals = expectation_curve(model, F, t, tol, v).eval_all(t)
+    return vals if v is None else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +500,12 @@ def expectation_bounds(model: PercolationModel, v, times, x=None, G=None,
     kappa (xi + xi^2) y1 are the drift integrals.  A step of length h maps z
     to A z, A = kappa h xi, plus h diag(B_ell X) in y_ell and X A^T in X, of
     infinity norm at most mu = h max((kappa + 2) ||xi||_inf + 2, 2 kappa ||xi||_inf).
-    Each scaling stage of step k is truncated within tol / stages times
-    ||z_k||_max (entries only grow), and step j amplifies errors <= e^{mu_j}
-    times, so z(times[K]) is within tol sum_{k<=K} ||z_k|| prod_{j=k..K} e^{mu_j}.
+    With G None, X, y0 and y1 stay zero, so only the n x 3 block Y is
+    stepped, at mu = h kappa ||xi||_inf, and with x None as well no
+    exponential is taken.  Each scaling stage of step k is truncated within
+    tol / stages times ||z_k||_max (entries only grow), and step j amplifies
+    errors <= e^{mu_j} times, so z(times[K]) is within
+    tol sum_{k<=K} ||z_k|| prod_{j=k..K} e^{mu_j}.
     """
     times = [float(t) for t in times]
     if not all(0 <= s <= t < math.inf for s, t in zip([0.0] + times, times)):
@@ -482,7 +518,7 @@ def expectation_bounds(model: PercolationModel, v, times, x=None, G=None,
         ind = indicators([SubsetState.of(v, model.n).mask], model.n)
         sizes = ind.sum(axis=1)
     n, kappa, d = model.n, model.kappa, model.xi.dense()
-    z = np.zeros((n, n + 5))
+    z = np.zeros((n, 3 if G is None else n + 5))
     if x is not None:
         z[:, 0] = _check_payload(x, "x", (n,))
         z[:, 1] = z[:, 0] + d @ z[:, 0]
@@ -491,23 +527,31 @@ def expectation_bounds(model: PercolationModel, v, times, x=None, G=None,
         z[:, 5:] = _check_payload(G, "G", (n, n))
     ells = np.array([ell for _, ell in FAMILIES.values()])
     norm_d = float(np.linalg.norm(d, np.inf))
-    rate = max((kappa + 2.0) * norm_d + 2.0, 2.0 * kappa * norm_d)  # mu per unit step
-    out = np.empty((len(times), sizes.size, len(FAMILIES)))
+    if G is None:
+        rate = kappa * norm_d  # mu per unit step
+    else:
+        rate = max((kappa + 2.0) * norm_d + 2.0, 2.0 * kappa * norm_d)
+    out = np.zeros((len(times), sizes.size, len(FAMILIES)))  # columns in FAMILIES order
+    out[:, :, :3] = 1.0
     for i, (s, t) in enumerate(zip([0.0] + times, times)):
         def apply(w, a=kappa * (t - s) * d, h=t - s):
             res = a @ w
-            res[:, 5:] += w[:, 5:] @ a.T
-            res[:, 3] += h * w[:, 5:].diagonal()
-            res[:, 4] += res[:, 5:].diagonal() / kappa + 2.0 * h * w[:, 5:].diagonal()
+            if G is not None:
+                res[:, 5:] += w[:, 5:] @ a.T
+                res[:, 3] += h * w[:, 5:].diagonal()
+                res[:, 4] += res[:, 5:].diagonal() / kappa + 2.0 * h * w[:, 5:].diagonal()
             return res
-        z = linalg.expm_action(apply, z, tol=tol, mu=(t - s) * rate)
-        mid = d @ z[:, 5:] + z[:, 5:] @ d.T + z[:, 5:]
-        parts = np.column_stack((  # one column per family, in FAMILIES order
-            np.ones((sizes.size, 3)), ind @ z[:, :3],
-            np.einsum("mi,mi->m", ind @ z[:, 5:], ind) + ind @ (kappa * (d @ z[:, 3])),
-            np.einsum("mi,mi->m", ind @ mid, ind) + ind @ (kappa * ((d + d @ d) @ z[:, 4]))))
+        if x is not None or G is not None:
+            z = linalg.expm_action(apply, z, tol=tol, mu=(t - s) * rate)
+        out[i, :, 3:6] = ind @ z[:, :3]
+        if G is not None:
+            mid = d @ z[:, 5:] + z[:, 5:] @ d.T + z[:, 5:]
+            out[i, :, 6] = (np.einsum("mi,mi->m", ind @ z[:, 5:], ind)
+                            + ind @ (kappa * (d @ z[:, 3])))
+            out[i, :, 7] = (np.einsum("mi,mi->m", ind @ mid, ind)
+                            + ind @ (kappa * ((d + d @ d) @ z[:, 4])))
         weight = np.array([_WEIGHT[ell] * math.exp(ell * kappa * t) for ell in ells])
-        out[i] = parts * (weight * sizes[:, None] ** ells)
+        out[i] *= weight * sizes[:, None] ** ells
     return out
 
 

@@ -85,6 +85,14 @@ def test_percolate_exact_csv(tmp_path):
     assert float(rows[2][4]) > float(rows[1][4])  # growth is monotone
 
 
+def test_percolate_exact_full_set_is_exact(capsys):
+    # the full set's up-set has no exit, so the value is F itself, not
+    # 15.999999999736836 from a truncated Poisson mixture of identity steps
+    assert run("percolate", "--engine", "exact", "--functional", "size2",
+               "--mean-field", "4", "--v", "0,1,2,3", "--t", "1") == 0
+    assert json.loads(capsys.readouterr().out)[0]["value"] == 16.0
+
+
 def test_percolate_mc_thread_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ("percolate", "--mean-field", "4", "--v", "0", "--t", "0.5",
@@ -276,6 +284,8 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
          "finite nonnegative numbers"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "0.5,-1",
           "--engine", "mc"), "finite nonnegative numbers"),
+        (("percolate", "--engine", "exact", "--functional", "size2", "--mean-field", "4",
+          "--v", "0", "--t", "1e300"), "Poisson mean 1.33333e+300 is too large"),
         (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "nan",
           "--samples", "10"), "dt and T must be positive and finite"),
         (("gaussian", "--mean-field", "4", "--T", "nan"), "T must be positive and finite"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -105,3 +107,15 @@ def test_poisson_weights_match_scipy():
 def test_poisson_truncation_rejects_bad_tol():
     with pytest.raises(ValueError):
         poisson_truncation(3.0, 0.0)
+
+
+def test_poisson_truncation_names_a_mean_it_cannot_truncate():
+    # above about 2^54 the first K + 2 past lam rounds to lam, the envelope's
+    # 1 - lam/(K+2) to 0, and math.log raised a bare "math domain error"
+    for lam in (2e16, 1e300):
+        with pytest.raises(ValueError, match="Poisson mean .* is too large"):
+            poisson_truncation(lam, 1e-10)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="Poisson mean must be finite"):
+            poisson_truncation(lam, 1e-10)
+    assert poisson_truncation(1e6, 1e-10) > 1e6

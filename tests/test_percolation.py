@@ -100,7 +100,7 @@ def test_full_set_is_absorbing():
     model = PercolationModel(xi, 2.0)
     tab = functional_table("size2", xi)
     got = exact_expectation(model, tab, [0, 1, 2], 5.0, tol=1e-13)
-    assert got == pytest.approx(9.0, abs=1e-11)
+    assert got == 9.0  # its up-set has no exit, so the curve is F itself
 
 
 def test_curve_reuse_and_range_guard():
@@ -161,6 +161,40 @@ def test_models_without_exits_keep_f():
         assert np.array_equal(curve.integral_all(2.0), f.values * 2.0)
         assert np.array_equal(curve.integral_all(2.0, 0.5),
                               f.values * (-math.expm1(-1.0) / 0.5))
+
+
+def test_upset_route_matches_full_lattice(single_edge):
+    """A single start runs on its 2^(n-|v|) supersets and agrees with the full
+    lattice: row 0 within tol * max|F|, and every curve coefficient bitwise
+    the full curve's at the up-set masks wherever the two rates agree."""
+    gen = stream(70)
+    zero = lambda n: InteractionMatrix.from_dense(np.zeros((n, n)))
+    matrices = [random_substochastic(n, gen) for n in range(1, 9)]
+    matrices += [zero(4), zero(1), single_edge]
+    tol = 1e-10
+    for xi in matrices:
+        n = xi.n
+        model = PercolationModel(xi, float(gen.uniform(0.3, 1.5)))
+        lam = _engine(model, 0).curve_lam
+        for F in (SubsetFunction(gen.random(1 << n), n),
+                  SubsetFunction(gen.random((1 << n, 3)) - 0.5, n)):
+            cert = tol * np.abs(F.values).max()
+            full = expectation_curve(model, F, 1.7, tol)
+            at = {t: exact_expectation(model, F, None, t, tol) for t in (0.3, 1.7)}
+            for mask in range(1 << n):
+                v = SubsetState(mask, n)
+                eng = _engine(model, mask)
+                up = expectation_curve(model, F, 1.7, tol, v)
+                assert up.coeffs.shape[1] == 1 << (n - v.size)
+                assert eng.masks[0] == mask and (eng.masks & mask == mask).all()
+                assert eng.curve_lam <= lam
+                if eng.curve_lam == lam:
+                    assert np.array_equal(up.coeffs, full.coeffs[:, eng.masks])
+                for t in (0.0, 0.3, 1.7):
+                    got = up.eval_all(t)[0]
+                    assert np.abs(got - full.eval_all(t)[mask]).max() <= cert
+                    if F.values.ndim == 1 and t:
+                        assert abs(exact_expectation(model, F, v, t, tol) - at[t][mask]) <= cert
 
 
 def test_kernel_step_matches_definition():
@@ -558,8 +592,10 @@ def test_block_operator_norm_bounds(monkeypatch):
         # the stepped operator at three step lengths
         times = np.sort(g.uniform(0.05, 2.0, 3))
         expectation_bounds(model, [0], times, x=g.random(xi.n), G=G)
+        # with G None only the block Y is stepped, at its own mu
+        expectation_bounds(model, [0], times, x=g.random(xi.n))
         sigma_T_quadrature(xi, float(times[-1]))
-    assert len(seen) == 48
+    assert len(seen) == 84
     for apply, b, mu in seen:
         cols = []
         for i in range(b.size):
@@ -568,6 +604,34 @@ def test_block_operator_norm_bounds(monkeypatch):
             cols.append(np.asarray(apply(e.reshape(b.shape))).ravel())
         dense = np.column_stack(cols)
         assert mu >= np.abs(dense).sum(axis=1).max() * (1.0 - 1e-12)
+
+
+def test_linear_ceilings_at_large_n_match_scipy_expm():
+    # with G None the linear families step an n x 3 block, and the size
+    # families take no exponential; quadratic ceilings are zero
+    g = stream(45)
+    n, kappa = 60, 0.8
+    xi = random_substochastic(n, g)
+    model = PercolationModel(xi, kappa)
+    d, x = xi.dense(), g.random(n)
+    v = SubsetState.of([0, 7, 31], n)
+    ind = indicators([v.mask], n)[0]
+    times = [0.3, 1.0, 2.5]
+    got = expectation_bounds(model, v, times, x=x)
+    bare = expectation_bounds(model, v, times)
+    for k, t in enumerate(times):
+        e = scipy.linalg.expm(kappa * t * d)
+        y = x
+        for j, (kind, ell) in enumerate(FAMILIES.values()):
+            weight = (1.0, 1.0, 2.0, 8.0)[ell] * math.exp(ell * kappa * t) * 3.0 ** ell
+            if kind == "size":
+                assert got[k, 0, j] == bare[k, 0, j] == pytest.approx(weight, rel=1e-15)
+            elif kind == "linear":
+                assert got[k, 0, j] == pytest.approx(weight * float(ind @ (e @ y)), rel=1e-10)
+                assert bare[k, 0, j] == 0.0
+                y = y + d @ y
+            else:
+                assert got[k, 0, j] == bare[k, 0, j] == 0.0
 
 
 def test_stepped_bounds_within_their_certificate():
