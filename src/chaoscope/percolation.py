@@ -196,13 +196,14 @@ def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunctio
 class UniformizedCurve:
     """Coefficients of e^{tA}F as a Poisson mixture, valid for any t <= t_max.
 
-    coeffs[k] holds P^k F over all masks, P = I + A/lam, with F one table or
-    a stack of tables (a trailing column axis, kept by every method); the
-    Poisson(lam*t) tail beyond the stored order is monotone in t, so one
-    truncation certifies the whole interval at tol * ||F||_inf.  The exact
+    coeffs[k] holds P^k F over the engine's rows (all masks, or the up-set of
+    a start subset), P = I + A/lam, with F one table or a stack of tables (a
+    trailing column axis, kept by every method); the Poisson(lam*t) tail
+    beyond the stored order is monotone in t, so one truncation certifies
+    the whole interval at tol * ||F||_inf over those rows.  The exact
     engine's lam is its largest exit rate times 1 + 1e-12, so the order grows
-    with that rate, not with n; with no exit anywhere lam is 0 and the curve
-    is F itself at order 0 (see _Engine).
+    with that rate, not with n; with no exit over the rows lam is 0 and the
+    curve is F itself at order 0 (see _Engine).
     """
 
     coeffs: np.ndarray
