@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -292,30 +294,50 @@ def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 
-def _gillespie_run(dense: np.ndarray, kappa: float, members: list, t: float,
-                   gen: np.random.Generator) -> int:
-    """Terminal mask of one jump-chain path from the start members."""
-    mask = sum(1 << i for i in members)
-    inside = np.zeros(dense.shape[0], dtype=bool)
-    inside[members] = True
-    rates = kappa * dense[inside].sum(axis=0)
-    rates[inside] = 0.0
+def _jump_chain(dense: np.ndarray, kappa: float, members: list) -> tuple:
+    """The jump chain's start as Python values: (start mask, start members,
+    zeroed start rates, kappa-scaled rows), the last two as float lists.
+
+    The rates keep numpy's order of operations: the start rows summed first,
+    in index order, and then times kappa, so a path's bits match the array
+    form rates = kappa * dense[inside].sum(axis=0).
+    """
+    rows = dense.tolist()
+    sums = [0.0] * len(rows)
+    for i in members:
+        sums = [a + b for a, b in zip(sums, rows[i])]
+    rates = [kappa * a for a in sums]
+    for i in members:
+        rates[i] = 0.0
+    return (sum(1 << i for i in members), tuple(members), rates,
+            [[kappa * a for a in row] for row in rows])
+
+
+def _gillespie_run(chain: tuple, t: float, gen: np.random.Generator) -> int:
+    """Terminal mask of one jump-chain path; chain comes from _jump_chain.
+
+    Each event adds the joining site's scaled row, rates + kappa * dense[j]
+    elementwise, and re-zeroes the members.
+    """
+    mask, inside, rates, rows = chain
+    inside = list(inside)
+    exponential, uniform = gen.exponential, gen.random
     clock = 0.0
     while True:
-        cs = rates.cumsum()
+        cs = list(accumulate(rates))
         total = cs[-1]
         if total <= 0.0:
             return mask
-        clock += gen.exponential(1.0 / total)
+        clock += exponential(1.0 / total)
         if clock > t:
             return mask
         # u < cs[-1], so the search lands on a bin of positive rate
-        u = gen.random() * total
-        j = int(np.searchsorted(cs, u, side="right"))
+        j = bisect_right(cs, uniform() * total)
         mask |= 1 << j
-        inside[j] = True
-        rates = rates + kappa * dense[j]
-        rates[inside] = 0.0
+        inside.append(j)
+        rates = [a + b for a, b in zip(rates, rows[j])]
+        for i in inside:
+            rates[i] = 0.0
 
 
 def _fpp_edges(model: PercolationModel):
@@ -332,7 +354,8 @@ def _fpp_edges(model: PercolationModel):
 def _fpp_run(adj: list, scale: np.ndarray, members: list, t: float,
              gen: np.random.Generator) -> int:
     """Terminal mask of one edge-clock path: Dijkstra from the sorted start members."""
-    clocks = gen.exponential(scale).tolist()
+    # scale * Exp(1) is bitwise exponential(scale), without its per-call scale check
+    clocks = (gen.standard_exponential(scale.size) * scale).tolist()
     dist = {i: 0.0 for i in members}
     heap = [(0.0, i) for i in members]  # sorted, so already a heap
     mask = 0  # the settled nodes
@@ -367,7 +390,13 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
     members = SubsetState.of(v, model.n).members
     if method == "gillespie":
         dense = model.xi.dense()
-        run = lambda gen: _gillespie_run(dense, model.kappa, members, t, gen)
+        # every total rate is at most kappa * sum|xi| up to rounding, which the
+        # factor covers; an infinite total would search past the last bin
+        if not math.isfinite(model.kappa * float(np.abs(dense).sum()) * (1.0 + 2.0 ** -20)):
+            raise ValueError("the jump chain needs a finite total rate kappa * sum(xi), "
+                             f"got kappa = {model.kappa:.6g}")
+        chain = _jump_chain(dense, model.kappa, members)
+        run = lambda gen: _gillespie_run(chain, t, gen)
     elif method == "fpp":
         if not model.xi.symmetric:
             raise NotApplicable("edge-clock growth needs a symmetric matrix")

@@ -97,7 +97,7 @@ class SimConfig:
 def _draw_noise(lo: int, hi: int, steps: int, n: int, d: int, seed: int) -> np.ndarray:
     out = np.empty((hi - lo, steps, n, d))
     for r in range(lo, hi):
-        out[r - lo] = stream(seed, r).standard_normal((steps, n, d))
+        stream(seed, r).standard_normal(out=out[r - lo])
     return out
 
 

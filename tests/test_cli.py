@@ -302,6 +302,9 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
           "--kappa", "nan"), "kappa must be positive and finite"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--engine", "mc",
           "--kappa", "inf"), "kappa must be positive and finite"),
+        # the total rate overflowed and the jump chain searched past its last bin
+        (("percolate", "--mean-field", "8", "--v", "0", "--t", "1", "--engine", "mc",
+          "--reps", "10", "--kappa", "1e308"), "needs a finite total rate"),
         (("verify", "--instances", "0"), "instances must be >= 1"),
         (("verify", "--instances", "-2"), "instances must be >= 1"),
         (("bound", "--theorem", "setwise", "--mean-field", "4"),

@@ -119,3 +119,35 @@ def test_poisson_truncation_names_a_mean_it_cannot_truncate():
         with pytest.raises(ValueError, match="Poisson mean must be finite"):
             poisson_truncation(lam, 1e-10)
     assert poisson_truncation(1e6, 1e-10) > 1e6
+
+
+def _reference_truncation(lam, tol):
+    """poisson_truncation before large means were handled: the direct log pmf."""
+    if lam <= 0.0:
+        return 0
+    k = max(int(lam), 1)
+    step = max(1, int(math.sqrt(lam) / 4))
+    while True:
+        if k + 2 > lam:
+            log_p = (k + 1) * math.log(lam) - lam - math.lgamma(k + 2.0)
+            if log_p - math.log(1.0 - lam / (k + 2)) <= math.log(tol):
+                return k
+        k += step
+
+
+def test_poisson_truncation_keeps_every_order_up_to_a_million():
+    lams = np.concatenate([np.geomspace(1e-6, 1e6, 600), np.arange(1.0, 200.0),
+                           [4.74, 4.74 * 0.5, 4.74 * 2.0, 1e6]])
+    for lam in lams.tolist():
+        for tol in (1e-8, 1e-10, 1e-12, 1e-20):
+            assert poisson_truncation(lam, tol) == _reference_truncation(lam, tol), (lam, tol)
+
+
+def test_poisson_truncation_certifies_tail_at_huge_means():
+    # the direct log pmf cancels terms near 4e17 at lam = 1e16, and once
+    # returned K = lam, a tail mass of 0.5
+    for lam in (1e12, 1e15, 1e16):
+        for tol in (1e-10, 1e-20):
+            k = poisson_truncation(lam, tol)
+            assert scipy.stats.poisson.sf(k, lam) <= tol
+            assert k <= lam + 12.0 * math.sqrt(lam)  # and not far past the bulk

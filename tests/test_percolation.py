@@ -9,7 +9,7 @@ from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
                               build_mean_field, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction, _engine,
-                                   _gillespie_run, exact_expectation,
+                                   _gillespie_run, _jump_chain, exact_expectation,
                                    expectation_bound, expectation_bounds,
                                    expectation_curve, functional_table,
                                    functional_values, generator_apply,
@@ -255,7 +255,7 @@ def test_gillespie_top_uniform_stays_in_range():
     assert row.sum() > np.cumsum(row)[-1]
     dense = np.zeros((31, 31))
     dense[0] = row
-    mask = _gillespie_run(dense, 1.0, [0], 1.5, _TopDraws())
+    mask = _gillespie_run(_jump_chain(dense, 1.0, [0]), 1.5, _TopDraws())
     assert mask == 1 | 1 << 30
 
 
