@@ -130,27 +130,28 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     sigma^2 > 12 eta gamma is enforced.  Cost and H0 share one curve, a
     stack of the two tables, truncated at CURVE_TOL = 1e-10: the time
     integral is the curve's closed-form Poisson mixture, certified at
-    T * 1e-10 * ||C||_inf, and the H0 term at 1e-10 * ||H0||_inf.  v=None
+    T * 1e-10 * ||C||_inf, and the H0 term at 1e-10 * ||H0||_inf, the norms
+    taken over the curve's rows.  A start subset v runs on its up-set alone,
+    the 2^(n-|v|) supersets of v, and reads row 0 of that curve; v=None
     gives every start subset at once (a vector over masks).
     """
     T = constants.T
     if T <= 0:
         raise ValueError("constants.T must be positive")
-    sel = slice(None) if v is None else SubsetState.of(v, model.n).mask
+    start = None if v is None else SubsetState.of(v, model.n)
     rate = constants.discount_rate() if uniform else 0.0
     spec = ("chat", {"constants": constants, "h3": h3}) if use_chat \
         else ("C", {"constants": constants})
     cost = functional_table(spec, model.xi)
     if H0 is None:
-        total = expectation_curve(model, cost, T, tol=CURVE_TOL).integral_all(T, rate)[sel]
+        total = expectation_curve(model, cost, T, tol=CURVE_TOL, v=start).integral_all(T, rate)
     else:
         if H0.n != model.n or H0.values.ndim != 1:
             raise ValueError("H0 must be one table over the model's subsets")
         both = SubsetFunction(np.column_stack((cost.values, H0.values)), model.n)
-        curve = expectation_curve(model, both, T, tol=CURVE_TOL)
-        total = (curve.integral_all(T, rate)[sel, 0]
-                 + math.exp(-rate * T) * curve.eval_all(T)[sel, 1])
-    return total if v is None else float(total)
+        curve = expectation_curve(model, both, T, tol=CURVE_TOL, v=start)
+        total = curve.integral_all(T, rate)[:, 0] + math.exp(-rate * T) * curve.eval_all(T)[:, 1]
+    return total if v is None else float(total[0])
 
 
 def h3_bound(constants: ModelConstants, delta: float, uniform: bool = False) -> float:

@@ -388,12 +388,11 @@ def p_xi(xi: InteractionMatrix) -> float:
     return cubic + float(np.sum((r2 + c2) ** 2))
 
 
-def _subset_row(xi: InteractionMatrix, v, name: str) -> tuple[int, np.ndarray]:
-    """|v| and the indicator row of a nonempty subset v."""
+def _nonempty(xi: InteractionMatrix, v, name: str) -> SubsetState:
     v = SubsetState.of(v, xi.n)
     if v.size == 0:
         raise MatrixError(f"{name} needs a nonempty subset")
-    return v.size, indicators([v.mask], xi.n)[0]
+    return v
 
 
 def _squares_within(xi: InteractionMatrix, ind: np.ndarray) -> float:
@@ -402,47 +401,70 @@ def _squares_within(xi: InteractionMatrix, ind: np.ndarray) -> float:
     return float(np.sum(xi.vals[inside] ** 2))
 
 
-def _row_sums_within(xi: InteractionMatrix, ind: np.ndarray) -> np.ndarray:
-    """s_i = sum_{j in v} xi_ij for i in v (zero outside v)."""
-    s = np.bincount(xi.ii, weights=xi.vals * ind[xi.jj], minlength=xi.n)
-    return s * ind
-
-
 def q_xi(xi: InteractionMatrix, v) -> float:
     """(delta|v| + 1) * (sum_{i,j in v} xi_ij^2 + delta * sum_{i,j in v}(xi^T xi + xi xi^T)_ij + delta^2 |v|).
 
     The middle block uses sum_{i,j in v}(xi^T xi)_ij = |xi 1_v|^2 (and the
     transpose twin), so no n x n product is ever formed.
     """
-    k, ind = _subset_row(xi, v, "q_xi")
+    v = _nonempty(xi, v, "q_xi")
+    k, ind = v.size, indicators([v.mask], xi.n)[0]
     sq = _squares_within(xi, ind)
     gram = float(np.sum(xi.matvec(ind) ** 2) + np.sum(xi.rmatvec(ind) ** 2))
     return (xi.delta * k + 1.0) * (sq + xi.delta * gram + xi.delta ** 2 * k)
 
 
-def C_of_v(xi: InteractionMatrix, v, constants) -> float:
-    """(M / sigma^2) * sum_{i in v} (sum_{j in v} xi_ij)^2.
+WITHIN_BLOCK = 4096  # masks per block of within_sums: its temporaries are O(block * n)
 
-    `constants` is anything with attributes M and sigma (> 0).
+
+def within_sums(xi: InteractionMatrix, masks) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{i in v}(sum_{j in v} xi_ij)^2 and sum_{i,j in v} xi_ij^2 at each bitmask v.
+
+    For n > 63 the masks are Python ints, as for `indicators`; the empty
+    mask gives 0.
+    """
+    masks = np.asarray(masks, dtype=np.int64 if xi.n <= 63 else object)
+    d = xi.dense()
+    d2 = d * d
+    rows, squares = np.empty(masks.size), np.empty(masks.size)
+    for lo in range(0, masks.size, WITHIN_BLOCK):
+        block = slice(lo, lo + WITHIN_BLOCK)
+        ind = indicators(masks[block], xi.n)
+        s = (ind @ d.T) * ind  # s[m, i] = sum_{j in v} xi_ij for i in v, else 0
+        rows[block] = np.einsum("mi,mi->m", s, s)
+        squares[block] = np.einsum("mi,mi->m", ind @ d2.T, ind)
+    return rows, squares
+
+
+def cost_values(xi: InteractionMatrix, masks, constants, h3: float | None = None) -> np.ndarray:
+    """C at each bitmask, or C-hat with a three-particle entropy bound h3:
+
+        C(v)     = M/sigma^2 * sum_{i in v}(sum_{j in v} xi_ij)^2
+        C-hat(v) = sqrt(gamma*M*h3)/sigma^2 * sum_{i in v}(sum_{j in v} xi_ij)^2
+                   + M/sigma^2 * sum_{i,j in v} xi_ij^2
+
+    `constants` is anything with attributes gamma, M and sigma (> 0).  The
+    constants are checked once for the whole array; the empty mask gives 0.
     """
     if constants.sigma <= 0:
         raise MatrixError("sigma must be positive")
-    s = _row_sums_within(xi, _subset_row(xi, v, "C_of_v")[1])
-    return constants.M / constants.sigma ** 2 * float(np.sum(s ** 2))
+    if h3 is not None and not 0 <= h3 < math.inf:
+        raise MatrixError(f"h3 must be finite and nonnegative, got {h3}")
+    rows, squares = within_sums(xi, masks)
+    sig2 = constants.sigma ** 2
+    if h3 is None:
+        return constants.M / sig2 * rows
+    return math.sqrt(constants.gamma * constants.M * h3) / sig2 * rows + constants.M / sig2 * squares
+
+
+def C_of_v(xi: InteractionMatrix, v, constants) -> float:
+    """C at one nonempty subset v: a one-row slice of cost_values."""
+    return float(cost_values(xi, [_nonempty(xi, v, "C_of_v").mask], constants)[0])
 
 
 def Chat_of_v(xi: InteractionMatrix, v, constants, h3: float) -> float:
-    """sqrt(gamma*M*h3)/sigma^2 * sum_{i in v}(sum_{j in v} xi_ij)^2
-       + M/sigma^2 * sum_{i,j in v} xi_ij^2."""
-    if constants.sigma <= 0:
-        raise MatrixError("sigma must be positive")
-    if not 0 <= h3 < math.inf:
-        raise MatrixError(f"h3 must be finite and nonnegative, got {h3}")
-    ind = _subset_row(xi, v, "Chat_of_v")[1]
-    s = _row_sums_within(xi, ind)
-    sig2 = constants.sigma ** 2
-    return (math.sqrt(constants.gamma * constants.M * h3) / sig2 * float(np.sum(s ** 2))
-            + constants.M / sig2 * _squares_within(xi, ind))
+    """C-hat at one nonempty subset v: a one-row slice of cost_values."""
+    return float(cost_values(xi, [_nonempty(xi, v, "Chat_of_v").mask], constants, h3)[0])
 
 
 # ---------------------------------------------------------------------------

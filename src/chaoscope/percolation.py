@@ -27,8 +27,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, SubsetState, indicators, lattice, step_pairs,
-                     validate, _frozen)
+from .matrix import (InteractionMatrix, SubsetState, cost_values, indicators, lattice,
+                     step_pairs, validate, _frozen)
 from .rng import stream
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
@@ -51,6 +51,10 @@ class PercolationModel:
     def __post_init__(self):
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        negative = validate(self.xi).negative_entries
+        if negative:  # a negative rate has no growth process
+            raise ValueError("the growth process needs a nonnegative matrix, "
+                             f"got negative entries at {list(negative)}")
 
     @property
     def n(self) -> int:
@@ -442,14 +446,8 @@ def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
         name, payload = spec[0], dict(spec[1])
 
     if name in ("C", "chat"):
-        from .matrix import C_of_v, Chat_of_v
-        constants = payload["constants"]
-        if name == "C":
-            fn = lambda s: C_of_v(xi, s, constants)
-        else:
-            h3 = float(payload.get("h3", 0.0))
-            fn = lambda s: Chat_of_v(xi, s, constants, h3)
-        return np.array([0.0 if m == 0 else fn(SubsetState(m, n)) for m in masks.tolist()])
+        h3 = float(payload.get("h3", 0.0)) if name == "chat" else None
+        return cost_values(xi, masks, payload["constants"], h3)
 
     kind, ell = _family(name)
     if not payload.keys() <= {"x", "G"}:

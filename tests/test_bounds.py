@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from chaoscope import bounds
 from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
                               gaussian_fk_constants, h3_bound, lsi_constants,
                               max_entropy_bound, percolation_entropy_bound,
@@ -109,10 +110,57 @@ def test_growth_bound_h0_shares_one_curve():
                 + math.exp(-rate * c.T) * expectation_curve(model, h0, c.T, tol=1e-10).eval_all(c.T))
         got = percolation_entropy_bound(model, None, c, H0=h0, uniform=uniform)
         assert np.array_equal(got, want)
-        assert percolation_entropy_bound(model, [0, 2], c, H0=h0, uniform=uniform) == want[0b101]
+        # a start subset: the same two curves, each on the up-set of v
+        want_v = (expectation_curve(model, cost, c.T, tol=1e-10, v=[0, 2]).integral_all(c.T, rate)[0]
+                  + math.exp(-rate * c.T)
+                  * expectation_curve(model, h0, c.T, tol=1e-10, v=[0, 2]).eval_all(c.T)[0])
+        assert percolation_entropy_bound(model, [0, 2], c, H0=h0, uniform=uniform) == want_v
     for bad in (SubsetFunction(np.zeros((1 << 7, 2)), 7), SubsetFunction(np.zeros(8), 3)):
         with pytest.raises(ValueError, match="H0 must be one table"):
             percolation_entropy_bound(model, None, c, H0=bad)
+
+
+def test_growth_bound_runs_on_the_up_set(monkeypatch):
+    # a start subset v runs on its 2^(n-|v|) supersets; the full lattice's row
+    # v agrees within the curve's certificate, T * 1e-10 * max|C| (+ 1e-10 * max|H0|)
+    n = 6
+    xi = random_matrices(1, seed=72, n_lo=n, n_hi=n)[0]
+    h0 = SubsetFunction(np.linspace(0.0, 2.0, 1 << n), n)
+    c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7, eta=0.05)
+    model = PercolationModel(xi, c.rate_scale())
+    curves = []
+
+    def recording(*args, **kwargs):
+        curve = expectation_curve(*args, **kwargs)
+        curves.append((kwargs.get("v"), curve.coeffs.shape[1]))
+        return curve
+
+    monkeypatch.setattr(bounds, "expectation_curve", recording)
+    for use_chat in (False, True):
+        spec = ("chat", {"constants": c, "h3": 0.8}) if use_chat else ("C", {"constants": c})
+        cost = functional_table(spec, xi)
+        for uniform in (False, True):
+            rate = c.discount_rate() if uniform else 0.0
+            for H0 in (None, h0):
+                # the full-lattice route: one curve over all 2^n masks, row v
+                F = cost if H0 is None else SubsetFunction(
+                    np.column_stack((cost.values, H0.values)), n)
+                full = expectation_curve(model, F, c.T, tol=1e-10)
+                want = full.integral_all(c.T, rate)
+                allowance = c.T * 1e-10 * np.abs(cost.values).max()
+                if H0 is not None:
+                    want = want[:, 0] + math.exp(-rate * c.T) * full.eval_all(c.T)[:, 1]
+                    allowance += 1e-10 * np.abs(H0.values).max()
+                kw = dict(H0=H0, use_chat=use_chat, h3=0.8, uniform=uniform)
+                for members in ([0], [3], [5], [1, 4], list(range(n))):
+                    v = SubsetState.of(members, n)
+                    curves.clear()
+                    got = percolation_entropy_bound(model, v, c, **kw)
+                    assert curves == [(v, 1 << (n - v.size))]
+                    assert abs(got - want[v.mask]) <= allowance, (members, use_chat, uniform)
+                curves.clear()
+                percolation_entropy_bound(model, None, c, **kw)
+                assert curves == [(None, 1 << n)]
 
 
 def test_growth_bound_all_matches_single(four_cycle):

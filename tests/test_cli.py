@@ -256,6 +256,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     nan_csv.write_text("0,nan\n0.5,0\n")
     inf_json = tmp_path / "inf.json"
     inf_json.write_text('{"n": 2, "format": "coo", "entries": [[0, 1, Infinity]]}')
+    neg = tmp_path / "neg.csv"
+    neg.write_text("0,0.5,-0.4\n0.3,0,0.2\n0.1,0.1,0\n")
+    sym_neg = tmp_path / "sym_neg.csv"  # symmetric, so fpp reaches the growth process
+    sym_neg.write_text("0,0.5,-0.2\n0.5,0,0.3\n-0.2,0.3,0\n")
     growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
               "--gamma", "1", "--big-m", "1", "--sigma-const", "1")
     cases = [
@@ -276,6 +280,16 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
          "matrix entries must be finite"),
         (("percolate", "--matrix", str(inf_json), "--v", "0", "--t", "1"),
          "matrix entries must be finite"),
+        # negative rates once gave E|X_1| below the start size (exact) or a sample mean (mc)
+        (("percolate", "--matrix", str(neg), "--v", "0", "--t", "1"),
+         "the growth process needs a nonnegative matrix"),
+        (("percolate", "--matrix", str(neg), "--v", "0", "--t", "1", "--engine", "mc",
+          "--reps", "10"), "the growth process needs a nonnegative matrix"),
+        (("percolate", "--matrix", str(sym_neg), "--v", "0", "--t", "1", "--engine", "fpp",
+          "--reps", "10"), "the growth process needs a nonnegative matrix"),
+        (("bound", "--theorem", "growth", "--matrix", str(neg), "--v", "0", "--gamma", "1",
+          "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
+         "the growth process needs a nonnegative matrix"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "inf"),
          "finite nonnegative numbers"),
         (("percolate", "--mean-field", "4", "--v", "0", "--t", "nan",
@@ -334,6 +348,9 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, argv
+    # the Gaussian model takes signed interactions
+    assert run("gaussian", "--matrix", str(neg), "--T", "0.1") == 0
+    capsys.readouterr()
     # non-convergence is an error line, not a traceback
     def stalled(*args):
         raise RuntimeError("expm_action: Taylor series failed to converge")

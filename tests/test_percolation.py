@@ -1,12 +1,14 @@
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from chaoscope.bounds import ModelConstants
-from chaoscope.matrix import (C_of_v, InteractionMatrix, SubsetState,
-                              build_mean_field, indicators, lattice)
+from chaoscope.matrix import (C_of_v, Chat_of_v, InteractionMatrix, MatrixError,
+                              SubsetState, build_mean_field, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction, _engine,
                                    _gillespie_run, _jump_chain, exact_expectation,
@@ -257,6 +259,63 @@ def test_gillespie_top_uniform_stays_in_range():
     dense[0] = row
     mask = _gillespie_run(_jump_chain(dense, 1.0, [0]), 1.5, _TopDraws())
     assert mask == 1 | 1 << 30
+
+
+def _benchmark_directed16(tmp_path) -> InteractionMatrix:
+    """The benchmark's directed n = 16 input at workload seed 1 (perfbench/inputs.py,
+    run from its source so that no bytecode is written next to it)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    inputs = {}
+    exec(compile(path.read_text(), str(path), "exec"), inputs)
+    return InteractionMatrix.from_dense(inputs["make_inputs"](1, tmp_path)["directed16"][0])
+
+
+def test_cost_tables_equal_per_mask_slices(tmp_path):
+    c = ModelConstants(gamma=0.7, M=1.5, sigma=1.2, T=1.0)
+    h3 = 0.8
+    lead, scale = math.sqrt(c.gamma * c.M * h3) / c.sigma ** 2, c.M / c.sigma ** 2
+    g = stream(26)
+    cases = [random_substochastic(n, g) for n in range(2, 11)] + [_benchmark_directed16(tmp_path)]
+    for xi in cases:
+        n, d = xi.n, xi.dense()
+        C = functional_table(("C", {"constants": c}), xi).values
+        chat = functional_table(("chat", {"constants": c, "h3": h3}), xi).values
+        assert C[0] == chat[0] == 0.0
+        # every mask up to n = 10; at n = 16 a seeded sample, the singletons and the full set
+        masks = np.arange(1, 1 << n) if n <= 10 else np.unique(np.concatenate(
+            (g.integers(1, 1 << n, 3000), 1 << np.arange(n), [(1 << n) - 1])))
+        members = [SubsetState(m, n) for m in masks.tolist()]
+        slices = np.array([[C_of_v(xi, v, c), Chat_of_v(xi, v, c, h3)] for v in members])
+        np.testing.assert_allclose(C[masks], slices[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(chat[masks], slices[:, 1], rtol=1e-12, atol=0.0)
+        # the loop reference: row sums within v, then squares within v
+        subs = [d[np.ix_(v.members, v.members)] for v in members]
+        rows = np.array([float((sub.sum(axis=1) ** 2).sum()) for sub in subs])
+        squares = np.array([float((sub ** 2).sum()) for sub in subs])
+        np.testing.assert_allclose(C[masks], scale * rows, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(chat[masks], lead * rows + scale * squares, rtol=1e-12, atol=0.0)
+
+
+def test_cost_tables_and_slices_refuse_bad_constants():
+    xi = build_mean_field(4)
+    good = ModelConstants(gamma=0.7, M=1.5, sigma=1.2, T=1.0)
+    for sigma in (0.0, -1.0):  # ModelConstants refuses these; the functionals check again
+        bad = SimpleNamespace(gamma=0.7, M=1.5, sigma=sigma)
+        for route in (lambda: functional_table(("C", {"constants": bad}), xi),
+                      lambda: functional_table(("chat", {"constants": bad, "h3": 0.8}), xi),
+                      lambda: C_of_v(xi, [0, 1], bad),
+                      lambda: Chat_of_v(xi, [0, 1], bad, 0.8)):
+            with pytest.raises(MatrixError, match="sigma must be positive"):
+                route()
+    for h3 in (-1.0, math.nan, math.inf):
+        for route in (lambda: functional_table(("chat", {"constants": good, "h3": h3}), xi),
+                      lambda: Chat_of_v(xi, [0, 1], good, h3)):
+            with pytest.raises(MatrixError, match="h3 must be finite and nonnegative"):
+                route()
+    for name, route in (("C_of_v", lambda: C_of_v(xi, [], good)),
+                        ("Chat_of_v", lambda: Chat_of_v(xi, [], good, 0.8))):
+        with pytest.raises(MatrixError, match=f"{name} needs a nonempty subset"):
+            route()
 
 
 def test_functional_values_match_per_mask_reference():
@@ -756,3 +815,6 @@ def test_model_validates_kappa():
     for kappa in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             PercolationModel(xi, kappa)
+    signed = InteractionMatrix.from_dense([[0, 0.5, -0.4], [0.3, 0, 0.2], [0.1, 0.1, 0]])
+    with pytest.raises(ValueError, match=r"nonnegative matrix, got negative entries at \[\(0, 2\)\]"):
+        PercolationModel(signed, 1.0)
