@@ -21,10 +21,10 @@ import numpy as np
 from .gaussian import GaussianModel
 from .matrix import InteractionMatrix, SubsetState, validate
 from .percolation import (NotApplicable, PercolationModel, SubsetFunction,
-                          expectation_curve, functional_table)
+                          exact_expectations, functional_table)
 
 COLUMN_SLACK = 1e-12
-CURVE_TOL = 1e-10  # Poisson truncation of the growth-bound curve
+CURVE_TOL = 1e-10  # Poisson truncation of the growth-bound uniformization
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,13 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     cost is C (quadratic interaction cost) or, with use_chat, the sharper
     C-hat built from a three-particle entropy bound h3.  In uniform mode both
     terms carry the discount exp(-sigma^2 t / 4 eta) at their own times, and
-    sigma^2 > 12 eta gamma is enforced.  Cost and H0 share one curve, a
-    stack of the two tables, truncated at CURVE_TOL = 1e-10: the time
-    integral is the curve's closed-form Poisson mixture, certified at
-    T * 1e-10 * ||C||_inf, and the H0 term at 1e-10 * ||H0||_inf, the norms
-    taken over the curve's rows.  A start subset v runs on its up-set alone,
-    the 2^(n-|v|) supersets of v, and reads row 0 of that curve; v=None
-    gives every start subset at once (a vector over masks).
+    sigma^2 > 12 eta gamma is enforced.  Cost and H0 share one pass of
+    exact_expectations, a stack of the two tables, truncated at
+    CURVE_TOL = 1e-10: the time integral is its closed-form Poisson mixture,
+    certified at T * 1e-10 * ||C||_inf, and the H0 term at
+    1e-10 * ||H0||_inf, the norms taken over its rows.  A start subset v runs
+    on its up-set alone, the 2^(n-|v|) supersets of v, and reads row 0;
+    v=None gives every start subset at once (a vector over masks).
     """
     T = constants.T
     if T <= 0:
@@ -142,15 +142,13 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     rate = constants.discount_rate() if uniform else 0.0
     spec = ("chat", {"constants": constants, "h3": h3}) if use_chat \
         else ("C", {"constants": constants})
-    cost = functional_table(spec, model.xi)
-    if H0 is None:
-        total = expectation_curve(model, cost, T, tol=CURVE_TOL, v=start).integral_all(T, rate)
-    else:
+    F = functional_table(spec, model.xi)
+    if H0 is not None:
         if H0.n != model.n or H0.values.ndim != 1:
             raise ValueError("H0 must be one table over the model's subsets")
-        both = SubsetFunction(np.column_stack((cost.values, H0.values)), model.n)
-        curve = expectation_curve(model, both, T, tol=CURVE_TOL, v=start)
-        total = curve.integral_all(T, rate)[:, 0] + math.exp(-rate * T) * curve.eval_all(T)[:, 1]
+        F = SubsetFunction(np.column_stack((F.values, H0.values)), model.n)
+    at_T, integral = exact_expectations(model, F, start, [T], tol=CURVE_TOL, rate=rate)
+    total = integral if H0 is None else integral[:, 0] + math.exp(-rate * T) * at_T[:, 1]
     return total if v is None else float(total[0])
 
 

@@ -210,12 +210,17 @@ def cmd_percolate(args, outputs: list) -> int:
     model = PercolationModel(xi, args.kappa)
     v = _parse_subset(args.v, xi.n)
     times = _parse_times(args.t)
-    table = perc.functional_table(args.functional, xi) if args.engine == "exact" else None
+    if args.engine == "exact":
+        # one pass over the sorted times, each value put back at its own place
+        order = np.argsort(times, kind="stable")
+        exact = np.empty(len(times))
+        exact[order] = perc.exact_expectations(model, perc.functional_table(args.functional, xi),
+                                               v, np.asarray(times)[order])[:, 0]
     rows = []
     records = []
-    for t in times:
+    for i, t in enumerate(times):
         if args.engine == "exact":
-            val = perc.exact_expectation(model, table, v, t)
+            val = float(exact[i])
             est_err, reps, seed = None, None, None
         else:
             method = "gillespie" if args.engine == "mc" else "fpp"

@@ -138,7 +138,7 @@ def poisson_truncation(lam: float, tol: float) -> int:
     with the remainder r(m) > 1/(12m + 1) (Robbins 1955) taken at that floor,
     which can only raise p_m.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # a NaN tol would never stop the search below
         raise ValueError("poisson_truncation: tol must be positive")
     if not math.isfinite(lam):
         raise ValueError(f"poisson_truncation: the Poisson mean must be finite, got {lam}")

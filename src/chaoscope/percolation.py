@@ -115,16 +115,15 @@ class _Engine:
     c, so u = 0 is v itself; v = 0 gives the full lattice in mask order.
     Site c[j] joins v | u at rate kappa * sums[j, u], sums[j, u] =
     sum_{i in v | u} xi[i, c[j]], added in index order, so that each up-set's
-    rates, kernel and curve coefficients are bitwise a slice of the full
-    lattice's.
+    rates and kernel steps are bitwise a slice of the full lattice's.
 
     The uniformization rate is lam = kappa * max_u sum_j sums[j, u] over u
     lacking j, times 1 + 1e-12: the largest exit rate over the up-set, never
     above the full lattice's, the least rate for which I + A/lam is
     stochastic, inflated by a relative 1e-12 so that rounding cannot push a
     diagonal entry below zero.  An up-set with no exit (v the full set, n =
-    1, or a zero matrix) has A = 0 and takes lam = kappa; its curves need no
-    kernel step, since e^{tA}F = F, so curve_lam is 0 there.
+    1, or a zero matrix) has A = 0 and takes lam = kappa; its expectations
+    need no kernel step, since e^{tA}F = F, so curve_lam is 0 there.
     """
 
     def __init__(self, model: PercolationModel, v: int = 0):
@@ -198,101 +197,80 @@ def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunctio
 # ---------------------------------------------------------------------------
 # Exact expectations by uniformization
 
-@dataclass(frozen=True)
-class UniformizedCurve:
-    """Coefficients of e^{tA}F as a Poisson mixture, valid for any t <= t_max.
+def uniformized(kernel, f: np.ndarray, lam: float, times, tol: float,
+                rate: float | None = None) -> np.ndarray:
+    """e^{tA}f at each of the sorted times in one pass, a row per time.
 
-    coeffs[k] holds P^k F over the engine's rows (all masks, or the up-set of
-    a start subset), P = I + A/lam, with F one table or a stack of tables (a
-    trailing column axis, kept by every method); the Poisson(lam*t) tail
-    beyond the stored order is monotone in t, so one truncation certifies
-    the whole interval at tol * ||F||_inf over those rows.  The exact
-    engine's lam is its largest exit rate times 1 + 1e-12, so the order grows
-    with that rate, not with n; with no exit over the rows lam is 0 and the
-    curve is F itself at order 0 (see _Engine).
+    kernel applies the stochastic P = I + A/lam to f, one table or a stack
+    (a trailing column axis).  P steps f up to the Poisson(lam t_max) order,
+    t_max the last time (Fox & Glynn, CACM 1988), and each step adds
+    w_t[k] P^k f into the row of each time; no power is kept.  The tail
+    beyond that order is monotone in t, so each row is certified at
+    tol * ||f||_inf.  A rate >= 0 adds a row for the integral
+    int_0^{t_max} e^{-rate s} e^{sA}f ds: term k weighs
+    lam^k/(lam+rate)^{k+1} P(N >= k+1), N ~ Poisson((lam+rate) t_max)
+    (de Souza e Silva & Gail, JACM 1989), with the tails summed from the top
+    down, never as 1 - cumsum; it is certified at t_max * tol * ||f||_inf.
+    At lam = 0 (no exit) the order is 0 and every row is f times its weight.
     """
-
-    coeffs: np.ndarray
-    lam: float
-    t_max: float
-
-    @classmethod
-    def build(cls, kernel, f: np.ndarray, lam: float, t_max: float,
-              tol: float) -> "UniformizedCurve":
-        """Apply the stochastic kernel I + A/lam up to the Poisson(lam t_max)
-        truncation order (Fox & Glynn, CACM 1988)."""
-        kmax = linalg.poisson_truncation(lam * t_max, tol)
-        coeffs = np.empty((kmax + 1,) + f.shape)
-        coeffs[0] = f
-        for k in range(1, kmax + 1):
-            coeffs[k] = kernel(coeffs[k - 1])
-        return cls(_frozen(coeffs), lam, t_max)
-
-    def eval_all(self, t: float) -> np.ndarray:
-        if t < 0 or t > self.t_max * (1 + 1e-12):
-            raise ValueError("curve evaluated outside [0, t_max]")
-        w = linalg.poisson_weights(self.lam * t, self.coeffs.shape[0] - 1)
-        return np.tensordot(w, self.coeffs, 1)
-
-    def integral_all(self, t: float, rate: float = 0.0) -> np.ndarray:
-        """int_0^t e^{-rate s} eval_all(s) ds in closed form, for rate >= 0.
-
-        Term k integrates to c_k lam^k/(lam+rate)^{k+1} P(N >= k+1) with
-        N ~ Poisson((lam+rate) t) (de Souza e Silva & Gail, JACM 1989).  The
-        stored order leaves out at most the Poisson(lam s) tail beyond it,
-        <= tol at every s <= t_max, so the error is certified at
-        t * tol * ||F||_inf.  The tails are summed from the top down, never
-        as 1 - cumsum.  At lam = 0 the curve is constant and its integral
-        is c_0 (1 - e^{-rate t})/rate, or c_0 t at rate 0.
-        """
-        if t < 0 or t > self.t_max * (1 + 1e-12):
-            raise ValueError("curve integrated outside [0, t_max]")
+    times = [float(t) for t in times]
+    if not times or not all(0 <= s <= t < math.inf for s, t in zip([0.0] + times, times)):
+        raise ValueError(f"times must be finite, nonnegative and sorted, got {times}")
+    t_max = times[-1]
+    kmax = linalg.poisson_truncation(lam * t_max, tol)
+    weights = [linalg.poisson_weights(lam * t, kmax) for t in times]
+    if rate is not None:
         if not 0 <= rate < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {rate}")
-        if self.lam == 0.0:
-            return self.coeffs[0] * (t if rate == 0.0 else -math.expm1(-rate * t) / rate)
-        kmax = self.coeffs.shape[0] - 1
-        total = self.lam + rate
-        mass = total * t
-        # the Poisson(mass) mass left beyond `top` is < 1e-20, far below t * tol
-        top = max(kmax + 1, linalg.poisson_truncation(mass, 1e-20))
-        tail = np.cumsum(linalg.poisson_weights(mass, top)[::-1])[::-1]
-        w = (self.lam / total) ** np.arange(kmax + 1) / total * tail[1:kmax + 2]
-        return np.tensordot(w, self.coeffs, 1)
+        if lam == 0.0:
+            weights.append([t_max if rate == 0.0 else -math.expm1(-rate * t_max) / rate])
+        else:
+            total = lam + rate
+            mass = total * t_max
+            # the Poisson(mass) mass left beyond `top` is < 1e-20, far below t_max * tol
+            top = max(kmax + 1, linalg.poisson_truncation(mass, 1e-20))
+            tail = np.cumsum(linalg.poisson_weights(mass, top)[::-1])[::-1]
+            weights.append((lam / total) ** np.arange(kmax + 1) / total * tail[1:kmax + 2])
+    out = np.zeros((len(weights),) + f.shape)
+    buf = np.empty(f.shape)
+    term = f
+    for k in range(kmax + 1):
+        if k:
+            term = kernel(term)
+        for row, w in zip(out, weights):
+            row += np.multiply(term, w[k], out=buf)
+    return out
 
 
-def expectation_curve(model: PercolationModel, F: SubsetFunction, t_max: float,
-                      tol: float = 1e-10, v=None) -> UniformizedCurve:
-    """The curve of e^{tA}F for t <= t_max, over every mask or over an up-set.
+def exact_expectations(model: PercolationModel, F: SubsetFunction, v, times,
+                       tol: float = 1e-10, rate: float | None = None) -> np.ndarray:
+    """E_u[F(X_t)] at each of the sorted times, in one uniformized pass.
 
-    v=None gives the rows of all 2^n masks in mask order.  A start subset v
-    gives the rows of its 2^(n-|v|) supersets v | u, u over the sites outside
-    v in their bit order, so row 0 is v; F is read at those masks (a stack
-    keeps its columns), and lam is the largest exit rate over them (see
-    _Engine).  Either way the truncation is certified at tol times the
-    largest |F| over the rows, which for an up-set is never looser.
+    Shape (len(times), rows), a stack keeping its column axis; a rate adds
+    the row of int_0^{t_max} e^{-rate s} E_u[F(X_s)] ds.  v=None gives all
+    2^n masks u in mask order; a start subset v gives its 2^(n-|v|)
+    supersets u = v | w, w over the sites outside v in their bit order, so
+    row 0 is v, at the largest exit rate over them (see _Engine).  Each time
+    is certified at tol * max|F| and the integral at t_max * tol * max|F|,
+    max|F| taken over the rows.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not 0 <= t_max < math.inf:
-        raise ValueError("t_max must be finite and nonnegative")
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
     eng = _engine(model, 0 if v is None else SubsetState.of(v, model.n).mask)
-    return UniformizedCurve.build(eng.apply_kernel, F.values[eng.masks], eng.curve_lam,
-                                  t_max, tol)
+    return uniformized(eng.apply_kernel, F.values[eng.masks], eng.curve_lam, times, tol, rate)
 
 
 def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
                       tol: float = 1e-10):
-    """E_v[F(X_t)] with truncation error certified <= tol * ||F||_inf.
-
-    v=None gives every start subset at once (a vector over masks).  A start
-    subset runs on its up-set alone, 2^(n-|v|) states, and reads row 0 of
-    its curve; its certificate is tol times the largest |F| over that up-set.
+    """E_v[F(X_t)] certified at tol * max|F|: the one-time slice of
+    exact_expectations.  v=None gives every start subset (a vector over
+    masks); a start subset reads row 0 of its up-set, a float for one table
+    and a length-c array for a stack of c.
     """
-    vals = expectation_curve(model, F, t, tol, v).eval_all(t)
-    return vals if v is None else float(vals[0])
+    vals = exact_expectations(model, F, v, [t], tol)[0]
+    if v is None:
+        return vals
+    return vals[0] if vals.ndim == 2 else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +610,19 @@ def yule_second_moment(k: int, rate: float, t: float) -> float:
 
     At time t the population is negative binomial with success probability
     p = exp(-rate*t): the value is k(1-p)/p^2 + k^2/p^2, always <= 2 k^2/p^2.
+    Raises ValueError where that value is past the largest double.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     p = math.exp(-rate * t)
-    return k * (1.0 - p) / p ** 2 + k * k / p ** 2
+    value = k * (1.0 - p) / p ** 2 + k * k / p ** 2 if p ** 2 > 0.0 else math.inf
+    if value == math.inf:
+        raise ValueError(f"the second moment overflows a double at rate * t = {rate * t:.6g}")
+    return value
 
 
 def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
@@ -662,4 +646,4 @@ def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
     f = np.asarray(power(ks), dtype=float) if callable(power) else ks ** power
     # birth[n] = 0 keeps the full state absorbing under the wrap-around roll
     kernel = lambda cur: cur + (birth * (np.roll(cur, -1) - cur)) / lam
-    return float(UniformizedCurve.build(kernel, f, lam, t, tol).eval_all(t)[k0])
+    return float(uniformized(kernel, f, lam, [t], tol)[0, k0])

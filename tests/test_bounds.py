@@ -13,7 +13,7 @@ from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
 from chaoscope.gaussian import sigma_T
 from chaoscope.matrix import SubsetState, build_mean_field, p_xi, q_xi
 from chaoscope.percolation import (NotApplicable, PercolationModel,
-                                   SubsetFunction, expectation_curve,
+                                   SubsetFunction, exact_expectations,
                                    functional_table)
 
 from conftest import random_matrices
@@ -98,7 +98,7 @@ def test_growth_bound_h0_term(single_edge):
 
 
 def test_growth_bound_h0_shares_one_curve():
-    # cost and H0 through one stacked curve equal the two curves taken apart
+    # cost and H0 through one stacked pass equal the two passes taken apart
     xi = random_matrices(1, seed=71, n_lo=7, n_hi=7)[0]
     h0 = SubsetFunction(np.linspace(0.0, 3.0, 1 << 7), 7)
     for uniform in (False, True):
@@ -106,14 +106,14 @@ def test_growth_bound_h0_shares_one_curve():
         model = PercolationModel(xi, c.rate_scale())
         rate = c.discount_rate() if uniform else 0.0
         cost = functional_table(("C", {"constants": c}), xi)
-        want = (expectation_curve(model, cost, c.T, tol=1e-10).integral_all(c.T, rate)
-                + math.exp(-rate * c.T) * expectation_curve(model, h0, c.T, tol=1e-10).eval_all(c.T))
+        want = (exact_expectations(model, cost, None, [c.T], 1e-10, rate)[1]
+                + math.exp(-rate * c.T) * exact_expectations(model, h0, None, [c.T], 1e-10)[0])
         got = percolation_entropy_bound(model, None, c, H0=h0, uniform=uniform)
         assert np.array_equal(got, want)
-        # a start subset: the same two curves, each on the up-set of v
-        want_v = (expectation_curve(model, cost, c.T, tol=1e-10, v=[0, 2]).integral_all(c.T, rate)[0]
+        # a start subset: the same two passes, each on the up-set of v
+        want_v = (exact_expectations(model, cost, [0, 2], [c.T], 1e-10, rate)[1, 0]
                   + math.exp(-rate * c.T)
-                  * expectation_curve(model, h0, c.T, tol=1e-10, v=[0, 2]).eval_all(c.T)[0])
+                  * exact_expectations(model, h0, [0, 2], [c.T], 1e-10)[0, 0])
         assert percolation_entropy_bound(model, [0, 2], c, H0=h0, uniform=uniform) == want_v
     for bad in (SubsetFunction(np.zeros((1 << 7, 2)), 7), SubsetFunction(np.zeros(8), 3)):
         with pytest.raises(ValueError, match="H0 must be one table"):
@@ -122,34 +122,33 @@ def test_growth_bound_h0_shares_one_curve():
 
 def test_growth_bound_runs_on_the_up_set(monkeypatch):
     # a start subset v runs on its 2^(n-|v|) supersets; the full lattice's row
-    # v agrees within the curve's certificate, T * 1e-10 * max|C| (+ 1e-10 * max|H0|)
+    # v agrees within the certificate, T * 1e-10 * max|C| (+ 1e-10 * max|H0|)
     n = 6
     xi = random_matrices(1, seed=72, n_lo=n, n_hi=n)[0]
     h0 = SubsetFunction(np.linspace(0.0, 2.0, 1 << n), n)
     c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7, eta=0.05)
     model = PercolationModel(xi, c.rate_scale())
-    curves = []
+    curves = []  # (start subset, states) of each pass
 
-    def recording(*args, **kwargs):
-        curve = expectation_curve(*args, **kwargs)
-        curves.append((kwargs.get("v"), curve.coeffs.shape[1]))
-        return curve
+    def recording(model, F, v, *args, **kwargs):
+        out = exact_expectations(model, F, v, *args, **kwargs)
+        curves.append((v, out.shape[1]))
+        return out
 
-    monkeypatch.setattr(bounds, "expectation_curve", recording)
+    monkeypatch.setattr(bounds, "exact_expectations", recording)
     for use_chat in (False, True):
         spec = ("chat", {"constants": c, "h3": 0.8}) if use_chat else ("C", {"constants": c})
         cost = functional_table(spec, xi)
         for uniform in (False, True):
             rate = c.discount_rate() if uniform else 0.0
             for H0 in (None, h0):
-                # the full-lattice route: one curve over all 2^n masks, row v
+                # the full-lattice route: one pass over all 2^n masks, row v
                 F = cost if H0 is None else SubsetFunction(
                     np.column_stack((cost.values, H0.values)), n)
-                full = expectation_curve(model, F, c.T, tol=1e-10)
-                want = full.integral_all(c.T, rate)
+                at_T, want = exact_expectations(model, F, None, [c.T], 1e-10, rate)
                 allowance = c.T * 1e-10 * np.abs(cost.values).max()
                 if H0 is not None:
-                    want = want[:, 0] + math.exp(-rate * c.T) * full.eval_all(c.T)[:, 1]
+                    want = want[:, 0] + math.exp(-rate * c.T) * at_T[:, 1]
                     allowance += 1e-10 * np.abs(H0.values).max()
                 kw = dict(H0=H0, use_chat=use_chat, h3=0.8, uniform=uniform)
                 for members in ([0], [3], [5], [1, 4], list(range(n))):

@@ -7,7 +7,7 @@ import pytest
 import chaoscope.cli as cli
 from chaoscope.matrix import build_mean_field, load_matrix
 from chaoscope.percolation import (PercolationModel, exact_expectation,
-                                   functional_table)
+                                   exact_expectations, functional_table)
 from chaoscope.verify import Check, SuiteResult, save_results
 
 
@@ -80,9 +80,25 @@ def test_percolate_exact_csv(tmp_path):
     assert len(rows) == 3 and rows[1][5] == ""  # exact rows carry no stderr
     model = PercolationModel(build_mean_field(4), 1.0)
     table = functional_table("size", model.xi)
-    want = exact_expectation(model, table, [0], 0.25)
-    assert float(rows[1][4]) == pytest.approx(want, rel=1e-12)
+    # one pass over both times, bitwise; the one-time call within its certificate
+    want = exact_expectations(model, table, [0], [0.25, 0.5])[:, 0]
+    assert [float(r[4]) for r in rows[1:]] == want.tolist()
+    alone = exact_expectation(model, table, [0], 0.25)
+    assert abs(float(rows[1][4]) - alone) <= 1e-10 * abs(table.values).max()
     assert float(rows[2][4]) > float(rows[1][4])  # growth is monotone
+
+
+def test_percolate_exact_keeps_command_line_order(capsys):
+    def values(times):
+        assert run("percolate", "--engine", "exact", "--mean-field", "5",
+                   "--v", "0", "--t", times) == 0
+        records = json.loads(capsys.readouterr().out)
+        return [r["t"] for r in records], [r["value"] for r in records]
+
+    ts, got = values("2,0.5,1,0.5")
+    assert ts == [2.0, 0.5, 1.0, 0.5]
+    assert got[1] == got[3] and got[1] < got[2] < got[0]
+    assert got[0] == values("2")[1][0]  # the largest time is bitwise its own run
 
 
 def test_percolate_exact_full_set_is_exact(capsys):

@@ -105,8 +105,9 @@ def test_poisson_weights_match_scipy():
 
 
 def test_poisson_truncation_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        poisson_truncation(3.0, 0.0)
+    for tol in (0.0, -1e-10, math.nan):  # a NaN tol once searched forever
+        with pytest.raises(ValueError, match="tol must be positive"):
+            poisson_truncation(3.0, tol)
 
 
 def test_poisson_truncation_names_a_mean_it_cannot_truncate():

@@ -12,8 +12,8 @@ from chaoscope.matrix import (C_of_v, Chat_of_v, InteractionMatrix, MatrixError,
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction, _engine,
                                    _gillespie_run, _jump_chain, exact_expectation,
-                                   expectation_bound, expectation_bounds,
-                                   expectation_curve, functional_table,
+                                   exact_expectations, expectation_bound,
+                                   expectation_bounds, functional_table,
                                    functional_values, generator_apply,
                                    lemma_rhs, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
@@ -88,6 +88,20 @@ def test_exact_expectation_t0_returns_f():
     assert np.array_equal(exact_expectation(model, f, None, 0.0), f.values)
 
 
+def test_exact_expectation_of_a_stack_at_a_start_subset():
+    # a start subset reads row 0: a length-c array for a stack of c tables,
+    # bitwise its columns' own calls, and a float for one table
+    xi = build_mean_field(4)
+    model = PercolationModel(xi, 1.0)
+    cols = [functional_table(name, xi) for name in ("size", "size2")]
+    stack = SubsetFunction(np.column_stack([c.values for c in cols]), 4)
+    for t in (0.0, 0.7):
+        got = exact_expectation(model, stack, [0], t)
+        singles = [exact_expectation(model, c, [0], t) for c in cols]
+        assert all(type(x) is float for x in singles)
+        assert got.shape == (2,) and np.array_equal(got, singles)
+
+
 def test_single_edge_closed_form(single_edge):
     model = PercolationModel(single_edge, 1.3)
     tab = functional_table("size", single_edge)
@@ -106,18 +120,27 @@ def test_full_set_is_absorbing():
 
 
 def test_curve_reuse_and_range_guard():
-    xi = build_mean_field(3)
-    model = PercolationModel(xi, 1.0)
-    tab = functional_table("size", xi)
-    curve = expectation_curve(model, tab, 2.0, tol=1e-12)
-    for t in (0.0, 0.5, 2.0):
-        assert curve.eval_all(t)[0b001] == pytest.approx(
-            exact_expectation(model, tab, [0], t, tol=1e-12), abs=1e-11)
-    with pytest.raises(ValueError):
-        curve.eval_all(2.5)
-    for t_max in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            expectation_curve(model, tab, t_max)
+    # one pass serves every time: each row is the one-time call's within
+    # tol * max|F|, and the last time, whose order both take, bitwise
+    gen = stream(15)
+    for xi in (build_mean_field(3), random_substochastic(5, gen)):
+        n = xi.n
+        model = PercolationModel(xi, 1.0)
+        times = [0.0, 0.5, 0.5, 1.2, 2.0]
+        for F in (functional_table("size", xi), SubsetFunction(gen.random((1 << n, 2)), n)):
+            cert = 1e-12 * np.abs(F.values).max()
+            for v in (None, [0]):
+                got = exact_expectations(model, F, v, times, tol=1e-12)
+                for t, row in zip(times, got):
+                    one = exact_expectations(model, F, v, [t], tol=1e-12)[0]
+                    assert np.abs(row - one).max() <= cert
+                assert np.array_equal(got[-1], one)
+    for times in ([0.5, 0.2], [math.inf], [math.nan], [-0.1], [0.5, math.nan], []):
+        with pytest.raises(ValueError, match="times must be finite, nonnegative and sorted"):
+            exact_expectations(model, F, None, times)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            exact_expectations(model, F, None, [1.0], tol=tol)
 
 
 def test_engine_size_limit():
@@ -159,21 +182,22 @@ def test_models_without_exits_keep_f():
         for mask in range(1 << n):
             got = exact_expectation(model, f, SubsetState(mask, n).members, 2.0)
             assert got == f.values[mask]
-        curve = expectation_curve(model, f, 2.0)
-        assert np.array_equal(curve.integral_all(2.0), f.values * 2.0)
-        assert np.array_equal(curve.integral_all(2.0, 0.5),
+        assert np.array_equal(exact_expectations(model, f, None, [2.0], rate=0.0)[1],
+                              f.values * 2.0)
+        assert np.array_equal(exact_expectations(model, f, None, [2.0], rate=0.5)[1],
                               f.values * (-math.expm1(-1.0) / 0.5))
 
 
 def test_upset_route_matches_full_lattice(single_edge):
     """A single start runs on its 2^(n-|v|) supersets and agrees with the full
-    lattice: row 0 within tol * max|F|, and every curve coefficient bitwise
-    the full curve's at the up-set masks wherever the two rates agree."""
+    lattice: row 0 within tol * max|F| (the integral within t_max times that),
+    and every value and integral bitwise the full lattice's at the up-set
+    masks wherever the two rates agree."""
     gen = stream(70)
     zero = lambda n: InteractionMatrix.from_dense(np.zeros((n, n)))
     matrices = [random_substochastic(n, gen) for n in range(1, 9)]
     matrices += [zero(4), zero(1), single_edge]
-    tol = 1e-10
+    tol, times = 1e-10, (0.0, 0.3, 1.7)
     for xi in matrices:
         n = xi.n
         model = PercolationModel(xi, float(gen.uniform(0.3, 1.5)))
@@ -181,22 +205,20 @@ def test_upset_route_matches_full_lattice(single_edge):
         for F in (SubsetFunction(gen.random(1 << n), n),
                   SubsetFunction(gen.random((1 << n, 3)) - 0.5, n)):
             cert = tol * np.abs(F.values).max()
-            full = expectation_curve(model, F, 1.7, tol)
-            at = {t: exact_expectation(model, F, None, t, tol) for t in (0.3, 1.7)}
+            full = exact_expectations(model, F, None, times, tol, rate=0.4)
             for mask in range(1 << n):
                 v = SubsetState(mask, n)
                 eng = _engine(model, mask)
-                up = expectation_curve(model, F, 1.7, tol, v)
-                assert up.coeffs.shape[1] == 1 << (n - v.size)
+                up = exact_expectations(model, F, v, times, tol, rate=0.4)
+                assert up.shape[1] == 1 << (n - v.size)
                 assert eng.masks[0] == mask and (eng.masks & mask == mask).all()
                 assert eng.curve_lam <= lam
                 if eng.curve_lam == lam:
-                    assert np.array_equal(up.coeffs, full.coeffs[:, eng.masks])
-                for t in (0.0, 0.3, 1.7):
-                    got = up.eval_all(t)[0]
-                    assert np.abs(got - full.eval_all(t)[mask]).max() <= cert
-                    if F.values.ndim == 1 and t:
-                        assert abs(exact_expectation(model, F, v, t, tol) - at[t][mask]) <= cert
+                    assert np.array_equal(up, full[:, eng.masks])
+                assert np.abs(up[:-1, 0] - full[:-1, mask]).max() <= cert
+                assert np.abs(up[-1, 0] - full[-1, mask]).max() <= times[-1] * cert
+                got = exact_expectation(model, F, v, times[-1], tol)
+                assert np.array_equal(got, up[-2, 0])
 
 
 def test_kernel_step_matches_definition():
@@ -219,17 +241,16 @@ def test_stacked_tables_match_their_columns():
         stack = SubsetFunction(gen.random((1 << n, 3)), n)
         lhs = generator_apply(model, stack).values
         step = eng.apply_kernel(stack.values)
-        curve = expectation_curve(model, stack, 2.0)
+        runs = [dict(times=times, rate=rate) for times in ((0.0, 0.4), (0.0, 0.4, 1.3, 2.0))
+                for rate in (0.0, 0.7)]
+        stacked = [exact_expectations(model, stack, None, **run) for run in runs]
         for k in range(3):
             col = SubsetFunction(stack.values[:, k], n)
             assert np.array_equal(lhs[:, k], generator_apply(model, col).values)
             assert np.array_equal(step[:, k], eng.apply_kernel(col.values))
-            one = expectation_curve(model, col, 2.0)
-            for t in (0.0, 0.4, 1.3, 2.0):
-                assert np.array_equal(curve.eval_all(t)[:, k], one.eval_all(t))
-                for rate in (0.0, 0.7):
-                    assert np.array_equal(curve.integral_all(t, rate)[:, k],
-                                          one.integral_all(t, rate))
+            for run, got in zip(runs, stacked):
+                # values at each time and the integral row
+                assert np.array_equal(got[..., k], exact_expectations(model, col, None, **run))
 
 
 def test_subset_function_shapes():
@@ -733,17 +754,17 @@ def test_curve_integral_matches_quad():
     model = PercolationModel(xi, 1.3)
     F = SubsetFunction(stream(28).random(16), 4)
     T = 0.9
-    curve = expectation_curve(model, F, T, tol=1e-12)
     for rate in (0.0, 0.7):
-        got = curve.integral_all(T, rate)
+        got = exact_expectations(model, F, None, [T], tol=1e-12, rate=rate)[1]
         for mask in range(16):
             want, _ = scipy.integrate.quad(
-                lambda t: math.exp(-rate * t) * curve.eval_all(t)[mask], 0.0, T,
-                epsabs=1e-14, epsrel=1e-13)
+                lambda t: math.exp(-rate * t) * exact_expectation(model, F, None, t, 1e-12)[mask],
+                0.0, T, epsabs=1e-14, epsrel=1e-13)
             assert got[mask] == pytest.approx(want, rel=1e-10), (rate, mask)
-    assert np.array_equal(curve.integral_all(0.0), np.zeros(16))
-    with pytest.raises(ValueError):
-        curve.integral_all(2 * T)
+    assert np.array_equal(exact_expectations(model, F, None, [0.0], rate=0.7)[1], np.zeros(16))
+    for rate in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
+            exact_expectations(model, F, None, [T], rate=rate)
 
 
 def test_expectation_bound_all_matches_single():
@@ -773,6 +794,18 @@ def test_yule_second_moment_solves_moment_ode():
                        + k * math.exp(rate * t))
         assert deriv == pytest.approx(want, rel=1e-5)
     assert yule_second_moment(k, rate, 0.0) == pytest.approx(k * k)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            yule_second_moment(1, 1.0, t)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            yule_second_moment(1, bad, 1.0)
+    # the value is past the largest double from rate * t = 355 on, p^2
+    # underflows to 0 from 373 on and p itself by 800
+    assert yule_second_moment(1, 1.0, 300.0) < math.inf
+    for t in (400.0, 800.0):
+        with pytest.raises(ValueError, match="second moment overflows"):
+            yule_second_moment(1, 1.0, t)
 
 
 def test_mean_field_size_chain_matches_exact_engine():
