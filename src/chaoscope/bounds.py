@@ -128,10 +128,10 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     C-hat built from a three-particle entropy bound h3.  In uniform mode both
     terms carry the discount exp(-sigma^2 t / 4 eta) at their own times, and
     sigma^2 > 12 eta gamma is enforced.  Cost and H0 share one pass of
-    exact_expectations, a stack of the two tables, truncated at
-    CURVE_TOL = 1e-10: the time integral is its closed-form Poisson mixture,
-    certified at T * 1e-10 * ||C||_inf, and the H0 term at
-    1e-10 * ||H0||_inf, the norms taken over its rows.  A start subset v runs
+    exact_expectations, a stack of the two tables (the integral row alone
+    without H0), truncated at CURVE_TOL = 1e-10: the time integral is its
+    closed-form Poisson mixture, certified at T * 1e-10 * ||C||_inf, and the
+    H0 term at 1e-10 * ||H0||_inf, the norms over its rows.  A start subset v runs
     on its up-set alone, the 2^(n-|v|) supersets of v, and reads row 0;
     v=None gives every start subset at once (a vector over masks).
     """
@@ -147,8 +147,9 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
         if H0.n != model.n or H0.values.ndim != 1:
             raise ValueError("H0 must be one table over the model's subsets")
         F = SubsetFunction(np.column_stack((F.values, H0.values)), model.n)
-    at_T, integral = exact_expectations(model, F, start, [T], tol=CURVE_TOL, rate=rate)
-    total = integral if H0 is None else integral[:, 0] + math.exp(-rate * T) * at_T[:, 1]
+    times = [] if H0 is None else [T]  # without H0, the integral row alone
+    rows = exact_expectations(model, F, start, times, CURVE_TOL, rate, horizon=T)
+    total = rows[0] if H0 is None else rows[1][:, 0] + math.exp(-rate * T) * rows[0][:, 1]
     return total if v is None else float(total[0])
 
 

@@ -17,19 +17,16 @@ stated with the model's rate scale kappa throughout.
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 from . import linalg
 from .matrix import (InteractionMatrix, SubsetState, cost_values, indicators, lattice,
                      step_pairs, validate, _frozen)
-from .rng import stream
+from .rng import chunk_streams
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
 MASK_LIMIT = 63           # terminal states are int64 bitmasks
@@ -198,14 +195,15 @@ def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunctio
 # Exact expectations by uniformization
 
 def uniformized(kernel, f: np.ndarray, lam: float, times, tol: float,
-                rate: float | None = None) -> np.ndarray:
+                rate: float | None = None, horizon: float | None = None) -> np.ndarray:
     """e^{tA}f at each of the sorted times in one pass, a row per time.
 
     kernel applies the stochastic P = I + A/lam to f, one table or a stack
     (a trailing column axis).  P steps f up to the Poisson(lam t_max) order,
-    t_max the last time (Fox & Glynn, CACM 1988), and each step adds
-    w_t[k] P^k f into the row of each time; no power is kept.  The tail
-    beyond that order is monotone in t, so each row is certified at
+    t_max the horizon if one is given (at or after the last time; times may
+    then be empty), else the last time (Fox & Glynn, CACM 1988), and each
+    step adds w_t[k] P^k f into the row of each time; no power is kept.  The
+    tail beyond that order is monotone in t, so each row is certified at
     tol * ||f||_inf.  A rate >= 0 adds a row for the integral
     int_0^{t_max} e^{-rate s} e^{sA}f ds: term k weighs
     lam^k/(lam+rate)^{k+1} P(N >= k+1), N ~ Poisson((lam+rate) t_max)
@@ -213,12 +211,12 @@ def uniformized(kernel, f: np.ndarray, lam: float, times, tol: float,
     down, never as 1 - cumsum; it is certified at t_max * tol * ||f||_inf.
     At lam = 0 (no exit) the order is 0 and every row is f times its weight.
     """
-    times = [float(t) for t in times]
-    if not times or not all(0 <= s <= t < math.inf for s, t in zip([0.0] + times, times)):
-        raise ValueError(f"times must be finite, nonnegative and sorted, got {times}")
-    t_max = times[-1]
+    marks = [float(t) for t in times] + ([] if horizon is None else [float(horizon)])
+    if not marks or not all(0 <= s <= t < math.inf for s, t in zip([0.0] + marks, marks)):
+        raise ValueError(f"times must be finite, nonnegative and sorted, got {marks}")
+    t_max = marks[-1]
     kmax = linalg.poisson_truncation(lam * t_max, tol)
-    weights = [linalg.poisson_weights(lam * t, kmax) for t in times]
+    weights = [linalg.poisson_weights(lam * t, kmax) for t in marks[:len(times)]]
     if rate is not None:
         if not 0 <= rate < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {rate}")
@@ -243,11 +241,14 @@ def uniformized(kernel, f: np.ndarray, lam: float, times, tol: float,
 
 
 def exact_expectations(model: PercolationModel, F: SubsetFunction, v, times,
-                       tol: float = 1e-10, rate: float | None = None) -> np.ndarray:
+                       tol: float = 1e-10, rate: float | None = None,
+                       horizon: float | None = None) -> np.ndarray:
     """E_u[F(X_t)] at each of the sorted times, in one uniformized pass.
 
     Shape (len(times), rows), a stack keeping its column axis; a rate adds
-    the row of int_0^{t_max} e^{-rate s} E_u[F(X_s)] ds.  v=None gives all
+    the row of int_0^{t_max} e^{-rate s} E_u[F(X_s)] ds, t_max the last time
+    or a later horizon, so times=[] with a horizon gives that row alone.  The
+    integral row is bitwise the same either way.  v=None gives all
     2^n masks u in mask order; a start subset v gives its 2^(n-|v|)
     supersets u = v | w, w over the sites outside v in their bit order, so
     row 0 is v, at the largest exit rate over them (see _Engine).  Each time
@@ -257,7 +258,8 @@ def exact_expectations(model: PercolationModel, F: SubsetFunction, v, times,
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
     eng = _engine(model, 0 if v is None else SubsetState.of(v, model.n).mask)
-    return uniformized(eng.apply_kernel, F.values[eng.masks], eng.curve_lam, times, tol, rate)
+    return uniformized(eng.apply_kernel, F.values[eng.masks], eng.curve_lam, times, tol, rate,
+                       horizon)
 
 
 def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
@@ -276,84 +278,72 @@ def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 
-def _jump_chain(dense: np.ndarray, kappa: float, members: list) -> tuple:
-    """The jump chain's start as Python values: (start mask, start members,
-    zeroed start rates, kappa-scaled rows), the last two as float lists.
+def _jump_chain_chunk(gen: np.random.Generator, size: int, model: PercolationModel,
+                      members: list, t: float) -> np.ndarray:
+    """Terminal masks of `size` jump-chain paths from the members, in lockstep.
 
-    The rates keep numpy's order of operations: the start rows summed first,
-    in index order, and then times kappa, so a path's bits match the array
-    form rates = kappa * dense[inside].sum(axis=0).
+    With rows[i] = kappa * xi[i], a path's rate at a site outside it is its
+    start rows' column sum plus the rows of the sites that joined since.
+    Each round, the paths with a positive total rate draw
+    standard_exponential(live), clock += E / total, and those with
+    clock <= t draw random(live) and take the site where the row cumsum
+    first exceeds u * total, one total serving the clock and the search.
+    Each round adds a site, so at most n - |v| rounds run.
     """
-    rows = dense.tolist()
-    sums = [0.0] * len(rows)
-    for i in members:
-        sums = [a + b for a, b in zip(sums, rows[i])]
-    rates = [kappa * a for a in sums]
-    for i in members:
-        rates[i] = 0.0
-    return (sum(1 << i for i in members), tuple(members), rates,
-            [[kappa * a for a in row] for row in rows])
+    rows = model.kappa * model.xi.dense()
+    out = np.full(size, sum(1 << i for i in members), dtype=np.int64)
+    idx = np.arange(size)  # the running paths, whose rows the arrays below hold
+    acc = np.tile(rows[members].sum(axis=0), (size, 1))
+    clock = np.zeros(size)
+    while idx.size:
+        cs = np.cumsum(np.where(out[idx, None] >> np.arange(model.n) & 1, 0.0, acc), axis=1)
+        live = cs[:, -1] > 0.0  # a path without exit is absorbed
+        if not live.all():
+            idx, acc, clock, cs = (a[live] for a in (idx, acc, clock, cs))
+        total = cs[:, -1]
+        clock += gen.standard_exponential(idx.size) / total
+        live = clock <= t
+        if not live.all():
+            idx, acc, clock, cs, total = (a[live] for a in (idx, acc, clock, cs, total))
+        # u < total, so the search lands on a bin of positive rate
+        j = (cs <= (gen.random(idx.size) * total)[:, None]).sum(axis=1)
+        out[idx] |= np.left_shift(1, j)
+        acc += rows[j]
+    return out
 
 
-def _gillespie_run(chain: tuple, t: float, gen: np.random.Generator) -> int:
-    """Terminal mask of one jump-chain path; chain comes from _jump_chain.
+def _edge_clock_chunk(gen: np.random.Generator, size: int, model: PercolationModel,
+                      members: list, t: float) -> np.ndarray:
+    """Terminal masks of `size` edge-clock paths: first-passage balls of radius t.
 
-    Each event adds the joining site's scaled row, rates + kappa * dense[j]
-    elementwise, and re-zeroes the members.
+    The clocks are standard_exponential((size, E)) / rate over the E edges
+    i < j.  Dijkstra runs on all the paths in lockstep: each round a path
+    settles its nearest unsettled site, while that lies within t, and relaxes
+    the site's edges to dist + clock, so at most n rounds run.
     """
-    mask, inside, rates, rows = chain
-    inside = list(inside)
-    exponential, uniform = gen.exponential, gen.random
-    clock = 0.0
-    while True:
-        cs = list(accumulate(rates))
-        total = cs[-1]
-        if total <= 0.0:
-            return mask
-        clock += exponential(1.0 / total)
-        if clock > t:
-            return mask
-        # u < cs[-1], so the search lands on a bin of positive rate
-        j = bisect_right(cs, uniform() * total)
-        mask |= 1 << j
-        inside.append(j)
-        rates = [a + b for a, b in zip(rates, rows[j])]
-        for i in inside:
-            rates[i] = 0.0
-
-
-def _fpp_edges(model: PercolationModel):
-    """(neighbour, edge) adjacency lists and the mean clock 1/(kappa xi_ij) per edge."""
-    xi = model.xi
+    xi, n = model.xi, model.n
     upper = xi.ii < xi.jj
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(xi.n)]
-    for e, (a, b) in enumerate(zip(xi.ii[upper].tolist(), xi.jj[upper].tolist())):
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    return adj, 1.0 / (model.kappa * xi.vals[upper])
-
-
-def _fpp_run(adj: list, scale: np.ndarray, members: list, t: float,
-             gen: np.random.Generator) -> int:
-    """Terminal mask of one edge-clock path: Dijkstra from the sorted start members."""
-    # scale * Exp(1) is bitwise exponential(scale), without its per-call scale check
-    clocks = (gen.standard_exponential(scale.size) * scale).tolist()
-    dist = {i: 0.0 for i in members}
-    heap = [(0.0, i) for i in members]  # sorted, so already a heap
-    mask = 0  # the settled nodes
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > t:
-            return mask
-        if mask >> node & 1:
-            continue
-        mask |= 1 << node
-        for nbr, e in adj[node]:
-            nd = d + clocks[e]
-            if not mask >> nbr & 1 and nd < dist.get(nbr, math.inf):
-                dist[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
-    return mask
+    rate = model.kappa * xi.vals[upper]
+    clocks = gen.standard_exponential((size, rate.size))
+    clocks /= rate
+    edge = np.full((n, n), -1)  # the edge joining each pair of sites, -1 for none
+    edge[xi.ii[upper], xi.jj[upper]] = edge[xi.jj[upper], xi.ii[upper]] = np.arange(rate.size)
+    out = np.zeros(size, dtype=np.int64)  # the settled sites
+    idx = np.arange(size)  # the running paths, whose rows dist holds
+    dist = np.full((size, n), math.inf)
+    dist[:, members] = 0.0
+    while idx.size:
+        near = np.where(out[idx, None] >> np.arange(n) & 1, math.inf, dist)
+        node = near.argmin(axis=1)
+        near = near[np.arange(idx.size), node]
+        live = near <= t
+        idx, dist, node, near = idx[live], dist[live], node[live], near[live]
+        out[idx] |= np.left_shift(1, node)
+        if rate.size:  # a gather from no clocks would fail
+            e = edge[node]
+            step = np.where(e < 0, math.inf, clocks[idx[:, None], e])
+            dist = np.minimum(dist, near[:, None] + step)
+    return out
 
 
 def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
@@ -363,7 +353,10 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
     "gillespie" samples the jump chain; "fpp" grows the first-passage ball of
     independent edge clocks Exp(kappa * xi_ij), which for symmetric xi has the
     same law (the minimum of the relevant clocks is exponential in the total
-    rate and memoryless).  Path r uses the stream (seed, r).
+    rate and memoryless).  The paths run in chunks of rng.CHUNK, each chunk
+    in lockstep on its own stream (rng.chunk_streams), so the masks depend
+    on the seed and CHUNK.  Both methods draw a chunk's first exponentials
+    first, one per path, so on a single edge they draw the same variate.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
@@ -371,22 +364,22 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
         raise EngineTooLarge(f"terminal masks support n <= {MASK_LIMIT}")
     members = SubsetState.of(v, model.n).members
     if method == "gillespie":
-        dense = model.xi.dense()
         # every total rate is at most kappa * sum|xi| up to rounding, which the
         # factor covers; an infinite total would search past the last bin
-        if not math.isfinite(model.kappa * float(np.abs(dense).sum()) * (1.0 + 2.0 ** -20)):
+        if not math.isfinite(model.kappa * float(np.abs(model.xi.vals).sum()) * (1 + 2 ** -20)):
             raise ValueError("the jump chain needs a finite total rate kappa * sum(xi), "
                              f"got kappa = {model.kappa:.6g}")
-        chain = _jump_chain(dense, model.kappa, members)
-        run = lambda gen: _gillespie_run(chain, t, gen)
+        run = _jump_chain_chunk
     elif method == "fpp":
         if not model.xi.symmetric:
             raise NotApplicable("edge-clock growth needs a symmetric matrix")
-        adj, scale = _fpp_edges(model)
-        run = lambda gen: _fpp_run(adj, scale, members, t, gen)
+        run = _edge_clock_chunk
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    return np.array([run(stream(seed, r)) for r in range(reps)], dtype=np.int64)
+    out = np.empty(reps, dtype=np.int64)
+    for lo, hi, gen in chunk_streams(seed, reps):
+        out[lo:hi] = run(gen, hi - lo, model, members, t)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Deterministic random streams.
 
 Every stochastic routine in the package draws from a Philox counter-based
-generator keyed by (seed, stream index).  Stream i under seed s yields the
-same bit sequence no matter which block or call order touches it, so a
-result depends only on the seed, across platforms.
+generator keyed by (seed, stream index), so a result depends only on its
+inputs, across platforms.  Random instances draw from stream(seed), key
+(seed, 0).  The samplers (jump chain, edge clocks, SDE noise) run their
+paths in chunks of CHUNK, each in lockstep on one stream: chunk c draws from
+stream(seed, SAMPLER | c) (Salmon et al., SC 2011), the tag bit keeping it
+apart from the instance keys, so their results depend on the seed and CHUNK.
 
 A stream is keyed Philox with no entropy draw: stream(seed, r) gives the same
 bits as Generator(Philox(key=(seed, r))), the two key words taken modulo
 2^64, but hands Philox the key through a seed sequence instead of `key=`,
-which builds a SeedSequence from OS entropy only to discard it.  The
-samplers that draw from these streams keep numpy's summation order on their
-float lists (percolation._jump_chain), so seeded payloads are bitwise those
-of the numpy-array forms.
+which builds a SeedSequence from OS entropy only to discard it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Replications per block where a sampler materialises all of a block's draws
-# at once (the SDE noise tensor); bounds memory, never changes results.
+# Paths per sampler chunk, in lockstep on one stream: seeded results depend on it
 CHUNK = 4096
+SAMPLER = 1 << 63  # tag bit of the sampler chunk streams' indices
 
 
 @cache
@@ -63,3 +63,8 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 def chunk_ranges(total: int, size: int = CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
+def chunk_streams(seed: int, total: int) -> list[tuple[int, int, np.random.Generator]]:
+    """(lo, hi, stream(seed, SAMPLER | c)) for the chunks c of `total` sampler paths."""
+    return [(lo, hi, stream(seed, SAMPLER | c)) for c, (lo, hi) in enumerate(chunk_ranges(total))]

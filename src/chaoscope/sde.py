@@ -7,9 +7,10 @@ mean-field term vanishes identically, leaving pure noise) and row-stochastic
 xi with a common pairwise drift, where every coordinate solves one
 McKean-Vlasov equation approximated by the ensemble's own empirical law.
 
-Paths start at zero.  Replication r always draws its Brownian increments
-from the stream (seed, r), so terminal samples depend only on the seed, and
-particle/projection runs share noise when seeded alike.
+Paths start at zero.  Samples run in chunks of rng.CHUNK, and each chunk
+draws every step's Brownian increments for all its samples from its own
+stream (rng.chunk_streams), so terminal samples depend on the seed and CHUNK,
+and particle/projection runs share noise when seeded alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .matrix import InteractionMatrix
 from .percolation import NotApplicable
-from .rng import chunk_ranges, stream
+from .rng import chunk_streams
 
 STOCHASTIC_TOL = 1e-9
 
@@ -94,20 +95,18 @@ class SimConfig:
         return round(self.T / self.dt)
 
 
-def _draw_noise(lo: int, hi: int, steps: int, n: int, d: int, seed: int) -> np.ndarray:
-    out = np.empty((hi - lo, steps, n, d))
-    for r in range(lo, hi):
-        stream(seed, r).standard_normal(out=out[r - lo])
-    return out
+def _draw_noise(gen: np.random.Generator, size: int, steps: int, n: int, d: int) -> np.ndarray:
+    """One chunk's N(0, 1) increments, each step's for the whole chunk in turn."""
+    return gen.standard_normal((steps, size, n, d))
 
 
 def _step_block(noise: np.ndarray, cfg: SimConfig, interaction) -> np.ndarray:
     """Run Euler-Maruyama on one block of paths; interaction(t, x) -> drift."""
-    block, steps, n, d = noise.shape
+    steps, block, n, d = noise.shape
     x = np.zeros((block, n, d))
     root = cfg.sigma * math.sqrt(cfg.dt)
     for s in range(steps):
-        x = x + cfg.dt * interaction(s * cfg.dt, x) + root * noise[:, s]
+        x = x + cfg.dt * interaction(s * cfg.dt, x) + root * noise[s]
     return x
 
 
@@ -133,10 +132,10 @@ def simulate_particles(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig) 
     """Terminal samples of the coupled system, shape (samples, n*d)."""
     n, d = xi.n, drift.d
     interaction = _particle_interaction(xi, drift)
-    # one noise block at a time bounds memory at CHUNK samples
+    # one noise chunk at a time bounds memory at CHUNK samples
     out = np.concatenate([
-        _step_block(_draw_noise(lo, hi, cfg.steps, n, d, cfg.seed), cfg, interaction)
-        for lo, hi in chunk_ranges(cfg.samples)])
+        _step_block(_draw_noise(gen, hi - lo, cfg.steps, n, d), cfg, interaction)
+        for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples)])
     return out.reshape(cfg.samples, n * d)
 
 
@@ -169,7 +168,9 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
             out[:, i, :] = drift.mean_field(t, x[:, i, :], x[:, i, :])
         return out
 
-    noise = _draw_noise(0, cfg.samples, cfg.steps, n, d, cfg.seed)
+    noise = np.empty((cfg.steps, cfg.samples, n, d))  # one chunk's draws at a time on top
+    for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples):
+        noise[:, lo:hi] = _draw_noise(gen, hi - lo, cfg.steps, n, d)
     return _step_block(noise, cfg, mean_field).reshape(cfg.samples, n * d)
 
 

@@ -120,6 +120,37 @@ def test_growth_bound_h0_shares_one_curve():
             percolation_entropy_bound(model, None, c, H0=bad)
 
 
+def test_growth_bound_asks_for_the_integral_row_alone(monkeypatch):
+    # without H0 the bound's pass forms no value row at T, and its integral
+    # row is bitwise the one formed next to that row
+    xi = random_matrices(1, seed=73, n_lo=6, n_hi=6)[0]
+    c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7, eta=0.05)
+    model = PercolationModel(xi, c.rate_scale())
+    shapes = []
+
+    def recording(*args, **kwargs):
+        out = exact_expectations(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(bounds, "exact_expectations", recording)
+    for use_chat in (False, True):
+        spec = ("chat", {"constants": c, "h3": 0.8}) if use_chat else ("C", {"constants": c})
+        cost = functional_table(spec, xi)
+        for uniform in (False, True):
+            rate = c.discount_rate() if uniform else 0.0
+            for v in (None, [0], [1, 4]):
+                alone = exact_expectations(model, cost, v, [], 1e-10, rate, horizon=c.T)
+                both = exact_expectations(model, cost, v, [c.T], 1e-10, rate)
+                assert alone.shape == (1,) + both.shape[1:]
+                assert np.array_equal(alone[0], both[1])
+                shapes.clear()
+                got = percolation_entropy_bound(model, v, c, use_chat=use_chat, h3=0.8,
+                                                uniform=uniform)
+                assert shapes == [alone.shape]
+                assert np.array_equal(got, both[1] if v is None else both[1, 0])
+
+
 def test_growth_bound_runs_on_the_up_set(monkeypatch):
     # a start subset v runs on its 2^(n-|v|) supersets; the full lattice's row
     # v agrees within the certificate, T * 1e-10 * max|C| (+ 1e-10 * max|H0|)

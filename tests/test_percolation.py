@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from chaoscope import percolation
 from chaoscope.bounds import ModelConstants
 from chaoscope.matrix import (C_of_v, Chat_of_v, InteractionMatrix, MatrixError,
                               SubsetState, build_mean_field, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction, _engine,
-                                   _gillespie_run, _jump_chain, exact_expectation,
+                                   exact_expectation,
                                    exact_expectations, expectation_bound,
                                    expectation_bounds, functional_table,
                                    functional_values, generator_apply,
                                    lemma_rhs, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
                                    yule_second_moment)
-from chaoscope.rng import stream
+from chaoscope.rng import chunk_streams, stream
 from chaoscope.verify import random_substochastic, run_suite
 
 from conftest import random_matrices
@@ -261,16 +262,16 @@ def test_subset_function_shapes():
 
 
 class _TopDraws:
-    """Stub generator: unit holding times and the largest uniform below 1."""
+    """Stub chunk stream: unit exponentials and the largest uniform below 1."""
 
-    def exponential(self, scale):
-        return 1.0
+    def standard_exponential(self, size):
+        return np.ones(size)
 
-    def random(self):
-        return 1.0 - 2.0 ** -53
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
 
 
-def test_gillespie_top_uniform_stays_in_range():
+def test_gillespie_top_uniform_stays_in_range(monkeypatch):
     # a row whose pairwise sum exceeds its last cumulative sum: scaling the
     # top uniform by the pairwise total used to search past the last bin
     row = stream(3).random(31)
@@ -278,8 +279,12 @@ def test_gillespie_top_uniform_stays_in_range():
     assert row.sum() > np.cumsum(row)[-1]
     dense = np.zeros((31, 31))
     dense[0] = row
-    mask = _gillespie_run(_jump_chain(dense, 1.0, [0]), 1.5, _TopDraws())
-    assert mask == 1 | 1 << 30
+    monkeypatch.setattr(percolation, "chunk_streams",
+                        lambda seed, total: [(0, total, _TopDraws())])
+    # the clock gains 1 / total per event, so it passes t at the second event
+    t = 1.5 / np.cumsum(row)[-1]
+    model = PercolationModel(InteractionMatrix.from_dense(dense), 1.0)
+    assert terminal_masks(model, [0], t, reps=3, seed=0).tolist() == [1 | 1 << 30] * 3
 
 
 def _benchmark_directed16(tmp_path) -> InteractionMatrix:
@@ -388,9 +393,12 @@ def test_fpp_masks_are_first_passage_balls():
     v, t = [0, 4], 0.6
     masks = terminal_masks(PercolationModel(xi, 1.3), v, t, reps=60, seed=9, method="fpp")
     upper = xi.ii < xi.jj
+    # the one chunk's clocks, a row per path
+    ((_, _, gen),) = chunk_streams(9, 60)
+    clocks = gen.standard_exponential((60, int(upper.sum()))) / (1.3 * xi.vals[upper])
     for r, mask in enumerate(masks.tolist()):
         graph = np.zeros((9, 9))
-        graph[xi.ii[upper], xi.jj[upper]] = stream(9, r).exponential(1.0 / (1.3 * xi.vals[upper]))
+        graph[xi.ii[upper], xi.jj[upper]] = clocks[r]
         dist = dijkstra(graph, directed=False, indices=v, min_only=True)
         assert mask == sum(1 << i for i in range(9) if dist[i] <= t)
     assert len(set(masks.tolist())) > 10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaoscope.rng import CHUNK, _key_type, chunk_ranges, stream
+from chaoscope.rng import CHUNK, SAMPLER, _key_type, chunk_ranges, chunk_streams, stream
 
 
 def test_stream_is_keyed_by_seed_and_index():
@@ -20,6 +20,20 @@ def test_chunk_ranges_cover_total_exactly():
     assert ranges[-1] == (2 * CHUNK, 2 * CHUNK + 7)
     assert sum(hi - lo for lo, hi in ranges) == 2 * CHUNK + 7
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))  # in order, no gaps
+
+
+def test_sampler_chunks_draw_apart_from_instance_streams():
+    # `--n N` and `--er N p` build their matrix from stream(seed), key
+    # (seed, 0); the samplers' chunk 0 must not replay those draws
+    for seed in (0, 5, 2**64 - 1):
+        streams = chunk_streams(seed, 2 * CHUNK + 1)
+        assert [(lo, hi) for lo, hi, _ in streams] == chunk_ranges(2 * CHUNK + 1)
+        first = [gen.random(8) for _, _, gen in streams]
+        assert not np.array_equal(first[0], stream(seed).random(8))
+        for c, got in enumerate(first):
+            assert np.array_equal(got, stream(seed, SAMPLER | c).random(8))
+            assert not np.array_equal(got, stream(seed, c).random(8))
+        assert chunk_streams(seed, 0) == []
 
 
 

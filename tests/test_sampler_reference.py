@@ -1,76 +1,27 @@
-"""The samplers against frozen reference copies of their numpy forms.
+"""The chunked samplers against the exact law, and their stream contract.
 
-The float-list jump chain, the edge clocks drawn as standard_exponential *
-scale and the in-place noise fill must reproduce these array forms bit for
-bit, so that seeded payloads never move.  The references are kept verbatim:
-do not optimise them.
+The jump chain and the edge clocks must sample the growth process's law:
+their empirical distribution over all 2^n masks is held to the exact
+engine's, the stacked indicator table pushed through exact_expectations.
+The SDE noise must be the chunk contract's, bit for bit: the increments of
+sample r come from its chunk's stream, step by step, each step's noise drawn
+for the whole chunk.
 """
-
-import heapq
-import math
 
 import numpy as np
 import pytest
 
-from chaoscope.matrix import InteractionMatrix
-from chaoscope.percolation import (PercolationModel, _fpp_edges, _gillespie_run,
-                                   _jump_chain, terminal_masks)
-from chaoscope.rng import CHUNK, stream
-from chaoscope.sde import _draw_noise
+from chaoscope.matrix import InteractionMatrix, SubsetState, build_mean_field
+from chaoscope.percolation import (PercolationModel, SubsetFunction, exact_expectations,
+                                   terminal_masks)
+from chaoscope.rng import CHUNK, SAMPLER, stream
+from chaoscope.sde import DriftSpec, SimConfig, simulate_particles, simulate_projection
 from chaoscope.verify import random_substochastic
 
 KAPPA = 1.3
 STARTS = ([0], [0, 2, 5])
-
-
-def reference_gillespie_run(dense, kappa, members, t, gen):
-    mask = sum(1 << i for i in members)
-    inside = np.zeros(dense.shape[0], dtype=bool)
-    inside[members] = True
-    rates = kappa * dense[inside].sum(axis=0)
-    rates[inside] = 0.0
-    clock = 0.0
-    while True:
-        cs = rates.cumsum()
-        total = cs[-1]
-        if total <= 0.0:
-            return mask
-        clock += gen.exponential(1.0 / total)
-        if clock > t:
-            return mask
-        u = gen.random() * total
-        j = int(np.searchsorted(cs, u, side="right"))
-        mask |= 1 << j
-        inside[j] = True
-        rates = rates + kappa * dense[j]
-        rates[inside] = 0.0
-
-
-def reference_fpp_run(adj, scale, members, t, gen):
-    clocks = gen.exponential(scale).tolist()
-    dist = {i: 0.0 for i in members}
-    heap = [(0.0, i) for i in members]
-    mask = 0
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > t:
-            return mask
-        if mask >> node & 1:
-            continue
-        mask |= 1 << node
-        for nbr, e in adj[node]:
-            nd = d + clocks[e]
-            if not mask >> nbr & 1 and nd < dist.get(nbr, math.inf):
-                dist[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
-    return mask
-
-
-def reference_draw_noise(lo, hi, steps, n, d, seed):
-    out = np.empty((hi - lo, steps, n, d))
-    for r in range(lo, hi):
-        out[r - lo] = stream(seed, r).standard_normal((steps, n, d))
-    return out
+LAW_REPS = 50_000
+TV_GATE = 0.02
 
 
 def _directed(n, seed):
@@ -86,65 +37,97 @@ def _symmetric(n, seed):
     return xi
 
 
-def _paths(run, reps, seed):
-    return np.array([run(stream(seed, r)) for r in range(reps)], dtype=np.int64)
-
-
-class _Logged:
-    """A stream that logs the scale of every exponential draw: 1 / total rate."""
-
-    def __init__(self, gen):
-        self.gen, self.scales = gen, []
-
-    def exponential(self, scale):
-        self.scales.append(scale)
-        return self.gen.exponential(scale)
-
-    def random(self):
-        return self.gen.random()
-
-
-def _logged_paths(run, reps, seed):
-    """Terminal masks and the bytes of every path's total rates, event by event."""
-    masks, scales = [], []
-    for r in range(reps):
-        gen = _Logged(stream(seed, r))
-        masks.append(run(gen))
-        scales += gen.scales
-    return masks, np.array(scales).tobytes()
-
-
-@pytest.mark.parametrize("n", [9, 48])
-@pytest.mark.parametrize("v", STARTS)
-def test_jump_chain_matches_reference_bitwise(n, v):
-    xi = _directed(n, 40 + n)
+def _tv_to_exact(xi, v, t, method, seed):
+    """TV distance between the sampled and the exact law of X_t over all masks."""
+    n = xi.n
     model = PercolationModel(xi, KAPPA)
-    dense = xi.dense()
-    chain = _jump_chain(dense, KAPPA, v)
-    for t, reps in ((0.7, 300), (4.0, 100)):
-        want = _logged_paths(lambda g: reference_gillespie_run(dense, KAPPA, v, t, g), reps, 7)
-        assert _logged_paths(lambda g: _gillespie_run(chain, t, g), reps, 7) == want
-        assert np.array_equal(terminal_masks(model, v, t, reps, 7, method="gillespie"),
-                              want[0])
-        assert len(set(want[0])) > 3  # the paths do jump
+    law = exact_expectations(model, SubsetFunction(np.eye(1 << n), n), v, [t])[0, 0]
+    masks = terminal_masks(model, v, t, LAW_REPS, seed, method=method)
+    empirical = np.bincount(masks, minlength=1 << n) / LAW_REPS
+    assert abs(law.sum() - 1.0) <= 1e-9
+    assert len(set(masks.tolist())) > 3  # the paths do jump
+    return 0.5 * float(np.abs(empirical - law).sum())
 
 
+@pytest.mark.parametrize("t", [0.7, 4.0])
 @pytest.mark.parametrize("v", STARTS)
-def test_edge_clocks_match_reference_bitwise(v):
-    xi = _symmetric(9, 60)
-    model = PercolationModel(xi, KAPPA)
-    adj, scale = _fpp_edges(model)
-    for t, reps in ((0.7, 300), (4.0, 100)):
-        want = _paths(lambda g: reference_fpp_run(adj, scale, v, t, g), reps, 8)
-        got = terminal_masks(model, v, t, reps, 8, method="fpp")
-        assert np.array_equal(got, want)
-        assert len(set(want.tolist())) > 3
+def test_jump_chain_law_matches_exact(v, t):
+    assert _tv_to_exact(_directed(6, 46), v, t, "gillespie", 7) <= TV_GATE
+
+
+@pytest.mark.parametrize("t", [0.7, 4.0])
+@pytest.mark.parametrize("v", STARTS)
+def test_edge_clock_law_matches_exact(v, t):
+    assert _tv_to_exact(_symmetric(6, 60), v, t, "fpp", 8) <= TV_GATE
+
+
+def test_jump_chain_holding_law_beyond_the_exact_engine():
+    # at n = 48 a path stays at v up to t with probability exp(-total * t),
+    # total = kappa * sum_{i in v, j not in v} xi_ij
+    xi = _directed(48, 47)
+    v = [0, 40]
+    total = KAPPA * xi.dense()[v].sum(axis=0)[[j for j in range(48) if j not in v]].sum()
+    t = 0.7 / total
+    masks = terminal_masks(PercolationModel(xi, KAPPA), v, t, LAW_REPS, 6)
+    start = SubsetState.of(v, 48).mask
+    stay = float(np.mean(masks == start))
+    p = np.exp(-total * t)
+    assert abs(stay - p) <= 4.0 * np.sqrt(p * (1.0 - p) / LAW_REPS)
+    assert np.all(masks & start == start) and (masks >> 32).any()
+
+
+@pytest.mark.parametrize("method", ["gillespie", "fpp"])
+def test_chunks_cover_any_number_of_paths(method):
+    model = PercolationModel(_symmetric(6, 61), KAPPA)
+    start = SubsetState.of([0, 3], 6).mask
+    whole = terminal_masks(model, [0, 3], 0.8, CHUNK + 3, 5, method=method)
+    assert whole.shape == (CHUNK + 3,) and whole.dtype == np.int64
+    # every path keeps its start subset
+    assert np.all(whole & start == start) and len(set(whole.tolist())) > 3
+    # a chunk's paths depend on its stream alone, not on the paths after it
+    assert np.array_equal(whole[:CHUNK], terminal_masks(model, [0, 3], 0.8, CHUNK, 5, method))
+    few = terminal_masks(model, [0, 3], 0.8, 7, 5, method=method)
+    assert few.shape == (7,) and np.all(few & start == start)
+    assert np.array_equal(few, terminal_masks(model, [0, 3], 0.8, 7, 5, method=method))
+    assert terminal_masks(model, [0, 3], 0.8, 0, 5, method=method).shape == (0,)
+
+
+@pytest.mark.parametrize("method", ["gillespie", "fpp"])
+def test_paths_without_exit_or_time_stay_at_the_start(method):
+    # the full set and a zero matrix have total rate 0 from the start, and
+    # at t = 0 nothing has joined
+    full = list(range(5))
+    zero = InteractionMatrix.from_dense(np.zeros((5, 5)))
+    cases = [(_symmetric(5, 62), full, 2.0), (zero, [1, 3], 2.0), (_symmetric(5, 62), [2], 0.0)]
+    for xi, v, t in cases:
+        masks = terminal_masks(PercolationModel(xi, KAPPA), v, t, CHUNK + 3, 4, method=method)
+        assert masks.tolist() == [SubsetState.of(v, 5).mask] * (CHUNK + 3), (v, t)
+
+
+def reference_noise(samples, steps, n, d, seed):
+    """Increments of every sample, shape (steps, samples, n, d), drawn step
+    by step from each chunk's stream, each step for the whole chunk."""
+    out = np.empty((steps, samples, n, d))
+    for c, lo in enumerate(range(0, samples, CHUNK)):
+        hi = min(lo + CHUNK, samples)
+        gen = stream(seed, SAMPLER | c)
+        for s in range(steps):
+            out[s, lo:hi] = gen.standard_normal((hi - lo, n, d))
+    return out
 
 
 def test_noise_matches_reference_bitwise():
-    samples = CHUNK + 3
-    want = reference_draw_noise(0, samples, 3, 2, 2, 9)
-    got = _draw_noise(0, samples, 3, 2, 2, 9)
-    assert got.tobytes() == want.tobytes()
-    # a block that starts past zero fills its own rows from their own streams
-    assert _draw_noise(CHUNK, samples, 3, 2, 2, 9).tobytes() == want[CHUNK:].tobytes()
+    cfg = SimConfig(dt=0.25, T=0.75, samples=CHUNK + 3, seed=9)
+    noise = reference_noise(cfg.samples, cfg.steps, 2, 1, cfg.seed)
+    # under zero drift each sample is the running sum of its scaled increments
+    want = np.zeros((cfg.samples, 2, 1))
+    for s in range(cfg.steps):
+        want = want + cfg.sigma * np.sqrt(cfg.dt) * noise[s]
+    zero = InteractionMatrix.from_dense(np.zeros((2, 2)))
+    got = simulate_particles(zero, DriftSpec.zero(), cfg)
+    assert got.tobytes() == want.reshape(cfg.samples, 2).tobytes()
+    # the McKean-Vlasov projection runs unchunked on the same increments: with
+    # a mean field of zero it is the zero-drift particle run, byte for byte
+    still = DriftSpec("still", b=lambda t, x, y: 0.0 * x,
+                      mean_field=lambda t, x, pool: np.zeros_like(x))
+    assert simulate_projection(build_mean_field(2), still, cfg).tobytes() == got.tobytes()
