@@ -17,7 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .matrix import InteractionMatrix, SubsetState, indicators, lattice, _frozen
+from .matrix import (ROW_SUM_RTOL, InteractionMatrix, SubsetState, indicators, lattice,
+                     _frozen)
 from .rng import chunk_ranges, stream
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -235,7 +236,7 @@ def clique_lower(xi: InteractionMatrix, v, T: float):
 
 def max_upper(model: GaussianModel, v):
     """e^{10 rho T} delta^2 |v|^2; needs row sums <= 1.  v=None: every mask."""
-    if float(model.xi.row_sums.max(initial=0.0)) > 1.0 + 1e-12:
+    if float(model.xi.row_sums.max(initial=0.0)) > 1.0 + ROW_SUM_RTOL:
         raise ValueError("max_upper needs row sums <= 1")
     sizes = lattice(model.n)[1] if v is None else float(SubsetState.of(v, model.n).size)
     return math.exp(10.0 * model.rho * model.T) * model.xi.delta ** 2 * sizes ** 2

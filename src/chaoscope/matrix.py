@@ -95,12 +95,6 @@ class Graph:
         n = declared_n if declared_n is not None else (max(max(e) for e in edges) + 1 if edges else 1)
         return cls(n=n, edges=tuple(edges))
 
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"{self.n}\n")
-            for u, v in self.edges:
-                fh.write(f"{u} {v}\n")
-
 
 @dataclass(frozen=True)
 class SubsetState:
@@ -313,19 +307,6 @@ def sample_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph(n=n, edges=tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
 
 
-def build_rank_one(alpha, beta) -> InteractionMatrix:
-    """xi[i, j] = alpha[i] * beta[j] off the diagonal."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if alpha.shape != beta.shape or alpha.ndim != 1:
-        raise MatrixError("alpha and beta must be equal-length vectors")
-    if (alpha < 0).any() or (beta < 0).any():
-        raise MatrixError("alpha and beta must be nonnegative")
-    a = np.outer(alpha, beta)
-    np.fill_diagonal(a, 0.0)
-    return InteractionMatrix.from_dense(a)
-
-
 def build_sequential(n: int) -> InteractionMatrix:
     """Row i averages its predecessors: xi[i, j] = 1/i for j < i (0-based)."""
     if n < 2:
@@ -388,13 +369,6 @@ def p_xi(xi: InteractionMatrix) -> float:
     return cubic + float(np.sum((r2 + c2) ** 2))
 
 
-def _nonempty(xi: InteractionMatrix, v, name: str) -> SubsetState:
-    v = SubsetState.of(v, xi.n)
-    if v.size == 0:
-        raise MatrixError(f"{name} needs a nonempty subset")
-    return v
-
-
 def _squares_within(xi: InteractionMatrix, ind: np.ndarray) -> float:
     """sum_{i,j in v} xi_ij^2."""
     inside = ind[xi.ii].astype(bool) & ind[xi.jj].astype(bool)
@@ -407,7 +381,9 @@ def q_xi(xi: InteractionMatrix, v) -> float:
     The middle block uses sum_{i,j in v}(xi^T xi)_ij = |xi 1_v|^2 (and the
     transpose twin), so no n x n product is ever formed.
     """
-    v = _nonempty(xi, v, "q_xi")
+    v = SubsetState.of(v, xi.n)
+    if v.size == 0:
+        raise MatrixError("q_xi needs a nonempty subset")
     k, ind = v.size, indicators([v.mask], xi.n)[0]
     sq = _squares_within(xi, ind)
     gram = float(np.sum(xi.matvec(ind) ** 2) + np.sum(xi.rmatvec(ind) ** 2))
@@ -455,16 +431,6 @@ def cost_values(xi: InteractionMatrix, masks, constants, h3: float | None = None
     if h3 is None:
         return constants.M / sig2 * rows
     return math.sqrt(constants.gamma * constants.M * h3) / sig2 * rows + constants.M / sig2 * squares
-
-
-def C_of_v(xi: InteractionMatrix, v, constants) -> float:
-    """C at one nonempty subset v: a one-row slice of cost_values."""
-    return float(cost_values(xi, [_nonempty(xi, v, "C_of_v").mask], constants)[0])
-
-
-def Chat_of_v(xi: InteractionMatrix, v, constants, h3: float) -> float:
-    """C-hat at one nonempty subset v: a one-row slice of cost_values."""
-    return float(cost_values(xi, [_nonempty(xi, v, "Chat_of_v").mask], constants, h3)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -404,13 +404,10 @@ def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
 
     spec is a family name of FAMILIES, alone for the size families or as a
     (name, payload) pair whose payload carries x (linear kinds) or G
-    (quadratic kinds); a ("C" or "chat", payload) pair with constants and h3;
-    or a callable SubsetState -> float.
+    (quadratic kinds); or a ("C" or "chat", payload) pair with constants and h3.
     """
     n = xi.n
     masks = np.asarray(masks, dtype=np.int64)
-    if callable(spec):
-        return np.array([float(spec(SubsetState(m, n))) for m in masks.tolist()])
     if isinstance(spec, str):
         name, payload = spec, {}
     else:
@@ -620,12 +617,11 @@ def yule_second_moment(k: int, rate: float, t: float) -> float:
 
 def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
                                 power=2, tol: float = 1e-12) -> float:
-    """Exact E[f(|X_t|)] under all-to-all coupling 1/(n-1), |X_0| = k0.
+    """Exact E[|X_t|^power] under all-to-all coupling 1/(n-1), |X_0| = k0.
 
     Valid for the exchangeable matrix only: there |X_t| is itself a birth
     chain with rate kappa * k(n-k)/(n-1), so the (n+1)-state chain replaces
-    the 2^n subset engine and any n is cheap.  power is an exponent for
-    f(k) = k^power, or a callable applied to the size vector 0..n.
+    the 2^n subset engine and any n is cheap.
     """
     if n < 2 or not 1 <= k0 <= n:
         raise ValueError(f"need n >= 2 and 1 <= k0 <= n, got n={n}, k0={k0}")
@@ -636,7 +632,6 @@ def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
     ks = np.arange(n + 1, dtype=float)
     birth = kappa * ks * (n - ks) / (n - 1)
     lam = float(birth.max())
-    f = np.asarray(power(ks), dtype=float) if callable(power) else ks ** power
     # birth[n] = 0 keeps the full state absorbing under the wrap-around roll
     kernel = lambda cur: cur + (birth * (np.roll(cur, -1) - cur)) / lam
-    return float(uniformized(kernel, f, lam, [t], tol)[0, k0])
+    return float(uniformized(kernel, ks ** power, lam, [t], tol)[0, k0])

@@ -174,31 +174,6 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     return _step_block(noise, cfg, mean_field).reshape(cfg.samples, n * d)
 
 
-def gaussian_entropy_from_samples(samples: np.ndarray, v, T: float,
-                                  shrinkage: float = 1e-8) -> float:
-    """Plug the empirical covariance into the spectral entropy formula.
-
-    Meaningful for linear-drift samples only, where the law is centered
-    Gaussian; shrinkage * I keeps the estimate positive definite.
-    """
-    from .gaussian import InvalidCovariance, h
-    from .matrix import SubsetState
-
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[1]
-    v = SubsetState.of(v, n)
-    if v.size == 0:
-        raise ValueError("v must be nonempty")
-    if samples.shape[0] < 10 * v.size ** 2:
-        raise ValueError("need at least 10 |v|^2 samples")
-    sub = samples[:, v.members]
-    cov = np.atleast_2d(np.cov(sub, rowvar=False)) + shrinkage * np.eye(v.size)
-    lam = np.linalg.eigvalsh(cov / T - np.eye(v.size))
-    if (lam <= -1.0).any():
-        raise InvalidCovariance("empirical covariance is not positive definite")
-    return 0.5 * float(h(lam).sum())
-
-
 def save_samples(samples: np.ndarray, path):
     with open(path, "w") as fh:
         for row in np.atleast_2d(samples):

@@ -73,18 +73,15 @@ class _Slack:
         return [Check(name, s >= -tol, s) for name, s in sorted(self.worst.items())]
 
 
-def random_substochastic(n: int, gen: np.random.Generator,
-                         columns: bool = True) -> InteractionMatrix:
-    """Random nonnegative zero-diagonal matrix with row (and column) sums <= 1."""
+def random_substochastic(n: int, gen: np.random.Generator) -> InteractionMatrix:
+    """Random nonnegative zero-diagonal matrix with row and column sums <= 1."""
     if n < 1:
         raise MatrixError("random substochastic matrix needs n >= 1")
     d = gen.random((n, n))
     d[gen.random((n, n)) < 0.3] = 0.0  # mix in sparsity
     np.fill_diagonal(d, 0.0)
     target = float(gen.uniform(0.3, 1.0))
-    worst = d.sum(axis=1).max()
-    if columns:
-        worst = max(worst, d.sum(axis=0).max())
+    worst = max(d.sum(axis=1).max(), d.sum(axis=0).max())
     if worst > 0:
         d *= target / worst
     return InteractionMatrix.from_dense(d)
@@ -143,7 +140,8 @@ _EXPECTATION_T = (0.1, 0.5, 1.0, 2.0)
 
 
 def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
-    """exact E_v[F(X_t)] <= closed-form bound, all eight families, t grid."""
+    """exact E_v[F(X_t)] <= closed-form bound, all eight families, t grid;
+    and, once per call, the Yule domination of the mean-field second moment."""
     agg = _Slack()
     for gen, xi, kappa in _ensemble(instances, seed):
         n = xi.n
@@ -155,6 +153,12 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         slack = bounds - exact
         for k, fam in enumerate(perc.FAMILIES):
             agg.add(f"expectations.{fam}", slack[..., k])
+    # all-to-all coupling on 20 sites: the exact growth second moment never
+    # exceeds the pure-birth chain started at the same size
+    agg.add("expectations.yule-dominates",
+            [perc.yule_second_moment(k0, kappa, t) * (1.0 + 1e-12)
+             - perc.mean_field_size_expectation(20, kappa, k0, t, power=2)
+             for kappa in (0.5, 1.0) for k0 in range(1, 7) for t in (0.25, 1.0, 4.0)])
     return SuiteResult("expectations", seed, instances, agg.checks())
 
 
@@ -314,20 +318,19 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
 
 _SUITE_FN = {"generator": generator_suite, "expectations": expectations_suite,
              "gaussian": gaussian_suite, "bounds": bounds_suite}
-_DEFAULT_INSTANCES = {"generator": 50, "expectations": 50,
-                      "gaussian": 100, "bounds": 25}
 
 
 def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[SuiteResult]:
     if instances is not None and instances < 1:
         raise ValueError("instances must be >= 1")
     names = SUITES if name == "all" else (name,)
+    # no count given: each suite runs its own instances= default
+    count = {} if instances is None else {"instances": instances}
     out = []
     for nm in names:
         if nm not in _SUITE_FN:
             raise ValueError(f"unknown suite {nm!r}; pick from {SUITES + ('all',)}")
-        count = instances if instances is not None else _DEFAULT_INSTANCES[nm]
-        out.append(_SUITE_FN[nm](count, seed))
+        out.append(_SUITE_FN[nm](seed=seed, **count))
     return out
 
 

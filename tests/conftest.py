@@ -11,12 +11,12 @@ def gen():
     return stream(20250815)
 
 
-def random_matrices(count, seed, n_lo=2, n_hi=8, columns=True):
+def random_matrices(count, seed, n_lo=2, n_hi=8):
     g = stream(seed)
     out = []
     for _ in range(count):
         n = int(g.integers(n_lo, n_hi + 1))
-        out.append(random_substochastic(n, g, columns=columns))
+        out.append(random_substochastic(n, g))
     return out
 
 

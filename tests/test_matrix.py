@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoscope.matrix import (C_of_v, Chat_of_v, Graph, InteractionMatrix,
-                              MatrixError, SubsetState, build_mean_field,
-                              build_random_walk, build_rank_one,
-                              build_sequential, indicators, lattice,
-                              load_matrix, p_xi, q_xi, sample_erdos_renyi,
-                              save_matrix, step_pairs, validate)
+from chaoscope.matrix import (Graph, InteractionMatrix, MatrixError,
+                              SubsetState, build_mean_field, build_random_walk,
+                              build_sequential, cost_values, indicators,
+                              lattice, load_matrix, p_xi, q_xi,
+                              sample_erdos_renyi, save_matrix, step_pairs,
+                              validate)
 from chaoscope.rng import stream
 
 from conftest import random_matrices
@@ -53,17 +53,6 @@ def test_sequential_rows():
         assert np.all(d[i, i:] == 0.0)
     assert np.all(d[0] == 0.0)
     assert validate(xi).ok
-
-
-def test_rank_one():
-    alpha = np.array([0.2, 0.3, 0.1])
-    beta = np.array([0.5, 1.0, 0.7])
-    xi = build_rank_one(alpha, beta)
-    d = xi.dense()
-    for i in range(3):
-        for j in range(3):
-            want = 0.0 if i == j else alpha[i] * beta[j]
-            assert d[i, j] == pytest.approx(want)
 
 
 def test_erdos_renyi_determinism_and_range():
@@ -132,10 +121,11 @@ def test_setwise_functionals_at_high_bits():
             + xi.delta ** 2 * v.size)
         assert q_xi(xi, v) == pytest.approx(brute_q, rel=1e-12, abs=1e-15)
         brute_c = c.M / c.sigma ** 2 * float((sub.sum(axis=1) ** 2).sum())
-        assert C_of_v(xi, v, c) == pytest.approx(brute_c, rel=1e-12, abs=1e-15)
+        assert cost_values(xi, [v.mask], c)[0] == pytest.approx(brute_c, rel=1e-12, abs=1e-15)
         brute_chat = (math.sqrt(c.gamma * c.M * 0.8) / c.M) * brute_c
         brute_chat += c.M / c.sigma ** 2 * float((sub ** 2).sum())
-        assert Chat_of_v(xi, v, c, 0.8) == pytest.approx(brute_chat, rel=1e-12, abs=1e-15)
+        assert cost_values(xi, [v.mask], c, 0.8)[0] == pytest.approx(
+            brute_chat, rel=1e-12, abs=1e-15)
 
 
 def test_lattice_rows_are_subset_indicators():
@@ -194,7 +184,7 @@ def test_C_of_v_brute_force():
             mem = v.members
             brute = c.M / c.sigma ** 2 * sum(
                 d[i, mem].sum() ** 2 for i in mem)
-            assert C_of_v(xi, v, c) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+            assert cost_values(xi, [mask], c)[0] == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_Chat_of_v_brute_force():
@@ -208,7 +198,7 @@ def test_Chat_of_v_brute_force():
         lead = math.sqrt(c.gamma * c.M * h3) / c.sigma ** 2
         brute = lead * sum(d[i, mem].sum() ** 2 for i in mem)
         brute += c.M / c.sigma ** 2 * float((d ** 2).sum())
-        assert Chat_of_v(xi, v, c, h3) == pytest.approx(brute, rel=1e-12)
+        assert cost_values(xi, [v.mask], c, h3)[0] == pytest.approx(brute, rel=1e-12)
 
 
 def test_chat_reduces_to_squares_when_h3_zero():
@@ -218,7 +208,7 @@ def test_chat_reduces_to_squares_when_h3_zero():
     d = xi.dense()
     mem = [0, 1, 2]
     want = c.M / c.sigma ** 2 * float((d[np.ix_(mem, mem)] ** 2).sum())
-    assert Chat_of_v(xi, v, c, 0.0) == pytest.approx(want, rel=1e-12)
+    assert cost_values(xi, [v.mask], c, 0.0)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_save_load_roundtrip_json(tmp_path):
@@ -255,11 +245,11 @@ def test_load_rejects_malformed_json(tmp_path):
 
 
 def test_graph_file_roundtrip_and_errors(tmp_path):
-    g = Graph(n=6, edges=((0, 1), (2, 3)))
+    # a leading single integer declares n, past the largest vertex
     path = tmp_path / "g.txt"
-    g.to_file(path)
+    path.write_text("6\n0 1\n2 3\n")
     back = Graph.from_file(path)
-    assert back.n == 6 and back.edges == g.edges
+    assert back == Graph(n=6, edges=((0, 1), (2, 3)))
 
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n2 3 4\n")

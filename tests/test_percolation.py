@@ -8,8 +8,8 @@ import scipy.linalg
 
 from chaoscope import percolation
 from chaoscope.bounds import ModelConstants
-from chaoscope.matrix import (C_of_v, Chat_of_v, InteractionMatrix, MatrixError,
-                              SubsetState, build_mean_field, indicators, lattice)
+from chaoscope.matrix import (InteractionMatrix, MatrixError, SubsetState,
+                              build_mean_field, cost_values, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction, _engine,
                                    exact_expectation,
@@ -311,7 +311,8 @@ def test_cost_tables_equal_per_mask_slices(tmp_path):
         masks = np.arange(1, 1 << n) if n <= 10 else np.unique(np.concatenate(
             (g.integers(1, 1 << n, 3000), 1 << np.arange(n), [(1 << n) - 1])))
         members = [SubsetState(m, n) for m in masks.tolist()]
-        slices = np.array([[C_of_v(xi, v, c), Chat_of_v(xi, v, c, h3)] for v in members])
+        slices = np.array([[cost_values(xi, [v.mask], c)[0], cost_values(xi, [v.mask], c, h3)[0]]
+                           for v in members])
         np.testing.assert_allclose(C[masks], slices[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(chat[masks], slices[:, 1], rtol=1e-12, atol=0.0)
         # the loop reference: row sums within v, then squares within v
@@ -329,19 +330,15 @@ def test_cost_tables_and_slices_refuse_bad_constants():
         bad = SimpleNamespace(gamma=0.7, M=1.5, sigma=sigma)
         for route in (lambda: functional_table(("C", {"constants": bad}), xi),
                       lambda: functional_table(("chat", {"constants": bad, "h3": 0.8}), xi),
-                      lambda: C_of_v(xi, [0, 1], bad),
-                      lambda: Chat_of_v(xi, [0, 1], bad, 0.8)):
+                      lambda: cost_values(xi, [0b11], bad),
+                      lambda: cost_values(xi, [0b11], bad, 0.8)):
             with pytest.raises(MatrixError, match="sigma must be positive"):
                 route()
     for h3 in (-1.0, math.nan, math.inf):
         for route in (lambda: functional_table(("chat", {"constants": good, "h3": h3}), xi),
-                      lambda: Chat_of_v(xi, [0, 1], good, h3)):
+                      lambda: cost_values(xi, [0b11], good, h3)):
             with pytest.raises(MatrixError, match="h3 must be finite and nonnegative"):
                 route()
-    for name, route in (("C_of_v", lambda: C_of_v(xi, [], good)),
-                        ("Chat_of_v", lambda: Chat_of_v(xi, [], good, 0.8))):
-        with pytest.raises(MatrixError, match=f"{name} needs a nonempty subset"):
-            route()
 
 
 def test_functional_values_match_per_mask_reference():
@@ -359,7 +356,7 @@ def test_functional_values_match_per_mask_reference():
         (("linear", {"x": x}), lin), (("size-linear", {"x": x}), k * lin),
         (("size2-linear", {"x": x, "G": G}), k ** 2 * lin),
         (("quadratic", {"G": G}), quad), (("size-quadratic", {"G": G}), k * quad),
-        (("C", {"constants": c}), [C_of_v(xi, mem, c) for mem in members]),
+        (("C", {"constants": c}), [cost_values(xi, [m], c)[0] for m in masks.tolist()]),
     ]
     assert {spec if isinstance(spec, str) else spec[0] for spec, _ in cases} >= set(FAMILIES)
     for spec, want in cases:
@@ -445,16 +442,6 @@ def test_mc_t0_is_exact(four_cycle):
     assert est.mean == 4.0 and est.stderr == 0.0
 
 
-def test_callable_functional(four_cycle):
-    model = PercolationModel(four_cycle, 1.0)
-
-    def biggest(v):
-        return float(max(v.members, default=0))
-
-    est = mc_expectation(model, biggest, [1], 0.0, reps=50, seed=0)
-    assert est.mean == 1.0
-
-
 def test_lemma_rhs_formulas():
     for xi in random_matrices(4, seed=15, n_lo=2, n_hi=5):
         model = PercolationModel(xi, 0.7)
@@ -514,7 +501,16 @@ def test_family_suites_keep_their_check_names():
     assert [c.name for c in exp.checks] == [
         f"expectations.{fam}" for fam in ("linear", "quadratic", "size", "size-linear",
                                           "size-quadratic", "size2", "size2-linear",
-                                          "size3")]
+                                          "size3")] + ["expectations.yule-dominates"]
+
+
+def test_expectations_suite_fails_on_a_halved_yule_cap(monkeypatch):
+    # the Yule check reads the library's cap: half of it no longer dominates
+    cap = percolation.yule_second_moment
+    monkeypatch.setattr(percolation, "yule_second_moment",
+                        lambda k, rate, t: 0.5 * cap(k, rate, t))
+    (exp,) = run_suite("expectations", instances=1, seed=0)
+    assert [c.name for c in exp.checks if not c.passed] == ["expectations.yule-dominates"]
 
 
 def test_expectation_bound_rejects_invalid_inputs():
@@ -843,12 +839,6 @@ def test_mean_field_size_chain_validates_inputs():
         with pytest.raises(ValueError, match="t must be finite and nonnegative"):
             mean_field_size_expectation(5, 1.0, 2, t)
     assert mean_field_size_expectation(5, 1.0, 2, 0.0) == 4.0
-
-
-def test_mean_field_size_chain_callable():
-    got = mean_field_size_expectation(6, 1.0, 2, 0.8, power=lambda k: k ** 3)
-    want = mean_field_size_expectation(6, 1.0, 2, 0.8, power=3)
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_model_validates_kappa():

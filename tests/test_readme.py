@@ -1,21 +1,49 @@
-"""The README's library example runs as written; the package exports resolve."""
+"""The README's library example runs as written; the package exports resolve;
+every definition in the package has a caller."""
 
+import ast
 import re
 from pathlib import Path
 
 import chaoscope
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "chaoscope").glob("*.py"))
+# numpy calls this as the seed-sequence hook of a stream's key
+HOOKS = {"generate_state"}
+
+
+def _library_example() -> str:
+    section = README.read_text().split("## Library example", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def test_readme_library_example_runs():
-    text = README.read_text()
-    section = text.split("## Library example", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(block, str(README), "exec"), {})
+    exec(compile(_library_example(), str(README), "exec"), {})
 
 
 def test_all_exports_resolve():
     # `from chaoscope import *` fails on any name in __all__ the package lacks
     missing = [name for name in chaoscope.__all__ if not hasattr(chaoscope, name)]
     assert not missing
+
+
+def test_every_definition_has_a_caller():
+    # a function, class or method is reached from the package's own modules,
+    # the README example or the exports; one only the tests call is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = set(chaoscope.__all__) | HOOKS | _referenced(ast.parse(_library_example()))
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            used |= _referenced(tree)
+    defined = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    unused = sorted(f"{module}:{name}" for module, name in defined if name not in used)
+    assert not unused, f"defined but never called: {', '.join(unused)}"

@@ -6,10 +6,8 @@ import pytest
 from chaoscope.gaussian import sigma_T
 from chaoscope.matrix import InteractionMatrix, build_mean_field
 from chaoscope.percolation import NotApplicable
-from chaoscope.rng import stream
-from chaoscope.sde import (DriftSpec, SimConfig, gaussian_entropy_from_samples,
-                           save_samples, simulate_particles,
-                           simulate_projection)
+from chaoscope.sde import (DriftSpec, SimConfig, save_samples,
+                           simulate_particles, simulate_projection)
 
 from conftest import random_matrices
 
@@ -90,24 +88,6 @@ def test_projection_refusals():
         simulate_projection(build_mean_field(4), hookless, cfg)
     with pytest.raises(ValueError):
         DriftSpec.custom("nope")
-
-
-def test_entropy_from_samples():
-    gen = stream(424242)
-    T = 0.7
-    flat = math.sqrt(T) * gen.standard_normal((5000, 3))
-    est = gaussian_entropy_from_samples(flat, [0, 1], T)
-    assert 0.0 <= est < 0.02  # true law is the reference, entropy 0
-
-    doubled = math.sqrt(2.0 * T) * gen.standard_normal((5000, 1))
-    est = gaussian_entropy_from_samples(doubled, [0], T)
-    want = 0.5 * (1.0 - math.log(2.0))
-    assert est == pytest.approx(want, abs=0.08)
-
-    with pytest.raises(ValueError):
-        gaussian_entropy_from_samples(flat[:39], [0, 1], T)
-    with pytest.raises(ValueError):
-        gaussian_entropy_from_samples(flat, [], T)
 
 
 def test_save_samples(tmp_path):
