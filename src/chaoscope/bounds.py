@@ -11,7 +11,6 @@ quadratic interaction cost, optionally exponentially discounted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -88,10 +87,6 @@ class BoundReport:
         if self.explicit is not None:
             out["explicit"] = self.explicit
         return out
-
-    def csv_row(self):
-        return (self.theorem, self.structural, self.explicit,
-                json.dumps(self.inputs, sort_keys=True))
 
 
 def _echo(constants: Optional[ModelConstants]) -> dict:

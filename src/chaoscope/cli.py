@@ -108,6 +108,24 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _cell(x):
+    """A record field as a CSV cell: a member list prints as {i,j}, a dict as
+    sorted JSON; _csv_text prints None as an empty cell and a float by repr."""
+    if isinstance(x, list):
+        return "{" + ",".join(map(str, x)) + "}"
+    return json.dumps(x, sort_keys=True) if isinstance(x, dict) else x
+
+
+def _emit(records: list[dict], header: list[str], args, outputs: list, doc=None):
+    """Deliver the records as JSON (`doc` in their place if given), or as CSV,
+    one row per record with its fields in header order."""
+    if args.format == "csv":
+        text = _csv_text(header, [[_cell(rec.get(c)) for c in header] for rec in records])
+    else:
+        text = json_text(doc or records)
+    _deliver(text, args, outputs)
+
+
 def _deliver(text: str, args, outputs: list):
     out = getattr(args, "out", None)
     if out:
@@ -210,35 +228,24 @@ def cmd_percolate(args, outputs: list) -> int:
     model = PercolationModel(xi, args.kappa)
     v = _parse_subset(args.v, xi.n)
     times = _parse_times(args.t)
+    records = [{"engine": args.engine, "functional": args.functional,
+                "v": v.members, "t": t} for t in times]
     if args.engine == "exact":
         # one pass over the sorted times, each value put back at its own place
         order = np.argsort(times, kind="stable")
-        exact = np.empty(len(times))
-        exact[order] = perc.exact_expectations(model, perc.functional_table(args.functional, xi),
-                                               v, np.asarray(times)[order])[:, 0]
-    rows = []
-    records = []
-    for i, t in enumerate(times):
-        if args.engine == "exact":
-            val = float(exact[i])
-            est_err, reps, seed = None, None, None
-        else:
-            method = "gillespie" if args.engine == "mc" else "fpp"
-            est = perc.mc_expectation(model, args.functional, v, t,
+        values = perc.exact_expectations(model, perc.functional_table(args.functional, xi),
+                                         v, np.asarray(times)[order])[:, 0]
+        for i, val in zip(order, values.tolist()):
+            records[i]["value"] = val
+    else:
+        method = "gillespie" if args.engine == "mc" else "fpp"
+        for rec in records:
+            est = perc.mc_expectation(model, args.functional, v, rec["t"],
                                       reps=args.reps, seed=args.seed,
                                       method=method)
-            val, est_err, reps, seed = est.mean, est.stderr, est.reps, est.seed
-        rows.append([args.engine, args.functional, str(v), float(t), float(val),
-                     None if est_err is None else float(est_err),
-                     "" if reps is None else reps, "" if seed is None else seed])
-        rec = {"engine": args.engine, "functional": args.functional,
-               "v": v.members, "t": t, "value": val}
-        if est_err is not None:
-            rec.update(stderr=est_err, reps=reps, seed=seed)
-        records.append(rec)
-    header = ["engine", "functional", "v", "t", "value", "stderr", "reps", "seed"]
-    text = _csv_text(header, rows) if args.format == "csv" else json_text(records)
-    _deliver(text, args, outputs)
+            rec.update(value=est.mean, stderr=est.stderr, reps=est.reps, seed=est.seed)
+    _emit(records, ["engine", "functional", "v", "t", "value", "stderr", "reps", "seed"],
+          args, outputs)
     if args.emit_gnuplot and args.out and args.format == "csv":
         _emit_gnuplot(args.out, 4, 5, "t", args.functional, outputs)
     return 0
@@ -275,36 +282,26 @@ def cmd_gaussian(args, outputs: list) -> int:
                    lower=lo, upper=hi, explicit_lower=lo_e, explicit_upper=hi_e)
         if avg.stderr is not None:
             rec["stderr"] = avg.stderr
-        header = ["k", "mode", "avg", "stderr", "lower", "upper",
-                  "explicit_lower", "explicit_upper"]
-        rows = [[args.avg_k, avg.mode, float(avg.value),
-                 None if avg.stderr is None else float(avg.stderr),
-                 float(lo), float(hi), float(lo_e), float(hi_e)]]
-        text = _csv_text(header, rows) if args.format == "csv" else json_text(rec)
+        _emit([rec], ["k", "mode", "avg", "stderr", "lower", "upper",
+                      "explicit_lower", "explicit_upper"], args, outputs, doc=rec)
     else:
         if args.v:
             subsets = [_parse_subset(s, xi.n) for s in args.v]
         else:
             subsets = [SubsetState.of([i], xi.n) for i in range(xi.n)]
-        rows, recs = [], []
+        exact, lower, upper = (a.tolist() for a in
+                               gauss.subset_entropies(gm, [v.mask for v in subsets]))
         row_ok = validate(xi).ok
-        for v in subsets:
-            pair = gauss.entropy_bounds(gm, v)
-            clique = gauss.clique_lower(xi, v, gm.T)
-            worst = gauss.max_upper(gm, v) if row_ok else None
-            rows.append([str(v), float(pair.exact), float(pair.lower),
-                         float(pair.upper), float(clique),
-                         None if worst is None else float(worst)])
-            rec = {"v": v.members, "exact": pair.exact,
-                   "lower": pair.lower, "upper": pair.upper,
-                   "clique_lower": clique, "small_time": pair.small_time}
-            if worst is not None:
-                rec["max_upper"] = worst
+        recs = []
+        for v, ex, lo, hi in zip(subsets, exact, lower, upper):
+            rec = {"v": v.members, "exact": ex, "lower": lo, "upper": hi,
+                   "clique_lower": gauss.clique_lower(xi, v, gm.T),
+                   "small_time": info["small_time"]}
+            if row_ok:
+                rec["max_upper"] = gauss.max_upper(gm, v)
             recs.append(rec)
-        header = ["v", "exact", "lower", "upper", "clique_lower", "max_upper"]
-        text = _csv_text(header, rows) if args.format == "csv" \
-            else json_text(dict(info, subsets=recs))
-    _deliver(text, args, outputs)
+        _emit(recs, ["v", "exact", "lower", "upper", "clique_lower", "max_upper"],
+              args, outputs, doc=dict(info, subsets=recs))
     return 0
 
 
@@ -357,12 +354,8 @@ def cmd_bound(args, outputs: list) -> int:
                 report = bounds_mod.weighted_avg_bound(xi, args.k, pi, constants)
         if args.reversed:
             report = bounds_mod.reversed_variant(report)
-    if args.format == "csv":
-        text = _csv_text(["theorem", "structural", "explicit", "inputs"],
-                         [list(report.csv_row())])
-    else:
-        text = json_text(report.to_json_dict())
-    _deliver(text, args, outputs)
+    doc = report.to_json_dict()
+    _emit([doc], ["theorem", "structural", "explicit", "inputs"], args, outputs, doc=doc)
     return 0
 
 
@@ -393,21 +386,17 @@ def cmd_simulate(args, outputs: list) -> int:
             oracle = args.sigma ** 2 * args.T * np.eye(dim)
         else:
             oracle = args.sigma ** 2 * gauss.sigma_T(xi, args.T).sigma_T
-    rows, recs = [], []
+    recs = []
     for i in range(dim):
         for j in range(i, dim):
             stderr = float(np.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2)
                                    / samples.shape[0]))
-            ora = None if oracle is None else float(oracle[i, j])
-            diff = None if ora is None else abs(float(emp[i, j]) - ora)
-            rows.append([i, j, float(emp[i, j]), ora, diff, stderr])
             rec = {"i": i, "j": j, "empirical": float(emp[i, j]), "stderr": stderr}
-            if ora is not None:
-                rec.update(oracle=ora, abs_diff=diff)
+            if oracle is not None:
+                ora = float(oracle[i, j])
+                rec.update(oracle=ora, abs_diff=abs(float(emp[i, j]) - ora))
             recs.append(rec)
-    header = ["i", "j", "empirical", "oracle", "abs_diff", "stderr"]
-    text = _csv_text(header, rows) if args.format == "csv" else json_text(recs)
-    _deliver(text, args, outputs)
+    _emit(recs, ["i", "j", "empirical", "oracle", "abs_diff", "stderr"], args, outputs)
     if args.emit_gnuplot and args.out and args.format == "csv":
         _emit_gnuplot(args.out, 3, 4, "empirical", "oracle", outputs)
     return 0

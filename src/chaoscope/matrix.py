@@ -436,24 +436,20 @@ def cost_values(xi: InteractionMatrix, masks, constants, h3: float | None = None
 # ---------------------------------------------------------------------------
 # File formats
 
-def save_matrix(xi: InteractionMatrix, path, fmt: str | None = None):
-    """JSON coordinate triplets, or dense CSV (n rows of n values)."""
-    fmt = fmt or ("csv" if str(path).endswith(".csv") else "json")
-    if fmt == "json":
+def save_matrix(xi: InteractionMatrix, path):
+    """Dense CSV (n rows of n values) for a .csv path, else JSON coordinate triplets."""
+    if str(path).endswith(".csv"):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            for row in xi.dense():
+                w.writerow([repr(float(x)) for x in row])
+    else:
         doc = {"n": xi.n, "format": "coo",
                "entries": [[int(i), int(j), float(v)]
                            for i, j, v in zip(xi.ii, xi.jj, xi.vals)]}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-    elif fmt == "csv":
-        d = xi.dense()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in d:
-                w.writerow([repr(float(x)) for x in row])
-    else:
-        raise MatrixError(f"unknown matrix format {fmt!r}")
 
 
 def load_matrix(path) -> InteractionMatrix:

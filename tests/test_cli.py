@@ -241,6 +241,50 @@ def test_simulate_cli_projection_and_samples(tmp_path):
     assert manifest["subcommand"] == "simulate"
 
 
+def test_csv_rows_are_the_json_records(tmp_path, capsys):
+    # each CSV row carries its JSON record's fields in header order: a member
+    # list as {i,j}, a dict as sorted JSON, a float by repr, a missing field blank
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, list):
+            return "{" + ",".join(map(str, x)) + "}"
+        if isinstance(x, dict):
+            return json.dumps(x, sort_keys=True)
+        return repr(x) if isinstance(x, float) else str(x)
+
+    bad = tmp_path / "bad.csv"  # row sums above 1, so no max_upper
+    bad.write_text("0,0.9,0.6\n0.3,0,0.2\n0.1,0.1,0\n")
+    sim = ("simulate", "--mean-field", "3", "--dt", "0.05", "--T", "0.25",
+           "--samples", "200", "--seed", "5")
+    growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
+              "--gamma", "1", "--big-m", "2", "--sigma-const", "1", "--horizon", "0.5")
+    cases = [  # argv, the records in the JSON document, (column, blank?) to pin
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "2,0.5,1"),
+         lambda doc: doc, ("stderr", True)),
+        (("percolate", "--mean-field", "4", "--v", "0,1", "--t", "0.5", "--engine", "mc",
+          "--reps", "300", "--seed", "3"), lambda doc: doc, ("stderr", False)),
+        (("gaussian", "--matrix", str(bad), "--T", "0.2", "--v", "0,1", "--v", "2"),
+         lambda doc: doc["subsets"], ("max_upper", True)),
+        (("gaussian", "--mean-field", "5", "--T", "0.2", "--avg-k", "2", "--mode", "sample",
+          "--reps", "50", "--seed", "1"), lambda doc: [doc], ("stderr", False)),
+        (("bound", "--theorem", "max", "--mean-field", "6", "--k", "3"),
+         lambda doc: [doc], ("explicit", True)),
+        (growth, lambda doc: [doc], ("explicit", False)),
+        ((*sim, "--linear"), lambda doc: doc, ("oracle", False)),
+        ((*sim, "--drift", "sine", "--projection"), lambda doc: doc, ("oracle", True)),
+    ]
+    for argv, records_of, (column, blank) in cases:
+        assert run(*argv, "--format", "json") == 0, argv
+        records = records_of(json.loads(capsys.readouterr().out))
+        assert run(*argv, "--format", "csv") == 0, argv
+        header, *rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == len(records), argv
+        for row, rec in zip(rows, records):
+            assert row == [cell(rec.get(name)) for name in header], argv
+            assert (row[header.index(column)] == "") == blank, argv
+
+
 def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:  # argparse: unknown engine
         run("percolate", "--mean-field", "4", "--v", "0", "--t", "1",
