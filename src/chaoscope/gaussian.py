@@ -191,7 +191,7 @@ def subset_entropies(model: GaussianModel, masks):
     T <= log2 / 2 rho; upper = e^{6 rho T} Tr(A^2) holds for all T.  Masks
     of one size share a single stacked eigenvalue call.
     """
-    masks = np.asarray(masks)
+    masks = np.asarray(masks, dtype=np.int64 if model.n <= 63 else object)
     if (masks <= 0).any():
         raise ValueError("v must be nonempty")
     ind = indicators(masks, model.n)

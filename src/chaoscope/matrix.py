@@ -132,9 +132,6 @@ class SubsetState:
         """The member indices in increasing order."""
         return [i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1"]
 
-    def __str__(self):
-        return "{" + ",".join(map(str, self.members)) + "}"
-
 
 # ---------------------------------------------------------------------------
 # Subset lattice: tables over subsets are indexed by bitmask, bit i for member i

@@ -164,6 +164,16 @@ def test_gaussian_cli_subsets(tmp_path):
     assert float(worst) >= float(exact) - 1e-12
 
 
+def test_gaussian_cli_singletons_past_bit_63(capsys):
+    # the default subsets at n = 64 are the singletons, masks 1 .. 1 << 63
+    assert run("gaussian", "--mean-field", "64", "--T", "0.1") == 0
+    subsets = json.loads(capsys.readouterr().out)["subsets"]
+    assert [rec["v"] for rec in subsets] == [[i] for i in range(64)]
+    assert len({rec["exact"] for rec in subsets}) == 1  # mean field: all alike
+    assert run("gaussian", "--mean-field", "64", "--T", "0.1", "--v", "0", "--v", "63") == 0
+    assert json.loads(capsys.readouterr().out)["subsets"] == [subsets[0], subsets[63]]
+
+
 def test_gaussian_cli_average(tmp_path):
     out = tmp_path / "avg.json"
     rc = run("gaussian", "--mean-field", "5", "--T", "0.15", "--avg-k", "2",

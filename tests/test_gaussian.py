@@ -120,6 +120,17 @@ def test_subset_entropy_above_bit_63():
     assert pair.upper == pytest.approx(math.exp(6 * gm.rho * T) * (a * a).sum(), rel=1e-12)
 
 
+def test_subset_entropies_mix_masks_across_bit_63():
+    # at n = 64, 1 fits int64 and 1 << 63 does not: one call takes both
+    xi = random_matrices(1, seed=47, n_lo=64, n_hi=64)[0]
+    gm = sigma_T(xi, 0.1)
+    masks = [1, 1 << 63, (1 << 63) | 1]
+    together = subset_entropies(gm, masks)
+    for i, mask in enumerate(masks):
+        alone = subset_entropies(gm, [mask])
+        assert [float(x[i]) for x in together] == [float(x[0]) for x in alone]
+
+
 def test_entropy_bounds_sandwich_small_time():
     for xi in random_matrices(10, seed=45):
         rho = max(sigma_T(xi, 1.0).rho, 1e-9)

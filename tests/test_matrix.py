@@ -90,8 +90,6 @@ def test_subset_state_roundtrip():
         assert SubsetState.of(v.members, n) == v
         assert v.members == [i for i in range(n) if m >> i & 1]
         assert v.size == len(v.members)
-        assert str(v) == "{" + ",".join(map(str, v.members)) + "}"
-    assert str(SubsetState.of([3, 1], 5)) == "{1,3}"
     assert SubsetState((1 << 68) | 1, 70).members == [0, 68]
     # numpy integers are stored as Python ints
     v = SubsetState(np.int64(5), np.int64(3))
