@@ -509,9 +509,11 @@ def console_main(argv=None) -> int:
         code = args.func(args, outputs)
         _write_manifests(args.subcommand, args, outputs, time.perf_counter() - t0)
         return code
-    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
-        # an overflow's own message ("math range error") does not say what it is
-        kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+    except (ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
+        # an overflow's own message ("math range error") does not say what it
+        # is, nor does numpy's _ArrayMemoryError's ("Unable to allocate ...")
+        kind = (f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError)
+                else "MemoryError: " if isinstance(exc, MemoryError) else "")
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 

@@ -312,37 +312,46 @@ def _jump_chain_chunk(gen: np.random.Generator, size: int, model: PercolationMod
     return out
 
 
+CLOCK_BLOCK = 1 << 20  # edge clocks held at once by an edge-clock chunk
+
+
 def _edge_clock_chunk(gen: np.random.Generator, size: int, model: PercolationModel,
                       members: list, t: float) -> np.ndarray:
     """Terminal masks of `size` edge-clock paths: first-passage balls of radius t.
 
-    The clocks are standard_exponential((size, E)) / rate over the E edges
-    i < j.  Dijkstra runs on all the paths in lockstep: each round a path
-    settles its nearest unsettled site, while that lies within t, and relaxes
-    the site's edges to dist + clock, so at most n rounds run.
+    The clocks are standard_exponential((rows, E)) / rate over the E edges
+    i < j, drawn for blocks of rows in turn, each block at most about
+    CLOCK_BLOCK clocks; the chunk draws nothing else, so the clocks are the
+    rows of one (size, E) draw.  Dijkstra runs on a block's paths in
+    lockstep: each round a path settles its nearest unsettled site, while
+    that lies within t, and relaxes the site's edges to dist + clock, so at
+    most n rounds run.
     """
     xi, n = model.xi, model.n
     upper = xi.ii < xi.jj
     rate = model.kappa * xi.vals[upper]
-    clocks = gen.standard_exponential((size, rate.size))
-    clocks /= rate
     edge = np.full((n, n), -1)  # the edge joining each pair of sites, -1 for none
     edge[xi.ii[upper], xi.jj[upper]] = edge[xi.jj[upper], xi.ii[upper]] = np.arange(rate.size)
     out = np.zeros(size, dtype=np.int64)  # the settled sites
-    idx = np.arange(size)  # the running paths, whose rows dist holds
-    dist = np.full((size, n), math.inf)
-    dist[:, members] = 0.0
-    while idx.size:
-        near = np.where(out[idx, None] >> np.arange(n) & 1, math.inf, dist)
-        node = near.argmin(axis=1)
-        near = near[np.arange(idx.size), node]
-        live = near <= t
-        idx, dist, node, near = idx[live], dist[live], node[live], near[live]
-        out[idx] |= np.left_shift(1, node)
-        if rate.size:  # a gather from no clocks would fail
-            e = edge[node]
-            step = np.where(e < 0, math.inf, clocks[idx[:, None], e])
-            dist = np.minimum(dist, near[:, None] + step)
+    rows = max(1, CLOCK_BLOCK // max(1, rate.size))
+    for lo in range(0, size, rows):
+        block = out[lo:lo + rows]  # a view: the settled sites of the block's paths
+        clocks = gen.standard_exponential((block.size, rate.size))
+        clocks /= rate
+        idx = np.arange(block.size)  # the running paths, whose rows dist holds
+        dist = np.full((block.size, n), math.inf)
+        dist[:, members] = 0.0
+        while idx.size:
+            near = np.where(block[idx, None] >> np.arange(n) & 1, math.inf, dist)
+            node = near.argmin(axis=1)
+            near = near[np.arange(idx.size), node]
+            live = near <= t
+            idx, dist, node, near = idx[live], dist[live], node[live], near[live]
+            block[idx] |= np.left_shift(1, node)
+            if rate.size:  # a gather from no clocks would fail
+                e = edge[node]
+                step = np.where(e < 0, math.inf, clocks[idx[:, None], e])
+                dist = np.minimum(dist, near[:, None] + step)
     return out
 
 

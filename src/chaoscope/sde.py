@@ -7,10 +7,11 @@ mean-field term vanishes identically, leaving pure noise) and row-stochastic
 xi with a common pairwise drift, where every coordinate solves one
 McKean-Vlasov equation approximated by the ensemble's own empirical law.
 
-Paths start at zero.  Samples run in chunks of rng.CHUNK, and each chunk
-draws every step's Brownian increments for all its samples from its own
-stream (rng.chunk_streams), so terminal samples depend on the seed and CHUNK,
-and particle/projection runs share noise when seeded alike.
+Paths start at zero.  Samples run in chunks of rng.CHUNK, each with its own
+stream (rng.chunk_streams), and each step draws one step's Brownian
+increments for a chunk's samples into one reused buffer, so terminal samples
+depend on the seed and CHUNK, particle/projection runs share noise when
+seeded alike, and memory is O(samples * n * d) whatever the step count.
 """
 
 from __future__ import annotations
@@ -95,28 +96,39 @@ class SimConfig:
         return round(self.T / self.dt)
 
 
-def _draw_noise(gen: np.random.Generator, size: int, steps: int, n: int, d: int) -> np.ndarray:
-    """One chunk's N(0, 1) increments, each step's for the whole chunk in turn."""
-    return gen.standard_normal((steps, size, n, d))
+def _draw_noise(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with one step's N(0, 1) increments for one chunk."""
+    return gen.standard_normal(out=out)
 
 
-def _step_block(noise: np.ndarray, cfg: SimConfig, interaction) -> np.ndarray:
-    """Run Euler-Maruyama on one block of paths; interaction(t, x) -> drift."""
-    steps, block, n, d = noise.shape
-    x = np.zeros((block, n, d))
+def _step_block(x: np.ndarray, streams, cfg: SimConfig, interaction) -> np.ndarray:
+    """Run Euler-Maruyama in place on x, which starts at zero.
+
+    interaction(t, x) -> drift.  Each step draws its increments into one
+    reused buffer, streams' chunks (lo, hi, gen) in order, so memory is a few
+    copies of x whatever the step count.
+    """
+    z = np.empty_like(x)
     root = cfg.sigma * math.sqrt(cfg.dt)
-    for s in range(steps):
-        x = x + cfg.dt * interaction(s * cfg.dt, x) + root * noise[s]
+    for s in range(cfg.steps):
+        drift = interaction(s * cfg.dt, x)
+        for lo, hi, gen in streams:
+            _draw_noise(gen, z[lo:hi])
+        # (x + dt * drift) + root * noise, op for op
+        x += cfg.dt * drift
+        z *= root
+        x += z
     return x
 
 
 def _particle_interaction(xi: InteractionMatrix, drift: DriftSpec):
     dense = xi.dense()
     if drift.kind == "zero":
-        return lambda t, x: np.zeros_like(x)
+        return lambda t, x: 0.0  # x += dt * 0.0 keeps x's bits: x is never -0.0
     if drift.kind == "linear":
-        # sum_j xi_ij x_j: contract the particle axis against xi's rows
-        return lambda t, x: np.einsum("ij,bjd->bid", dense, x)
+        # sum_j xi_ij x_j as one GEMM on the flattened (particle, dim) axis
+        kt = np.kron(dense, np.eye(drift.d)).T.copy()
+        return lambda t, x: (x.reshape(len(x), -1) @ kt).reshape(x.shape)
     b = drift.b
 
     def interaction(t, x):
@@ -132,10 +144,10 @@ def simulate_particles(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig) 
     """Terminal samples of the coupled system, shape (samples, n*d)."""
     n, d = xi.n, drift.d
     interaction = _particle_interaction(xi, drift)
-    # one noise chunk at a time bounds memory at CHUNK samples
-    out = np.concatenate([
-        _step_block(_draw_noise(gen, hi - lo, cfg.steps, n, d), cfg, interaction)
-        for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples)])
+    out = np.zeros((cfg.samples, n, d))
+    # one chunk at a time, each stepped in place in its rows of out
+    for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples):
+        _step_block(out[lo:hi], [(0, hi - lo, gen)], cfg, interaction)
     return out.reshape(cfg.samples, n * d)
 
 
@@ -147,7 +159,7 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     stepper and streams, so the xi = 0 particle run is bit-identical).
     Row-stochastic xi with a mean_field hook: one self-consistent pass where
     the drift sees the ensemble's empirical law, necessarily unchunked
-    (samples interact).
+    (samples interact), each step drawing every chunk's increments in turn.
     """
     n, d = xi.n, drift.d
     if drift.kind in ("linear", "zero") or not xi.vals.size:
@@ -168,10 +180,9 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
             out[:, i, :] = drift.mean_field(t, x[:, i, :], x[:, i, :])
         return out
 
-    noise = np.empty((cfg.steps, cfg.samples, n, d))  # one chunk's draws at a time on top
-    for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples):
-        noise[:, lo:hi] = _draw_noise(gen, hi - lo, cfg.steps, n, d)
-    return _step_block(noise, cfg, mean_field).reshape(cfg.samples, n * d)
+    x = _step_block(np.zeros((cfg.samples, n, d)), chunk_streams(cfg.seed, cfg.samples),
+                    cfg, mean_field)
+    return x.reshape(cfg.samples, n * d)
 
 
 def save_samples(samples: np.ndarray, path):

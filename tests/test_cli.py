@@ -438,6 +438,19 @@ def test_simulate_refuses_sigma_whose_square_overflows(capsys):
     assert "sigma must be positive and finite, with a finite square" in capsys.readouterr().err
 
 
+def test_memory_error_is_an_error_line(capsys, monkeypatch):
+    # numpy raises a MemoryError subclass whose own name is private
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def oversized(xi, drift, cfg):
+        raise _ArrayMemoryError("Unable to allocate 29.8 GiB for an array")
+    monkeypatch.setattr(cli.sde, "simulate_particles", oversized)
+    assert run("simulate", "--mean-field", "4", "--linear", "--dt", "0.1", "--T", "1",
+               "--samples", "10") == 2
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 29.8 GiB for an array\n"
+
+
 def test_non_finite_results_are_refused(tmp_path, capsys, monkeypatch):
     # sigma^2 is finite, but the sample covariance overflows to inf
     out = tmp_path / "cov.json"

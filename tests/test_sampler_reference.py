@@ -5,15 +5,20 @@ their empirical distribution over all 2^n masks is held to the exact
 engine's, the stacked indicator table pushed through exact_expectations.
 The SDE noise must be the chunk contract's, bit for bit: the increments of
 sample r come from its chunk's stream, step by step, each step's noise drawn
-for the whole chunk.
+for the whole chunk.  The SDE runs are held to a plain Euler loop on those
+increments, and their memory to a few copies of one step's state.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from chaoscope.matrix import InteractionMatrix, SubsetState, build_mean_field
-from chaoscope.percolation import (PercolationModel, SubsetFunction, exact_expectations,
-                                   terminal_masks)
+from chaoscope.percolation import (CLOCK_BLOCK, PercolationModel, SubsetFunction,
+                                   exact_expectations, terminal_masks)
 from chaoscope.rng import CHUNK, SAMPLER, stream
 from chaoscope.sde import DriftSpec, SimConfig, simulate_particles, simulate_projection
 from chaoscope.verify import random_substochastic
@@ -92,6 +97,25 @@ def test_chunks_cover_any_number_of_paths(method):
     assert terminal_masks(model, [0, 3], 0.8, 0, 5, method=method).shape == (0,)
 
 
+def test_edge_clock_blocks_match_dijkstra_row_by_row():
+    # mean-field 63 has E = 1953 edges, so 600 paths take two clock blocks;
+    # path r's clocks are the r-th E exponentials of its chunk's stream
+    xi, v, t, seed = build_mean_field(63), [0, 7], 0.6, 3
+    upper = xi.ii < xi.jj
+    rate = KAPPA * xi.vals[upper]
+    assert 600 > CLOCK_BLOCK // rate.size
+    gen = stream(seed, SAMPLER)
+    want = []
+    for _ in range(600):
+        graph = csr_matrix((gen.standard_exponential(rate.size) / rate,
+                            (xi.ii[upper], xi.jj[upper])), shape=(63, 63))
+        dist = dijkstra(graph, directed=False, indices=v, min_only=True)
+        want.append(sum(1 << j for j in np.flatnonzero(dist <= t).tolist()))
+    got = terminal_masks(PercolationModel(xi, KAPPA), v, t, 600, seed, method="fpp")
+    assert got.tolist() == want
+    assert len(set(want)) > 3
+
+
 @pytest.mark.parametrize("method", ["gillespie", "fpp"])
 def test_paths_without_exit_or_time_stay_at_the_start(method):
     # the full set and a zero matrix have total rate 0 from the start, and
@@ -131,3 +155,70 @@ def test_noise_matches_reference_bitwise():
     still = DriftSpec("still", b=lambda t, x, y: 0.0 * x,
                       mean_field=lambda t, x, pool: np.zeros_like(x))
     assert simulate_projection(build_mean_field(2), still, cfg).tobytes() == got.tobytes()
+
+
+def _euler(noise, cfg, drift):
+    """The plain Euler-Maruyama loop: x <- x + dt * drift(t, x) + root * noise[s]."""
+    x = np.zeros(noise.shape[1:])
+    for s in range(cfg.steps):
+        x = x + cfg.dt * drift(s * cfg.dt, x) + cfg.sigma * np.sqrt(cfg.dt) * noise[s]
+    return x.reshape(len(x), -1)
+
+
+def _sine_pairs(dense):
+    def drift(t, x):
+        out = np.zeros_like(x)
+        for i in range(len(dense)):
+            out[:, i, :] = np.einsum("j,bjd->bd", dense[i], np.sin(x - x[:, i:i + 1, :]))
+        return out
+    return drift
+
+
+def _sine_mean_field(t, x):
+    out = np.empty_like(x)
+    for i in range(x.shape[1]):
+        m = x[:, i, :]
+        out[:, i, :] = float(np.sin(m).mean()) * np.cos(m) - float(np.cos(m).mean()) * np.sin(m)
+    return out
+
+
+SDE_CFG = SimConfig(dt=0.1, T=0.5, samples=CHUNK + 3, seed=11, sigma=0.8)
+
+
+def test_sine_runs_match_the_euler_loop_bitwise():
+    xi, cfg = _directed(4, 48), SDE_CFG
+    sine = DriftSpec.custom("sine")
+    noise = reference_noise(cfg.samples, cfg.steps, 4, 1, cfg.seed)
+    want = _euler(noise, cfg, _sine_pairs(xi.dense()))
+    assert simulate_particles(xi, sine, cfg).tobytes() == want.tobytes()
+    want = _euler(noise, cfg, _sine_mean_field)
+    assert simulate_projection(build_mean_field(4), sine, cfg).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_linear_particles_match_the_einsum_loop(d):
+    # the GEMM sums each drift row in its own order, so rounding may differ
+    xi, cfg = _directed(5, 49), SDE_CFG
+    noise = reference_noise(cfg.samples, cfg.steps, 5, d, cfg.seed)
+    dense = xi.dense()
+    want = _euler(noise, cfg, lambda t, x: np.einsum("ij,bjd->bid", dense, x))
+    got = simulate_particles(xi, DriftSpec("linear", d=d), cfg)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("run, xi, drift", [
+    (simulate_particles, _directed(4, 50), DriftSpec.linear()),
+    (simulate_projection, build_mean_field(4), DriftSpec.custom("sine")),
+])
+def test_sde_memory_does_not_grow_with_steps(run, xi, drift):
+    # 200 steps: a run that held its increments would peak near 200 states
+    cfg = SimConfig(dt=0.005, T=1.0, samples=1000, seed=12)
+    state = cfg.samples * xi.n * drift.d * 8
+    tracemalloc.start()
+    try:
+        run(xi, drift, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * state, peak / state
