@@ -70,34 +70,89 @@ def expm_action(a, b: np.ndarray, tol: float = 1e-12, mu: float | None = None) -
     return out
 
 
-def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
-    """Spectral norm by power iteration on a^T a, ones start vector.
+# op_norm takes a component's top eigenpair densely up to this many columns,
+# and iterates above it
+_EIGH_LIMIT = 500
 
-    For entrywise-nonnegative a the result is a certified upper bound.  At
-    every positive iterate z, max_i (a^T a z)_i / z_i bounds the largest
-    eigenvalue of the nonnegative a^T a from above (Collatz-Wielandt), and
-    the Rayleigh quotient bounds it from below.  Once the Rayleigh quotient
-    has settled, the iteration runs on until that bracket closes to rounding
-    level, for at most twice as many steps again: the upper bound converges
-    at the rate of the eigenvector, half the rate of the quotient.  The least
-    such bound is inflated past the rounding of the two products and capped
-    by sqrt(||a||_1 ||a||_inf).  Zero columns add nothing to a^T a and are
-    dropped first, so the iterates stay positive.  For signed a the result is
-    the power-iteration estimate, which can fall below the norm.  Raises
-    RuntimeError when the Rayleigh quotient has not settled to tol after
-    max_iter steps.
+
+def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
+    """Spectral norm of a; for entrywise-nonnegative a a certified upper bound.
+
+    For nonnegative a, zero columns are dropped and a^T a is split into the
+    connected components of its sparsity graph (columns that share a
+    nonzero row).  On each component the top eigenvector of a^T a, taken
+    densely with eigh, gives a positive z, and max_i (a^T a z)_i / z_i
+    bounds the component's largest eigenvalue from above (Collatz-Wielandt;
+    Meyer, Matrix Analysis, 8.3); a^T a z is taken as a^T (a z) on the
+    component's columns.  The largest of these bounds is inflated past the
+    rounding of the two products and capped by sqrt(||a||_1 ||a||_inf).
+    Components wider than _EIGH_LIMIT columns, and eigenvectors with a zero
+    entry, fall back to _power_iteration's certified bound.  For signed a
+    the result is the power-iteration estimate, which can fall below the
+    norm.  Raises RuntimeError when an iteration has not settled to tol
+    after max_iter steps.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0 or not a.any():
         return 0.0
-    nonneg = not (a < 0).any()
-    if nonneg:
-        a = a[:, a.any(axis=0)]
+    if (a < 0).any():
+        return math.sqrt(max(_power_iteration(a, tol, max_iter, False), 0.0))
+    a = a[:, a.any(axis=0)]
+    upper = 0.0
+    for cols in _components(a > 0):
+        part = a[:, cols]
+        z = None
+        if cols.size <= _EIGH_LIMIT:
+            z = np.abs(np.linalg.eigh(part.T @ part)[1][:, -1])
+        if z is not None and z.all():
+            bound = float((part.T @ (part @ z) / z).max())
+        else:
+            bound = _power_iteration(part, tol, max_iter, True)
+        upper = max(upper, bound)
+    cap = float(a.sum(axis=0).max()) * float(a.sum(axis=1).max())
+    return math.sqrt(min(upper, cap) * _inflation(a))
+
+
+def _inflation(a: np.ndarray) -> float:
+    """fl(a^T (a z)) / z_i can fall short of the exact ratio by about
+    (rows + n + 1) unit roundoffs; this factor, taken before the square
+    root, covers that, its own rounding and the root's."""
+    return 1.0 + 4.0 * (a.shape[0] + a.shape[1] + 2) * 2.0 ** -53
+
+
+def _components(nonzero: np.ndarray) -> list[np.ndarray]:
+    """Column indices of each connected component of the graph that joins
+    two columns sharing a True row, in order of their first column."""
+    share = nonzero.T.astype(float) @ nonzero.astype(float) > 0.0  # exact counts
+    seen = np.zeros(share.shape[0], dtype=bool)
+    out = []
+    for start in range(share.shape[0]):
+        if seen[start]:
+            continue
+        members = np.zeros_like(seen)
+        members[start] = True
+        frontier = members
+        while frontier.any():
+            frontier = share[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        out.append(np.flatnonzero(members))
+    return out
+
+
+def _power_iteration(a: np.ndarray, tol: float, max_iter: int, nonneg: bool) -> float:
+    """Largest eigenvalue of a^T a by power iteration, ones start vector.
+
+    nonneg=False: the Rayleigh quotient once it has settled to tol.
+    nonneg=True (a nonnegative without zero columns, so the iterates stay
+    positive): the least Collatz-Wielandt bound max_i (a^T a z)_i / z_i over
+    the iterates, an upper bound; once the quotient has settled, the
+    iteration runs on until that bound meets it to rounding level, for at
+    most twice as many steps again, since the bound converges at the rate
+    of the eigenvector, half the rate of the quotient.
+    """
     n = a.shape[1]
-    # fl(a^T (a z)) / z_i can fall short of the exact ratio by about
-    # (rows + n + 1) unit roundoffs; this factor, taken before the square root,
-    # covers that, its own rounding and the root's
-    inflate = 1.0 + 4.0 * (a.shape[0] + n + 2) * 2.0 ** -53
+    inflate = _inflation(a)
     z = np.ones(n) / math.sqrt(n)
     lam = 0.0
     upper = math.inf
@@ -119,10 +174,7 @@ def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
         lam = lam_new
     if stop is None:
         raise RuntimeError(f"op_norm: power iteration did not converge in {max_iter} steps")
-    if not nonneg:
-        return math.sqrt(max(lam_new, 0.0))
-    cap = float(a.sum(axis=0).max()) * float(a.sum(axis=1).max())
-    return math.sqrt(min(upper, cap) * inflate)
+    return upper if nonneg else lam_new
 
 
 def poisson_truncation(lam: float, tol: float) -> int:

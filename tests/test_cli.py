@@ -2,10 +2,11 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 import chaoscope.cli as cli
-from chaoscope.matrix import build_mean_field, load_matrix
+from chaoscope.matrix import InteractionMatrix, build_mean_field, load_matrix, save_matrix
 from chaoscope.percolation import (PercolationModel, exact_expectation,
                                    exact_expectations, functional_table)
 from chaoscope.verify import Check, SuiteResult, save_results
@@ -183,6 +184,18 @@ def test_gaussian_cli_average(tmp_path):
     assert doc["mode"] == "enumerate"
     assert doc["lower"] - 1e-12 <= doc["avg"] <= doc["upper"] + 1e-12
     assert doc["explicit_lower"] - 1e-12 <= doc["avg"] <= doc["explicit_upper"] + 1e-12
+
+
+def test_gaussian_cli_on_blocks_of_nearly_equal_norm(tmp_path):
+    # rho of this matrix once ended in "power iteration did not converge"
+    d = np.zeros((4, 4))
+    d[0, 1], d[1, 0] = 0.5, 0.3
+    d[2, 3] = d[3, 2] = 0.5 - 1e-5
+    path = tmp_path / "blocks.json"
+    save_matrix(InteractionMatrix.from_dense(d), path)
+    out = tmp_path / "g.json"
+    assert run("gaussian", "--matrix", str(path), "--T", "0.2", "--out", str(out)) == 0
+    assert 0.5 <= json.loads(out.read_text())["rho"] <= 0.5 * (1 + 1e-12)
 
 
 def test_bound_cli_variants(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from chaoscope import linalg
 from chaoscope.linalg import expm_action, op_norm, poisson_truncation, poisson_weights
 from chaoscope.rng import stream
 from chaoscope.verify import random_substochastic
@@ -68,8 +69,15 @@ def test_op_norm_matches_svd():
 def test_op_norm_raises_without_convergence():
     a = stream(5).random((6, 6))
     assert op_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-8)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        op_norm(a, max_iter=2)
+    # a small nonnegative matrix takes no iteration; a signed one and a
+    # component wider than the eigh limit do
+    assert op_norm(a, max_iter=2) == op_norm(a)
+    signed = stream(5).standard_normal((6, 6))
+    assert op_norm(signed) == pytest.approx(scipy.linalg.svdvals(signed)[0], rel=1e-8)
+    wide = stream(5).random((3, linalg._EIGH_LIMIT + 1))
+    for b in (signed, wide):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            op_norm(b, max_iter=2)
 
 
 def test_op_norm_bounds_nonnegative_matrices_from_above():
@@ -84,6 +92,27 @@ def test_op_norm_bounds_nonnegative_matrices_from_above():
     a[0, 1] = a[1, 0] = 0.5
     a[2, 3] = a[3, 2] = 0.5 * (1 - 1e-7)
     assert 0.5 <= op_norm(a) <= 0.5 * (1 + 1e-14)
+
+
+def _two_blocks(eps):
+    """Zero-diagonal 4x4: [[0, .5], [.3, 0]] beside a symmetric 0.5 - eps pair."""
+    a = np.zeros((4, 4))
+    a[0, 1], a[1, 0] = 0.5, 0.3
+    a[2, 3] = a[3, 2] = 0.5 - eps
+    return a
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_op_norm_certifies_blocks_of_nearly_equal_norm(eps):
+    # power iteration on a^T a converged at rate (sigma_2 / sigma_1)^2 here
+    # and gave up at eps = 1e-5 and 3e-5
+    a = _two_blocks(eps)
+    want = scipy.linalg.svdvals(a)[0]
+    assert want <= op_norm(a) <= want * (1 + 1e-12)
+    # the same blocks once their columns share rows
+    mixed = a + 0.01 * stream(6).random((4, 4))
+    want = scipy.linalg.svdvals(mixed)[0]
+    assert want <= op_norm(mixed) <= want * (1 + 1e-12)
 
 
 def test_poisson_truncation_certifies_tail():
