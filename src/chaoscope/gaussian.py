@@ -304,38 +304,22 @@ def d_T_envelope(xi: InteractionMatrix, T: float) -> tuple[float, float]:
     return lower, upper
 
 
-def _pair_weights(k, n: int):
-    """k(k-1)/(n(n-1)) and k(n-k)/(n(n-1)), the shares of ordered index
-    pairs inside a size-k subset that are off and on the diagonal."""
-    return k * (k - 1) / (n * (n - 1)), k * (n - k) / (n * (n - 1))
-
-
-def _sizes(k, n: int) -> np.ndarray:
-    """k as an integer array of subset sizes, each checked to lie in 1..n."""
-    ks = np.asarray(k)
-    if ks.ndim > 1 or not ((1 <= ks) & (ks <= n)).all():
-        raise ValueError("need 1 <= k <= n")
-    return ks
-
-
-def avg_trace_sq(A, k):
+def avg_trace_sq(A, k: int) -> float:
     """Average of Tr((A^v)^2) over all subsets of size k, in closed form.
 
     Equals k(k-1)/(n(n-1)) Tr(A^2) + k(n-k)/(n(n-1)) sum_i A_ii^2; exact for
-    symmetric A by a two-index counting argument.  k is a size, giving a
-    float, or a sequence of sizes, giving an array whose every entry is
-    bitwise that size's float.
+    symmetric A by a two-index counting argument.
     """
     a = _check_covariance(A, "A")
     n = a.shape[0]
-    ks = _sizes(k, n)
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
     diag_sq = float((np.diag(a) ** 2).sum())
     if n == 1:
-        out = np.full(ks.shape, diag_sq)
-    else:
-        w1, w2 = _pair_weights(ks, n)
-        out = w1 * float((a * a).sum()) + w2 * diag_sq
-    return float(out) if ks.ndim == 0 else out
+        return diag_sq
+    w1 = k * (k - 1) / (n * (n - 1))
+    w2 = k * (n - k) / (n * (n - 1))
+    return w1 * float((a * a).sum()) + w2 * diag_sq
 
 
 def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
@@ -371,7 +355,8 @@ def _entropies(model: GaussianModel, masks: list) -> np.ndarray:
                            for lo, hi in chunk_ranges(len(masks))])
 
 
-def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
+def avg_entropy_sandwich(model: GaussianModel, k: int,
+                         explicit: bool = False) -> tuple[float, float]:
     """Two-sided bracket of the size-k average entropy.
 
     Default: (1/6, e^{6 rho T}) times the exact avg_trace_sq of
@@ -382,28 +367,24 @@ def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
                             + w2 (8 d_T + 32 T^4 e^{4 rho T} R) ]
     with S2 = sum xi_ij^2, R = sum_i (sum_j xi_ij^2)^2 and the usual pair
     weights w1, w2.  Lower bounds are meaningful in the small-time window.
-    k is a size, giving (lower, upper) floats, or a sequence of sizes,
-    giving (lower, upper) arrays whose entries are bitwise each size's
-    floats; d_T is computed once either way.
     """
     n = model.n
-    ks = _sizes(k, n)
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
     T, rho = model.T, model.rho
     if not explicit:
-        tr = avg_trace_sq(model.centered(), ks)
-        lower, upper = tr / 6.0, math.exp(6.0 * rho * T) * tr
-    elif n == 1:
-        lower = upper = np.zeros(ks.shape)
-    else:
-        d = model.xi.dense()
-        s2 = float((d * d).sum())
-        r_sum = float(((d * d).sum(axis=1) ** 2).sum())
-        dt = d_T(model.xi, T)
-        w1, w2 = _pair_weights(ks, n)
-        lower = (w1 * T * T / 2.0 * s2 + w2 * (4.0 * dt + T ** 4 / 9.0 * r_sum)) / 6.0
-        upper = math.exp(6.0 * rho * T) * (
-            w1 * 16.0 * T * T * math.exp(4.0 * rho * T) * s2
-            + w2 * (8.0 * dt + 32.0 * T ** 4 * math.exp(4.0 * rho * T) * r_sum))
-    if ks.ndim == 0:
-        return float(lower), float(upper)
+        tr = avg_trace_sq(model.centered(), k)
+        return tr / 6.0, math.exp(6.0 * rho * T) * tr
+    d = model.xi.dense()
+    s2 = float((d * d).sum())
+    r_sum = float(((d * d).sum(axis=1) ** 2).sum())
+    dt = d_T(model.xi, T)
+    if n == 1:
+        return 0.0, 0.0
+    w1 = k * (k - 1) / (n * (n - 1))
+    w2 = k * (n - k) / (n * (n - 1))
+    lower = (w1 * T * T / 2.0 * s2 + w2 * (4.0 * dt + T ** 4 / 9.0 * r_sum)) / 6.0
+    upper = math.exp(6.0 * rho * T) * (
+        w1 * 16.0 * T * T * math.exp(4.0 * rho * T) * s2
+        + w2 * (8.0 * dt + 32.0 * T ** 4 * math.exp(4.0 * rho * T) * r_sum))
     return lower, upper

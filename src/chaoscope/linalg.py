@@ -70,11 +70,6 @@ def expm_action(a, b: np.ndarray, tol: float = 1e-12, mu: float | None = None) -
     return out
 
 
-# op_norm takes a component's top eigenpair densely up to this many columns,
-# and iterates above it
-_EIGH_LIMIT = 500
-
-
 def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
     """Spectral norm of a; for entrywise-nonnegative a a certified upper bound.
 
@@ -86,8 +81,8 @@ def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
     Meyer, Matrix Analysis, 8.3); a^T a z is taken as a^T (a z) on the
     component's columns.  The largest of these bounds is inflated past the
     rounding of the two products and capped by sqrt(||a||_1 ||a||_inf).
-    Components wider than _EIGH_LIMIT columns, and eigenvectors with a zero
-    entry, fall back to _power_iteration's certified bound.  For signed a
+    An eigenvector with a zero entry (an underflow) falls back to
+    _power_iteration's certified bound.  For signed a
     the result is the power-iteration estimate, which can fall below the
     norm.  Raises RuntimeError when an iteration has not settled to tol
     after max_iter steps.
@@ -101,10 +96,8 @@ def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
     upper = 0.0
     for cols in _components(a > 0):
         part = a[:, cols]
-        z = None
-        if cols.size <= _EIGH_LIMIT:
-            z = np.abs(np.linalg.eigh(part.T @ part)[1][:, -1])
-        if z is not None and z.all():
+        z = np.abs(np.linalg.eigh(part.T @ part)[1][:, -1])
+        if z.all():
             bound = float((part.T @ (part @ z) / z).max())
         else:
             bound = _power_iteration(part, tol, max_iter, True)

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,18 +206,17 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         a_full = gm.centered()
         # Tr((A^v)^2) summed entry by entry for every nonempty v, averaged per size
         brute = np.einsum("mi,mi->m", ind @ (a_full * a_full), ind)
-        ks = np.arange(1, n + 1)
-        brute_avg = np.array([brute[sizes == k].mean() for k in ks])
-        agg.add("gaussian.avgtrace-identity",
-                1e-12 - np.abs(gauss.avg_trace_sq(a_full, ks) - brute_avg))
-        ks = ks[:4]
-        avg_exact = np.array([np.mean(exact[sizes == k]) for k in ks])
-        lo, hi = gauss.avg_entropy_sandwich(gm, ks)
-        agg.add("gaussian.avg-sandwich.lower", avg_exact - lo)
-        agg.add("gaussian.avg-sandwich.upper", hi - avg_exact)
-        lo_e, hi_e = gauss.avg_entropy_sandwich(gm, ks, explicit=True)
-        agg.add("gaussian.avg-explicit.lower", avg_exact - lo_e)
-        agg.add("gaussian.avg-explicit.upper", hi_e - avg_exact)
+        for k in range(1, n + 1):
+            agg.add("gaussian.avgtrace-identity",
+                    1e-12 - abs(gauss.avg_trace_sq(a_full, k) - float(brute[sizes == k].mean())))
+        for k in range(1, min(n, 4) + 1):
+            avg_exact = float(np.mean(exact[sizes == k]))
+            lo, hi = gauss.avg_entropy_sandwich(gm, k)
+            agg.add("gaussian.avg-sandwich.lower", avg_exact - lo)
+            agg.add("gaussian.avg-sandwich.upper", hi - avg_exact)
+            lo_e, hi_e = gauss.avg_entropy_sandwich(gm, k, explicit=True)
+            agg.add("gaussian.avg-explicit.lower", avg_exact - lo_e)
+            agg.add("gaussian.avg-explicit.upper", hi_e - avg_exact)
         dt_val = gauss.d_T(xi, T)
         env_lo, env_hi = gauss.d_T_envelope(xi, T)
         agg.add("gaussian.dT-envelope.lower", dt_val - env_lo)
@@ -324,16 +324,13 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
     return SuiteResult("bounds", seed, instances, checks)
 
 
-_SUITE_FN = {"generator": generator_suite, "expectations": expectations_suite,
-             "gaussian": gaussian_suite, "bounds": bounds_suite}
-
-
-# The order in which the workers take the suites: longest first, so the last
+# The suites, longest first: the workers take them in this order, so the last
 # suite a worker picks up is a short one (list scheduling; Graham, SIAM J.
 # Appl. Math. 1969).  Warm in-process seconds at the default instances and
 # seed 0 (median of 11, one BLAS thread, 2-vCPU Xeon): gaussian 0.21,
 # expectations 0.19, generator 0.039, bounds 0.028.
-_LONGEST_FIRST = ("gaussian", "expectations", "generator", "bounds")
+_SUITE_FN = {"gaussian": gaussian_suite, "expectations": expectations_suite,
+             "generator": generator_suite, "bounds": bounds_suite}
 
 
 def _usable_cpus() -> int:
@@ -343,23 +340,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _take(tasks: int, names, seed: int, count: dict) -> list:
+def _take(tasks: int, names, seed: int, count: dict, parent: int | None = None) -> list:
     """Run the suites whose indices this worker reads from the pipe `tasks`,
-    one byte at a time until it is empty; (index, SuiteResult) pairs."""
+    one byte at a time until it is empty; (index, SuiteResult) pairs.  A
+    child, given its parent's pid, takes no further suite once that parent
+    has gone."""
     out = []
-    while byte := os.read(tasks, 1):
+    while (parent is None or os.getppid() == parent) and (byte := os.read(tasks, 1)):
         out.append((byte[0], _SUITE_FN[names[byte[0]]](seed=seed, **count)))
     return out
 
 
-def _worker(tasks: int, reply: int, names, seed: int, count: dict):
-    """A forked child: take suites, pickle the results, or the exception that
-    stopped them, to the pipe `reply`, and leave without running any of the
-    parent's exit handlers."""
+def _die_with_parent() -> None:
+    """On Linux, have the kernel SIGKILL this forked child when the thread
+    that forked it ends (prctl PR_SET_PDEATHSIG), so that a killed parent
+    leaves no worker behind; elsewhere the child stops between suites."""
+    if not sys.platform.startswith("linux"):
+        return
+    from signal import SIGKILL
+    try:
+        import ctypes
+        ctypes.CDLL(None, use_errno=True).prctl(1, SIGKILL)  # PR_SET_PDEATHSIG
+    except (ImportError, OSError, AttributeError):  # no prctl: stop between suites
+        pass
+
+
+def _worker(tasks: int, reply: int, names, seed: int, count: dict, parent: int):
+    """A forked child of `parent`: take suites, pickle the results, or the
+    exception that stopped them, to the pipe `reply`, and leave without
+    running any of the parent's exit handlers."""
     code = 1
     try:
+        _die_with_parent()
         try:
-            out = _take(tasks, names, seed, count)
+            out = _take(tasks, names, seed, count, parent)
         except Exception as exc:
             out = exc
             try:
@@ -383,7 +397,8 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[Su
     would.  A child pickles its results back and leaves by os._exit.  An
     exception in a child is raised here with its type and message; a child
     that dies without its results raises RuntimeError naming the suites that
-    are missing; no child outlives the call.
+    are missing; no child outlives the call.  A child whose parent is killed
+    is killed with it on Linux, and elsewhere takes no further suite.
     """
     if instances is not None and instances < 1:
         raise ValueError("instances must be >= 1")
@@ -394,11 +409,12 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[Su
     # no count given: each suite runs its own instances= default
     count = {} if instances is None else {"instances": instances}
     workers = min(len(names), _usable_cpus()) if hasattr(os, "fork") else 1
+    order = list(_SUITE_FN)
     tasks, fill = os.pipe()
-    os.write(fill, bytes(sorted(range(len(names)),
-                                key=lambda i: _LONGEST_FIRST.index(names[i]))))
+    os.write(fill, bytes(sorted(range(len(names)), key=lambda i: order.index(names[i]))))
     os.close(fill)
     children = []  # (pid, read end of its reply pipe), until reaped
+    parent = os.getpid()
     try:
         for _ in range(workers - 1):
             fd_r, fd_w = os.pipe()
@@ -409,7 +425,7 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[Su
                 os.close(fd_w)
                 raise
             if pid == 0:
-                _worker(tasks, fd_w, names, seed, count)
+                _worker(tasks, fd_w, names, seed, count, parent)
             os.close(fd_w)
             children.append((pid, open(fd_r, "rb")))
         done = dict(_take(tasks, names, seed, count))

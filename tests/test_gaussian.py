@@ -191,33 +191,6 @@ def test_avg_trace_sq_brute_force():
             assert avg_trace_sq(a, k) == pytest.approx(brute, rel=1e-12, abs=1e-13)
 
 
-def test_batched_averages_are_the_scalar_values_bitwise(monkeypatch):
-    import chaoscope.gaussian as gauss
-    calls = []
-    real_d_T = gauss.d_T
-    monkeypatch.setattr(gauss, "d_T", lambda *a: calls.append(1) or real_d_T(*a))
-    for xi in random_matrices(8, seed=53, n_lo=1, n_hi=9):
-        n = xi.n
-        gm = sigma_T(xi, 0.3)
-        a = gm.centered()
-        ks = list(range(1, n + 1))
-        # the closed forms with Python scalars, as the k-at-a-time code took them
-        diag_sq = float((np.diag(a) ** 2).sum())
-        for k, got in zip(ks, avg_trace_sq(a, ks)):
-            want = diag_sq if n == 1 else (k * (k - 1) / (n * (n - 1)) * float((a * a).sum())
-                                            + k * (n - k) / (n * (n - 1)) * diag_sq)
-            assert got == want and type(avg_trace_sq(a, k)) is float
-        for explicit in (False, True):
-            calls.clear()
-            lo, hi = avg_entropy_sandwich(gm, ks, explicit=explicit)
-            assert len(calls) == (explicit and n > 1)
-            for k, pair in zip(ks, zip(lo.tolist(), hi.tolist())):
-                scalar = avg_entropy_sandwich(gm, k, explicit=explicit)
-                assert pair == scalar and all(type(x) is float for x in scalar)
-    with pytest.raises(ValueError, match="need 1 <= k <= n"):
-        avg_trace_sq(np.eye(3), [1, 4])
-
-
 def test_avg_entropy_enumerate_vs_sample():
     xi = random_matrices(1, seed=48, n_lo=6, n_hi=6)[0]
     gm = sigma_T(xi, 0.3)

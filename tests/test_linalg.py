@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from chaoscope import linalg
 from chaoscope.linalg import expm_action, op_norm, poisson_truncation, poisson_weights
 from chaoscope.rng import stream
 from chaoscope.verify import random_substochastic
@@ -69,15 +68,22 @@ def test_op_norm_matches_svd():
 def test_op_norm_raises_without_convergence():
     a = stream(5).random((6, 6))
     assert op_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-8)
-    # a small nonnegative matrix takes no iteration; a signed one and a
-    # component wider than the eigh limit do
+    # a nonnegative matrix takes no iteration; a signed one does
     assert op_norm(a, max_iter=2) == op_norm(a)
     signed = stream(5).standard_normal((6, 6))
     assert op_norm(signed) == pytest.approx(scipy.linalg.svdvals(signed)[0], rel=1e-8)
-    wide = stream(5).random((3, linalg._EIGH_LIMIT + 1))
-    for b in (signed, wide):
-        with pytest.raises(RuntimeError, match="did not converge"):
-            op_norm(b, max_iter=2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        op_norm(signed, max_iter=2)
+
+
+def test_op_norm_iterates_when_the_eigenvector_underflows():
+    # a^T a rounds to diag(1.25, 0): eigh's eigenvector (1, 0) certifies
+    # nothing at its zero entry, and the norm cap sqrt(1.5) is loose, so the
+    # bound comes from the iteration
+    a = np.array([[1.0, 0.0], [0.5, 0.0], [1e-170, 1e-170]])
+    assert 0.0 in np.linalg.eigh(a.T @ a)[1][:, -1]
+    want = scipy.linalg.svdvals(a)[0]
+    assert want <= op_norm(a) <= want * (1 + 1e-14)
 
 
 def test_op_norm_bounds_nonnegative_matrices_from_above():

@@ -4,6 +4,8 @@ count, child failures raised in the parent, and no child left behind."""
 import os
 import select
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -140,3 +142,92 @@ def test_parent_failure_kills_and_reaps_its_children(rigged):
         verify.run_suite("all")
     assert time.perf_counter() - t0 < 30.0  # the sleeping child was killed
     assert_no_children()
+
+
+# `chaoscope verify` with every suite replaced by one that logs "pid name" and
+# sleeps; argv: log path, seconds to sleep, "pdeathsig" or "no-pdeathsig"
+STUB_VERIFY = """
+import os, sys, time
+from chaoscope import cli, verify
+log, pause, mode = sys.argv[1], float(sys.argv[2]), sys.argv[3]
+
+def stub(name):
+    def run(instances=1, seed=0):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {name}\\n")
+        time.sleep(pause)
+        return verify.SuiteResult(name, seed, instances)
+    return run
+
+for name in verify.SUITES:
+    verify._SUITE_FN[name] = stub(name)
+os.sched_getaffinity = lambda pid: {0, 1}
+if mode == "no-pdeathsig":
+    verify._die_with_parent = lambda: None
+sys.exit(cli.console_main(["verify"]))
+"""
+
+
+def gone(pid):
+    """True once pid has exited (a zombie left to an init that does not reap
+    counts as exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def kill_verify_mid_run(tmp_path, pause, mode):
+    """SIGKILL a stubbed `chaoscope verify` once both of its workers have
+    taken a suite; the child's pid, the log's lines and whether the child
+    was gone within 20 s."""
+    import chaoscope
+    log = tmp_path / "taken.log"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(chaoscope.__file__)),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", STUB_VERIFY, str(log), str(pause), mode],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 30.0
+        while child is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            pids = {int(line.split()[0]) for line in
+                    (log.read_text().splitlines() if log.exists() else [])}
+            if len(pids) == 2:
+                (child,) = pids - {proc.pid}
+        assert child is not None, "the two workers never both took a suite"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 20.0
+        while not gone(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return child, log.read_text().splitlines(), gone(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        if child is not None and not gone(child):
+            os.kill(child, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_killed_verify_takes_its_worker_with_it(tmp_path):
+    # the worker sleeps for a minute in its suite; it must not outlive its parent
+    t0 = time.monotonic()
+    child, taken, child_gone = kill_verify_mid_run(tmp_path, 60.0, "pdeathsig")
+    assert child_gone and time.monotonic() - t0 < 30.0
+    assert len(taken) == 2
+
+
+def test_orphaned_worker_takes_no_further_suite(tmp_path):
+    # without the kernel's help the worker ends its suite and stops there,
+    # leaving the two suites still in the pipe untaken
+    child, taken, child_gone = kill_verify_mid_run(tmp_path, 3.0, "no-pdeathsig")
+    assert child_gone
+    assert len(taken) == 2, taken
