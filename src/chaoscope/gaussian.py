@@ -44,7 +44,7 @@ class GaussianModel:
         return self.xi.n
 
     @property
-    def rho(self) -> float:  # operator norm of xi
+    def rho(self) -> float:  # certified upper bound on the operator norm of xi
         return self.xi.rho
 
     def small_time(self) -> bool:

@@ -70,40 +70,39 @@ def expm_action(a, b: np.ndarray, tol: float = 1e-12, mu: float | None = None) -
     return out
 
 
-def op_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> float:
-    """Spectral norm of a; for entrywise-nonnegative a a certified upper bound.
+def op_norm(a: np.ndarray) -> float:
+    """A certified upper bound on the spectral norm ||a||_2 of any real a.
 
-    For nonnegative a, zero columns are dropped and a^T a is split into the
+    ||a||_2 <= || |a| ||_2, so the bound is taken on |a|, with its zero
+    columns dropped and scaled by an exact power of two to a largest entry
+    in [1/2, 1), where a^T a cannot overflow.  a^T a splits into the
     connected components of its sparsity graph (columns that share a
-    nonzero row).  On each component the top eigenvector of a^T a, taken
-    densely with eigh, gives a positive z, and max_i (a^T a z)_i / z_i
-    bounds the component's largest eigenvalue from above (Collatz-Wielandt;
-    Meyer, Matrix Analysis, 8.3); a^T a z is taken as a^T (a z) on the
-    component's columns.  The largest of these bounds is inflated past the
-    rounding of the two products and capped by sqrt(||a||_1 ||a||_inf).
-    An eigenvector with a zero entry (an underflow) falls back to
-    _power_iteration's certified bound.  For signed a
-    the result is the power-iteration estimate, which can fall below the
-    norm.  Raises RuntimeError when an iteration has not settled to tol
-    after max_iter steps.
+    nonzero row), and ||a||_2 is the largest of their norms.  On each, the
+    top eigenvector of a^T a, taken densely with eigh, gives z >= 0, and on
+    the columns S where z > 0, max_i (a_S^T a_S z)_i / z_i bounds ||a_S||^2
+    from above (Collatz-Wielandt; Meyer, Matrix Analysis, 8.3); the product
+    is taken as a_S^T (a_S z).  Columns R where z has underflowed to 0 add
+    op_norm(a_R)^2, since ||[a_S a_R]||^2 <= ||a_S||^2 + ||a_R||^2; S is
+    never empty, so this ends.  The largest bound is inflated past the
+    rounding of the two products and the sum, capped by
+    sqrt(||a||_1 ||a||_inf) and scaled back; it is inf only past the
+    largest double.  There is no iteration and no tolerance.
     """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0 or not a.any():
-        return 0.0
-    if (a < 0).any():
-        return math.sqrt(max(_power_iteration(a, tol, max_iter, False), 0.0))
+    a = np.abs(np.asarray(a, dtype=float))
     a = a[:, a.any(axis=0)]
+    if a.size == 0:
+        return 0.0
+    exp = int(np.frexp(a.max())[1])
+    a = np.ldexp(a, -exp)
     upper = 0.0
     for cols in _components(a > 0):
         part = a[:, cols]
         z = np.abs(np.linalg.eigh(part.T @ part)[1][:, -1])
-        if z.all():
-            bound = float((part.T @ (part @ z) / z).max())
-        else:
-            bound = _power_iteration(part, tol, max_iter, True)
-        upper = max(upper, bound)
+        rest = 0.0 if z.all() else op_norm(part[:, z == 0.0]) ** 2
+        part, z = part[:, z > 0.0], z[z > 0.0]
+        upper = max(upper, float((part.T @ (part @ z) / z).max()) + rest)
     cap = float(a.sum(axis=0).max()) * float(a.sum(axis=1).max())
-    return math.sqrt(min(upper, cap) * _inflation(a))
+    return float(np.ldexp(math.sqrt(min(upper, cap) * _inflation(a)), exp))
 
 
 def _inflation(a: np.ndarray) -> float:
@@ -131,43 +130,6 @@ def _components(nonzero: np.ndarray) -> list[np.ndarray]:
         seen |= members
         out.append(np.flatnonzero(members))
     return out
-
-
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int, nonneg: bool) -> float:
-    """Largest eigenvalue of a^T a by power iteration, ones start vector.
-
-    nonneg=False: the Rayleigh quotient once it has settled to tol.
-    nonneg=True (a nonnegative without zero columns, so the iterates stay
-    positive): the least Collatz-Wielandt bound max_i (a^T a z)_i / z_i over
-    the iterates, an upper bound; once the quotient has settled, the
-    iteration runs on until that bound meets it to rounding level, for at
-    most twice as many steps again, since the bound converges at the rate
-    of the eigenvector, half the rate of the quotient.
-    """
-    n = a.shape[1]
-    inflate = _inflation(a)
-    z = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    upper = math.inf
-    stop = None  # step count at which to stop, fixed once the quotient settles
-    for it in range(1, max_iter + 1):
-        az = a @ z
-        lam_new = float(az @ az)  # Rayleigh quotient of a^T a at unit z
-        w = a.T @ az
-        if nonneg and z.all():
-            upper = min(upper, float((w / z).max()))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        z = w / nw
-        if stop is None and abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            stop = 3 * it if nonneg else it
-        if stop is not None and (it >= stop or upper <= lam_new * inflate):
-            break
-        lam = lam_new
-    if stop is None:
-        raise RuntimeError(f"op_norm: power iteration did not converge in {max_iter} steps")
-    return upper if nonneg else lam_new
 
 
 def poisson_truncation(lam: float, tol: float) -> int:

@@ -164,11 +164,11 @@ class InteractionMatrix:
     """Nonnegative square matrix with cached row/column sums and maxima.
 
     The caches (row_sums, col_sums, delta, delta_i, symmetric) are computed
-    once at construction and exposed read-only; the operator norm rho is
-    computed on first use and kept.  Construction refuses only NaN and inf
-    entries; `validate` reports the other violations (nonzero diagonal,
-    negative entries) so callers can decide, and the builders below always
-    produce valid matrices.
+    once at construction and exposed read-only; rho, a certified upper bound
+    on the operator norm, is computed on first use and kept.  Construction
+    refuses only NaN and inf entries; `validate` reports the other
+    violations (nonzero diagonal, negative entries) so callers can decide,
+    and the builders below always produce valid matrices.
     """
 
     __slots__ = ("n", "ii", "jj", "vals", "row_sums", "col_sums",

@@ -180,6 +180,7 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         n = int(gen_master.integers(2, 11))
         xi = random_substochastic(n, gen_master)
         rho = xi.rho
+        agg.add("gaussian.rho-upper", rho - np.linalg.norm(xi.dense(), 2))
         window = math.log(2.0) / (2.0 * rho) if rho > 0 else 1.0
         T = float(gen_master.uniform(0.2, 1.0)) * window
         gm = gauss.sigma_T(xi, T)

@@ -198,6 +198,20 @@ def test_gaussian_cli_on_blocks_of_nearly_equal_norm(tmp_path):
     assert 0.5 <= json.loads(out.read_text())["rho"] <= 0.5 * (1 + 1e-12)
 
 
+def test_signed_blocks_of_nearly_equal_norm(tmp_path):
+    # signed interactions once took an uncertified iteration for rho, which
+    # gave up here, and both commands exited 2
+    path = tmp_path / "signed.csv"
+    path.write_text("0,0.5,0,0\n-0.3,0,0,0\n0,0,0,0.49999\n0,0,-0.49999,0\n")
+    out = tmp_path / "g.json"
+    assert run("gaussian", "--matrix", str(path), "--T", "0.2", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["rho"] >= 0.5
+    sim = tmp_path / "s.json"
+    assert run("simulate", "--matrix", str(path), "--linear", "--dt", "0.05", "--T", "0.2",
+               "--samples", "50", "--seed", "1", "--out", str(sim)) == 0
+    assert all(r["oracle"] is not None for r in json.loads(sim.read_text()))
+
+
 def test_bound_cli_variants(tmp_path, capsys):
     rc = run("bound", "--theorem", "max", "--mean-field", "6", "--k", "3")
     assert rc == 0
