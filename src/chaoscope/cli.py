@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projection", action="store_true",
                    help="simulate the decoupled projection instead of particles")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; runs are serial")
+                   help="accepted and ignored; samples run on one thread per usable CPU")
     p.add_argument("--save-samples", metavar="FILE")
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -100,31 +100,40 @@ def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianMode
     d = xi.dense()
     rho = xi.rho
     n = xi.n
-    acc = np.eye(n)
-    g = np.eye(n)
-    coef = 1.0
-    order = 0
-    tail = 0.0
-    if rho > 0.0:
-        m = 0
-        while True:
-            m += 1
-            g = d @ g + g @ d.T
-            coef = coef * T / (m + 1)  # T^m / (m+1)!
-            acc = acc + coef * g
-            # certified tail: term envelope T^j (2 rho)^j / (j+1)! is geometric
-            # with ratio q = 2 rho T / (j+2) once q < 1
-            env = coef * (2.0 * rho) ** m
-            q = 2.0 * rho * T / (m + 2)
-            if q < 1.0:
-                tail = env * q / (1.0 - q)
-                if tail <= tol:
-                    order = m
-                    break
-            if m > 100000:
-                raise RuntimeError("sigma_T series failed to converge")
-    sig = T * acc
-    sig = (sig + sig.T) / 2.0  # symmetrize away roundoff
+    # an overflow or NaN anywhere below means the terms outgrew double
+    # precision before the tail test could stop them
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            acc = np.eye(n)
+            g = np.eye(n)
+            coef = 1.0
+            order = 0
+            tail = 0.0
+            if rho > 0.0:
+                m = 0
+                while True:
+                    m += 1
+                    g = d @ g + g @ d.T
+                    coef = coef * T / (m + 1)  # T^m / (m+1)!
+                    acc = acc + coef * g
+                    # certified tail: term envelope T^j (2 rho)^j / (j+1)! is geometric
+                    # with ratio q = 2 rho T / (j+2) once q < 1
+                    env = coef * (2.0 * rho) ** m
+                    q = 2.0 * rho * T / (m + 2)
+                    if q < 1.0:
+                        tail = env * q / (1.0 - q)
+                        if tail <= tol:
+                            order = m
+                            break
+                    if m > 100000:
+                        raise RuntimeError("sigma_T series failed to converge")
+            sig = T * acc
+            sig = (sig + sig.T) / 2.0  # symmetrize away roundoff
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(
+            f"sigma_T series overflows double precision at 2*rho*T = {2.0 * rho * T:.6g} "
+            f"({type(exc).__name__}: {exc}); the series-free route is "
+            "gaussian.sigma_T_quadrature") from exc
     return GaussianModel(xi, T, sig, order, tail)
 
 

@@ -7,6 +7,9 @@ inputs, across platforms.  Random instances draw from stream(seed), key
 paths in chunks of CHUNK, each in lockstep on one stream: chunk c draws from
 stream(seed, SAMPLER | c) (Salmon et al., SC 2011), the tag bit keeping it
 apart from the instance keys, so their results depend on the seed and CHUNK.
+Chunks share no state, so running them at once cannot change a bit: the SDE
+steps its chunks on usable_cpus() threads and verify runs its suites on at
+most as many forked workers, while the percolation samplers stay serial.
 
 A stream is Philox keyed by (seed, r), each key word taken modulo 2^64, and
 the key alone fixes its bits.  numpy also draws OS entropy for a seed
@@ -15,6 +18,8 @@ on a 2-vCPU Xeon, and a sampling op makes one stream per chunk.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -38,3 +43,11 @@ def chunk_ranges(total: int) -> list[tuple[int, int]]:
 def chunk_streams(seed: int, total: int) -> list[tuple[int, int, np.random.Generator]]:
     """(lo, hi, stream(seed, SAMPLER | c)) for the chunks c of `total` sampler paths."""
     return [(lo, hi, stream(seed, SAMPLER | c)) for c, (lo, hi) in enumerate(chunk_ranges(total))]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

@@ -12,11 +12,20 @@ stream (rng.chunk_streams), and each step draws one step's Brownian
 increments for a chunk's samples into one reused buffer, so terminal samples
 depend on the seed and CHUNK, particle/projection runs share noise when
 seeded alike, and memory is O(samples * n * d) whatever the step count.
+
+Particle runs (and the linear/zero projection, which is one) step their
+chunks on min(chunks, rng.usable_cpus()) threads, each chunk in its own rows
+of the output.  Nearly all of a run is the noise fill, which releases the
+GIL, and no chunk reads another's stream or rows, so the samples are the
+same bits on any number of threads.  The McKean-Vlasov projection stays on
+one thread: its samples interact at every step.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,7 +33,7 @@ import numpy as np
 
 from .matrix import InteractionMatrix
 from .percolation import NotApplicable
-from .rng import chunk_streams
+from .rng import chunk_streams, usable_cpus
 
 STOCHASTIC_TOL = 1e-9
 
@@ -140,14 +149,48 @@ def _particle_interaction(xi: InteractionMatrix, drift: DriftSpec):
     return interaction
 
 
+def _run_shares(tasks: list, fn: Callable) -> None:
+    """fn(*task) for every task, on min(len(tasks), usable_cpus()) threads.
+
+    With W threads, share k is tasks k, k + W, ...; the caller runs share 0
+    itself, so a single task starts no thread.  Each thread runs in a copy of
+    the caller's context (numpy's errstate lives there).  Every thread is
+    joined before this returns, and then the first failure, by share number,
+    is re-raised here.
+    """
+    workers = min(len(tasks), usable_cpus())
+    errors: list = [None] * workers
+
+    def share(k: int) -> None:
+        try:
+            for task in tasks[k::workers]:
+                fn(*task)
+        except BaseException as exc:  # re-raised in the caller after the joins
+            errors[k] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(share, k))
+               for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    share(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def simulate_particles(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig) -> np.ndarray:
     """Terminal samples of the coupled system, shape (samples, n*d)."""
     n, d = xi.n, drift.d
     interaction = _particle_interaction(xi, drift)
     out = np.zeros((cfg.samples, n, d))
-    # one chunk at a time, each stepped in place in its rows of out
-    for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples):
+
+    # each chunk is stepped in place in its own rows of out, on its own stream
+    def chunk(lo, hi, gen):
         _step_block(out[lo:hi], [(0, hi - lo, gen)], cfg, interaction)
+
+    _run_shares(chunk_streams(cfg.seed, cfg.samples), chunk)
     return out.reshape(cfg.samples, n * d)
 
 

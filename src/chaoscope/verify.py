@@ -27,7 +27,7 @@ from . import gaussian as gauss
 from . import percolation as perc
 from .matrix import (InteractionMatrix, MatrixError, SubsetState, lattice, q_xi,
                      step_pairs)
-from .rng import stream
+from .rng import stream, usable_cpus
 
 SLACK_TOL = 1e-9
 SUITES = ("generator", "expectations", "gaussian", "bounds")
@@ -334,13 +334,6 @@ _SUITE_FN = {"gaussian": gaussian_suite, "expectations": expectations_suite,
              "generator": generator_suite, "bounds": bounds_suite}
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _take(tasks: int, names, seed: int, count: dict, parent: int | None = None) -> list:
     """Run the suites whose indices this worker reads from the pipe `tasks`,
     one byte at a time until it is empty; (index, SuiteResult) pairs.  A
@@ -409,7 +402,7 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[Su
             raise ValueError(f"unknown suite {nm!r}; pick from {SUITES + ('all',)}")
     # no count given: each suite runs its own instances= default
     count = {} if instances is None else {"instances": instances}
-    workers = min(len(names), _usable_cpus()) if hasattr(os, "fork") else 1
+    workers = min(len(names), usable_cpus()) if hasattr(os, "fork") else 1
     order = list(_SUITE_FN)
     tasks, fill = os.pipe()
     os.write(fill, bytes(sorted(range(len(names)), key=lambda i: order.index(names[i]))))

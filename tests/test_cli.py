@@ -212,6 +212,24 @@ def test_signed_blocks_of_nearly_equal_norm(tmp_path):
     assert all(r["oracle"] is not None for r in json.loads(sim.read_text()))
 
 
+@pytest.mark.parametrize("rows, T, reach", [
+    ("1e200,1e200,0\n0,1e200,1e200\n1e200,0,1e200\n", "1", "4e+200"),
+    ("0,300,0\n0,0,0\n0,0,0\n", "1", "600"),
+])
+def test_gaussian_series_overflow_is_named(tmp_path, capsys, rows, T, reach):
+    # the series' terms once ran into inf with numpy warnings and a bare
+    # OverflowError from (2 rho)^m
+    path = tmp_path / "big.csv"
+    path.write_text(rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("gaussian", "--matrix", str(path), "--T", T) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert f"sigma_T series overflows double precision at 2*rho*T = {reach} " in err
+    assert "gaussian.sigma_T_quadrature" in err
+
+
 def test_bound_cli_variants(tmp_path, capsys):
     rc = run("bound", "--theorem", "max", "--mean-field", "6", "--k", "3")
     assert rc == 0

@@ -1,11 +1,16 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from chaoscope import sde
 from chaoscope.gaussian import sigma_T
 from chaoscope.matrix import InteractionMatrix, build_mean_field
 from chaoscope.percolation import NotApplicable
+from chaoscope.rng import CHUNK, chunk_streams
 from chaoscope.sde import (DriftSpec, SimConfig, save_samples,
                            simulate_particles, simulate_projection)
 
@@ -95,3 +100,105 @@ def test_save_samples(tmp_path):
     save_samples(np.array([[1.5, 2.25], [395.0, -0.5]]), path)
     lines = path.read_text().splitlines()
     assert lines == ["1.5,2.25", "395.0,-0.5"]
+
+
+# ---------------------------------------------------------------------------
+# Chunks on threads
+
+POOL_CFG = SimConfig(dt=0.1, T=0.3, samples=3 * CHUNK + 17, seed=21)
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def serial_run(xi, drift, cfg):
+    """One chunk after another, each stepped in its own rows: the loop the
+    threads replace."""
+    out = np.zeros((cfg.samples, xi.n, drift.d))
+    interaction = sde._particle_interaction(xi, drift)
+    for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples):
+        sde._step_block(out[lo:hi], [(0, hi - lo, gen)], cfg, interaction)
+    return out.reshape(cfg.samples, -1)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads as often as the interpreter allows, so that a race shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("drift", [DriftSpec.linear(), DriftSpec.zero(),
+                                   DriftSpec.custom("sine")], ids=lambda d: d.kind)
+def test_threaded_chunks_are_byte_identical(monkeypatch, fast_switching, drift):
+    xi = random_matrices(1, seed=31, n_lo=3, n_hi=3)[0]
+    want = serial_run(xi, drift, POOL_CFG).tobytes()
+    decoupled = serial_run(xi, DriftSpec.zero(), POOL_CFG).tobytes()
+    for count in (1, 2, 3, 8):
+        cpus(monkeypatch, count)
+        before = threading.active_count()
+        assert simulate_particles(xi, drift, POOL_CFG).tobytes() == want, count
+        assert threading.active_count() == before, count
+        if drift.kind != "sine":  # the linear/zero projection is the zero-drift run
+            assert simulate_projection(xi, drift, POOL_CFG).tobytes() == decoupled, count
+
+
+class ChunkFailed(Exception):
+    pass
+
+
+def test_a_failing_chunk_raises_in_the_caller(monkeypatch):
+    real = sde._step_block
+
+    def last_chunk_fails(x, streams, cfg, interaction):
+        if len(x) == 17:
+            raise ChunkFailed
+        return real(x, streams, cfg, interaction)
+
+    monkeypatch.setattr(sde, "_step_block", last_chunk_fails)
+    # with 4 chunks the last runs in a worker thread on 2 and 8 CPUs, in the
+    # caller on 3 (its share is chunks 0 and 3)
+    for count in (1, 2, 3, 8):
+        cpus(monkeypatch, count)
+        before = threading.active_count()
+        with pytest.raises(ChunkFailed):
+            simulate_particles(build_mean_field(3), DriftSpec.linear(), POOL_CFG)
+        assert threading.active_count() == before, count
+
+
+def test_worker_threads_keep_the_callers_errstate(monkeypatch):
+    real = sde._step_block
+
+    def overflow_off_the_main_thread(x, streams, cfg, interaction):
+        if threading.current_thread() is not threading.main_thread():
+            np.full(1, 1e308) * 10.0
+        return real(x, streams, cfg, interaction)
+
+    monkeypatch.setattr(sde, "_step_block", overflow_off_the_main_thread)
+    cpus(monkeypatch, 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        simulate_particles(build_mean_field(3), DriftSpec.zero(), POOL_CFG)
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    started = []
+    real = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cpus(monkeypatch, 8)
+    xi = build_mean_field(3)
+    for samples in (1, CHUNK):
+        cfg = SimConfig(dt=0.1, T=0.3, samples=samples, seed=2)
+        simulate_particles(xi, DriftSpec.linear(), cfg)
+    assert started == []
+    cfg = SimConfig(dt=0.1, T=0.3, samples=CHUNK + 1, seed=2)
+    simulate_particles(xi, DriftSpec.linear(), cfg)
+    assert len(started) == 1
