@@ -119,11 +119,14 @@ def _cell(x):
 def _emit(records: list[dict], header: list[str], args, outputs: list, doc=None):
     """Deliver the records as JSON (`doc` in their place if given), or as CSV,
     one row per record with its fields in header order."""
+    _deliver(_render(records, header, args, doc), args, outputs)
+
+
+def _render(records: list[dict], header: list[str], args, doc=None) -> str:
+    """_emit's text; raises ValueError on a non-finite number."""
     if args.format == "csv":
-        text = _csv_text(header, [[_cell(rec.get(c)) for c in header] for rec in records])
-    else:
-        text = json_text(doc or records)
-    _deliver(text, args, outputs)
+        return _csv_text(header, [[_cell(rec.get(c)) for c in header] for rec in records])
+    return json_text(doc or records)
 
 
 def _deliver(text: str, args, outputs: list):
@@ -373,9 +376,6 @@ def cmd_simulate(args, outputs: list) -> int:
                         seed=args.seed, sigma=args.sigma)
     run = sde.simulate_projection if args.projection else sde.simulate_particles
     samples = run(xi, drift, cfg)
-    if args.save_samples:
-        sde.save_samples(samples, args.save_samples)
-        outputs.append(args.save_samples)
     emp = np.cov(samples, rowvar=False)
     emp = np.atleast_2d(emp)
     dim = emp.shape[0]
@@ -396,7 +396,12 @@ def cmd_simulate(args, outputs: list) -> int:
                 ora = float(oracle[i, j])
                 rec.update(oracle=ora, abs_diff=abs(float(emp[i, j]) - ora))
             recs.append(rec)
-    _emit(recs, ["i", "j", "empirical", "oracle", "abs_diff", "stderr"], args, outputs)
+    # checked before any file is written, so a failing run leaves none
+    text = _render(recs, ["i", "j", "empirical", "oracle", "abs_diff", "stderr"], args)
+    if args.save_samples:
+        sde.save_samples(samples, args.save_samples)
+        outputs.append(args.save_samples)
+    _deliver(text, args, outputs)
     if args.emit_gnuplot and args.out and args.format == "csv":
         _emit_gnuplot(args.out, 3, 4, "empirical", "oracle", outputs)
     return 0

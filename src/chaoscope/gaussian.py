@@ -22,6 +22,8 @@ from .matrix import (ROW_SUM_RTOL, InteractionMatrix, SubsetState, indicators, l
 from .rng import chunk_ranges, stream
 
 ENUMERATION_LIMIT = 10 ** 6
+SERIES_TOL = 1e-10  # sup-norm tail of the sigma_T (of T^{-1} Sigma_T) and d_T series
+QUADRATURE_TOL = 1e-12  # their quadratures' truncation per stage, relative
 
 
 class InvalidCovariance(ValueError):
@@ -51,14 +53,9 @@ class GaussianModel:
         """Whether T sits inside the window where the lower bounds are asserted."""
         return self.rho == 0.0 or self.T <= math.log(2.0) / (2.0 * self.rho)
 
-    def centered(self, v: SubsetState | None = None) -> np.ndarray:
-        """T^{-1} Sigma^v_T - I for the chosen subset (the whole index set if None)."""
-        if v is None:
-            sub = self.sigma_T
-        else:
-            mem = SubsetState.of(v, self.n).members
-            sub = self.sigma_T[np.ix_(mem, mem)]
-        return sub / self.T - np.eye(sub.shape[0])
+    def centered(self) -> np.ndarray:
+        """T^{-1} Sigma_T - I."""
+        return self.sigma_T / self.T - np.eye(self.n)
 
 
 @dataclass(frozen=True)
@@ -87,63 +84,78 @@ def h(x):
     return x - np.log1p(x)
 
 
-def sigma_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> GaussianModel:
+def sigma_T(xi: InteractionMatrix, T: float) -> GaussianModel:
     """Covariance at time T by the Gamma series, tail certified against (2 rho)^m.
 
-    Stops once sum_{m>M} T^m (2 rho)^m / (m+1)! <= tol, which bounds the
-    sup-norm error of T^{-1} Sigma_T.  Cross-check with sigma_T_quadrature.
+    T^{-1} Sigma_T = I + sum_{m>=1} T^m/(m+1)! Gamma_m, Gamma_m = xi Gamma_{m-1} +
+    Gamma_{m-1} xi^T, Gamma_0 = I, by _series.  Cross-check: sigma_T_quadrature.
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     d = xi.dense()
-    rho = xi.rho
-    n = xi.n
-    # an overflow or NaN anywhere below means the terms outgrew double
-    # precision before the tail test could stop them
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            acc = np.eye(n)
-            g = np.eye(n)
-            coef = 1.0
-            order = 0
-            tail = 0.0
-            if rho > 0.0:
-                m = 0
-                while True:
-                    m += 1
-                    g = d @ g + g @ d.T
-                    coef = coef * T / (m + 1)  # T^m / (m+1)!
-                    acc = acc + coef * g
-                    # certified tail: term envelope T^j (2 rho)^j / (j+1)! is geometric
-                    # with ratio q = 2 rho T / (j+2) once q < 1
-                    env = coef * (2.0 * rho) ** m
-                    q = 2.0 * rho * T / (m + 2)
-                    if q < 1.0:
-                        tail = env * q / (1.0 - q)
-                        if tail <= tol:
-                            order = m
-                            break
-                    if m > 100000:
-                        raise RuntimeError("sigma_T series failed to converge")
-            sig = T * acc
-            sig = (sig + sig.T) / 2.0  # symmetrize away roundoff
-    except (FloatingPointError, OverflowError) as exc:
-        raise ValueError(
-            f"sigma_T series overflows double precision at 2*rho*T = {2.0 * rho * T:.6g} "
-            f"({type(exc).__name__}: {exc}); the series-free route is "
-            "gaussian.sigma_T_quadrature") from exc
+
+    def gammas():
+        g = np.eye(xi.n)
+        while True:
+            g = d @ g + g @ d.T
+            yield g
+
+    def finish(acc):
+        sig = T * acc
+        return (sig + sig.T) / 2.0  # symmetrize away roundoff
+
+    sig, order, tail = _series("sigma_T", "2*rho*T", 2.0 * xi.rho, T, gammas(),
+                               np.eye(xi.n), 1, finish)
     return GaussianModel(xi, T, sig, order, tail)
 
 
-def sigma_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-12) -> np.ndarray:
+def _series(name: str, label: str, r: float, T: float, terms, acc, m: int, finish):
+    """finish(acc + sum_{j>=m} c_j a_j), c_j = T^j/(j+1)!, with its order and tail.
+
+    terms yields a_m, a_{m+1}, ... of sup norm <= r^j.  The envelope c_j (rT)^j
+    is a running product; with q = rT/(j+2) < 1 the terms past j sum to at
+    most env q/(1-q), and the sum stops at the first j >= m where that is
+    <= SERIES_TOL.  From j = 2rT on each step at least halves the envelope,
+    so a finite one stops within ~1,060 more steps: no term cap.  An
+    overflow (numpy's over/invalid, or a coefficient or envelope at inf)
+    raises one ValueError naming rT and gaussian.<name>_quadrature.  r = 0
+    adds no term.
+    """
+    reach = r * T
+    order, tail = 0, 0.0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            j, coef, env = 0, 1.0, 1.0
+            while r > 0.0:
+                j += 1
+                coef = coef * T / (j + 1)
+                env = env * reach / (j + 1)
+                if not (coef < math.inf and env < math.inf):
+                    raise OverflowError(f"term {j}'s coefficient or tail envelope is inf")
+                if j < m:
+                    continue
+                acc = acc + coef * next(terms)
+                q = reach / (j + 2)
+                if q < 1.0:
+                    tail = env * q / (1.0 - q)
+                    if tail <= SERIES_TOL:
+                        order = j
+                        break
+            return finish(acc), order, tail
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(
+            f"{name} series overflows double precision at {label} = {reach:.6g} "
+            f"({type(exc).__name__}: {exc}); the series-free route is "
+            f"gaussian.{name}_quadrature") from exc
+
+
+def sigma_T_quadrature(xi: InteractionMatrix, T: float) -> np.ndarray:
     """Independent route: Sigma_T as one block exponential (Van Loan, IEEE TAC 1978).
 
     The time-T operator (Y, X) -> (T (xi Y + Y xi^T + X), 0) started at (0, I)
     ends at Y = int_0^T e^{s xi} e^{s xi^T} ds.  Its norm is at most
-    T (2 ||xi||_inf + 1), so the truncation is certified at tol * ||Sigma_T||_max
-    per scaling stage without the rho bound the series relies on.
+    T (2 ||xi||_inf + 1), so the truncation is certified at QUADRATURE_TOL *
+    ||Sigma_T||_max per scaling stage without the rho bound the series relies on.
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
@@ -155,7 +167,7 @@ def sigma_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-12) -> n
 
     start = np.stack((np.zeros((xi.n, xi.n)), np.eye(xi.n)))
     mu = T * (2.0 * float(np.linalg.norm(d, np.inf)) + 1.0)
-    return linalg.expm_action(apply, start, tol=tol, mu=mu)[0]
+    return linalg.expm_action(apply, start, mu, tol=QUADRATURE_TOL)[0]
 
 
 def _check_covariance(c, name) -> np.ndarray:
@@ -251,8 +263,8 @@ def max_upper(model: GaussianModel, v):
     return math.exp(10.0 * model.rho * model.T) * model.xi.delta ** 2 * sizes ** 2
 
 
-def d_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> float:
-    """sum_i (sum_{m>=2} T^m/(m+1)! (xi^m)_ii)^2, tail controlled by rho^m.
+def d_T(xi: InteractionMatrix, T: float) -> float:
+    """sum_i (sum_{m>=2} T^m/(m+1)! (xi^m)_ii)^2 by _series, tail controlled by rho^m.
 
     Vanishes whenever every diagonal of every power vanishes (e.g. strictly
     triangular xi).  Cross-check: d_T_quadrature integrates e^{s xi} instead.
@@ -260,38 +272,30 @@ def d_T(xi: InteractionMatrix, T: float, tol: float = 1e-10) -> float:
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     d = xi.dense()
-    rho = xi.rho
-    s = np.zeros(xi.n)
-    if rho > 0.0:
+
+    def diagonals():
         power = d @ d
-        coef = T * T / 6.0  # T^2 / 3!
-        m = 2
         while True:
-            s = s + coef * np.diag(power)
-            env = coef * rho ** m
-            q = rho * T / (m + 2)
-            if q < 1.0 and env * q / (1.0 - q) <= tol:
-                break
-            if m > 100000:
-                raise RuntimeError("d_T series failed to converge")
+            yield np.diag(power)
             power = power @ d
-            m += 1
-            coef = coef * T / (m + 1)
-    return float((s * s).sum())
+
+    return _series("d_T", "rho*T", xi.rho, T, diagonals(), np.zeros(xi.n), 2,
+                   lambda s: float((s * s).sum()))[0]
 
 
-def d_T_quadrature(xi: InteractionMatrix, T: float, tol: float = 1e-12) -> float:
+def d_T_quadrature(xi: InteractionMatrix, T: float) -> float:
     """Same quantity through (1/T) int_0^T e^{s xi} ds minus the linear part.
 
     The integral is the top block of exp(T [[xi, I], [0, 0]]) applied to
-    [0; I], certified at tol times its largest entry per scaling stage.
+    [0; I], certified at QUADRATURE_TOL times its largest entry per stage.
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     d = xi.dense()
     eye, zero = np.eye(xi.n), np.zeros((xi.n, xi.n))
-    block = np.block([[d, eye], [zero, zero]])
-    m_t = linalg.expm_action(T * block, np.vstack((zero, eye)), tol=tol)[:xi.n]
+    block = T * np.block([[d, eye], [zero, zero]])
+    m_t = linalg.expm_action(block.__matmul__, np.vstack((zero, eye)),
+                             np.linalg.norm(block, np.inf), tol=QUADRATURE_TOL)[:xi.n]
     inner = np.diag(m_t / T - eye - (T / 2.0) * d)
     return float((inner * inner).sum())
 

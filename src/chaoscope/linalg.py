@@ -3,8 +3,9 @@
 Nothing here knows about interaction matrices or subsets; these are the
 primitives the engines are built on.  All routines are deterministic.  There
 is no quadrature: the package's time integrals are block exponentials (Van
-Loan, IEEE TAC 1978) applied through expm_action, or closed-form Poisson
-mixtures, so every one carries a certified truncation bound.
+Loan, IEEE TAC 1978) applied as operators, with a norm bound, through
+expm_action, or closed-form Poisson mixtures, so every one carries a
+certified truncation bound.
 """
 
 from __future__ import annotations
@@ -22,29 +23,20 @@ _MAX_TAYLOR_TERMS = 200
 _DIRECT_LOG_PMF = 2.0 ** 32
 
 
-def expm_action(a, b: np.ndarray, tol: float = 1e-12, mu: float | None = None) -> np.ndarray:
-    """e^A b by scaled truncated Taylor series.
+def expm_action(apply, b: np.ndarray, mu: float, tol: float = 1e-12) -> np.ndarray:
+    """e^A b by scaled truncated Taylor series, for an operator A.
 
-    a is a square matrix A, or a callable x -> A x acting on arrays shaped
-    like b together with mu >= ||A||_inf, the norm A induces on the max-abs
-    norm of such arrays (for a matrix mu is ||a||_inf itself).  The norm is
-    divided down so each stage has ||A/s|| <= 1, and the series remainder is
-    bounded through mu, so the truncation error is certified at
-    tol * ||result||_max per stage (absolute floor near zero).  Never forms an
-    eigendecomposition; for entrywise-nonnegative A and b every intermediate
-    stays nonnegative.
+    apply is x -> A x on arrays shaped like b, and mu >= ||A||_inf bounds
+    the norm A induces on the max-abs norm of such arrays (for a matrix a,
+    pass a.__matmul__ and ||a||_inf).  The norm is divided down so each
+    stage has ||A/s|| <= 1, and the series remainder is bounded through mu,
+    so the truncation error is certified at tol * ||result||_max per stage
+    (absolute floor near zero).  Never forms an eigendecomposition; for
+    entrywise-nonnegative A and b every intermediate stays nonnegative.
     """
     b = np.asarray(b, dtype=float)
-    if callable(a):
-        if mu is None or not 0.0 <= mu < math.inf:
-            raise ValueError("expm_action: an operator needs a finite norm bound mu >= 0")
-        apply = a
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expm_action: a must be square")
-        mu = np.linalg.norm(a, np.inf)
-        apply = a.__matmul__
+    if not 0.0 <= mu < math.inf:
+        raise ValueError("expm_action: an operator needs a finite norm bound mu >= 0")
     if mu == 0.0 or not b.any():
         return b.astype(float, copy=True)
     stages = max(1, int(math.ceil(mu)))
@@ -102,7 +94,8 @@ def op_norm(a: np.ndarray) -> float:
         part, z = part[:, z > 0.0], z[z > 0.0]
         upper = max(upper, float((part.T @ (part @ z) / z).max()) + rest)
     cap = float(a.sum(axis=0).max()) * float(a.sum(axis=1).max())
-    return float(np.ldexp(math.sqrt(min(upper, cap) * _inflation(a)), exp))
+    with np.errstate(over="ignore"):  # inf past the largest double, silently
+        return float(np.ldexp(math.sqrt(min(upper, cap) * _inflation(a)), exp))
 
 
 def _inflation(a: np.ndarray) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -177,17 +176,12 @@ class _Engine:
         return out
 
 
-@lru_cache(maxsize=6)
-def _engine(model: PercolationModel, v: int = 0) -> _Engine:
-    return _Engine(model, v)
-
-
 def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunction:
     """Exact AF on every subset, column by column for a stack; AF([n]) = 0
     and A annihilates constants."""
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
-    eng = _engine(model)
+    eng = _Engine(model)
     return SubsetFunction(eng.apply_generator(np.asarray(F.values, dtype=float)), model.n)
 
 
@@ -257,7 +251,7 @@ def exact_expectations(model: PercolationModel, F: SubsetFunction, v, times,
     """
     if F.n != model.n:
         raise ValueError("function and model sizes differ")
-    eng = _engine(model, 0 if v is None else SubsetState.of(v, model.n).mask)
+    eng = _Engine(model, 0 if v is None else SubsetState.of(v, model.n).mask)
     return uniformized(eng.apply_kernel, F.values[eng.masks], eng.curve_lam, times, tol, rate,
                        horizon)
 

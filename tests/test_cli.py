@@ -214,11 +214,12 @@ def test_signed_blocks_of_nearly_equal_norm(tmp_path):
 
 @pytest.mark.parametrize("rows, T, reach", [
     ("1e200,1e200,0\n0,1e200,1e200\n1e200,0,1e200\n", "1", "4e+200"),
-    ("0,300,0\n0,0,0\n0,0,0\n", "1", "600"),
+    ("0,400,0\n0,0,0\n0,0,0\n", "1", "800"),
+    ("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n", "1", "inf"),
 ])
 def test_gaussian_series_overflow_is_named(tmp_path, capsys, rows, T, reach):
-    # the series' terms once ran into inf with numpy warnings and a bare
-    # OverflowError from (2 rho)^m
+    # the series' terms once ran into inf with numpy warnings, and a bare
+    # OverflowError from (2 rho)^m; rho itself warned past the largest double
     path = tmp_path / "big.csv"
     path.write_text(rows)
     with warnings.catch_warnings(record=True) as caught:
@@ -228,6 +229,15 @@ def test_gaussian_series_overflow_is_named(tmp_path, capsys, rows, T, reach):
     err = capsys.readouterr().err
     assert f"sigma_T series overflows double precision at 2*rho*T = {reach} " in err
     assert "gaussian.sigma_T_quadrature" in err
+
+
+def test_gaussian_cli_on_a_nilpotent_matrix_with_a_large_entry(tmp_path):
+    # 2 rho T = 200: (2 rho)^m overflowed on its own, and the run was refused
+    path = tmp_path / "nilpotent.csv"
+    path.write_text("0,100,0\n0,0,0\n0,0,0\n")
+    out = tmp_path / "g.json"
+    assert run("gaussian", "--matrix", str(path), "--T", "1", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["subsets"][0]["exact"] > 0.0
 
 
 def test_bound_cli_variants(tmp_path, capsys):
@@ -441,7 +451,8 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("bound", "--theorem", "growth", "--mean-field", "3", "--gamma", "1", "--big-m",
           "1", "--sigma-const", "1", "--horizon", "1"), "--theorem growth needs --v"),
         # results beyond the floating-point range
-        (("gaussian", "--mean-field", "4", "--T", "200"), "OverflowError"),
+        (("gaussian", "--mean-field", "4", "--T", "200"),
+         "sigma_T series overflows double precision at 2*rho*T = 400 "),
         (("bound", "--theorem", "h3", "--delta", "0.1", "--gamma", "1", "--big-m", "1",
           "--sigma-const", "1", "--horizon", "1000"), "OverflowError"),
         (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
@@ -497,14 +508,16 @@ def test_memory_error_is_an_error_line(capsys, monkeypatch):
 
 
 def test_non_finite_results_are_refused(tmp_path, capsys, monkeypatch):
-    # sigma^2 is finite, but the sample covariance overflows to inf
-    out = tmp_path / "cov.json"
+    # sigma^2 is finite, but the sample covariance overflows to inf; the
+    # samples file was once written before that was found
+    out, samples = tmp_path / "cov.json", tmp_path / "S"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1",
-                   "--samples", "10", "--sigma", "1e154", "--out", str(out)) == 2
+                   "--samples", "10", "--sigma", "1e154", "--save-samples", str(samples),
+                   "--out", str(out)) == 2
     assert "error: non-finite result [0].empirical = inf" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
     # the CSV route refuses it too, naming the row and column
     out_csv = tmp_path / "cov.csv"
     with warnings.catch_warnings():

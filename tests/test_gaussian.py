@@ -170,6 +170,30 @@ def test_d_T_routes_agree_and_triangular_vanishes():
     assert d_T_quadrature(tri, 0.8) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_series_sum_past_where_the_powers_of_rho_overflow():
+    # (2 rho)^m and rho^m overflowed on their own here, while each series
+    # term and each sum stay finite
+    nilpotent = InteractionMatrix.from_dense(np.array([[0, 100.0, 0], [0, 0, 0], [0, 0, 0]]))
+    got = sigma_T(nilpotent, 1.0).sigma_T
+    want = sigma_T_quadrature(nilpotent, 1.0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    chain = InteractionMatrix.from_dense(np.array([[0, 30.0, 0], [0, 0, 30.0], [0, 0, 0]]))
+    assert d_T(chain, 10.0) == 0.0
+
+
+@pytest.mark.parametrize("f, d, T, reach", [
+    (sigma_T, [[0, 400.0, 0], [0, 0, 0], [0, 0, 0]], 1.0, "2*rho*T = 800"),
+    (d_T, [[0, 100.0, 0], [0, 0, 100.0], [0, 0, 0]], 10.0, "rho*T = 1000"),
+])
+def test_series_envelope_overflow_is_named(f, d, T, reach):
+    # once the tail envelope is inf, the tail test can never stop the sum
+    with pytest.raises(ValueError) as exc:
+        f(InteractionMatrix.from_dense(np.array(d)), T)
+    msg = str(exc.value)
+    assert f"{f.__name__} series overflows double precision at {reach} " in msg
+    assert "envelope" in msg and f"gaussian.{f.__name__}_quadrature" in msg
+
+
 def test_triangular_row_square_sums():
     for n in (4, 9):
         tri = triangular(n)
@@ -219,15 +243,6 @@ def test_avg_entropy_sandwich_brackets_enumeration():
             lo_e, hi_e = avg_entropy_sandwich(gm, k, explicit=True)
             assert lo - 1e-12 <= val <= hi + 1e-12
             assert lo_e - 1e-12 <= val <= hi_e + 1e-12
-
-
-def test_centered_submatrix_consistency():
-    xi = random_matrices(1, seed=52, n_lo=5, n_hi=5)[0]
-    gm = sigma_T(xi, 0.4)
-    v = SubsetState.of([1, 3], 5)
-    mem = v.members
-    want = gm.sigma_T[np.ix_(mem, mem)] / 0.4 - np.eye(2)
-    assert np.allclose(gm.centered(v), want, rtol=0, atol=1e-15)
 
 
 def test_eigenvalue_window():

@@ -10,6 +10,11 @@ from chaoscope.rng import stream
 from chaoscope.verify import random_substochastic
 
 
+def matrix_action(a, b):
+    """expm_action of a dense matrix: its product as the operator, ||a||_inf as mu."""
+    return expm_action(a.__matmul__, b, np.linalg.norm(a, np.inf))
+
+
 def test_expm_action_matches_scipy():
     g = stream(1)
     for _ in range(20):
@@ -17,22 +22,20 @@ def test_expm_action_matches_scipy():
         a = g.standard_normal((n, n))
         b = g.standard_normal(n)
         want = scipy.linalg.expm(a) @ b
-        got = expm_action(a, b)
+        got = matrix_action(a, b)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-def test_expm_action_matrix_argument():
+    # a block of columns
     g = stream(2)
     a = g.standard_normal((5, 5))
     b = g.standard_normal((5, 3))
     want = scipy.linalg.expm(a) @ b
-    assert np.allclose(expm_action(a, b), want, rtol=1e-10, atol=1e-12)
+    assert np.allclose(matrix_action(a, b), want, rtol=1e-10, atol=1e-12)
 
 
 def test_expm_matches_scipy():
     g = stream(3)
     a = 2.0 * g.standard_normal((6, 6))
-    assert np.allclose(expm_action(a, np.eye(6)), scipy.linalg.expm(a), rtol=1e-9, atol=1e-11)
+    assert np.allclose(matrix_action(a, np.eye(6)), scipy.linalg.expm(a), rtol=1e-9, atol=1e-11)
 
 
 def test_expm_action_operator_form():
@@ -46,13 +49,14 @@ def test_expm_action_operator_form():
     got = expm_action(lambda x: a @ x + x @ a.T, x0, mu=mu)
     want = (scipy.linalg.expm(kron) @ x0.ravel()).reshape(4, 4)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
-    with pytest.raises(ValueError, match="norm bound"):
-        expm_action(lambda x: a @ x, x0)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="norm bound"):
+            expm_action(lambda x: a @ x, x0, mu=bad)
 
 
 def test_expm_action_zero_matrix():
     b = np.arange(4.0)
-    assert np.array_equal(expm_action(np.zeros((4, 4)), b), b)
+    assert np.array_equal(matrix_action(np.zeros((4, 4)), b), b)
 
 
 def test_op_norm_matches_svd():

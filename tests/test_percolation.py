@@ -11,7 +11,7 @@ from chaoscope.bounds import ModelConstants
 from chaoscope.matrix import (InteractionMatrix, MatrixError, SubsetState,
                               build_mean_field, cost_values, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
-                                   PercolationModel, SubsetFunction, _engine,
+                                   PercolationModel, SubsetFunction, _Engine,
                                    exact_expectation,
                                    exact_expectations, expectation_bound,
                                    expectation_bounds, functional_table,
@@ -160,16 +160,16 @@ def test_uniformization_rate_is_the_largest_exit_rate():
     mean_field = build_mean_field(16)
     directed = random_matrices(1, seed=41, n_lo=10, n_hi=10)[0]
     for xi, kappa in ((mean_field, 1.0), (directed, 0.7)):
-        lam = _engine(PercolationModel(xi, kappa)).lam
+        lam = _Engine(PercolationModel(xi, kappa)).lam
         top = exit_rates(xi, kappa).max()
         assert top <= lam <= (1 + 1e-11) * top
     # the largest exit is from 8 of 16 sites: 8 * 8 / 15, where n = 16 was used
-    assert _engine(PercolationModel(mean_field, 1.0)).lam == pytest.approx(64 / 15, rel=1e-11)
+    assert _Engine(PercolationModel(mean_field, 1.0)).lam == pytest.approx(64 / 15, rel=1e-11)
 
 
 def test_uniformized_kernel_is_stochastic():
     xi = random_matrices(1, seed=42, n_lo=5, n_hi=5)[0]
-    eng = _engine(PercolationModel(xi, 1.4))
+    eng = _Engine(PercolationModel(xi, 1.4))
     kernel = np.column_stack([eng.apply_kernel(e) for e in np.eye(32)])
     assert kernel.min() >= 0.0
     assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-15
@@ -178,7 +178,7 @@ def test_uniformized_kernel_is_stochastic():
 def test_models_without_exits_keep_f():
     for n in (1, 4):
         model = PercolationModel(InteractionMatrix.from_dense(np.zeros((n, n))), 1.3)
-        assert _engine(model).lam == 1.3
+        assert _Engine(model).lam == 1.3
         f = SubsetFunction(np.arange(1 << n) + 0.5, n)
         for mask in range(1 << n):
             got = exact_expectation(model, f, SubsetState(mask, n).members, 2.0)
@@ -202,14 +202,14 @@ def test_upset_route_matches_full_lattice(single_edge):
     for xi in matrices:
         n = xi.n
         model = PercolationModel(xi, float(gen.uniform(0.3, 1.5)))
-        lam = _engine(model, 0).curve_lam
+        lam = _Engine(model, 0).curve_lam
         for F in (SubsetFunction(gen.random(1 << n), n),
                   SubsetFunction(gen.random((1 << n, 3)) - 0.5, n)):
             cert = tol * np.abs(F.values).max()
             full = exact_expectations(model, F, None, times, tol, rate=0.4)
             for mask in range(1 << n):
                 v = SubsetState(mask, n)
-                eng = _engine(model, mask)
+                eng = _Engine(model, mask)
                 up = exact_expectations(model, F, v, times, tol, rate=0.4)
                 assert up.shape[1] == 1 << (n - v.size)
                 assert eng.masks[0] == mask and (eng.masks & mask == mask).all()
@@ -226,7 +226,7 @@ def test_kernel_step_matches_definition():
     # n = 8 runs the transposed layout of bits 0-3 and the plain one of bits 4-7
     xi = random_matrices(1, seed=43, n_lo=8, n_hi=8)[0]
     kappa = 0.9
-    eng = _engine(PercolationModel(xi, kappa))
+    eng = _Engine(PercolationModel(xi, kappa))
     f = stream(44).random(1 << 8)
     want = f + brute_generator(xi, kappa, f) / eng.lam
     assert np.abs(eng.apply_kernel(f) - want).max() <= 1e-13
@@ -238,7 +238,7 @@ def test_stacked_tables_match_their_columns():
     for n in range(1, 11):
         gen = stream(60 + n)
         model = PercolationModel(random_substochastic(n, gen), float(gen.uniform(0.3, 1.0)))
-        eng = _engine(model)
+        eng = _Engine(model)
         stack = SubsetFunction(gen.random((1 << n, 3)), n)
         lhs = generator_apply(model, stack).values
         step = eng.apply_kernel(stack.values)
@@ -663,10 +663,9 @@ def test_block_operator_norm_bounds(monkeypatch):
     seen = []
     real = linalg.expm_action
 
-    def recording(a, b, tol=1e-12, mu=None):
-        if callable(a):
-            seen.append((a, np.asarray(b, dtype=float), mu))
-        return real(a, b, tol=tol, mu=mu)
+    def recording(apply, b, mu, tol=1e-12):
+        seen.append((apply, np.asarray(b, dtype=float), mu))
+        return real(apply, b, mu, tol=tol)
 
     monkeypatch.setattr(linalg, "expm_action", recording)
     g = stream(25)
