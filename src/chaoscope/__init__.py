@@ -8,7 +8,7 @@ bounds, and Euler-Maruyama simulation, all deterministic under a seed.
 __version__ = "0.1.0"
 
 from .bounds import (BoundReport, ModelConstants, avg_entropy_bound,
-                     gaussian_fk_constants, h3_bound, lsi_constants,
+                     gaussian_fk_constants, h3_bound, lsi_convex, lsi_torus,
                      max_entropy_bound, percolation_entropy_bound,
                      reversed_variant, setwise_bound, sharper_avg_bound,
                      weighted_avg_bound)
@@ -28,7 +28,7 @@ from .verify import run_suite
 __all__ = [
     "__version__",
     "BoundReport", "ModelConstants", "avg_entropy_bound",
-    "gaussian_fk_constants", "h3_bound", "lsi_constants", "max_entropy_bound",
+    "gaussian_fk_constants", "h3_bound", "lsi_convex", "lsi_torus", "max_entropy_bound",
     "percolation_entropy_bound", "reversed_variant", "setwise_bound",
     "sharper_avg_bound", "weighted_avg_bound",
     "GaussianModel", "avg_entropy", "avg_entropy_sandwich", "clique_lower",

@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import GaussianModel
-from .matrix import InteractionMatrix, SubsetState, validate
+from .matrix import InteractionMatrix, SubsetState, cost_values, validate
 from .percolation import (NotApplicable, PercolationModel, SubsetFunction,
-                          exact_expectations, functional_table)
+                          exact_expectations, _require_exact)
 
 COLUMN_SLACK = 1e-12
 CURVE_TOL = 1e-10  # Poisson truncation of the growth-bound uniformization
@@ -113,15 +113,16 @@ def _check_k(xi: InteractionMatrix, k: int):
 # ---------------------------------------------------------------------------
 # Growth-process entropy bound (exact expectation + time integral)
 
-def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConstants,
-                              H0: SubsetFunction | None = None,
-                              use_chat: bool = False, h3: float = 0.0,
+def percolation_entropy_bound(xi: InteractionMatrix, v, constants: ModelConstants,
+                              H0: SubsetFunction | None = None, h3: float | None = None,
                               uniform: bool = False):
     """E_v[H0(X_T)] + int_0^T E_v[cost(X_t)] dt through the exact engine.
 
-    cost is C (quadratic interaction cost) or, with use_chat, the sharper
-    C-hat built from a three-particle entropy bound h3.  In uniform mode both
-    terms carry the discount exp(-sigma^2 t / 4 eta) at their own times, and
+    X is the growth process on xi at the proofs' rate gamma / sigma^2
+    (constants.rate_scale()).  cost is C (quadratic interaction cost) for
+    h3=None, else the sharper C-hat built from a three-particle entropy
+    bound h3 (matrix.cost_values).  In uniform mode both terms carry the
+    discount exp(-sigma^2 t / 4 eta) at their own times, and
     sigma^2 > 12 eta gamma is enforced.  Cost and H0 share one pass of
     exact_expectations, a stack of the two tables (the integral row alone
     without H0), truncated at CURVE_TOL = 1e-10: the time integral is its
@@ -130,18 +131,19 @@ def percolation_entropy_bound(model: PercolationModel, v, constants: ModelConsta
     on its up-set alone, the 2^(n-|v|) supersets of v, and reads row 0;
     v=None gives every start subset at once (a vector over masks).
     """
+    model = PercolationModel(xi, constants.rate_scale())
     T = constants.T
     if T <= 0:
         raise ValueError("constants.T must be positive")
-    start = None if v is None else SubsetState.of(v, model.n)
+    start = None if v is None else SubsetState.of(v, xi.n)
     rate = constants.discount_rate() if uniform else 0.0
-    spec = ("chat", {"constants": constants, "h3": h3}) if use_chat \
-        else ("C", {"constants": constants})
-    F = functional_table(spec, model.xi)
+    _require_exact(xi.n)
+    F = SubsetFunction(cost_values(xi, np.arange(1 << xi.n, dtype=np.int64), constants, h3),
+                       xi.n)
     if H0 is not None:
-        if H0.n != model.n or H0.values.ndim != 1:
-            raise ValueError("H0 must be one table over the model's subsets")
-        F = SubsetFunction(np.column_stack((F.values, H0.values)), model.n)
+        if H0.n != xi.n or H0.values.ndim != 1:
+            raise ValueError("H0 must be one table over the subsets of xi")
+        F = SubsetFunction(np.column_stack((F.values, H0.values)), xi.n)
     times = [] if H0 is None else [T]  # without H0, the integral row alone
     rows = exact_expectations(model, F, start, times, CURVE_TOL, rate, horizon=T)
     total = rows[0] if H0 is None else rows[1][:, 0] + math.exp(-rate * T) * rows[0][:, 1]
@@ -250,40 +252,34 @@ def reversed_variant(report: BoundReport) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Log-Sobolev constants of the two worked diffusion classes
 
-def lsi_constants(kind: str, params: dict) -> float:
-    """eta for the convex-potential and torus diffusion classes.
+def lsi_convex(lam: float, eta0: float, sigma: float) -> float:
+    """eta for lambda-convex confinement: max(eta0/4, sigma^2/lambda)."""
+    if lam <= 0:
+        raise ValueError("convex case needs lam > 0")
+    return max(eta0 / 4.0, sigma ** 2 / lam)
 
-    convex: max(eta0/4, sigma^2/lambda) for lambda-convex confinement.
-    torus: (lambda^2/8 pi^2) (1 - sqrt(2 log lambda) ||div K||_inf /
+
+def lsi_torus(lam: float, sigma: float, div_norm: float = 0.0) -> float:
+    """eta for the torus class with density bound lambda.
+
+    (lambda^2/8 pi^2) (1 - sqrt(2 log lambda) ||div K||_inf /
     (2 (2 sigma^2 pi^2 - ||div K||_inf)))^{-1}, requiring the smallness
     condition ||div K||_inf < 2 sigma^2 pi^2 / (1 + sqrt(2 log lambda));
     divergence-free drift gives exactly lambda^2 / 8 pi^2.
     """
-    if kind == "convex":
-        lam = float(params["lam"])
-        if lam <= 0:
-            raise ValueError("convex case needs lam > 0")
-        eta0 = float(params["eta0"])
-        sigma = float(params["sigma"])
-        return max(eta0 / 4.0, sigma ** 2 / lam)
-    if kind == "torus":
-        lam = float(params["lam"])
-        if lam < 1.0:
-            raise ValueError("torus case needs a density bound lam >= 1")
-        sigma = float(params["sigma"])
-        div_norm = float(params.get("div_norm", 0.0))
-        if div_norm < 0:
-            raise ValueError("div_norm must be nonnegative")
-        root = math.sqrt(2.0 * math.log(lam))
-        threshold = 2.0 * sigma ** 2 * math.pi ** 2 / (1.0 + root)
-        if div_norm >= threshold:
-            raise NotApplicable("smallness condition fails: "
-                                f"div_norm {div_norm} >= threshold {threshold}")
-        base = lam ** 2 / (8.0 * math.pi ** 2)
-        bracket = 1.0 - root * div_norm / (
-            2.0 * (2.0 * sigma ** 2 * math.pi ** 2 - div_norm))
-        return base / bracket
-    raise ValueError(f"unknown kind {kind!r}")
+    if lam < 1.0:
+        raise ValueError("torus case needs a density bound lam >= 1")
+    if div_norm < 0:
+        raise ValueError("div_norm must be nonnegative")
+    root = math.sqrt(2.0 * math.log(lam))
+    threshold = 2.0 * sigma ** 2 * math.pi ** 2 / (1.0 + root)
+    if div_norm >= threshold:
+        raise NotApplicable("smallness condition fails: "
+                            f"div_norm {div_norm} >= threshold {threshold}")
+    base = lam ** 2 / (8.0 * math.pi ** 2)
+    bracket = 1.0 - root * div_norm / (
+        2.0 * (2.0 * sigma ** 2 * math.pi ** 2 - div_norm))
+    return base / bracket
 
 
 def gaussian_fk_constants(gm: GaussianModel) -> ModelConstants:

@@ -309,6 +309,8 @@ def cmd_gaussian(args, outputs: list) -> int:
 
 
 def cmd_bound(args, outputs: list) -> int:
+    if args.h3_value is not None and not args.use_chat:
+        raise MatrixError("--h3-value needs --use-chat")
     constants = _constants_from(args, required=args.theorem in ("h3", "growth"))
     if args.theorem == "h3":
         if args.delta is None:
@@ -323,10 +325,9 @@ def cmd_bound(args, outputs: list) -> int:
             raise MatrixError(f"--theorem {args.theorem} needs --v")
         if args.theorem == "growth":
             v = _parse_subset(args.v, xi.n)
-            model = PercolationModel(xi, constants.rate_scale())
-            val = bounds_mod.percolation_entropy_bound(
-                model, v, constants, use_chat=args.use_chat,
-                h3=args.h3_value, uniform=args.uniform)
+            h3 = (0.0 if args.h3_value is None else args.h3_value) if args.use_chat else None
+            val = bounds_mod.percolation_entropy_bound(xi, v, constants, h3=h3,
+                                                       uniform=args.uniform)
             report = bounds_mod.BoundReport(
                 "growth", val,
                 {"v": v.members, "n": xi.n, "use_chat": args.use_chat,
@@ -376,8 +377,11 @@ def cmd_simulate(args, outputs: list) -> int:
                         seed=args.seed, sigma=args.sigma)
     run = sde.simulate_projection if args.projection else sde.simulate_particles
     samples = run(xi, drift, cfg)
-    emp = np.cov(samples, rowvar=False)
-    emp = np.atleast_2d(emp)
+    # an overflow shows as a non-finite field, which _render names
+    with np.errstate(over="ignore", invalid="ignore"):
+        emp = np.atleast_2d(np.cov(samples, rowvar=False))
+        stderr = np.sqrt((np.diag(emp)[:, None] * np.diag(emp)[None, :] + emp ** 2)
+                         / samples.shape[0])
     dim = emp.shape[0]
     oracle = None
     if drift.kind in ("linear", "zero"):
@@ -389,9 +393,8 @@ def cmd_simulate(args, outputs: list) -> int:
     recs = []
     for i in range(dim):
         for j in range(i, dim):
-            stderr = float(np.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2)
-                                   / samples.shape[0]))
-            rec = {"i": i, "j": j, "empirical": float(emp[i, j]), "stderr": stderr}
+            rec = {"i": i, "j": j, "empirical": float(emp[i, j]),
+                   "stderr": float(stderr[i, j])}
             if oracle is not None:
                 ora = float(oracle[i, j])
                 rec.update(oracle=ora, abs_diff=abs(float(emp[i, j]) - ora))
@@ -477,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform", action="store_true", help="uniform-in-time mode")
     p.add_argument("--use-chat", action="store_true",
                    help="growth: use the self-improved cost functional")
-    p.add_argument("--h3-value", type=float, default=0.0,
-                   help="growth: three-particle entropy ceiling for --use-chat")
+    p.add_argument("--h3-value", type=float,
+                   help="growth: three-particle entropy ceiling for --use-chat (default 0)")
     _add_constants(p)
     p.set_defaults(func=cmd_bound)
 

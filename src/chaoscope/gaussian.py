@@ -170,6 +170,16 @@ def sigma_T_quadrature(xi: InteractionMatrix, T: float) -> np.ndarray:
     return linalg.expm_action(apply, start, mu, tol=QUADRATURE_TOL)[0]
 
 
+def _exp(name: str, label: str, x: float) -> float:
+    """math.exp(x) for the factor e^{label} of gaussian.<name>; past the
+    largest double, one ValueError naming the factor and its exponent."""
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise ValueError(f"{name}'s factor e^({label}) overflows double precision "
+                         f"at {label} = {x:.6g}") from exc
+
+
 def _check_covariance(c, name) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -228,7 +238,8 @@ def subset_entropies(model: GaussianModel, masks):
             raise InvalidCovariance("subset covariance is numerically not positive definite")
         exact[rows] = 0.5 * h(lam).sum(axis=1)
         tr2[rows] = (a * a).reshape(rows.size, -1).sum(axis=1)
-    return exact, tr2 / 6.0, math.exp(6.0 * model.rho * model.T) * tr2
+    upper = _exp("subset_entropies", "6*rho*T", 6.0 * model.rho * model.T) * tr2
+    return exact, tr2 / 6.0, upper
 
 
 def exact_entropy(model: GaussianModel, v) -> float:
@@ -260,7 +271,8 @@ def max_upper(model: GaussianModel, v):
     if float(model.xi.row_sums.max(initial=0.0)) > 1.0 + ROW_SUM_RTOL:
         raise ValueError("max_upper needs row sums <= 1")
     sizes = lattice(model.n)[1] if v is None else float(SubsetState.of(v, model.n).size)
-    return math.exp(10.0 * model.rho * model.T) * model.xi.delta ** 2 * sizes ** 2
+    return (_exp("max_upper", "10*rho*T", 10.0 * model.rho * model.T)
+            * model.xi.delta ** 2 * sizes ** 2)
 
 
 def d_T(xi: InteractionMatrix, T: float) -> float:
@@ -312,7 +324,7 @@ def d_T_envelope(xi: InteractionMatrix, T: float) -> tuple[float, float]:
     lower = T ** 4 / 36.0 * float((mixed * mixed).sum())
     row_sq = (d * d).sum(axis=1)
     col_sq = (d * d).sum(axis=0)
-    upper = 2.0 * T ** 4 * math.exp(2.0 * rho * T) * float(
+    upper = 2.0 * T ** 4 * _exp("d_T_envelope", "2*rho*T", 2.0 * rho * T) * float(
         (row_sq ** 2).sum() + (col_sq ** 2).sum())
     return lower, upper
 
@@ -387,7 +399,7 @@ def avg_entropy_sandwich(model: GaussianModel, k: int,
     T, rho = model.T, model.rho
     if not explicit:
         tr = avg_trace_sq(model.centered(), k)
-        return tr / 6.0, math.exp(6.0 * rho * T) * tr
+        return tr / 6.0, _exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * tr
     d = model.xi.dense()
     s2 = float((d * d).sum())
     r_sum = float(((d * d).sum(axis=1) ** 2).sum())
@@ -397,7 +409,7 @@ def avg_entropy_sandwich(model: GaussianModel, k: int,
     w1 = k * (k - 1) / (n * (n - 1))
     w2 = k * (n - k) / (n * (n - 1))
     lower = (w1 * T * T / 2.0 * s2 + w2 * (4.0 * dt + T ** 4 / 9.0 * r_sum)) / 6.0
-    upper = math.exp(6.0 * rho * T) * (
-        w1 * 16.0 * T * T * math.exp(4.0 * rho * T) * s2
-        + w2 * (8.0 * dt + 32.0 * T ** 4 * math.exp(4.0 * rho * T) * r_sum))
+    grow4 = _exp("avg_entropy_sandwich", "4*rho*T", 4.0 * rho * T)
+    upper = _exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * (
+        w1 * 16.0 * T * T * grow4 * s2 + w2 * (8.0 * dt + 32.0 * T ** 4 * grow4 * r_sum))
     return lower, upper

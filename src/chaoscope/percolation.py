@@ -12,7 +12,9 @@ FAMILIES names the moment families once: size, linear and quadratic
 functionals with size weights |v|^ell.  Each name gives its functional
 (functional_values), its pointwise generator bound (lemma_rhs) and its
 ceiling on E_v[F(X_t)] (expectation_bounds, one slice: expectation_bound),
-stated with the model's rate scale kappa throughout.
+stated with the model's rate scale kappa throughout.  Each of them takes a
+family as (family, x, G): its name, then x for the linear kinds and G for
+the quadratic ones.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, SubsetState, cost_values, indicators, lattice,
-                     step_pairs, validate, _frozen)
+from .matrix import (InteractionMatrix, SubsetState, indicators, lattice, step_pairs,
+                     validate, _frozen)
 from .rng import chunk_streams
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
@@ -402,57 +404,46 @@ def _family(name: str) -> tuple[str, int]:
     return FAMILIES[name]
 
 
-def functional_values(spec, xi: InteractionMatrix, masks) -> np.ndarray:
-    """The functional evaluated at each bitmask of an int64 array.
+def functional_values(family: str, xi: InteractionMatrix, masks, x=None,
+                      G=None) -> np.ndarray:
+    """The named member of FAMILIES at each bitmask of an int64 array.
 
-    spec is a family name of FAMILIES, alone for the size families or as a
-    (name, payload) pair whose payload carries x (linear kinds) or G
-    (quadratic kinds); or a ("C" or "chat", payload) pair with constants and h3.
+    The linear kinds read x and the quadratic kinds G; the size kinds read
+    neither.
     """
-    n = xi.n
+    kind, ell = _family(family)
     masks = np.asarray(masks, dtype=np.int64)
-    if isinstance(spec, str):
-        name, payload = spec, {}
-    else:
-        name, payload = spec[0], dict(spec[1])
-
-    if name in ("C", "chat"):
-        h3 = float(payload.get("h3", 0.0)) if name == "chat" else None
-        return cost_values(xi, masks, payload["constants"], h3)
-
-    kind, ell = _family(name)
-    if not payload.keys() <= {"x", "G"}:
-        raise ValueError(f"family {name!r} takes a payload of x or G, got {sorted(payload)}")
     sizes = np.bitwise_count(masks).astype(float)
     if kind == "size":
         return sizes ** ell
-    ind = indicators(masks, n)
-    if kind == "linear":
-        base = ind @ np.asarray(payload["x"], dtype=float)
-    else:
-        base = np.einsum("mi,mi->m", ind @ np.asarray(payload["G"], dtype=float), ind)
+    payload = x if kind == "linear" else G
+    if payload is None:
+        raise ValueError(f"family {family!r} needs its payload {'x' if kind == 'linear' else 'G'}")
+    ind = indicators(masks, xi.n)
+    weights = ind @ np.asarray(payload, dtype=float)
+    base = weights if kind == "linear" else np.einsum("mi,mi->m", weights, ind)
     return base * sizes ** ell
 
 
-def functional_table(spec, xi: InteractionMatrix) -> SubsetFunction:
+def functional_table(family: str, xi: InteractionMatrix, x=None, G=None) -> SubsetFunction:
     """The functional tabulated over all subsets (exact-engine sizes only)."""
     _require_exact(xi.n)
     masks = np.arange(1 << xi.n, dtype=np.int64)
-    return SubsetFunction(functional_values(spec, xi, masks), xi.n)
+    return SubsetFunction(functional_values(family, xi, masks, x, G), xi.n)
 
 
-def mc_expectation(model: PercolationModel, functional, v, t: float, reps: int,
-                   seed: int, method: str = "gillespie") -> McEstimate:
-    """Sample mean of F(X_t) over independent trajectories.
+def mc_expectation(model: PercolationModel, family: str, v, t: float, reps: int,
+                   seed: int, method: str = "gillespie", x=None, G=None) -> McEstimate:
+    """Sample mean of the named functional at X_t over independent trajectories.
 
     stderr is the sample standard deviation / sqrt(reps).  Identical seeds
     give identical estimates.
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
-    functional_values(functional, model.xi, [])  # reject a bad spec before sampling
+    functional_values(family, model.xi, [], x, G)  # reject a bad family before sampling
     masks = terminal_masks(model, v, t, reps, seed, method=method)
-    vals = functional_values(functional, model.xi, masks)
+    vals = functional_values(family, model.xi, masks, x, G)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(reps))
     return McEstimate(mean, stderr, reps, seed)

@@ -11,7 +11,7 @@ Paths start at zero.  Samples run in chunks of rng.CHUNK, each with its own
 stream (rng.chunk_streams), and each step draws one step's Brownian
 increments for a chunk's samples into one reused buffer, so terminal samples
 depend on the seed and CHUNK, particle/projection runs share noise when
-seeded alike, and memory is O(samples * n * d) whatever the step count.
+seeded alike, and memory is O(samples * n) whatever the step count.
 
 Particle runs (and the linear/zero projection, which is one) step their
 chunks on min(chunks, rng.usable_cpus()) threads, each chunk in its own rows
@@ -47,7 +47,6 @@ class DriftSpec:
     """
 
     kind: str
-    d: int = 1
     b: Optional[Callable] = None
     mean_field: Optional[Callable] = None
 
@@ -135,16 +134,16 @@ def _particle_interaction(xi: InteractionMatrix, drift: DriftSpec):
     if drift.kind == "zero":
         return lambda t, x: 0.0  # x += dt * 0.0 keeps x's bits: x is never -0.0
     if drift.kind == "linear":
-        # sum_j xi_ij x_j as one GEMM on the flattened (particle, dim) axis
-        kt = np.kron(dense, np.eye(drift.d)).T.copy()
-        return lambda t, x: (x.reshape(len(x), -1) @ kt).reshape(x.shape)
+        # sum_j xi_ij x_j as one GEMM
+        kt = dense.T.copy()
+        return lambda t, x: x @ kt
     b = drift.b
 
     def interaction(t, x):
         out = np.zeros_like(x)
         for i in range(xi.n):
-            pair = b(t, x[:, i:i + 1, :], x)           # (block, n, d)
-            out[:, i, :] = np.einsum("j,bjd->bd", dense[i], pair)
+            pair = b(t, x[:, i:i + 1], x)  # (block, n)
+            out[:, i] = np.einsum("j,bj->b", dense[i], pair)
         return out
     return interaction
 
@@ -181,21 +180,20 @@ def _run_shares(tasks: list, fn: Callable) -> None:
 
 
 def simulate_particles(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig) -> np.ndarray:
-    """Terminal samples of the coupled system, shape (samples, n*d)."""
-    n, d = xi.n, drift.d
+    """Terminal samples of the coupled system, shape (samples, n)."""
     interaction = _particle_interaction(xi, drift)
-    out = np.zeros((cfg.samples, n, d))
+    out = np.zeros((cfg.samples, xi.n))
 
     # each chunk is stepped in place in its own rows of out, on its own stream
     def chunk(lo, hi, gen):
         _step_block(out[lo:hi], [(0, hi - lo, gen)], cfg, interaction)
 
     _run_shares(chunk_streams(cfg.seed, cfg.samples), chunk)
-    return out.reshape(cfg.samples, n * d)
+    return out
 
 
 def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig) -> np.ndarray:
-    """Terminal samples of the independent projection, shape (samples, n*d).
+    """Terminal samples of the independent projection, shape (samples, n).
 
     linear drift: the neighbor means vanish, so each coordinate is exactly
     sigma * Brownian motion, i.e. the particle run under zero drift (same
@@ -204,9 +202,8 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     the drift sees the ensemble's empirical law, necessarily unchunked
     (samples interact), each step drawing every chunk's increments in turn.
     """
-    n, d = xi.n, drift.d
     if drift.kind in ("linear", "zero") or not xi.vals.size:
-        return simulate_particles(xi, DriftSpec("zero", d=d), cfg)
+        return simulate_particles(xi, DriftSpec.zero(), cfg)
     row_sums = xi.row_sums
     if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:
         raise NotApplicable(
@@ -219,13 +216,12 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     # equation, and the ensemble across samples estimates its law.
     def mean_field(t, x):
         out = np.empty_like(x)
-        for i in range(n):
-            out[:, i, :] = drift.mean_field(t, x[:, i, :], x[:, i, :])
+        for i in range(xi.n):
+            out[:, i] = drift.mean_field(t, x[:, i], x[:, i])
         return out
 
-    x = _step_block(np.zeros((cfg.samples, n, d)), chunk_streams(cfg.seed, cfg.samples),
-                    cfg, mean_field)
-    return x.reshape(cfg.samples, n * d)
+    return _step_block(np.zeros((cfg.samples, xi.n)), chunk_streams(cfg.seed, cfg.samples),
+                       cfg, mean_field)
 
 
 def save_samples(samples: np.ndarray, path):

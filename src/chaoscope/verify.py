@@ -114,8 +114,7 @@ def _check_name(family: str) -> str:
 def _family_stack(xi: InteractionMatrix, x, G, *extra) -> perc.SubsetFunction:
     """Every family's table with payload (x, G), one column each in FAMILIES
     order, then the extra columns, as one stack for the exact engine."""
-    cols = [perc.functional_table((fam, {"x": x, "G": G}), xi).values
-            for fam in perc.FAMILIES]
+    cols = [perc.functional_table(fam, xi, x, G).values for fam in perc.FAMILIES]
     return perc.SubsetFunction(np.column_stack(cols + list(extra)), xi.n)
 
 
@@ -294,18 +293,17 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
                         bool(np.allclose(ratio, expected, rtol=1e-12))))
 
     # LSI constants: convex equality case, torus divergence-free, smallness gate
-    conv = bounds_mod.lsi_constants("convex", {"lam": 1.0, "eta0": 4.0, "sigma": 1.0})
+    conv = bounds_mod.lsi_convex(1.0, 4.0, 1.0)
     checks.append(Check("bounds.lsi-convex", abs(conv - 1.0) <= 1e-15))
-    torus = bounds_mod.lsi_constants("torus", {"lam": 1.0, "sigma": 1.0})
+    torus = bounds_mod.lsi_torus(1.0, 1.0)
     checks.append(Check("bounds.lsi-torus-divfree",
                         abs(torus - 1.0 / (8.0 * math.pi ** 2)) <= 1e-15))
     thr = 2.0 * math.pi ** 2 / (1.0 + math.sqrt(2.0 * math.log(2.0)))
-    near = bounds_mod.lsi_constants(
-        "torus", {"lam": 2.0, "sigma": 1.0, "div_norm": 0.99 * thr})
+    near = bounds_mod.lsi_torus(2.0, 1.0, 0.99 * thr)
     checks.append(Check("bounds.lsi-torus-near-threshold",
                         math.isfinite(near) and near > 0.0))
     try:
-        bounds_mod.lsi_constants("torus", {"lam": 2.0, "sigma": 1.0, "div_norm": thr})
+        bounds_mod.lsi_torus(2.0, 1.0, thr)
         checks.append(Check("bounds.lsi-torus-gate", False))
     except perc.NotApplicable:
         checks.append(Check("bounds.lsi-torus-gate", True))
@@ -317,8 +315,7 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
         xi = random_substochastic(n, gen_master)
         gm = gauss.sigma_T(xi, 0.5)
         constants = bounds_mod.gaussian_fk_constants(gm)
-        model = perc.PercolationModel(xi, constants.rate_scale())
-        bound = bounds_mod.percolation_entropy_bound(model, None, constants)
+        bound = bounds_mod.percolation_entropy_bound(xi, None, constants)
         exact, _, _ = gauss.subset_entropies(gm, np.arange(1, 1 << n))
         fk_worst = min(fk_worst, float((bound[1:] - exact).min()))
     checks.append(Check("bounds.feynman-kac-dominates", fk_worst >= -SLACK_TOL, fk_worst))

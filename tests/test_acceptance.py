@@ -154,8 +154,7 @@ def test_growth_route_dominates_exact_entropy():
         T = 0.5 if idx % 2 == 0 else 0.3
         gm = sigma_T(xi, T)
         constants = gaussian_fk_constants(gm)
-        model = PercolationModel(xi, constants.rate_scale())
-        bound = percolation_entropy_bound(model, None, constants)
+        bound = percolation_entropy_bound(xi, None, constants)
         for mask in range(1, 1 << xi.n):
             exact = exact_entropy(gm, SubsetState(mask, xi.n))
             assert bound[mask] >= exact - 1e-9, (idx, mask)

@@ -6,17 +6,21 @@ import scipy.integrate
 
 from chaoscope import bounds
 from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
-                              gaussian_fk_constants, h3_bound, lsi_constants,
+                              gaussian_fk_constants, h3_bound, lsi_convex, lsi_torus,
                               max_entropy_bound, percolation_entropy_bound,
                               reversed_variant, setwise_bound,
                               sharper_avg_bound, weighted_avg_bound)
 from chaoscope.gaussian import sigma_T
-from chaoscope.matrix import SubsetState, build_mean_field, p_xi, q_xi
-from chaoscope.percolation import (NotApplicable, PercolationModel,
-                                   SubsetFunction, exact_expectations,
-                                   functional_table)
+from chaoscope.matrix import SubsetState, build_mean_field, cost_values, p_xi, q_xi
+from chaoscope.percolation import (EngineTooLarge, NotApplicable, PercolationModel,
+                                   SubsetFunction, exact_expectations)
 
 from conftest import random_matrices
+
+
+def cost_table(xi, c, h3=None) -> SubsetFunction:
+    """C (h3=None) or C-hat over all 2^n masks, the table the growth bound builds."""
+    return SubsetFunction(cost_values(xi, np.arange(1 << xi.n, dtype=np.int64), c, h3), xi.n)
 
 
 def test_constants_validation():
@@ -56,17 +60,16 @@ def test_growth_bound_single_edge_closed_form(single_edge):
     a = 0.7
     c = ModelConstants(gamma=0.9, M=2.0, sigma=1.1, T=1.4)
     kappa = c.rate_scale()
-    model = PercolationModel(single_edge, kappa)
     c_full = 2.0 * a * a * c.M / c.sigma ** 2
 
     # start at the full set: the cost is frozen at its full-set value
-    got = percolation_entropy_bound(model, [0, 1], c)
+    got = percolation_entropy_bound(single_edge, [0, 1], c)
     assert got == pytest.approx(c.T * c_full, rel=1e-8)
 
     # start at a singleton: cost turns on once the neighbor joins
     rate = kappa * a
     want = c_full * (c.T - (1.0 - math.exp(-rate * c.T)) / rate)
-    got = percolation_entropy_bound(model, [0], c)
+    got = percolation_entropy_bound(single_edge, [0], c)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -75,22 +78,20 @@ def test_growth_bound_discounted(single_edge):
     c = ModelConstants(gamma=0.05, M=2.0, sigma=1.0, T=1.0, eta=0.2)
     r = c.discount_rate()
     kappa = c.rate_scale()
-    model = PercolationModel(single_edge, kappa)
     c_full = 2.0 * a * a * c.M / c.sigma ** 2
     rate = kappa * a
     want, _ = scipy.integrate.quad(
         lambda t: math.exp(-r * t) * c_full * (1.0 - math.exp(-rate * t)),
         0.0, c.T, epsabs=1e-13, epsrel=1e-13)
-    got = percolation_entropy_bound(model, [0], c, uniform=True)
+    got = percolation_entropy_bound(single_edge, [0], c, uniform=True)
     assert got == pytest.approx(want, rel=1e-7)
 
 
 def test_growth_bound_h0_term(single_edge):
     c = ModelConstants(gamma=0.9, M=2.0, sigma=1.1, T=0.8)
-    model = PercolationModel(single_edge, c.rate_scale())
     h0 = SubsetFunction(np.array([0.0, 1.0, 1.0, 5.0]), 2)
-    base = percolation_entropy_bound(model, [0], c)
-    with_h0 = percolation_entropy_bound(model, [0], c, H0=h0)
+    base = percolation_entropy_bound(single_edge, [0], c)
+    with_h0 = percolation_entropy_bound(single_edge, [0], c, H0=h0)
     rate = c.rate_scale() * 0.7
     p_joined = 1.0 - math.exp(-rate * c.T)
     want_h0 = 5.0 * p_joined + 1.0 * (1.0 - p_joined)
@@ -105,19 +106,19 @@ def test_growth_bound_h0_shares_one_curve():
         c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7, eta=0.05)
         model = PercolationModel(xi, c.rate_scale())
         rate = c.discount_rate() if uniform else 0.0
-        cost = functional_table(("C", {"constants": c}), xi)
+        cost = cost_table(xi, c)
         want = (exact_expectations(model, cost, None, [c.T], 1e-10, rate)[1]
                 + math.exp(-rate * c.T) * exact_expectations(model, h0, None, [c.T], 1e-10)[0])
-        got = percolation_entropy_bound(model, None, c, H0=h0, uniform=uniform)
+        got = percolation_entropy_bound(xi, None, c, H0=h0, uniform=uniform)
         assert np.array_equal(got, want)
         # a start subset: the same two passes, each on the up-set of v
         want_v = (exact_expectations(model, cost, [0, 2], [c.T], 1e-10, rate)[1, 0]
                   + math.exp(-rate * c.T)
                   * exact_expectations(model, h0, [0, 2], [c.T], 1e-10)[0, 0])
-        assert percolation_entropy_bound(model, [0, 2], c, H0=h0, uniform=uniform) == want_v
+        assert percolation_entropy_bound(xi, [0, 2], c, H0=h0, uniform=uniform) == want_v
     for bad in (SubsetFunction(np.zeros((1 << 7, 2)), 7), SubsetFunction(np.zeros(8), 3)):
         with pytest.raises(ValueError, match="H0 must be one table"):
-            percolation_entropy_bound(model, None, c, H0=bad)
+            percolation_entropy_bound(xi, None, c, H0=bad)
 
 
 def test_growth_bound_asks_for_the_integral_row_alone(monkeypatch):
@@ -134,9 +135,8 @@ def test_growth_bound_asks_for_the_integral_row_alone(monkeypatch):
         return out
 
     monkeypatch.setattr(bounds, "exact_expectations", recording)
-    for use_chat in (False, True):
-        spec = ("chat", {"constants": c, "h3": 0.8}) if use_chat else ("C", {"constants": c})
-        cost = functional_table(spec, xi)
+    for h3 in (None, 0.8):
+        cost = cost_table(xi, c, h3)
         for uniform in (False, True):
             rate = c.discount_rate() if uniform else 0.0
             for v in (None, [0], [1, 4]):
@@ -145,10 +145,24 @@ def test_growth_bound_asks_for_the_integral_row_alone(monkeypatch):
                 assert alone.shape == (1,) + both.shape[1:]
                 assert np.array_equal(alone[0], both[1])
                 shapes.clear()
-                got = percolation_entropy_bound(model, v, c, use_chat=use_chat, h3=0.8,
-                                                uniform=uniform)
+                got = percolation_entropy_bound(xi, v, c, h3=h3, uniform=uniform)
                 assert shapes == [alone.shape]
                 assert np.array_equal(got, both[1] if v is None else both[1, 0])
+
+
+def test_percolation_entropy_bound_builds_its_rate(monkeypatch):
+    # the bound runs the growth process at gamma / sigma^2, the proofs' rate
+    xi = random_matrices(1, seed=74, n_lo=6, n_hi=6)[0]
+    c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7)
+    model = PercolationModel(xi, c.rate_scale())
+    for v in (None, [2]):
+        want = exact_expectations(model, cost_table(xi, c), v, [], 1e-10, 0.0, horizon=c.T)[0]
+        got = percolation_entropy_bound(xi, v, c)
+        assert np.array_equal(got, want) if v is None else got == want[0]
+    # past the exact engine it refuses before tabulating a cost over 2^n masks
+    monkeypatch.setattr(bounds, "cost_values", None)
+    with pytest.raises(EngineTooLarge, match="exact engine handles n <= 16, got 20"):
+        percolation_entropy_bound(build_mean_field(20), [0], c)
 
 
 def test_growth_bound_runs_on_the_up_set(monkeypatch):
@@ -167,9 +181,8 @@ def test_growth_bound_runs_on_the_up_set(monkeypatch):
         return out
 
     monkeypatch.setattr(bounds, "exact_expectations", recording)
-    for use_chat in (False, True):
-        spec = ("chat", {"constants": c, "h3": 0.8}) if use_chat else ("C", {"constants": c})
-        cost = functional_table(spec, xi)
+    for h3 in (None, 0.8):
+        cost = cost_table(xi, c, h3)
         for uniform in (False, True):
             rate = c.discount_rate() if uniform else 0.0
             for H0 in (None, h0):
@@ -181,33 +194,31 @@ def test_growth_bound_runs_on_the_up_set(monkeypatch):
                 if H0 is not None:
                     want = want[:, 0] + math.exp(-rate * c.T) * at_T[:, 1]
                     allowance += 1e-10 * np.abs(H0.values).max()
-                kw = dict(H0=H0, use_chat=use_chat, h3=0.8, uniform=uniform)
+                kw = dict(H0=H0, h3=h3, uniform=uniform)
                 for members in ([0], [3], [5], [1, 4], list(range(n))):
                     v = SubsetState.of(members, n)
                     curves.clear()
-                    got = percolation_entropy_bound(model, v, c, **kw)
+                    got = percolation_entropy_bound(xi, v, c, **kw)
                     assert curves == [(v, 1 << (n - v.size))]
-                    assert abs(got - want[v.mask]) <= allowance, (members, use_chat, uniform)
+                    assert abs(got - want[v.mask]) <= allowance, (members, h3, uniform)
                 curves.clear()
-                percolation_entropy_bound(model, None, c, **kw)
+                percolation_entropy_bound(xi, None, c, **kw)
                 assert curves == [(None, 1 << n)]
 
 
 def test_growth_bound_all_matches_single(four_cycle):
     c = ModelConstants(gamma=1.0, M=1.5, sigma=1.0, T=0.6)
-    model = PercolationModel(four_cycle, c.rate_scale())
-    vec = percolation_entropy_bound(model, None, c)
+    vec = percolation_entropy_bound(four_cycle, None, c)
     for mask in (0b0001, 0b0101, 0b1111):
-        single = percolation_entropy_bound(model, SubsetState(mask, 4), c)
+        single = percolation_entropy_bound(four_cycle, SubsetState(mask, 4), c)
         assert vec[mask] == pytest.approx(single, rel=1e-6, abs=1e-12)
     assert vec[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chat_needs_nonnegative_h3(single_edge):
     c = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=0.5)
-    model = PercolationModel(single_edge, c.rate_scale())
     with pytest.raises(ValueError):
-        percolation_entropy_bound(model, [0], c, use_chat=True, h3=-1.0)
+        percolation_entropy_bound(single_edge, [0], c, h3=-1.0)
 
 
 def test_h3_bound_forms():
@@ -280,21 +291,21 @@ def test_reversed_variant():
 
 
 def test_lsi_constants():
-    assert lsi_constants("convex", {"lam": 2.0, "eta0": 1.0, "sigma": 1.0}) \
-        == pytest.approx(0.5)
-    assert lsi_constants("convex", {"lam": 0.1, "eta0": 0.2, "sigma": 1.0}) \
-        == pytest.approx(10.0)
-    base = lsi_constants("torus", {"lam": 3.0, "sigma": 1.0})
+    assert lsi_convex(2.0, 1.0, 1.0) == pytest.approx(0.5)
+    assert lsi_convex(0.1, 0.2, 1.0) == pytest.approx(10.0)
+    base = lsi_torus(3.0, 1.0)
     assert base == pytest.approx(9.0 / (8.0 * math.pi ** 2))
     # a divergence term strictly inflates eta
-    more = lsi_constants("torus", {"lam": 3.0, "sigma": 1.0, "div_norm": 1.0})
+    more = lsi_torus(3.0, 1.0, div_norm=1.0)
     assert more > base
     with pytest.raises(NotApplicable):
-        lsi_constants("torus", {"lam": 3.0, "sigma": 1.0, "div_norm": 100.0})
-    with pytest.raises(ValueError):
-        lsi_constants("torus", {"lam": 0.5, "sigma": 1.0})
-    with pytest.raises(ValueError):
-        lsi_constants("spiral", {})
+        lsi_torus(3.0, 1.0, div_norm=100.0)
+    with pytest.raises(ValueError, match="lam >= 1"):
+        lsi_torus(0.5, 1.0)
+    with pytest.raises(ValueError, match="div_norm must be nonnegative"):
+        lsi_torus(3.0, 1.0, div_norm=-1.0)
+    with pytest.raises(ValueError, match="lam > 0"):
+        lsi_convex(0.0, 1.0, 1.0)
 
 
 def test_gaussian_fk_constants():

@@ -231,6 +231,20 @@ def test_gaussian_series_overflow_is_named(tmp_path, capsys, rows, T, reach):
     assert "gaussian.sigma_T_quadrature" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--avg-k", "2")], ids=["subsets", "avg-k"])
+def test_gaussian_growth_factor_overflow_is_named(tmp_path, capsys, extra):
+    # Sigma_T is finite here, but e^{6 rho T} is not; that was a bare
+    # "OverflowError: math range error"
+    path = tmp_path / "nil300.csv"
+    path.write_text("0,300,0\n0,0,0\n0,0,0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("gaussian", "--matrix", str(path), "--T", "1", *extra) == 2
+    assert caught == []
+    assert capsys.readouterr().err == ("error: subset_entropies's factor e^(6*rho*T) overflows "
+                                       "double precision at 6*rho*T = 1800\n")
+
+
 def test_gaussian_cli_on_a_nilpotent_matrix_with_a_large_entry(tmp_path):
     # 2 rho T = 200: (2 rho)^m overflowed on its own, and the run was refused
     path = tmp_path / "nilpotent.csv"
@@ -467,6 +481,12 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
          "--samples must be >= 2"),
         ((*growth, "--horizon", "1", "--use-chat", "--h3-value", "nan"),
          "h3 must be finite and nonnegative"),
+        # a ceiling that was ignored without --use-chat
+        ((*growth, "--horizon", "1", "--h3-value", "5"), "--h3-value needs --use-chat"),
+        # the growth bound's cost table is refused before it is built
+        (("bound", "--theorem", "growth", "--mean-field", "20", "--v", "0", "--gamma", "1",
+          "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
+         "exact engine handles n <= 16, got 20"),
         (("bound", "--theorem", "h3", "--delta", "nan", "--gamma", "1", "--big-m", "1",
           "--sigma-const", "1", "--horizon", "1"), "delta must be finite and nonnegative"),
     ]
@@ -509,19 +529,22 @@ def test_memory_error_is_an_error_line(capsys, monkeypatch):
 
 def test_non_finite_results_are_refused(tmp_path, capsys, monkeypatch):
     # sigma^2 is finite, but the sample covariance overflows to inf; the
-    # samples file was once written before that was found
+    # samples file was once written before that was found, and numpy's
+    # "overflow encountered in dot" warning was printed first
     out, samples = tmp_path / "cov.json", tmp_path / "S"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert run("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1",
                    "--samples", "10", "--sigma", "1e154", "--save-samples", str(samples),
                    "--out", str(out)) == 2
-    assert "error: non-finite result [0].empirical = inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: non-finite result [0].empirical = inf" in err
+    assert "RuntimeWarning" not in err
     assert list(tmp_path.iterdir()) == []
     # the CSV route refuses it too, naming the row and column
     out_csv = tmp_path / "cov.csv"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert run("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1",
                    "--samples", "10", "--sigma", "1e154", "--format", "csv",
                    "--out", str(out_csv)) == 2

@@ -194,6 +194,25 @@ def test_series_envelope_overflow_is_named(f, d, T, reach):
     assert "envelope" in msg and f"gaussian.{f.__name__}_quadrature" in msg
 
 
+def test_closed_form_factor_overflow_is_named():
+    # e^{c rho T} past the largest double was a bare "math range error"; the
+    # nilpotent Sigma_T is finite, and max_upper needs row sums <= 1
+    nil = InteractionMatrix.from_dense(np.array([[0, 300.0, 0], [0, 0, 0], [0, 0, 0]]))
+    gm = sigma_T(nil, 1.0)
+    chain = sigma_T(build_sequential(3), 100.0)
+    cases = [(lambda: subset_entropies(gm, [1]), "subset_entropies", "6*rho*T", 1800.0),
+             (lambda: avg_entropy_sandwich(gm, 2), "avg_entropy_sandwich", "6*rho*T", 1800.0),
+             (lambda: avg_entropy_sandwich(gm, 2, explicit=True), "avg_entropy_sandwich",
+              "4*rho*T", 1200.0),
+             (lambda: max_upper(chain, [0]), "max_upper", "10*rho*T", 1000.0 * chain.rho),
+             (lambda: d_T_envelope(nil, 2.0), "d_T_envelope", "2*rho*T", 1200.0)]
+    for route, name, label, reach in cases:
+        with pytest.raises(ValueError) as exc:
+            route()
+        assert str(exc.value) == (f"{name}'s factor e^({label}) overflows double precision "
+                                  f"at {label} = {reach:.6g}")
+
+
 def test_triangular_row_square_sums():
     for n in (4, 9):
         tri = triangular(n)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from chaoscope import percolation
-from chaoscope.bounds import ModelConstants
+from chaoscope.bounds import ModelConstants, percolation_entropy_bound
 from chaoscope.matrix import (InteractionMatrix, MatrixError, SubsetState,
                               build_mean_field, cost_values, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
@@ -304,8 +304,8 @@ def test_cost_tables_equal_per_mask_slices(tmp_path):
     cases = [random_substochastic(n, g) for n in range(2, 11)] + [_benchmark_directed16(tmp_path)]
     for xi in cases:
         n, d = xi.n, xi.dense()
-        C = functional_table(("C", {"constants": c}), xi).values
-        chat = functional_table(("chat", {"constants": c, "h3": h3}), xi).values
+        every = np.arange(1 << n, dtype=np.int64)
+        C, chat = cost_values(xi, every, c), cost_values(xi, every, c, h3)
         assert C[0] == chat[0] == 0.0
         # every mask up to n = 10; at n = 16 a seeded sample, the singletons and the full set
         masks = np.arange(1, 1 << n) if n <= 10 else np.unique(np.concatenate(
@@ -328,14 +328,14 @@ def test_cost_tables_and_slices_refuse_bad_constants():
     good = ModelConstants(gamma=0.7, M=1.5, sigma=1.2, T=1.0)
     for sigma in (0.0, -1.0):  # ModelConstants refuses these; the functionals check again
         bad = SimpleNamespace(gamma=0.7, M=1.5, sigma=sigma)
-        for route in (lambda: functional_table(("C", {"constants": bad}), xi),
-                      lambda: functional_table(("chat", {"constants": bad, "h3": 0.8}), xi),
+        for route in (lambda: cost_values(xi, np.arange(16), bad),
+                      lambda: cost_values(xi, np.arange(16), bad, 0.8),
                       lambda: cost_values(xi, [0b11], bad),
                       lambda: cost_values(xi, [0b11], bad, 0.8)):
             with pytest.raises(MatrixError, match="sigma must be positive"):
                 route()
     for h3 in (-1.0, math.nan, math.inf):
-        for route in (lambda: functional_table(("chat", {"constants": good, "h3": h3}), xi),
+        for route in (lambda: percolation_entropy_bound(xi, [0], good, h3=h3),
                       lambda: cost_values(xi, [0b11], good, h3)):
             with pytest.raises(MatrixError, match="h3 must be finite and nonnegative"):
                 route()
@@ -345,25 +345,33 @@ def test_functional_values_match_per_mask_reference():
     xi = random_matrices(1, seed=24, n_lo=5, n_hi=5)[0]
     g = stream(25)
     x, G = g.random(5), g.random((5, 5))
-    c = ModelConstants(gamma=0.7, M=1.5, sigma=1.2, T=1.0)
     masks = g.integers(1, 32, size=40)
     members = [SubsetState(m, 5).members for m in masks.tolist()]
     k = np.array([len(mem) for mem in members], dtype=float)
     lin = np.array([x[mem].sum() for mem in members])
     quad = np.array([G[np.ix_(mem, mem)].sum() for mem in members])
     cases = [
-        ("size", k), ("size2", k ** 2), ("size3", k ** 3),
-        (("linear", {"x": x}), lin), (("size-linear", {"x": x}), k * lin),
-        (("size2-linear", {"x": x, "G": G}), k ** 2 * lin),
-        (("quadratic", {"G": G}), quad), (("size-quadratic", {"G": G}), k * quad),
-        (("C", {"constants": c}), [cost_values(xi, [m], c)[0] for m in masks.tolist()]),
+        ("size", {}, k), ("size2", {}, k ** 2), ("size3", {"x": x, "G": G}, k ** 3),
+        ("linear", {"x": x}, lin), ("size-linear", {"x": x}, k * lin),
+        ("size2-linear", {"x": x, "G": G}, k ** 2 * lin),
+        ("quadratic", {"G": G}, quad), ("size-quadratic", {"G": G}, k * quad),
     ]
-    assert {spec if isinstance(spec, str) else spec[0] for spec, _ in cases} >= set(FAMILIES)
-    for spec, want in cases:
-        assert np.allclose(functional_values(spec, xi, masks), want, rtol=1e-12, atol=0.0)
-    # the size weight lives in the family name; a leftover ell payload is an error
-    with pytest.raises(ValueError, match="payload"):
-        functional_values(("linear", {"x": x, "ell": 1}), xi, masks)
+    assert [family for family, _, _ in cases] == list(FAMILIES)
+    for family, payload, want in cases:
+        assert np.allclose(functional_values(family, xi, masks, **payload), want,
+                           rtol=1e-12, atol=0.0)
+    # a linear or quadratic family without its payload is refused by name,
+    # before the sampler draws anything
+    model = PercolationModel(xi, 1.0)
+    for family, key, other in (("size-linear", "x", {"G": G}), ("quadratic", "G", {"x": x})):
+        for route in (lambda: functional_values(family, xi, masks, **other),
+                      lambda: functional_table(family, xi),
+                      lambda: mc_expectation(model, family, [0], 1.0, reps=5, seed=0)):
+            with pytest.raises(ValueError, match=f"needs its payload {key}$"):
+                route()
+    # at t = 0 every path sits at v
+    est = mc_expectation(model, "size-linear", [0, 3], 0.0, reps=5, seed=0, x=x)
+    assert (est.mean, est.stderr) == (2.0 * (x[0] + x[3]), 0.0)
     assert np.array_equal(functional_table("size", xi).values[masks], [len(m) for m in members])
     # popcounts, no indicator rows: fine beyond the exact-engine limit
     wide = np.array([0, 1, (1 << 47) | 5, (1 << 48) - 1], dtype=np.int64)
@@ -483,7 +491,7 @@ def test_unknown_family_is_rejected():
     x, G = np.ones(3), np.ones((3, 3))
     for name in ("size4", "size2-quadratic"):
         with pytest.raises(ValueError, match="unknown family"):
-            functional_values((name, {"x": x, "G": G}), xi, [1, 3])
+            functional_values(name, xi, [1, 3], x, G)
         with pytest.raises(ValueError, match="unknown family"):
             expectation_bound(model, name, [0], 1.0, x=x, G=G)
         with pytest.raises(ValueError, match="unknown family"):

@@ -1,11 +1,13 @@
-"""The README's library example runs as written; the package exports resolve;
-every definition in the package has a caller."""
+"""The README's library example runs as written and its CLI examples parse;
+the package exports resolve; every definition in the package has a caller."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import chaoscope
+from chaoscope.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -24,6 +26,18 @@ def _referenced(tree: ast.AST) -> set[str]:
 
 def test_readme_library_example_runs():
     exec(compile(_library_example(), str(README), "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    # every `chaoscope ...` line of the sh blocks, continuation lines joined
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    examples = [shlex.split(line)[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("chaoscope ")]
+    assert len(examples) >= 13
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
 
 
 def test_all_exports_resolve():

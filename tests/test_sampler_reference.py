@@ -128,28 +128,28 @@ def test_paths_without_exit_or_time_stay_at_the_start(method):
         assert masks.tolist() == [SubsetState.of(v, 5).mask] * (CHUNK + 3), (v, t)
 
 
-def reference_noise(samples, steps, n, d, seed):
-    """Increments of every sample, shape (steps, samples, n, d), drawn step
+def reference_noise(samples, steps, n, seed):
+    """Increments of every sample, shape (steps, samples, n), drawn step
     by step from each chunk's stream, each step for the whole chunk."""
-    out = np.empty((steps, samples, n, d))
+    out = np.empty((steps, samples, n))
     for c, lo in enumerate(range(0, samples, CHUNK)):
         hi = min(lo + CHUNK, samples)
         gen = stream(seed, SAMPLER | c)
         for s in range(steps):
-            out[s, lo:hi] = gen.standard_normal((hi - lo, n, d))
+            out[s, lo:hi] = gen.standard_normal((hi - lo, n))
     return out
 
 
 def test_noise_matches_reference_bitwise():
     cfg = SimConfig(dt=0.25, T=0.75, samples=CHUNK + 3, seed=9)
-    noise = reference_noise(cfg.samples, cfg.steps, 2, 1, cfg.seed)
+    noise = reference_noise(cfg.samples, cfg.steps, 2, cfg.seed)
     # under zero drift each sample is the running sum of its scaled increments
-    want = np.zeros((cfg.samples, 2, 1))
+    want = np.zeros((cfg.samples, 2))
     for s in range(cfg.steps):
         want = want + cfg.sigma * np.sqrt(cfg.dt) * noise[s]
     zero = InteractionMatrix.from_dense(np.zeros((2, 2)))
     got = simulate_particles(zero, DriftSpec.zero(), cfg)
-    assert got.tobytes() == want.reshape(cfg.samples, 2).tobytes()
+    assert got.tobytes() == want.tobytes()
     # the McKean-Vlasov projection runs unchunked on the same increments: with
     # a mean field of zero it is the zero-drift particle run, byte for byte
     still = DriftSpec("still", b=lambda t, x, y: 0.0 * x,
@@ -162,14 +162,14 @@ def _euler(noise, cfg, drift):
     x = np.zeros(noise.shape[1:])
     for s in range(cfg.steps):
         x = x + cfg.dt * drift(s * cfg.dt, x) + cfg.sigma * np.sqrt(cfg.dt) * noise[s]
-    return x.reshape(len(x), -1)
+    return x
 
 
 def _sine_pairs(dense):
     def drift(t, x):
         out = np.zeros_like(x)
         for i in range(len(dense)):
-            out[:, i, :] = np.einsum("j,bjd->bd", dense[i], np.sin(x - x[:, i:i + 1, :]))
+            out[:, i] = np.einsum("j,bj->b", dense[i], np.sin(x - x[:, i:i + 1]))
         return out
     return drift
 
@@ -177,8 +177,8 @@ def _sine_pairs(dense):
 def _sine_mean_field(t, x):
     out = np.empty_like(x)
     for i in range(x.shape[1]):
-        m = x[:, i, :]
-        out[:, i, :] = float(np.sin(m).mean()) * np.cos(m) - float(np.cos(m).mean()) * np.sin(m)
+        m = x[:, i]
+        out[:, i] = float(np.sin(m).mean()) * np.cos(m) - float(np.cos(m).mean()) * np.sin(m)
     return out
 
 
@@ -188,21 +188,20 @@ SDE_CFG = SimConfig(dt=0.1, T=0.5, samples=CHUNK + 3, seed=11, sigma=0.8)
 def test_sine_runs_match_the_euler_loop_bitwise():
     xi, cfg = _directed(4, 48), SDE_CFG
     sine = DriftSpec.custom("sine")
-    noise = reference_noise(cfg.samples, cfg.steps, 4, 1, cfg.seed)
+    noise = reference_noise(cfg.samples, cfg.steps, 4, cfg.seed)
     want = _euler(noise, cfg, _sine_pairs(xi.dense()))
     assert simulate_particles(xi, sine, cfg).tobytes() == want.tobytes()
     want = _euler(noise, cfg, _sine_mean_field)
     assert simulate_projection(build_mean_field(4), sine, cfg).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_linear_particles_match_the_einsum_loop(d):
+def test_linear_particles_match_the_einsum_loop():
     # the GEMM sums each drift row in its own order, so rounding may differ
     xi, cfg = _directed(5, 49), SDE_CFG
-    noise = reference_noise(cfg.samples, cfg.steps, 5, d, cfg.seed)
+    noise = reference_noise(cfg.samples, cfg.steps, 5, cfg.seed)
     dense = xi.dense()
-    want = _euler(noise, cfg, lambda t, x: np.einsum("ij,bjd->bid", dense, x))
-    got = simulate_particles(xi, DriftSpec("linear", d=d), cfg)
+    want = _euler(noise, cfg, lambda t, x: np.einsum("ij,bj->bi", dense, x))
+    got = simulate_particles(xi, DriftSpec.linear(), cfg)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -214,7 +213,7 @@ def test_linear_particles_match_the_einsum_loop(d):
 def test_sde_memory_does_not_grow_with_steps(run, xi, drift):
     # 200 steps: a run that held its increments would peak near 200 states
     cfg = SimConfig(dt=0.005, T=1.0, samples=1000, seed=12)
-    state = cfg.samples * xi.n * drift.d * 8
+    state = cfg.samples * xi.n * 8
     tracemalloc.start()
     try:
         run(xi, drift, cfg)

@@ -116,11 +116,11 @@ def cpus(monkeypatch, count):
 def serial_run(xi, drift, cfg):
     """One chunk after another, each stepped in its own rows: the loop the
     threads replace."""
-    out = np.zeros((cfg.samples, xi.n, drift.d))
+    out = np.zeros((cfg.samples, xi.n))
     interaction = sde._particle_interaction(xi, drift)
     for lo, hi, gen in chunk_streams(cfg.seed, cfg.samples):
         sde._step_block(out[lo:hi], [(0, hi - lo, gen)], cfg, interaction)
-    return out.reshape(cfg.samples, -1)
+    return out
 
 
 @pytest.fixture
