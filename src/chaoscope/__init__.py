@@ -13,15 +13,14 @@ from .bounds import (BoundReport, ModelConstants, avg_entropy_bound,
                      reversed_variant, setwise_bound, sharper_avg_bound,
                      weighted_avg_bound)
 from .gaussian import (GaussianModel, avg_entropy, avg_entropy_sandwich,
-                       clique_lower, entropy_bounds, exact_entropy,
-                       gaussian_kl, max_upper, sigma_T)
+                       clique_lower, gaussian_kl, max_upper, sigma_T,
+                       subset_entropies)
 from .matrix import (Graph, InteractionMatrix, SubsetState, build_mean_field,
                      build_random_walk, build_sequential, load_matrix, p_xi,
                      q_xi, sample_erdos_renyi, save_matrix, validate)
-from .percolation import (PercolationModel, SubsetFunction, exact_expectation,
-                          exact_expectations, expectation_bound, expectation_bounds,
-                          functional_table, generator_apply, mc_expectation,
-                          yule_second_moment)
+from .percolation import (PercolationModel, SubsetFunction, exact_expectations,
+                          expectation_bounds, functional_table, generator_apply,
+                          mc_expectation, yule_second_moment)
 from .sde import DriftSpec, SimConfig, simulate_particles, simulate_projection
 from .verify import run_suite
 
@@ -32,12 +31,12 @@ __all__ = [
     "percolation_entropy_bound", "reversed_variant", "setwise_bound",
     "sharper_avg_bound", "weighted_avg_bound",
     "GaussianModel", "avg_entropy", "avg_entropy_sandwich", "clique_lower",
-    "entropy_bounds", "exact_entropy", "gaussian_kl", "max_upper", "sigma_T",
+    "gaussian_kl", "max_upper", "sigma_T", "subset_entropies",
     "Graph", "InteractionMatrix", "SubsetState", "build_mean_field",
     "build_random_walk", "build_sequential", "load_matrix", "p_xi", "q_xi",
     "sample_erdos_renyi", "save_matrix", "validate",
-    "PercolationModel", "SubsetFunction", "exact_expectation",
-    "exact_expectations", "expectation_bound", "expectation_bounds", "functional_table",
+    "PercolationModel", "SubsetFunction", "exact_expectations",
+    "expectation_bounds", "functional_table",
     "generator_apply", "mc_expectation", "yule_second_moment",
     "DriftSpec", "SimConfig", "simulate_particles", "simulate_projection",
     "run_suite",

@@ -115,8 +115,8 @@ def _check_k(xi: InteractionMatrix, k: int):
 
 def percolation_entropy_bound(xi: InteractionMatrix, v, constants: ModelConstants,
                               H0: SubsetFunction | None = None, h3: float | None = None,
-                              uniform: bool = False):
-    """E_v[H0(X_T)] + int_0^T E_v[cost(X_t)] dt through the exact engine.
+                              uniform: bool = False) -> np.ndarray:
+    """E_u[H0(X_T)] + int_0^T E_u[cost(X_t)] dt through the exact engine.
 
     X is the growth process on xi at the proofs' rate gamma / sigma^2
     (constants.rate_scale()).  cost is C (quadratic interaction cost) for
@@ -127,15 +127,15 @@ def percolation_entropy_bound(xi: InteractionMatrix, v, constants: ModelConstant
     exact_expectations, a stack of the two tables (the integral row alone
     without H0), truncated at CURVE_TOL = 1e-10: the time integral is its
     closed-form Poisson mixture, certified at T * 1e-10 * ||C||_inf, and the
-    H0 term at 1e-10 * ||H0||_inf, the norms over its rows.  A start subset v runs
-    on its up-set alone, the 2^(n-|v|) supersets of v, and reads row 0;
-    v=None gives every start subset at once (a vector over masks).
+    H0 term at 1e-10 * ||H0||_inf, the norms over its rows.  The rows are
+    those of exact_expectations: a start subset v runs on its up-set alone,
+    the 2^(n-|v|) supersets u of v, row 0 being v; v=None gives every start
+    subset u in mask order.
     """
     model = PercolationModel(xi, constants.rate_scale())
     T = constants.T
     if T <= 0:
         raise ValueError("constants.T must be positive")
-    start = None if v is None else SubsetState.of(v, xi.n)
     rate = constants.discount_rate() if uniform else 0.0
     _require_exact(xi.n)
     F = SubsetFunction(cost_values(xi, np.arange(1 << xi.n, dtype=np.int64), constants, h3),
@@ -145,9 +145,8 @@ def percolation_entropy_bound(xi: InteractionMatrix, v, constants: ModelConstant
             raise ValueError("H0 must be one table over the subsets of xi")
         F = SubsetFunction(np.column_stack((F.values, H0.values)), xi.n)
     times = [] if H0 is None else [T]  # without H0, the integral row alone
-    rows = exact_expectations(model, F, start, times, CURVE_TOL, rate, horizon=T)
-    total = rows[0] if H0 is None else rows[1][:, 0] + math.exp(-rate * T) * rows[0][:, 1]
-    return total if v is None else float(total[0])
+    rows = exact_expectations(model, F, v, times, CURVE_TOL, rate, horizon=T)
+    return rows[0] if H0 is None else rows[1][:, 0] + math.exp(-rate * T) * rows[0][:, 1]
 
 
 def h3_bound(constants: ModelConstants, delta: float, uniform: bool = False) -> float:

@@ -292,17 +292,15 @@ def cmd_gaussian(args, outputs: list) -> int:
             subsets = [_parse_subset(s, xi.n) for s in args.v]
         else:
             subsets = [SubsetState.of([i], xi.n) for i in range(xi.n)]
-        exact, lower, upper = (a.tolist() for a in
-                               gauss.subset_entropies(gm, [v.mask for v in subsets]))
-        row_ok = validate(xi).ok
-        recs = []
-        for v, ex, lo, hi in zip(subsets, exact, lower, upper):
-            rec = {"v": v.members, "exact": ex, "lower": lo, "upper": hi,
-                   "clique_lower": gauss.clique_lower(xi, v, gm.T),
-                   "small_time": info["small_time"]}
-            if row_ok:
-                rec["max_upper"] = gauss.max_upper(gm, v)
-            recs.append(rec)
+        masks = [v.mask for v in subsets]
+        exact, lower, upper = gauss.subset_entropies(gm, masks)
+        cols = {"exact": exact, "lower": lower, "upper": upper,
+                "clique_lower": gauss.clique_lower(xi, masks, gm.T),
+                "small_time": np.full(len(masks), info["small_time"])}
+        if validate(xi).ok:
+            cols["max_upper"] = gauss.max_upper(gm, masks)
+        rows = zip(*(col.tolist() for col in cols.values()))
+        recs = [{"v": v.members, **dict(zip(cols, row))} for v, row in zip(subsets, rows)]
         _emit(recs, ["v", "exact", "lower", "upper", "clique_lower", "max_upper"],
               args, outputs, doc=dict(info, subsets=recs))
     return 0
@@ -326,8 +324,8 @@ def cmd_bound(args, outputs: list) -> int:
         if args.theorem == "growth":
             v = _parse_subset(args.v, xi.n)
             h3 = (0.0 if args.h3_value is None else args.h3_value) if args.use_chat else None
-            val = bounds_mod.percolation_entropy_bound(xi, v, constants, h3=h3,
-                                                       uniform=args.uniform)
+            val = float(bounds_mod.percolation_entropy_bound(xi, v, constants, h3=h3,
+                                                             uniform=args.uniform)[0])
             report = bounds_mod.BoundReport(
                 "growth", val,
                 {"v": v.members, "n": xi.n, "use_chat": args.use_chat,

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .matrix import (ROW_SUM_RTOL, InteractionMatrix, SubsetState, indicators, lattice,
+from .matrix import (ROW_SUM_RTOL, InteractionMatrix, SubsetState, indicators, mask_array,
                      _frozen)
 from .rng import chunk_ranges, stream
 
@@ -56,15 +56,6 @@ class GaussianModel:
     def centered(self) -> np.ndarray:
         """T^{-1} Sigma_T - I."""
         return self.sigma_T / self.T - np.eye(self.n)
-
-
-@dataclass(frozen=True)
-class EntropyPair:
-    v: SubsetState
-    exact: float
-    lower: float
-    upper: float
-    small_time: bool  # lower is only asserted when this holds
 
 
 @dataclass(frozen=True)
@@ -219,11 +210,18 @@ def subset_entropies(model: GaussianModel, masks):
     A = T^{-1} Sigma^v_T - I, exact is half the h-trace of A's eigenvalues
     (a spectral evaluation, not a matrix log, so values near -1 stay
     stable); lower = Tr(A^2)/6 is asserted only in the small-time window
-    T <= log2 / 2 rho; upper = e^{6 rho T} Tr(A^2) holds for all T.  Masks
-    of one size share a single stacked eigenvalue call.
+    T <= log2 / 2 rho; upper = e^{6 rho T} Tr(A^2) holds for all T.
     """
-    masks = np.asarray(masks, dtype=np.int64 if model.n <= 63 else object)
-    if (masks <= 0).any():
+    exact, tr2 = _spectra(model, masks)
+    upper = _exp("subset_entropies", "6*rho*T", 6.0 * model.rho * model.T) * tr2
+    return exact, tr2 / 6.0, upper
+
+
+def _spectra(model: GaussianModel, masks) -> tuple[np.ndarray, np.ndarray]:
+    """Half the h-trace of A and Tr(A^2) at each nonempty bitmask, with no
+    factor e^{c rho T}; masks of one size share a single stacked eigenvalue call."""
+    masks = mask_array(masks, model.n)
+    if (masks == 0).any():
         raise ValueError("v must be nonempty")
     ind = indicators(masks, model.n)
     sizes = ind.sum(axis=1).astype(int)
@@ -238,39 +236,21 @@ def subset_entropies(model: GaussianModel, masks):
             raise InvalidCovariance("subset covariance is numerically not positive definite")
         exact[rows] = 0.5 * h(lam).sum(axis=1)
         tr2[rows] = (a * a).reshape(rows.size, -1).sum(axis=1)
-    upper = _exp("subset_entropies", "6*rho*T", 6.0 * model.rho * model.T) * tr2
-    return exact, tr2 / 6.0, upper
+    return exact, tr2
 
 
-def exact_entropy(model: GaussianModel, v) -> float:
-    """H of the subset marginal against Brownian motion: half the h-trace."""
-    return float(subset_entropies(model, [SubsetState.of(v, model.n).mask])[0][0])
-
-
-def entropy_bounds(model: GaussianModel, v) -> EntropyPair:
-    """Quadratic-trace sandwich around the exact subset entropy (see subset_entropies)."""
-    v = SubsetState.of(v, model.n)
-    exact, lower, upper = (float(x[0]) for x in subset_entropies(model, [v.mask]))
-    return EntropyPair(v, exact, lower, upper, model.small_time())
-
-
-def clique_lower(xi: InteractionMatrix, v, T: float):
-    """(T^2/12) sum_{i,j in v} xi_ij^2; valid in the small-time window.
-
-    v=None gives every subset at once (a vector over all 2^n masks).
-    """
-    ind = lattice(xi.n)[0] if v is None else \
-        indicators([SubsetState.of(v, xi.n).mask], xi.n)
+def clique_lower(xi: InteractionMatrix, masks, T: float) -> np.ndarray:
+    """(T^2/12) sum_{i,j in v} xi_ij^2 at each bitmask v; valid in the small-time window."""
+    ind = indicators(masks, xi.n)
     d = xi.dense()
-    vals = T * T / 12.0 * np.einsum("mi,mi->m", ind @ (d * d), ind)
-    return vals if v is None else float(vals[0])
+    return T * T / 12.0 * np.einsum("mi,mi->m", ind @ (d * d), ind)
 
 
-def max_upper(model: GaussianModel, v):
-    """e^{10 rho T} delta^2 |v|^2; needs row sums <= 1.  v=None: every mask."""
+def max_upper(model: GaussianModel, masks) -> np.ndarray:
+    """e^{10 rho T} delta^2 |v|^2 at each bitmask v; needs row sums <= 1."""
     if float(model.xi.row_sums.max(initial=0.0)) > 1.0 + ROW_SUM_RTOL:
         raise ValueError("max_upper needs row sums <= 1")
-    sizes = lattice(model.n)[1] if v is None else float(SubsetState.of(v, model.n).size)
+    sizes = np.bitwise_count(mask_array(masks, model.n)).astype(float)
     return (_exp("max_upper", "10*rho*T", 10.0 * model.rho * model.T)
             * model.xi.delta ** 2 * sizes ** 2)
 
@@ -349,7 +329,9 @@ def avg_trace_sq(A, k: int) -> float:
 
 def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
                 reps: int = 0, seed: int = 0) -> AvgEntropy:
-    """Average of exact_entropy over subsets of size k, exact or sampled."""
+    """Average of the exact subset entropy over subsets of size k, exact or sampled.
+
+    Only the exact values are computed, so no factor e^{c rho T} can refuse it."""
     n = model.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -375,8 +357,8 @@ def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
 
 
 def _entropies(model: GaussianModel, masks: list) -> np.ndarray:
-    """subset_entropies' exact values, CHUNK masks per call to bound memory."""
-    return np.concatenate([subset_entropies(model, masks[lo:hi])[0]
+    """The exact subset entropies alone, CHUNK masks per call to bound memory."""
+    return np.concatenate([_spectra(model, masks[lo:hi])[0]
                            for lo, hi in chunk_ranges(len(masks))])
 
 

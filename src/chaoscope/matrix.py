@@ -136,9 +136,23 @@ class SubsetState:
 # ---------------------------------------------------------------------------
 # Subset lattice: tables over subsets are indexed by bitmask, bit i for member i
 
+def mask_array(masks, n: int) -> np.ndarray:
+    """The bitmasks as an array typed by n: int64 up to n = 63, Python ints
+    (dtype object) above.  A mask outside [0, 2^n) raises MatrixError
+    naming the first such mask."""
+    try:
+        masks = np.asarray(masks, dtype=np.int64 if n <= 63 else object)
+    except OverflowError:  # past int64, so past 2^n as well
+        masks = np.asarray(masks, dtype=object)
+    if masks.size and (masks.min() < 0 or masks.max() >= 1 << n):
+        bad = masks[(masks < 0) | (masks >= 1 << n)][0]
+        raise MatrixError(f"mask {bad} out of range for n={n}")
+    return masks
+
+
 def indicators(masks, n: int) -> np.ndarray:
-    """0/1 rows of length n, one per mask; for n > 63 the masks are shifted as Python ints."""
-    masks = np.asarray(masks, dtype=np.int64 if n <= 63 else object)
+    """0/1 rows of length n, one per mask of mask_array(masks, n)."""
+    masks = mask_array(masks, n)
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
@@ -393,10 +407,9 @@ WITHIN_BLOCK = 4096  # masks per block of within_sums: its temporaries are O(blo
 def within_sums(xi: InteractionMatrix, masks) -> tuple[np.ndarray, np.ndarray]:
     """sum_{i in v}(sum_{j in v} xi_ij)^2 and sum_{i,j in v} xi_ij^2 at each bitmask v.
 
-    For n > 63 the masks are Python ints, as for `indicators`; the empty
-    mask gives 0.
+    The masks are read by mask_array; the empty mask gives 0.
     """
-    masks = np.asarray(masks, dtype=np.int64 if xi.n <= 63 else object)
+    masks = mask_array(masks, xi.n)
     d = xi.dense()
     d2 = d * d
     rows, squares = np.empty(masks.size), np.empty(masks.size)

@@ -11,7 +11,7 @@ absorbing.  Three engines compute E_v[F(X_t)]:
 FAMILIES names the moment families once: size, linear and quadratic
 functionals with size weights |v|^ell.  Each name gives its functional
 (functional_values), its pointwise generator bound (lemma_rhs) and its
-ceiling on E_v[F(X_t)] (expectation_bounds, one slice: expectation_bound),
+ceiling on E_v[F(X_t)] at each bitmask v (expectation_bounds),
 stated with the model's rate scale kappa throughout.  Each of them takes a
 family as (family, x, G): its name, then x for the linear kinds and G for
 the quadratic ones.
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, SubsetState, indicators, lattice, step_pairs,
-                     validate, _frozen)
+from .matrix import (InteractionMatrix, SubsetState, indicators, lattice, mask_array,
+                     step_pairs, validate, _frozen)
 from .rng import chunk_streams
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
@@ -258,19 +258,6 @@ def exact_expectations(model: PercolationModel, F: SubsetFunction, v, times,
                        horizon)
 
 
-def exact_expectation(model: PercolationModel, F: SubsetFunction, v, t: float,
-                      tol: float = 1e-10):
-    """E_v[F(X_t)] certified at tol * max|F|: the one-time slice of
-    exact_expectations.  v=None gives every start subset (a vector over
-    masks); a start subset reads row 0 of its up-set, a float for one table
-    and a length-c array for a stack of c.
-    """
-    vals = exact_expectations(model, F, v, [t], tol)[0]
-    if v is None:
-        return vals
-    return vals[0] if vals.ndim == 2 else float(vals[0])
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 
@@ -406,13 +393,13 @@ def _family(name: str) -> tuple[str, int]:
 
 def functional_values(family: str, xi: InteractionMatrix, masks, x=None,
                       G=None) -> np.ndarray:
-    """The named member of FAMILIES at each bitmask of an int64 array.
+    """The named member of FAMILIES at each bitmask (read by mask_array).
 
     The linear kinds read x and the quadratic kinds G; the size kinds read
     neither.
     """
     kind, ell = _family(family)
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = mask_array(masks, xi.n)
     sizes = np.bitwise_count(masks).astype(float)
     if kind == "size":
         return sizes ** ell
@@ -470,12 +457,12 @@ def _check_payload(arr, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
-def expectation_bounds(model: PercolationModel, v, times, x=None, G=None,
+def expectation_bounds(model: PercolationModel, masks, times, x=None, G=None,
                        tol: float = 1e-12) -> np.ndarray:
     """Every FAMILIES ceiling on E_v[F(X_t)] at each of the sorted times.
 
-    Shape (len(times), rows, len(FAMILIES)), the rows every start subset for
-    v=None (exact-engine sizes only), else v alone, so any n works.  A ceiling
+    Shape (len(times), len(masks), len(FAMILIES)), a row per start bitmask v
+    of masks (read by mask_array), at any n.  A ceiling
     is _WEIGHT[ell] e^{ell kappa t} |v|^ell times 1 (size), <1_v, e^{kappa t xi}
     (I + xi)^ell x> (linear), or the quadratic form of G_t (ell = 0) or
     xi G_t + G_t xi^T + G_t (ell = 1) plus the drift integral (quadratic).
@@ -501,12 +488,8 @@ def expectation_bounds(model: PercolationModel, v, times, x=None, G=None,
     if not all(0 <= s <= t < math.inf for s, t in zip([0.0] + times, times)):
         raise ValueError(f"t must be finite and nonnegative, and times sorted, got {times}")
     _require_row_sums(model.xi)
-    if v is None:
-        _require_exact(model.n)
-        ind, sizes = lattice(model.n)
-    else:
-        ind = indicators([SubsetState.of(v, model.n).mask], model.n)
-        sizes = ind.sum(axis=1)
+    ind = indicators(masks, model.n)
+    sizes = ind.sum(axis=1)
     n, kappa, d = model.n, model.kappa, model.xi.dense()
     z = np.zeros((n, 3 if G is None else n + 5))
     if x is not None:
@@ -543,16 +526,6 @@ def expectation_bounds(model: PercolationModel, v, times, x=None, G=None,
         weight = np.array([_WEIGHT[ell] * math.exp(ell * kappa * t) for ell in ells])
         out[i] *= weight * sizes[:, None] ** ells
     return out
-
-
-def expectation_bound(model: PercolationModel, family: str, v, t: float,
-                      x=None, G=None, tol: float = 1e-12):
-    """The named family's ceiling at time t: one slice of expectation_bounds."""
-    kind, _ = _family(family)
-    x = _check_payload(x, "x", (model.n,)) if kind == "linear" else None
-    G = _check_payload(G, "G", (model.n, model.n)) if kind == "quadratic" else None
-    vals = expectation_bounds(model, v, [t], x, G, tol)[0, :, list(FAMILIES).index(family)]
-    return vals if v is None else float(vals[0])
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         x = gen.random(n)
         G = gen.random((n, n))
         exact = perc.exact_expectations(model, _family_stack(xi, x, G), None, _EXPECTATION_T)
-        bounds = perc.expectation_bounds(model, None, _EXPECTATION_T, x=x, G=G)
+        bounds = perc.expectation_bounds(model, np.arange(1 << n), _EXPECTATION_T, x=x, G=G)
         slack = bounds - exact
         for k, fam in enumerate(perc.FAMILIES):
             agg.add(f"expectations.{fam}", slack[..., k])
@@ -191,11 +191,12 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         agg.add("gaussian.eig-window.high",
                 (math.exp(2 * gm.rho * T) - 1.0) - lam_all)
         # every nonempty subset; entry m - 1 belongs to mask m
-        exact, lower, upper = gauss.subset_entropies(gm, np.arange(1, 1 << n))
+        masks = np.arange(1, 1 << n)
+        exact, lower, upper = gauss.subset_entropies(gm, masks)
         agg.add("gaussian.sandwich.lower", exact - lower)
         agg.add("gaussian.sandwich.upper", upper - exact)
-        agg.add("gaussian.clique-lower", exact - gauss.clique_lower(xi, None, T)[1:])
-        agg.add("gaussian.max-upper", gauss.max_upper(gm, None)[1:] - exact)
+        agg.add("gaussian.clique-lower", exact - gauss.clique_lower(xi, masks, T))
+        agg.add("gaussian.max-upper", gauss.max_upper(gm, masks) - exact)
         # data processing: adding one index never decreases the entropy; the
         # empty set has no entry, and -inf there drops its pairs from the minimum
         by_mask = np.concatenate(([-np.inf], exact))

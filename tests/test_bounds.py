@@ -63,13 +63,13 @@ def test_growth_bound_single_edge_closed_form(single_edge):
     c_full = 2.0 * a * a * c.M / c.sigma ** 2
 
     # start at the full set: the cost is frozen at its full-set value
-    got = percolation_entropy_bound(single_edge, [0, 1], c)
+    got = percolation_entropy_bound(single_edge, [0, 1], c)[0]
     assert got == pytest.approx(c.T * c_full, rel=1e-8)
 
     # start at a singleton: cost turns on once the neighbor joins
     rate = kappa * a
     want = c_full * (c.T - (1.0 - math.exp(-rate * c.T)) / rate)
-    got = percolation_entropy_bound(single_edge, [0], c)
+    got = percolation_entropy_bound(single_edge, [0], c)[0]
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -83,15 +83,15 @@ def test_growth_bound_discounted(single_edge):
     want, _ = scipy.integrate.quad(
         lambda t: math.exp(-r * t) * c_full * (1.0 - math.exp(-rate * t)),
         0.0, c.T, epsabs=1e-13, epsrel=1e-13)
-    got = percolation_entropy_bound(single_edge, [0], c, uniform=True)
+    got = percolation_entropy_bound(single_edge, [0], c, uniform=True)[0]
     assert got == pytest.approx(want, rel=1e-7)
 
 
 def test_growth_bound_h0_term(single_edge):
     c = ModelConstants(gamma=0.9, M=2.0, sigma=1.1, T=0.8)
     h0 = SubsetFunction(np.array([0.0, 1.0, 1.0, 5.0]), 2)
-    base = percolation_entropy_bound(single_edge, [0], c)
-    with_h0 = percolation_entropy_bound(single_edge, [0], c, H0=h0)
+    base = percolation_entropy_bound(single_edge, [0], c)[0]
+    with_h0 = percolation_entropy_bound(single_edge, [0], c, H0=h0)[0]
     rate = c.rate_scale() * 0.7
     p_joined = 1.0 - math.exp(-rate * c.T)
     want_h0 = 5.0 * p_joined + 1.0 * (1.0 - p_joined)
@@ -112,10 +112,11 @@ def test_growth_bound_h0_shares_one_curve():
         got = percolation_entropy_bound(xi, None, c, H0=h0, uniform=uniform)
         assert np.array_equal(got, want)
         # a start subset: the same two passes, each on the up-set of v
-        want_v = (exact_expectations(model, cost, [0, 2], [c.T], 1e-10, rate)[1, 0]
+        want_v = (exact_expectations(model, cost, [0, 2], [c.T], 1e-10, rate)[1]
                   + math.exp(-rate * c.T)
-                  * exact_expectations(model, h0, [0, 2], [c.T], 1e-10)[0, 0])
-        assert percolation_entropy_bound(xi, [0, 2], c, H0=h0, uniform=uniform) == want_v
+                  * exact_expectations(model, h0, [0, 2], [c.T], 1e-10)[0])
+        got = percolation_entropy_bound(xi, [0, 2], c, H0=h0, uniform=uniform)
+        assert np.array_equal(got, want_v)
     for bad in (SubsetFunction(np.zeros((1 << 7, 2)), 7), SubsetFunction(np.zeros(8), 3)):
         with pytest.raises(ValueError, match="H0 must be one table"):
             percolation_entropy_bound(xi, None, c, H0=bad)
@@ -147,7 +148,7 @@ def test_growth_bound_asks_for_the_integral_row_alone(monkeypatch):
                 shapes.clear()
                 got = percolation_entropy_bound(xi, v, c, h3=h3, uniform=uniform)
                 assert shapes == [alone.shape]
-                assert np.array_equal(got, both[1] if v is None else both[1, 0])
+                assert np.array_equal(got, both[1])
 
 
 def test_percolation_entropy_bound_builds_its_rate(monkeypatch):
@@ -157,8 +158,7 @@ def test_percolation_entropy_bound_builds_its_rate(monkeypatch):
     model = PercolationModel(xi, c.rate_scale())
     for v in (None, [2]):
         want = exact_expectations(model, cost_table(xi, c), v, [], 1e-10, 0.0, horizon=c.T)[0]
-        got = percolation_entropy_bound(xi, v, c)
-        assert np.array_equal(got, want) if v is None else got == want[0]
+        assert np.array_equal(percolation_entropy_bound(xi, v, c), want)
     # past the exact engine it refuses before tabulating a cost over 2^n masks
     monkeypatch.setattr(bounds, "cost_values", None)
     with pytest.raises(EngineTooLarge, match="exact engine handles n <= 16, got 20"):
@@ -198,7 +198,7 @@ def test_growth_bound_runs_on_the_up_set(monkeypatch):
                 for members in ([0], [3], [5], [1, 4], list(range(n))):
                     v = SubsetState.of(members, n)
                     curves.clear()
-                    got = percolation_entropy_bound(xi, v, c, **kw)
+                    got = percolation_entropy_bound(xi, v, c, **kw)[0]
                     assert curves == [(v, 1 << (n - v.size))]
                     assert abs(got - want[v.mask]) <= allowance, (members, h3, uniform)
                 curves.clear()
@@ -210,7 +210,7 @@ def test_growth_bound_all_matches_single(four_cycle):
     c = ModelConstants(gamma=1.0, M=1.5, sigma=1.0, T=0.6)
     vec = percolation_entropy_bound(four_cycle, None, c)
     for mask in (0b0001, 0b0101, 0b1111):
-        single = percolation_entropy_bound(four_cycle, SubsetState(mask, 4), c)
+        single = percolation_entropy_bound(four_cycle, SubsetState(mask, 4), c)[0]
         assert vec[mask] == pytest.approx(single, rel=1e-6, abs=1e-12)
     assert vec[0] == pytest.approx(0.0, abs=1e-12)
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import chaoscope.cli as cli
-from chaoscope.matrix import InteractionMatrix, build_mean_field, load_matrix, save_matrix
-from chaoscope.percolation import (PercolationModel, exact_expectation,
-                                   exact_expectations, functional_table)
-from chaoscope.verify import Check, SuiteResult, save_results
+from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropies
+from chaoscope.matrix import (InteractionMatrix, SubsetState, build_mean_field, load_matrix,
+                              save_matrix)
+from chaoscope.percolation import PercolationModel, exact_expectations, functional_table
+from chaoscope.rng import stream
+from chaoscope.verify import Check, SuiteResult, random_substochastic, save_results
 
 
 def run(*argv):
@@ -84,7 +86,7 @@ def test_percolate_exact_csv(tmp_path):
     # one pass over both times, bitwise; the one-time call within its certificate
     want = exact_expectations(model, table, [0], [0.25, 0.5])[:, 0]
     assert [float(r[4]) for r in rows[1:]] == want.tolist()
-    alone = exact_expectation(model, table, [0], 0.25)
+    alone = exact_expectations(model, table, [0], [0.25])[0, 0]
     assert abs(float(rows[1][4]) - alone) <= 1e-10 * abs(table.values).max()
     assert float(rows[2][4]) > float(rows[1][4])  # growth is monotone
 
@@ -165,6 +167,28 @@ def test_gaussian_cli_subsets(tmp_path):
     assert float(worst) >= float(exact) - 1e-12
 
 
+def test_gaussian_cli_records_are_the_batched_arrays(capsys):
+    # each record field is the batched array's entry at its mask, bitwise,
+    # in the key order the records have always had
+    subsets = ["0,1,2", "3,4", "5,6,7,8", "9,10"]
+    argv = ["gaussian", "--n", "12", "--seed", "5", "--T", "0.3"]
+    assert run(*argv, *(a for spec in subsets for a in ("--v", spec))) == 0
+    recs = json.loads(capsys.readouterr().out)["subsets"]
+    xi = random_substochastic(12, stream(5))
+    gm = sigma_T(xi, 0.3)
+    masks = [SubsetState.of(map(int, spec.split(",")), 12).mask for spec in subsets]
+    exact, lower, upper = subset_entropies(gm, masks)
+    want = {"exact": exact, "lower": lower, "upper": upper,
+            "clique_lower": clique_lower(xi, masks, 0.3), "max_upper": max_upper(gm, masks)}
+    for i, rec in enumerate(recs):
+        assert list(rec) == ["v", "exact", "lower", "upper", "clique_lower", "small_time",
+                             "max_upper"]
+        assert rec["v"] == SubsetState(masks[i], 12).members
+        assert rec["small_time"] == gm.small_time()
+        for key, col in want.items():
+            assert rec[key] == col[i], (i, key)
+
+
 def test_gaussian_cli_singletons_past_bit_63(capsys):
     # the default subsets at n = 64 are the singletons, masks 1 .. 1 << 63
     assert run("gaussian", "--mean-field", "64", "--T", "0.1") == 0
@@ -231,17 +255,20 @@ def test_gaussian_series_overflow_is_named(tmp_path, capsys, rows, T, reach):
     assert "gaussian.sigma_T_quadrature" in err
 
 
-@pytest.mark.parametrize("extra", [(), ("--avg-k", "2")], ids=["subsets", "avg-k"])
-def test_gaussian_growth_factor_overflow_is_named(tmp_path, capsys, extra):
+@pytest.mark.parametrize("extra, name", [((), "subset_entropies"),
+                                         (("--avg-k", "2"), "avg_entropy_sandwich")],
+                         ids=["subsets", "avg-k"])
+def test_gaussian_growth_factor_overflow_is_named(tmp_path, capsys, extra, name):
     # Sigma_T is finite here, but e^{6 rho T} is not; that was a bare
-    # "OverflowError: math range error"
+    # "OverflowError: math range error".  The average entropy itself needs no
+    # such factor, so --avg-k stops at its sandwich's
     path = tmp_path / "nil300.csv"
     path.write_text("0,300,0\n0,0,0\n0,0,0\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("gaussian", "--matrix", str(path), "--T", "1", *extra) == 2
     assert caught == []
-    assert capsys.readouterr().err == ("error: subset_entropies's factor e^(6*rho*T) overflows "
+    assert capsys.readouterr().err == (f"error: {name}'s factor e^(6*rho*T) overflows "
                                        "double precision at 6*rho*T = 1800\n")
 
 

@@ -9,10 +9,11 @@ import scipy.linalg
 from chaoscope.gaussian import (InvalidCovariance, avg_entropy,
                                 avg_entropy_sandwich, avg_trace_sq,
                                 clique_lower, d_T, d_T_envelope,
-                                d_T_quadrature, entropy_bounds, exact_entropy,
-                                gaussian_kl, h, max_upper, sigma_T,
-                                sigma_T_quadrature, subset_entropies)
-from chaoscope.matrix import InteractionMatrix, SubsetState, build_sequential
+                                d_T_quadrature, gaussian_kl, h, max_upper,
+                                sigma_T, sigma_T_quadrature, subset_entropies)
+from chaoscope.matrix import (InteractionMatrix, SubsetState, build_mean_field,
+                              build_sequential)
+from chaoscope.percolation import PercolationModel, expectation_bounds
 from chaoscope.rng import stream
 
 from conftest import random_matrices
@@ -100,7 +101,8 @@ def test_exact_entropy_is_kl_against_reference():
             want = gaussian_kl(T * np.eye(v.size), sub)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
             if mask in (1, (1 << xi.n) - 1):
-                assert exact_entropy(gm, v) == pytest.approx(want, rel=1e-9, abs=1e-12)
+                alone = subset_entropies(gm, [mask])[0][0]
+                assert alone == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_subset_entropy_above_bit_63():
@@ -112,12 +114,11 @@ def test_subset_entropy_above_bit_63():
     assert v.mask >= 1 << 63
     sub = gm.sigma_T[np.ix_([0, 68], [0, 68])]
     want = gaussian_kl(T * np.eye(2), sub)
-    assert exact_entropy(gm, v) == pytest.approx(want, rel=1e-9, abs=1e-12)
-    pair = entropy_bounds(gm, v)
+    (exact,), (lower,), (upper,) = subset_entropies(gm, [v.mask])
     a = sub / T - np.eye(2)
-    assert pair.exact == pytest.approx(want, rel=1e-9, abs=1e-12)
-    assert pair.lower == pytest.approx((a * a).sum() / 6.0, rel=1e-12)
-    assert pair.upper == pytest.approx(math.exp(6 * gm.rho * T) * (a * a).sum(), rel=1e-12)
+    assert exact == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert lower == pytest.approx((a * a).sum() / 6.0, rel=1e-12)
+    assert upper == pytest.approx(math.exp(6 * gm.rho * T) * (a * a).sum(), rel=1e-12)
 
 
 def test_subset_entropies_mix_masks_across_bit_63():
@@ -136,26 +137,38 @@ def test_entropy_bounds_sandwich_small_time():
         rho = max(sigma_T(xi, 1.0).rho, 1e-9)
         T = min(0.9 * math.log(2.0) / (2.0 * rho), 1.0)
         gm = sigma_T(xi, T)
-        for mask in range(1, 1 << xi.n):
-            v = SubsetState(mask, xi.n)
-            pair = entropy_bounds(gm, v)
-            assert pair.lower <= pair.exact + 1e-12
-            assert pair.exact <= pair.upper + 1e-12
-            assert clique_lower(xi, v, T) <= pair.exact + 1e-12
-            assert pair.exact <= max_upper(gm, v) + 1e-12
+        masks = np.arange(1, 1 << xi.n)
+        exact, lower, upper = subset_entropies(gm, masks)
+        assert (lower <= exact + 1e-12).all()
+        assert (exact <= upper + 1e-12).all()
+        assert (clique_lower(xi, masks, T) <= exact + 1e-12).all()
+        assert (exact <= max_upper(gm, masks) + 1e-12).all()
 
 
 def test_max_upper_requires_row_sums():
     hot = InteractionMatrix.from_dense(np.array([[0.0, 1.5], [0.0, 0.0]]))
     gm = sigma_T(hot, 0.2)
     with pytest.raises(ValueError):
-        max_upper(gm, [0, 1])
+        max_upper(gm, [0b11])
 
 
 def test_exact_entropy_rejects_empty():
     gm = sigma_T(build_sequential(3), 0.3)
-    with pytest.raises(ValueError):
-        exact_entropy(gm, [])
+    with pytest.raises(ValueError, match="nonempty"):
+        subset_entropies(gm, [1, 0])
+
+
+def test_subset_quantities_agree_across_bit_63():
+    # mean field 64 is exchangeable, so {63} and {0, 63} look like {1} and
+    # {0, 1}; above bit 62 the masks are Python ints
+    xi = build_mean_field(64)
+    gm = sigma_T(xi, 0.1)
+    model = PercolationModel(xi, 1.0)
+    high, low = [1 << 63, 1 | 1 << 63], [2, 3]
+    for f in (lambda m: clique_lower(xi, m, 0.1), lambda m: max_upper(gm, m),
+              lambda m: expectation_bounds(model, m, [0.1, 0.5], x=np.ones(64))):
+        assert np.allclose(f(high), f(low), rtol=1e-14, atol=0.0)
+        assert f(low).any()
 
 
 def test_d_T_routes_agree_and_triangular_vanishes():
@@ -204,7 +217,7 @@ def test_closed_form_factor_overflow_is_named():
              (lambda: avg_entropy_sandwich(gm, 2), "avg_entropy_sandwich", "6*rho*T", 1800.0),
              (lambda: avg_entropy_sandwich(gm, 2, explicit=True), "avg_entropy_sandwich",
               "4*rho*T", 1200.0),
-             (lambda: max_upper(chain, [0]), "max_upper", "10*rho*T", 1000.0 * chain.rho),
+             (lambda: max_upper(chain, [1]), "max_upper", "10*rho*T", 1000.0 * chain.rho),
              (lambda: d_T_envelope(nil, 2.0), "d_T_envelope", "2*rho*T", 1200.0)]
     for route, name, label, reach in cases:
         with pytest.raises(ValueError) as exc:
@@ -249,6 +262,17 @@ def test_avg_entropy_sample_deterministic():
     a = avg_entropy(gm, 3, mode="sample", reps=500, seed=7)
     b = avg_entropy(gm, 3, mode="sample", reps=500, seed=7)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def test_avg_entropy_needs_no_upper_factor():
+    # e^{6 rho T} overflows here, while every exact entropy is finite
+    nil = InteractionMatrix.from_dense(np.array([[0, 300.0, 0], [0, 0, 0], [0, 0, 0]]))
+    gm = sigma_T(nil, 1.0)
+    want = np.mean([gaussian_kl(np.eye(2), gm.sigma_T[np.ix_(pair, pair)])
+                    for pair in combinations(range(3), 2)])
+    got = avg_entropy(gm, 2).value
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_avg_entropy_sandwich_brackets_enumeration():

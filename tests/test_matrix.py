@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropies
 from chaoscope.matrix import (Graph, InteractionMatrix, MatrixError,
                               SubsetState, build_mean_field, build_random_walk,
                               build_sequential, cost_values, indicators,
-                              lattice, load_matrix, p_xi, q_xi,
+                              lattice, load_matrix, mask_array, p_xi, q_xi,
                               sample_erdos_renyi, save_matrix, step_pairs,
-                              validate)
+                              validate, within_sums)
+from chaoscope.percolation import PercolationModel, expectation_bounds, functional_values
 from chaoscope.rng import stream
 
 from conftest import random_matrices
@@ -139,6 +141,37 @@ def test_lattice_rows_are_subset_indicators():
         lo, hi = step_pairs(table, j)
         assert np.array_equal(hi - lo, np.full(8, float(1 << j)).reshape(-1, 1 << j))
         assert not ((lo.astype(int) >> j) & 1).any()
+
+
+def mask_takers(n: int) -> dict:
+    """Every function that takes an array of bitmasks, on mean field n."""
+    xi = build_mean_field(n)
+    gm = sigma_T(xi, 0.5)
+    model = PercolationModel(xi, 1.0)
+    x = np.ones(n)
+    return {"mask_array": lambda m: mask_array(m, n),
+            "indicators": lambda m: indicators(m, n),
+            "within_sums": lambda m: within_sums(xi, m)[0],
+            "cost_values": lambda m: cost_values(xi, m, Consts()),
+            "functional_values.size": lambda m: functional_values("size", xi, m),
+            "functional_values.linear": lambda m: functional_values("linear", xi, m, x=x),
+            "subset_entropies": lambda m: subset_entropies(gm, m)[0],
+            "clique_lower": lambda m: clique_lower(xi, m, 0.5),
+            "max_upper": lambda m: max_upper(gm, m),
+            "expectation_bounds": lambda m: expectation_bounds(model, m, [0.5], x=x)[0]}
+
+
+@pytest.mark.parametrize("name", list(mask_takers(2)))
+def test_masks_outside_the_lattice_are_refused(name):
+    # at n = 3, masks 8 and 9 set bit 3, outside the lattice
+    f = mask_takers(3)[name]
+    for masks, bad in (([8], 8), ([9], 9), ([1, 7, 9, 8], 9), ([3, -1], -1),
+                       ([1 << 63], 1 << 63), ([1, 1 << 70], 1 << 70)):
+        with pytest.raises(MatrixError, match=f"^mask {bad} out of range for n=3$"):
+            f(masks)
+    assert len(f([1, 7])) == 2
+    # at n = 64 the top bit is a member, and the masks are Python ints
+    assert len(mask_takers(64)[name]([1 << 63])) == 1
 
 
 def test_p_xi_brute_force():

@@ -12,9 +12,8 @@ from chaoscope.matrix import (InteractionMatrix, MatrixError, SubsetState,
                               build_mean_field, cost_values, indicators, lattice)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, SubsetFunction, _Engine,
-                                   exact_expectation,
-                                   exact_expectations, expectation_bound,
-                                   expectation_bounds, functional_table,
+                                   exact_expectations, expectation_bounds,
+                                   functional_table,
                                    functional_values, generator_apply,
                                    lemma_rhs, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
@@ -77,7 +76,7 @@ def test_exact_expectation_matches_scipy_expm():
         q = full_rate_matrix(xi, kappa)
         for t in (0.3, 1.7):
             want = scipy.linalg.expm(t * q) @ f
-            got = exact_expectation(model, SubsetFunction(f, xi.n), None, t, tol=1e-12)
+            got = exact_expectations(model, SubsetFunction(f, xi.n), None, [t], tol=1e-12)[0]
             assert np.allclose(got, want, rtol=1e-9, atol=1e-10)
 
 
@@ -85,21 +84,20 @@ def test_exact_expectation_t0_returns_f():
     xi = build_mean_field(4)
     model = PercolationModel(xi, 1.0)
     f = SubsetFunction(np.arange(16.0), 4)
-    assert exact_expectation(model, f, [2], 0.0) == f.values[0b0100]
-    assert np.array_equal(exact_expectation(model, f, None, 0.0), f.values)
+    assert exact_expectations(model, f, [2], [0.0])[0, 0] == f.values[0b0100]
+    assert np.array_equal(exact_expectations(model, f, None, [0.0])[0], f.values)
 
 
 def test_exact_expectation_of_a_stack_at_a_start_subset():
-    # a start subset reads row 0: a length-c array for a stack of c tables,
-    # bitwise its columns' own calls, and a float for one table
+    # a start subset's row 0 is a length-c array for a stack of c tables,
+    # bitwise its columns' own calls
     xi = build_mean_field(4)
     model = PercolationModel(xi, 1.0)
     cols = [functional_table(name, xi) for name in ("size", "size2")]
     stack = SubsetFunction(np.column_stack([c.values for c in cols]), 4)
     for t in (0.0, 0.7):
-        got = exact_expectation(model, stack, [0], t)
-        singles = [exact_expectation(model, c, [0], t) for c in cols]
-        assert all(type(x) is float for x in singles)
+        got = exact_expectations(model, stack, [0], [t])[0, 0]
+        singles = [exact_expectations(model, c, [0], [t])[0, 0] for c in cols]
         assert got.shape == (2,) and np.array_equal(got, singles)
 
 
@@ -108,7 +106,7 @@ def test_single_edge_closed_form(single_edge):
     tab = functional_table("size", single_edge)
     for t in (0.0, 0.25, 1.0, 2.5):
         want = 2.0 - math.exp(-1.3 * 0.7 * t)
-        got = exact_expectation(model, tab, [0], t, tol=1e-13)
+        got = exact_expectations(model, tab, [0], [t], tol=1e-13)[0, 0]
         assert got == pytest.approx(want, abs=2e-12)
 
 
@@ -116,7 +114,7 @@ def test_full_set_is_absorbing():
     xi = build_mean_field(3)
     model = PercolationModel(xi, 2.0)
     tab = functional_table("size2", xi)
-    got = exact_expectation(model, tab, [0, 1, 2], 5.0, tol=1e-13)
+    got = exact_expectations(model, tab, [0, 1, 2], [5.0], tol=1e-13)[0, 0]
     assert got == 9.0  # its up-set has no exit, so the curve is F itself
 
 
@@ -181,7 +179,7 @@ def test_models_without_exits_keep_f():
         assert _Engine(model).lam == 1.3
         f = SubsetFunction(np.arange(1 << n) + 0.5, n)
         for mask in range(1 << n):
-            got = exact_expectation(model, f, SubsetState(mask, n).members, 2.0)
+            got = exact_expectations(model, f, SubsetState(mask, n).members, [2.0])[0, 0]
             assert got == f.values[mask]
         assert np.array_equal(exact_expectations(model, f, None, [2.0], rate=0.0)[1],
                               f.values * 2.0)
@@ -218,7 +216,7 @@ def test_upset_route_matches_full_lattice(single_edge):
                     assert np.array_equal(up, full[:, eng.masks])
                 assert np.abs(up[:-1, 0] - full[:-1, mask]).max() <= cert
                 assert np.abs(up[-1, 0] - full[-1, mask]).max() <= times[-1] * cert
-                got = exact_expectation(model, F, v, times[-1], tol)
+                got = exact_expectations(model, F, v, [times[-1]], tol)[0, 0]
                 assert np.array_equal(got, up[-2, 0])
 
 
@@ -419,7 +417,7 @@ def test_fpp_rejects_asymmetric():
 def test_mc_agrees_with_exact(four_cycle):
     model = PercolationModel(four_cycle, 1.0)
     tab = functional_table("size", four_cycle)
-    want = exact_expectation(model, tab, [0], 0.8)
+    want = exact_expectations(model, tab, [0], [0.8])[0, 0]
     est = mc_expectation(model, "size", [0], 0.8, reps=20000, seed=21)
     assert abs(est.mean - want) <= 4.0 * est.stderr
     assert est.stderr > 0.0
@@ -493,8 +491,6 @@ def test_unknown_family_is_rejected():
         with pytest.raises(ValueError, match="unknown family"):
             functional_values(name, xi, [1, 3], x, G)
         with pytest.raises(ValueError, match="unknown family"):
-            expectation_bound(model, name, [0], 1.0, x=x, G=G)
-        with pytest.raises(ValueError, match="unknown family"):
             lemma_rhs(model, name, x=x, G=G)
 
 
@@ -524,12 +520,11 @@ def test_expectations_suite_fails_on_a_halved_yule_cap(monkeypatch):
 def test_expectation_bound_rejects_invalid_inputs():
     xi = build_mean_field(3)
     model = PercolationModel(xi, 1.0)
-    with pytest.raises(ValueError):
-        expectation_bound(model, "nope", [0], 1.0)
     hot = InteractionMatrix.from_dense(np.array([[0.0, 2.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        expectation_bound(PercolationModel(hot, 1.0), "size", [0], 1.0)
-    # the ceilings and the generator bounds refuse the same payloads, in numpy's stead
+        expectation_bounds(PercolationModel(hot, 1.0), [1], [1.0])
+    # the ceilings and the generator bounds refuse the same payloads, in numpy's
+    # stead; the ceilings read a missing payload as zero
     bad = [("linear", {}, "x must be a length-n vector"),
            ("linear", {"x": np.ones(2)}, "x must be a length-n vector"),
            ("linear", {"x": np.ones((3, 3))}, "x must be a length-n vector"),
@@ -542,15 +537,16 @@ def test_expectation_bound_rejects_invalid_inputs():
            ("size-quadratic", {"G": -np.ones((3, 3))}, "G must be entrywise nonnegative"),
            ("quadratic", {"G": np.diag([math.inf, 0.0, 0.0])}, "G must be .* and finite")]
     for family, payload, message in bad:
-        with pytest.raises(ValueError, match=message):
-            expectation_bound(model, family, [0], 1.0, **payload)
+        if payload:
+            with pytest.raises(ValueError, match=message):
+                expectation_bounds(model, [1], [1.0], **payload)
         with pytest.raises(ValueError, match=message):
             lemma_rhs(model, family, **payload)
     with pytest.raises(ValueError, match="x must be entrywise nonnegative"):
-        expectation_bounds(model, None, [1.0], x=-np.ones(3))
+        expectation_bounds(model, np.arange(8), [1.0], x=-np.ones(3))
     for times in ([1.0, 0.5], [0.5, math.nan], [-1.0]):
         with pytest.raises(ValueError, match="t must be finite and nonnegative"):
-            expectation_bounds(model, None, times)
+            expectation_bounds(model, np.arange(8), times)
 
 
 def test_lemma_rhs_needs_row_sums():
@@ -567,11 +563,10 @@ def test_lemma_rhs_needs_row_sums():
 def test_expectation_bound_rejects_non_finite_t():
     model = PercolationModel(build_mean_field(3), 1.0)
     x, G = np.ones(3), np.ones((3, 3))
-    for family in FAMILIES:
-        for v in ([0], None):
-            for t in (math.nan, math.inf, -1.0):
-                with pytest.raises(ValueError, match="t must be finite and nonnegative"):
-                    expectation_bound(model, family, v, t, x=x, G=G)
+    for masks in ([1], np.arange(8)):
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                expectation_bounds(model, masks, [t], x=x, G=G)
 
 
 def test_expectation_bound_families_closed_forms():
@@ -579,22 +574,19 @@ def test_expectation_bound_families_closed_forms():
     model = PercolationModel(xi, 0.9)
     v = SubsetState.of([0, 1], 4)
     t = 0.6
-    assert expectation_bound(model, "size", v, t) == pytest.approx(
-        math.exp(0.9 * t) * 2.0, rel=1e-12)
-    assert expectation_bound(model, "size2", v, t) == pytest.approx(
-        2.0 * math.exp(2 * 0.9 * t) * 4.0, rel=1e-12)
-    assert expectation_bound(model, "size3", v, t) == pytest.approx(
-        8.0 * math.exp(3 * 0.9 * t) * 8.0, rel=1e-12)
     x = np.full(4, 0.5)
+    got = dict(zip(FAMILIES, expectation_bounds(model, [v.mask], [t], x=x)[0, 0]))
+    assert got["size"] == pytest.approx(math.exp(0.9 * t) * 2.0, rel=1e-12)
+    assert got["size2"] == pytest.approx(2.0 * math.exp(2 * 0.9 * t) * 4.0, rel=1e-12)
+    assert got["size3"] == pytest.approx(8.0 * math.exp(3 * 0.9 * t) * 8.0, rel=1e-12)
     d = xi.dense()
     e = scipy.linalg.expm(0.9 * t * d)
     ind = indicators([v.mask], 4)[0]
-    assert expectation_bound(model, "linear", v, t, x=x) == pytest.approx(
-        float(ind @ (e @ x)), rel=1e-10)
-    assert expectation_bound(model, "size-linear", v, t, x=x) == pytest.approx(
+    assert got["linear"] == pytest.approx(float(ind @ (e @ x)), rel=1e-10)
+    assert got["size-linear"] == pytest.approx(
         2.0 * math.exp(0.9 * t) * float(ind @ (e @ (x + d @ x))), rel=1e-10)
     y = x + d @ x
-    assert expectation_bound(model, "size2-linear", v, t, x=x) == pytest.approx(
+    assert got["size2-linear"] == pytest.approx(
         2.0 * 4.0 * math.exp(2 * 0.9 * t) * float(ind @ (e @ (y + d @ y))), rel=1e-10)
 
 
@@ -620,7 +612,8 @@ def test_expectation_bound_quadratic_vs_quadrature():
     import scipy.integrate
     tail, _ = scipy.integrate.quad(integrand, 0.0, t, epsabs=1e-12, epsrel=1e-12)
     want = float(ind @ g_mat(t) @ ind) + 0.8 * tail
-    got = expectation_bound(model, "quadratic", v, t, G=G, tol=1e-10)
+    quadratic = list(FAMILIES).index("quadratic")
+    got = expectation_bounds(model, [v.mask], [t], G=G, tol=1e-10)[0, 0, quadratic]
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -653,14 +646,13 @@ def test_quadratic_bounds_match_quad_vec():
             tail = kappa * scipy.integrate.quad_vec(lambda s: quadratic(s, t), 0.0, t,
                                                     epsabs=1e-13, epsrel=1e-12)[0]
             want = quad + ind @ tail
-            got = expectation_bound(model, "quadratic", None, t, G=G)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (n, t)
+            got = dict(zip(FAMILIES, expectation_bounds(model, np.arange(1 << n), [t], G=G)[0].T))
+            assert np.allclose(got["quadratic"], want, rtol=1e-9, atol=1e-12), (n, t)
             mid = np.einsum("mi,mi->m", ind @ (d @ g_t + g_t @ d.T + g_t), ind)
             tail = kappa * scipy.integrate.quad_vec(lambda s: size_quadratic(s, t), 0.0, t,
                                                     epsabs=1e-13, epsrel=1e-12)[0]
             want = sizes * math.exp(kappa * t) * (mid + ind @ tail)
-            got = expectation_bound(model, "size-quadratic", None, t, G=G)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (n, t)
+            assert np.allclose(got["size-quadratic"], want, rtol=1e-9, atol=1e-12), (n, t)
 
 
 def test_block_operator_norm_bounds(monkeypatch):
@@ -682,9 +674,9 @@ def test_block_operator_norm_bounds(monkeypatch):
         G = g.random((xi.n, xi.n))
         # the stepped operator at three step lengths
         times = np.sort(g.uniform(0.05, 2.0, 3))
-        expectation_bounds(model, [0], times, x=g.random(xi.n), G=G)
+        expectation_bounds(model, [1], times, x=g.random(xi.n), G=G)
         # with G None only the block Y is stepped, at its own mu
-        expectation_bounds(model, [0], times, x=g.random(xi.n))
+        expectation_bounds(model, [1], times, x=g.random(xi.n))
         sigma_T_quadrature(xi, float(times[-1]))
     assert len(seen) == 84
     for apply, b, mu in seen:
@@ -708,8 +700,8 @@ def test_linear_ceilings_at_large_n_match_scipy_expm():
     v = SubsetState.of([0, 7, 31], n)
     ind = indicators([v.mask], n)[0]
     times = [0.3, 1.0, 2.5]
-    got = expectation_bounds(model, v, times, x=x)
-    bare = expectation_bounds(model, v, times)
+    got = expectation_bounds(model, [v.mask], times, x=x)
+    bare = expectation_bounds(model, [v.mask], times)
     for k, t in enumerate(times):
         e = scipy.linalg.expm(kappa * t * d)
         y = x
@@ -744,9 +736,9 @@ def test_stepped_bounds_within_their_certificate():
         # each ceiling is a linear form in the state; these bound its coefficients
         coef = {"linear": sizes, "quadratic": sizes ** 2 + kappa * sizes}
         for tol in (1e-12, 1e-6):
-            stepped = expectation_bounds(model, None, times, x=x, G=G, tol=tol)
+            stepped = expectation_bounds(model, np.arange(1 << n), times, x=x, G=G, tol=tol)
             for k, t in enumerate(times):
-                single = expectation_bounds(model, None, [t], x=x, G=G, tol=tol)[0]
+                single = expectation_bounds(model, np.arange(1 << n), [t], x=x, G=G, tol=tol)[0]
                 err = tol * sum(state[i] * math.exp(rate * (t - times[i - 1] if i else t))
                                 for i in range(k + 1))
                 err += tol * state[k] * math.exp(rate * t)
@@ -769,7 +761,8 @@ def test_curve_integral_matches_quad():
         got = exact_expectations(model, F, None, [T], tol=1e-12, rate=rate)[1]
         for mask in range(16):
             want, _ = scipy.integrate.quad(
-                lambda t: math.exp(-rate * t) * exact_expectation(model, F, None, t, 1e-12)[mask],
+                lambda t: math.exp(-rate * t) * exact_expectations(model, F, None, [t],
+                                                                   1e-12)[0, mask],
                 0.0, T, epsabs=1e-14, epsrel=1e-13)
             assert got[mask] == pytest.approx(want, rel=1e-10), (rate, mask)
     assert np.array_equal(exact_expectations(model, F, None, [0.0], rate=0.7)[1], np.zeros(16))
@@ -785,13 +778,10 @@ def test_expectation_bound_all_matches_single():
     x = g.random(3)
     G = g.random((3, 3))
     t = 0.9
-    for family in ("size", "size2", "size3", "linear", "size-linear",
-                   "size2-linear", "quadratic", "size-quadratic"):
-        vec = expectation_bound(model, family, None, t, x=x, G=G)
-        for mask in (1, 3, 7):
-            v = SubsetState(mask, 3)
-            single = expectation_bound(model, family, v, t, x=x, G=G)
-            assert vec[mask] == pytest.approx(single, rel=1e-9, abs=1e-12)
+    vec = expectation_bounds(model, np.arange(8), [t], x=x, G=G)[0]
+    for mask in (1, 3, 7):
+        single = expectation_bounds(model, [mask], [t], x=x, G=G)[0, 0]
+        assert single == pytest.approx(vec[mask], rel=1e-9, abs=1e-12)
 
 
 def test_yule_second_moment_solves_moment_ode():
@@ -827,7 +817,7 @@ def test_mean_field_size_chain_matches_exact_engine():
         for k0 in (1, 2):
             v = list(range(k0))
             for t in (0.3, 1.5):
-                want = exact_expectation(model, tab, v, t, tol=1e-12)
+                want = exact_expectations(model, tab, v, [t], tol=1e-12)[0, 0]
                 got = mean_field_size_expectation(n, 1.1, k0, t, power=2)
                 assert got == pytest.approx(want, rel=1e-9)
 
