@@ -18,9 +18,9 @@ from .gaussian import (GaussianModel, avg_entropy, avg_entropy_sandwich,
 from .matrix import (Graph, InteractionMatrix, SubsetState, build_mean_field,
                      build_random_walk, build_sequential, load_matrix, p_xi,
                      q_xi, sample_erdos_renyi, save_matrix, validate)
-from .percolation import (PercolationModel, SubsetFunction, exact_expectations,
-                          expectation_bounds, functional_table, generator_apply,
-                          mc_expectation, yule_second_moment)
+from .percolation import (PercolationModel, exact_expectations, expectation_bounds,
+                          functional_values, generator_apply, mc_expectation,
+                          yule_second_moment)
 from .sde import DriftSpec, SimConfig, simulate_particles, simulate_projection
 from .verify import run_suite
 
@@ -35,9 +35,8 @@ __all__ = [
     "Graph", "InteractionMatrix", "SubsetState", "build_mean_field",
     "build_random_walk", "build_sequential", "load_matrix", "p_xi", "q_xi",
     "sample_erdos_renyi", "save_matrix", "validate",
-    "PercolationModel", "SubsetFunction", "exact_expectations",
-    "expectation_bounds", "functional_table",
-    "generator_apply", "mc_expectation", "yule_second_moment",
+    "PercolationModel", "exact_expectations", "expectation_bounds",
+    "functional_values", "generator_apply", "mc_expectation", "yule_second_moment",
     "DriftSpec", "SimConfig", "simulate_particles", "simulate_projection",
     "run_suite",
 ]

@@ -19,8 +19,7 @@ import numpy as np
 
 from .gaussian import GaussianModel
 from .matrix import InteractionMatrix, SubsetState, cost_values, validate
-from .percolation import (NotApplicable, PercolationModel, SubsetFunction,
-                          exact_expectations, _require_exact)
+from .percolation import NotApplicable, PercolationModel, exact_expectations
 
 COLUMN_SLACK = 1e-12
 CURVE_TOL = 1e-10  # Poisson truncation of the growth-bound uniformization
@@ -114,7 +113,7 @@ def _check_k(xi: InteractionMatrix, k: int):
 # Growth-process entropy bound (exact expectation + time integral)
 
 def percolation_entropy_bound(xi: InteractionMatrix, v, constants: ModelConstants,
-                              H0: SubsetFunction | None = None, h3: float | None = None,
+                              H0=None, h3: float | None = None,
                               uniform: bool = False) -> np.ndarray:
     """E_u[H0(X_T)] + int_0^T E_u[cost(X_t)] dt through the exact engine.
 
@@ -123,13 +122,15 @@ def percolation_entropy_bound(xi: InteractionMatrix, v, constants: ModelConstant
     h3=None, else the sharper C-hat built from a three-particle entropy
     bound h3 (matrix.cost_values).  In uniform mode both terms carry the
     discount exp(-sigma^2 t / 4 eta) at their own times, and
-    sigma^2 > 12 eta gamma is enforced.  Cost and H0 share one pass of
-    exact_expectations, a stack of the two tables (the integral row alone
-    without H0), truncated at CURVE_TOL = 1e-10: the time integral is its
-    closed-form Poisson mixture, certified at T * 1e-10 * ||C||_inf, and the
-    H0 term at 1e-10 * ||H0||_inf, the norms over its rows.  The rows are
-    those of exact_expectations: a start subset v runs on its up-set alone,
-    the 2^(n-|v|) supersets u of v, row 0 being v; v=None gives every start
+    sigma^2 > 12 eta gamma is enforced.  H0, if given, is a function of a
+    masks array with one value per mask.  Cost and H0 share one pass of
+    exact_expectations, a stack of the two columns (the integral row alone
+    without H0), tabulated at the masks the engine visits and truncated at
+    CURVE_TOL = 1e-10: the time integral is its closed-form Poisson mixture,
+    certified at T * 1e-10 * ||C||_inf, and the H0 term at
+    1e-10 * ||H0||_inf, the norms over its rows.  The rows are those of
+    exact_expectations: a start subset v runs on its up-set alone, the
+    2^(n-|v|) supersets u of v, row 0 being v; v=None gives every start
     subset u in mask order.
     """
     model = PercolationModel(xi, constants.rate_scale())
@@ -137,13 +138,17 @@ def percolation_entropy_bound(xi: InteractionMatrix, v, constants: ModelConstant
     if T <= 0:
         raise ValueError("constants.T must be positive")
     rate = constants.discount_rate() if uniform else 0.0
-    _require_exact(xi.n)
-    F = SubsetFunction(cost_values(xi, np.arange(1 << xi.n, dtype=np.int64), constants, h3),
-                       xi.n)
-    if H0 is not None:
-        if H0.n != xi.n or H0.values.ndim != 1:
-            raise ValueError("H0 must be one table over the subsets of xi")
-        F = SubsetFunction(np.column_stack((F.values, H0.values)), xi.n)
+
+    def F(masks):
+        cost = cost_values(xi, masks, constants, h3)
+        if H0 is None:
+            return cost
+        h0 = np.asarray(H0(masks), dtype=float)
+        if h0.shape != masks.shape:
+            raise ValueError(f"H0 must give one value per mask, {masks.size} values; "
+                             f"got shape {h0.shape}")
+        return np.column_stack((cost, h0))
+
     times = [] if H0 is None else [T]  # without H0, the integral row alone
     rows = exact_expectations(model, F, v, times, CURVE_TOL, rate, horizon=T)
     return rows[0] if H0 is None else rows[1][:, 0] + math.exp(-rate * T) * rows[0][:, 1]

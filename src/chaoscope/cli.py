@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -236,8 +237,8 @@ def cmd_percolate(args, outputs: list) -> int:
     if args.engine == "exact":
         # one pass over the sorted times, each value put back at its own place
         order = np.argsort(times, kind="stable")
-        values = perc.exact_expectations(model, perc.functional_table(args.functional, xi),
-                                         v, np.asarray(times)[order])[:, 0]
+        F = partial(perc.functional_values, args.functional, xi)
+        values = perc.exact_expectations(model, F, v, np.asarray(times)[order])[:, 0]
         for i, val in zip(order, values.tolist()):
             records[i]["value"] = val
     else:

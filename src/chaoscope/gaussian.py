@@ -17,8 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .matrix import (ROW_SUM_RTOL, InteractionMatrix, SubsetState, indicators, mask_array,
-                     _frozen)
+from .matrix import ROW_SUM_RTOL, InteractionMatrix, indicators, mask_array, _frozen
 from .rng import chunk_ranges, stream
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -348,15 +347,19 @@ def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
     if mode == "sample":
         if reps < 2:
             raise ValueError("sample mode needs reps >= 2")
+        # each draw takes the first k sites of a uniform random order; the one
+        # stream is read in order, so the masks do not depend on CHUNK
         gen = stream(seed)
-        draws = [gen.choice(n, size=k, replace=False) for _ in range(reps)]
-        vals = _entropies(model, [SubsetState.of(mem, n).mask for mem in draws])
+        one = np.int64(1) if n <= 63 else np.array(1, dtype=object)
+        masks = [(one << gen.random((hi - lo, n)).argsort(axis=1)[:, :k]).sum(axis=1)
+                 for lo, hi in chunk_ranges(reps)]
+        vals = _entropies(model, np.concatenate(masks))
         return AvgEntropy(k, model.T, "sample", float(vals.mean()),
                           float(vals.std(ddof=1) / math.sqrt(reps)))
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _entropies(model: GaussianModel, masks: list) -> np.ndarray:
+def _entropies(model: GaussianModel, masks) -> np.ndarray:
     """The exact subset entropies alone, CHUNK masks per call to bound memory."""
     return np.concatenate([_spectra(model, masks[lo:hi])[0]
                            for lo, hi in chunk_ranges(len(masks))])

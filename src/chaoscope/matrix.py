@@ -14,7 +14,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -154,13 +153,6 @@ def indicators(masks, n: int) -> np.ndarray:
     """0/1 rows of length n, one per mask of mask_array(masks, n)."""
     masks = mask_array(masks, n)
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-
-
-@lru_cache(maxsize=8)
-def lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator rows and sizes of all 2^n masks, in mask order (read-only)."""
-    ind = indicators(np.arange(1 << n, dtype=np.int64), n)
-    return _frozen(ind), _frozen(ind.sum(axis=1))
 
 
 def step_pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:

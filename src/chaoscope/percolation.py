@@ -4,17 +4,19 @@ State is a subset v of {0,..,n-1}; element j joins at rate
 kappa * sum_{i in v} xi[i, j], and nothing ever leaves, so the full set is
 absorbing.  Three engines compute E_v[F(X_t)]:
 
-  * exact uniformization over all 2^n subsets (n <= 16),
+  * exact uniformization over the up-set of v, the 2^(n-|v|) subsets
+    containing v (n <= 16), F being a function of a masks array called once
+    at them, with a value or a row of c values (a stack) per mask,
   * Gillespie sampling of the jump chain,
   * first-passage edge clocks (symmetric xi only; same law by memorylessness).
 
 FAMILIES names the moment families once: size, linear and quadratic
 functionals with size weights |v|^ell.  Each name gives its functional
-(functional_values), its pointwise generator bound (lemma_rhs) and its
-ceiling on E_v[F(X_t)] at each bitmask v (expectation_bounds),
-stated with the model's rate scale kappa throughout.  Each of them takes a
-family as (family, x, G): its name, then x for the linear kinds and G for
-the quadratic ones.
+(functional_values, mc_expectation), which takes a family as (family, x, G):
+its name, then x for the linear kinds and G for the quadratic ones.  Its
+pointwise generator bound (lemma_rhs) and its ceiling on E_v[F(X_t)]
+(expectation_bounds) are columns of one array over bitmasks that serves
+every family at payload (x, G), stated with the model's rate scale kappa.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, SubsetState, indicators, lattice, mask_array,
-                     step_pairs, validate, _frozen)
+from .matrix import (InteractionMatrix, SubsetState, indicators, mask_array, step_pairs,
+                     validate)
 from .rng import chunk_streams
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
@@ -60,24 +62,6 @@ class PercolationModel:
 
 
 @dataclass(frozen=True)
-class SubsetFunction:
-    """F : subsets of {0,..,n-1} -> R, tabulated over all 2^n bitmasks.
-
-    values is one table, shape (2^n,), or a stack of c tables, shape (2^n, c),
-    one functional per column; the exact engine serves a stack in one pass.
-    """
-
-    values: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim not in (1, 2) or vals.shape[0] != 1 << self.n:
-            raise ValueError(f"need 2^{self.n} values, or a stack of 2^{self.n} rows")
-        object.__setattr__(self, "values", _frozen(vals))
-
-
-@dataclass(frozen=True)
 class McEstimate:
     mean: float
     stderr: float
@@ -91,6 +75,15 @@ class McEstimate:
 def _require_exact(n: int):
     if n > EXACT_ENGINE_LIMIT:
         raise EngineTooLarge(f"exact engine handles n <= {EXACT_ENGINE_LIMIT}, got {n}")
+
+
+def _table(F, masks: np.ndarray) -> np.ndarray:
+    """F(masks) as floats, refused unless it has one value or one row per mask."""
+    vals = np.asarray(F(masks), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[0] != masks.size:
+        raise ValueError(f"F must give one value or one row per mask, {masks.size} rows; "
+                         f"got shape {vals.shape}")
+    return vals
 
 
 def _pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,13 +171,12 @@ class _Engine:
         return out
 
 
-def generator_apply(model: PercolationModel, F: SubsetFunction) -> SubsetFunction:
-    """Exact AF on every subset, column by column for a stack; AF([n]) = 0
-    and A annihilates constants."""
-    if F.n != model.n:
-        raise ValueError("function and model sizes differ")
+def generator_apply(model: PercolationModel, F) -> np.ndarray:
+    """Exact AF at all 2^n masks in mask order, column by column for a stack;
+    F is called once, at np.arange(2^n).  AF([n]) = 0 and A annihilates
+    constants."""
     eng = _Engine(model)
-    return SubsetFunction(eng.apply_generator(np.asarray(F.values, dtype=float)), model.n)
+    return eng.apply_generator(_table(F, eng.masks))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +228,7 @@ def uniformized(kernel, f: np.ndarray, lam: float, times, tol: float,
     return out
 
 
-def exact_expectations(model: PercolationModel, F: SubsetFunction, v, times,
+def exact_expectations(model: PercolationModel, F, v, times,
                        tol: float = 1e-10, rate: float | None = None,
                        horizon: float | None = None) -> np.ndarray:
     """E_u[F(X_t)] at each of the sorted times, in one uniformized pass.
@@ -244,17 +236,15 @@ def exact_expectations(model: PercolationModel, F: SubsetFunction, v, times,
     Shape (len(times), rows), a stack keeping its column axis; a rate adds
     the row of int_0^{t_max} e^{-rate s} E_u[F(X_s)] ds, t_max the last time
     or a later horizon, so times=[] with a horizon gives that row alone.  The
-    integral row is bitwise the same either way.  v=None gives all
-    2^n masks u in mask order; a start subset v gives its 2^(n-|v|)
-    supersets u = v | w, w over the sites outside v in their bit order, so
-    row 0 is v, at the largest exit rate over them (see _Engine).  Each time
-    is certified at tol * max|F| and the integral at t_max * tol * max|F|,
-    max|F| taken over the rows.
+    integral row is bitwise the same either way.  F is called once, at the
+    masks of the rows: v=None gives all 2^n masks u in mask order; a start
+    subset v gives its 2^(n-|v|) supersets u = v | w, w over the sites
+    outside v in their bit order, so row 0 is v, at the largest exit rate
+    over them (see _Engine).  Each time is certified at tol * max|F| and the
+    integral at t_max * tol * max|F|, max|F| taken over the rows.
     """
-    if F.n != model.n:
-        raise ValueError("function and model sizes differ")
     eng = _Engine(model, 0 if v is None else SubsetState.of(v, model.n).mask)
-    return uniformized(eng.apply_kernel, F.values[eng.masks], eng.curve_lam, times, tol, rate,
+    return uniformized(eng.apply_kernel, _table(F, eng.masks), eng.curve_lam, times, tol, rate,
                        horizon)
 
 
@@ -412,13 +402,6 @@ def functional_values(family: str, xi: InteractionMatrix, masks, x=None,
     return base * sizes ** ell
 
 
-def functional_table(family: str, xi: InteractionMatrix, x=None, G=None) -> SubsetFunction:
-    """The functional tabulated over all subsets (exact-engine sizes only)."""
-    _require_exact(xi.n)
-    masks = np.arange(1 << xi.n, dtype=np.int64)
-    return SubsetFunction(functional_values(family, xi, masks, x, G), xi.n)
-
-
 def mc_expectation(model: PercolationModel, family: str, v, t: float, reps: int,
                    seed: int, method: str = "gillespie", x=None, G=None) -> McEstimate:
     """Sample mean of the named functional at X_t over independent trajectories.
@@ -529,34 +512,42 @@ def expectation_bounds(model: PercolationModel, masks, times, x=None, G=None,
 
 
 # ---------------------------------------------------------------------------
-# Pointwise generator inequalities (right-hand sides as subset tables)
+# Pointwise generator inequalities
 
-def lemma_rhs(model: PercolationModel, family: str, x=None, G=None) -> SubsetFunction:
-    """The generator bound AF <= RHS for F the named member of FAMILIES.
+def lemma_rhs(model: PercolationModel, masks, x=None, G=None) -> np.ndarray:
+    """The generator bounds AF <= RHS for every member F of FAMILIES.
 
-    With g = |v|((|v|+1)^ell - |v|^ell): kappa g (size);
+    Shape (len(masks), len(FAMILIES)), a row per bitmask of masks (read by
+    mask_array) and a column per family in FAMILIES order.  With
+    g = |v|((|v|+1)^ell - |v|^ell): kappa g (size);
     kappa ((|v|+1)^ell <1_v, xi x> + g <1_v, x>) (linear);
     kappa ((|v|+1)^ell drift + g <1_v, G 1_v>) (quadratic), where
     drift = <1_v, xi diag(G)> + <1_v, (xi G + G xi^T) 1_v>, for row sums <= 1.
+    A payload left None gives zero columns for its families.
     """
-    kind, ell = _family(family)
     _require_row_sums(model.xi)
-    ind, sizes = lattice(model.n)
-    d = model.xi.dense()
-    grow = (sizes + 1.0) ** ell
-    step = grow - sizes ** ell
-    if kind == "size":
-        return SubsetFunction(model.kappa * sizes * step, model.n)
-    g = sizes * step
-    if kind == "linear":
-        xv = _check_payload(x, "x", (model.n,))
-        vals = grow * (ind @ (d @ xv)) + g * (ind @ xv)
-    else:
-        Gm = _check_payload(G, "G", (model.n, model.n))
+    n, d = model.n, model.xi.dense()
+    ind = indicators(masks, n)
+    sizes = ind.sum(axis=1)
+    terms = {}  # kind -> its (|v|+1)^ell and g factors' inner products, for every ell
+    if x is not None:
+        xv = _check_payload(x, "x", (n,))
+        terms["linear"] = ind @ (d @ xv), ind @ xv
+    if G is not None:
+        Gm = _check_payload(G, "G", (n, n))
         drift = (ind @ (d @ np.diag(Gm).copy())
                  + np.einsum("mi,mi->m", ind @ (d @ Gm + Gm @ d.T), ind))
-        vals = grow * drift + g * np.einsum("mi,mi->m", ind @ Gm, ind)
-    return SubsetFunction(model.kappa * vals, model.n)
+        terms["quadratic"] = drift, np.einsum("mi,mi->m", ind @ Gm, ind)
+    out = np.zeros((sizes.size, len(FAMILIES)))
+    for k, (kind, ell) in enumerate(FAMILIES.values()):
+        grow = (sizes + 1.0) ** ell
+        step = grow - sizes ** ell
+        if kind == "size":
+            out[:, k] = model.kappa * sizes * step
+        elif kind in terms:
+            lead, base = terms[kind]
+            out[:, k] = model.kappa * (grow * lead + sizes * step * base)
+    return out
 
 
 # ---------------------------------------------------------------------------

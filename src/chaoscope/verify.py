@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import percolation as perc
-from .matrix import (InteractionMatrix, MatrixError, SubsetState, lattice, q_xi,
+from .matrix import (InteractionMatrix, MatrixError, SubsetState, indicators, q_xi,
                      step_pairs)
 from .rng import stream, usable_cpus
 
@@ -111,11 +111,13 @@ def _check_name(family: str) -> str:
     return f"{'polynomial' if kind == 'size' else kind}.l{ell}"
 
 
-def _family_stack(xi: InteractionMatrix, x, G, *extra) -> perc.SubsetFunction:
-    """Every family's table with payload (x, G), one column each in FAMILIES
-    order, then the extra columns, as one stack for the exact engine."""
-    cols = [perc.functional_table(fam, xi, x, G).values for fam in perc.FAMILIES]
-    return perc.SubsetFunction(np.column_stack(cols + list(extra)), xi.n)
+def _family_stack(xi: InteractionMatrix, x, G, *constants):
+    """Every family with payload (x, G), one column each in FAMILIES order,
+    then a column per constant, as one function of masks for the exact engine."""
+    def F(masks):
+        cols = [perc.functional_values(fam, xi, masks, x, G) for fam in perc.FAMILIES]
+        return np.column_stack(cols + [np.full(masks.size, c) for c in constants])
+    return F
 
 
 def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
@@ -131,10 +133,10 @@ def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
         if gen.random() < 0.5:
             G = (G + G.T) / 2.0
         # one pass over the family tables and a constant column
-        lhs = perc.generator_apply(model, _family_stack(xi, x, G, np.full(1 << n, 3.5))).values
+        lhs = perc.generator_apply(model, _family_stack(xi, x, G, 3.5))
+        rhs = perc.lemma_rhs(model, np.arange(1 << n), x=x, G=G)
         for k, fam in enumerate(perc.FAMILIES):
-            rhs = perc.lemma_rhs(model, fam, x=x, G=G)
-            agg.add(f"generator.{_check_name(fam)}", rhs.values - lhs[:, k])
+            agg.add(f"generator.{_check_name(fam)}", rhs[:, k] - lhs[:, k])
         exact_zero = max(exact_zero, float(np.abs(lhs[:, -1]).max()))
         exact_zero = max(exact_zero, abs(lhs[(1 << n) - 1, size2]))
     out = SuiteResult("generator", seed, instances, agg.checks())
@@ -203,7 +205,7 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         for j in range(n):
             lo, hi = step_pairs(by_mask, j)
             agg.add("gaussian.monotone-in-v", hi - lo)
-        ind, sizes = (a[1:] for a in lattice(n))
+        ind, sizes = indicators(masks, n), np.bitwise_count(masks)
         a_full = gm.centered()
         # Tr((A^v)^2) summed entry by entry for every nonempty v, averaged per size
         brute = np.einsum("mi,mi->m", ind @ (a_full * a_full), ind)
@@ -262,8 +264,8 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
         if n <= 6:
             # q_xi over the masks; -inf at the empty set drops its pairs below
             q = np.array([-np.inf] + [q_xi(xi, SubsetState(m, n)) for m in range(1, 1 << n)])
-            sizes = lattice(n)[1]
-            agg.add("bounds.setwise-cap", 8.0 * xi.delta ** 2 * sizes[1:] ** 3 - q[1:])
+            sizes = np.bitwise_count(np.arange(1, 1 << n)).astype(float)
+            agg.add("bounds.setwise-cap", 8.0 * xi.delta ** 2 * sizes ** 3 - q[1:])
             for j in range(n):
                 lo, hi = step_pairs(q, j)
                 agg.add("bounds.setwise-monotone", hi - lo)

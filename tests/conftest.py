@@ -32,3 +32,9 @@ def four_cycle():
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
         d[u, v] = d[v, u] = 0.5
     return InteractionMatrix.from_dense(d)
+
+
+def lookup(values):
+    """F of a masks array that reads a table over all 2^n masks, a row per mask."""
+    values = np.asarray(values, dtype=float)
+    return lambda masks: values[masks]

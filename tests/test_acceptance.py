@@ -8,6 +8,7 @@ byte for byte.  Seeds are frozen so every run checks the same instances.
 
 import math
 import time
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +21,7 @@ from chaoscope.gaussian import (avg_entropy, avg_entropy_sandwich,
 from chaoscope.linalg import op_norm
 from chaoscope.matrix import Graph, InteractionMatrix, build_random_walk, p_xi
 from chaoscope.percolation import (PercolationModel, exact_expectations,
-                                   functional_table, mc_expectation,
+                                   functional_values, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
                                    yule_second_moment)
 from chaoscope.rng import stream
@@ -59,7 +60,7 @@ def test_expectation_bounds_dominate_exact():
 def test_single_edge_size_closed_form(single_edge):
     kappa, a = 0.8, 0.7
     model = PercolationModel(single_edge, kappa)
-    table = functional_table("size", single_edge)
+    table = partial(functional_values, "size", single_edge)
     for t in (0.1, 0.5, 1.0, 2.0, 4.0):
         want = 2.0 - math.exp(-kappa * a * t)
         got = exact_expectations(model, table, [0], [t], tol=1e-12)[0, 0]

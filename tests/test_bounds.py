@@ -13,14 +13,14 @@ from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
 from chaoscope.gaussian import sigma_T
 from chaoscope.matrix import SubsetState, build_mean_field, cost_values, p_xi, q_xi
 from chaoscope.percolation import (EngineTooLarge, NotApplicable, PercolationModel,
-                                   SubsetFunction, exact_expectations)
+                                   exact_expectations)
 
-from conftest import random_matrices
+from conftest import lookup, random_matrices
 
 
-def cost_table(xi, c, h3=None) -> SubsetFunction:
-    """C (h3=None) or C-hat over all 2^n masks, the table the growth bound builds."""
-    return SubsetFunction(cost_values(xi, np.arange(1 << xi.n, dtype=np.int64), c, h3), xi.n)
+def cost_fn(xi, c, h3=None):
+    """C (h3=None) or C-hat as a function of masks, the cost the growth bound takes."""
+    return lambda masks: cost_values(xi, masks, c, h3)
 
 
 def test_constants_validation():
@@ -89,7 +89,7 @@ def test_growth_bound_discounted(single_edge):
 
 def test_growth_bound_h0_term(single_edge):
     c = ModelConstants(gamma=0.9, M=2.0, sigma=1.1, T=0.8)
-    h0 = SubsetFunction(np.array([0.0, 1.0, 1.0, 5.0]), 2)
+    h0 = lookup([0.0, 1.0, 1.0, 5.0])
     base = percolation_entropy_bound(single_edge, [0], c)[0]
     with_h0 = percolation_entropy_bound(single_edge, [0], c, H0=h0)[0]
     rate = c.rate_scale() * 0.7
@@ -101,12 +101,12 @@ def test_growth_bound_h0_term(single_edge):
 def test_growth_bound_h0_shares_one_curve():
     # cost and H0 through one stacked pass equal the two passes taken apart
     xi = random_matrices(1, seed=71, n_lo=7, n_hi=7)[0]
-    h0 = SubsetFunction(np.linspace(0.0, 3.0, 1 << 7), 7)
+    h0 = lookup(np.linspace(0.0, 3.0, 1 << 7))
     for uniform in (False, True):
         c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7, eta=0.05)
         model = PercolationModel(xi, c.rate_scale())
         rate = c.discount_rate() if uniform else 0.0
-        cost = cost_table(xi, c)
+        cost = cost_fn(xi, c)
         want = (exact_expectations(model, cost, None, [c.T], 1e-10, rate)[1]
                 + math.exp(-rate * c.T) * exact_expectations(model, h0, None, [c.T], 1e-10)[0])
         got = percolation_entropy_bound(xi, None, c, H0=h0, uniform=uniform)
@@ -117,8 +117,10 @@ def test_growth_bound_h0_shares_one_curve():
                   * exact_expectations(model, h0, [0, 2], [c.T], 1e-10)[0])
         got = percolation_entropy_bound(xi, [0, 2], c, H0=h0, uniform=uniform)
         assert np.array_equal(got, want_v)
-    for bad in (SubsetFunction(np.zeros((1 << 7, 2)), 7), SubsetFunction(np.zeros(8), 3)):
-        with pytest.raises(ValueError, match="H0 must be one table"):
+    # H0 must give one value per mask: not a stack, not another row count, not a scalar
+    for bad in (lambda m: np.zeros((m.size, 2)), lambda m: np.zeros((m.size, 1, 1)),
+                lambda m: np.zeros(8), lambda m: 0.0):
+        with pytest.raises(ValueError, match="H0 must give one value per mask"):
             percolation_entropy_bound(xi, None, c, H0=bad)
 
 
@@ -137,7 +139,7 @@ def test_growth_bound_asks_for_the_integral_row_alone(monkeypatch):
 
     monkeypatch.setattr(bounds, "exact_expectations", recording)
     for h3 in (None, 0.8):
-        cost = cost_table(xi, c, h3)
+        cost = cost_fn(xi, c, h3)
         for uniform in (False, True):
             rate = c.discount_rate() if uniform else 0.0
             for v in (None, [0], [1, 4]):
@@ -157,7 +159,7 @@ def test_percolation_entropy_bound_builds_its_rate(monkeypatch):
     c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7)
     model = PercolationModel(xi, c.rate_scale())
     for v in (None, [2]):
-        want = exact_expectations(model, cost_table(xi, c), v, [], 1e-10, 0.0, horizon=c.T)[0]
+        want = exact_expectations(model, cost_fn(xi, c), v, [], 1e-10, 0.0, horizon=c.T)[0]
         assert np.array_equal(percolation_entropy_bound(xi, v, c), want)
     # past the exact engine it refuses before tabulating a cost over 2^n masks
     monkeypatch.setattr(bounds, "cost_values", None)
@@ -170,7 +172,8 @@ def test_growth_bound_runs_on_the_up_set(monkeypatch):
     # v agrees within the certificate, T * 1e-10 * max|C| (+ 1e-10 * max|H0|)
     n = 6
     xi = random_matrices(1, seed=72, n_lo=n, n_hi=n)[0]
-    h0 = SubsetFunction(np.linspace(0.0, 2.0, 1 << n), n)
+    h0_values = np.linspace(0.0, 2.0, 1 << n)
+    h0 = lookup(h0_values)
     c = ModelConstants(gamma=0.5, M=1.5, sigma=1.2, T=0.7, eta=0.05)
     model = PercolationModel(xi, c.rate_scale())
     curves = []  # (start subset, states) of each pass
@@ -182,18 +185,17 @@ def test_growth_bound_runs_on_the_up_set(monkeypatch):
 
     monkeypatch.setattr(bounds, "exact_expectations", recording)
     for h3 in (None, 0.8):
-        cost = cost_table(xi, c, h3)
+        cost = cost_values(xi, np.arange(1 << n), c, h3)
         for uniform in (False, True):
             rate = c.discount_rate() if uniform else 0.0
             for H0 in (None, h0):
                 # the full-lattice route: one pass over all 2^n masks, row v
-                F = cost if H0 is None else SubsetFunction(
-                    np.column_stack((cost.values, H0.values)), n)
+                F = lookup(cost if H0 is None else np.column_stack((cost, h0_values)))
                 at_T, want = exact_expectations(model, F, None, [c.T], 1e-10, rate)
-                allowance = c.T * 1e-10 * np.abs(cost.values).max()
+                allowance = c.T * 1e-10 * np.abs(cost).max()
                 if H0 is not None:
                     want = want[:, 0] + math.exp(-rate * c.T) * at_T[:, 1]
-                    allowance += 1e-10 * np.abs(H0.values).max()
+                    allowance += 1e-10 * np.abs(h0_values).max()
                 kw = dict(H0=H0, h3=h3, uniform=uniform)
                 for members in ([0], [3], [5], [1, 4], list(range(n))):
                     v = SubsetState.of(members, n)

@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import chaoscope.cli as cli
 from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropies
 from chaoscope.matrix import (InteractionMatrix, SubsetState, build_mean_field, load_matrix,
                               save_matrix)
-from chaoscope.percolation import PercolationModel, exact_expectations, functional_table
+from chaoscope.percolation import PercolationModel, exact_expectations, functional_values
 from chaoscope.rng import stream
 from chaoscope.verify import Check, SuiteResult, random_substochastic, save_results
 
@@ -82,12 +83,12 @@ def test_percolate_exact_csv(tmp_path):
                        "stderr", "reps", "seed"]
     assert len(rows) == 3 and rows[1][5] == ""  # exact rows carry no stderr
     model = PercolationModel(build_mean_field(4), 1.0)
-    table = functional_table("size", model.xi)
+    size = partial(functional_values, "size", model.xi)
     # one pass over both times, bitwise; the one-time call within its certificate
-    want = exact_expectations(model, table, [0], [0.25, 0.5])[:, 0]
+    want = exact_expectations(model, size, [0], [0.25, 0.5])[:, 0]
     assert [float(r[4]) for r in rows[1:]] == want.tolist()
-    alone = exact_expectations(model, table, [0], [0.25])[0, 0]
-    assert abs(float(rows[1][4]) - alone) <= 1e-10 * abs(table.values).max()
+    alone = exact_expectations(model, size, [0], [0.25])[0, 0]
+    assert abs(float(rows[1][4]) - alone) <= 1e-10 * 4.0  # max|size| on the up-set
     assert float(rows[2][4]) > float(rows[1][4])  # growth is monotone
 
 
@@ -510,10 +511,12 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
          "h3 must be finite and nonnegative"),
         # a ceiling that was ignored without --use-chat
         ((*growth, "--horizon", "1", "--h3-value", "5"), "--h3-value needs --use-chat"),
-        # the growth bound's cost table is refused before it is built
+        # the exact engine refuses before it tabulates the cost or the functional
         (("bound", "--theorem", "growth", "--mean-field", "20", "--v", "0", "--gamma", "1",
           "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
          "exact engine handles n <= 16, got 20"),
+        (("percolate", "--mean-field", "17", "--engine", "exact", "--v", "0", "--t", "1"),
+         "exact engine handles n <= 16, got 17"),
         (("bound", "--theorem", "h3", "--delta", "nan", "--gamma", "1", "--big-m", "1",
           "--sigma-const", "1", "--horizon", "1"), "delta must be finite and nonnegative"),
     ]

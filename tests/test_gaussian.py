@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from chaoscope import rng
 from chaoscope.gaussian import (InvalidCovariance, avg_entropy,
                                 avg_entropy_sandwich, avg_trace_sq,
                                 clique_lower, d_T, d_T_envelope,
@@ -262,6 +263,18 @@ def test_avg_entropy_sample_deterministic():
     a = avg_entropy(gm, 3, mode="sample", reps=500, seed=7)
     b = avg_entropy(gm, 3, mode="sample", reps=500, seed=7)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def test_avg_entropy_sample_masks_do_not_depend_on_chunk(monkeypatch):
+    # the draws read one stream in order, so smaller chunks give the same bits
+    gm = sigma_T(random_matrices(1, seed=51, n_lo=7, n_hi=7)[0], 0.25)
+    want = avg_entropy(gm, 3, mode="sample", reps=50, seed=3)
+    monkeypatch.setattr(rng, "CHUNK", 7)
+    assert avg_entropy(gm, 3, mode="sample", reps=50, seed=3) == want
+    # past bit 63 the masks are Python ints; on mean field every pair has one entropy
+    wide = sigma_T(build_mean_field(70), 0.2)
+    got = avg_entropy(wide, 2, mode="sample", reps=20, seed=0)
+    assert got.value == pytest.approx(subset_entropies(wide, [0b11])[0][0], rel=1e-9)
 
 
 def test_avg_entropy_needs_no_upper_factor():

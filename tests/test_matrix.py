@@ -10,7 +10,7 @@ from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropie
 from chaoscope.matrix import (Graph, InteractionMatrix, MatrixError,
                               SubsetState, build_mean_field, build_random_walk,
                               build_sequential, cost_values, indicators,
-                              lattice, load_matrix, mask_array, p_xi, q_xi,
+                              load_matrix, mask_array, p_xi, q_xi,
                               sample_erdos_renyi, save_matrix, step_pairs,
                               validate, within_sums)
 from chaoscope.percolation import PercolationModel, expectation_bounds, functional_values
@@ -130,12 +130,12 @@ def test_setwise_functionals_at_high_bits():
 
 def test_lattice_rows_are_subset_indicators():
     for n in range(1, 7):
-        ind, sizes = lattice(n)
+        ind = indicators(np.arange(1 << n), n)
         for m in range(1 << n):
             v = SubsetState(m, n)
             assert np.array_equal(ind[m], indicators([v.mask], n)[0])
-            assert sizes[m] == v.size
-        assert np.array_equal(indicators(np.arange(1 << n), n), ind)
+            assert np.array_equal(np.nonzero(ind[m])[0], v.members)
+            assert ind[m].sum() == v.size == np.bitwise_count(m)
     table = np.arange(16.0)
     for j in range(4):
         lo, hi = step_pairs(table, j)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,11 +10,10 @@ import scipy.linalg
 from chaoscope import percolation
 from chaoscope.bounds import ModelConstants, percolation_entropy_bound
 from chaoscope.matrix import (InteractionMatrix, MatrixError, SubsetState,
-                              build_mean_field, cost_values, indicators, lattice)
+                              build_mean_field, cost_values, indicators)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
-                                   PercolationModel, SubsetFunction, _Engine,
+                                   PercolationModel, _Engine,
                                    exact_expectations, expectation_bounds,
-                                   functional_table,
                                    functional_values, generator_apply,
                                    lemma_rhs, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
@@ -21,7 +21,7 @@ from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
 from chaoscope.rng import chunk_streams, stream
 from chaoscope.verify import random_substochastic, run_suite
 
-from conftest import random_matrices
+from conftest import lookup, random_matrices
 
 
 def brute_generator(xi, kappa, f):
@@ -63,7 +63,7 @@ def test_generator_matches_definition():
         kappa = float(g.uniform(0.3, 2.0))
         model = PercolationModel(xi, kappa)
         f = g.random(1 << xi.n)
-        got = generator_apply(model, SubsetFunction(f, xi.n)).values
+        got = generator_apply(model, lookup(f))
         assert np.allclose(got, brute_generator(xi, kappa, f), rtol=1e-12, atol=1e-13)
 
 
@@ -76,16 +76,16 @@ def test_exact_expectation_matches_scipy_expm():
         q = full_rate_matrix(xi, kappa)
         for t in (0.3, 1.7):
             want = scipy.linalg.expm(t * q) @ f
-            got = exact_expectations(model, SubsetFunction(f, xi.n), None, [t], tol=1e-12)[0]
+            got = exact_expectations(model, lookup(f), None, [t], tol=1e-12)[0]
             assert np.allclose(got, want, rtol=1e-9, atol=1e-10)
 
 
 def test_exact_expectation_t0_returns_f():
     xi = build_mean_field(4)
     model = PercolationModel(xi, 1.0)
-    f = SubsetFunction(np.arange(16.0), 4)
-    assert exact_expectations(model, f, [2], [0.0])[0, 0] == f.values[0b0100]
-    assert np.array_equal(exact_expectations(model, f, None, [0.0])[0], f.values)
+    f = np.arange(16.0)
+    assert exact_expectations(model, lookup(f), [2], [0.0])[0, 0] == f[0b0100]
+    assert np.array_equal(exact_expectations(model, lookup(f), None, [0.0])[0], f)
 
 
 def test_exact_expectation_of_a_stack_at_a_start_subset():
@@ -93,8 +93,8 @@ def test_exact_expectation_of_a_stack_at_a_start_subset():
     # bitwise its columns' own calls
     xi = build_mean_field(4)
     model = PercolationModel(xi, 1.0)
-    cols = [functional_table(name, xi) for name in ("size", "size2")]
-    stack = SubsetFunction(np.column_stack([c.values for c in cols]), 4)
+    cols = [partial(functional_values, name, xi) for name in ("size", "size2")]
+    stack = lambda masks: np.column_stack([c(masks) for c in cols])
     for t in (0.0, 0.7):
         got = exact_expectations(model, stack, [0], [t])[0, 0]
         singles = [exact_expectations(model, c, [0], [t])[0, 0] for c in cols]
@@ -103,7 +103,7 @@ def test_exact_expectation_of_a_stack_at_a_start_subset():
 
 def test_single_edge_closed_form(single_edge):
     model = PercolationModel(single_edge, 1.3)
-    tab = functional_table("size", single_edge)
+    tab = partial(functional_values, "size", single_edge)
     for t in (0.0, 0.25, 1.0, 2.5):
         want = 2.0 - math.exp(-1.3 * 0.7 * t)
         got = exact_expectations(model, tab, [0], [t], tol=1e-13)[0, 0]
@@ -113,7 +113,7 @@ def test_single_edge_closed_form(single_edge):
 def test_full_set_is_absorbing():
     xi = build_mean_field(3)
     model = PercolationModel(xi, 2.0)
-    tab = functional_table("size2", xi)
+    tab = partial(functional_values, "size2", xi)
     got = exact_expectations(model, tab, [0, 1, 2], [5.0], tol=1e-13)[0, 0]
     assert got == 9.0  # its up-set has no exit, so the curve is F itself
 
@@ -126,8 +126,8 @@ def test_curve_reuse_and_range_guard():
         n = xi.n
         model = PercolationModel(xi, 1.0)
         times = [0.0, 0.5, 0.5, 1.2, 2.0]
-        for F in (functional_table("size", xi), SubsetFunction(gen.random((1 << n, 2)), n)):
-            cert = 1e-12 * np.abs(F.values).max()
+        for F in (partial(functional_values, "size", xi), lookup(gen.random((1 << n, 2)))):
+            cert = 1e-12 * np.abs(F(np.arange(1 << n))).max()
             for v in (None, [0]):
                 got = exact_expectations(model, F, v, times, tol=1e-12)
                 for t, row in zip(times, got):
@@ -143,14 +143,56 @@ def test_curve_reuse_and_range_guard():
 
 
 def test_engine_size_limit():
+    # past n = 16 every exact route refuses before it calls F or H0
     xi = build_mean_field(17)
-    with pytest.raises(EngineTooLarge):
-        functional_table("size", xi)
+    calls = []
+
+    def F(masks):
+        calls.append(masks)
+        return np.zeros(masks.size)
+
+    c = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=0.5)
+    routes = [lambda: exact_expectations(PercolationModel(xi, 1.0), F, None, [1.0]),
+              lambda: exact_expectations(PercolationModel(xi, 1.0), F, [0], [1.0]),
+              lambda: generator_apply(PercolationModel(xi, 1.0), F),
+              lambda: percolation_entropy_bound(xi, [0], c, H0=F),
+              lambda: percolation_entropy_bound(xi, None, c, H0=F)]
+    for route in routes:
+        with pytest.raises(EngineTooLarge, match="exact engine handles n <= 16, got 17"):
+            route()
+    assert calls == []
+
+
+def test_engine_calls_F_once_at_the_masks_it_visits():
+    gen = stream(90)
+    for n in (1, 3, 6):
+        model = PercolationModel(random_substochastic(n, gen), 0.8)
+        values = gen.random((1 << n, 2))
+        calls = []
+
+        def F(masks):
+            calls.append(masks.copy())
+            return values[masks]
+
+        for v in (None, [0], [n - 1], list(range(n))):
+            calls.clear()
+            exact_expectations(model, F, v, [0.3, 1.0], rate=0.2)
+            assert len(calls) == 1
+            (masks,) = calls
+            if v is None:
+                assert np.array_equal(masks, np.arange(1 << n))
+                continue
+            mask = SubsetState.of(v, n).mask
+            assert masks.size == 1 << (n - len(v)) and masks[0] == mask
+            assert sorted(masks.tolist()) == [m for m in range(1 << n) if m & mask == mask]
+        calls.clear()
+        generator_apply(model, F)
+        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(1 << n))
 
 
 def exit_rates(xi, kappa):
     """kappa * sum_{j not in m} sum_{i in m} xi_ij at every mask m."""
-    ind = lattice(xi.n)[0]
+    ind = indicators(np.arange(1 << xi.n), xi.n)
     return kappa * ((1 - ind) * (ind @ xi.dense())).sum(axis=1)
 
 
@@ -177,14 +219,14 @@ def test_models_without_exits_keep_f():
     for n in (1, 4):
         model = PercolationModel(InteractionMatrix.from_dense(np.zeros((n, n))), 1.3)
         assert _Engine(model).lam == 1.3
-        f = SubsetFunction(np.arange(1 << n) + 0.5, n)
+        f = np.arange(1 << n) + 0.5
         for mask in range(1 << n):
-            got = exact_expectations(model, f, SubsetState(mask, n).members, [2.0])[0, 0]
-            assert got == f.values[mask]
-        assert np.array_equal(exact_expectations(model, f, None, [2.0], rate=0.0)[1],
-                              f.values * 2.0)
-        assert np.array_equal(exact_expectations(model, f, None, [2.0], rate=0.5)[1],
-                              f.values * (-math.expm1(-1.0) / 0.5))
+            got = exact_expectations(model, lookup(f), SubsetState(mask, n).members, [2.0])[0, 0]
+            assert got == f[mask]
+        assert np.array_equal(exact_expectations(model, lookup(f), None, [2.0], rate=0.0)[1],
+                              f * 2.0)
+        assert np.array_equal(exact_expectations(model, lookup(f), None, [2.0], rate=0.5)[1],
+                              f * (-math.expm1(-1.0) / 0.5))
 
 
 def test_upset_route_matches_full_lattice(single_edge):
@@ -201,9 +243,9 @@ def test_upset_route_matches_full_lattice(single_edge):
         n = xi.n
         model = PercolationModel(xi, float(gen.uniform(0.3, 1.5)))
         lam = _Engine(model, 0).curve_lam
-        for F in (SubsetFunction(gen.random(1 << n), n),
-                  SubsetFunction(gen.random((1 << n, 3)) - 0.5, n)):
-            cert = tol * np.abs(F.values).max()
+        for values in (gen.random(1 << n), gen.random((1 << n, 3)) - 0.5):
+            F = lookup(values)
+            cert = tol * np.abs(values).max()
             full = exact_expectations(model, F, None, times, tol, rate=0.4)
             for mask in range(1 << n):
                 v = SubsetState(mask, n)
@@ -237,26 +279,36 @@ def test_stacked_tables_match_their_columns():
         gen = stream(60 + n)
         model = PercolationModel(random_substochastic(n, gen), float(gen.uniform(0.3, 1.0)))
         eng = _Engine(model)
-        stack = SubsetFunction(gen.random((1 << n, 3)), n)
-        lhs = generator_apply(model, stack).values
-        step = eng.apply_kernel(stack.values)
+        values = gen.random((1 << n, 3))
+        stack = lookup(values)
+        lhs = generator_apply(model, stack)
+        step = eng.apply_kernel(values)
         runs = [dict(times=times, rate=rate) for times in ((0.0, 0.4), (0.0, 0.4, 1.3, 2.0))
                 for rate in (0.0, 0.7)]
         stacked = [exact_expectations(model, stack, None, **run) for run in runs]
         for k in range(3):
-            col = SubsetFunction(stack.values[:, k], n)
-            assert np.array_equal(lhs[:, k], generator_apply(model, col).values)
-            assert np.array_equal(step[:, k], eng.apply_kernel(col.values))
+            col = lookup(values[:, k])
+            assert np.array_equal(lhs[:, k], generator_apply(model, col))
+            assert np.array_equal(step[:, k], eng.apply_kernel(values[:, k]))
             for run, got in zip(runs, stacked):
                 # values at each time and the integral row
                 assert np.array_equal(got[..., k], exact_expectations(model, col, None, **run))
 
 
 def test_subset_function_shapes():
-    assert SubsetFunction(np.zeros((8, 2)), 3).values.shape == (8, 2)
-    for bad in (np.zeros((8, 2, 1)), np.zeros((4, 2)), np.zeros(7)):
-        with pytest.raises(ValueError, match="2\\^3"):
-            SubsetFunction(bad, 3)
+    # F gives one value, or one row of a stack, per mask; anything else is refused
+    model = PercolationModel(build_mean_field(3), 1.0)
+    stack = lambda masks: np.zeros((masks.size, 2))
+    assert generator_apply(model, stack).shape == (8, 2)
+    assert exact_expectations(model, stack, [0], [1.0]).shape == (1, 4, 2)
+    bad = [lambda m: np.zeros((m.size, 2, 1)), lambda m: np.zeros((5, 2)),
+           lambda m: np.zeros(7), lambda m: 1.0, lambda m: np.zeros(m.size + 1)]
+    for F in bad:
+        for route in (lambda: generator_apply(model, F),
+                      lambda: exact_expectations(model, F, None, [1.0]),
+                      lambda: exact_expectations(model, F, [0], [1.0])):
+            with pytest.raises(ValueError, match="F must give one value or one row per mask"):
+                route()
 
 
 class _TopDraws:
@@ -363,14 +415,16 @@ def test_functional_values_match_per_mask_reference():
     model = PercolationModel(xi, 1.0)
     for family, key, other in (("size-linear", "x", {"G": G}), ("quadratic", "G", {"x": x})):
         for route in (lambda: functional_values(family, xi, masks, **other),
-                      lambda: functional_table(family, xi),
+                      lambda: exact_expectations(model, partial(functional_values, family, xi),
+                                                 [0], [1.0]),
                       lambda: mc_expectation(model, family, [0], 1.0, reps=5, seed=0)):
             with pytest.raises(ValueError, match=f"needs its payload {key}$"):
                 route()
     # at t = 0 every path sits at v
     est = mc_expectation(model, "size-linear", [0, 3], 0.0, reps=5, seed=0, x=x)
     assert (est.mean, est.stderr) == (2.0 * (x[0] + x[3]), 0.0)
-    assert np.array_equal(functional_table("size", xi).values[masks], [len(m) for m in members])
+    at_zero = exact_expectations(model, partial(functional_values, "size", xi), None, [0.0])[0]
+    assert np.array_equal(at_zero[masks], [len(m) for m in members])
     # popcounts, no indicator rows: fine beyond the exact-engine limit
     wide = np.array([0, 1, (1 << 47) | 5, (1 << 48) - 1], dtype=np.int64)
     assert np.array_equal(functional_values("size2", build_mean_field(48), wide),
@@ -416,8 +470,8 @@ def test_fpp_rejects_asymmetric():
 
 def test_mc_agrees_with_exact(four_cycle):
     model = PercolationModel(four_cycle, 1.0)
-    tab = functional_table("size", four_cycle)
-    want = exact_expectations(model, tab, [0], [0.8])[0, 0]
+    want = exact_expectations(model, partial(functional_values, "size", four_cycle),
+                              [0], [0.8])[0, 0]
     est = mc_expectation(model, "size", [0], 0.8, reps=20000, seed=21)
     assert abs(est.mean - want) <= 4.0 * est.stderr
     assert est.stderr > 0.0
@@ -451,11 +505,12 @@ def test_mc_t0_is_exact(four_cycle):
 def test_lemma_rhs_formulas():
     for xi in random_matrices(4, seed=15, n_lo=2, n_hi=5):
         model = PercolationModel(xi, 0.7)
-        ind, sizes = lattice(xi.n)
+        masks = np.arange(1 << xi.n)
+        ind, sizes = indicators(masks, xi.n), np.bitwise_count(masks).astype(float)
         d = xi.dense()
         for ell, fam in enumerate(("size", "size2", "size3"), start=1):
             want = 0.7 * sizes * ((sizes + 1.0) ** ell - sizes ** ell)
-            got = lemma_rhs(model, fam).values
+            got = lemma_rhs(model, masks)[:, list(FAMILIES).index(fam)]
             assert np.allclose(got, want, rtol=1e-12)
         x = np.abs(stream(16).random(xi.n))
         lin = ind @ x
@@ -463,7 +518,7 @@ def test_lemma_rhs_formulas():
         for ell, fam in enumerate(("linear", "size-linear", "size2-linear")):
             want = 0.7 * ((sizes + 1.0) ** ell * xix
                           + sizes * ((sizes + 1.0) ** ell - sizes ** ell) * lin)
-            got = lemma_rhs(model, fam, x=x).values
+            got = lemma_rhs(model, masks, x=x)[:, list(FAMILIES).index(fam)]
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
@@ -473,14 +528,59 @@ def test_lemma_quadratic_rhs_formula():
         d = xi.dense()
         model = PercolationModel(xi, 1.1)
         G = g.random((xi.n, xi.n))
-        ind, sizes = lattice(xi.n)
+        masks = np.arange(1 << xi.n)
+        ind, sizes = indicators(masks, xi.n), np.bitwise_count(masks).astype(float)
         diag = ind @ (d @ np.diag(G))
         cross = np.einsum("mi,mi->m", ind @ (d @ G + G @ d.T), ind)
         quad = np.einsum("mi,mi->m", ind @ G, ind)
         want0 = 1.1 * (diag + cross)
         want1 = 1.1 * ((sizes + 1.0) * (diag + cross) + sizes * quad)
-        assert np.allclose(lemma_rhs(model, "quadratic", G=G).values, want0, rtol=1e-12)
-        assert np.allclose(lemma_rhs(model, "size-quadratic", G=G).values, want1, rtol=1e-12)
+        got = dict(zip(FAMILIES, lemma_rhs(model, masks, G=G).T))
+        assert np.allclose(got["quadratic"], want0, rtol=1e-12)
+        assert np.allclose(got["size-quadratic"], want1, rtol=1e-12)
+
+
+def _lemma_rhs_one_family(model, family, x, G):
+    """The generator bound of one family, formed as a per-family formula."""
+    kind, ell = FAMILIES[family]
+    masks = np.arange(1 << model.n)
+    ind = indicators(masks, model.n)
+    sizes = ind.sum(axis=1)
+    d = model.xi.dense()
+    grow = (sizes + 1.0) ** ell
+    step = grow - sizes ** ell
+    if kind == "size":
+        return model.kappa * sizes * step
+    g = sizes * step
+    if kind == "linear":
+        if x is None:
+            return np.zeros(masks.size)
+        vals = grow * (ind @ (d @ x)) + g * (ind @ x)
+    else:
+        if G is None:
+            return np.zeros(masks.size)
+        drift = (ind @ (d @ np.diag(G).copy())
+                 + np.einsum("mi,mi->m", ind @ (d @ G + G @ d.T), ind))
+        vals = grow * drift + g * np.einsum("mi,mi->m", ind @ G, ind)
+    return model.kappa * vals
+
+
+def test_batched_lemma_rhs_matches_each_family():
+    # one call serves every family, bitwise each family's own formula, and an
+    # arbitrary masks array gives the same rows as the full lattice
+    gen = stream(91)
+    for n in range(1, 9):
+        model = PercolationModel(random_substochastic(n, gen), float(gen.uniform(0.3, 1.5)))
+        x, G = gen.random(n), gen.random((n, n))
+        for payload in ({}, {"x": x}, {"G": G}, {"x": x, "G": G}):
+            full = lemma_rhs(model, np.arange(1 << n), **payload)
+            assert full.shape == (1 << n, len(FAMILIES))
+            for k, family in enumerate(FAMILIES):
+                want = _lemma_rhs_one_family(model, family, payload.get("x"), payload.get("G"))
+                assert np.array_equal(full[:, k], want), (n, family, sorted(payload))
+            picks = [m % (1 << n) for m in (5, 1, 7)]
+            assert np.array_equal(lemma_rhs(model, picks, **payload), full[picks])
+    assert lemma_rhs(model, []).shape == (0, len(FAMILIES))
 
 
 def test_unknown_family_is_rejected():
@@ -491,7 +591,7 @@ def test_unknown_family_is_rejected():
         with pytest.raises(ValueError, match="unknown family"):
             functional_values(name, xi, [1, 3], x, G)
         with pytest.raises(ValueError, match="unknown family"):
-            lemma_rhs(model, name, x=x, G=G)
+            mc_expectation(model, name, [0], 1.0, reps=5, seed=0, x=x, G=G)
 
 
 def test_family_suites_keep_their_check_names():
@@ -524,7 +624,7 @@ def test_expectation_bound_rejects_invalid_inputs():
     with pytest.raises(ValueError):
         expectation_bounds(PercolationModel(hot, 1.0), [1], [1.0])
     # the ceilings and the generator bounds refuse the same payloads, in numpy's
-    # stead; the ceilings read a missing payload as zero
+    # stead, and both read a missing payload as zero
     bad = [("linear", {}, "x must be a length-n vector"),
            ("linear", {"x": np.ones(2)}, "x must be a length-n vector"),
            ("linear", {"x": np.ones((3, 3))}, "x must be a length-n vector"),
@@ -537,11 +637,15 @@ def test_expectation_bound_rejects_invalid_inputs():
            ("size-quadratic", {"G": -np.ones((3, 3))}, "G must be entrywise nonnegative"),
            ("quadratic", {"G": np.diag([math.inf, 0.0, 0.0])}, "G must be .* and finite")]
     for family, payload, message in bad:
-        if payload:
-            with pytest.raises(ValueError, match=message):
-                expectation_bounds(model, [1], [1.0], **payload)
+        if not payload:
+            k = list(FAMILIES).index(family)
+            assert expectation_bounds(model, [1], [1.0])[0, 0, k] == 0.0
+            assert lemma_rhs(model, [1])[0, k] == 0.0
+            continue
         with pytest.raises(ValueError, match=message):
-            lemma_rhs(model, family, **payload)
+            expectation_bounds(model, [1], [1.0], **payload)
+        with pytest.raises(ValueError, match=message):
+            lemma_rhs(model, [1], **payload)
     with pytest.raises(ValueError, match="x must be entrywise nonnegative"):
         expectation_bounds(model, np.arange(8), [1.0], x=-np.ones(3))
     for times in ([1.0, 0.5], [0.5, math.nan], [-1.0]):
@@ -553,11 +657,11 @@ def test_lemma_rhs_needs_row_sums():
     # with a row sum of 2 the size "bound" kappa |v| falls below A|v| = 2 kappa at {0}
     hot = PercolationModel(InteractionMatrix.from_dense(
         np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])), 1.0)
-    lhs = generator_apply(hot, functional_table("size", hot.xi)).values
+    lhs = generator_apply(hot, partial(functional_values, "size", hot.xi))
     assert lhs[1] == 2.0
-    for family in FAMILIES:
+    for payload in ({}, {"x": np.ones(3), "G": np.ones((3, 3))}):
         with pytest.raises(ValueError, match="row sums <= 1"):
-            lemma_rhs(hot, family, x=np.ones(3), G=np.ones((3, 3)))
+            lemma_rhs(hot, np.arange(8), **payload)
 
 
 def test_expectation_bound_rejects_non_finite_t():
@@ -626,7 +730,8 @@ def test_quadratic_bounds_match_quad_vec():
         model = PercolationModel(xi, kappa)
         G = g.random((n, n))
         d = xi.dense()
-        ind, sizes = lattice(n)
+        ind = indicators(np.arange(1 << n), n)
+        sizes = ind.sum(axis=1)
 
         def g_mat(s):
             e = scipy.linalg.expm(kappa * s * d)
@@ -732,7 +837,7 @@ def test_stepped_bounds_within_their_certificate():
         # y0 <= t e^{2 kappa t} max G and y1 <= 4 t e^{2 kappa t} max G
         state = [max(4.0 * math.exp(kappa * t) * x.max(),
                      max(1.0, 4.0 * t) * math.exp(2.0 * kappa * t) * G.max()) for t in times]
-        _, sizes = lattice(n)
+        sizes = np.bitwise_count(np.arange(1 << n)).astype(float)
         # each ceiling is a linear form in the state; these bound its coefficients
         coef = {"linear": sizes, "quadratic": sizes ** 2 + kappa * sizes}
         for tol in (1e-12, 1e-6):
@@ -755,7 +860,7 @@ def test_curve_integral_matches_quad():
     import scipy.integrate
     xi = random_matrices(1, seed=27, n_lo=4, n_hi=4)[0]
     model = PercolationModel(xi, 1.3)
-    F = SubsetFunction(stream(28).random(16), 4)
+    F = lookup(stream(28).random(16))
     T = 0.9
     for rate in (0.0, 0.7):
         got = exact_expectations(model, F, None, [T], tol=1e-12, rate=rate)[1]
@@ -813,7 +918,7 @@ def test_mean_field_size_chain_matches_exact_engine():
     for n in (3, 5, 8):
         xi = build_mean_field(n)
         model = PercolationModel(xi, 1.1)
-        tab = functional_table("size2", xi)
+        tab = partial(functional_values, "size2", xi)
         for k0 in (1, 2):
             v = list(range(k0))
             for t in (0.3, 1.5):

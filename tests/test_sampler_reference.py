@@ -17,8 +17,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from chaoscope.matrix import InteractionMatrix, SubsetState, build_mean_field
-from chaoscope.percolation import (CLOCK_BLOCK, PercolationModel, SubsetFunction,
-                                   exact_expectations, terminal_masks)
+from chaoscope.percolation import (CLOCK_BLOCK, PercolationModel, exact_expectations,
+                                   terminal_masks)
 from chaoscope.rng import CHUNK, SAMPLER, stream
 from chaoscope.sde import DriftSpec, SimConfig, simulate_particles, simulate_projection
 from chaoscope.verify import random_substochastic
@@ -46,7 +46,7 @@ def _tv_to_exact(xi, v, t, method, seed):
     """TV distance between the sampled and the exact law of X_t over all masks."""
     n = xi.n
     model = PercolationModel(xi, KAPPA)
-    law = exact_expectations(model, SubsetFunction(np.eye(1 << n), n), v, [t])[0, 0]
+    law = exact_expectations(model, lambda masks: np.eye(1 << n)[masks], v, [t])[0, 0]
     masks = terminal_masks(model, v, t, LAW_REPS, seed, method=method)
     empirical = np.bincount(masks, minlength=1 << n) / LAW_REPS
     assert abs(law.sum() - 1.0) <= 1e-9
