@@ -179,6 +179,10 @@ def max_entropy_bound(xi: InteractionMatrix, k: int,
                       constants: ModelConstants | None = None) -> BoundReport:
     """(delta k + 1)(delta k)^2: worst subset of size k."""
     _check_k(xi, k)
+    negative = validate(xi).negative_entries
+    if negative:
+        raise ValueError("max_entropy_bound needs a nonnegative matrix: "
+                         f"negative entries at {list(negative)}")
     dk = xi.delta * k
     pref = dk + 1.0
     inputs = {"k": k, "n": xi.n, "delta": xi.delta, **_echo(constants)}
@@ -207,7 +211,7 @@ def weighted_avg_bound(xi: InteractionMatrix, k: int, pi,
         raise ValueError("pi must be nonnegative")
     if pi.sum() > 1.0 + COLUMN_SLACK:
         raise ValueError("pi must have total mass <= 1")
-    if (xi.rmatvec(pi) > pi + COLUMN_SLACK).any():
+    if (pi @ xi.dense() > pi + COLUMN_SLACK).any():
         raise ValueError("pi must satisfy pi^T xi <= pi^T coordinatewise")
     pref = xi.delta * k + 1.0
     val = pref * k * k * float((pi * xi.delta_i ** 2).sum())
@@ -224,7 +228,7 @@ def sharper_avg_bound(xi: InteractionMatrix, k: int,
     _require_columns(xi, "sharper_avg_bound")
     n = xi.n
     pref = xi.delta * k + 1.0
-    sq = float((xi.vals ** 2).sum())
+    sq = float((xi.dense() ** 2).sum())
     val = pref * (k * k / (n * n) * sq + k / n * p_xi(xi))
     inputs = {"k": k, "n": n, "delta": xi.delta, **_echo(constants)}
     return BoundReport("avg-2way", val, inputs, pref)

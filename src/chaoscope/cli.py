@@ -310,6 +310,8 @@ def cmd_gaussian(args, outputs: list) -> int:
 def cmd_bound(args, outputs: list) -> int:
     if args.h3_value is not None and not args.use_chat:
         raise MatrixError("--h3-value needs --use-chat")
+    if args.reversed and args.theorem in ("h3", "growth"):
+        raise MatrixError(f"--reversed has no --theorem {args.theorem} form")
     constants = _constants_from(args, required=args.theorem in ("h3", "growth"))
     if args.theorem == "h3":
         if args.delta is None:
@@ -475,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", metavar="FILE", help="JSON weight vector for avg-markov")
     p.add_argument("--delta", type=float, help="interaction strength for h3")
     p.add_argument("--reversed", action="store_true",
-                   help="reversed-entropy variant (drops the size prefactor)")
+                   help="reversed-entropy variant of a structural theorem "
+                        "(drops the size prefactor)")
     p.add_argument("--uniform", action="store_true", help="uniform-in-time mode")
     p.add_argument("--use-chat", action="store_true",
                    help="growth: use the self-improved cost functional")

@@ -2,8 +2,8 @@
 
 The coupling structure of the particle system is a nonnegative n x n matrix
 xi with zero diagonal; xi[i, j] is the strength with which particle j
-influences particle i.  Storage is coordinate triplets (the graph ensembles
-are sparse at scale) with a dense mirror below n = 64 for the exact engines.
+influences particle i.  It is held as one dense n x n array, n <= 4096
+(DENSE_LIMIT); every engine reads that array.
 
 Everything is immutable after construction and safe to share across threads.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .rng import stream
 
-DENSE_MIRROR_LIMIT = 64
+DENSE_LIMIT = 4096  # largest n held: 128 MiB of float64
 ROW_SUM_RTOL = 1e-12  # constructors produce exact ratios; slack only absorbs float summation
 
 
@@ -167,117 +167,66 @@ def step_pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class InteractionMatrix:
-    """Nonnegative square matrix with cached row/column sums and maxima.
+    """A square matrix, held as one frozen dense n x n array, 1 <= n <= DENSE_LIMIT.
 
     The caches (row_sums, col_sums, delta, delta_i, symmetric) are computed
     once at construction and exposed read-only; rho, a certified upper bound
     on the operator norm, is computed on first use and kept.  Construction
-    refuses only NaN and inf entries; `validate` reports the other
-    violations (nonzero diagonal, negative entries) so callers can decide,
-    and the builders below always produce valid matrices.
+    refuses only a non-square array, a size outside [1, DENSE_LIMIT] and NaN
+    or inf entries; `validate` reports the other violations (nonzero
+    diagonal, negative entries) so callers can decide, and the builders
+    below always produce valid matrices.
     """
 
-    __slots__ = ("n", "ii", "jj", "vals", "row_sums", "col_sums",
-                 "delta", "delta_i", "symmetric", "_dense", "_rho")
+    __slots__ = ("n", "row_sums", "col_sums", "delta", "delta_i", "symmetric",
+                 "_dense", "_rho")
 
-    def __init__(self, n: int, ii, jj, vals):
-        if n < 1:
-            raise MatrixError("matrix needs n >= 1")
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if not (ii.shape == jj.shape == vals.shape):
-            raise MatrixError("coordinate arrays must have equal length")
-        if not np.isfinite(vals).all():
-            raise MatrixError("matrix entries must be finite")
-        if ii.size and (ii.min() < 0 or ii.max() >= n or jj.min() < 0 or jj.max() >= n):
-            raise MatrixError("coordinate indices out of range")
-        keep = vals != 0.0  # store the support only
-        ii, jj, vals = ii[keep], jj[keep], vals[keep]
-        order = np.lexsort((jj, ii))
-        ii, jj, vals = ii[order], jj[order], vals[order]
-        keys = ii * n + jj
-        if keys.size and np.any(np.diff(keys) == 0):
-            raise MatrixError("duplicate (i,j) entries")
-        self.n = int(n)
-        self.ii, self.jj, self.vals = _frozen(ii), _frozen(jj), _frozen(vals)
-        self.row_sums = _frozen(np.bincount(ii, weights=vals, minlength=n))
-        self.col_sums = _frozen(np.bincount(jj, weights=vals, minlength=n))
-        self.delta = float(vals.max()) if vals.size else 0.0
-        di = np.zeros(n)
-        np.maximum.at(di, ii, vals)
-        self.delta_i = _frozen(di)
-        self.symmetric = self._check_symmetric(keys)
-        self._dense = self._materialize() if n < DENSE_MIRROR_LIMIT else None
-        self._rho = None
-
-    def _check_symmetric(self, keys: np.ndarray) -> bool:
-        t_order = np.lexsort((self.ii, self.jj))
-        t_keys = self.jj[t_order] * self.n + self.ii[t_order]
-        return keys.shape == t_keys.shape and bool(
-            np.array_equal(keys, t_keys) and np.array_equal(self.vals, self.vals[t_order]))
-
-    def _materialize(self) -> np.ndarray:
-        d = np.zeros((self.n, self.n))
-        d[self.ii, self.jj] = self.vals
-        return _frozen(d)
-
-    @classmethod
-    def from_dense(cls, a) -> "InteractionMatrix":
+    def __init__(self, a):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MatrixError("dense input must be square")
-        ii, jj = np.nonzero(a)
-        return cls(a.shape[0], ii, jj, a[ii, jj])
+            raise MatrixError(f"matrix must be square, got shape {a.shape}")
+        _check_size(a.shape[0])
+        if not np.isfinite(a).all():
+            raise MatrixError("matrix entries must be finite")
+        a = a + 0.0  # a copy, with -0.0 made 0.0 so a zero entry has one form
+        self.n = a.shape[0]
+        with np.errstate(over="ignore"):  # entries near the float limit give inf sums
+            self.row_sums = _frozen(a.sum(axis=1))
+            self.col_sums = _frozen(a.sum(axis=0))
+        self.delta_i = _frozen(a.max(axis=1, initial=0.0))  # 0 for a row of no positive entry
+        self.delta = float(self.delta_i.max())
+        self.symmetric = bool(np.array_equal(a, a.T))
+        self._dense = _frozen(a)
+        self._rho = None
 
     def dense(self) -> np.ndarray:
-        """Dense mirror; materialized on demand above the mirror limit."""
-        if self._dense is not None:
-            return self._dense
-        if self.n > 4096:
-            raise MatrixError(f"refusing to densify n={self.n}")
-        return self._materialize()
+        """The matrix as a read-only n x n array."""
+        return self._dense
 
     @property
     def rho(self) -> float:
         """A certified upper bound on the operator norm ||xi||_2 (see linalg.op_norm)."""
         if self._rho is None:
-            self._rho = linalg.op_norm(self.dense())
+            self._rho = linalg.op_norm(self._dense)
         return self._rho
 
-    def transpose_vals(self) -> np.ndarray:
-        """For entry k holding xi[i_k, j_k], the value xi[j_k, i_k] (0 if absent)."""
-        keys = self.ii * self.n + self.jj
-        t_keys = self.jj * self.n + self.ii
-        pos = np.searchsorted(keys, t_keys)
-        out = np.zeros_like(self.vals)
-        in_range = pos < keys.size
-        hit = in_range.copy()
-        hit[in_range] = keys[pos[in_range]] == t_keys[in_range]
-        out[hit] = self.vals[pos[hit]]
-        return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """xi @ x without densifying."""
-        x = np.asarray(x, dtype=float)
-        return np.bincount(self.ii, weights=self.vals * x[self.jj], minlength=self.n)
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """xi^T @ x without densifying."""
-        x = np.asarray(x, dtype=float)
-        return np.bincount(self.jj, weights=self.vals * x[self.ii], minlength=self.n)
-
     def __eq__(self, other):
-        return (isinstance(other, InteractionMatrix) and self.n == other.n
-                and np.array_equal(self.ii, other.ii)
-                and np.array_equal(self.jj, other.jj)
-                and np.array_equal(self.vals, other.vals))
-
-    def __hash__(self):
-        return hash((self.n, self.vals.tobytes(), self.ii.tobytes(), self.jj.tobytes()))
+        return isinstance(other, InteractionMatrix) and np.array_equal(self._dense, other._dense)
 
     def __repr__(self):
-        return f"InteractionMatrix(n={self.n}, nnz={self.vals.size}, delta={self.delta:g})"
+        return (f"InteractionMatrix(n={self.n}, nnz={np.count_nonzero(self._dense)}, "
+                f"delta={self.delta:g})")
+
+
+def _check_size(n: int):
+    if not 1 <= n <= DENSE_LIMIT:
+        raise MatrixError(f"matrix size n must be in [1, {DENSE_LIMIT}], got {n}")
+
+
+def _zeros(n: int) -> np.ndarray:
+    """An n x n zero array, refused before allocation past DENSE_LIMIT."""
+    _check_size(n)
+    return np.zeros((n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +236,30 @@ def build_mean_field(n: int) -> InteractionMatrix:
     """All-to-all coupling 1/(n-1); row sums exactly 1."""
     if n < 2:
         raise MatrixError("mean field needs n >= 2")
-    a = np.full((n, n), 1.0 / (n - 1))
+    a = _zeros(n)
+    a.fill(1.0 / (n - 1))
     np.fill_diagonal(a, 0.0)
-    return InteractionMatrix.from_dense(a)
+    return InteractionMatrix(a)
 
 
 def build_random_walk(g: Graph) -> InteractionMatrix:
     """xi[i, j] = 1/deg(i) on edges; rows of isolated vertices stay zero."""
-    ii, jj, vals = [], [], []
-    for u, v in g.edges:
-        ii.append(u); jj.append(v); vals.append(1.0 / g.degrees[u])
-        ii.append(v); jj.append(u); vals.append(1.0 / g.degrees[v])
-    return InteractionMatrix(g.n, ii, jj, vals)
+    a = _zeros(g.n)
+    u, v = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    a[u, v] = 1.0 / g.degrees[u]
+    a[v, u] = 1.0 / g.degrees[v]
+    return InteractionMatrix(a)
 
 
 def sample_erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """Each unordered pair kept independently with probability p; seed-deterministic."""
+    """Each unordered pair kept independently with probability p; seed-deterministic.
+
+    n is refused past DENSE_LIMIT before the n^2 / 2 pairs are drawn, since
+    the graph's only use is a random-walk matrix.
+    """
     if not (0.0 <= p <= 1.0):
         raise MatrixError(f"edge probability {p} outside [0, 1]")
+    _check_size(n)
     iu, ju = np.triu_indices(n, k=1)
     keep = stream(seed).random(iu.size) < p
     return Graph(n=n, edges=tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
@@ -314,11 +269,10 @@ def build_sequential(n: int) -> InteractionMatrix:
     """Row i averages its predecessors: xi[i, j] = 1/i for j < i (0-based)."""
     if n < 2:
         raise MatrixError("sequential case needs n >= 2")
-    ii, jj, vals = [], [], []
+    a = _zeros(n)
     for i in range(1, n):
-        for j in range(i):
-            ii.append(i); jj.append(j); vals.append(1.0 / i)
-    return InteractionMatrix(n, ii, jj, vals)
+        a[i, :i] = 1.0 / i
+    return InteractionMatrix(a)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +304,9 @@ class ValidityReport:
 
 def validate(xi: InteractionMatrix, check_columns: bool = False) -> ValidityReport:
     """Report nonnegativity, zero diagonal, and (sub)stochastic row/column sums."""
-    neg = tuple((int(i), int(j)) for i, j in
-                zip(xi.ii[xi.vals < 0], xi.jj[xi.vals < 0]))
-    diag = tuple(int(i) for i in xi.ii[xi.ii == xi.jj])
+    d = xi.dense()
+    neg = tuple(map(tuple, np.argwhere(d < 0).tolist()))
+    diag = tuple(np.flatnonzero(np.diag(d)).tolist())
     limit = 1.0 + ROW_SUM_RTOL
     rows = tuple(int(i) for i in np.nonzero(xi.row_sums > limit)[0])
     cols = tuple(int(j) for j in np.nonzero(xi.col_sums > limit)[0]) if check_columns else None
@@ -365,17 +319,10 @@ def validate(xi: InteractionMatrix, check_columns: bool = False) -> ValidityRepo
 
 def p_xi(xi: InteractionMatrix) -> float:
     """sum_ij xi_ij^2 (xi_ij + xi_ji)  +  sum_i (sum_j (xi_ij^2 + xi_ji^2))^2."""
-    t = xi.transpose_vals()
-    cubic = float(np.sum(xi.vals ** 2 * (xi.vals + t)))
-    r2 = np.bincount(xi.ii, weights=xi.vals ** 2, minlength=xi.n)
-    c2 = np.bincount(xi.jj, weights=xi.vals ** 2, minlength=xi.n)
-    return cubic + float(np.sum((r2 + c2) ** 2))
-
-
-def _squares_within(xi: InteractionMatrix, ind: np.ndarray) -> float:
-    """sum_{i,j in v} xi_ij^2."""
-    inside = ind[xi.ii].astype(bool) & ind[xi.jj].astype(bool)
-    return float(np.sum(xi.vals[inside] ** 2))
+    d = xi.dense()
+    d2 = d * d
+    cubic = float(np.sum(d2 * (d + d.T)))
+    return cubic + float(np.sum((d2.sum(axis=1) + d2.sum(axis=0)) ** 2))
 
 
 def q_xi(xi: InteractionMatrix, v) -> float:
@@ -387,9 +334,9 @@ def q_xi(xi: InteractionMatrix, v) -> float:
     v = SubsetState.of(v, xi.n)
     if v.size == 0:
         raise MatrixError("q_xi needs a nonempty subset")
-    k, ind = v.size, indicators([v.mask], xi.n)[0]
-    sq = _squares_within(xi, ind)
-    gram = float(np.sum(xi.matvec(ind) ** 2) + np.sum(xi.rmatvec(ind) ** 2))
+    k, m, d = v.size, v.members, xi.dense()
+    sq = float(np.sum(d[np.ix_(m, m)] ** 2))
+    gram = float(np.sum(d[:, m].sum(axis=1) ** 2) + np.sum(d[m].sum(axis=0) ** 2))
     return (xi.delta * k + 1.0) * (sq + xi.delta * gram + xi.delta ** 2 * k)
 
 
@@ -439,41 +386,60 @@ def cost_values(xi: InteractionMatrix, masks, constants, h3: float | None = None
 # File formats
 
 def save_matrix(xi: InteractionMatrix, path):
-    """Dense CSV (n rows of n values) for a .csv path, else JSON coordinate triplets."""
+    """Dense CSV (n rows of n values) for a .csv path, else JSON coordinate
+    triplets [i, j, value] of the nonzero entries in row-major order."""
+    d = xi.dense()
     if str(path).endswith(".csv"):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            for row in xi.dense():
+            for row in d:
                 w.writerow([repr(float(x)) for x in row])
     else:
         doc = {"n": xi.n, "format": "coo",
-               "entries": [[int(i), int(j), float(v)]
-                           for i, j, v in zip(xi.ii, xi.jj, xi.vals)]}
+               "entries": [[i, j, float(d[i, j])] for i, j in np.argwhere(d).tolist()]}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
 
 
 def load_matrix(path) -> InteractionMatrix:
-    text_path = str(path)
-    if text_path.endswith(".csv"):
-        with open(path, newline="") as fh:
-            rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-        a = np.array(rows, dtype=float)
-        return InteractionMatrix.from_dense(a)
+    """Read a matrix saved by save_matrix; every refusal is a MatrixError naming `path`."""
+    read = _read_csv if str(path).endswith(".csv") else _read_json
+    try:
+        return InteractionMatrix(read(path))
+    except (ValueError, OverflowError) as exc:  # MatrixError, bad JSON or number text
+        raise MatrixError(f"{path}: {exc}") from None
+
+
+def _read_csv(path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
+    if len({len(row) for row in rows}) > 1:
+        raise MatrixError("rows have unequal lengths")
+    return np.array(rows, dtype=float)
+
+
+def _read_json(path) -> np.ndarray:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "coo" or "n" not in doc:
-        raise MatrixError(f"{path}: expected JSON with format='coo' and 'n'")
-    if type(doc["n"]) is not int:
-        raise MatrixError(f"{path}: 'n' must be an integer, got {doc['n']!r}")
+        raise MatrixError("expected JSON with format='coo' and 'n'")
+    n = doc["n"]
+    if type(n) is not int:
+        raise MatrixError(f"'n' must be an integer, got {n!r}")
     entries = doc.get("entries", [])
     if not isinstance(entries, list) or not all(
             isinstance(e, list) and len(e) == 3 and type(e[0]) is type(e[1]) is int
             and type(e[2]) in (int, float) for e in entries):
-        raise MatrixError(f"{path}: entries must be [i, j, value] triples of "
+        raise MatrixError("entries must be [i, j, value] triples of "
                           "integer indices and a number")
-    ii = [e[0] for e in entries]
-    jj = [e[1] for e in entries]
-    vals = [e[2] for e in entries]
-    return InteractionMatrix(doc["n"], ii, jj, vals)
+    a = _zeros(n)
+    seen = set()
+    for i, j, val in entries:
+        if not (0 <= i < n and 0 <= j < n):
+            raise MatrixError(f"entry {[i, j, val]} has an index outside [0, {n})")
+        if (i, j) in seen:
+            raise MatrixError(f"entry ({i}, {j}) is given twice")
+        seen.add((i, j))
+        a[i, j] = val
+    return a

@@ -300,11 +300,11 @@ def _edge_clock_chunk(gen: np.random.Generator, size: int, model: PercolationMod
     that lies within t, and relaxes the site's edges to dist + clock, so at
     most n rounds run.
     """
-    xi, n = model.xi, model.n
-    upper = xi.ii < xi.jj
-    rate = model.kappa * xi.vals[upper]
+    d, n = model.xi.dense(), model.n
+    iu, ju = np.nonzero(np.triu(d, 1))  # the edges i < j in row-major order
+    rate = model.kappa * d[iu, ju]
     edge = np.full((n, n), -1)  # the edge joining each pair of sites, -1 for none
-    edge[xi.ii[upper], xi.jj[upper]] = edge[xi.jj[upper], xi.ii[upper]] = np.arange(rate.size)
+    edge[iu, ju] = edge[ju, iu] = np.arange(rate.size)
     out = np.zeros(size, dtype=np.int64)  # the settled sites
     rows = max(1, CLOCK_BLOCK // max(1, rate.size))
     for lo in range(0, size, rows):
@@ -348,7 +348,7 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
     if method == "gillespie":
         # every total rate is at most kappa * sum|xi| up to rounding, which the
         # factor covers; an infinite total would search past the last bin
-        if not math.isfinite(model.kappa * float(np.abs(model.xi.vals).sum()) * (1 + 2 ** -20)):
+        if not math.isfinite(model.kappa * float(np.abs(model.xi.dense()).sum()) * (1 + 2 ** -20)):
             raise ValueError("the jump chain needs a finite total rate kappa * sum(xi), "
                              f"got kappa = {model.kappa:.6g}")
         run = _jump_chain_chunk

@@ -202,7 +202,7 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     the drift sees the ensemble's empirical law, necessarily unchunked
     (samples interact), each step drawing every chunk's increments in turn.
     """
-    if drift.kind in ("linear", "zero") or not xi.vals.size:
+    if drift.kind in ("linear", "zero") or not xi.dense().any():
         return simulate_particles(xi, DriftSpec.zero(), cfg)
     row_sums = xi.row_sums
     if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:

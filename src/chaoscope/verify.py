@@ -92,7 +92,7 @@ def random_substochastic(n: int, gen: np.random.Generator) -> InteractionMatrix:
     worst = max(d.sum(axis=1).max(), d.sum(axis=0).max())
     if worst > 0:
         d *= target / worst
-    return InteractionMatrix.from_dense(d)
+    return InteractionMatrix(d)
 
 
 def _ensemble(instances: int, seed: int, n_max: int = 10):

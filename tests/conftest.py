@@ -23,7 +23,7 @@ def random_matrices(count, seed, n_lo=2, n_hi=8):
 @pytest.fixture
 def single_edge():
     """Two particles, one symmetric edge of weight 0.7."""
-    return InteractionMatrix.from_dense(np.array([[0.0, 0.7], [0.7, 0.0]]))
+    return InteractionMatrix(np.array([[0.0, 0.7], [0.7, 0.0]]))
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def four_cycle():
     d = np.zeros((4, 4))
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
         d[u, v] = d[v, u] = 0.5
-    return InteractionMatrix.from_dense(d)
+    return InteractionMatrix(d)
 
 
 def lookup(values):

@@ -253,7 +253,7 @@ def test_max_and_avg_structural_values():
 def test_sharper_avg_uses_pxi():
     xi = build_mean_field(5)
     rep = sharper_avg_bound(xi, 2)
-    sq = float((xi.vals ** 2).sum())
+    sq = float((xi.dense() ** 2).sum())
     want = (2.0 / 4.0 + 1.0) * (4.0 / 25.0 * sq + 2.0 / 5.0 * p_xi(xi))
     assert rep.structural == pytest.approx(want, rel=1e-12)
 

@@ -217,7 +217,7 @@ def test_gaussian_cli_on_blocks_of_nearly_equal_norm(tmp_path):
     d[0, 1], d[1, 0] = 0.5, 0.3
     d[2, 3] = d[3, 2] = 0.5 - 1e-5
     path = tmp_path / "blocks.json"
-    save_matrix(InteractionMatrix.from_dense(d), path)
+    save_matrix(InteractionMatrix(d), path)
     out = tmp_path / "g.json"
     assert run("gaussian", "--matrix", str(path), "--T", "0.2", "--out", str(out)) == 0
     assert 0.5 <= json.loads(out.read_text())["rho"] <= 0.5 * (1 + 1e-12)
@@ -427,6 +427,12 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     neg.write_text("0,0.5,-0.4\n0.3,0,0.2\n0.1,0.1,0\n")
     sym_neg = tmp_path / "sym_neg.csv"  # symmetric, so fpp reaches the growth process
     sym_neg.write_text("0,0.5,-0.2\n0.5,0,0.3\n-0.2,0.3,0\n")
+    lone_neg = tmp_path / "lone_neg.csv"  # delta_i is 0 on every row
+    lone_neg.write_text("0,-0.5\n0,0\n")
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"n": 2, "format": "coo", "entries": [[0, 1, 0.5], [0, 1, 0.5]]}')
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0,0.5\n0.5\n")
     growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
               "--gamma", "1", "--big-m", "1", "--sigma-const", "1")
     cases = [
@@ -519,6 +525,21 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
          "exact engine handles n <= 16, got 17"),
         (("bound", "--theorem", "h3", "--delta", "nan", "--gamma", "1", "--big-m", "1",
           "--sigma-const", "1", "--horizon", "1"), "delta must be finite and nonnegative"),
+        # no reversed form is proved for these; the flag was mislabelled or dropped
+        ((*growth, "--horizon", "1", "--reversed"), "--reversed has no --theorem growth form"),
+        (("bound", "--theorem", "h3", "--delta", "0.1", "--gamma", "1", "--big-m", "1",
+          "--sigma-const", "1", "--horizon", "1", "--reversed"),
+         "--reversed has no --theorem h3 form"),
+        (("bound", "--theorem", "max", "--matrix", str(lone_neg), "--k", "1"),
+         "max_entropy_bound needs a nonnegative matrix: negative entries at [(0, 1)]"),
+        # every refusal of a matrix file names the file
+        (("matrix", "--matrix", str(twice)), f"{twice}: entry (0, 1) is given twice"),
+        (("matrix", "--matrix", str(ragged)), f"{ragged}: rows have unequal lengths"),
+        # the dense matrix is refused past its size limit, before allocation
+        (("matrix", "--mean-field", "4097"), "matrix size n must be in [1, 4096], got 4097"),
+        (("matrix", "--er", "100000", "0.001"), "matrix size n must be in [1, 4096], got 100000"),
+        (("bound", "--theorem", "avg", "--sequential", "5000", "--k", "2"),
+         "matrix size n must be in [1, 4096], got 5000"),
     ]
     for argv, message in cases:
         assert run(*argv) == 2, argv

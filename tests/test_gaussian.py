@@ -24,7 +24,7 @@ def triangular(n):
     """Every row i >= 1 feeds on index 0 with weight 1: xi^2 = 0."""
     d = np.zeros((n, n))
     d[1:, 0] = 1.0
-    return InteractionMatrix.from_dense(d)
+    return InteractionMatrix(d)
 
 
 def test_sigma_T_matches_scipy_quadrature():
@@ -48,7 +48,7 @@ def test_sigma_T_matches_scipy_quadrature():
 
 
 def test_sigma_T_zero_matrix_is_T_identity():
-    xi = InteractionMatrix(3, [], [], [])
+    xi = InteractionMatrix(np.zeros((3, 3)))
     gm = sigma_T(xi, 2.5)
     assert np.allclose(gm.sigma_T, 2.5 * np.eye(3))
     assert gm.rho == 0.0 and gm.small_time()
@@ -147,7 +147,7 @@ def test_entropy_bounds_sandwich_small_time():
 
 
 def test_max_upper_requires_row_sums():
-    hot = InteractionMatrix.from_dense(np.array([[0.0, 1.5], [0.0, 0.0]]))
+    hot = InteractionMatrix(np.array([[0.0, 1.5], [0.0, 0.0]]))
     gm = sigma_T(hot, 0.2)
     with pytest.raises(ValueError):
         max_upper(gm, [0b11])
@@ -187,11 +187,11 @@ def test_d_T_routes_agree_and_triangular_vanishes():
 def test_series_sum_past_where_the_powers_of_rho_overflow():
     # (2 rho)^m and rho^m overflowed on their own here, while each series
     # term and each sum stay finite
-    nilpotent = InteractionMatrix.from_dense(np.array([[0, 100.0, 0], [0, 0, 0], [0, 0, 0]]))
+    nilpotent = InteractionMatrix(np.array([[0, 100.0, 0], [0, 0, 0], [0, 0, 0]]))
     got = sigma_T(nilpotent, 1.0).sigma_T
     want = sigma_T_quadrature(nilpotent, 1.0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    chain = InteractionMatrix.from_dense(np.array([[0, 30.0, 0], [0, 0, 30.0], [0, 0, 0]]))
+    chain = InteractionMatrix(np.array([[0, 30.0, 0], [0, 0, 30.0], [0, 0, 0]]))
     assert d_T(chain, 10.0) == 0.0
 
 
@@ -202,7 +202,7 @@ def test_series_sum_past_where_the_powers_of_rho_overflow():
 def test_series_envelope_overflow_is_named(f, d, T, reach):
     # once the tail envelope is inf, the tail test can never stop the sum
     with pytest.raises(ValueError) as exc:
-        f(InteractionMatrix.from_dense(np.array(d)), T)
+        f(InteractionMatrix(np.array(d)), T)
     msg = str(exc.value)
     assert f"{f.__name__} series overflows double precision at {reach} " in msg
     assert "envelope" in msg and f"gaussian.{f.__name__}_quadrature" in msg
@@ -211,7 +211,7 @@ def test_series_envelope_overflow_is_named(f, d, T, reach):
 def test_closed_form_factor_overflow_is_named():
     # e^{c rho T} past the largest double was a bare "math range error"; the
     # nilpotent Sigma_T is finite, and max_upper needs row sums <= 1
-    nil = InteractionMatrix.from_dense(np.array([[0, 300.0, 0], [0, 0, 0], [0, 0, 0]]))
+    nil = InteractionMatrix(np.array([[0, 300.0, 0], [0, 0, 0], [0, 0, 0]]))
     gm = sigma_T(nil, 1.0)
     chain = sigma_T(build_sequential(3), 100.0)
     cases = [(lambda: subset_entropies(gm, [1]), "subset_entropies", "6*rho*T", 1800.0),
@@ -279,7 +279,7 @@ def test_avg_entropy_sample_masks_do_not_depend_on_chunk(monkeypatch):
 
 def test_avg_entropy_needs_no_upper_factor():
     # e^{6 rho T} overflows here, while every exact entropy is finite
-    nil = InteractionMatrix.from_dense(np.array([[0, 300.0, 0], [0, 0, 0], [0, 0, 0]]))
+    nil = InteractionMatrix(np.array([[0, 300.0, 0], [0, 0, 0], [0, 0, 0]]))
     gm = sigma_T(nil, 1.0)
     want = np.mean([gaussian_kl(np.eye(2), gm.sigma_T[np.ix_(pair, pair)])
                     for pair in combinations(range(3), 2)])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_erdos_renyi_determinism_and_range():
 
 
 def test_validate_flags_violations():
-    bad = InteractionMatrix(2, [0, 1], [1, 0], [1.5, -0.1])
+    bad = InteractionMatrix([[0.0, 1.5], [-0.1, 0.0]])
     rep = validate(bad, check_columns=True)
     assert not rep.ok
     assert rep.negative_entries == ((1, 0),)
@@ -77,7 +78,7 @@ def test_validate_flags_violations():
 
 
 def test_validate_diagonal():
-    bad = InteractionMatrix(2, [0], [0], [0.3])
+    bad = InteractionMatrix([[0.3, 0.0], [0.0, 0.0]])
     rep = validate(bad)
     assert not rep.ok and rep.nonzero_diagonal == (0,)
 
@@ -269,10 +270,28 @@ def test_load_rejects_malformed_json(tmp_path):
                          ({"n": 3.0, "entries": []}, "'n' must be an integer"),
                          ({"n": 3, "entries": [[None, 1, 0.5]]}, "entries must be"),
                          ({"n": 3, "entries": [[0.5, 1, 0.5]]}, "entries must be"),
-                         ({"n": 3, "entries": [[0, 1, {}]]}, "entries must be")):
+                         ({"n": 3, "entries": [[0, 1, {}]]}, "entries must be"),
+                         ({"n": 3, "entries": [[0, 3, 0.5]]}, r"entry \[0, 3, 0.5\] has an index "
+                                                              r"outside \[0, 3\)"),
+                         ({"n": 3, "entries": [[-1, 0, 0.5]]}, "has an index outside"),
+                         ({"n": 3, "entries": [[0, 1, 0.5], [0, 1, 0.0]]},
+                          r"entry \(0, 1\) is given twice"),
+                         ({"n": 0, "entries": []}, r"n must be in \[1, 4096\], got 0"),
+                         ({"n": 10 ** 9, "entries": []}, "got 1000000000"),
+                         ({"n": 2, "entries": [[0, 1, 10 ** 400]]}, "too large")):
         path.write_text(json.dumps(dict(doc, format="coo")))
-        with pytest.raises(MatrixError, match=message):
+        with pytest.raises(MatrixError, match=f"^{re.escape(str(path))}: .*{message}"):
             load_matrix(path)
+    csv_path = tmp_path / "bad.csv"
+    for text, message in (("0,0.5\n0.5\n", "rows have unequal lengths"),
+                          ("0,0.5,0.1\n0.5,0,0.1\n", r"must be square, got shape \(2, 3\)"),
+                          ("", r"must be square, got shape \(0,\)"),
+                          ("\n\n", r"must be square, got shape \(0,\)"),
+                          ("0,x\n0.5,0\n", "could not convert"),
+                          ("0,nan\n0.5,0\n", "matrix entries must be finite")):
+        csv_path.write_text(text)
+        with pytest.raises(MatrixError, match=f"^{re.escape(str(csv_path))}: .*{message}"):
+            load_matrix(csv_path)
 
 
 def test_graph_file_roundtrip_and_errors(tmp_path):
@@ -302,11 +321,31 @@ def test_graph_rejects_self_loop_and_duplicate():
         Graph(n=2, edges=((0, 1), (1, 0)))
 
 
+def test_matrix_is_one_frozen_dense_array():
+    a = np.array([[0.0, -0.0], [0.5, 0.0]])
+    xi = InteractionMatrix(a)
+    a[1, 0] = 9.0  # the matrix holds its own copy
+    d = xi.dense()
+    assert not d.flags.writeable and d[1, 0] == 0.5
+    assert not np.signbit(d).any()  # -0.0 is held as 0.0
+    assert not xi.symmetric and InteractionMatrix(d + d.T).symmetric
+    # a row with no positive entry has delta_i 0, and delta is the largest delta_i
+    signed = InteractionMatrix([[0.0, -0.5], [0.0, 0.0]])
+    assert signed.delta == 0.0 and signed.delta_i.tolist() == [0.0, 0.0]
+    # sums past the float range are inf, without an overflow warning
+    big = InteractionMatrix([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
+    assert big.row_sums.tolist() == [math.inf, 1e308, 1e308]
+    assert big.col_sums.tolist() == [math.inf, 1e308, 1e308]
+    # the size limit is checked before the array is copied
+    with pytest.raises(MatrixError, match=r"n must be in \[1, 4096\], got 4097"):
+        InteractionMatrix(np.broadcast_to(0.0, (4097, 4097)))
+
+
 def test_matrix_rejects_bad_shape():
     with pytest.raises(MatrixError):
-        InteractionMatrix(0, [], [], [])
+        InteractionMatrix(np.zeros((0, 0)))
     with pytest.raises(MatrixError):
-        InteractionMatrix(2, [0], [2], [0.5])
+        InteractionMatrix(np.zeros((2, 3)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -315,16 +354,8 @@ def test_delta_is_max_entry(n, seed):
     g = stream(seed)
     d = g.random((n, n))
     np.fill_diagonal(d, 0.0)
-    xi = InteractionMatrix.from_dense(d)
+    xi = InteractionMatrix(d)
     assert xi.delta == pytest.approx(d.max())
     assert np.allclose(xi.delta_i, d.max(axis=1))
     assert np.allclose(xi.row_sums, d.sum(axis=1))
     assert np.allclose(xi.col_sums, d.sum(axis=0))
-
-
-def test_transpose_vals_alignment():
-    for xi in random_matrices(5, seed=37):
-        d = xi.dense()
-        t = xi.transpose_vals()
-        for (i, j, tv) in zip(xi.ii, xi.jj, t):
-            assert tv == d[j, i]

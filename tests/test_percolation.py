@@ -57,7 +57,7 @@ def full_rate_matrix(xi, kappa):
 def test_generator_matches_definition():
     g = stream(11)
     # n=1 and n=8 reach the first (2^0) and widest (2^7) step_pairs blocks
-    edges = [InteractionMatrix.from_dense(np.zeros((1, 1))),
+    edges = [InteractionMatrix(np.zeros((1, 1))),
              random_matrices(1, seed=19, n_lo=8, n_hi=8)[0]]
     for xi in random_matrices(8, seed=12, n_lo=2, n_hi=6) + edges:
         kappa = float(g.uniform(0.3, 2.0))
@@ -217,7 +217,7 @@ def test_uniformized_kernel_is_stochastic():
 
 def test_models_without_exits_keep_f():
     for n in (1, 4):
-        model = PercolationModel(InteractionMatrix.from_dense(np.zeros((n, n))), 1.3)
+        model = PercolationModel(InteractionMatrix(np.zeros((n, n))), 1.3)
         assert _Engine(model).lam == 1.3
         f = np.arange(1 << n) + 0.5
         for mask in range(1 << n):
@@ -235,7 +235,7 @@ def test_upset_route_matches_full_lattice(single_edge):
     and every value and integral bitwise the full lattice's at the up-set
     masks wherever the two rates agree."""
     gen = stream(70)
-    zero = lambda n: InteractionMatrix.from_dense(np.zeros((n, n)))
+    zero = lambda n: InteractionMatrix(np.zeros((n, n)))
     matrices = [random_substochastic(n, gen) for n in range(1, 9)]
     matrices += [zero(4), zero(1), single_edge]
     tol, times = 1e-10, (0.0, 0.3, 1.7)
@@ -333,7 +333,7 @@ def test_gillespie_top_uniform_stays_in_range(monkeypatch):
                         lambda seed, total: [(0, total, _TopDraws())])
     # the clock gains 1 / total per event, so it passes t at the second event
     t = 1.5 / np.cumsum(row)[-1]
-    model = PercolationModel(InteractionMatrix.from_dense(dense), 1.0)
+    model = PercolationModel(InteractionMatrix(dense), 1.0)
     assert terminal_masks(model, [0], t, reps=3, seed=0).tolist() == [1 | 1 << 30] * 3
 
 
@@ -343,7 +343,7 @@ def _benchmark_directed16(tmp_path) -> InteractionMatrix:
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     inputs = {}
     exec(compile(path.read_text(), str(path), "exec"), inputs)
-    return InteractionMatrix.from_dense(inputs["make_inputs"](1, tmp_path)["directed16"][0])
+    return InteractionMatrix(inputs["make_inputs"](1, tmp_path)["directed16"][0])
 
 
 def test_cost_tables_equal_per_mask_slices(tmp_path):
@@ -446,23 +446,23 @@ def test_fpp_masks_are_first_passage_balls():
     g = stream(26)
     a = g.random((9, 9)) * (g.random((9, 9)) < 0.5)
     a = np.triu(a, 1) + np.triu(a, 1).T
-    xi = InteractionMatrix.from_dense(a)
+    xi = InteractionMatrix(a)
     v, t = [0, 4], 0.6
     masks = terminal_masks(PercolationModel(xi, 1.3), v, t, reps=60, seed=9, method="fpp")
-    upper = xi.ii < xi.jj
+    iu, ju = np.nonzero(np.triu(xi.dense(), 1))
     # the one chunk's clocks, a row per path
     ((_, _, gen),) = chunk_streams(9, 60)
-    clocks = gen.standard_exponential((60, int(upper.sum()))) / (1.3 * xi.vals[upper])
+    clocks = gen.standard_exponential((60, iu.size)) / (1.3 * xi.dense()[iu, ju])
     for r, mask in enumerate(masks.tolist()):
         graph = np.zeros((9, 9))
-        graph[xi.ii[upper], xi.jj[upper]] = clocks[r]
+        graph[iu, ju] = clocks[r]
         dist = dijkstra(graph, directed=False, indices=v, min_only=True)
         assert mask == sum(1 << i for i in range(9) if dist[i] <= t)
     assert len(set(masks.tolist())) > 10
 
 
 def test_fpp_rejects_asymmetric():
-    xi = InteractionMatrix.from_dense(np.array([[0.0, 0.5], [0.25, 0.0]]))
+    xi = InteractionMatrix(np.array([[0.0, 0.5], [0.25, 0.0]]))
     model = PercolationModel(xi, 1.0)
     with pytest.raises(NotApplicable):
         terminal_masks(model, [0], 1.0, reps=1, seed=1, method="fpp")
@@ -620,7 +620,7 @@ def test_expectations_suite_fails_on_a_halved_yule_cap(monkeypatch):
 def test_expectation_bound_rejects_invalid_inputs():
     xi = build_mean_field(3)
     model = PercolationModel(xi, 1.0)
-    hot = InteractionMatrix.from_dense(np.array([[0.0, 2.0], [0.0, 0.0]]))
+    hot = InteractionMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         expectation_bounds(PercolationModel(hot, 1.0), [1], [1.0])
     # the ceilings and the generator bounds refuse the same payloads, in numpy's
@@ -655,7 +655,7 @@ def test_expectation_bound_rejects_invalid_inputs():
 
 def test_lemma_rhs_needs_row_sums():
     # with a row sum of 2 the size "bound" kappa |v| falls below A|v| = 2 kappa at {0}
-    hot = PercolationModel(InteractionMatrix.from_dense(
+    hot = PercolationModel(InteractionMatrix(
         np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])), 1.0)
     lhs = generator_apply(hot, partial(functional_values, "size", hot.xi))
     assert lhs[1] == 2.0
@@ -948,6 +948,6 @@ def test_model_validates_kappa():
     for kappa in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             PercolationModel(xi, kappa)
-    signed = InteractionMatrix.from_dense([[0, 0.5, -0.4], [0.3, 0, 0.2], [0.1, 0.1, 0]])
+    signed = InteractionMatrix([[0, 0.5, -0.4], [0.3, 0, 0.2], [0.1, 0.1, 0]])
     with pytest.raises(ValueError, match=r"nonnegative matrix, got negative entries at \[\(0, 2\)\]"):
         PercolationModel(signed, 1.0)

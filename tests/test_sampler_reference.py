@@ -37,7 +37,7 @@ def _directed(n, seed):
 
 def _symmetric(n, seed):
     d = random_substochastic(n, stream(seed)).dense()
-    xi = InteractionMatrix.from_dense(0.5 * (d + d.T))
+    xi = InteractionMatrix(0.5 * (d + d.T))
     assert xi.symmetric
     return xi
 
@@ -101,14 +101,14 @@ def test_edge_clock_blocks_match_dijkstra_row_by_row():
     # mean-field 63 has E = 1953 edges, so 600 paths take two clock blocks;
     # path r's clocks are the r-th E exponentials of its chunk's stream
     xi, v, t, seed = build_mean_field(63), [0, 7], 0.6, 3
-    upper = xi.ii < xi.jj
-    rate = KAPPA * xi.vals[upper]
+    iu, ju = np.nonzero(np.triu(xi.dense(), 1))
+    rate = KAPPA * xi.dense()[iu, ju]
     assert 600 > CLOCK_BLOCK // rate.size
     gen = stream(seed, SAMPLER)
     want = []
     for _ in range(600):
         graph = csr_matrix((gen.standard_exponential(rate.size) / rate,
-                            (xi.ii[upper], xi.jj[upper])), shape=(63, 63))
+                            (iu, ju)), shape=(63, 63))
         dist = dijkstra(graph, directed=False, indices=v, min_only=True)
         want.append(sum(1 << j for j in np.flatnonzero(dist <= t).tolist()))
     got = terminal_masks(PercolationModel(xi, KAPPA), v, t, 600, seed, method="fpp")
@@ -121,7 +121,7 @@ def test_paths_without_exit_or_time_stay_at_the_start(method):
     # the full set and a zero matrix have total rate 0 from the start, and
     # at t = 0 nothing has joined
     full = list(range(5))
-    zero = InteractionMatrix.from_dense(np.zeros((5, 5)))
+    zero = InteractionMatrix(np.zeros((5, 5)))
     cases = [(_symmetric(5, 62), full, 2.0), (zero, [1, 3], 2.0), (_symmetric(5, 62), [2], 0.0)]
     for xi, v, t in cases:
         masks = terminal_masks(PercolationModel(xi, KAPPA), v, t, CHUNK + 3, 4, method=method)
@@ -147,7 +147,7 @@ def test_noise_matches_reference_bitwise():
     want = np.zeros((cfg.samples, 2))
     for s in range(cfg.steps):
         want = want + cfg.sigma * np.sqrt(cfg.dt) * noise[s]
-    zero = InteractionMatrix.from_dense(np.zeros((2, 2)))
+    zero = InteractionMatrix(np.zeros((2, 2)))
     got = simulate_particles(zero, DriftSpec.zero(), cfg)
     assert got.tobytes() == want.tobytes()
     # the McKean-Vlasov projection runs unchunked on the same increments: with

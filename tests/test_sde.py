@@ -18,7 +18,7 @@ from conftest import random_matrices
 
 
 def zero_matrix(n):
-    return InteractionMatrix.from_dense(np.zeros((n, n)))
+    return InteractionMatrix(np.zeros((n, n)))
 
 
 def cov_close(emp, want, samples, nsig):
@@ -85,7 +85,7 @@ def test_sine_projection_runs_on_stochastic_rows():
 
 def test_projection_refusals():
     cfg = SimConfig(dt=0.1, T=0.5, samples=20, seed=0)
-    halved = InteractionMatrix.from_dense(0.5 * build_mean_field(4).dense())
+    halved = InteractionMatrix(0.5 * build_mean_field(4).dense())
     with pytest.raises(NotApplicable):  # row sums 1/2, marginals unknown
         simulate_projection(halved, DriftSpec.custom("sine"), cfg)
     hookless = DriftSpec("flat", b=lambda t, x, y: np.zeros_like(y))
