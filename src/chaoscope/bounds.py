@@ -104,6 +104,12 @@ def _require_columns(xi: InteractionMatrix, theorem: str):
         raise ValueError(f"{theorem} needs row and column sums <= 1: {report.describe()}")
 
 
+def _require_nonnegative(xi: InteractionMatrix, theorem: str):
+    if negative := validate(xi).negative_entries:
+        raise ValueError(f"{theorem} needs a nonnegative matrix: "
+                         f"negative entries at {list(negative)}")
+
+
 def _check_k(xi: InteractionMatrix, k: int):
     if not 1 <= k <= xi.n:
         raise ValueError(f"need 1 <= k <= {xi.n}")
@@ -179,10 +185,7 @@ def max_entropy_bound(xi: InteractionMatrix, k: int,
                       constants: ModelConstants | None = None) -> BoundReport:
     """(delta k + 1)(delta k)^2: worst subset of size k."""
     _check_k(xi, k)
-    negative = validate(xi).negative_entries
-    if negative:
-        raise ValueError("max_entropy_bound needs a nonnegative matrix: "
-                         f"negative entries at {list(negative)}")
+    _require_nonnegative(xi, "max_entropy_bound")
     dk = xi.delta * k
     pref = dk + 1.0
     inputs = {"k": k, "n": xi.n, "delta": xi.delta, **_echo(constants)}
@@ -204,11 +207,13 @@ def weighted_avg_bound(xi: InteractionMatrix, k: int, pi,
                        constants: ModelConstants | None = None) -> BoundReport:
     """(delta k + 1) k^2 sum_i pi_i delta_i^2 for a subinvariant weighting pi."""
     _check_k(xi, k)
+    _require_nonnegative(xi, "weighted_avg_bound")
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (xi.n,):
         raise ValueError("pi must be a length-n vector")
-    if (pi < 0).any():
-        raise ValueError("pi must be nonnegative")
+    bad = np.flatnonzero(~((pi >= 0) & (pi < math.inf))).tolist()  # NaN fails both
+    if bad:
+        raise ValueError(f"pi must be nonnegative and finite: {pi[bad].tolist()} at {bad}")
     if pi.sum() > 1.0 + COLUMN_SLACK:
         raise ValueError("pi must have total mass <= 1")
     if (pi @ xi.dense() > pi + COLUMN_SLACK).any():

@@ -348,12 +348,12 @@ def cmd_bound(args, outputs: list) -> int:
                 report = bounds_mod.sharper_avg_bound(xi, args.k, constants)
             else:  # avg-markov
                 if args.pi:
-                    with open(args.pi) as fh:
-                        doc = json.load(fh)
                     try:
-                        pi = np.asarray(doc, dtype=float)
-                    except TypeError:
-                        raise MatrixError(f"{args.pi}: want a JSON list of weights") from None
+                        with open(args.pi) as fh:
+                            pi = np.asarray(json.load(fh), dtype=float)
+                    except (TypeError, ValueError) as exc:  # ValueError: not JSON
+                        raise MatrixError(
+                            f"{args.pi}: want a JSON list of weights ({exc})") from None
                 else:
                     pi = np.full(xi.n, 1.0 / xi.n)
                 report = bounds_mod.weighted_avg_bound(xi, args.k, pi, constants)

@@ -152,8 +152,9 @@ def sigma_T_quadrature(xi: InteractionMatrix, T: float) -> np.ndarray:
     d = xi.dense()
 
     def apply(z):
-        y, x = z
-        return np.stack((T * (d @ y + y @ d.T + x), np.zeros_like(x)))
+        out = np.zeros(z.shape)
+        np.multiply(T, d @ z[0] + z[0] @ d.T + z[1], out=out[0])
+        return out
 
     start = np.stack((np.zeros((xi.n, xi.n)), np.eye(xi.n)))
     mu = T * (2.0 * float(np.linalg.norm(d, np.inf)) + 1.0)
@@ -308,22 +309,28 @@ def d_T_envelope(xi: InteractionMatrix, T: float) -> tuple[float, float]:
     return lower, upper
 
 
-def avg_trace_sq(A, k: int) -> float:
+def avg_trace_sq(A, k):
     """Average of Tr((A^v)^2) over all subsets of size k, in closed form.
 
     Equals k(k-1)/(n(n-1)) Tr(A^2) + k(n-k)/(n(n-1)) sum_i A_ii^2; exact for
-    symmetric A by a two-index counting argument.
+    symmetric A by a two-index counting argument.  k may be an array of
+    sizes, which gives an aligned array; a scalar k gives a float.
     """
     a = _check_covariance(A, "A")
     n = a.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    w1, w2 = _pair_weights(n, k)
     diag_sq = float((np.diag(a) ** 2).sum())
-    if n == 1:
-        return diag_sq
-    w1 = k * (k - 1) / (n * (n - 1))
-    w2 = k * (n - k) / (n * (n - 1))
-    return w1 * float((a * a).sum()) + w2 * diag_sq
+    out = w1 * float((a * a).sum()) + w2 * diag_sq if n > 1 else np.full(w1.shape, diag_sq)
+    return float(out) if out.ndim == 0 else out
+
+
+def _pair_weights(n: int, k) -> tuple[np.ndarray, np.ndarray]:
+    """k(k-1)/(n(n-1)) and k(n-k)/(n(n-1)) at each size k, refused outside [1, n]."""
+    k = np.asarray(k)
+    if not ((1 <= k) & (k <= n)).all():
+        raise ValueError("need 1 <= k <= n")
+    pairs = n * (n - 1)
+    return k * (k - 1) / max(pairs, 1), k * (n - k) / max(pairs, 1)
 
 
 def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
@@ -365,8 +372,7 @@ def _entropies(model: GaussianModel, masks) -> np.ndarray:
                            for lo, hi in chunk_ranges(len(masks))])
 
 
-def avg_entropy_sandwich(model: GaussianModel, k: int,
-                         explicit: bool = False) -> tuple[float, float]:
+def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
     """Two-sided bracket of the size-k average entropy.
 
     Default: (1/6, e^{6 rho T}) times the exact avg_trace_sq of
@@ -377,24 +383,23 @@ def avg_entropy_sandwich(model: GaussianModel, k: int,
                             + w2 (8 d_T + 32 T^4 e^{4 rho T} R) ]
     with S2 = sum xi_ij^2, R = sum_i (sum_j xi_ij^2)^2 and the usual pair
     weights w1, w2.  Lower bounds are meaningful in the small-time window.
+    k may be an array of sizes, which gives two aligned arrays from one
+    d_T series; a scalar k gives two floats.
     """
     n = model.n
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
     T, rho = model.T, model.rho
     if not explicit:
         tr = avg_trace_sq(model.centered(), k)
         return tr / 6.0, _exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * tr
+    w1, w2 = _pair_weights(n, k)
     d = model.xi.dense()
     s2 = float((d * d).sum())
     r_sum = float(((d * d).sum(axis=1) ** 2).sum())
     dt = d_T(model.xi, T)
     if n == 1:
-        return 0.0, 0.0
-    w1 = k * (k - 1) / (n * (n - 1))
-    w2 = k * (n - k) / (n * (n - 1))
+        return (0.0, 0.0) if w1.ndim == 0 else (np.zeros(w1.shape), np.zeros(w1.shape))
     lower = (w1 * T * T / 2.0 * s2 + w2 * (4.0 * dt + T ** 4 / 9.0 * r_sum)) / 6.0
     grow4 = _exp("avg_entropy_sandwich", "4*rho*T", 4.0 * rho * T)
     upper = _exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * (
         w1 * 16.0 * T * T * grow4 * s2 + w2 * (8.0 * dt + 32.0 * T ** 4 * grow4 * r_sum))
-    return lower, upper
+    return (float(lower), float(upper)) if lower.ndim == 0 else (lower, upper)

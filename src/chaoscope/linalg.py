@@ -33,6 +33,7 @@ def expm_action(apply, b: np.ndarray, mu: float, tol: float = 1e-12) -> np.ndarr
     so the truncation error is certified at tol * ||result||_max per stage
     (absolute floor near zero).  Never forms an eigendecomposition; for
     entrywise-nonnegative A and b every intermediate stays nonnegative.
+    apply must return a new array, which is divided in place.
     """
     b = np.asarray(b, dtype=float)
     if not 0.0 <= mu < math.inf:
@@ -46,15 +47,18 @@ def expm_action(apply, b: np.ndarray, mu: float, tol: float = 1e-12) -> np.ndarr
     for _ in range(stages):
         acc = out.copy()
         term = out
+        bound = np.abs(out).max()
         for k in range(1, _MAX_TAYLOR_TERMS):
-            term = apply(term) / (stages * k)
+            term = apply(term)
+            term /= stages * k
             acc += term
             tn = np.abs(term).max()
             # Remaining tail: ||term_k|| * sum_{j>=1} theta^j / prod(k+1..k+j)
             #   <= ||term_k|| * (theta/(k+1)) / (1 - theta/(k+2)).
             rem = tn * (theta / (k + 1)) / (1.0 - theta / (k + 2))
-            scale = max(np.abs(acc).max(), 1e-300)
-            if rem <= step_tol * scale:
+            bound += tn  # >= ||acc||_max once inflated past the sums' rounding
+            if (rem <= step_tol * max(bound * (1.0 + 1e-12), 1e-300)
+                    and rem <= step_tol * max(np.abs(acc).max(), 1e-300)):
                 break
         else:
             raise RuntimeError("expm_action: Taylor series failed to converge")

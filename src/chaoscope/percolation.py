@@ -87,11 +87,11 @@ def _table(F, masks: np.ndarray) -> np.ndarray:
 
 
 def _pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """step_pairs(f, j), transposed for j < 4 so the long axis is innermost.
+    """step_pairs(f, j), transposed for j < 4 so a 1-D table's long axis is innermost.
 
     The rows of the low bits hold 1-8 entries; iterating 2^(n-1-j) of them
-    costs far more than one strided pass along the other axis.  The transpose
-    reverses every axis, so a stack's column axis comes first there.
+    costs far more than one strided pass along the other axis.  A stack
+    needs no transpose: its column axis is innermost already.
     """
     lo, hi = step_pairs(f, j)
     return (lo.T, hi.T) if j < 4 else (lo, hi)
@@ -146,19 +146,20 @@ class _Engine:
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
         # f is one table over the up-set, or a stack (rows, c).  One scratch
-        # buffer serves every bit, so no bit allocates a temporary.  A stack's
-        # column axis leads in the transposed low bits, where the rates
-        # broadcast as they are, and trails in the others, where they take a
-        # trailing axis.
+        # buffer serves every bit, so no bit allocates a temporary.  A stack
+        # keeps step_pairs' layout at every bit, its column axis innermost,
+        # and the rates, held in _pairs' layout, take a trailing axis.
         out = np.zeros(f.shape)
         buf = np.empty(f.size // 2)
-        stacked = f.ndim == 2
+        pairs = _pairs if f.ndim == 1 else step_pairs
         for j, rate in enumerate(self.rates):
-            lo, hi = _pairs(f, j)
+            lo, hi = pairs(f, j)
             step = buf.reshape(lo.shape)
             np.subtract(hi, lo, out=step)
-            np.multiply(step, rate[:, :, None] if stacked and j >= 4 else rate, out=step)
-            acc = _pairs(out, j)[0]
+            if f.ndim == 2:
+                rate = (rate.T if j < 4 else rate)[:, :, None]
+            np.multiply(step, rate, out=step)
+            acc = pairs(out, j)[0]
             acc += step
         out *= self.kappa
         return out
@@ -573,15 +574,17 @@ def yule_second_moment(k: int, rate: float, t: float) -> float:
     return value
 
 
-def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
-                                power=2, tol: float = 1e-12) -> float:
+def mean_field_size_expectation(n: int, kappa: float, k0, t: float,
+                                power=2, tol: float = 1e-12):
     """Exact E[|X_t|^power] under all-to-all coupling 1/(n-1), |X_0| = k0.
 
     Valid for the exchangeable matrix only: there |X_t| is itself a birth
     chain with rate kappa * k(n-k)/(n-1), so the (n+1)-state chain replaces
-    the 2^n subset engine and any n is cheap.
+    the 2^n subset engine and any n is cheap.  One pass serves every k0 of
+    an array, which gives an aligned array; a scalar k0 gives a float.
     """
-    if n < 2 or not 1 <= k0 <= n:
+    k0 = np.asarray(k0)
+    if n < 2 or not ((1 <= k0) & (k0 <= n)).all():
         raise ValueError(f"need n >= 2 and 1 <= k0 <= n, got n={n}, k0={k0}")
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
@@ -592,4 +595,5 @@ def mean_field_size_expectation(n: int, kappa: float, k0: int, t: float,
     lam = float(birth.max())
     # birth[n] = 0 keeps the full state absorbing under the wrap-around roll
     kernel = lambda cur: cur + (birth * (np.roll(cur, -1) - cur)) / lam
-    return float(uniformized(kernel, ks ** power, lam, [t], tol)[0, k0])
+    out = uniformized(kernel, ks ** power, lam, [t], tol)[0, k0]
+    return float(out) if out.ndim == 0 else out

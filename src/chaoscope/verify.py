@@ -120,6 +120,11 @@ def _family_stack(xi: InteractionMatrix, x, G, *constants):
     return F
 
 
+def _increments(f: np.ndarray, n: int) -> np.ndarray:
+    """f[m | 2^j] - f[m] at every mask m lacking j, for every j, in one array."""
+    return np.concatenate([np.subtract(*step_pairs(f, j)[::-1]).ravel() for j in range(n)])
+
+
 def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
     """Pointwise generator inequalities over every subset, exact evaluation."""
     agg = _Slack()
@@ -165,9 +170,9 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
     # all-to-all coupling on 20 sites: the exact growth second moment never
     # exceeds the pure-birth chain started at the same size
     agg.add("expectations.yule-dominates",
-            [perc.yule_second_moment(k0, kappa, t) * (1.0 + 1e-12)
-             - perc.mean_field_size_expectation(20, kappa, k0, t, power=2)
-             for kappa in (0.5, 1.0) for k0 in range(1, 7) for t in (0.25, 1.0, 4.0)])
+            [perc.yule_second_moment(k0, kappa, t) * (1.0 + 1e-12) - m2
+             for kappa in (0.5, 1.0) for t in (0.25, 1.0, 4.0) for k0, m2 in
+             enumerate(perc.mean_field_size_expectation(20, kappa, np.arange(1, 7), t), 1)])
     return SuiteResult("expectations", seed, instances, agg.checks())
 
 
@@ -201,25 +206,19 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         agg.add("gaussian.max-upper", gauss.max_upper(gm, masks) - exact)
         # data processing: adding one index never decreases the entropy; the
         # empty set has no entry, and -inf there drops its pairs from the minimum
-        by_mask = np.concatenate(([-np.inf], exact))
-        for j in range(n):
-            lo, hi = step_pairs(by_mask, j)
-            agg.add("gaussian.monotone-in-v", hi - lo)
+        agg.add("gaussian.monotone-in-v", _increments(np.concatenate(([-np.inf], exact)), n))
         ind, sizes = indicators(masks, n), np.bitwise_count(masks)
         a_full = gm.centered()
         # Tr((A^v)^2) summed entry by entry for every nonempty v, averaged per size
         brute = np.einsum("mi,mi->m", ind @ (a_full * a_full), ind)
-        for k in range(1, n + 1):
-            agg.add("gaussian.avgtrace-identity",
-                    1e-12 - abs(gauss.avg_trace_sq(a_full, k) - float(brute[sizes == k].mean())))
-        for k in range(1, min(n, 4) + 1):
-            avg_exact = float(np.mean(exact[sizes == k]))
-            lo, hi = gauss.avg_entropy_sandwich(gm, k)
-            agg.add("gaussian.avg-sandwich.lower", avg_exact - lo)
-            agg.add("gaussian.avg-sandwich.upper", hi - avg_exact)
-            lo_e, hi_e = gauss.avg_entropy_sandwich(gm, k, explicit=True)
-            agg.add("gaussian.avg-explicit.lower", avg_exact - lo_e)
-            agg.add("gaussian.avg-explicit.upper", hi_e - avg_exact)
+        ks = np.arange(1, n + 1)
+        agg.add("gaussian.avgtrace-identity", 1e-12 - np.abs(
+            gauss.avg_trace_sq(a_full, ks) - [brute[sizes == k].mean() for k in ks]))
+        avg_exact = np.array([np.mean(exact[sizes == k]) for k in ks[:4]])
+        for form, explicit in (("sandwich", False), ("explicit", True)):
+            lo, hi = gauss.avg_entropy_sandwich(gm, ks[:4], explicit)
+            agg.add(f"gaussian.avg-{form}.lower", avg_exact - lo)
+            agg.add(f"gaussian.avg-{form}.upper", hi - avg_exact)
         dt_val = gauss.d_T(xi, T)
         env_lo, env_hi = gauss.d_T_envelope(xi, T)
         agg.add("gaussian.dT-envelope.lower", dt_val - env_lo)
@@ -266,9 +265,7 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
             q = np.array([-np.inf] + [q_xi(xi, SubsetState(m, n)) for m in range(1, 1 << n)])
             sizes = np.bitwise_count(np.arange(1, 1 << n)).astype(float)
             agg.add("bounds.setwise-cap", 8.0 * xi.delta ** 2 * sizes ** 3 - q[1:])
-            for j in range(n):
-                lo, hi = step_pairs(q, j)
-                agg.add("bounds.setwise-monotone", hi - lo)
+            agg.add("bounds.setwise-monotone", _increments(q, n))
     checks = agg.checks()
 
     # uniform-in-time gate: refuses exactly when sigma^2 <= 12 eta gamma
@@ -328,8 +325,8 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
 # The suites, longest first: the workers take them in this order, so the last
 # suite a worker picks up is a short one (list scheduling; Graham, SIAM J.
 # Appl. Math. 1969).  Warm in-process seconds at the default instances and
-# seed 0 (median of 11, one BLAS thread, 2-vCPU Xeon): gaussian 0.21,
-# expectations 0.19, generator 0.039, bounds 0.028.
+# seed 0 (least of 21, one BLAS thread, 2-vCPU Xeon): gaussian 0.22,
+# expectations 0.18, generator 0.032, bounds 0.033; the last two tie.
 _SUITE_FN = {"gaussian": gaussian_suite, "expectations": expectations_suite,
              "generator": generator_suite, "bounds": bounds_suite}
 

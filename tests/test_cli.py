@@ -433,6 +433,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     twice.write_text('{"n": 2, "format": "coo", "entries": [[0, 1, 0.5], [0, 1, 0.5]]}')
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("0,0.5\n0.5\n")
+    nan_pi = tmp_path / "nan_pi.json"
+    nan_pi.write_text("[0.25, NaN, 0.25, 0.25]")
+    empty_pi = tmp_path / "empty_pi.json"
+    empty_pi.write_text("")
     growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
               "--gamma", "1", "--big-m", "1", "--sigma-const", "1")
     cases = [
@@ -532,6 +536,13 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
          "--reversed has no --theorem h3 form"),
         (("bound", "--theorem", "max", "--matrix", str(lone_neg), "--k", "1"),
          "max_entropy_bound needs a nonnegative matrix: negative entries at [(0, 1)]"),
+        # avg-markov once gave structural 0.0 here, and nan for a NaN weight
+        (("bound", "--theorem", "avg-markov", "--matrix", str(lone_neg), "--k", "1"),
+         "weighted_avg_bound needs a nonnegative matrix: negative entries at [(0, 1)]"),
+        (("bound", "--theorem", "avg-markov", "--mean-field", "4", "--k", "2",
+          "--pi", str(nan_pi)), "pi must be nonnegative and finite: [nan] at [1]"),
+        (("bound", "--theorem", "avg-markov", "--mean-field", "4", "--k", "2",
+          "--pi", str(empty_pi)), f"{empty_pi}: want a JSON list of weights (Expecting value"),
         # every refusal of a matrix file names the file
         (("matrix", "--matrix", str(twice)), f"{twice}: entry (0, 1) is given twice"),
         (("matrix", "--matrix", str(ragged)), f"{ragged}: rows have unequal lengths"),

@@ -12,6 +12,7 @@ from chaoscope.gaussian import (InvalidCovariance, avg_entropy,
                                 clique_lower, d_T, d_T_envelope,
                                 d_T_quadrature, gaussian_kl, h, max_upper,
                                 sigma_T, sigma_T_quadrature, subset_entropies)
+from chaoscope.linalg import expm_action
 from chaoscope.matrix import (InteractionMatrix, SubsetState, build_mean_field,
                               build_sequential)
 from chaoscope.percolation import PercolationModel, expectation_bounds
@@ -246,6 +247,46 @@ def test_avg_trace_sq_brute_force():
             brute = np.mean([float((a[np.ix_(c, c)] ** 2).sum())
                              for c in combinations(range(n), k)])
             assert avg_trace_sq(a, k) == pytest.approx(brute, rel=1e-12, abs=1e-13)
+
+
+def test_batched_avg_quantities_equal_the_per_k_calls():
+    # an array of sizes gives bitwise the values of one call per size, from
+    # one symmetry check and one d_T series; a scalar size gives floats
+    for xi in random_matrices(6, seed=54, n_lo=2, n_hi=9) + [InteractionMatrix([[0.0]])]:
+        gm = sigma_T(xi, 0.3)
+        a = gm.centered()
+        ks = np.arange(1, xi.n + 1)
+        got = avg_trace_sq(a, ks)
+        assert got.shape == ks.shape
+        assert got.tolist() == [avg_trace_sq(a, int(k)) for k in ks]
+        for explicit in (False, True):
+            lo, hi = avg_entropy_sandwich(gm, ks, explicit)
+            pairs = [avg_entropy_sandwich(gm, int(k), explicit) for k in ks]
+            assert (lo.tolist(), hi.tolist()) == tuple(map(list, zip(*pairs)))
+            assert all(type(x) is float for pair in pairs for x in pair)
+        assert type(avg_trace_sq(a, 1)) is float
+    gm = sigma_T(random_matrices(1, seed=55, n_lo=4, n_hi=4)[0], 0.3)
+    for bad in (0, 5, [1, 5], np.array([0, 2])):
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            avg_trace_sq(gm.centered(), bad)
+        for explicit in (False, True):
+            with pytest.raises(ValueError, match="need 1 <= k <= n"):
+                avg_entropy_sandwich(gm, bad, explicit)
+
+
+def test_sigma_T_quadrature_operator_keeps_its_bits():
+    # the operator writes one array; the stacked form it replaced gives the same bits
+    for xi in random_matrices(4, seed=56, n_lo=2, n_hi=7):
+        d, T, n = xi.dense(), 0.4, xi.n
+
+        def stacked(z):
+            y, x = z
+            return np.stack((T * (d @ y + y @ d.T + x), np.zeros_like(x)))
+
+        start = np.stack((np.zeros((n, n)), np.eye(n)))
+        mu = T * (2.0 * float(np.linalg.norm(d, np.inf)) + 1.0)
+        want = expm_action(stacked, start, mu, tol=1e-12)[0]
+        assert np.array_equal(sigma_T_quadrature(xi, T), want)
 
 
 def test_avg_entropy_enumerate_vs_sample():

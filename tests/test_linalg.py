@@ -54,6 +54,54 @@ def test_expm_action_operator_form():
             expm_action(lambda x: a @ x, x0, mu=bad)
 
 
+def loop_expm_action(apply, b, mu, tol=1e-12):
+    """The Taylor loop that reduces max|acc| at every term, as a reference."""
+    b = np.asarray(b, dtype=float)
+    if mu == 0.0 or not b.any():
+        return b.copy()
+    stages = max(1, int(math.ceil(mu)))
+    theta, step_tol = mu / stages, tol / stages
+    out = b.copy()
+    for _ in range(stages):
+        acc = out.copy()
+        term = out
+        for k in range(1, 200):
+            term = apply(term) / (stages * k)
+            acc += term
+            rem = np.abs(term).max() * (theta / (k + 1)) / (1.0 - theta / (k + 2))
+            if rem <= step_tol * max(np.abs(acc).max(), 1e-300):
+                break
+        out = acc
+    return out
+
+
+def test_expm_action_keeps_the_bits_of_the_plain_loop():
+    # dividing in place and skipping max|acc| while the running bound fails
+    # the stop test change no bit, for signed operators too
+    g = stream(7)
+    for trial in range(40):
+        n = int(g.integers(1, 9))
+        a = g.standard_normal((n, n)) * float(g.choice([1e-3, 0.3, 1.0, 4.0]))
+        if trial % 2:
+            a = np.abs(a)
+        b = g.standard_normal((n, 3)) if trial % 4 > 1 else g.random(n)
+        mu = float(np.linalg.norm(a, np.inf))
+        for tol in (1e-12, 1e-6):
+            want = loop_expm_action(a.__matmul__, b, mu, tol)
+            assert np.array_equal(expm_action(a.__matmul__, b, mu, tol), want)
+    # mu < 1 with a start the first term already settles: one term is taken
+    a = np.array([[0.0, 1e-20], [0.0, 0.0]])
+    b = np.array([1.0, 1.0])
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return a @ x
+
+    got = expm_action(counted, b, 1e-20)
+    assert len(calls) == 1 and np.array_equal(got, loop_expm_action(a.__matmul__, b, 1e-20))
+
+
 def test_expm_action_zero_matrix():
     b = np.arange(4.0)
     assert np.array_equal(matrix_action(np.zeros((4, 4)), b), b)

@@ -295,6 +295,24 @@ def test_stacked_tables_match_their_columns():
                 assert np.array_equal(got[..., k], exact_expectations(model, col, None, **run))
 
 
+def test_stacked_upset_tables_match_their_columns():
+    # eight columns, as the battery stacks its families, from the full lattice
+    # and from an up-set; n = 3 has only bits below 4, n = 5 and 6 cross it
+    for n in (3, 5, 6):
+        gen = stream(70 + n)
+        model = PercolationModel(random_substochastic(n, gen), float(gen.uniform(0.3, 1.0)))
+        values = gen.random((1 << n, 8))
+        lhs = generator_apply(model, lookup(values))
+        for v in (None, [0], [1, n - 1]):
+            stacked = exact_expectations(model, lookup(values), v, (0.2, 1.1), rate=0.4)
+            for k in range(8):
+                col = lookup(values[:, k])
+                assert np.array_equal(stacked[..., k],
+                                      exact_expectations(model, col, v, (0.2, 1.1), rate=0.4))
+                if v is None:
+                    assert np.array_equal(lhs[:, k], generator_apply(model, col))
+
+
 def test_subset_function_shapes():
     # F gives one value, or one row of a stack, per mask; anything else is refused
     model = PercolationModel(build_mean_field(3), 1.0)
@@ -925,6 +943,19 @@ def test_mean_field_size_chain_matches_exact_engine():
                 want = exact_expectations(model, tab, v, [t], tol=1e-12)[0, 0]
                 got = mean_field_size_expectation(n, 1.1, k0, t, power=2)
                 assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_mean_field_size_chain_serves_every_start_size_in_one_pass():
+    for n, kappa, t in ((20, 0.5, 0.25), (20, 1.0, 4.0), (7, 1.3, 0.0)):
+        k0 = np.arange(1, 7)
+        got = mean_field_size_expectation(n, kappa, k0, t)
+        assert got.shape == (6,)
+        singles = [mean_field_size_expectation(n, kappa, int(k), t) for k in k0]
+        assert got.tolist() == singles
+        assert all(type(x) is float for x in singles)
+    for bad in ([0, 1], np.array([1, 6])):
+        with pytest.raises(ValueError, match="1 <= k0 <= n"):
+            mean_field_size_expectation(5, 1.0, bad, 1.0)
 
 
 def test_mean_field_size_chain_needs_two_sites():

@@ -66,6 +66,19 @@ def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     assert forks == []
 
 
+def test_report_bytes_do_not_depend_on_the_suite_order(monkeypatch, tmp_path):
+    # _SUITE_FN's order is only the order workers take the suites in
+    want = report_bytes(verify.run_suite("all", instances=3, seed=4), tmp_path / "fwd.json")
+    monkeypatch.setattr(verify, "_SUITE_FN", dict(reversed(verify._SUITE_FN.items())))
+    for count in (1, 2, 8):
+        with monkeypatch.context() as m:
+            cpus(m, count)
+            got = report_bytes(verify.run_suite("all", instances=3, seed=4),
+                               tmp_path / f"rev{count}.json")
+        assert got == want, count
+        assert_no_children()
+
+
 @pytest.fixture
 def rigged(monkeypatch):
     """Replace every suite by a stub that runs sides["parent"](name) in this
