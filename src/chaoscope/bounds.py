@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import GaussianModel
-from .matrix import InteractionMatrix, SubsetState, cost_values, validate
+from .gaussian import GaussianModel, _exp
+from .matrix import InteractionMatrix, cost_values, mask_members, subset_mask, validate
 from .percolation import NotApplicable, PercolationModel, exact_expectations
 
 COLUMN_SLACK = 1e-12
@@ -165,17 +165,25 @@ def h3_bound(constants: ModelConstants, delta: float, uniform: bool = False) -> 
 
     Finite horizon: 8 e^{3 gamma T} (C0 + M / 3 gamma sigma^2) * delta^2 * 27.
     Uniform: 8 (C0 + M / (sigma^2 (r - 3 gamma))) * delta^2 * 27 with the
-    discount rate r = sigma^2/4 eta, which must exceed 3 gamma.
+    discount rate r = sigma^2/4 eta, which must exceed 3 gamma.  An overflow
+    raises one ValueError naming e^{3 gamma T} or delta^2.
     """
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     g, M, s2 = constants.gamma, constants.M, constants.sigma ** 2
     if uniform:
-        r = constants.discount_rate()
-        core = constants.C0 + M / (s2 * (r - 3.0 * g))
-        return 8.0 * core * delta ** 2 * 27.0
-    core = math.exp(3.0 * g * constants.T) * (constants.C0 + M / (3.0 * g * s2))
-    return 8.0 * core * delta ** 2 * 27.0
+        core = constants.C0 + M / (s2 * (constants.discount_rate() - 3.0 * g))
+    else:
+        core = (_exp("h3_bound", "3*gamma*T", 3.0 * g * constants.T)
+                * (constants.C0 + M / (3.0 * g * s2)))
+    try:
+        value = 8.0 * core * delta ** 2 * 27.0
+    except OverflowError:  # delta ** 2 alone
+        value = math.inf
+    if not value < math.inf:  # nan: delta = 0 times an infinite core
+        raise ValueError(f"h3_bound overflows double precision: 216 * {core:.6g} * delta^2 "
+                         f"at delta = {delta:.6g}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +253,10 @@ def setwise_bound(xi: InteractionMatrix, v,
     from .matrix import q_xi
 
     _require_columns(xi, "setwise_bound")
-    v = SubsetState.of(v, xi.n)
-    val = q_xi(xi, v)
-    pref = xi.delta * v.size + 1.0
-    inputs = {"v": v.members, "n": xi.n, "delta": xi.delta,
+    members = mask_members(subset_mask(v, xi.n))
+    val = q_xi(xi, members)
+    pref = xi.delta * len(members) + 1.0
+    inputs = {"v": members, "n": xi.n, "delta": xi.delta,
               **_echo(constants)}
     return BoundReport("setwise", val, inputs, pref)
 

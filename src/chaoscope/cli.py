@@ -27,10 +27,10 @@ from . import gaussian as gauss
 from . import percolation as perc
 from . import sde
 from . import verify as verify_mod
-from .matrix import (Graph, InteractionMatrix, MatrixError, SubsetState,
-                     build_mean_field, build_random_walk, build_sequential,
-                     load_matrix, p_xi, q_xi, sample_erdos_renyi, save_matrix,
-                     validate)
+from .matrix import (Graph, InteractionMatrix, MatrixError, build_mean_field,
+                     build_random_walk, build_sequential, load_matrix,
+                     mask_members, p_xi, q_xi, sample_erdos_renyi, save_matrix,
+                     subset_mask, validate)
 from .percolation import PercolationModel
 from .rng import stream
 from .verify import json_text
@@ -60,7 +60,11 @@ def _build_xi(args) -> InteractionMatrix:
     if args.random_walk is not None:
         return build_random_walk(Graph.from_file(args.random_walk))
     if args.er is not None:
-        n, prob = int(args.er[0]), float(args.er[1])
+        try:
+            n, prob = int(args.er[0]), float(args.er[1])
+        except ValueError:
+            raise MatrixError(f"cannot parse --er {' '.join(args.er)}; "
+                              "want an integer N and a probability P") from None
         return build_random_walk(sample_erdos_renyi(n, prob, args.seed))
     if args.sequential is not None:
         return build_sequential(args.sequential)
@@ -69,14 +73,15 @@ def _build_xi(args) -> InteractionMatrix:
     raise MatrixError("no matrix source given")
 
 
-def _parse_subset(spec: str, n: int) -> SubsetState:
+def _parse_subset(spec: str, n: int) -> list[int]:
+    """The distinct member indices of a subset spec, in increasing order."""
     try:
         members = [int(s) for s in spec.replace(",", " ").split()]
     except ValueError:
         raise MatrixError(f"cannot parse subset {spec!r}; want comma-separated indices")
     if not members:
         raise MatrixError("subset must be nonempty")
-    return SubsetState.of(members, n)
+    return mask_members(subset_mask(members, n))
 
 
 def _parse_times(spec: str) -> list[float]:
@@ -205,7 +210,7 @@ def cmd_matrix(args, outputs: list) -> int:
     }
     if args.v:
         v = _parse_subset(args.v, xi.n)
-        report["v"] = v.members
+        report["v"] = v
         report["q_xi"] = float(q_xi(xi, v))
     if args.save:
         save_matrix(xi, args.save)
@@ -233,7 +238,7 @@ def cmd_percolate(args, outputs: list) -> int:
     v = _parse_subset(args.v, xi.n)
     times = _parse_times(args.t)
     records = [{"engine": args.engine, "functional": args.functional,
-                "v": v.members, "t": t} for t in times]
+                "v": v, "t": t} for t in times]
     if args.engine == "exact":
         # one pass over the sorted times, each value put back at its own place
         order = np.argsort(times, kind="stable")
@@ -292,8 +297,8 @@ def cmd_gaussian(args, outputs: list) -> int:
         if args.v:
             subsets = [_parse_subset(s, xi.n) for s in args.v]
         else:
-            subsets = [SubsetState.of([i], xi.n) for i in range(xi.n)]
-        masks = [v.mask for v in subsets]
+            subsets = [[i] for i in range(xi.n)]
+        masks = [subset_mask(v, xi.n) for v in subsets]
         exact, lower, upper = gauss.subset_entropies(gm, masks)
         cols = {"exact": exact, "lower": lower, "upper": upper,
                 "clique_lower": gauss.clique_lower(xi, masks, gm.T),
@@ -301,7 +306,7 @@ def cmd_gaussian(args, outputs: list) -> int:
         if validate(xi).ok:
             cols["max_upper"] = gauss.max_upper(gm, masks)
         rows = zip(*(col.tolist() for col in cols.values()))
-        recs = [{"v": v.members, **dict(zip(cols, row))} for v, row in zip(subsets, rows)]
+        recs = [{"v": v, **dict(zip(cols, row))} for v, row in zip(subsets, rows)]
         _emit(recs, ["v", "exact", "lower", "upper", "clique_lower", "max_upper"],
               args, outputs, doc=dict(info, subsets=recs))
     return 0
@@ -331,7 +336,7 @@ def cmd_bound(args, outputs: list) -> int:
                                                              uniform=args.uniform)[0])
             report = bounds_mod.BoundReport(
                 "growth", val,
-                {"v": v.members, "n": xi.n, "use_chat": args.use_chat,
+                {"v": v, "n": xi.n, "use_chat": args.use_chat,
                  "uniform": args.uniform, **bounds_mod._echo(constants)},
                 1.0, explicit=val)
         elif args.theorem == "setwise":
@@ -459,9 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p, random_n=True)
     common(p)
     p.add_argument("--T", type=float, required=True, help="time horizon")
-    p.add_argument("--v", action="append", metavar="SUBSET",
-                   help="subset to evaluate (repeatable); default: all singletons")
-    p.add_argument("--avg-k", type=int, help="average entropy over subsets of this size")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--v", action="append", metavar="SUBSET",
+                       help="subset to evaluate (repeatable); default: all singletons")
+    which.add_argument("--avg-k", type=int, help="average entropy over subsets of this size")
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--reps", type=int, default=10000, help="sample mode: number of subsets")
     p.set_defaults(func=cmd_gaussian)

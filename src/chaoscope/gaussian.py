@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .matrix import ROW_SUM_RTOL, InteractionMatrix, indicators, mask_array, _frozen
+from .matrix import ROW_SUM_RTOL, InteractionMatrix, indicators, mask_array, subset_mask, _frozen
 from .rng import chunk_ranges, stream
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -59,8 +59,6 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class AvgEntropy:
-    k: int
-    T: float
     mode: str
     value: float
     stderr: float | None = None
@@ -162,7 +160,7 @@ def sigma_T_quadrature(xi: InteractionMatrix, T: float) -> np.ndarray:
 
 
 def _exp(name: str, label: str, x: float) -> float:
-    """math.exp(x) for the factor e^{label} of gaussian.<name>; past the
+    """math.exp(x) for the factor e^{label} of the function <name>; past the
     largest double, one ValueError naming the factor and its exponent."""
     try:
         return math.exp(x)
@@ -344,13 +342,13 @@ def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
     if mode == "enumerate":
         if math.comb(n, k) > ENUMERATION_LIMIT:
             raise ValueError("enumeration too large; use mode='sample'")
-        masks = [sum(1 << i for i in mem) for mem in combinations(range(n), k)]
+        masks = [subset_mask(mem, n) for mem in combinations(range(n), k)]
         # a plain running sum in combination order: sum() compensates from
         # Python 3.12 on, which would make the bits depend on the version
         total = 0.0
         for val in _entropies(model, masks).tolist():
             total += val
-        return AvgEntropy(k, model.T, "enumerate", total / len(masks))
+        return AvgEntropy("enumerate", total / len(masks))
     if mode == "sample":
         if reps < 2:
             raise ValueError("sample mode needs reps >= 2")
@@ -361,7 +359,7 @@ def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
         masks = [(one << gen.random((hi - lo, n)).argsort(axis=1)[:, :k]).sum(axis=1)
                  for lo, hi in chunk_ranges(reps)]
         vals = _entropies(model, np.concatenate(masks))
-        return AvgEntropy(k, model.T, "sample", float(vals.mean()),
+        return AvgEntropy("sample", float(vals.mean()),
                           float(vals.std(ddof=1) / math.sqrt(reps)))
     raise ValueError(f"unknown mode {mode!r}")
 

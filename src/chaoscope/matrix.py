@@ -95,45 +95,32 @@ class Graph:
         return cls(n=n, edges=tuple(edges))
 
 
-@dataclass(frozen=True)
-class SubsetState:
-    """A subset of {0,..,n-1} as a bitmask, bit i for member i: the state of the growth process."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self):
-        mask, n = int(self.mask), int(self.n)
-        if not (n >= 0 and 0 <= mask < 1 << n):
-            raise MatrixError(f"mask {mask} out of range for n={n}")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "n", n)
-
-    @classmethod
-    def of(cls, members, n: int) -> "SubsetState":
-        if isinstance(members, SubsetState):
-            if members.n != n:
-                raise MatrixError("subset has mismatched ambient size")
-            return members
-        mask = 0
-        for i in map(int, members):
-            if not 0 <= i < n:
-                raise MatrixError(f"subset members out of range for n={n}")
-            mask |= 1 << i
-        return cls(mask, n)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def members(self) -> list[int]:
-        """The member indices in increasing order."""
-        return [i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1"]
-
-
 # ---------------------------------------------------------------------------
-# Subset lattice: tables over subsets are indexed by bitmask, bit i for member i
+# Subsets: member indices at the API, bitmasks (bit i for member i) inside
+
+def subset_mask(members, n: int) -> int:
+    """The bitmask of the member indices, a Python int at any n; repeats are
+    kept once.  An index outside [0, n) raises MatrixError."""
+    mask = 0
+    for i in map(int, members):
+        if not 0 <= i < n:
+            raise MatrixError(f"subset members out of range for n={n}")
+        mask |= 1 << i
+    return mask
+
+
+def mask_members(mask: int) -> list[int]:
+    """The member indices of a bitmask in increasing order."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+class SubsetState(int):
+    """A subset's bitmask; the package takes member indices, and keeps this
+    name only for perfbench/spans.py, which reads SubsetState.of(v, n).size."""
+
+    of = classmethod(lambda cls, members, n: cls(subset_mask(members, n)))
+    size = property(int.bit_count)
+
 
 def mask_array(masks, n: int) -> np.ndarray:
     """The bitmasks as an array typed by n: int64 up to n = 63, Python ints
@@ -285,7 +272,6 @@ class ValidityReport:
     nonzero_diagonal: tuple
     row_violations: tuple
     col_violations: tuple | None  # None when not requested
-    rtol: float
 
     def describe(self) -> str:
         if self.ok:
@@ -311,7 +297,7 @@ def validate(xi: InteractionMatrix, check_columns: bool = False) -> ValidityRepo
     rows = tuple(int(i) for i in np.nonzero(xi.row_sums > limit)[0])
     cols = tuple(int(j) for j in np.nonzero(xi.col_sums > limit)[0]) if check_columns else None
     ok = not (neg or diag or rows or (cols if check_columns else ()))
-    return ValidityReport(ok, neg, diag, rows, cols, ROW_SUM_RTOL)
+    return ValidityReport(ok, neg, diag, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +317,10 @@ def q_xi(xi: InteractionMatrix, v) -> float:
     The middle block uses sum_{i,j in v}(xi^T xi)_ij = |xi 1_v|^2 (and the
     transpose twin), so no n x n product is ever formed.
     """
-    v = SubsetState.of(v, xi.n)
-    if v.size == 0:
+    m = mask_members(subset_mask(v, xi.n))
+    if not m:
         raise MatrixError("q_xi needs a nonempty subset")
-    k, m, d = v.size, v.members, xi.dense()
+    k, d = len(m), xi.dense()
     sq = float(np.sum(d[np.ix_(m, m)] ** 2))
     gram = float(np.sum(d[:, m].sum(axis=1) ** 2) + np.sum(d[m].sum(axis=0) ** 2))
     return (xi.delta * k + 1.0) * (sq + xi.delta * gram + xi.delta ** 2 * k)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, SubsetState, indicators, mask_array, step_pairs,
-                     validate)
+from .matrix import (InteractionMatrix, indicators, mask_array, mask_members, step_pairs,
+                     subset_mask, validate)
 from .rng import chunk_streams
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
@@ -239,12 +239,12 @@ def exact_expectations(model: PercolationModel, F, v, times,
     or a later horizon, so times=[] with a horizon gives that row alone.  The
     integral row is bitwise the same either way.  F is called once, at the
     masks of the rows: v=None gives all 2^n masks u in mask order; a start
-    subset v gives its 2^(n-|v|) supersets u = v | w, w over the sites
-    outside v in their bit order, so row 0 is v, at the largest exit rate
-    over them (see _Engine).  Each time is certified at tol * max|F| and the
-    integral at t_max * tol * max|F|, max|F| taken over the rows.
+    subset v (its member indices) gives its 2^(n-|v|) supersets u = v | w,
+    w over the sites outside v in their bit order, so row 0 is v, at the
+    largest exit rate over them (see _Engine).  Each time is certified at
+    tol * max|F| and the integral at t_max * tol * max|F|, max|F| over the rows.
     """
-    eng = _Engine(model, 0 if v is None else SubsetState.of(v, model.n).mask)
+    eng = _Engine(model, 0 if v is None else subset_mask(v, model.n))
     return uniformized(eng.apply_kernel, _table(F, eng.masks), eng.curve_lam, times, tol, rate,
                        horizon)
 
@@ -253,8 +253,8 @@ def exact_expectations(model: PercolationModel, F, v, times,
 # Monte Carlo engines
 
 def _jump_chain_chunk(gen: np.random.Generator, size: int, model: PercolationModel,
-                      members: list, t: float) -> np.ndarray:
-    """Terminal masks of `size` jump-chain paths from the members, in lockstep.
+                      start: int, t: float) -> np.ndarray:
+    """Terminal masks of `size` jump-chain paths from the mask start, in lockstep.
 
     With rows[i] = kappa * xi[i], a path's rate at a site outside it is its
     start rows' column sum plus the rows of the sites that joined since.
@@ -265,9 +265,9 @@ def _jump_chain_chunk(gen: np.random.Generator, size: int, model: PercolationMod
     Each round adds a site, so at most n - |v| rounds run.
     """
     rows = model.kappa * model.xi.dense()
-    out = np.full(size, sum(1 << i for i in members), dtype=np.int64)
+    out = np.full(size, start, dtype=np.int64)
     idx = np.arange(size)  # the running paths, whose rows the arrays below hold
-    acc = np.tile(rows[members].sum(axis=0), (size, 1))
+    acc = np.tile(rows[mask_members(start)].sum(axis=0), (size, 1))
     clock = np.zeros(size)
     while idx.size:
         cs = np.cumsum(np.where(out[idx, None] >> np.arange(model.n) & 1, 0.0, acc), axis=1)
@@ -290,8 +290,8 @@ CLOCK_BLOCK = 1 << 20  # edge clocks held at once by an edge-clock chunk
 
 
 def _edge_clock_chunk(gen: np.random.Generator, size: int, model: PercolationModel,
-                      members: list, t: float) -> np.ndarray:
-    """Terminal masks of `size` edge-clock paths: first-passage balls of radius t.
+                      start: int, t: float) -> np.ndarray:
+    """Terminal masks of `size` edge-clock paths from start: first-passage balls of radius t.
 
     The clocks are standard_exponential((rows, E)) / rate over the E edges
     i < j, drawn for blocks of rows in turn, each block at most about
@@ -314,7 +314,7 @@ def _edge_clock_chunk(gen: np.random.Generator, size: int, model: PercolationMod
         clocks /= rate
         idx = np.arange(block.size)  # the running paths, whose rows dist holds
         dist = np.full((block.size, n), math.inf)
-        dist[:, members] = 0.0
+        dist[:, mask_members(start)] = 0.0
         while idx.size:
             near = np.where(block[idx, None] >> np.arange(n) & 1, math.inf, dist)
             node = near.argmin(axis=1)
@@ -331,7 +331,7 @@ def _edge_clock_chunk(gen: np.random.Generator, size: int, model: PercolationMod
 
 def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
                    method: str = "gillespie") -> np.ndarray:
-    """Bitmasks of X_t for `reps` independent paths started at v.
+    """Bitmasks of X_t for `reps` independent paths from the subset v (member indices).
 
     "gillespie" samples the jump chain; "fpp" grows the first-passage ball of
     independent edge clocks Exp(kappa * xi_ij), which for symmetric xi has the
@@ -345,7 +345,7 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     if model.n > MASK_LIMIT:
         raise EngineTooLarge(f"terminal masks support n <= {MASK_LIMIT}")
-    members = SubsetState.of(v, model.n).members
+    start = subset_mask(v, model.n)
     if method == "gillespie":
         # every total rate is at most kappa * sum|xi| up to rounding, which the
         # factor covers; an infinite total would search past the last bin
@@ -361,7 +361,7 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
         raise ValueError(f"unknown sampling method {method!r}")
     out = np.empty(reps, dtype=np.int64)
     for lo, hi, gen in chunk_streams(seed, reps):
-        out[lo:hi] = run(gen, hi - lo, model, members, t)
+        out[lo:hi] = run(gen, hi - lo, model, start, t)
     return out
 
 

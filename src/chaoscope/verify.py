@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import percolation as perc
-from .matrix import (InteractionMatrix, MatrixError, SubsetState, indicators, q_xi,
+from .matrix import (InteractionMatrix, MatrixError, indicators, mask_members, q_xi,
                      step_pairs)
 from .rng import stream, usable_cpus
 
@@ -192,7 +192,8 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         gm = gauss.sigma_T(xi, T)
         quad = gauss.sigma_T_quadrature(xi, T)
         series_vs_quad = max(series_vs_quad, float(np.abs(gm.sigma_T - quad).max()))
-        lam_all = np.linalg.eigvalsh(gm.centered())
+        a_full = gm.centered()
+        lam_all = np.linalg.eigvalsh(a_full)
         agg.add("gaussian.eig-window.low",
                 lam_all - (math.exp(-2 * gm.rho * T) - 1.0))
         agg.add("gaussian.eig-window.high",
@@ -208,7 +209,6 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         # empty set has no entry, and -inf there drops its pairs from the minimum
         agg.add("gaussian.monotone-in-v", _increments(np.concatenate(([-np.inf], exact)), n))
         ind, sizes = indicators(masks, n), np.bitwise_count(masks)
-        a_full = gm.centered()
         # Tr((A^v)^2) summed entry by entry for every nonempty v, averaged per size
         brute = np.einsum("mi,mi->m", ind @ (a_full * a_full), ind)
         ks = np.arange(1, n + 1)
@@ -262,7 +262,7 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
             agg.add("bounds.reversed-smaller", avg.structural - rev.structural)
         if n <= 6:
             # q_xi over the masks; -inf at the empty set drops its pairs below
-            q = np.array([-np.inf] + [q_xi(xi, SubsetState(m, n)) for m in range(1, 1 << n)])
+            q = np.array([-np.inf] + [q_xi(xi, mask_members(m)) for m in range(1, 1 << n)])
             sizes = np.bitwise_count(np.arange(1, 1 << n)).astype(float)
             agg.add("bounds.setwise-cap", 8.0 * xi.delta ** 2 * sizes ** 3 - q[1:])
             agg.add("bounds.setwise-monotone", _increments(q, n))

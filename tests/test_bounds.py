@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
                               reversed_variant, setwise_bound,
                               sharper_avg_bound, weighted_avg_bound)
 from chaoscope.gaussian import sigma_T
-from chaoscope.matrix import SubsetState, build_mean_field, cost_values, p_xi, q_xi
+from chaoscope.matrix import (MatrixError, build_mean_field, cost_values, mask_members, p_xi,
+                              q_xi, subset_mask)
 from chaoscope.percolation import (EngineTooLarge, NotApplicable, PercolationModel,
-                                   exact_expectations)
+                                   exact_expectations, functional_values, mc_expectation,
+                                   terminal_masks)
 
 from conftest import lookup, random_matrices
 
@@ -198,11 +201,11 @@ def test_growth_bound_runs_on_the_up_set(monkeypatch):
                     allowance += 1e-10 * np.abs(h0_values).max()
                 kw = dict(H0=H0, h3=h3, uniform=uniform)
                 for members in ([0], [3], [5], [1, 4], list(range(n))):
-                    v = SubsetState.of(members, n)
                     curves.clear()
-                    got = percolation_entropy_bound(xi, v, c, **kw)[0]
-                    assert curves == [(v, 1 << (n - v.size))]
-                    assert abs(got - want[v.mask]) <= allowance, (members, h3, uniform)
+                    got = percolation_entropy_bound(xi, members, c, **kw)[0]
+                    assert curves == [(members, 1 << (n - len(members)))]
+                    assert abs(got - want[subset_mask(members, n)]) <= allowance, (
+                        members, h3, uniform)
                 curves.clear()
                 percolation_entropy_bound(xi, None, c, **kw)
                 assert curves == [(None, 1 << n)]
@@ -212,7 +215,7 @@ def test_growth_bound_all_matches_single(four_cycle):
     c = ModelConstants(gamma=1.0, M=1.5, sigma=1.0, T=0.6)
     vec = percolation_entropy_bound(four_cycle, None, c)
     for mask in (0b0001, 0b0101, 0b1111):
-        single = percolation_entropy_bound(four_cycle, SubsetState(mask, 4), c)[0]
+        single = percolation_entropy_bound(four_cycle, mask_members(mask), c)[0]
         assert vec[mask] == pytest.approx(single, rel=1e-6, abs=1e-12)
     assert vec[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -258,9 +261,32 @@ def test_sharper_avg_uses_pxi():
     assert rep.structural == pytest.approx(want, rel=1e-12)
 
 
+def test_single_subset_apis_take_member_indices():
+    # order and repeats do not matter, and a numpy index array reads alike;
+    # member n is refused by name
+    xi = build_mean_field(5)
+    model = PercolationModel(xi, 0.7)
+    c = ModelConstants(gamma=1.0, M=1.5, sigma=1.0, T=0.4)
+    apis = {
+        "exact_expectations": lambda v: exact_expectations(
+            model, partial(functional_values, "size2", xi), v, [0.5, 1.0]),
+        "terminal_masks": lambda v: terminal_masks(model, v, 0.5, 50, 3),
+        "terminal_masks.fpp": lambda v: terminal_masks(model, v, 0.5, 50, 3, method="fpp"),
+        "mc_expectation": lambda v: mc_expectation(model, "size", v, 0.5, 50, 3),
+        "percolation_entropy_bound": lambda v: percolation_entropy_bound(xi, v, c),
+        "q_xi": lambda v: q_xi(xi, v),
+        "setwise_bound": lambda v: setwise_bound(xi, v),
+    }
+    for name, api in apis.items():
+        a, b = api([3, 1, 1]), api(np.array([1, 3]))
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
+        with pytest.raises(MatrixError, match=r"^subset members out of range for n=5$"):
+            api([1, 5])
+
+
 def test_setwise_matches_q_xi():
     xi = build_mean_field(5)
-    v = SubsetState.of([0, 2, 4], 5)
+    v = [4, 0, 2, 2]
     rep = setwise_bound(xi, v)
     assert rep.structural == pytest.approx(q_xi(xi, v), rel=1e-15)
     assert rep.inputs["v"] == [0, 2, 4]

@@ -8,8 +8,8 @@ import pytest
 
 import chaoscope.cli as cli
 from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropies
-from chaoscope.matrix import (InteractionMatrix, SubsetState, build_mean_field, load_matrix,
-                              save_matrix)
+from chaoscope.matrix import (InteractionMatrix, build_mean_field, load_matrix, mask_members,
+                              save_matrix, subset_mask)
 from chaoscope.percolation import PercolationModel, exact_expectations, functional_values
 from chaoscope.rng import stream
 from chaoscope.verify import Check, SuiteResult, random_substochastic, save_results
@@ -177,14 +177,14 @@ def test_gaussian_cli_records_are_the_batched_arrays(capsys):
     recs = json.loads(capsys.readouterr().out)["subsets"]
     xi = random_substochastic(12, stream(5))
     gm = sigma_T(xi, 0.3)
-    masks = [SubsetState.of(map(int, spec.split(",")), 12).mask for spec in subsets]
+    masks = [subset_mask(map(int, spec.split(",")), 12) for spec in subsets]
     exact, lower, upper = subset_entropies(gm, masks)
     want = {"exact": exact, "lower": lower, "upper": upper,
             "clique_lower": clique_lower(xi, masks, 0.3), "max_upper": max_upper(gm, masks)}
     for i, rec in enumerate(recs):
         assert list(rec) == ["v", "exact", "lower", "upper", "clique_lower", "small_time",
                              "max_upper"]
-        assert rec["v"] == SubsetState(masks[i], 12).members
+        assert rec["v"] == mask_members(masks[i])
         assert rec["small_time"] == gm.small_time()
         for key, col in want.items():
             assert rec[key] == col[i], (i, key)
@@ -398,6 +398,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
             "--engine", "warp")
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # --v was once dropped without a word
+        run("gaussian", "--mean-field", "4", "--T", "0.3", "--avg-k", "2", "--v", "0,1")
+    assert exc.value.code == 2
+    assert "argument --v: not allowed with argument --avg-k" in capsys.readouterr().err
     # exact engine refuses 2^18 states
     assert run("percolate", "--mean-field", "18", "--v", "0", "--t", "1") == 2
     assert run("percolate", "--mean-field", "4", "--v", "zero", "--t", "1") == 2
@@ -506,7 +510,21 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("gaussian", "--mean-field", "4", "--T", "200"),
          "sigma_T series overflows double precision at 2*rho*T = 400 "),
         (("bound", "--theorem", "h3", "--delta", "0.1", "--gamma", "1", "--big-m", "1",
-          "--sigma-const", "1", "--horizon", "1000"), "OverflowError"),
+          "--sigma-const", "1", "--horizon", "1000"),
+         "h3_bound's factor e^(3*gamma*T) overflows double precision at 3*gamma*T = 3000"),
+        (("bound", "--theorem", "h3", "--delta", "1", "--gamma", "1", "--big-m", "1",
+          "--sigma-const", "1", "--horizon", "1e6"),
+         "h3_bound's factor e^(3*gamma*T) overflows double precision at 3*gamma*T = 3e+06"),
+        (("bound", "--theorem", "h3", "--delta", "1e200", "--gamma", "1", "--big-m", "1",
+          "--sigma-const", "1", "--horizon", "1"),
+         "h3_bound overflows double precision: 216 * 6.69518 * delta^2 at delta = 1e+200"),
+        (("bound", "--theorem", "h3", "--delta", "1e200", "--gamma", "1", "--big-m", "1",
+          "--sigma-const", "1", "--horizon", "1", "--eta", "0.01", "--uniform"),
+         "h3_bound overflows double precision: 216 * 0.0454545 * delta^2 at delta = 1e+200"),
+        # the uniform constant overflows, and delta = 0 once made it nan
+        (("bound", "--theorem", "h3", "--delta", "0", "--gamma", "1", "--big-m", "1e300",
+          "--sigma-const", "1", "--horizon", "1", "--eta", "0.083333333333333", "--uniform"),
+         "h3_bound overflows double precision: 216 * inf * delta^2 at delta = 0"),
         (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "10",
           "--sigma", "1e200"), "sigma must be positive and finite, with a finite square"),
         # numbers that were accepted silently
@@ -549,6 +567,11 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         # the dense matrix is refused past its size limit, before allocation
         (("matrix", "--mean-field", "4097"), "matrix size n must be in [1, 4096], got 4097"),
         (("matrix", "--er", "100000", "0.001"), "matrix size n must be in [1, 4096], got 100000"),
+        # an unparsable --er once printed only int()'s or float()'s message
+        (("percolate", "--er", "5.5", "0.3", "--v", "0", "--t", "1"),
+         "cannot parse --er 5.5 0.3; want an integer N and a probability P"),
+        (("percolate", "--er", "5", "x", "--v", "0", "--t", "1"),
+         "cannot parse --er 5 x; want an integer N and a probability P"),
         (("bound", "--theorem", "avg", "--sequential", "5000", "--k", "2"),
          "matrix size n must be in [1, 4096], got 5000"),
     ]

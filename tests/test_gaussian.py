@@ -13,8 +13,8 @@ from chaoscope.gaussian import (InvalidCovariance, avg_entropy,
                                 d_T_quadrature, gaussian_kl, h, max_upper,
                                 sigma_T, sigma_T_quadrature, subset_entropies)
 from chaoscope.linalg import expm_action
-from chaoscope.matrix import (InteractionMatrix, SubsetState, build_mean_field,
-                              build_sequential)
+from chaoscope.matrix import (InteractionMatrix, build_mean_field, build_sequential,
+                              mask_members, subset_mask)
 from chaoscope.percolation import PercolationModel, expectation_bounds
 from chaoscope.rng import stream
 
@@ -97,10 +97,9 @@ def test_exact_entropy_is_kl_against_reference():
         masks = np.arange(1, 1 << xi.n)
         exact, _, _ = subset_entropies(gm, masks)
         for mask, got in zip(masks.tolist(), exact):
-            v = SubsetState(mask, xi.n)
-            mem = v.members
+            mem = mask_members(mask)
             sub = gm.sigma_T[np.ix_(mem, mem)]
-            want = gaussian_kl(T * np.eye(v.size), sub)
+            want = gaussian_kl(T * np.eye(len(mem)), sub)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
             if mask in (1, (1 << xi.n) - 1):
                 alone = subset_entropies(gm, [mask])[0][0]
@@ -112,11 +111,11 @@ def test_subset_entropy_above_bit_63():
     xi = random_matrices(1, seed=46, n_lo=70, n_hi=70)[0]
     T = 0.3
     gm = sigma_T(xi, T)
-    v = SubsetState.of([0, 68], 70)
-    assert v.mask >= 1 << 63
+    v = subset_mask([0, 68], 70)
+    assert v >= 1 << 63
     sub = gm.sigma_T[np.ix_([0, 68], [0, 68])]
     want = gaussian_kl(T * np.eye(2), sub)
-    (exact,), (lower,), (upper,) = subset_entropies(gm, [v.mask])
+    (exact,), (lower,), (upper,) = subset_entropies(gm, [v])
     a = sub / T - np.eye(2)
     assert exact == pytest.approx(want, rel=1e-9, abs=1e-12)
     assert lower == pytest.approx((a * a).sum() / 6.0, rel=1e-12)

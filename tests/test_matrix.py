@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropies
 from chaoscope.matrix import (Graph, InteractionMatrix, MatrixError,
-                              SubsetState, build_mean_field, build_random_walk,
+                              build_mean_field, build_random_walk,
                               build_sequential, cost_values, indicators,
-                              load_matrix, mask_array, p_xi, q_xi,
+                              load_matrix, mask_array, mask_members, p_xi, q_xi,
                               sample_erdos_renyi, save_matrix, step_pairs,
-                              validate, within_sums)
+                              subset_mask, validate, within_sums)
 from chaoscope.percolation import PercolationModel, expectation_bounds, functional_values
 from chaoscope.rng import stream
 
@@ -83,26 +83,23 @@ def test_validate_diagonal():
     assert not rep.ok and rep.nonzero_diagonal == (0,)
 
 
-def test_subset_state_roundtrip():
-    v = SubsetState.of([3, 1], 5)
-    assert v.mask == 0b01010
-    assert list(indicators([v.mask], 5)[0]) == [0.0, 1.0, 0.0, 1.0, 0.0]
+def test_subset_mask_roundtrip():
+    assert subset_mask([3, 1], 5) == subset_mask([3, 1, 1], 5) == 0b01010
+    assert list(indicators([0b01010], 5)[0]) == [0.0, 1.0, 0.0, 1.0, 0.0]
     cases = [(m, n) for n in range(1, 9) for m in range(1 << n)] + [((1 << 68) | 1, 70)]
     for m, n in cases:
-        v = SubsetState(m, n)
-        assert SubsetState.of(v.members, n) == v
-        assert v.members == [i for i in range(n) if m >> i & 1]
-        assert v.size == len(v.members)
-    assert SubsetState((1 << 68) | 1, 70).members == [0, 68]
-    # numpy integers are stored as Python ints
-    v = SubsetState(np.int64(5), np.int64(3))
-    assert type(v.mask) is int and type(v.n) is int and v == SubsetState(5, 3)
-    for members in ([-1], [0, 5], [5]):
-        with pytest.raises(MatrixError):
-            SubsetState.of(members, 5)
-    for mask in (-1, 32, 1 << 70):
-        with pytest.raises(MatrixError):
-            SubsetState(mask, 5)
+        members = mask_members(m)
+        assert subset_mask(members, n) == m
+        assert members == [i for i in range(n) if m >> i & 1]
+    # past bit 62 the mask is a Python int, from Python or numpy indices
+    for members in ([68, 0], np.array([0, 68])):
+        mask = subset_mask(members, 70)
+        assert type(mask) is int and mask == (1 << 68) | 1
+        assert mask_members(mask) == [0, 68]
+    # member n, like any index outside [0, n), is refused
+    for members in ([-1], [0, 5], [5], np.array([5])):
+        with pytest.raises(MatrixError, match=r"^subset members out of range for n=5$"):
+            subset_mask(members, 5)
 
 
 def test_setwise_functionals_at_high_bits():
@@ -111,21 +108,21 @@ def test_setwise_functionals_at_high_bits():
     xi = build_sequential(70)
     d = xi.dense()
     for mem in ([63], [62, 63], [0, 63, 69], [64, 68]):
-        v = SubsetState.of(mem, 70)
+        mask = subset_mask(mem, 70)
         ind = np.zeros(70)
         ind[mem] = 1.0
-        assert np.array_equal(indicators([v.mask], 70)[0], ind)
+        assert np.array_equal(indicators([mask], 70)[0], ind)
         sub = d[np.ix_(mem, mem)]
         gram = d.T @ d + d @ d.T
-        brute_q = (xi.delta * v.size + 1.0) * (
+        brute_q = (xi.delta * len(mem) + 1.0) * (
             float((sub ** 2).sum()) + xi.delta * float(ind @ gram @ ind)
-            + xi.delta ** 2 * v.size)
-        assert q_xi(xi, v) == pytest.approx(brute_q, rel=1e-12, abs=1e-15)
+            + xi.delta ** 2 * len(mem))
+        assert q_xi(xi, mem) == pytest.approx(brute_q, rel=1e-12, abs=1e-15)
         brute_c = c.M / c.sigma ** 2 * float((sub.sum(axis=1) ** 2).sum())
-        assert cost_values(xi, [v.mask], c)[0] == pytest.approx(brute_c, rel=1e-12, abs=1e-15)
+        assert cost_values(xi, [mask], c)[0] == pytest.approx(brute_c, rel=1e-12, abs=1e-15)
         brute_chat = (math.sqrt(c.gamma * c.M * 0.8) / c.M) * brute_c
         brute_chat += c.M / c.sigma ** 2 * float((sub ** 2).sum())
-        assert cost_values(xi, [v.mask], c, 0.8)[0] == pytest.approx(
+        assert cost_values(xi, [mask], c, 0.8)[0] == pytest.approx(
             brute_chat, rel=1e-12, abs=1e-15)
 
 
@@ -133,10 +130,9 @@ def test_lattice_rows_are_subset_indicators():
     for n in range(1, 7):
         ind = indicators(np.arange(1 << n), n)
         for m in range(1 << n):
-            v = SubsetState(m, n)
-            assert np.array_equal(ind[m], indicators([v.mask], n)[0])
-            assert np.array_equal(np.nonzero(ind[m])[0], v.members)
-            assert ind[m].sum() == v.size == np.bitwise_count(m)
+            assert np.array_equal(ind[m], indicators([m], n)[0])
+            assert np.array_equal(np.nonzero(ind[m])[0], mask_members(m))
+            assert ind[m].sum() == len(mask_members(m)) == np.bitwise_count(m)
     table = np.arange(16.0)
     for j in range(4):
         lo, hi = step_pairs(table, j)
@@ -189,14 +185,14 @@ def test_q_xi_brute_force():
         d = xi.dense()
         n = xi.n
         mask = int(g.integers(1, 1 << n))
-        v = SubsetState(mask, n)
+        v = mask_members(mask)
         ind = indicators([mask], n)[0]
-        sub = d[np.ix_(v.members, v.members)]
+        sub = d[np.ix_(v, v)]
         gram = d.T @ d + d @ d.T
-        brute = (xi.delta * v.size + 1.0) * (
+        brute = (xi.delta * len(v) + 1.0) * (
             float((sub ** 2).sum())
             + xi.delta * float(ind @ gram @ ind)
-            + xi.delta ** 2 * v.size)
+            + xi.delta ** 2 * len(v))
         assert q_xi(xi, v) == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
@@ -212,8 +208,7 @@ def test_C_of_v_brute_force():
         d = xi.dense()
         n = xi.n
         for mask in (1, (1 << n) - 1):
-            v = SubsetState(mask, n)
-            mem = v.members
+            mem = mask_members(mask)
             brute = c.M / c.sigma ** 2 * sum(
                 d[i, mem].sum() ** 2 for i in mem)
             assert cost_values(xi, [mask], c)[0] == pytest.approx(brute, rel=1e-12, abs=1e-15)
@@ -225,22 +220,20 @@ def test_Chat_of_v_brute_force():
     for xi in random_matrices(8, seed=34, n_lo=2, n_hi=6):
         d = xi.dense()
         n = xi.n
-        v = SubsetState((1 << n) - 1, n)
-        mem = v.members
+        mem = list(range(n))
         lead = math.sqrt(c.gamma * c.M * h3) / c.sigma ** 2
         brute = lead * sum(d[i, mem].sum() ** 2 for i in mem)
         brute += c.M / c.sigma ** 2 * float((d ** 2).sum())
-        assert cost_values(xi, [v.mask], c, h3)[0] == pytest.approx(brute, rel=1e-12)
+        assert cost_values(xi, [(1 << n) - 1], c, h3)[0] == pytest.approx(brute, rel=1e-12)
 
 
 def test_chat_reduces_to_squares_when_h3_zero():
     xi = build_mean_field(4)
     c = Consts()
-    v = SubsetState.of([0, 1, 2], 4)
     d = xi.dense()
     mem = [0, 1, 2]
     want = c.M / c.sigma ** 2 * float((d[np.ix_(mem, mem)] ** 2).sum())
-    assert cost_values(xi, [v.mask], c, 0.0)[0] == pytest.approx(want, rel=1e-12)
+    assert cost_values(xi, [subset_mask(mem, 4)], c, 0.0)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_save_load_roundtrip_json(tmp_path):

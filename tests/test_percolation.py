@@ -9,8 +9,8 @@ import scipy.linalg
 
 from chaoscope import percolation
 from chaoscope.bounds import ModelConstants, percolation_entropy_bound
-from chaoscope.matrix import (InteractionMatrix, MatrixError, SubsetState,
-                              build_mean_field, cost_values, indicators)
+from chaoscope.matrix import (InteractionMatrix, MatrixError, build_mean_field,
+                              cost_values, indicators, mask_members, subset_mask)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
                                    PercolationModel, _Engine,
                                    exact_expectations, expectation_bounds,
@@ -182,7 +182,7 @@ def test_engine_calls_F_once_at_the_masks_it_visits():
             if v is None:
                 assert np.array_equal(masks, np.arange(1 << n))
                 continue
-            mask = SubsetState.of(v, n).mask
+            mask = subset_mask(v, n)
             assert masks.size == 1 << (n - len(v)) and masks[0] == mask
             assert sorted(masks.tolist()) == [m for m in range(1 << n) if m & mask == mask]
         calls.clear()
@@ -221,7 +221,7 @@ def test_models_without_exits_keep_f():
         assert _Engine(model).lam == 1.3
         f = np.arange(1 << n) + 0.5
         for mask in range(1 << n):
-            got = exact_expectations(model, lookup(f), SubsetState(mask, n).members, [2.0])[0, 0]
+            got = exact_expectations(model, lookup(f), mask_members(mask), [2.0])[0, 0]
             assert got == f[mask]
         assert np.array_equal(exact_expectations(model, lookup(f), None, [2.0], rate=0.0)[1],
                               f * 2.0)
@@ -248,10 +248,10 @@ def test_upset_route_matches_full_lattice(single_edge):
             cert = tol * np.abs(values).max()
             full = exact_expectations(model, F, None, times, tol, rate=0.4)
             for mask in range(1 << n):
-                v = SubsetState(mask, n)
+                v = mask_members(mask)
                 eng = _Engine(model, mask)
                 up = exact_expectations(model, F, v, times, tol, rate=0.4)
-                assert up.shape[1] == 1 << (n - v.size)
+                assert up.shape[1] == 1 << (n - len(v))
                 assert eng.masks[0] == mask and (eng.masks & mask == mask).all()
                 assert eng.curve_lam <= lam
                 if eng.curve_lam == lam:
@@ -378,13 +378,12 @@ def test_cost_tables_equal_per_mask_slices(tmp_path):
         # every mask up to n = 10; at n = 16 a seeded sample, the singletons and the full set
         masks = np.arange(1, 1 << n) if n <= 10 else np.unique(np.concatenate(
             (g.integers(1, 1 << n, 3000), 1 << np.arange(n), [(1 << n) - 1])))
-        members = [SubsetState(m, n) for m in masks.tolist()]
-        slices = np.array([[cost_values(xi, [v.mask], c)[0], cost_values(xi, [v.mask], c, h3)[0]]
-                           for v in members])
+        slices = np.array([[cost_values(xi, [m], c)[0], cost_values(xi, [m], c, h3)[0]]
+                           for m in masks.tolist()])
         np.testing.assert_allclose(C[masks], slices[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(chat[masks], slices[:, 1], rtol=1e-12, atol=0.0)
         # the loop reference: row sums within v, then squares within v
-        subs = [d[np.ix_(v.members, v.members)] for v in members]
+        subs = [d[np.ix_(v, v)] for v in map(mask_members, masks.tolist())]
         rows = np.array([float((sub.sum(axis=1) ** 2).sum()) for sub in subs])
         squares = np.array([float((sub ** 2).sum()) for sub in subs])
         np.testing.assert_allclose(C[masks], scale * rows, rtol=1e-12, atol=0.0)
@@ -414,7 +413,7 @@ def test_functional_values_match_per_mask_reference():
     g = stream(25)
     x, G = g.random(5), g.random((5, 5))
     masks = g.integers(1, 32, size=40)
-    members = [SubsetState(m, 5).members for m in masks.tolist()]
+    members = [mask_members(m) for m in masks.tolist()]
     k = np.array([len(mem) for mem in members], dtype=float)
     lin = np.array([x[mem].sum() for mem in members])
     quad = np.array([G[np.ix_(mem, mem)].sum() for mem in members])
@@ -694,16 +693,16 @@ def test_expectation_bound_rejects_non_finite_t():
 def test_expectation_bound_families_closed_forms():
     xi = build_mean_field(4)
     model = PercolationModel(xi, 0.9)
-    v = SubsetState.of([0, 1], 4)
+    v = subset_mask([0, 1], 4)
     t = 0.6
     x = np.full(4, 0.5)
-    got = dict(zip(FAMILIES, expectation_bounds(model, [v.mask], [t], x=x)[0, 0]))
+    got = dict(zip(FAMILIES, expectation_bounds(model, [v], [t], x=x)[0, 0]))
     assert got["size"] == pytest.approx(math.exp(0.9 * t) * 2.0, rel=1e-12)
     assert got["size2"] == pytest.approx(2.0 * math.exp(2 * 0.9 * t) * 4.0, rel=1e-12)
     assert got["size3"] == pytest.approx(8.0 * math.exp(3 * 0.9 * t) * 8.0, rel=1e-12)
     d = xi.dense()
     e = scipy.linalg.expm(0.9 * t * d)
-    ind = indicators([v.mask], 4)[0]
+    ind = indicators([v], 4)[0]
     assert got["linear"] == pytest.approx(float(ind @ (e @ x)), rel=1e-10)
     assert got["size-linear"] == pytest.approx(
         2.0 * math.exp(0.9 * t) * float(ind @ (e @ (x + d @ x))), rel=1e-10)
@@ -725,8 +724,8 @@ def test_expectation_bound_quadratic_vs_quadrature():
         return e @ G @ e.T
 
     # quadratic family: <1_v, G_t 1_v> + kappa * int_0^t <1_v, xi e^{kappa(t-s) xi} diag(G_s)> ds
-    v = SubsetState.of([0, 2], 4)
-    ind = indicators([v.mask], 4)[0]
+    v = subset_mask([0, 2], 4)
+    ind = indicators([v], 4)[0]
 
     def integrand(s):
         return float(ind @ (d @ scipy.linalg.expm(0.8 * (t - s) * d) @ np.diag(g_mat(s))))
@@ -735,7 +734,7 @@ def test_expectation_bound_quadratic_vs_quadrature():
     tail, _ = scipy.integrate.quad(integrand, 0.0, t, epsabs=1e-12, epsrel=1e-12)
     want = float(ind @ g_mat(t) @ ind) + 0.8 * tail
     quadratic = list(FAMILIES).index("quadratic")
-    got = expectation_bounds(model, [v.mask], [t], G=G, tol=1e-10)[0, 0, quadratic]
+    got = expectation_bounds(model, [v], [t], G=G, tol=1e-10)[0, 0, quadratic]
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -820,11 +819,11 @@ def test_linear_ceilings_at_large_n_match_scipy_expm():
     xi = random_substochastic(n, g)
     model = PercolationModel(xi, kappa)
     d, x = xi.dense(), g.random(n)
-    v = SubsetState.of([0, 7, 31], n)
-    ind = indicators([v.mask], n)[0]
+    v = subset_mask([0, 7, 31], n)
+    ind = indicators([v], n)[0]
     times = [0.3, 1.0, 2.5]
-    got = expectation_bounds(model, [v.mask], times, x=x)
-    bare = expectation_bounds(model, [v.mask], times)
+    got = expectation_bounds(model, [v], times, x=x)
+    bare = expectation_bounds(model, [v], times)
     for k, t in enumerate(times):
         e = scipy.linalg.expm(kappa * t * d)
         y = x

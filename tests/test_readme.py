@@ -1,10 +1,13 @@
 """The README's library example runs as written and its CLI examples parse;
-the package exports resolve; every definition in the package has a caller."""
+the package exports and the calls the README names resolve; every definition
+in the package has a caller."""
 
 import ast
 import re
 import shlex
 from pathlib import Path
+
+import numpy as np
 
 import chaoscope
 from chaoscope.cli import build_parser
@@ -44,6 +47,18 @@ def test_all_exports_resolve():
     # `from chaoscope import *` fails on any name in __all__ the package lacks
     missing = [name for name in chaoscope.__all__ if not hasattr(chaoscope, name)]
     assert not missing
+
+
+def test_readme_names_resolve():
+    # every call the README names in backticks, `name(` or `a.name(`, is
+    # defined in the package or is numpy's; a stale name, such as that of a
+    # deleted class, fails
+    called = set(re.findall(r"`(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)\(", README.read_text()))
+    defined = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert len(called) >= 20
+    missing = sorted(name for name in called - defined if not hasattr(np.random, name))
+    assert not missing, f"README names undefined calls: {', '.join(missing)}"
 
 
 def test_every_definition_has_a_caller():

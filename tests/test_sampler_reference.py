@@ -16,7 +16,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from chaoscope.matrix import InteractionMatrix, SubsetState, build_mean_field
+from chaoscope.matrix import InteractionMatrix, build_mean_field, subset_mask
 from chaoscope.percolation import (CLOCK_BLOCK, PercolationModel, exact_expectations,
                                    terminal_masks)
 from chaoscope.rng import CHUNK, SAMPLER, stream
@@ -74,7 +74,7 @@ def test_jump_chain_holding_law_beyond_the_exact_engine():
     total = KAPPA * xi.dense()[v].sum(axis=0)[[j for j in range(48) if j not in v]].sum()
     t = 0.7 / total
     masks = terminal_masks(PercolationModel(xi, KAPPA), v, t, LAW_REPS, 6)
-    start = SubsetState.of(v, 48).mask
+    start = subset_mask(v, 48)
     stay = float(np.mean(masks == start))
     p = np.exp(-total * t)
     assert abs(stay - p) <= 4.0 * np.sqrt(p * (1.0 - p) / LAW_REPS)
@@ -84,7 +84,7 @@ def test_jump_chain_holding_law_beyond_the_exact_engine():
 @pytest.mark.parametrize("method", ["gillespie", "fpp"])
 def test_chunks_cover_any_number_of_paths(method):
     model = PercolationModel(_symmetric(6, 61), KAPPA)
-    start = SubsetState.of([0, 3], 6).mask
+    start = subset_mask([0, 3], 6)
     whole = terminal_masks(model, [0, 3], 0.8, CHUNK + 3, 5, method=method)
     assert whole.shape == (CHUNK + 3,) and whole.dtype == np.int64
     # every path keeps its start subset
@@ -125,7 +125,7 @@ def test_paths_without_exit_or_time_stay_at_the_start(method):
     cases = [(_symmetric(5, 62), full, 2.0), (zero, [1, 3], 2.0), (_symmetric(5, 62), [2], 0.0)]
     for xi, v, t in cases:
         masks = terminal_masks(PercolationModel(xi, KAPPA), v, t, CHUNK + 3, 4, method=method)
-        assert masks.tolist() == [SubsetState.of(v, 5).mask] * (CHUNK + 3), (v, t)
+        assert masks.tolist() == [subset_mask(v, 5)] * (CHUNK + 3), (v, t)
 
 
 def reference_noise(samples, steps, n, seed):
