@@ -18,8 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import GaussianModel, _exp
-from .matrix import InteractionMatrix, cost_values, mask_members, subset_mask, validate
-from .percolation import NotApplicable, PercolationModel, exact_expectations
+from .matrix import (InteractionMatrix, NotApplicable, cost_values, mask_members, subset_mask,
+                     validate)
+from .percolation import PercolationModel, exact_expectations
 
 COLUMN_SLACK = 1e-12
 CURVE_TOL = 1e-10  # Poisson truncation of the growth-bound uniformization

@@ -29,11 +29,10 @@ from . import sde
 from . import verify as verify_mod
 from .matrix import (Graph, InteractionMatrix, MatrixError, build_mean_field,
                      build_random_walk, build_sequential, load_matrix,
-                     mask_members, p_xi, q_xi, sample_erdos_renyi, save_matrix,
-                     subset_mask, validate)
+                     mask_members, p_xi, q_xi, random_substochastic,
+                     sample_erdos_renyi, save_matrix, subset_mask, validate)
 from .percolation import PercolationModel
 from .rng import stream
-from .verify import json_text
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +68,7 @@ def _build_xi(args) -> InteractionMatrix:
     if args.sequential is not None:
         return build_sequential(args.sequential)
     if getattr(args, "n", None) is not None:
-        return verify_mod.random_substochastic(args.n, stream(args.seed))
+        return random_substochastic(args.n, stream(args.seed))
     raise MatrixError("no matrix source given")
 
 
@@ -112,6 +111,36 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
         w.writerow(["" if c is None else (_fmt(c) if isinstance(c, float) else c)
                     for c in row])
     return buf.getvalue()
+
+
+def _first_non_finite(obj, path: str = ""):
+    """(path, value) of the first inf or NaN float in nested dicts and lists."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path or "result", obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, val in items:
+        hit = _first_non_finite(val, sub)
+        if hit is not None:
+            return hit
+    return None
+
+
+def json_text(obj) -> str:
+    """Indented JSON with a final newline.  JSON has no inf or NaN, so a
+    non-finite number raises ValueError naming where it sits."""
+    try:
+        return json.dumps(obj, indent=1, allow_nan=False) + "\n"
+    except ValueError:
+        hit = _first_non_finite(obj)
+        if hit is None:
+            raise
+        raise ValueError(f"non-finite result {hit[0]} = {hit[1]}, "
+                         "which JSON cannot hold; nothing written") from None
 
 
 def _cell(x):
@@ -255,7 +284,7 @@ def cmd_percolate(args, outputs: list) -> int:
             rec.update(value=est.mean, stderr=est.stderr, reps=est.reps, seed=est.seed)
     _emit(records, ["engine", "functional", "v", "t", "value", "stderr", "reps", "seed"],
           args, outputs)
-    if args.emit_gnuplot and args.out and args.format == "csv":
+    if args.emit_gnuplot:
         _emit_gnuplot(args.out, 4, 5, "t", args.functional, outputs)
     return 0
 
@@ -273,9 +302,20 @@ def cmd_verify(args, outputs: list) -> int:
                     detail = "" if c.slack is None else f" (slack {c.slack:.3e})"
                     print(f"  FAIL {c.name}{detail}{' ' + c.note if c.note else ''}")
     if args.out:
-        verify_mod.save_results(results, args.out)
-        outputs.append(args.out)
+        _deliver(json_text(_verify_report(results)), args, outputs)
     return 0 if all(r.passed for r in results) else 1
+
+
+def _verify_report(results) -> dict:
+    """The report of `verify --out`: a check's slack and note appear only when set."""
+    def check(c):
+        return {"name": c.name, "passed": c.passed,
+                **({} if c.slack is None else {"slack": c.slack}),
+                **({"note": c.note} if c.note else {})}
+    return {"passed": all(r.passed for r in results),
+            "suites": [{"suite": r.suite, "seed": r.seed, "instances": r.instances,
+                        "passed": r.passed, "checks": [check(c) for c in r.checks]}
+                       for r in results]}
 
 
 def cmd_gaussian(args, outputs: list) -> int:
@@ -313,8 +353,8 @@ def cmd_gaussian(args, outputs: list) -> int:
 
 
 def cmd_bound(args, outputs: list) -> int:
-    if args.h3_value is not None and not args.use_chat:
-        raise MatrixError("--h3-value needs --use-chat")
+    if args.h3_value is not None and args.theorem != "growth":
+        raise MatrixError("--h3-value applies only to --theorem growth")
     if args.reversed and args.theorem in ("h3", "growth"):
         raise MatrixError(f"--reversed has no --theorem {args.theorem} form")
     constants = _constants_from(args, required=args.theorem in ("h3", "growth"))
@@ -331,12 +371,12 @@ def cmd_bound(args, outputs: list) -> int:
             raise MatrixError(f"--theorem {args.theorem} needs --v")
         if args.theorem == "growth":
             v = _parse_subset(args.v, xi.n)
-            h3 = (0.0 if args.h3_value is None else args.h3_value) if args.use_chat else None
-            val = float(bounds_mod.percolation_entropy_bound(xi, v, constants, h3=h3,
+            val = float(bounds_mod.percolation_entropy_bound(xi, v, constants,
+                                                             h3=args.h3_value,
                                                              uniform=args.uniform)[0])
             report = bounds_mod.BoundReport(
                 "growth", val,
-                {"v": v, "n": xi.n, "use_chat": args.use_chat,
+                {"v": v, "n": xi.n, "use_chat": args.h3_value is not None,
                  "uniform": args.uniform, **bounds_mod._echo(constants)},
                 1.0, explicit=val)
         elif args.theorem == "setwise":
@@ -373,12 +413,7 @@ def cmd_simulate(args, outputs: list) -> int:
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2 for a covariance, got {args.samples}")
     xi = _build_xi(args)
-    if args.drift == "linear":
-        drift = sde.DriftSpec.linear()
-    elif args.drift == "zero":
-        drift = sde.DriftSpec.zero()
-    else:
-        drift = sde.DriftSpec.custom(args.drift)
+    drift = sde.DRIFTS[args.drift]
     cfg = sde.SimConfig(dt=args.dt, T=args.T, samples=args.samples,
                         seed=args.seed, sigma=args.sigma)
     run = sde.simulate_projection if args.projection else sde.simulate_particles
@@ -411,7 +446,7 @@ def cmd_simulate(args, outputs: list) -> int:
         sde.save_samples(samples, args.save_samples)
         outputs.append(args.save_samples)
     _deliver(text, args, outputs)
-    if args.emit_gnuplot and args.out and args.format == "csv":
+    if args.emit_gnuplot:
         _emit_gnuplot(args.out, 3, 4, "empirical", "oracle", outputs)
     return 0
 
@@ -426,11 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"chaoscope {__version__}")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", metavar="FILE", help="write the table here instead of stdout")
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", metavar="FILE", help="write the table here instead of stdout")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("matrix", help="build or inspect an interaction matrix")
     _add_source(p)
@@ -450,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored; runs are serial")
-    p.add_argument("--emit-gnuplot", action="store_true")
+    p.add_argument("--emit-gnuplot", action="store_true",
+                   help="with --out FILE --format csv, also write FILE.gnu")
     p.set_defaults(func=cmd_percolate)
 
     p = sub.add_parser("verify", help="run the inequality battery")
@@ -486,18 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reversed-entropy variant of a structural theorem "
                         "(drops the size prefactor)")
     p.add_argument("--uniform", action="store_true", help="uniform-in-time mode")
-    p.add_argument("--use-chat", action="store_true",
-                   help="growth: use the self-improved cost functional")
     p.add_argument("--h3-value", type=float,
-                   help="growth: three-particle entropy ceiling for --use-chat (default 0)")
+                   help="growth: use the self-improved cost C-hat with this "
+                        "three-particle entropy ceiling (default: the plain cost C)")
     _add_constants(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="Euler-Maruyama particle or projected system")
     _add_source(p, random_n=True)
     common(p)
-    p.add_argument("--drift", default="linear",
-                   help="linear | zero | a named custom drift (sine)")
+    p.add_argument("--drift", choices=tuple(sde.DRIFTS), default="linear")
     p.add_argument("--linear", dest="drift", action="store_const", const="linear")
     p.add_argument("--zero", dest="drift", action="store_const", const="zero")
     p.add_argument("--dt", type=float, required=True)
@@ -509,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored; samples run on one thread per usable CPU")
     p.add_argument("--save-samples", metavar="FILE")
-    p.add_argument("--emit-gnuplot", action="store_true")
+    p.add_argument("--emit-gnuplot", action="store_true",
+                   help="with --out FILE --format csv, also write FILE.gnu")
     p.set_defaults(func=cmd_simulate)
 
     return top
@@ -522,6 +556,8 @@ def console_main(argv=None) -> int:
     outputs: list = []
     t0 = time.perf_counter()
     try:
+        if getattr(args, "emit_gnuplot", False) and not (args.out and args.format == "csv"):
+            raise MatrixError("--emit-gnuplot needs --out FILE --format csv")
         code = args.func(args, outputs)
         _write_manifests(args.subcommand, args, outputs, time.perf_counter() - t0)
         return code

@@ -28,6 +28,10 @@ class MatrixError(ValueError):
     pass
 
 
+class NotApplicable(ValueError):
+    """A method whose hypotheses the given input does not meet."""
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -260,6 +264,20 @@ def build_sequential(n: int) -> InteractionMatrix:
     for i in range(1, n):
         a[i, :i] = 1.0 / i
     return InteractionMatrix(a)
+
+
+def random_substochastic(n: int, gen: np.random.Generator) -> InteractionMatrix:
+    """Random nonnegative zero-diagonal matrix with row and column sums <= 1."""
+    if n < 1:
+        raise MatrixError("random substochastic matrix needs n >= 1")
+    d = gen.random((n, n))
+    d[gen.random((n, n)) < 0.3] = 0.0  # mix in sparsity
+    np.fill_diagonal(d, 0.0)
+    target = float(gen.uniform(0.3, 1.0))
+    worst = max(d.sum(axis=1).max(), d.sum(axis=0).max())
+    if worst > 0:
+        d *= target / worst
+    return InteractionMatrix(d)
 
 
 # ---------------------------------------------------------------------------

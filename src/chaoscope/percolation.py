@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, indicators, mask_array, mask_members, step_pairs,
-                     subset_mask, validate)
+from .matrix import (InteractionMatrix, NotApplicable, indicators, mask_array, mask_members,
+                     step_pairs, subset_mask, validate)
 from .rng import chunk_streams
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
@@ -36,10 +36,6 @@ MASK_LIMIT = 63           # terminal states are int64 bitmasks
 
 
 class EngineTooLarge(RuntimeError):
-    pass
-
-
-class NotApplicable(ValueError):
     pass
 
 
@@ -87,14 +83,15 @@ def _table(F, masks: np.ndarray) -> np.ndarray:
 
 
 def _pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """step_pairs(f, j), transposed for j < 4 so a 1-D table's long axis is innermost.
+    """step_pairs(f, j), its first two axes swapped for j < 4, so that a
+    table's long axis comes after its 2^j short one; a stack's column axis
+    stays last.
 
     The rows of the low bits hold 1-8 entries; iterating 2^(n-1-j) of them
-    costs far more than one strided pass along the other axis.  A stack
-    needs no transpose: its column axis is innermost already.
+    costs far more than one strided pass along the other axis.
     """
     lo, hi = step_pairs(f, j)
-    return (lo.T, hi.T) if j < 4 else (lo, hi)
+    return (lo.swapaxes(0, 1), hi.swapaxes(0, 1)) if j < 4 else (lo, hi)
 
 
 class _Engine:
@@ -147,19 +144,15 @@ class _Engine:
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
         # f is one table over the up-set, or a stack (rows, c).  One scratch
         # buffer serves every bit, so no bit allocates a temporary.  A stack
-        # keeps step_pairs' layout at every bit, its column axis innermost,
-        # and the rates, held in _pairs' layout, take a trailing axis.
+        # takes the rates, held in _pairs' layout, with a trailing axis.
         out = np.zeros(f.shape)
         buf = np.empty(f.size // 2)
-        pairs = _pairs if f.ndim == 1 else step_pairs
         for j, rate in enumerate(self.rates):
-            lo, hi = pairs(f, j)
+            lo, hi = _pairs(f, j)
             step = buf.reshape(lo.shape)
             np.subtract(hi, lo, out=step)
-            if f.ndim == 2:
-                rate = (rate.T if j < 4 else rate)[:, :, None]
-            np.multiply(step, rate, out=step)
-            acc = pairs(out, j)[0]
+            np.multiply(step, rate.reshape(rate.shape + (1,) * (f.ndim - 1)), out=step)
+            acc = _pairs(out, j)[0]
             acc += step
         out *= self.kappa
         return out

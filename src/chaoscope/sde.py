@@ -31,8 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matrix import InteractionMatrix
-from .percolation import NotApplicable
+from .matrix import InteractionMatrix, NotApplicable
 from .rng import chunk_streams, usable_cpus
 
 STOCHASTIC_TOL = 1e-9
@@ -50,20 +49,6 @@ class DriftSpec:
     b: Optional[Callable] = None
     mean_field: Optional[Callable] = None
 
-    @classmethod
-    def linear(cls) -> "DriftSpec":
-        return cls("linear")
-
-    @classmethod
-    def zero(cls) -> "DriftSpec":
-        return cls("zero")
-
-    @classmethod
-    def custom(cls, name: str) -> "DriftSpec":
-        if name not in CUSTOM_DRIFTS:
-            raise ValueError(f"unknown drift {name!r}; have {sorted(CUSTOM_DRIFTS)}")
-        return CUSTOM_DRIFTS[name]
-
 
 def _sine_b(t, x, y):
     return np.sin(y - x)
@@ -74,7 +59,10 @@ def _sine_mean_field(t, x, pool):
     return float(np.sin(pool).mean()) * np.cos(x) - float(np.cos(pool).mean()) * np.sin(x)
 
 
-CUSTOM_DRIFTS = {
+# the named drifts; linear and zero are stepped in closed form, without b
+DRIFTS = {
+    "linear": DriftSpec("linear"),
+    "zero": DriftSpec("zero"),
     "sine": DriftSpec("sine", b=_sine_b, mean_field=_sine_mean_field),
 }
 
@@ -203,7 +191,7 @@ def simulate_projection(xi: InteractionMatrix, drift: DriftSpec, cfg: SimConfig)
     (samples interact), each step drawing every chunk's increments in turn.
     """
     if drift.kind in ("linear", "zero") or not xi.dense().any():
-        return simulate_particles(xi, DriftSpec.zero(), cfg)
+        return simulate_particles(xi, DRIFTS["zero"], cfg)
     row_sums = xi.row_sums
     if np.abs(row_sums - 1.0).max() > STOCHASTIC_TOL:
         raise NotApplicable(

@@ -13,7 +13,6 @@ report has the same bytes whichever worker ran which suite.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
@@ -25,8 +24,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import percolation as perc
-from .matrix import (InteractionMatrix, MatrixError, indicators, mask_members, q_xi,
-                     step_pairs)
+from .matrix import (InteractionMatrix, NotApplicable, indicators, mask_members, q_xi,
+                     random_substochastic, step_pairs)
 from .rng import stream, usable_cpus
 
 SLACK_TOL = 1e-9
@@ -40,14 +39,6 @@ class Check:
     slack: float | None = None
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.slack is not None:
-            out["slack"] = self.slack
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 @dataclass
 class SuiteResult:
@@ -59,11 +50,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {"suite": self.suite, "seed": self.seed,
-                "instances": self.instances, "passed": self.passed,
-                "checks": [c.to_json_dict() for c in self.checks]}
 
 
 class _Slack:
@@ -81,27 +67,10 @@ class _Slack:
         return [Check(name, s >= -tol, s) for name, s in sorted(self.worst.items())]
 
 
-def random_substochastic(n: int, gen: np.random.Generator) -> InteractionMatrix:
-    """Random nonnegative zero-diagonal matrix with row and column sums <= 1."""
-    if n < 1:
-        raise MatrixError("random substochastic matrix needs n >= 1")
-    d = gen.random((n, n))
-    d[gen.random((n, n)) < 0.3] = 0.0  # mix in sparsity
-    np.fill_diagonal(d, 0.0)
-    target = float(gen.uniform(0.3, 1.0))
-    worst = max(d.sum(axis=1).max(), d.sum(axis=0).max())
-    if worst > 0:
-        d *= target / worst
-    return InteractionMatrix(d)
-
-
-def _ensemble(instances: int, seed: int, n_max: int = 10):
-    gen = stream(seed)
+def _ensemble(gen: np.random.Generator, instances: int, n_max: int):
+    """`instances` random substochastic matrices of sizes 2..n_max, drawn from gen."""
     for _ in range(instances):
-        n = int(gen.integers(2, n_max + 1))
-        xi = random_substochastic(n, gen)
-        kappa = float(gen.uniform(0.25, 1.0))
-        yield gen, xi, kappa
+        yield random_substochastic(int(gen.integers(2, n_max + 1)), gen)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +99,10 @@ def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
     agg = _Slack()
     exact_zero = 0.0
     size2 = list(perc.FAMILIES).index("size2")
-    for gen, xi, kappa in _ensemble(instances, seed):
+    gen = stream(seed)
+    for xi in _ensemble(gen, instances, 10):
         n = xi.n
-        model = perc.PercolationModel(xi, kappa)
+        model = perc.PercolationModel(xi, float(gen.uniform(0.25, 1.0)))
         x = gen.random(n)
         G = gen.random((n, n))
         if gen.random() < 0.5:
@@ -157,9 +127,10 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
     """exact E_v[F(X_t)] <= closed-form bound, all eight families, t grid;
     and, once per call, the Yule domination of the mean-field second moment."""
     agg = _Slack()
-    for gen, xi, kappa in _ensemble(instances, seed):
+    gen = stream(seed)
+    for xi in _ensemble(gen, instances, 10):
         n = xi.n
-        model = perc.PercolationModel(xi, kappa)
+        model = perc.PercolationModel(xi, float(gen.uniform(0.25, 1.0)))
         x = gen.random(n)
         G = gen.random((n, n))
         exact = perc.exact_expectations(model, _family_stack(xi, x, G), None, _EXPECTATION_T)
@@ -180,15 +151,14 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
 
 def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
     agg = _Slack()
-    gen_master = stream(seed)
+    gen = stream(seed)
     series_vs_quad = 0.0
-    for _ in range(instances):
-        n = int(gen_master.integers(2, 11))
-        xi = random_substochastic(n, gen_master)
+    for xi in _ensemble(gen, instances, 10):
+        n = xi.n
         rho = xi.rho
         agg.add("gaussian.rho-upper", rho - np.linalg.norm(xi.dense(), 2))
         window = math.log(2.0) / (2.0 * rho) if rho > 0 else 1.0
-        T = float(gen_master.uniform(0.2, 1.0)) * window
+        T = float(gen.uniform(0.2, 1.0)) * window
         gm = gauss.sigma_T(xi, T)
         quad = gauss.sigma_T_quadrature(xi, T)
         series_vs_quad = max(series_vs_quad, float(np.abs(gm.sigma_T - quad).max()))
@@ -245,10 +215,9 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
 
 def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
     agg = _Slack()
-    gen_master = stream(seed)
-    for _ in range(instances):
-        n = int(gen_master.integers(2, 9))
-        xi = random_substochastic(n, gen_master)
+    gen = stream(seed)
+    for xi in _ensemble(gen, instances, 8):
+        n = xi.n
         reports = {k: bounds_mod.max_entropy_bound(xi, k) for k in range(1, n + 1)}
         for k in range(1, n):
             agg.add("bounds.max-monotone-k",
@@ -305,14 +274,13 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
     try:
         bounds_mod.lsi_torus(2.0, 1.0, thr)
         checks.append(Check("bounds.lsi-torus-gate", False))
-    except perc.NotApplicable:
+    except NotApplicable:
         checks.append(Check("bounds.lsi-torus-gate", True))
 
     # Feynman-Kac certification against the exact Gaussian oracle
     fk_worst = np.inf
-    for _ in range(6):
-        n = int(gen_master.integers(2, 7))
-        xi = random_substochastic(n, gen_master)
+    for xi in _ensemble(gen, 6, 6):
+        n = xi.n
         gm = gauss.sigma_T(xi, 0.5)
         constants = bounds_mod.gaussian_fk_constants(gm)
         bound = bounds_mod.percolation_entropy_bound(xi, None, constants)
@@ -444,40 +412,3 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[Su
         raise RuntimeError("verify: a worker process ended without the results of "
                            f"suite(s) {', '.join(missing)}")
     return [done[i] for i in range(len(names))]
-
-
-def _first_non_finite(obj, path: str = ""):
-    """(path, value) of the first inf or NaN float in nested dicts and lists."""
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else (path or "result", obj)
-    if isinstance(obj, dict):
-        items = ((f"{path}.{k}" if path else str(k), v) for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
-    else:
-        return None
-    for sub, val in items:
-        hit = _first_non_finite(val, sub)
-        if hit is not None:
-            return hit
-    return None
-
-
-def json_text(obj) -> str:
-    """Indented JSON with a final newline.  JSON has no inf or NaN, so a
-    non-finite number raises ValueError naming where it sits."""
-    try:
-        return json.dumps(obj, indent=1, allow_nan=False) + "\n"
-    except ValueError:
-        hit = _first_non_finite(obj)
-        if hit is None:
-            raise
-        raise ValueError(f"non-finite result {hit[0]} = {hit[1]}, "
-                         "which JSON cannot hold; nothing written") from None
-
-
-def save_results(results: list[SuiteResult], path):
-    text = json_text({"passed": all(r.passed for r in results),
-                      "suites": [r.to_json_dict() for r in results]})
-    with open(path, "w") as fh:
-        fh.write(text)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from chaoscope.matrix import InteractionMatrix
+from chaoscope.matrix import InteractionMatrix, random_substochastic
 from chaoscope.rng import stream
-from chaoscope.verify import random_substochastic
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from chaoscope.percolation import (PercolationModel, exact_expectations,
                                    mean_field_size_expectation, terminal_masks,
                                    yule_second_moment)
 from chaoscope.rng import stream
-from chaoscope.sde import (DriftSpec, SimConfig, simulate_particles,
+from chaoscope.sde import (DRIFTS, SimConfig, simulate_particles,
                            simulate_projection)
 from chaoscope.verify import run_suite
 
@@ -162,7 +162,7 @@ def test_growth_route_dominates_exact_entropy():
 
 def test_linear_sde_covariance_and_projection_bitwise(four_cycle):
     cfg = SimConfig(dt=5e-3, T=0.5, samples=100000, seed=20250815)
-    out = simulate_particles(four_cycle, DriftSpec.linear(), cfg)
+    out = simulate_particles(four_cycle, DRIFTS["linear"], cfg)
     emp = np.cov(out, rowvar=False)
     want = sigma_T(four_cycle, cfg.T).sigma_T
     for i in range(4):
@@ -171,8 +171,8 @@ def test_linear_sde_covariance_and_projection_bitwise(four_cycle):
                            / cfg.samples)
             assert abs(emp[i, j] - want[i, j]) <= 5.0 * se, (i, j)
     zero = InteractionMatrix(np.zeros((4, 4)))
-    particles = simulate_particles(zero, DriftSpec.linear(), cfg)
-    projection = simulate_projection(zero, DriftSpec.linear(), cfg)
+    particles = simulate_particles(zero, DRIFTS["linear"], cfg)
+    projection = simulate_projection(zero, DRIFTS["linear"], cfg)
     assert np.array_equal(particles, projection)
 
 

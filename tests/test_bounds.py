@@ -12,9 +12,9 @@ from chaoscope.bounds import (ModelConstants, avg_entropy_bound,
                               reversed_variant, setwise_bound,
                               sharper_avg_bound, weighted_avg_bound)
 from chaoscope.gaussian import sigma_T
-from chaoscope.matrix import (MatrixError, build_mean_field, cost_values, mask_members, p_xi,
-                              q_xi, subset_mask)
-from chaoscope.percolation import (EngineTooLarge, NotApplicable, PercolationModel,
+from chaoscope.matrix import (MatrixError, NotApplicable, build_mean_field, cost_values,
+                              mask_members, p_xi, q_xi, subset_mask)
+from chaoscope.percolation import (EngineTooLarge, PercolationModel,
                                    exact_expectations, functional_values, mc_expectation,
                                    terminal_masks)
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import chaoscope.cli as cli
+from chaoscope import sde
+from chaoscope.bounds import ModelConstants, percolation_entropy_bound
 from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropies
 from chaoscope.matrix import (InteractionMatrix, build_mean_field, load_matrix, mask_members,
-                              save_matrix, subset_mask)
+                              random_substochastic, save_matrix, subset_mask)
 from chaoscope.percolation import PercolationModel, exact_expectations, functional_values
 from chaoscope.rng import stream
-from chaoscope.verify import Check, SuiteResult, random_substochastic, save_results
+from chaoscope.verify import Check, SuiteResult
 
 
 def run(*argv):
@@ -305,11 +307,16 @@ def test_bound_cli_variants(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["explicit"] == pytest.approx(0.72)
 
-    rc = run("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
-             "--gamma", "1", "--big-m", "1", "--sigma-const", "1",
-             "--horizon", "0.5")
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["explicit"] > 0
+    # --h3-value alone selects C-hat; without it the cost is the plain C
+    growth = ("bound", "--theorem", "growth", "--mean-field", "3", "--v", "0",
+              "--gamma", "1", "--big-m", "1", "--sigma-const", "1", "--horizon", "0.5")
+    constants = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=0.5)
+    for extra, h3 in (((), None), (("--h3-value", "0"), 0.0)):
+        assert run(*growth, *extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        want = percolation_entropy_bound(build_mean_field(3), [0], constants, h3=h3)[0]
+        assert doc["explicit"] == want > 0
+        assert doc["inputs"]["use_chat"] is (h3 is not None)
 
 
 def test_bound_cli_errors(capsys):
@@ -392,6 +399,17 @@ def test_csv_rows_are_the_json_records(tmp_path, capsys):
             assert (row[header.index(column)] == "") == blank, argv
 
 
+def test_simulate_drift_choices_are_the_drift_table(capsys):
+    (simulate,) = [p for a in cli.build_parser()._subparsers._group_actions
+                   for name, p in a.choices.items() if name == "simulate"]
+    (drift,) = [a for a in simulate._actions if "--drift" in a.option_strings]
+    assert tuple(drift.choices) == tuple(sde.DRIFTS) == ("linear", "zero", "sine")
+    for name in sde.DRIFTS:
+        assert run("simulate", "--mean-field", "3", "--drift", name, "--dt", "0.05",
+                   "--T", "0.1", "--samples", "20") == 0, name
+        assert len(json.loads(capsys.readouterr().out)) == 6, name
+
+
 def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:  # argparse: unknown engine
         run("percolate", "--mean-field", "4", "--v", "0", "--t", "1",
@@ -406,10 +424,12 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     assert run("percolate", "--mean-field", "18", "--v", "0", "--t", "1") == 2
     assert run("percolate", "--mean-field", "4", "--v", "zero", "--t", "1") == 2
     assert run("matrix", "--matrix", str(tmp_path / "missing.json")) == 2
-    assert run("simulate", "--mean-field", "4", "--drift", "warp",
-               "--dt", "0.1", "--samples", "5") == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 3
+    with pytest.raises(SystemExit) as exc:  # a drift outside sde.DRIFTS
+        run("simulate", "--mean-field", "4", "--drift", "warp", "--dt", "0.1", "--samples", "5")
+    assert exc.value.code == 2
+    assert "argument --drift: invalid choice: 'warp'" in capsys.readouterr().err
     # bad input is a usage error with the builder's own message
     pi = tmp_path / "pi.json"
     pi.write_text('{"0": 0.5}')
@@ -535,10 +555,16 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
           "--sigma", "inf"), "sigma must be positive and finite"),
         (("simulate", "--mean-field", "3", "--dt", "0.1", "--T", "1", "--samples", "1"),
          "--samples must be >= 2"),
-        ((*growth, "--horizon", "1", "--use-chat", "--h3-value", "nan"),
+        ((*growth, "--horizon", "1", "--h3-value", "nan"),
          "h3 must be finite and nonnegative"),
-        # a ceiling that was ignored without --use-chat
-        ((*growth, "--horizon", "1", "--h3-value", "5"), "--h3-value needs --use-chat"),
+        # flags that were ignored without a word
+        (("bound", "--theorem", "max", "--mean-field", "6", "--k", "2", "--h3-value", "1"),
+         "--h3-value applies only to --theorem growth"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--emit-gnuplot",
+          "--out", str(tmp_path / "p.json")), "--emit-gnuplot needs --out FILE --format csv"),
+        (("simulate", "--mean-field", "3", "--dt", "0.1", "--samples", "10", "--format", "csv",
+          "--save-samples", str(tmp_path / "S"), "--emit-gnuplot"),
+         "--emit-gnuplot needs --out FILE --format csv"),
         # the exact engine refuses before it tabulates the cost or the functional
         (("bound", "--theorem", "growth", "--mean-field", "20", "--v", "0", "--gamma", "1",
           "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
@@ -579,6 +605,7 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, argv
+    assert not (tmp_path / "p.json").exists() and not (tmp_path / "S").exists()
     # the Gaussian model takes signed interactions
     assert run("gaussian", "--matrix", str(neg), "--T", "0.1") == 0
     capsys.readouterr()
@@ -639,9 +666,6 @@ def test_non_finite_results_are_refused(tmp_path, capsys, monkeypatch):
     # a verify report with a NaN slack is refused the same way
     fake = [SuiteResult("generator", 0, 1, [Check("made-up", False, float("nan"))])]
     report = tmp_path / "verify.json"
-    with pytest.raises(ValueError, match=r"suites\[0\]\.checks\[0\]\.slack = nan"):
-        save_results(fake, report)
-    assert not report.exists()
     monkeypatch.setattr(cli.verify_mod, "run_suite", lambda *a: fake)
     assert run("verify", "--suite", "generator", "--out", str(report)) == 2
     assert "non-finite result suites[0].checks[0].slack = nan" in capsys.readouterr().err

@@ -6,8 +6,8 @@ import scipy.linalg
 import scipy.stats
 
 from chaoscope.linalg import expm_action, op_norm, poisson_truncation, poisson_weights
+from chaoscope.matrix import random_substochastic
 from chaoscope.rng import stream
-from chaoscope.verify import random_substochastic
 
 
 def matrix_action(a, b):

@@ -9,17 +9,17 @@ import scipy.linalg
 
 from chaoscope import percolation
 from chaoscope.bounds import ModelConstants, percolation_entropy_bound
-from chaoscope.matrix import (InteractionMatrix, MatrixError, build_mean_field,
-                              cost_values, indicators, mask_members, subset_mask)
-from chaoscope.percolation import (FAMILIES, EngineTooLarge, NotApplicable,
-                                   PercolationModel, _Engine,
+from chaoscope.matrix import (InteractionMatrix, MatrixError, NotApplicable, build_mean_field,
+                              cost_values, indicators, mask_members, random_substochastic,
+                              subset_mask)
+from chaoscope.percolation import (FAMILIES, EngineTooLarge, PercolationModel, _Engine,
                                    exact_expectations, expectation_bounds,
                                    functional_values, generator_apply,
                                    lemma_rhs, mc_expectation,
                                    mean_field_size_expectation, terminal_masks,
                                    yule_second_moment)
 from chaoscope.rng import chunk_streams, stream
-from chaoscope.verify import random_substochastic, run_suite
+from chaoscope.verify import run_suite
 
 from conftest import lookup, random_matrices
 

@@ -15,6 +15,9 @@ from chaoscope.cli import build_parser
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SOURCES = sorted((ROOT / "src" / "chaoscope").glob("*.py"))
+# a module may import only from modules of a lower layer; __init__ is exempt
+LAYERS = {"rng": 0, "linalg": 0, "matrix": 1, "percolation": 2, "gaussian": 2, "sde": 2,
+          "bounds": 3, "verify": 4, "cli": 5}
 
 
 def _library_example() -> str:
@@ -74,3 +77,19 @@ def test_every_definition_has_a_caller():
                and not (node.name.startswith("__") and node.name.endswith("__"))}
     unused = sorted(f"{module}:{name}" for module, name in defined if name not in used)
     assert not unused, f"defined but never called: {', '.join(unused)}"
+
+
+def test_modules_import_only_lower_layers():
+    assert {path.stem for path in SOURCES} == set(LAYERS) | {"__init__"}
+    upward = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # `from .x import ...` names x; `from . import x` names x when
+                # x is a module, and otherwise a package attribute
+                names = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{path.stem} -> {name}" for name in names
+                           if name in LAYERS and LAYERS[name] >= LAYERS[path.stem]]
+    assert not upward, f"imports from the same or a higher layer: {', '.join(upward)}"

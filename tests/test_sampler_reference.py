@@ -16,12 +16,11 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from chaoscope.matrix import InteractionMatrix, build_mean_field, subset_mask
+from chaoscope.matrix import InteractionMatrix, build_mean_field, random_substochastic, subset_mask
 from chaoscope.percolation import (CLOCK_BLOCK, PercolationModel, exact_expectations,
                                    terminal_masks)
 from chaoscope.rng import CHUNK, SAMPLER, stream
-from chaoscope.sde import DriftSpec, SimConfig, simulate_particles, simulate_projection
-from chaoscope.verify import random_substochastic
+from chaoscope.sde import DRIFTS, DriftSpec, SimConfig, simulate_particles, simulate_projection
 
 KAPPA = 1.3
 STARTS = ([0], [0, 2, 5])
@@ -148,7 +147,7 @@ def test_noise_matches_reference_bitwise():
     for s in range(cfg.steps):
         want = want + cfg.sigma * np.sqrt(cfg.dt) * noise[s]
     zero = InteractionMatrix(np.zeros((2, 2)))
-    got = simulate_particles(zero, DriftSpec.zero(), cfg)
+    got = simulate_particles(zero, DRIFTS["zero"], cfg)
     assert got.tobytes() == want.tobytes()
     # the McKean-Vlasov projection runs unchunked on the same increments: with
     # a mean field of zero it is the zero-drift particle run, byte for byte
@@ -187,7 +186,7 @@ SDE_CFG = SimConfig(dt=0.1, T=0.5, samples=CHUNK + 3, seed=11, sigma=0.8)
 
 def test_sine_runs_match_the_euler_loop_bitwise():
     xi, cfg = _directed(4, 48), SDE_CFG
-    sine = DriftSpec.custom("sine")
+    sine = DRIFTS["sine"]
     noise = reference_noise(cfg.samples, cfg.steps, 4, cfg.seed)
     want = _euler(noise, cfg, _sine_pairs(xi.dense()))
     assert simulate_particles(xi, sine, cfg).tobytes() == want.tobytes()
@@ -201,14 +200,14 @@ def test_linear_particles_match_the_einsum_loop():
     noise = reference_noise(cfg.samples, cfg.steps, 5, cfg.seed)
     dense = xi.dense()
     want = _euler(noise, cfg, lambda t, x: np.einsum("ij,bj->bi", dense, x))
-    got = simulate_particles(xi, DriftSpec.linear(), cfg)
+    got = simulate_particles(xi, DRIFTS["linear"], cfg)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("run, xi, drift", [
-    (simulate_particles, _directed(4, 50), DriftSpec.linear()),
-    (simulate_projection, build_mean_field(4), DriftSpec.custom("sine")),
+    (simulate_particles, _directed(4, 50), DRIFTS["linear"]),
+    (simulate_projection, build_mean_field(4), DRIFTS["sine"]),
 ])
 def test_sde_memory_does_not_grow_with_steps(run, xi, drift):
     # 200 steps: a run that held its increments would peak near 200 states

@@ -8,10 +8,9 @@ import pytest
 
 from chaoscope import sde
 from chaoscope.gaussian import sigma_T
-from chaoscope.matrix import InteractionMatrix, build_mean_field
-from chaoscope.percolation import NotApplicable
+from chaoscope.matrix import InteractionMatrix, NotApplicable, build_mean_field
 from chaoscope.rng import CHUNK, chunk_streams
-from chaoscope.sde import (DriftSpec, SimConfig, save_samples,
+from chaoscope.sde import (DRIFTS, DriftSpec, SimConfig, save_samples,
                            simulate_particles, simulate_projection)
 
 from conftest import random_matrices
@@ -47,7 +46,7 @@ def test_config_validation():
 
 def test_zero_drift_covariance():
     cfg = SimConfig(dt=0.02, T=0.5, samples=4000, seed=11, sigma=1.3)
-    out = simulate_particles(zero_matrix(3), DriftSpec.zero(), cfg)
+    out = simulate_particles(zero_matrix(3), DRIFTS["zero"], cfg)
     assert out.shape == (4000, 3)
     emp = np.cov(out, rowvar=False)
     want = cfg.sigma ** 2 * cfg.T * np.eye(3)
@@ -57,7 +56,7 @@ def test_zero_drift_covariance():
 def test_linear_drift_covariance_matches_oracle():
     xi = random_matrices(1, seed=29, n_lo=3, n_hi=3)[0]
     cfg = SimConfig(dt=0.005, T=0.4, samples=4000, seed=5)
-    out = simulate_particles(xi, DriftSpec.linear(), cfg)
+    out = simulate_particles(xi, DRIFTS["linear"], cfg)
     emp = np.cov(out, rowvar=False)
     want = cfg.sigma ** 2 * sigma_T(xi, cfg.T).sigma_T
     cov_close(emp, want, cfg.samples, nsig=6.0)
@@ -66,16 +65,16 @@ def test_linear_drift_covariance_matches_oracle():
 def test_projection_linear_equals_decoupled_particles():
     cfg = SimConfig(dt=0.05, T=0.5, samples=500, seed=77)
     xi = random_matrices(1, seed=13, n_lo=3, n_hi=3)[0]
-    decoupled = simulate_particles(zero_matrix(3), DriftSpec.linear(), cfg)
-    proj = simulate_projection(xi, DriftSpec.linear(), cfg)
+    decoupled = simulate_particles(zero_matrix(3), DRIFTS["linear"], cfg)
+    proj = simulate_projection(xi, DRIFTS["linear"], cfg)
     assert np.array_equal(proj, decoupled)
-    proj_zero = simulate_projection(zero_matrix(3), DriftSpec.zero(), cfg)
+    proj_zero = simulate_projection(zero_matrix(3), DRIFTS["zero"], cfg)
     assert np.array_equal(proj_zero, decoupled)
 
 
 def test_sine_projection_runs_on_stochastic_rows():
     cfg = SimConfig(dt=0.02, T=0.5, samples=3000, seed=9)
-    out = simulate_projection(build_mean_field(4), DriftSpec.custom("sine"), cfg)
+    out = simulate_projection(build_mean_field(4), DRIFTS["sine"], cfg)
     assert out.shape == (3000, 4)
     assert np.isfinite(out).all()
     # odd drift and centered noise: terminal mean stays at zero
@@ -87,12 +86,10 @@ def test_projection_refusals():
     cfg = SimConfig(dt=0.1, T=0.5, samples=20, seed=0)
     halved = InteractionMatrix(0.5 * build_mean_field(4).dense())
     with pytest.raises(NotApplicable):  # row sums 1/2, marginals unknown
-        simulate_projection(halved, DriftSpec.custom("sine"), cfg)
+        simulate_projection(halved, DRIFTS["sine"], cfg)
     hookless = DriftSpec("flat", b=lambda t, x, y: np.zeros_like(y))
     with pytest.raises(NotApplicable):
         simulate_projection(build_mean_field(4), hookless, cfg)
-    with pytest.raises(ValueError):
-        DriftSpec.custom("nope")
 
 
 def test_save_samples(tmp_path):
@@ -132,12 +129,11 @@ def fast_switching():
     sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("drift", [DriftSpec.linear(), DriftSpec.zero(),
-                                   DriftSpec.custom("sine")], ids=lambda d: d.kind)
+@pytest.mark.parametrize("drift", DRIFTS.values(), ids=lambda d: d.kind)
 def test_threaded_chunks_are_byte_identical(monkeypatch, fast_switching, drift):
     xi = random_matrices(1, seed=31, n_lo=3, n_hi=3)[0]
     want = serial_run(xi, drift, POOL_CFG).tobytes()
-    decoupled = serial_run(xi, DriftSpec.zero(), POOL_CFG).tobytes()
+    decoupled = serial_run(xi, DRIFTS["zero"], POOL_CFG).tobytes()
     for count in (1, 2, 3, 8):
         cpus(monkeypatch, count)
         before = threading.active_count()
@@ -166,7 +162,7 @@ def test_a_failing_chunk_raises_in_the_caller(monkeypatch):
         cpus(monkeypatch, count)
         before = threading.active_count()
         with pytest.raises(ChunkFailed):
-            simulate_particles(build_mean_field(3), DriftSpec.linear(), POOL_CFG)
+            simulate_particles(build_mean_field(3), DRIFTS["linear"], POOL_CFG)
         assert threading.active_count() == before, count
 
 
@@ -181,7 +177,7 @@ def test_worker_threads_keep_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(sde, "_step_block", overflow_off_the_main_thread)
     cpus(monkeypatch, 2)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        simulate_particles(build_mean_field(3), DriftSpec.zero(), POOL_CFG)
+        simulate_particles(build_mean_field(3), DRIFTS["zero"], POOL_CFG)
 
 
 def test_one_chunk_starts_no_thread(monkeypatch):
@@ -197,8 +193,8 @@ def test_one_chunk_starts_no_thread(monkeypatch):
     xi = build_mean_field(3)
     for samples in (1, CHUNK):
         cfg = SimConfig(dt=0.1, T=0.3, samples=samples, seed=2)
-        simulate_particles(xi, DriftSpec.linear(), cfg)
+        simulate_particles(xi, DRIFTS["linear"], cfg)
     assert started == []
     cfg = SimConfig(dt=0.1, T=0.3, samples=CHUNK + 1, seed=2)
-    simulate_particles(xi, DriftSpec.linear(), cfg)
+    simulate_particles(xi, DRIFTS["linear"], cfg)
     assert len(started) == 1

@@ -38,20 +38,18 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def report_bytes(results, path):
-    verify.save_results(results, path)
-    return path.read_bytes()
+def report_bytes(results):
+    return cli.json_text(cli._verify_report(results)).encode()
 
 
-def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     serial = [verify._SUITE_FN[name](instances=3, seed=4) for name in verify.SUITES]
-    want = report_bytes(serial, tmp_path / "serial.json")
+    want = report_bytes(serial)
     for count, fork_calls in ((1, 0), (2, 1), (8, 3)):
         with monkeypatch.context() as m:
             cpus(m, count)
             forks = counted_forks(m)
-            got = report_bytes(verify.run_suite("all", instances=3, seed=4),
-                               tmp_path / f"w{count}.json")
+            got = report_bytes(verify.run_suite("all", instances=3, seed=4))
         assert got == want, count
         assert len(forks) == fork_calls, count
         assert_no_children()
@@ -59,22 +57,20 @@ def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     cpus(monkeypatch, 2)
     forks = counted_forks(monkeypatch)
     (one,) = verify.run_suite("bounds", instances=3, seed=4)
-    assert one.to_json_dict() == serial[-1].to_json_dict()
+    assert report_bytes([one]) == report_bytes(serial[-1:])
     monkeypatch.delattr(os, "fork")
-    assert report_bytes(verify.run_suite("all", instances=3, seed=4),
-                        tmp_path / "nofork.json") == want
+    assert report_bytes(verify.run_suite("all", instances=3, seed=4)) == want
     assert forks == []
 
 
-def test_report_bytes_do_not_depend_on_the_suite_order(monkeypatch, tmp_path):
+def test_report_bytes_do_not_depend_on_the_suite_order(monkeypatch):
     # _SUITE_FN's order is only the order workers take the suites in
-    want = report_bytes(verify.run_suite("all", instances=3, seed=4), tmp_path / "fwd.json")
+    want = report_bytes(verify.run_suite("all", instances=3, seed=4))
     monkeypatch.setattr(verify, "_SUITE_FN", dict(reversed(verify._SUITE_FN.items())))
     for count in (1, 2, 8):
         with monkeypatch.context() as m:
             cpus(m, count)
-            got = report_bytes(verify.run_suite("all", instances=3, seed=4),
-                               tmp_path / f"rev{count}.json")
+            got = report_bytes(verify.run_suite("all", instances=3, seed=4))
         assert got == want, count
         assert_no_children()
 
