@@ -12,8 +12,8 @@ quadratic interaction cost, optionally exponentially discounted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +26,7 @@ COLUMN_SLACK = 1e-12
 CURVE_TOL = 1e-10  # Poisson truncation of the growth-bound uniformization
 
 
-@dataclass(frozen=True)
-class ModelConstants:
+class ModelConstants(namedtuple("ModelConstants", "gamma M sigma T eta C0")):
     """Scalar hypotheses of the entropy estimates.
 
     gamma: transport constant of the interaction kernel; M: its second
@@ -35,27 +34,24 @@ class ModelConstants:
     mode only); C0: initial-chaoticity constant; T: horizon.
     """
 
-    gamma: float
-    M: float
-    sigma: float
-    T: float
-    eta: Optional[float] = None
-    C0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        positive = [("gamma", self.gamma), ("M", self.M), ("sigma", self.sigma)]
-        if self.eta is not None:
-            positive.append(("eta", self.eta))
+    def __new__(cls, gamma: float, M: float, sigma: float, T: float,
+                eta: Optional[float] = None, C0: float = 0.0):
+        positive = [("gamma", gamma), ("M", M), ("sigma", sigma)]
+        if eta is not None:
+            positive.append(("eta", eta))
         for name, val in positive:
             if not 0 < val < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {val}")
-        for name, val in (("T", self.T), ("C0", self.C0)):
+        for name, val in (("T", T), ("C0", C0)):
             if not 0 <= val < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-        s2 = self.sigma * self.sigma  # inf, not OverflowError, for a huge sigma
-        if s2 == 0 or not all(0 < val / s2 < math.inf for val in (self.gamma, self.M)):
+        s2 = sigma * sigma  # inf, not OverflowError, for a huge sigma
+        if s2 == 0 or not all(0 < val / s2 < math.inf for val in (gamma, M)):
             raise ValueError("sigma must keep gamma / sigma^2 and M / sigma^2 "
-                             f"positive and finite, got {self.sigma}")
+                             f"positive and finite, got {sigma}")
+        return super().__new__(cls, gamma, M, sigma, T, eta, C0)
 
     def rate_scale(self) -> float:
         """gamma / sigma^2: the growth-process rate the entropy proofs use."""
@@ -73,8 +69,7 @@ class ModelConstants:
             raise ValueError("uniform mode needs sigma^2 > 12 * eta * gamma")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     theorem: str
     structural: float     # the bracketed quantity, without the theorem's C
     inputs: dict

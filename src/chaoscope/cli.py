@@ -199,11 +199,23 @@ def _write_manifests(subcommand: str, args, outputs: list, elapsed: float):
             fh.write("\n")
 
 
+_CONSTANTS = {"gamma": "--gamma", "big_m": "--big-m", "sigma_const": "--sigma-const",
+              "horizon": "--horizon"}
+
+
 def _constants_from(args, required: bool = False):
-    vals = (args.gamma, args.big_m, args.sigma_const, args.horizon)
-    if any(v is None for v in vals):
+    """The model constants, or None when none of them is given and the theorem
+    does not need them; a partial set, or --eta or a nonzero --c0 without
+    the set, is refused."""
+    missing = [flag for dest, flag in _CONSTANTS.items() if getattr(args, dest) is None]
+    if missing:
+        given = ([flag for dest, flag in _CONSTANTS.items() if getattr(args, dest) is not None]
+                 + ["--eta"] * (args.eta is not None) + ["--c0"] * (args.c0 != 0.0))
         if required:
             raise MatrixError("this theorem needs --gamma, --big-m, --sigma-const and --horizon")
+        if given:
+            raise MatrixError(f"{', '.join(given)} given without {', '.join(missing)}; "
+                              "give all four constants or none")
         return None
     return bounds_mod.ModelConstants(gamma=args.gamma, M=args.big_m,
                                      sigma=args.sigma_const, T=args.horizon,
@@ -352,9 +364,26 @@ def cmd_gaussian(args, outputs: list) -> int:
     return 0
 
 
+# the flags of `bound` that only some theorems read, with those theorems;
+# --out, --format, --seed and the constants are left to the other checks
+_BOUND_READS = {
+    **dict.fromkeys(("matrix", "mean_field", "random_walk", "er", "sequential"),
+                    ("max", "avg", "avg-markov", "avg-2way", "setwise", "growth")),
+    "k": ("max", "avg", "avg-markov", "avg-2way"),
+    "v": ("setwise", "growth"),
+    "pi": ("avg-markov",),
+    "delta": ("h3",),
+    "uniform": ("h3", "growth"),
+    "h3_value": ("growth",),
+}
+
+
 def cmd_bound(args, outputs: list) -> int:
-    if args.h3_value is not None and args.theorem != "growth":
-        raise MatrixError("--h3-value applies only to --theorem growth")
+    for dest, theorems in _BOUND_READS.items():
+        val = getattr(args, dest)  # None or False when not given; 0 is given
+        if val is not None and val is not False and args.theorem not in theorems:
+            raise MatrixError(f"--{dest.replace('_', '-')} applies only to "
+                              f"--theorem {', '.join(theorems)}")
     if args.reversed and args.theorem in ("h3", "growth"):
         raise MatrixError(f"--reversed has no --theorem {args.theorem} form")
     constants = _constants_from(args, required=args.theorem in ("h3", "growth"))

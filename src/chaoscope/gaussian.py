@@ -11,8 +11,9 @@ two-sided checks are reproducible to the digit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,16 +30,25 @@ class InvalidCovariance(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GaussianModel:
-    xi: InteractionMatrix
-    T: float
-    sigma_T: np.ndarray    # covariance of the interacting system at time T
-    series_order: int      # highest series term used to build sigma_T
-    tail_bound: float      # certified sup-norm remainder of sigma_T / T
+class GaussianModel(namedtuple("GaussianModel", "xi T sigma_T series_order tail_bound")):
+    """xi and T; sigma_T, the covariance of the interacting system at time T,
+    held read-only; series_order, the highest series term used to build
+    sigma_T; tail_bound, the certified sup-norm remainder of sigma_T / T.
+    == compares sigma_T by value."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_T", _frozen(np.asarray(self.sigma_T, dtype=float)))
+    __slots__ = ()
+
+    def __new__(cls, xi: InteractionMatrix, T: float, sigma_T, series_order: int,
+                tail_bound: float):
+        return super().__new__(cls, xi, T, _frozen(np.asarray(sigma_T, dtype=float)),
+                               series_order, tail_bound)
+
+    def __eq__(self, other):
+        return (isinstance(other, GaussianModel) and self[:2] + self[3:] == other[:2] + other[3:]
+                and np.array_equal(self.sigma_T, other.sigma_T))
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def n(self) -> int:
@@ -57,8 +67,7 @@ class GaussianModel:
         return self.sigma_T / self.T - np.eye(self.n)
 
 
-@dataclass(frozen=True)
-class AvgEntropy:
+class AvgEntropy(NamedTuple):
     mode: str
     value: float
     stderr: float | None = None

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,26 +39,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph; no self-loops, no duplicate edges."""
+class Graph(namedtuple("Graph", "n edges degrees")):
+    """Simple undirected graph; no self-loops, no duplicate edges.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    Built from n and its edges, held sorted as (u, v) with u < v; degrees is
+    derived from them, read-only, and left out of == and of pickling.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges):
+        if n < 1:
             raise MatrixError("graph needs at least one vertex")
         seen = set()
-        deg = np.zeros(self.n, dtype=int)
+        deg = np.zeros(n, dtype=int)
         norm = []
-        for u, v in self.edges:
+        for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise MatrixError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise MatrixError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise MatrixError(f"edge ({u},{v}) out of range for n={n}")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise MatrixError(f"duplicate edge {key}")
@@ -65,8 +67,22 @@ class Graph:
             norm.append(key)
             deg[u] += 1
             deg[v] += 1
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "degrees", _frozen(deg))
+        return super().__new__(cls, n, tuple(sorted(norm)), _frozen(deg))
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @classmethod
     def from_file(cls, path) -> "Graph":
@@ -283,8 +299,7 @@ def random_substochastic(n: int, gen: np.random.Generator) -> InteractionMatrix:
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     ok: bool
     negative_entries: tuple
     nonzero_diagonal: tuple

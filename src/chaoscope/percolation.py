@@ -22,7 +22,8 @@ every family at payload (x, G), stated with the model's rate scale kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,26 +40,27 @@ class EngineTooLarge(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PercolationModel:
-    xi: InteractionMatrix
-    kappa: float  # rate scale multiplying every transition rate
+class PercolationModel(namedtuple("PercolationModel", "xi kappa")):
+    """The growth process on xi; kappa is the rate scale multiplying every
+    transition rate."""
 
-    def __post_init__(self):
-        if not 0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        negative = validate(self.xi).negative_entries
+    __slots__ = ()
+
+    def __new__(cls, xi: InteractionMatrix, kappa: float):
+        if not 0 < kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        negative = validate(xi).negative_entries
         if negative:  # a negative rate has no growth process
             raise ValueError("the growth process needs a nonnegative matrix, "
                              f"got negative entries at {list(negative)}")
+        return super().__new__(cls, xi, kappa)
 
     @property
     def n(self) -> int:
         return self.xi.n
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     mean: float
     stderr: float
     reps: int

@@ -26,8 +26,8 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .rng import chunk_streams, usable_cpus
 STOCHASTIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DriftSpec:
+class DriftSpec(NamedTuple):
     """Pairwise drift contract: dX^i = sum_j xi_ij b(t,X^i,X^j) dt + sigma dB^i.
 
     mean_field(t, x, pool) must return the pool-average of y -> b(t, x, y);
@@ -67,25 +66,24 @@ DRIFTS = {
 }
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float
-    T: float
-    samples: int
-    seed: int
-    sigma: float = 1.0
+class SimConfig(namedtuple("SimConfig", "dt T samples seed sigma")):
+    """Euler-Maruyama settings: step dt, horizon T (a whole number of steps),
+    sample count, seed and noise level sigma."""
 
-    def __post_init__(self):
-        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+    __slots__ = ()
+
+    def __new__(cls, dt: float, T: float, samples: int, seed: int, sigma: float = 1.0):
+        if not (0 < dt < math.inf and 0 < T < math.inf):
             raise ValueError("dt and T must be positive and finite")
-        if self.samples < 1:
+        if samples < 1:
             raise ValueError("samples must be >= 1")
-        if not (0 < self.sigma and self.sigma * self.sigma < math.inf):
+        if not (0 < sigma and sigma * sigma < math.inf):
             raise ValueError("sigma must be positive and finite, with a finite square, "
-                             f"got {self.sigma}")
-        steps = round(self.T / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
+                             f"got {sigma}")
+        steps = round(T / dt)
+        if steps < 1 or abs(steps * dt - T) > 1e-9 * max(T, 1.0):
             raise ValueError("T must be an integral number of steps")
+        return super().__new__(cls, dt, T, samples, seed, sigma)
 
     @property
     def steps(self) -> int:

@@ -17,7 +17,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,20 +32,18 @@ SLACK_TOL = 1e-9
 SUITES = ("generator", "expectations", "gaussian", "bounds")
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     slack: float | None = None
     note: str = ""
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     seed: int
     instances: int
-    checks: list[Check] = field(default_factory=list)
+    checks: tuple[Check, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -114,10 +112,9 @@ def generator_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
             agg.add(f"generator.{_check_name(fam)}", rhs[:, k] - lhs[:, k])
         exact_zero = max(exact_zero, float(np.abs(lhs[:, -1]).max()))
         exact_zero = max(exact_zero, abs(lhs[(1 << n) - 1, size2]))
-    out = SuiteResult("generator", seed, instances, agg.checks())
-    out.checks.append(Check("generator.annihilates-constants-and-full-set",
-                            exact_zero <= 1e-12, -exact_zero))
-    return out
+    return SuiteResult("generator", seed, instances, (
+        *agg.checks(), Check("generator.annihilates-constants-and-full-set",
+                             exact_zero <= 1e-12, -exact_zero)))
 
 
 _EXPECTATION_T = (0.1, 0.5, 1.0, 2.0)
@@ -144,7 +141,7 @@ def expectations_suite(instances: int = 50, seed: int = 0) -> SuiteResult:
             [perc.yule_second_moment(k0, kappa, t) * (1.0 + 1e-12) - m2
              for kappa in (0.5, 1.0) for t in (0.25, 1.0, 4.0) for k0, m2 in
              enumerate(perc.mean_field_size_expectation(20, kappa, np.arange(1, 7), t), 1)])
-    return SuiteResult("expectations", seed, instances, agg.checks())
+    return SuiteResult("expectations", seed, instances, tuple(agg.checks()))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +202,9 @@ def gaussian_suite(instances: int = 100, seed: int = 0) -> SuiteResult:
         cap = 0.5 + alpha_neg / (3.0 * (1.0 + alpha) ** 3)
         grid2 = np.linspace(alpha, 2.0, 41)
         agg.add("gaussian.h-upper", cap * grid2 ** 2 - gauss.h(grid2))
-    out = SuiteResult("gaussian", seed, instances, agg.checks())
-    out.checks.append(Check("gaussian.sigma-series-vs-quadrature",
-                            series_vs_quad <= 1e-7, 1e-7 - series_vs_quad))
-    return out
+    return SuiteResult("gaussian", seed, instances, (
+        *agg.checks(), Check("gaussian.sigma-series-vs-quadrature",
+                             series_vs_quad <= 1e-7, 1e-7 - series_vs_quad)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
         exact, _, _ = gauss.subset_entropies(gm, np.arange(1, 1 << n))
         fk_worst = min(fk_worst, float((bound[1:] - exact).min()))
     checks.append(Check("bounds.feynman-kac-dominates", fk_worst >= -SLACK_TOL, fk_worst))
-    return SuiteResult("bounds", seed, instances, checks)
+    return SuiteResult("bounds", seed, instances, tuple(checks))
 
 
 # The suites, longest first: the workers take them in this order, so the last

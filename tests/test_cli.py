@@ -578,6 +578,34 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
         (("bound", "--theorem", "h3", "--delta", "0.1", "--gamma", "1", "--big-m", "1",
           "--sigma-const", "1", "--horizon", "1", "--reversed"),
          "--reversed has no --theorem h3 form"),
+        # flags outside the theorem were once ignored, with exit 0
+        (("bound", "--theorem", "max", "--mean-field", "6", "--k", "2", "--uniform", "--pi",
+          "nofile.json", "--v", "0", "--delta", "3", "--out", str(tmp_path / "p.json")),
+         "--v applies only to --theorem setwise, growth"),
+        (("bound", "--theorem", "max", "--mean-field", "6", "--k", "2", "--uniform",
+          "--out", str(tmp_path / "p.json")), "--uniform applies only to --theorem h3, growth"),
+        (("bound", "--theorem", "avg", "--mean-field", "6", "--k", "2", "--pi", "nofile.json"),
+         "--pi applies only to --theorem avg-markov"),
+        (("bound", "--theorem", "max", "--mean-field", "6", "--k", "2", "--delta", "0"),
+         "--delta applies only to --theorem h3"),
+        (("bound", "--theorem", "setwise", "--mean-field", "6", "--v", "0", "--k", "0"),
+         "--k applies only to --theorem max, avg, avg-markov, avg-2way"),
+        (("bound", "--theorem", "h3", "--delta", "0.1", "--mean-field", "4", "--gamma", "1",
+          "--big-m", "1", "--sigma-const", "1", "--horizon", "1", "--out",
+          str(tmp_path / "p.json")), "--mean-field applies only to --theorem max, avg, "),
+        (("bound", "--theorem", "h3", "--delta", "0.1", "--k", "3", "--gamma", "1",
+          "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
+         "--k applies only to --theorem max"),
+        (("bound", "--theorem", "h3", "--delta", "0.1", "--v", "0,1", "--gamma", "1",
+          "--big-m", "1", "--sigma-const", "1", "--horizon", "1"),
+         "--v applies only to --theorem setwise, growth"),
+        (("bound", "--theorem", "max", "--mean-field", "6", "--k", "2", "--gamma", "1",
+          "--big-m", "1", "--out", str(tmp_path / "p.json")),
+         "--gamma, --big-m given without --sigma-const, --horizon; give all four"),
+        (("bound", "--theorem", "avg", "--mean-field", "6", "--k", "2", "--horizon", "1",
+          "--eta", "1"), "--horizon, --eta given without --gamma, --big-m, --sigma-const"),
+        (("bound", "--theorem", "max", "--mean-field", "6", "--k", "2", "--c0", "1"),
+         "--c0 given without --gamma, --big-m, --sigma-const, --horizon"),
         (("bound", "--theorem", "max", "--matrix", str(lone_neg), "--k", "1"),
          "max_entropy_bound needs a nonnegative matrix: negative entries at [(0, 1)]"),
         # avg-markov once gave structural 0.0 here, and nan for a NaN weight

@@ -3,8 +3,11 @@ the package exports and the calls the README names resolve; every definition
 in the package has a caller."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,3 +96,16 @@ def test_modules_import_only_lower_layers():
                 upward += [f"{path.stem} -> {name}" for name in names
                            if name in LAYERS and LAYERS[name] >= LAYERS[path.stem]]
     assert not upward, f"imports from the same or a higher layer: {', '.join(upward)}"
+
+
+def test_cli_import_adds_no_dataclasses():
+    # the records are built without dataclass code generation, which took
+    # about half of the package's import time in every CLI process; numpy's
+    # own modules are the baseline, so only what the package loads counts
+    code = ("import sys, numpy; base = set(sys.modules); import chaoscope.cli; "
+            "print(*sorted(set(sys.modules) - base))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "chaoscope.cli" in added
+    assert "dataclasses" not in added, added
