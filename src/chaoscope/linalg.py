@@ -14,8 +14,12 @@ import math
 
 import numpy as np
 
-# Taylor series of exp on a matrix with ||A||_inf <= 1 converges in well under
-# 60 terms at double precision; the cap only guards against pathological input.
+# expm_action's stages have ||A/s|| <= THETA_MAX: fewer, longer stages take
+# fewer applications of A for the same truncation bound (Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 2011).  At theta <= 4 a stage's series reaches a
+# relative 1e-12 within about 30 terms; the cap only guards against
+# pathological input.
+THETA_MAX = 4.0
 _MAX_TAYLOR_TERMS = 200
 
 # poisson_truncation takes log p_m directly while m |log lam| stays below this,
@@ -28,20 +32,27 @@ def expm_action(apply, b: np.ndarray, mu: float, tol: float = 1e-12) -> np.ndarr
 
     apply is x -> A x on arrays shaped like b, and mu >= ||A||_inf bounds
     the norm A induces on the max-abs norm of such arrays (for a matrix a,
-    pass a.__matmul__ and ||a||_inf).  The norm is divided down so each
-    stage has ||A/s|| <= 1, and the series remainder is bounded through mu,
-    so the truncation error is certified at tol * ||result||_max per stage
-    (absolute floor near zero).  Never forms an eigendecomposition; for
-    entrywise-nonnegative A and b every intermediate stays nonnegative.
-    apply must return a new array, which is divided in place.
+    pass a.__matmul__ and ||a||_inf).  The exponential is taken in
+    s = ceil(mu / THETA_MAX) stages of e^{A/s}, each of norm
+    theta = mu / s <= THETA_MAX.  After term k of a stage the rest of its
+    series is at most ||term_k|| (theta/(k+1)) / (1 - theta/(k+2)), a
+    geometric envelope that holds only once k + 2 > theta, so no stage
+    stops before that.  A stage stops once the envelope is within tol / s
+    of its result's largest entry (absolute floor near zero), so each
+    stage's truncation is certified.  On signed 1-8 x 8 matrices of norm
+    up to 10 the result is within 1e-11 of the largest entry of scipy's
+    expm (about 1e-12 seen; tests/test_linalg.py).  Never forms an
+    eigendecomposition; for entrywise-nonnegative A and b every
+    intermediate stays nonnegative.  apply must return a new array, which
+    is divided in place.
     """
     b = np.asarray(b, dtype=float)
     if not 0.0 <= mu < math.inf:
         raise ValueError("expm_action: an operator needs a finite norm bound mu >= 0")
     if mu == 0.0 or not b.any():
         return b.astype(float, copy=True)
-    stages = max(1, int(math.ceil(mu)))
-    theta = mu / stages  # <= 1
+    stages = max(1, math.ceil(mu / THETA_MAX))
+    theta = mu / stages  # <= THETA_MAX
     step_tol = tol / stages
     out = b.astype(float, copy=True)
     for _ in range(stages):
@@ -53,10 +64,12 @@ def expm_action(apply, b: np.ndarray, mu: float, tol: float = 1e-12) -> np.ndarr
             term /= stages * k
             acc += term
             tn = np.abs(term).max()
+            bound += tn  # >= ||acc||_max once inflated past the sums' rounding
+            if k + 2 <= theta:  # the envelope below needs theta / (k + 2) < 1
+                continue
             # Remaining tail: ||term_k|| * sum_{j>=1} theta^j / prod(k+1..k+j)
             #   <= ||term_k|| * (theta/(k+1)) / (1 - theta/(k+2)).
             rem = tn * (theta / (k + 1)) / (1.0 - theta / (k + 2))
-            bound += tn  # >= ||acc||_max once inflated past the sums' rounding
             if (rem <= step_tol * max(bound * (1.0 + 1e-12), 1e-300)
                     and rem <= step_tol * max(np.abs(acc).max(), 1e-300)):
                 break

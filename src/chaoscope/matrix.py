@@ -178,7 +178,8 @@ class InteractionMatrix:
 
     The caches (row_sums, col_sums, delta, delta_i, symmetric) are computed
     once at construction and exposed read-only; rho, a certified upper bound
-    on the operator norm, is computed on first use and kept.  Construction
+    on the operator norm, and the `validate` reports are computed on first
+    use and kept.  Construction
     refuses only a non-square array, a size outside [1, DENSE_LIMIT] and NaN
     or inf entries; `validate` reports the other violations (nonzero
     diagonal, negative entries) so callers can decide, and the builders
@@ -186,7 +187,7 @@ class InteractionMatrix:
     """
 
     __slots__ = ("n", "row_sums", "col_sums", "delta", "delta_i", "symmetric",
-                 "_dense", "_rho")
+                 "_dense", "_rho", "_reports")
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
@@ -205,6 +206,7 @@ class InteractionMatrix:
         self.symmetric = bool(np.array_equal(a, a.T))
         self._dense = _frozen(a)
         self._rho = None
+        self._reports = None  # validate's, without and with the column check
 
     def dense(self) -> np.ndarray:
         """The matrix as a read-only n x n array."""
@@ -322,15 +324,20 @@ class ValidityReport(NamedTuple):
 
 
 def validate(xi: InteractionMatrix, check_columns: bool = False) -> ValidityReport:
-    """Report nonnegativity, zero diagonal, and (sub)stochastic row/column sums."""
-    d = xi.dense()
-    neg = tuple(map(tuple, np.argwhere(d < 0).tolist()))
-    diag = tuple(np.flatnonzero(np.diag(d)).tolist())
-    limit = 1.0 + ROW_SUM_RTOL
-    rows = tuple(int(i) for i in np.nonzero(xi.row_sums > limit)[0])
-    cols = tuple(int(j) for j in np.nonzero(xi.col_sums > limit)[0]) if check_columns else None
-    ok = not (neg or diag or rows or (cols if check_columns else ()))
-    return ValidityReport(ok, neg, diag, rows, cols)
+    """Report nonnegativity, zero diagonal, and (sub)stochastic row/column sums.
+
+    Both reports are computed on a matrix's first call and kept on it."""
+    if xi._reports is None:
+        d = xi.dense()
+        neg = tuple(map(tuple, np.argwhere(d < 0).tolist()))
+        diag = tuple(np.flatnonzero(np.diag(d)).tolist())
+        limit = 1.0 + ROW_SUM_RTOL
+        rows = tuple(int(i) for i in np.nonzero(xi.row_sums > limit)[0])
+        cols = tuple(int(j) for j in np.nonzero(xi.col_sums > limit)[0])
+        ok = not (neg or diag or rows)
+        xi._reports = (ValidityReport(ok, neg, diag, rows, None),
+                       ValidityReport(ok and not cols, neg, diag, rows, cols))
+    return xi._reports[bool(check_columns)]
 
 
 # ---------------------------------------------------------------------------

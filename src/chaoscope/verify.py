@@ -289,8 +289,8 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
 # The suites, longest first: the workers take them in this order, so the last
 # suite a worker picks up is a short one (list scheduling; Graham, SIAM J.
 # Appl. Math. 1969).  Warm in-process seconds at the default instances and
-# seed 0 (least of 21, one BLAS thread, 2-vCPU Xeon): gaussian 0.22,
-# expectations 0.18, generator 0.032, bounds 0.033; the last two tie.
+# seed 0 (least of 21, one BLAS thread, 2-vCPU Xeon): gaussian 0.150,
+# expectations 0.108, generator 0.022, bounds 0.018.
 _SUITE_FN = {"gaussian": gaussian_suite, "expectations": expectations_suite,
              "generator": generator_suite, "bounds": bounds_suite}
 
@@ -370,6 +370,9 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> list[Su
     os.close(fill)
     children = []  # (pid, read end of its reply pipe), until reaped
     parent = os.getpid()
+    # every suite draws from numpy.random, which numpy loads on first use;
+    # loading it before the fork spares each worker its own import
+    import numpy.random  # noqa: F401
     try:
         for _ in range(workers - 1):
             fd_r, fd_w = os.pipe()

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 
 from chaoscope import rng
-from chaoscope.gaussian import (InvalidCovariance, avg_entropy,
+from chaoscope.gaussian import (InvalidCovariance, _check_covariance, avg_entropy,
                                 avg_entropy_sandwich, avg_trace_sq,
                                 clique_lower, d_T, d_T_envelope,
                                 d_T_quadrature, gaussian_kl, h, max_upper,
@@ -88,6 +88,22 @@ def test_gaussian_kl_matches_quadratic_formula():
 def test_gaussian_kl_rejects_non_pd():
     with pytest.raises(InvalidCovariance):
         gaussian_kl(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+    # the symmetry gate gives np.allclose's verdict (rtol 1e-10, atol 1e-12),
+    # also on infinite and NaN entries: a non-finite entry passes only beside
+    # an equal mirror, and inf - inf warns of nothing
+    inf, nan = math.inf, math.nan
+    for a, b in ((1.0, 1.0 + 1e-11), (1.0, 1.0 + 1e-9), (0.0, 1e-12), (0.0, 2e-12),
+                 (inf, inf), (-inf, -inf), (inf, -inf), (inf, 1.0), (1.0, inf),
+                 (nan, nan), (nan, 1.0), (1e308, -1e308)):
+        c = np.array([[1.0, a], [b, 1.0]])
+        with np.errstate(over="ignore"):
+            want = np.allclose(c, c.T, rtol=1e-10, atol=1e-12)
+            try:
+                _check_covariance(c, "c")
+                got = True
+            except InvalidCovariance:
+                got = False
+        assert got == want, (a, b)
 
 
 def test_exact_entropy_is_kl_against_reference():

@@ -77,6 +77,18 @@ def test_validate_flags_violations():
     assert "negative" in rep.describe()
 
 
+def test_validate_keeps_one_report_per_column_check():
+    # column 0 sums to 1.5 and every row sum is 1: only the column check
+    # fails, and each report is computed on the first call and kept
+    xi = InteractionMatrix([[0.0, 0.5, 0.5], [0.8, 0.0, 0.2], [0.7, 0.3, 0.0]])
+    with_cols = validate(xi, check_columns=True)
+    assert not with_cols.ok and with_cols.col_violations == (0,)
+    rows_only = validate(xi)
+    assert rows_only.ok and rows_only.col_violations is None
+    assert validate(xi, True) is with_cols and validate(xi, False) is rows_only
+    assert validate(InteractionMatrix(xi.dense())) == rows_only
+
+
 def test_validate_diagonal():
     bad = InteractionMatrix([[0.3, 0.0], [0.0, 0.0]])
     rep = validate(bad)

@@ -109,3 +109,17 @@ def test_cli_import_adds_no_dataclasses():
                            text=True, check=True).stdout.split()
     assert "chaoscope.cli" in added
     assert "dataclasses" not in added, added
+    # numpy loads these on first use; no op that draws nothing should pay for them
+    assert "numpy.random" not in added and "numpy.ma" not in added, added
+
+
+def test_subset_entropies_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, about 14 ms in every
+    # process, and once more in each forked verify worker
+    code = ("import sys; from chaoscope import gaussian, matrix; "
+            "gm = gaussian.sigma_T(matrix.build_mean_field(4), 0.3); "
+            "gaussian.subset_entropies(gm, range(1, 16)); print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
