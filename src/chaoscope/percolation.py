@@ -7,7 +7,8 @@ absorbing.  Three engines compute E_v[F(X_t)]:
   * exact uniformization over the up-set of v, the 2^(n-|v|) subsets
     containing v (n <= 16), F being a function of a masks array called once
     at them, with a value or a row of c values (a stack) per mask,
-  * Gillespie sampling of the jump chain,
+  * Gillespie sampling of the jump chain (the direct method), a chunk of
+    paths in lockstep, each carrying its per-site rates from jump to jump,
   * first-passage edge clocks (symmetric xi only; same law by memorylessness).
 
 FAMILIES names the moment families once: size, linear and quadratic
@@ -247,6 +248,20 @@ def exact_expectations(model: PercolationModel, F, v, times,
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 
+def _prefix_count(rate: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How many prefix sums down the sites of each column of rate are <= x.
+
+    The sums are np.cumsum(rate, axis=0) bit for bit, added a row at a time:
+    cumsum down the outer axis of a C-ordered table walks it a column at a
+    time, 4-8x slower at n = 8-48.
+    """
+    cs = np.empty_like(rate)
+    cs[0] = rate[0]
+    for i in range(1, len(rate)):
+        np.add(cs[i - 1], rate[i], out=cs[i])
+    return (cs <= x).sum(axis=0)
+
+
 def _jump_chain_chunk(gen: np.random.Generator, size: int, model: PercolationModel,
                       start: int, t: float) -> np.ndarray:
     """Terminal masks of `size` jump-chain paths from the mask start, in lockstep.
@@ -255,29 +270,59 @@ def _jump_chain_chunk(gen: np.random.Generator, size: int, model: PercolationMod
     start rows' column sum plus the rows of the sites that joined since.
     Each round, the paths with a positive total rate draw
     standard_exponential(live), clock += E / total, and those with
-    clock <= t draw random(live) and take the site where the row cumsum
-    first exceeds u * total, one total serving the clock and the search.
-    Each round adds a site, so at most n - |v| rounds run.
+    clock <= t draw random(live) and take the site j where the prefix sum of
+    their rates first exceeds u * total, one total serving the clock and the
+    search.  Each round adds a site, so at most n - |v| rounds run.
+
+    Every path has the start's rates until it first jumps, so the first
+    clocks divide by one total, and only the paths that jump by t enter the
+    tables.  Those carry their rates across rounds in a (sites, paths) table
+    `rate`, exactly 0.0 at a path's members, beside a boolean table `free` of
+    its open sites.  A jump to j adds rows[j] to the path's column and
+    multiplies it by `free`, so each open site gets the same adds in the same
+    order as a sum rebuilt from the rows (x * 1.0 = x), and j drops to 0.0.
+
+    The total and the prefix sums add the sites in index order, so the total
+    is the last prefix sum bit for bit and u * total stays below it.
+    np.add.reduce down the sites of a C-ordered table adds whole rows in turn,
+    but it sums a lone column (one path left), or the columns of an F-ordered
+    table, pairwise: hence np.cumsum for one path, and np.compress, which
+    keeps a table C-ordered where a boolean index would not.  The tables, the
+    prefix sums and the search's booleans come to about 2.25 * 8n bytes per
+    running path.
     """
     rows = model.kappa * model.xi.dense()
+    cols = np.ascontiguousarray(rows.T)  # cols[:, j] is rows[j]
+    members = mask_members(start)
     out = np.full(size, start, dtype=np.int64)
-    idx = np.arange(size)  # the running paths, whose rows the arrays below hold
-    acc = np.tile(rows[mask_members(start)].sum(axis=0), (size, 1))
-    clock = np.zeros(size)
+    first = rows[members].sum(axis=0)
+    first[members] = 0.0
+    total = np.cumsum(first)[-1]
+    if not total > 0.0:  # the start has no exit
+        return out
+    clock = gen.standard_exponential(size) / total
+    idx = np.flatnonzero(clock <= t)  # the running paths, whose columns the tables hold
+    clock, total = clock[idx], np.full(idx.size, total)
+    rate = np.repeat(first[:, None], idx.size, axis=1)
+    free = np.ones(rate.shape, dtype=bool)
+    free[members] = False
     while idx.size:
-        cs = np.cumsum(np.where(out[idx, None] >> np.arange(model.n) & 1, 0.0, acc), axis=1)
-        live = cs[:, -1] > 0.0  # a path without exit is absorbed
+        # u < total, so the search lands on a bin of positive rate
+        j = _prefix_count(rate, gen.random(idx.size) * total)
+        out[idx] |= np.left_shift(1, j)
+        free[j, np.arange(idx.size)] = False
+        rate += cols.take(j, axis=1)
+        rate *= free
+        total = np.add.reduce(rate, axis=0) if idx.size > 1 else np.cumsum(rate, axis=0)[-1]
+        live = total > 0.0  # a path without exit is absorbed
         if not live.all():
-            idx, acc, clock, cs = (a[live] for a in (idx, acc, clock, cs))
-        total = cs[:, -1]
+            idx, rate, free, clock, total = (np.compress(live, a, axis=-1)
+                                             for a in (idx, rate, free, clock, total))
         clock += gen.standard_exponential(idx.size) / total
         live = clock <= t
         if not live.all():
-            idx, acc, clock, cs, total = (a[live] for a in (idx, acc, clock, cs, total))
-        # u < total, so the search lands on a bin of positive rate
-        j = (cs <= (gen.random(idx.size) * total)[:, None]).sum(axis=1)
-        out[idx] |= np.left_shift(1, j)
-        acc += rows[j]
+            idx, rate, free, clock, total = (np.compress(live, a, axis=-1)
+                                             for a in (idx, rate, free, clock, total))
     return out
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,13 @@ def lookup(values):
     """F of a masks array that reads a table over all 2^n masks, a row per mask."""
     values = np.asarray(values, dtype=float)
     return lambda masks: values[masks]
+
+
+def benchmark_inputs(seed, workdir):
+    """The benchmark's matrices at a workload seed, name -> (dense, path, digest),
+    written to workdir (perfbench/inputs.py, run from its source so that no
+    bytecode is written next to it)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    inputs = {}
+    exec(compile(path.read_text(), str(path), "exec"), inputs)
+    return inputs["make_inputs"](seed, workdir)

@@ -1,6 +1,5 @@
 import math
 from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +20,7 @@ from chaoscope.percolation import (FAMILIES, EngineTooLarge, PercolationModel, _
 from chaoscope.rng import chunk_streams, stream
 from chaoscope.verify import run_suite
 
-from conftest import lookup, random_matrices
+from conftest import benchmark_inputs, lookup, random_matrices
 
 
 def brute_generator(xi, kappa, f):
@@ -339,6 +338,19 @@ class _TopDraws:
         return np.full(size, 1.0 - 2.0 ** -53)
 
 
+class _LateSecondDraws(_TopDraws):
+    """_TopDraws, but path 0's second exponential puts it past any t."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def standard_exponential(self, size):
+        self.calls += 1
+        e = np.ones(size)
+        e[0] = 1e9 if self.calls == 2 else 1.0
+        return e
+
+
 def test_gillespie_top_uniform_stays_in_range(monkeypatch):
     # a row whose pairwise sum exceeds its last cumulative sum: scaling the
     # top uniform by the pairwise total used to search past the last bin
@@ -353,15 +365,18 @@ def test_gillespie_top_uniform_stays_in_range(monkeypatch):
     t = 1.5 / np.cumsum(row)[-1]
     model = PercolationModel(InteractionMatrix(dense), 1.0)
     assert terminal_masks(model, [0], t, reps=3, seed=0).tolist() == [1 | 1 << 30] * 3
-
-
-def _benchmark_directed16(tmp_path) -> InteractionMatrix:
-    """The benchmark's directed n = 16 input at workload seed 1 (perfbench/inputs.py,
-    run from its source so that no bytecode is written next to it)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    inputs = {}
-    exec(compile(path.read_text(), str(path), "exec"), inputs)
-    return InteractionMatrix(inputs["make_inputs"](1, tmp_path)["directed16"][0])
+    # the row keeps that property while sites 30 and 29 join: searches on
+    # one path, and on the two paths left when path 0 stops at its second
+    # clock, run after totals over the rates they carry; the clock passes t
+    # at the fourth event, whose total is below the third's
+    head = [np.cumsum(row[:k])[-1] for k in (31, 30, 29)]
+    assert all(row[:k].sum() > h for k, h in zip((31, 30, 29), head))
+    t = 1.0 / head[0] + 1.0 / head[1] + 1.5 / head[2]
+    assert terminal_masks(model, [0], t, reps=1, seed=0).tolist() == [1 | 7 << 28]
+    monkeypatch.setattr(percolation, "chunk_streams",
+                        lambda seed, total: [(0, total, _LateSecondDraws())])
+    masks = terminal_masks(model, [0], t, reps=3, seed=0)
+    assert masks.tolist() == [1 | 1 << 30] + [1 | 7 << 28] * 2
 
 
 def test_cost_tables_equal_per_mask_slices(tmp_path):
@@ -369,7 +384,8 @@ def test_cost_tables_equal_per_mask_slices(tmp_path):
     h3 = 0.8
     lead, scale = math.sqrt(c.gamma * c.M * h3) / c.sigma ** 2, c.M / c.sigma ** 2
     g = stream(26)
-    cases = [random_substochastic(n, g) for n in range(2, 11)] + [_benchmark_directed16(tmp_path)]
+    directed16 = InteractionMatrix(benchmark_inputs(1, tmp_path)["directed16"][0])
+    cases = [random_substochastic(n, g) for n in range(2, 11)] + [directed16]
     for xi in cases:
         n, d = xi.n, xi.dense()
         every = np.arange(1 << n, dtype=np.int64)

@@ -3,12 +3,17 @@
 The jump chain and the edge clocks must sample the growth process's law:
 their empirical distribution over all 2^n masks is held to the exact
 engine's, the stacked indicator table pushed through exact_expectations.
+The jump chain carries its per-path rates from round to round; its masks are
+held bit for bit to a frozen copy of the loop that rebuilt them every round,
+and to the digests of the benchmark's sampling payloads, and one chunk's
+memory to two (paths x n) float tables, two and a half when every path jumps.
 The SDE noise must be the chunk contract's, bit for bit: the increments of
 sample r come from its chunk's stream, step by step, each step's noise drawn
 for the whole chunk.  The SDE runs are held to a plain Euler loop on those
 increments, and their memory to a few copies of one step's state.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,11 +21,15 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from chaoscope.matrix import InteractionMatrix, build_mean_field, random_substochastic, subset_mask
+from chaoscope.cli import console_main
+from chaoscope.matrix import (InteractionMatrix, build_mean_field, mask_members,
+                              random_substochastic, subset_mask)
 from chaoscope.percolation import (CLOCK_BLOCK, PercolationModel, exact_expectations,
                                    terminal_masks)
-from chaoscope.rng import CHUNK, SAMPLER, stream
+from chaoscope.rng import CHUNK, SAMPLER, chunk_streams, stream
 from chaoscope.sde import DRIFTS, DriftSpec, SimConfig, simulate_particles, simulate_projection
+
+from conftest import benchmark_inputs
 
 KAPPA = 1.3
 STARTS = ([0], [0, 2, 5])
@@ -94,6 +103,106 @@ def test_chunks_cover_any_number_of_paths(method):
     assert few.shape == (7,) and np.all(few & start == start)
     assert np.array_equal(few, terminal_masks(model, [0, 3], 0.8, 7, 5, method=method))
     assert terminal_masks(model, [0, 3], 0.8, 0, 5, method=method).shape == (0,)
+
+
+def _rebuilt_jump_chain_chunk(gen, size, model, start, t):
+    """The jump chain that rebuilds its rates every round: it masks the
+    accumulated rows of every running path at its members and takes the full
+    row cumsum, whose last entry is the total."""
+    rows = model.kappa * model.xi.dense()
+    out = np.full(size, start, dtype=np.int64)
+    idx = np.arange(size)
+    acc = np.tile(rows[mask_members(start)].sum(axis=0), (size, 1))
+    clock = np.zeros(size)
+    while idx.size:
+        cs = np.cumsum(np.where(out[idx, None] >> np.arange(model.n) & 1, 0.0, acc), axis=1)
+        live = cs[:, -1] > 0.0
+        if not live.all():
+            idx, acc, clock, cs = (a[live] for a in (idx, acc, clock, cs))
+        total = cs[:, -1]
+        clock += gen.standard_exponential(idx.size) / total
+        live = clock <= t
+        if not live.all():
+            idx, acc, clock, cs, total = (a[live] for a in (idx, acc, clock, cs, total))
+        j = (cs <= (gen.random(idx.size) * total)[:, None]).sum(axis=1)
+        out[idx] |= np.left_shift(1, j)
+        acc += rows[j]
+    return out
+
+
+def _directed48(tmp_path):
+    """The benchmark's directed n = 48 input at workload seed 1: density 0.1,
+    every row sum 0.7."""
+    return InteractionMatrix(benchmark_inputs(1, tmp_path)["directed48"][0])
+
+
+def test_jump_chain_keeps_the_bits_of_the_rebuilt_rates(tmp_path):
+    # 2 * CHUNK + 1 paths: two full chunks and a chunk of one path
+    d48, reps = _directed48(tmp_path), 2 * CHUNK + 1
+    cases = {"mean-field 8": (build_mean_field(8), [0], 1.0),
+             "directed 48": (d48, [0], 0.5), "directed 48, long": (d48, [0, 5], 2.0),
+             "random 12": (_directed(12, 51), [0, 3], 2.0),
+             "mean-field 63": (build_mean_field(63), [62], 2.0),
+             "absorbed": (build_mean_field(4), [0], 50.0),
+             "n = 1": (InteractionMatrix(np.zeros((1, 1))), [0], 1.0),
+             "zero": (InteractionMatrix(np.zeros((5, 5))), [1, 3], 1.0)}
+    got = {}
+    for name, (xi, v, t) in cases.items():
+        model = PercolationModel(xi, KAPPA)
+        start = subset_mask(v, xi.n)
+        want = np.concatenate([_rebuilt_jump_chain_chunk(gen, hi - lo, model, start, t)
+                               for lo, hi, gen in chunk_streams(13, reps)])
+        got[name] = terminal_masks(model, v, t, reps, 13)
+        assert got[name].tobytes() == want.tobytes(), name
+        assert np.all(got[name] & start == start), name
+    for name in ("mean-field 8", "directed 48", "directed 48, long", "random 12",
+                 "mean-field 63"):
+        assert len(set(got[name].tolist())) > 3, name  # the paths do jump
+    assert (got["mean-field 63"] >> 62 & 1).all() and (got["mean-field 63"] >> 40).any()
+    assert set(got["absorbed"].tolist()) == {0b1111}
+    assert set(got["n = 1"].tolist()) == {1} and set(got["zero"].tolist()) == {0b01010}
+
+
+# perfbench's sampling ops at workload seed 1 and full size, and the sha256
+# of their JSON payloads
+SAMPLING_PAYLOADS = {
+    "mc_mean_field": (("--mean-field", "8", "--v", "0", "--t", "1", "--engine", "mc"),
+                      "146158a892ba83f29b2a3ce0589e2c1a6c4e3655f7371ca3e0208a5cfe450755"),
+    "fpp_mean_field": (("--mean-field", "8", "--v", "0", "--t", "1", "--engine", "fpp"),
+                       "08edd7a9f907fb6a237059ea1a52980f9864c0affc64dbd1b2f47aba6f571ddd"),
+    "mc_sparse": (("--matrix", "directed48.json", "--v", "0", "--t", "0.5", "--engine", "mc"),
+                  "805e2e17e80fc2f1252bbe39020102608db7ec0859b0f28f04e48d6b7834e7d6"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SAMPLING_PAYLOADS))
+def test_sampling_payloads_keep_their_digests(op, tmp_path):
+    benchmark_inputs(1, tmp_path)  # writes directed48.json
+    args, digest = SAMPLING_PAYLOADS[op]
+    args = tuple(str(tmp_path / a) if a.endswith(".json") else a for a in args)
+    out = tmp_path / f"{op}.json"
+    argv = ["percolate", *args, "--reps", "25000", "--seed", "1", "--threads", "1",
+            "--out", str(out)]
+    assert console_main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case, t, tables", [
+    ("directed48", 0.5, 2.0), ("mean-field48", 0.05, 2.0), ("mean-field48", 2.0, 2.5)])
+def test_jump_chain_chunk_peak_memory(case, t, tables, tmp_path):
+    # one chunk at n = 48, whose (CHUNK, n) float table is CHUNK * n * 8 bytes:
+    # the rebuilt rates peaked at 3.1 tables on the first two, and at 3.9 at
+    # t = 2, where every path jumps
+    xi = _directed48(tmp_path) if case == "directed48" else build_mean_field(48)
+    table = CHUNK * 48 * 8
+    tracemalloc.start()
+    try:
+        masks = terminal_masks(PercolationModel(xi, 1.0), [0], t, CHUNK, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(masks.tolist())) > 3  # the paths do jump
+    assert peak < tables * table, peak / table
 
 
 def test_edge_clock_blocks_match_dijkstra_row_by_row():
