@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gaussian import GaussianModel, _exp
+from . import linalg
+from .gaussian import GaussianModel
 from .matrix import (InteractionMatrix, NotApplicable, cost_values, mask_members, subset_mask,
                      validate)
 from .percolation import PercolationModel, exact_expectations
@@ -82,16 +83,6 @@ class BoundReport(NamedTuple):
         if self.explicit is not None:
             out["explicit"] = self.explicit
         return out
-
-
-def _echo(constants: Optional[ModelConstants]) -> dict:
-    if constants is None:
-        return {}
-    out = {"gamma": constants.gamma, "M": constants.M,
-           "sigma": constants.sigma, "T": constants.T, "C0": constants.C0}
-    if constants.eta is not None:
-        out["eta"] = constants.eta
-    return out
 
 
 def _require_columns(xi: InteractionMatrix, theorem: str):
@@ -170,7 +161,7 @@ def h3_bound(constants: ModelConstants, delta: float, uniform: bool = False) -> 
     if uniform:
         core = constants.C0 + M / (s2 * (constants.discount_rate() - 3.0 * g))
     else:
-        core = (_exp("h3_bound", "3*gamma*T", 3.0 * g * constants.T)
+        core = (linalg.checked_exp("h3_bound", "3*gamma*T", 3.0 * g * constants.T)
                 * (constants.C0 + M / (3.0 * g * s2)))
     try:
         value = 8.0 * core * delta ** 2 * 27.0
@@ -185,30 +176,27 @@ def h3_bound(constants: ModelConstants, delta: float, uniform: bool = False) -> 
 # ---------------------------------------------------------------------------
 # Structural theorem values
 
-def max_entropy_bound(xi: InteractionMatrix, k: int,
-                      constants: ModelConstants | None = None) -> BoundReport:
+def max_entropy_bound(xi: InteractionMatrix, k: int) -> BoundReport:
     """(delta k + 1)(delta k)^2: worst subset of size k."""
     _check_k(xi, k)
     _require_nonnegative(xi, "max_entropy_bound")
     dk = xi.delta * k
     pref = dk + 1.0
-    inputs = {"k": k, "n": xi.n, "delta": xi.delta, **_echo(constants)}
+    inputs = {"k": k, "n": xi.n, "delta": xi.delta}
     return BoundReport("max", pref * dk * dk, inputs, pref)
 
 
-def avg_entropy_bound(xi: InteractionMatrix, k: int,
-                      constants: ModelConstants | None = None) -> BoundReport:
+def avg_entropy_bound(xi: InteractionMatrix, k: int) -> BoundReport:
     """(delta k + 1) (k^2/n) sum_i delta_i^2: one-way average over size-k sets."""
     _check_k(xi, k)
     _require_columns(xi, "avg_entropy_bound")
     pref = xi.delta * k + 1.0
     val = pref * k * k / xi.n * float((xi.delta_i ** 2).sum())
-    inputs = {"k": k, "n": xi.n, "delta": xi.delta, **_echo(constants)}
+    inputs = {"k": k, "n": xi.n, "delta": xi.delta}
     return BoundReport("avg", val, inputs, pref)
 
 
-def weighted_avg_bound(xi: InteractionMatrix, k: int, pi,
-                       constants: ModelConstants | None = None) -> BoundReport:
+def weighted_avg_bound(xi: InteractionMatrix, k: int, pi) -> BoundReport:
     """(delta k + 1) k^2 sum_i pi_i delta_i^2 for a subinvariant weighting pi."""
     _check_k(xi, k)
     _require_nonnegative(xi, "weighted_avg_bound")
@@ -224,12 +212,11 @@ def weighted_avg_bound(xi: InteractionMatrix, k: int, pi,
         raise ValueError("pi must satisfy pi^T xi <= pi^T coordinatewise")
     pref = xi.delta * k + 1.0
     val = pref * k * k * float((pi * xi.delta_i ** 2).sum())
-    inputs = {"k": k, "n": xi.n, "delta": xi.delta, **_echo(constants)}
+    inputs = {"k": k, "n": xi.n, "delta": xi.delta}
     return BoundReport("avg-markov", val, inputs, pref)
 
 
-def sharper_avg_bound(xi: InteractionMatrix, k: int,
-                      constants: ModelConstants | None = None) -> BoundReport:
+def sharper_avg_bound(xi: InteractionMatrix, k: int) -> BoundReport:
     """(delta k + 1)(k^2/n^2 sum xi_ij^2 + (k/n) p_xi): two-way average bound."""
     from .matrix import p_xi
 
@@ -239,12 +226,11 @@ def sharper_avg_bound(xi: InteractionMatrix, k: int,
     pref = xi.delta * k + 1.0
     sq = float((xi.dense() ** 2).sum())
     val = pref * (k * k / (n * n) * sq + k / n * p_xi(xi))
-    inputs = {"k": k, "n": n, "delta": xi.delta, **_echo(constants)}
+    inputs = {"k": k, "n": n, "delta": xi.delta}
     return BoundReport("avg-2way", val, inputs, pref)
 
 
-def setwise_bound(xi: InteractionMatrix, v,
-                  constants: ModelConstants | None = None) -> BoundReport:
+def setwise_bound(xi: InteractionMatrix, v) -> BoundReport:
     """q_xi(v), the subset-resolved structural bound."""
     from .matrix import q_xi
 
@@ -252,8 +238,7 @@ def setwise_bound(xi: InteractionMatrix, v,
     members = mask_members(subset_mask(v, xi.n))
     val = q_xi(xi, members)
     pref = xi.delta * len(members) + 1.0
-    inputs = {"v": members, "n": xi.n, "delta": xi.delta,
-              **_echo(constants)}
+    inputs = {"v": members, "n": xi.n, "delta": xi.delta}
     return BoundReport("setwise", val, inputs, pref)
 
 

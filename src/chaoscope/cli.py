@@ -222,6 +222,14 @@ def _constants_from(args, required: bool = False):
                                      eta=args.eta, C0=args.c0)
 
 
+def _echo(constants) -> dict:
+    """The model constants as a report echoes them, eta only when given."""
+    if constants is None:
+        return {}
+    names = ("gamma", "M", "sigma", "T", "C0") + ("eta",) * (constants.eta is not None)
+    return {name: getattr(constants, name) for name in names}
+
+
 def _add_constants(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, help="transport constant of the kernel")
     p.add_argument("--big-m", type=float, help="second-moment constant M")
@@ -293,7 +301,7 @@ def cmd_percolate(args, outputs: list) -> int:
             est = perc.mc_expectation(model, args.functional, v, rec["t"],
                                       reps=args.reps, seed=args.seed,
                                       method=method)
-            rec.update(value=est.mean, stderr=est.stderr, reps=est.reps, seed=est.seed)
+            rec.update(value=est.mean, stderr=est.stderr, reps=args.reps, seed=args.seed)
     _emit(records, ["engine", "functional", "v", "t", "value", "stderr", "reps", "seed"],
           args, outputs)
     if args.emit_gnuplot:
@@ -392,8 +400,7 @@ def cmd_bound(args, outputs: list) -> int:
             raise MatrixError("--theorem h3 needs --delta")
         val = bounds_mod.h3_bound(constants, args.delta, uniform=args.uniform)
         report = bounds_mod.BoundReport(
-            "h3", val, {"delta": args.delta, "uniform": args.uniform,
-                        **bounds_mod._echo(constants)}, 1.0, explicit=val)
+            "h3", val, {"delta": args.delta, "uniform": args.uniform}, 1.0, explicit=val)
     else:
         xi = _build_xi(args)
         if args.theorem in ("setwise", "growth") and args.v is None:
@@ -406,20 +413,18 @@ def cmd_bound(args, outputs: list) -> int:
             report = bounds_mod.BoundReport(
                 "growth", val,
                 {"v": v, "n": xi.n, "use_chat": args.h3_value is not None,
-                 "uniform": args.uniform, **bounds_mod._echo(constants)},
-                1.0, explicit=val)
+                 "uniform": args.uniform}, 1.0, explicit=val)
         elif args.theorem == "setwise":
-            report = bounds_mod.setwise_bound(xi, _parse_subset(args.v, xi.n),
-                                              constants)
+            report = bounds_mod.setwise_bound(xi, _parse_subset(args.v, xi.n))
         else:
             if args.k is None:
                 raise MatrixError(f"--theorem {args.theorem} needs --k")
             if args.theorem == "max":
-                report = bounds_mod.max_entropy_bound(xi, args.k, constants)
+                report = bounds_mod.max_entropy_bound(xi, args.k)
             elif args.theorem == "avg":
-                report = bounds_mod.avg_entropy_bound(xi, args.k, constants)
+                report = bounds_mod.avg_entropy_bound(xi, args.k)
             elif args.theorem == "avg-2way":
-                report = bounds_mod.sharper_avg_bound(xi, args.k, constants)
+                report = bounds_mod.sharper_avg_bound(xi, args.k)
             else:  # avg-markov
                 if args.pi:
                     try:
@@ -430,10 +435,10 @@ def cmd_bound(args, outputs: list) -> int:
                             f"{args.pi}: want a JSON list of weights ({exc})") from None
                 else:
                     pi = np.full(xi.n, 1.0 / xi.n)
-                report = bounds_mod.weighted_avg_bound(xi, args.k, pi, constants)
+                report = bounds_mod.weighted_avg_bound(xi, args.k, pi)
         if args.reversed:
             report = bounds_mod.reversed_variant(report)
-    doc = report.to_json_dict()
+    doc = report._replace(inputs={**report.inputs, **_echo(constants)}).to_json_dict()
     _emit([doc], ["theorem", "structural", "explicit", "inputs"], args, outputs, doc=doc)
     return 0
 
@@ -506,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     common(p)
     p.add_argument("--engine", choices=("exact", "mc", "fpp"), default="exact")
-    p.add_argument("--functional", choices=("size", "size2", "size3"), default="size")
+    p.add_argument("--functional", default="size",
+                   choices=tuple(name for name, (kind, _) in perc.FAMILIES.items()
+                                 if kind == "size"))
     p.add_argument("--v", required=True, metavar="SUBSET", help="start subset, e.g. '0,1'")
     p.add_argument("--t", required=True, metavar="TIMES", help="comma-separated times")
     p.add_argument("--kappa", type=float, default=1.0, help="rate scale")

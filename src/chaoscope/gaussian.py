@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .matrix import ROW_SUM_RTOL, InteractionMatrix, indicators, mask_array, subset_mask, _frozen
+from .matrix import ROW_SUM_RTOL, InteractionMatrix, frozen, indicators, mask_array, subset_mask
 from .rng import chunk_ranges, stream
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -40,7 +40,7 @@ class GaussianModel(namedtuple("GaussianModel", "xi T sigma_T series_order tail_
 
     def __new__(cls, xi: InteractionMatrix, T: float, sigma_T, series_order: int,
                 tail_bound: float):
-        return super().__new__(cls, xi, T, _frozen(np.asarray(sigma_T, dtype=float)),
+        return super().__new__(cls, xi, T, frozen(np.asarray(sigma_T, dtype=float)),
                                series_order, tail_bound)
 
     def __eq__(self, other):
@@ -168,16 +168,6 @@ def sigma_T_quadrature(xi: InteractionMatrix, T: float) -> np.ndarray:
     return linalg.expm_action(apply, start, mu, tol=QUADRATURE_TOL)[0]
 
 
-def _exp(name: str, label: str, x: float) -> float:
-    """math.exp(x) for the factor e^{label} of the function <name>; past the
-    largest double, one ValueError naming the factor and its exponent."""
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise ValueError(f"{name}'s factor e^({label}) overflows double precision "
-                         f"at {label} = {x:.6g}") from exc
-
-
 def _check_covariance(c, name) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -225,7 +215,7 @@ def subset_entropies(model: GaussianModel, masks):
     T <= log2 / 2 rho; upper = e^{6 rho T} Tr(A^2) holds for all T.
     """
     exact, tr2 = _spectra(model, masks)
-    upper = _exp("subset_entropies", "6*rho*T", 6.0 * model.rho * model.T) * tr2
+    upper = linalg.checked_exp("subset_entropies", "6*rho*T", 6.0 * model.rho * model.T) * tr2
     return exact, tr2 / 6.0, upper
 
 
@@ -264,7 +254,7 @@ def max_upper(model: GaussianModel, masks) -> np.ndarray:
     if float(model.xi.row_sums.max(initial=0.0)) > 1.0 + ROW_SUM_RTOL:
         raise ValueError("max_upper needs row sums <= 1")
     sizes = np.bitwise_count(mask_array(masks, model.n)).astype(float)
-    return (_exp("max_upper", "10*rho*T", 10.0 * model.rho * model.T)
+    return (linalg.checked_exp("max_upper", "10*rho*T", 10.0 * model.rho * model.T)
             * model.xi.delta ** 2 * sizes ** 2)
 
 
@@ -317,7 +307,7 @@ def d_T_envelope(xi: InteractionMatrix, T: float) -> tuple[float, float]:
     lower = T ** 4 / 36.0 * float((mixed * mixed).sum())
     row_sq = (d * d).sum(axis=1)
     col_sq = (d * d).sum(axis=0)
-    upper = 2.0 * T ** 4 * _exp("d_T_envelope", "2*rho*T", 2.0 * rho * T) * float(
+    upper = 2.0 * T ** 4 * linalg.checked_exp("d_T_envelope", "2*rho*T", 2.0 * rho * T) * float(
         (row_sq ** 2).sum() + (col_sq ** 2).sum())
     return lower, upper
 
@@ -403,7 +393,7 @@ def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
     T, rho = model.T, model.rho
     if not explicit:
         tr = avg_trace_sq(model.centered(), k)
-        return tr / 6.0, _exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * tr
+        return tr / 6.0, linalg.checked_exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * tr
     w1, w2 = _pair_weights(n, k)
     d = model.xi.dense()
     s2 = float((d * d).sum())
@@ -412,7 +402,7 @@ def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
     if n == 1:
         return (0.0, 0.0) if w1.ndim == 0 else (np.zeros(w1.shape), np.zeros(w1.shape))
     lower = (w1 * T * T / 2.0 * s2 + w2 * (4.0 * dt + T ** 4 / 9.0 * r_sum)) / 6.0
-    grow4 = _exp("avg_entropy_sandwich", "4*rho*T", 4.0 * rho * T)
-    upper = _exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * (
+    grow4 = linalg.checked_exp("avg_entropy_sandwich", "4*rho*T", 4.0 * rho * T)
+    upper = linalg.checked_exp("avg_entropy_sandwich", "6*rho*T", 6.0 * rho * T) * (
         w1 * 16.0 * T * T * grow4 * s2 + w2 * (8.0 * dt + 32.0 * T ** 4 * grow4 * r_sum))
     return (float(lower), float(upper)) if lower.ndim == 0 else (lower, upper)

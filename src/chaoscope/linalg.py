@@ -1,4 +1,4 @@
-"""Small numeric kernels: exponential action, norms, Poisson tails.
+"""Small numeric kernels: exponential action, norms, Poisson tails, a checked exp.
 
 Nothing here knows about interaction matrices or subsets; these are the
 primitives the engines are built on.  All routines are deterministic.  There
@@ -191,3 +191,13 @@ def poisson_weights(lam: float, kmax: int) -> np.ndarray:
     ks = np.arange(kmax + 1, dtype=float)
     logs = ks * math.log(lam) - lam - np.cumsum(np.log(np.maximum(ks, 1.0)))
     return np.exp(logs)
+
+
+def checked_exp(name: str, label: str, x: float) -> float:
+    """math.exp(x) for the factor e^{label} of the function <name>; past the
+    largest double, one ValueError naming the factor and its exponent."""
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise ValueError(f"{name}'s factor e^({label}) overflows double precision "
+                         f"at {label} = {x:.6g}") from exc

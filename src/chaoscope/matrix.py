@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .rng import stream
+from .rng import chunk_ranges, stream
 
 DENSE_LIMIT = 4096  # largest n held: 128 MiB of float64
 ROW_SUM_RTOL = 1e-12  # constructors produce exact ratios; slack only absorbs float summation
@@ -33,17 +33,17 @@ class NotApplicable(ValueError):
     """A method whose hypotheses the given input does not meet."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a as a contiguous array that refuses writes."""
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
 
-class Graph(namedtuple("Graph", "n edges degrees")):
+class Graph(namedtuple("Graph", "n edges")):
     """Simple undirected graph; no self-loops, no duplicate edges.
 
-    Built from n and its edges, held sorted as (u, v) with u < v; degrees is
-    derived from them, read-only, and left out of == and of pickling.
+    Built from n and its edges, held sorted as (u, v) with u < v.
     """
 
     __slots__ = ()
@@ -52,8 +52,6 @@ class Graph(namedtuple("Graph", "n edges degrees")):
         if n < 1:
             raise MatrixError("graph needs at least one vertex")
         seen = set()
-        deg = np.zeros(n, dtype=int)
-        norm = []
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
@@ -64,25 +62,7 @@ class Graph(namedtuple("Graph", "n edges degrees")):
             if key in seen:
                 raise MatrixError(f"duplicate edge {key}")
             seen.add(key)
-            norm.append(key)
-            deg[u] += 1
-            deg[v] += 1
-        return super().__new__(cls, n, tuple(sorted(norm)), _frozen(deg))
-
-    def __getnewargs__(self):
-        return self[:2]
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
-
-    def __repr__(self):
-        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+        return super().__new__(cls, n, tuple(sorted(seen)))
 
     @classmethod
     def from_file(cls, path) -> "Graph":
@@ -176,7 +156,7 @@ def step_pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
 class InteractionMatrix:
     """A square matrix, held as one frozen dense n x n array, 1 <= n <= DENSE_LIMIT.
 
-    The caches (row_sums, col_sums, delta, delta_i, symmetric) are computed
+    The caches (row_sums, col_sums, delta, delta_i) are computed
     once at construction and exposed read-only; rho, a certified upper bound
     on the operator norm, and the `validate` reports are computed on first
     use and kept.  Construction
@@ -186,8 +166,7 @@ class InteractionMatrix:
     below always produce valid matrices.
     """
 
-    __slots__ = ("n", "row_sums", "col_sums", "delta", "delta_i", "symmetric",
-                 "_dense", "_rho", "_reports")
+    __slots__ = ("n", "row_sums", "col_sums", "delta", "delta_i", "_dense", "_rho", "_reports")
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
@@ -199,12 +178,11 @@ class InteractionMatrix:
         a = a + 0.0  # a copy, with -0.0 made 0.0 so a zero entry has one form
         self.n = a.shape[0]
         with np.errstate(over="ignore"):  # entries near the float limit give inf sums
-            self.row_sums = _frozen(a.sum(axis=1))
-            self.col_sums = _frozen(a.sum(axis=0))
-        self.delta_i = _frozen(a.max(axis=1, initial=0.0))  # 0 for a row of no positive entry
+            self.row_sums = frozen(a.sum(axis=1))
+            self.col_sums = frozen(a.sum(axis=0))
+        self.delta_i = frozen(a.max(axis=1, initial=0.0))  # 0 for a row of no positive entry
         self.delta = float(self.delta_i.max())
-        self.symmetric = bool(np.array_equal(a, a.T))
-        self._dense = _frozen(a)
+        self._dense = frozen(a)
         self._rho = None
         self._reports = None  # validate's, without and with the column check
 
@@ -255,8 +233,9 @@ def build_random_walk(g: Graph) -> InteractionMatrix:
     """xi[i, j] = 1/deg(i) on edges; rows of isolated vertices stay zero."""
     a = _zeros(g.n)
     u, v = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
-    a[u, v] = 1.0 / g.degrees[u]
-    a[v, u] = 1.0 / g.degrees[v]
+    deg = np.bincount(np.concatenate((u, v)), minlength=g.n)
+    a[u, v] = 1.0 / deg[u]
+    a[v, u] = 1.0 / deg[v]
     return InteractionMatrix(a)
 
 
@@ -366,20 +345,18 @@ def q_xi(xi: InteractionMatrix, v) -> float:
     return (xi.delta * k + 1.0) * (sq + xi.delta * gram + xi.delta ** 2 * k)
 
 
-WITHIN_BLOCK = 4096  # masks per block of within_sums: its temporaries are O(block * n)
-
-
 def within_sums(xi: InteractionMatrix, masks) -> tuple[np.ndarray, np.ndarray]:
     """sum_{i in v}(sum_{j in v} xi_ij)^2 and sum_{i,j in v} xi_ij^2 at each bitmask v.
 
-    The masks are read by mask_array; the empty mask gives 0.
+    The masks are read by mask_array, a chunk of rng.CHUNK at a time, so
+    the temporaries are O(CHUNK * n); the empty mask gives 0.
     """
     masks = mask_array(masks, xi.n)
     d = xi.dense()
     d2 = d * d
     rows, squares = np.empty(masks.size), np.empty(masks.size)
-    for lo in range(0, masks.size, WITHIN_BLOCK):
-        block = slice(lo, lo + WITHIN_BLOCK)
+    for lo, hi in chunk_ranges(masks.size):
+        block = slice(lo, hi)
         ind = indicators(masks[block], xi.n)
         s = (ind @ d.T) * ind  # s[m, i] = sum_{j in v} xi_ij for i in v, else 0
         rows[block] = np.einsum("mi,mi->m", s, s)

@@ -9,7 +9,7 @@ absorbing.  Three engines compute E_v[F(X_t)]:
     at them, with a value or a row of c values (a stack) per mask,
   * Gillespie sampling of the jump chain (the direct method), a chunk of
     paths in lockstep, each carrying its per-site rates from jump to jump,
-  * first-passage edge clocks (symmetric xi only; same law by memorylessness).
+  * first-passage edge clocks, one per directed edge (same law by memorylessness).
 
 FAMILIES names the moment families once: size, linear and quadratic
 functionals with size weights |v|^ell.  Each name gives its functional
@@ -29,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, NotApplicable, indicators, mask_array, mask_members,
-                     step_pairs, subset_mask, validate)
-from .rng import chunk_streams
+from .matrix import (InteractionMatrix, indicators, mask_array, mask_members, step_pairs,
+                     subset_mask, validate)
+from .rng import chunk_ranges, chunk_streams
 
 EXACT_ENGINE_LIMIT = 16   # 2^16 subset states
 MASK_LIMIT = 63           # terminal states are int64 bitmasks
@@ -64,8 +64,6 @@ class PercolationModel(namedtuple("PercolationModel", "xi kappa")):
 class McEstimate(NamedTuple):
     mean: float
     stderr: float
-    reps: int
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +331,27 @@ def _edge_clock_chunk(gen: np.random.Generator, size: int, model: PercolationMod
                       start: int, t: float) -> np.ndarray:
     """Terminal masks of `size` edge-clock paths from start: first-passage balls of radius t.
 
-    The clocks are standard_exponential((rows, E)) / rate over the E edges
-    i < j, drawn for blocks of rows in turn, each block at most about
-    CLOCK_BLOCK clocks; the chunk draws nothing else, so the clocks are the
-    rows of one (size, E) draw.  Dijkstra runs on a block's paths in
-    lockstep: each round a path settles its nearest unsettled site, while
-    that lies within t, and relaxes the site's edges to dist + clock, so at
-    most n rounds run.
+    A column is an edge i -> j with xi_ij > 0, in row-major order, but a
+    pair of equal rates keeps one column, at i < j, read both ways: only
+    the edge out of the endpoint settled first is read, and which that is
+    does not depend on the pair's variate.  So on a symmetric xi the
+    columns are the edges i < j.  The clocks are
+    standard_exponential((rows, E)) / rate, drawn for blocks of rows in
+    turn, each at most about CLOCK_BLOCK clocks; the chunk draws nothing
+    else, so the clocks are the rows of one (size, E) draw.  Dijkstra runs
+    on a block's paths in lockstep: each round a path settles its nearest
+    unsettled site, while that lies within t, and relaxes its out-edges to
+    dist + clock, so at most n rounds run.
     """
     d, n = model.xi.dense(), model.n
-    iu, ju = np.nonzero(np.triu(d, 1))  # the edges i < j in row-major order
+    iu, ju = np.nonzero(d)  # the edges i -> j in row-major order
+    shared = d[ju, iu] == d[iu, ju]  # a pair of equal rates
+    keep = (iu < ju) | ~shared
+    iu, ju, shared = iu[keep], ju[keep], shared[keep]
     rate = model.kappa * d[iu, ju]
-    edge = np.full((n, n), -1)  # the edge joining each pair of sites, -1 for none
-    edge[iu, ju] = edge[ju, iu] = np.arange(rate.size)
+    edge = np.full((n, n), -1)  # the column of each edge, -1 for none
+    edge[iu, ju] = np.arange(rate.size)
+    edge[ju[shared], iu[shared]] = edge[iu[shared], ju[shared]]
     out = np.zeros(size, dtype=np.int64)  # the settled sites
     rows = max(1, CLOCK_BLOCK // max(1, rate.size))
     for lo in range(0, size, rows):
@@ -374,12 +380,13 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
     """Bitmasks of X_t for `reps` independent paths from the subset v (member indices).
 
     "gillespie" samples the jump chain; "fpp" grows the first-passage ball of
-    independent edge clocks Exp(kappa * xi_ij), which for symmetric xi has the
-    same law (the minimum of the relevant clocks is exponential in the total
-    rate and memoryless).  The paths run in chunks of rng.CHUNK, each chunk
-    in lockstep on its own stream (rng.chunk_streams), so the masks depend
-    on the seed and CHUNK.  Both methods draw a chunk's first exponentials
-    first, one per path, so on a single edge they draw the same variate.
+    edge clocks Exp(kappa * xi_ij) on the directed edges i -> j, which has
+    the same law for any nonnegative xi (the minimum of the clocks into a
+    site is exponential in its total rate and memoryless).  The paths run
+    in chunks of rng.CHUNK, each chunk in lockstep on its own stream
+    (rng.chunk_streams), so the masks depend on the seed and CHUNK.  Both
+    methods draw a chunk's first exponentials first, one per path, so on a
+    single edge they draw the same variate.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
@@ -394,8 +401,6 @@ def terminal_masks(model: PercolationModel, v, t: float, reps: int, seed: int,
                              f"got kappa = {model.kappa:.6g}")
         run = _jump_chain_chunk
     elif method == "fpp":
-        if not model.xi.symmetric:
-            raise NotApplicable("edge-clock growth needs a symmetric matrix")
         run = _edge_clock_chunk
     else:
         raise ValueError(f"unknown sampling method {method!r}")
@@ -437,9 +442,12 @@ def functional_values(family: str, xi: InteractionMatrix, masks, x=None,
     payload = x if kind == "linear" else G
     if payload is None:
         raise ValueError(f"family {family!r} needs its payload {'x' if kind == 'linear' else 'G'}")
-    ind = indicators(masks, xi.n)
-    weights = ind @ np.asarray(payload, dtype=float)
-    base = weights if kind == "linear" else np.einsum("mi,mi->m", weights, ind)
+    payload = np.asarray(payload, dtype=float)
+    base = np.empty(masks.size)
+    for lo, hi in chunk_ranges(masks.size):  # the indicator rows of one chunk at a time
+        ind = indicators(masks[lo:hi], xi.n)
+        weights = ind @ payload
+        base[lo:hi] = weights if kind == "linear" else np.einsum("mi,mi->m", weights, ind)
     return base * sizes ** ell
 
 
@@ -452,12 +460,12 @@ def mc_expectation(model: PercolationModel, family: str, v, t: float, reps: int,
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
-    functional_values(family, model.xi, [], x, G)  # reject a bad family before sampling
+    functional_values(family, model.xi, [0], x, G)  # reject a bad family before sampling
     masks = terminal_masks(model, v, t, reps, seed, method=method)
     vals = functional_values(family, model.xi, masks, x, G)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(reps))
-    return McEstimate(mean, stderr, reps, seed)
+    return McEstimate(mean, stderr)
 
 
 # ---------------------------------------------------------------------------

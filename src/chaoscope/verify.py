@@ -61,8 +61,8 @@ class _Slack:
         if name not in self.worst or s < self.worst[name]:
             self.worst[name] = s
 
-    def checks(self, tol: float = SLACK_TOL) -> list[Check]:
-        return [Check(name, s >= -tol, s) for name, s in sorted(self.worst.items())]
+    def checks(self) -> list[Check]:
+        return [Check(name, s >= -SLACK_TOL, s) for name, s in sorted(self.worst.items())]
 
 
 def _ensemble(gen: np.random.Generator, instances: int, n_max: int):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 from functools import partial
 
@@ -12,7 +13,8 @@ from chaoscope.bounds import ModelConstants, percolation_entropy_bound
 from chaoscope.gaussian import clique_lower, max_upper, sigma_T, subset_entropies
 from chaoscope.matrix import (InteractionMatrix, build_mean_field, load_matrix, mask_members,
                               random_substochastic, save_matrix, subset_mask)
-from chaoscope.percolation import PercolationModel, exact_expectations, functional_values
+from chaoscope.percolation import (FAMILIES, PercolationModel, exact_expectations,
+                                   functional_values)
 from chaoscope.rng import stream
 from chaoscope.verify import Check, SuiteResult
 
@@ -123,6 +125,24 @@ def test_percolate_mc_thread_bytes(tmp_path):
     assert run(*base, "--threads", "1", "--out", str(a)) == 0
     assert run(*base, "--threads", "6", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_percolate_fpp_runs_on_directed_walks(tmp_path, capsys):
+    # a random walk on a graph of unequal degrees is a directed matrix: the
+    # edge clocks sample it, and agree with the jump chain and the exact engine
+    graph = tmp_path / "edges.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 4\n1 3\n")
+    rec = {}
+    for engine in ("exact", "mc", "fpp"):
+        assert run("percolate", "--random-walk", str(graph), "--v", "0", "--t", "1.5",
+                   "--engine", engine, "--reps", "20000", "--seed", "3") == 0, engine
+        (rec[engine],) = json.loads(capsys.readouterr().out)
+    fpp, mc = rec["fpp"], rec["mc"]
+    assert abs(fpp["value"] - mc["value"]) <= 4.0 * math.hypot(fpp["stderr"], mc["stderr"])
+    assert abs(fpp["value"] - rec["exact"]["value"]) <= 4.0 * fpp["stderr"]
+    assert run("percolate", "--er", "8", "0.4", "--seed", "5", "--v", "0", "--t", "1",
+               "--engine", "fpp", "--reps", "2000") == 0
+    assert json.loads(capsys.readouterr().out)[0]["value"] > 1.0
 
 
 def test_percolate_gnuplot_companion(tmp_path):
@@ -410,6 +430,20 @@ def test_simulate_drift_choices_are_the_drift_table(capsys):
         assert len(json.loads(capsys.readouterr().out)) == 6, name
 
 
+def test_percolate_functional_choices_are_the_size_families(capsys):
+    (percolate,) = [p for a in cli.build_parser()._subparsers._group_actions
+                    for name, p in a.choices.items() if name == "percolate"]
+    (functional,) = [a for a in percolate._actions if "--functional" in a.option_strings]
+    sizes = tuple(name for name, (kind, _) in FAMILIES.items() if kind == "size")
+    assert tuple(functional.choices) == sizes == ("size", "size2", "size3")
+    model = PercolationModel(build_mean_field(3), 1.0)
+    for name in sizes:
+        assert run("percolate", "--mean-field", "3", "--v", "0", "--t", "0.5",
+                   "--functional", name) == 0, name
+        want = exact_expectations(model, partial(functional_values, name, model.xi), [0], [0.5])
+        assert json.loads(capsys.readouterr().out)[0]["value"] == want[0, 0], name
+
+
 def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:  # argparse: unknown engine
         run("percolate", "--mean-field", "4", "--v", "0", "--t", "1",
@@ -449,7 +483,7 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
     inf_json.write_text('{"n": 2, "format": "coo", "entries": [[0, 1, Infinity]]}')
     neg = tmp_path / "neg.csv"
     neg.write_text("0,0.5,-0.4\n0.3,0,0.2\n0.1,0.1,0\n")
-    sym_neg = tmp_path / "sym_neg.csv"  # symmetric, so fpp reaches the growth process
+    sym_neg = tmp_path / "sym_neg.csv"  # fpp refuses negative rates as mc does
     sym_neg.write_text("0,0.5,-0.2\n0.5,0,0.3\n-0.2,0.3,0\n")
     lone_neg = tmp_path / "lone_neg.csv"  # delta_i is 0 on every row
     lone_neg.write_text("0,-0.5\n0,0\n")

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from chaoscope import percolation
 from chaoscope.bounds import ModelConstants, percolation_entropy_bound
-from chaoscope.matrix import (InteractionMatrix, MatrixError, NotApplicable, build_mean_field,
+from chaoscope.matrix import (InteractionMatrix, MatrixError, build_mean_field,
                               cost_values, indicators, mask_members, random_substochastic,
                               subset_mask)
 from chaoscope.percolation import (FAMILIES, EngineTooLarge, PercolationModel, _Engine,
@@ -474,31 +474,42 @@ def test_fpp_matches_gillespie_on_single_edge(single_edge):
 
 def test_fpp_masks_are_first_passage_balls():
     # reference: every shortest-path distance from v over the same edge
-    # clocks, with no early stop, then the ball of radius t
+    # clocks, with no early stop, then the ball of radius t.  A column is an
+    # edge i -> j in row-major order, but a pair of equal rates has one, at
+    # i < j, read both ways; the directed matrix has one-way edges, unequal
+    # pairs and an equal pair
     from scipy.sparse.csgraph import dijkstra
     g = stream(26)
     a = g.random((9, 9)) * (g.random((9, 9)) < 0.5)
-    a = np.triu(a, 1) + np.triu(a, 1).T
-    xi = InteractionMatrix(a)
+    directed = a * (1.0 - np.eye(9))
+    directed[1, 2] = directed[2, 1] = 0.4
     v, t = [0, 4], 0.6
-    masks = terminal_masks(PercolationModel(xi, 1.3), v, t, reps=60, seed=9, method="fpp")
-    iu, ju = np.nonzero(np.triu(xi.dense(), 1))
-    # the one chunk's clocks, a row per path
-    ((_, _, gen),) = chunk_streams(9, 60)
-    clocks = gen.standard_exponential((60, iu.size)) / (1.3 * xi.dense()[iu, ju])
-    for r, mask in enumerate(masks.tolist()):
-        graph = np.zeros((9, 9))
-        graph[iu, ju] = clocks[r]
-        dist = dijkstra(graph, directed=False, indices=v, min_only=True)
-        assert mask == sum(1 << i for i in range(9) if dist[i] <= t)
-    assert len(set(masks.tolist())) > 10
+    for xi in (InteractionMatrix(np.triu(a, 1) + np.triu(a, 1).T), InteractionMatrix(directed)):
+        masks = terminal_masks(PercolationModel(xi, 1.3), v, t, reps=60, seed=9, method="fpp")
+        d = xi.dense()
+        iu, ju = np.nonzero(d)
+        keep = (iu < ju) | (d[iu, ju] != d[ju, iu])
+        iu, ju = iu[keep], ju[keep]
+        shared = d[iu, ju] == d[ju, iu]
+        # the one chunk's clocks, a row per path
+        ((_, _, gen),) = chunk_streams(9, 60)
+        clocks = gen.standard_exponential((60, iu.size)) / (1.3 * d[iu, ju])
+        for r, mask in enumerate(masks.tolist()):
+            graph = np.zeros((9, 9))
+            graph[iu, ju] = clocks[r]
+            graph[ju[shared], iu[shared]] = clocks[r][shared]
+            dist = dijkstra(graph, directed=True, indices=v, min_only=True)
+            assert mask == sum(1 << i for i in range(9) if dist[i] <= t)
+        assert len(set(masks.tolist())) > 10
 
 
-def test_fpp_rejects_asymmetric():
-    xi = InteractionMatrix(np.array([[0.0, 0.5], [0.25, 0.0]]))
-    model = PercolationModel(xi, 1.0)
-    with pytest.raises(NotApplicable):
-        terminal_masks(model, [0], 1.0, reps=1, seed=1, method="fpp")
+def test_fpp_samples_a_directed_pair():
+    # one edge each way at unequal rates: two clocks, and only the one out
+    # of the start is read
+    model = PercolationModel(InteractionMatrix(np.array([[0.0, 0.5], [0.25, 0.0]])), 1.0)
+    masks = terminal_masks(model, [0], 1.0, reps=4000, seed=1, method="fpp")
+    assert set(masks.tolist()) == {0b01, 0b11}
+    assert abs(np.mean(masks == 0b01) - np.exp(-0.5)) <= 4.0 * np.sqrt(0.25 / 4000)
 
 
 def test_mc_agrees_with_exact(four_cycle):

@@ -1,6 +1,6 @@
 """The README's library example runs as written and its CLI examples parse;
 the package exports and the calls the README names resolve; every definition
-in the package has a caller."""
+in the package has a caller, and no module uses another's private names."""
 
 import ast
 import os
@@ -96,6 +96,29 @@ def test_modules_import_only_lower_layers():
                 upward += [f"{path.stem} -> {name}" for name in names
                            if name in LAYERS and LAYERS[name] >= LAYERS[path.stem]]
     assert not upward, f"imports from the same or a higher layer: {', '.join(upward)}"
+
+
+def test_modules_use_no_private_names_of_others():
+    # a module reaches another package module only through its public names:
+    # no `from .x import _name` and no `x._name` on a module imported as x
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+    uses = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None and a.name in LAYERS:
+                        modules[a.asname or a.name] = a.name
+                    elif private(a.name):
+                        uses.append(f"{path.stem} -> {node.module or '__init__'}.{a.name}")
+        uses += [f"{path.stem} -> {modules[node.value.id]}.{node.attr}"
+                 for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in modules
+                 and private(node.attr)]
+    assert not uses, f"private names used from another module: {', '.join(uses)}"
 
 
 def test_cli_import_adds_no_dataclasses():

@@ -6,7 +6,8 @@ engine's, the stacked indicator table pushed through exact_expectations.
 The jump chain carries its per-path rates from round to round; its masks are
 held bit for bit to a frozen copy of the loop that rebuilt them every round,
 and to the digests of the benchmark's sampling payloads, and one chunk's
-memory to two (paths x n) float tables, two and a half when every path jumps.
+memory to two (paths x n) float tables, two and a half when every path jumps;
+a linear or quadratic functional of a sample stays below one (reps x n) table.
 The SDE noise must be the chunk contract's, bit for bit: the increments of
 sample r come from its chunk's stream, step by step, each step's noise drawn
 for the whole chunk.  The SDE runs are held to a plain Euler loop on those
@@ -25,7 +26,7 @@ from chaoscope.cli import console_main
 from chaoscope.matrix import (InteractionMatrix, build_mean_field, mask_members,
                               random_substochastic, subset_mask)
 from chaoscope.percolation import (CLOCK_BLOCK, PercolationModel, exact_expectations,
-                                   terminal_masks)
+                                   mc_expectation, terminal_masks)
 from chaoscope.rng import CHUNK, SAMPLER, chunk_streams, stream
 from chaoscope.sde import DRIFTS, DriftSpec, SimConfig, simulate_particles, simulate_projection
 
@@ -39,14 +40,14 @@ TV_GATE = 0.02
 
 def _directed(n, seed):
     xi = random_substochastic(n, stream(seed))
-    assert not xi.symmetric
+    assert not np.array_equal(xi.dense(), xi.dense().T)
     return xi
 
 
 def _symmetric(n, seed):
     d = random_substochastic(n, stream(seed)).dense()
     xi = InteractionMatrix(0.5 * (d + d.T))
-    assert xi.symmetric
+    assert np.array_equal(xi.dense(), xi.dense().T)
     return xi
 
 
@@ -69,9 +70,11 @@ def test_jump_chain_law_matches_exact(v, t):
 
 
 @pytest.mark.parametrize("t", [0.7, 4.0])
-@pytest.mark.parametrize("v", STARTS)
-def test_edge_clock_law_matches_exact(v, t):
-    assert _tv_to_exact(_symmetric(6, 60), v, t, "fpp", 8) <= TV_GATE
+@pytest.mark.parametrize("xi, v", [(_symmetric(6, 60), v) for v in STARTS]
+                         + [(_directed(6, 46), v) for v in STARTS],
+                         ids=["v0", "v1", "directed-v0", "directed-v1"])
+def test_edge_clock_law_matches_exact(xi, v, t):
+    assert _tv_to_exact(xi, v, t, "fpp", 8) <= TV_GATE
 
 
 def test_jump_chain_holding_law_beyond_the_exact_engine():
@@ -203,6 +206,23 @@ def test_jump_chain_chunk_peak_memory(case, t, tables, tmp_path):
         tracemalloc.stop()
     assert len(set(masks.tolist())) > 3  # the paths do jump
     assert peak < tables * table, peak / table
+
+
+@pytest.mark.parametrize("family", ["linear", "quadratic"])
+def test_mc_functional_peak_memory(family):
+    # the indicator rows of the sampled masks are built a chunk at a time:
+    # all 25,000 at once peaked at about twice reps * n * 8 bytes
+    reps, n = 25_000, 48
+    payload = {"x": stream(5).random(n)} if family == "linear" else {"G": stream(5).random((n, n))}
+    model = PercolationModel(build_mean_field(n), 1.0)
+    tracemalloc.start()
+    try:
+        est = mc_expectation(model, family, [0], 0.5, reps, 3, **payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.stderr > 0.0  # the paths do jump
+    assert peak < reps * n * 8, peak / (reps * n * 8)
 
 
 def test_edge_clock_blocks_match_dijkstra_row_by_row():
