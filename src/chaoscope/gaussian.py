@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .matrix import ROW_SUM_RTOL, InteractionMatrix, frozen, indicators, mask_array, subset_mask
+from .matrix import InteractionMatrix, frozen, indicators, mask_array, subset_mask, validate
 from .rng import chunk_ranges, stream
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -251,7 +251,7 @@ def clique_lower(xi: InteractionMatrix, masks, T: float) -> np.ndarray:
 
 def max_upper(model: GaussianModel, masks) -> np.ndarray:
     """e^{10 rho T} delta^2 |v|^2 at each bitmask v; needs row sums <= 1."""
-    if float(model.xi.row_sums.max(initial=0.0)) > 1.0 + ROW_SUM_RTOL:
+    if validate(model.xi).row_violations:
         raise ValueError("max_upper needs row sums <= 1")
     sizes = np.bitwise_count(mask_array(masks, model.n)).astype(float)
     return (linalg.checked_exp("max_upper", "10*rho*T", 10.0 * model.rho * model.T)

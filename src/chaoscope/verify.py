@@ -1,9 +1,13 @@
 """Property batteries: every inequality the package claims, checked with slack.
 
 Each suite draws a seeded ensemble of interaction matrices and evaluates a
-family of inequalities exactly (no Monte Carlo), recording for every named
-inequality the minimum slack (bound minus quantity) seen across the
-ensemble.  A suite passes when every slack clears -SLACK_TOL.
+family of inequalities exactly (no Monte Carlo), setting each against an
+independent computation (the exact engine, the Gaussian oracle or a second
+route) and recording for every named inequality the minimum slack (bound
+minus quantity) seen across the ensemble.  A check passes when its slack
+clears -SLACK_TOL, except two that gate at their own tolerance:
+generator.annihilates-constants-and-full-set (|generator| <= 1e-12) and
+gaussian.sigma-series-vs-quadrature (|series - quadrature| <= 1e-7).
 
 run_suite runs the suites it is asked for on forked worker processes, as
 many as there are usable CPUs and suites, longest suite first.  Each suite
@@ -24,8 +28,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gaussian as gauss
 from . import percolation as perc
-from .matrix import (InteractionMatrix, NotApplicable, indicators, mask_members, q_xi,
-                     random_substochastic, step_pairs)
+from .matrix import (InteractionMatrix, indicators, mask_members, q_xi, random_substochastic,
+                     step_pairs)
 from .rng import stream, usable_cpus
 
 SLACK_TOL = 1e-9
@@ -35,8 +39,7 @@ SUITES = ("generator", "expectations", "gaussian", "bounds")
 class Check(NamedTuple):
     name: str
     passed: bool
-    slack: float | None = None
-    note: str = ""
+    slack: float
 
 
 class SuiteResult(NamedTuple):
@@ -231,59 +234,15 @@ def bounds_suite(instances: int = 25, seed: int = 0) -> SuiteResult:
             sizes = np.bitwise_count(np.arange(1, 1 << n)).astype(float)
             agg.add("bounds.setwise-cap", 8.0 * xi.delta ** 2 * sizes ** 3 - q[1:])
             agg.add("bounds.setwise-monotone", _increments(q, n))
-    checks = agg.checks()
-
-    # uniform-in-time gate: refuses exactly when sigma^2 <= 12 eta gamma
-    try:
-        bad = bounds_mod.ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=1.0)
-        bad.require_uniform()
-        checks.append(Check("bounds.uniform-gate", False,
-                            note="sigma^2 <= 12 eta gamma was accepted"))
-    except ValueError:
-        checks.append(Check("bounds.uniform-gate", True))
-    ok = bounds_mod.ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=1.0 / 13.0)
-    checks.append(Check("bounds.uniform-gate-accepts",
-                        ok.discount_rate() > 3.0 * ok.gamma))
-
-    # h3 explicit constant at T=0 and its delta^2 scaling
-    c = bounds_mod.ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=0.0)
-    val = bounds_mod.h3_bound(c, 1.0)
-    checks.append(Check("bounds.h3-T0-constant", abs(val - 72.0) <= 1e-12,
-                        1e-12 - abs(val - 72.0)))
-    ns = np.array([10.0, 20.0, 40.0])
-    h3s = np.array([bounds_mod.h3_bound(c, 1.0 / (m - 1.0)) for m in ns])
-    ratio = h3s[:-1] / h3s[1:]
-    expected = ((ns[1:] - 1.0) / (ns[:-1] - 1.0)) ** 2
-    checks.append(Check("bounds.h3-meanfield-scaling",
-                        bool(np.allclose(ratio, expected, rtol=1e-12))))
-
-    # LSI constants: convex equality case, torus divergence-free, smallness gate
-    conv = bounds_mod.lsi_convex(1.0, 4.0, 1.0)
-    checks.append(Check("bounds.lsi-convex", abs(conv - 1.0) <= 1e-15))
-    torus = bounds_mod.lsi_torus(1.0, 1.0)
-    checks.append(Check("bounds.lsi-torus-divfree",
-                        abs(torus - 1.0 / (8.0 * math.pi ** 2)) <= 1e-15))
-    thr = 2.0 * math.pi ** 2 / (1.0 + math.sqrt(2.0 * math.log(2.0)))
-    near = bounds_mod.lsi_torus(2.0, 1.0, 0.99 * thr)
-    checks.append(Check("bounds.lsi-torus-near-threshold",
-                        math.isfinite(near) and near > 0.0))
-    try:
-        bounds_mod.lsi_torus(2.0, 1.0, thr)
-        checks.append(Check("bounds.lsi-torus-gate", False))
-    except NotApplicable:
-        checks.append(Check("bounds.lsi-torus-gate", True))
 
     # Feynman-Kac certification against the exact Gaussian oracle
-    fk_worst = np.inf
     for xi in _ensemble(gen, 6, 6):
-        n = xi.n
         gm = gauss.sigma_T(xi, 0.5)
         constants = bounds_mod.gaussian_fk_constants(gm)
         bound = bounds_mod.percolation_entropy_bound(xi, None, constants)
-        exact, _, _ = gauss.subset_entropies(gm, np.arange(1, 1 << n))
-        fk_worst = min(fk_worst, float((bound[1:] - exact).min()))
-    checks.append(Check("bounds.feynman-kac-dominates", fk_worst >= -SLACK_TOL, fk_worst))
-    return SuiteResult("bounds", seed, instances, tuple(checks))
+        exact, _, _ = gauss.subset_entropies(gm, np.arange(1, 1 << xi.n))
+        agg.add("bounds.feynman-kac-dominates", bound[1:] - exact)
+    return SuiteResult("bounds", seed, instances, tuple(agg.checks()))
 
 
 # The suites, longest first: the workers take them in this order, so the last

@@ -57,6 +57,16 @@ def test_expectation_bounds_dominate_exact():
     assert elapsed < 300.0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_battery_passes_with_a_slack_on_every_check(seed):
+    # the whole battery at its default instances: every suite passes, and
+    # every check measured a finite slack
+    for res in run_suite("all", seed=seed):
+        assert res.passed, (res.suite, [c.name for c in res.checks if not c.passed])
+        for c in res.checks:
+            assert type(c.slack) is float and math.isfinite(c.slack), c.name
+
+
 def test_single_edge_size_closed_form(single_edge):
     kappa, a = 0.8, 0.7
     model = PercolationModel(single_edge, kappa)

@@ -52,8 +52,13 @@ def test_uniform_gate():
     tight = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=1.0 / 12.0)
     with pytest.raises(ValueError):  # sigma^2 = 12 eta gamma exactly: refused
         tight.require_uniform()
+    with pytest.raises(ValueError):  # sigma^2 < 12 eta gamma: refused
+        ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=1.0).require_uniform()
     ok = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=1.0 / 16.0)
     assert ok.discount_rate() == pytest.approx(4.0)
+    # just past the gate the discount still outruns 3 gamma
+    edge = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0, eta=1.0 / 13.0)
+    assert edge.discount_rate() > 3.0 * edge.gamma
     missing = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=1.0)
     with pytest.raises(ValueError):
         missing.discount_rate()
@@ -229,7 +234,13 @@ def test_chat_needs_nonnegative_h3(single_edge):
 def test_h3_bound_forms():
     c = ModelConstants(gamma=1.0, M=1.0, sigma=1.0, T=0.0)
     assert h3_bound(c, 1.0) == pytest.approx(72.0)
+    assert abs(h3_bound(c, 1.0) - 72.0) <= 1e-12
     assert h3_bound(c, 0.0) == 0.0
+    # mean field at n = 10, 20, 40: delta = 1/(n-1), and the bound scales as delta^2
+    ns = np.array([10.0, 20.0, 40.0])
+    h3s = np.array([h3_bound(c, 1.0 / (m - 1.0)) for m in ns])
+    np.testing.assert_allclose(h3s[:-1] / h3s[1:], ((ns[1:] - 1.0) / (ns[:-1] - 1.0)) ** 2,
+                               rtol=1e-12)
     c2 = ModelConstants(gamma=0.5, M=2.0, sigma=1.0, T=0.3, C0=0.1)
     want = 8.0 * math.exp(1.5 * 0.3) * (0.1 + 2.0 / 1.5) * 27.0 * 0.04
     assert h3_bound(c2, 0.2) == pytest.approx(want, rel=1e-12)
@@ -321,13 +332,21 @@ def test_reversed_variant():
 def test_lsi_constants():
     assert lsi_convex(2.0, 1.0, 1.0) == pytest.approx(0.5)
     assert lsi_convex(0.1, 0.2, 1.0) == pytest.approx(10.0)
+    assert abs(lsi_convex(1.0, 4.0, 1.0) - 1.0) <= 1e-15  # the equality case
     base = lsi_torus(3.0, 1.0)
     assert base == pytest.approx(9.0 / (8.0 * math.pi ** 2))
+    assert abs(lsi_torus(1.0, 1.0) - 1.0 / (8.0 * math.pi ** 2)) <= 1e-15  # divergence-free
     # a divergence term strictly inflates eta
     more = lsi_torus(3.0, 1.0, div_norm=1.0)
     assert more > base
     with pytest.raises(NotApplicable):
         lsi_torus(3.0, 1.0, div_norm=100.0)
+    # the smallness gate: finite just below its threshold, refused at it
+    thr = 2.0 * math.pi ** 2 / (1.0 + math.sqrt(2.0 * math.log(2.0)))
+    near = lsi_torus(2.0, 1.0, 0.99 * thr)
+    assert math.isfinite(near) and near > 0.0
+    with pytest.raises(NotApplicable):
+        lsi_torus(2.0, 1.0, thr)
     with pytest.raises(ValueError, match="lam >= 1"):
         lsi_torus(0.5, 1.0)
     with pytest.raises(ValueError, match="div_norm must be nonnegative"):

@@ -134,8 +134,9 @@ def test_percolate_fpp_runs_on_directed_walks(tmp_path, capsys):
     graph.write_text("0 1\n1 2\n2 3\n3 4\n1 3\n")
     rec = {}
     for engine in ("exact", "mc", "fpp"):
+        draws = () if engine == "exact" else ("--reps", "20000", "--seed", "3")
         assert run("percolate", "--random-walk", str(graph), "--v", "0", "--t", "1.5",
-                   "--engine", engine, "--reps", "20000", "--seed", "3") == 0, engine
+                   "--engine", engine, *draws) == 0, engine
         (rec[engine],) = json.loads(capsys.readouterr().out)
     fpp, mc = rec["fpp"], rec["mc"]
     assert abs(fpp["value"] - mc["value"]) <= 4.0 * math.hypot(fpp["stderr"], mc["stderr"])
@@ -170,11 +171,11 @@ def test_verify_cli_pass_and_report(tmp_path, capsys):
 
 def test_verify_cli_failure_exit(monkeypatch, capsys):
     fake = [SuiteResult("generator", 0, 1,
-                        [Check("made-up inequality", False, -0.5, "broken")])]
+                        [Check("made-up inequality", False, -0.5)])]
     monkeypatch.setattr(cli.verify_mod, "run_suite", lambda *a: fake)
     rc = run("verify", "--suite", "generator")
     assert rc == 1
-    assert "FAIL made-up inequality" in capsys.readouterr().out
+    assert "FAIL made-up inequality (slack -5.000e-01)" in capsys.readouterr().out
 
 
 def test_gaussian_cli_subsets(tmp_path):
@@ -662,6 +663,12 @@ def test_usage_and_runtime_errors(tmp_path, capsys, monkeypatch):
          "cannot parse --er 5 x; want an integer N and a probability P"),
         (("bound", "--theorem", "avg", "--sequential", "5000", "--k", "2"),
          "matrix size n must be in [1, 4096], got 5000"),
+        # the exact engine draws nothing; it once ignored these with exit 0
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--reps", "20000",
+          "--out", str(tmp_path / "p.json")), "--reps applies only to --engine mc, fpp"),
+        (("percolate", "--mean-field", "4", "--v", "0", "--t", "1", "--engine", "exact",
+          "--seed", "3", "--out", str(tmp_path / "p.json")),
+         "--seed applies to --engine exact only with --er"),
     ]
     for argv, message in cases:
         assert run(*argv) == 2, argv

@@ -639,8 +639,8 @@ def test_unknown_family_is_rejected():
 
 
 def test_family_suites_keep_their_check_names():
-    (gen,) = run_suite("generator", instances=1, seed=0)
-    (exp,) = run_suite("expectations", instances=1, seed=0)
+    # a check that silently dropped out of the report would fail here
+    gen, exp, gauss, bnd = run_suite("all", instances=1, seed=0)
     assert [c.name for c in gen.checks] == [
         "generator.linear.l0", "generator.linear.l1", "generator.linear.l2",
         "generator.polynomial.l1", "generator.polynomial.l2", "generator.polynomial.l3",
@@ -650,6 +650,15 @@ def test_family_suites_keep_their_check_names():
         f"expectations.{fam}" for fam in ("linear", "quadratic", "size", "size-linear",
                                           "size-quadratic", "size2", "size2-linear",
                                           "size3")] + ["expectations.yule-dominates"]
+    assert [c.name for c in gauss.checks] == [f"gaussian.{name}" for name in (
+        "avg-explicit.lower", "avg-explicit.upper", "avg-sandwich.lower", "avg-sandwich.upper",
+        "avgtrace-identity", "clique-lower", "dT-dual-route", "dT-envelope.lower",
+        "dT-envelope.upper", "eig-window.high", "eig-window.low", "h-lower", "h-upper",
+        "max-upper", "monotone-in-v", "rho-upper", "sandwich.lower", "sandwich.upper",
+        "sigma-series-vs-quadrature")]
+    assert [c.name for c in bnd.checks] == [f"bounds.{name}" for name in (
+        "avg-below-max", "avg2way-nonneg", "feynman-kac-dominates", "max-monotone-k",
+        "reversed-smaller", "setwise-cap", "setwise-monotone")]
 
 
 def test_expectations_suite_fails_on_a_halved_yule_cap(monkeypatch):

@@ -43,8 +43,8 @@ RECORDS = [
      dict(kind="linear"), dict(b=None, mean_field=None), dict(kind="zero")),
     (SimConfig, ("dt", "T", "samples", "seed", "sigma"),
      dict(dt=0.1, T=0.5, samples=10, seed=3), dict(sigma=1.0), dict(samples=11)),
-    (Check, ("name", "passed", "slack", "note"),
-     dict(name="x.l1", passed=True), dict(slack=None, note=""), dict(passed=False)),
+    (Check, ("name", "passed", "slack"),
+     dict(name="x.l1", passed=True, slack=0.5), {}, dict(passed=False)),
     (SuiteResult, ("suite", "seed", "instances", "checks"),
      dict(suite="bounds", seed=0, instances=2), dict(checks=()),
      dict(checks=(Check("x.l1", True, 0.5),))),
