@@ -33,7 +33,8 @@ class InvalidCovariance(ValueError):
 class GaussianModel(namedtuple("GaussianModel", "xi T sigma_T series_order tail_bound")):
     """xi and T; sigma_T, the covariance of the interacting system at time T,
     held read-only; series_order, the highest series term used to build
-    sigma_T; tail_bound, the certified sup-norm remainder of sigma_T / T.
+    sigma_T; tail_bound, the certified sup-norm error of sigma_T / T, the
+    series truncation plus its rounding envelope.
     == compares sigma_T by value."""
 
     __slots__ = ()
@@ -82,7 +83,8 @@ def h(x):
 
 
 def sigma_T(xi: InteractionMatrix, T: float) -> GaussianModel:
-    """Covariance at time T by the Gamma series, tail certified against (2 rho)^m.
+    """Covariance at time T by the Gamma series, tail certified against (2 rho)^m
+    and rounding.
 
     T^{-1} Sigma_T = I + sum_{m>=1} T^m/(m+1)! Gamma_m, Gamma_m = xi Gamma_{m-1} +
     Gamma_{m-1} xi^T, Gamma_0 = I, by _series.  Cross-check: sigma_T_quadrature.
@@ -117,9 +119,15 @@ def _series(name: str, label: str, r: float, T: float, terms, acc, m: int, finis
     overflow (numpy's over/invalid, or a coefficient or envelope at inf)
     raises one ValueError naming rT and gaussian.<name>_quadrature.  r = 0
     adds no term.
+
+    The tail is that truncation plus a rounding envelope,
+    (order + 2 + n) 2^-53 (max|acc_0| + sum_j c_j max|a_j|), n = len(acc).
+    Signed terms can cancel far below their sizes, and when the envelope
+    passes SERIES_TOL * max|sum| the sum is refused with the same ValueError.
     """
     reach = r * T
     order, tail = 0, 0.0
+    mass = float(np.abs(acc).max())  # max|acc_0| + sum_j c_j max|a_j|
     try:
         with np.errstate(over="raise", invalid="raise"):
             j, coef, env = 0, 1.0, 1.0
@@ -131,19 +139,28 @@ def _series(name: str, label: str, r: float, T: float, terms, acc, m: int, finis
                     raise OverflowError(f"term {j}'s coefficient or tail envelope is inf")
                 if j < m:
                     continue
-                acc = acc + coef * next(terms)
+                term = next(terms)
+                acc = acc + coef * term
+                mass += coef * float(np.abs(term).max())
                 q = reach / (j + 2)
                 if q < 1.0:
                     tail = env * q / (1.0 - q)
                     if tail <= SERIES_TOL:
                         order = j
                         break
-            return finish(acc), order, tail
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(
             f"{name} series overflows double precision at {label} = {reach:.6g} "
             f"({type(exc).__name__}: {exc}); the series-free route is "
             f"gaussian.{name}_quadrature") from exc
+    rounding = (order + 2 + len(acc)) * 2.0 ** -53 * mass
+    size = float(np.abs(acc).max())
+    if rounding > SERIES_TOL * size:
+        raise ValueError(
+            f"{name} series cancels below its rounding at {label} = {reach:.6g} "
+            f"(envelope {rounding:.3g} against max|sum| {size:.6g}); the series-free "
+            f"route is gaussian.{name}_quadrature")
+    return finish(acc), order, tail + rounding
 
 
 def sigma_T_quadrature(xi: InteractionMatrix, T: float) -> np.ndarray:

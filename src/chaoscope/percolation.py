@@ -75,24 +75,33 @@ def _require_exact(n: int):
 
 
 def _table(F, masks: np.ndarray) -> np.ndarray:
-    """F(masks) as floats, refused unless it has one value or one row per mask."""
+    """F(masks) as floats, refused unless it has one finite value or row per mask."""
     vals = np.asarray(F(masks), dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[0] != masks.size:
         raise ValueError(f"F must give one value or one row per mask, {masks.size} rows; "
                          f"got shape {vals.shape}")
+    if not np.isfinite(vals).all():  # tol * max|F| needs it, and so do _step_sum's 0.0 rates
+        raise ValueError("F must be finite at every mask")
     return vals
 
 
-def _pairs(f: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """step_pairs(f, j), its first two axes swapped for j < 4, so that a
-    table's long axis comes after its 2^j short one; a stack's column axis
-    stays last.
+def _step_sum(f: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """sum_j rates[j, m] * (f[m + 2^j] - f[m]) at every row m of a table f, or
+    of a stack (a trailing column axis), for a (bits, rows) table rates.
 
-    The rows of the low bits hold 1-8 entries; iterating 2^(n-1-j) of them
-    costs far more than one strided pass along the other axis.
+    Each bit j is one contiguous pass over the rows m < len(f) - 2^j, added
+    into the sum in j order.  Row m + 2^j is m with bit j added only where m
+    lacks bit j, so rates[j, m] must be 0.0 at the rows holding it; a finite
+    f then makes those terms vanish.
     """
-    lo, hi = step_pairs(f, j)
-    return (lo.swapaxes(0, 1), hi.swapaxes(0, 1)) if j < 4 else (lo, hi)
+    out = np.zeros(f.shape)
+    buf = np.empty(f.shape)
+    for j, rate in enumerate(rates):
+        s = 1 << j
+        step = np.subtract(f[s:], f[:-s], out=buf[s:])
+        step *= rate[:-s].reshape((-1,) + (1,) * (f.ndim - 1))
+        out[:-s] += step
+    return out
 
 
 class _Engine:
@@ -102,13 +111,14 @@ class _Engine:
     the supersets v | u, u a subset of the free sites c outside v.  They form
     a copy of the lattice on c: masks[u] = v | u, with u in the bit order of
     c, so u = 0 is v itself; v = 0 gives the full lattice in mask order.
-    Site c[j] joins v | u at rate kappa * sums[j, u], sums[j, u] =
-    sum_{i in v | u} xi[i, c[j]], added in index order, so that each up-set's
-    rates and kernel steps are bitwise a slice of the full lattice's.
+    Site c[j] joins v | u at rate kappa * rates[j, u], rates[j, u] =
+    sum_{i in v | u} xi[i, c[j]], added in index order, and 0.0 where u
+    holds c[j], so that each up-set's rates and kernel steps (kappa *
+    _step_sum) are bitwise a slice of the full lattice's.
 
-    The uniformization rate is lam = kappa * max_u sum_j sums[j, u] over u
-    lacking j, times 1 + 1e-12: the largest exit rate over the up-set, never
-    above the full lattice's, the least rate for which I + A/lam is
+    The uniformization rate is lam = kappa * max_u sum_j rates[j, u], rows
+    added in j order, times 1 + 1e-12: the largest exit rate over the up-set,
+    never above the full lattice's, the least rate for which I + A/lam is
     stochastic, inflated by a relative 1e-12 so that rounding cannot push a
     diagonal entry below zero.  An up-set with no exit (v the full set, n =
     1, or a zero matrix) has A = 0 and takes lam = kappa; its expectations
@@ -121,40 +131,26 @@ class _Engine:
         self.kappa = model.kappa
         d = model.xi.dense()
         free = [j for j in range(n) if not v >> j & 1]
-        sums = np.zeros((len(free), 1 << len(free)))
+        rates = self.rates = np.zeros((len(free), 1 << len(free)))
         self.masks = np.full(1 << len(free), v, dtype=np.int64)
         size = 1
-        for i in range(n):  # sums[:, :size] covers the free sites below i
+        for i in range(n):  # rates[:, :size] covers the free sites below i
             row = d[i, free][:, None]
             if v >> i & 1:
-                sums[:, :size] += row
+                rates[:, :size] += row
             else:
-                np.add(sums[:, :size], row, out=sums[:, size:2 * size])
+                np.add(rates[:, :size], row, out=rates[:, size:2 * size])
                 np.bitwise_or(self.masks[:size], 1 << i, out=self.masks[size:2 * size])
                 size *= 2
-        # kept only at the up-set masks lacking each free site, in _pairs' layout
-        self.rates = [_pairs(sums[j], j)[0].copy() for j in range(len(free))]
-        exits = np.zeros(size)
-        for j, rate in enumerate(self.rates):
-            lo = _pairs(exits, j)[0]
-            lo += rate
-        top = float(exits.max())
+        for j, rate in enumerate(rates):
+            step_pairs(rate, j)[1][...] = 0.0  # c[j] cannot join a mask holding it
+        top = float(rates.sum(axis=0).max())
         self.lam = model.kappa * top * (1.0 + 1e-12) if top > 0.0 else model.kappa
         self.curve_lam = self.lam if top > 0.0 else 0.0
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
-        # f is one table over the up-set, or a stack (rows, c).  One scratch
-        # buffer serves every bit, so no bit allocates a temporary.  A stack
-        # takes the rates, held in _pairs' layout, with a trailing axis.
-        out = np.zeros(f.shape)
-        buf = np.empty(f.size // 2)
-        for j, rate in enumerate(self.rates):
-            lo, hi = _pairs(f, j)
-            step = buf.reshape(lo.shape)
-            np.subtract(hi, lo, out=step)
-            np.multiply(step, rate.reshape(rate.shape + (1,) * (f.ndim - 1)), out=step)
-            acc = _pairs(out, j)[0]
-            acc += step
+        # f is one table over the up-set, or a stack (rows, c)
+        out = _step_sum(f, self.rates)
         out *= self.kappa
         return out
 
@@ -641,7 +637,6 @@ def mean_field_size_expectation(n: int, kappa: float, k0, t: float,
     ks = np.arange(n + 1, dtype=float)
     birth = kappa * ks * (n - ks) / (n - 1)
     lam = float(birth.max())
-    # birth[n] = 0 keeps the full state absorbing under the wrap-around roll
-    kernel = lambda cur: cur + (birth * (np.roll(cur, -1) - cur)) / lam
+    kernel = lambda cur: cur + _step_sum(cur, birth[None]) / lam
     out = uniformized(kernel, ks ** power, lam, [t], tol)[0, k0]
     return float(out) if out.ndim == 0 else out

@@ -279,6 +279,17 @@ def test_gaussian_series_overflow_is_named(tmp_path, capsys, rows, T, reach):
     assert "gaussian.sigma_T_quadrature" in err
 
 
+@pytest.mark.parametrize("T", ["7", "7.5"])
+def test_gaussian_series_rounding_is_named(tmp_path, capsys, T):
+    # at T = 7 this exited 0 with an entropy 5.8% low, and at 7.5 4.5x too large
+    path = tmp_path / "rot.csv"
+    path.write_text("0,3\n-2.7,0\n")
+    assert run("gaussian", "--matrix", str(path), "--T", T, "--v", "0,1") == 2
+    err = capsys.readouterr().err
+    assert "sigma_T series cancels below its rounding" in err
+    assert "gaussian.sigma_T_quadrature" in err
+
+
 @pytest.mark.parametrize("extra, name", [((), "subset_entropies"),
                                          (("--avg-k", "2"), "avg_entropy_sandwich")],
                          ids=["subsets", "avg-k"])

@@ -224,6 +224,31 @@ def test_series_envelope_overflow_is_named(f, d, T, reach):
     assert "envelope" in msg and f"gaussian.{f.__name__}_quadrature" in msg
 
 
+ROT = InteractionMatrix(np.array([[0, 3.0], [-2.7, 0]]))  # a near-rotation
+
+
+@pytest.mark.parametrize("f, T, reach", [(sigma_T, 7.0, "2*rho*T = 42"),
+                                         (sigma_T, 7.5, "2*rho*T = 45"),
+                                         (d_T, 8.0, "rho*T = 24")])
+def test_series_rounding_envelope_is_named(f, T, reach):
+    # the signed terms cancel to a sum of order 1 from terms near e^{rho T}:
+    # sigma_T at T = 7 was 5.7e-3 off in Sigma_T / T, against a tail of 5.7e-11
+    with pytest.raises(ValueError) as exc:
+        f(ROT, T)
+    msg = str(exc.value)
+    assert f"{f.__name__} series cancels below its rounding at {reach} " in msg
+    assert f"gaussian.{f.__name__}_quadrature" in msg
+
+
+def test_series_tail_counts_rounding():
+    for T in (0.5, 2.0):
+        gm = sigma_T(ROT, T)
+        err = np.abs(gm.sigma_T - sigma_T_quadrature(ROT, T)).max() / T
+        assert err <= gm.tail_bound
+    # r = 0 takes no term, and its tail is the rounding of acc_0 = I alone
+    assert sigma_T(InteractionMatrix(np.zeros((3, 3))), 1.0).tail_bound == 5 * 2.0 ** -53
+
+
 def test_closed_form_factor_overflow_is_named():
     # e^{c rho T} past the largest double was a bare "math range error"; the
     # nilpotent Sigma_T is finite, and max_upper needs row sums <= 1

@@ -638,6 +638,14 @@ def test_unknown_family_is_rejected():
             mc_expectation(model, name, [0], 1.0, reps=5, seed=0, x=x, G=G)
 
 
+def test_generator_zero_check_reports_its_room():
+    # the slack is 1e-12 - max|L f|, as the sigma-series check's is 1e-7 - max|diff|;
+    # it was -max|L f|, which could never show room under the gate
+    (gen,) = run_suite("generator", instances=3, seed=0)
+    (check,) = [c for c in gen.checks if c.name.endswith("annihilates-constants-and-full-set")]
+    assert check.passed and 0.0 < check.slack <= 1e-12
+
+
 def test_family_suites_keep_their_check_names():
     # a check that silently dropped out of the report would fail here
     gen, exp, gauss, bnd = run_suite("all", instances=1, seed=0)
