@@ -13,8 +13,8 @@ from .bounds import (BoundReport, ModelConstants, avg_entropy_bound,
                      reversed_variant, setwise_bound, sharper_avg_bound,
                      weighted_avg_bound)
 from .gaussian import (GaussianModel, avg_entropy, avg_entropy_sandwich,
-                       clique_lower, gaussian_kl, max_upper, sigma_T,
-                       subset_entropies)
+                       clique_lower, d_T_quadrature, gaussian_kl, max_upper, sigma_T,
+                       sigma_T_quadrature, subset_entropies)
 from .matrix import (Graph, InteractionMatrix, SubsetState, build_mean_field,
                      build_random_walk, build_sequential, load_matrix, p_xi,
                      q_xi, sample_erdos_renyi, save_matrix, validate)
@@ -31,7 +31,8 @@ __all__ = [
     "percolation_entropy_bound", "reversed_variant", "setwise_bound",
     "sharper_avg_bound", "weighted_avg_bound",
     "GaussianModel", "avg_entropy", "avg_entropy_sandwich", "clique_lower",
-    "gaussian_kl", "max_upper", "sigma_T", "subset_entropies",
+    "d_T_quadrature", "gaussian_kl", "max_upper", "sigma_T", "sigma_T_quadrature",
+    "subset_entropies",
     "Graph", "InteractionMatrix", "SubsetState", "build_mean_field",
     "build_random_walk", "build_sequential", "load_matrix", "p_xi", "q_xi",
     "sample_erdos_renyi", "save_matrix", "validate",

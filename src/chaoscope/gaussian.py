@@ -30,6 +30,9 @@ class InvalidCovariance(ValueError):
     pass
 
 
+_NOT_POSITIVE = "subset covariance is numerically not positive definite"
+
+
 class GaussianModel(namedtuple("GaussianModel", "xi T sigma_T series_order tail_bound")):
     """xi and T; sigma_T, the covariance of the interacting system at time T,
     held read-only; series_order, the highest series term used to build
@@ -84,105 +87,167 @@ def h(x):
 
 def sigma_T(xi: InteractionMatrix, T: float) -> GaussianModel:
     """Covariance at time T by the Gamma series, tail certified against (2 rho)^m
-    and rounding.
+    and rounding: sigma_T_batch of one."""
+    return sigma_T_batch([xi], [T])[0]
+
+
+def sigma_T_batch(xis, Ts) -> list[GaussianModel]:
+    """sigma_T of each (xi, T) pair, the xi of one size, in one stacked series.
 
     T^{-1} Sigma_T = I + sum_{m>=1} T^m/(m+1)! Gamma_m, Gamma_m = xi Gamma_{m-1} +
-    Gamma_{m-1} xi^T, Gamma_0 = I, by _series.  Cross-check: sigma_T_quadrature.
+    Gamma_{m-1} xi^T, Gamma_0 = I, by _series, which keeps each member's own
+    order, tail and refusal.  Cross-check: sigma_T_quadrature.
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    d = xi.dense()
+    d, T = _batch(xis, Ts)
+    dt = d.transpose(0, 2, 1)
+    start = np.repeat(np.eye(d.shape[1])[None], len(d), axis=0)
 
     def gammas():
-        g = np.eye(xi.n)
+        g = start
         while True:
-            g = d @ g + g @ d.T
-            yield g
+            g = d @ g + g @ dt
+            yield g, np.isfinite(g).all(axis=(1, 2))
 
     def finish(acc):
-        sig = T * acc
-        return (sig + sig.T) / 2.0  # symmetrize away roundoff
+        sig = T[:, None, None] * acc
+        return (sig + sig.transpose(0, 2, 1)) / 2.0  # symmetrize away roundoff
 
-    sig, order, tail = _series("sigma_T", "2*rho*T", 2.0 * xi.rho, T, gammas(),
-                               np.eye(xi.n), 1, finish)
-    return GaussianModel(xi, T, sig, order, tail)
+    sig, order, tail = _series("sigma_T", "2*rho*T", 2.0 * np.array([xi.rho for xi in xis]), T,
+                               gammas(), start, 1, finish)
+    return [GaussianModel(*member) for member in zip(xis, T.tolist(), sig, order, tail)]
 
 
-def _series(name: str, label: str, r: float, T: float, terms, acc, m: int, finish):
-    """finish(acc + sum_{j>=m} c_j a_j), c_j = T^j/(j+1)!, with its order and tail.
+def _batch(xis, Ts) -> tuple[np.ndarray, np.ndarray]:
+    """The dense xi of one size stacked along a leading axis, and the T aligned with them."""
+    T = np.asarray(Ts, dtype=float)
+    if T.shape != (len(xis),) or not len(xis):
+        raise ValueError("need one T per matrix, and at least one matrix")
+    if not ((0 < T) & (T < math.inf)).all():
+        raise ValueError("T must be positive and finite")
+    if len({xi.n for xi in xis}) > 1:
+        raise ValueError("a batch needs matrices of one size")
+    return np.stack([xi.dense() for xi in xis]), T
 
-    terms yields a_m, a_{m+1}, ... of sup norm <= r^j.  The envelope c_j (rT)^j
-    is a running product; with q = rT/(j+2) < 1 the terms past j sum to at
-    most env q/(1-q), and the sum stops at the first j >= m where that is
-    <= SERIES_TOL.  From j = 2rT on each step at least halves the envelope,
-    so a finite one stops within ~1,060 more steps: no term cap.  An
-    overflow (numpy's over/invalid, or a coefficient or envelope at inf)
-    raises one ValueError naming rT and gaussian.<name>_quadrature.  r = 0
-    adds no term.
+
+def _series(name: str, label: str, r, T, terms, acc, m: int, finish):
+    """finish(acc + sum_{j>=m} c_j a_j), c_j = T^j/(j+1)!, with its order and tail,
+    for every member of a batch: r and T hold one value per member, and acc
+    and the arrays a_j one member per entry of their leading axis.
+
+    terms yields (a_j, ok_j) for j = m, m+1, ..., a_j of sup norm <= r^j and
+    ok_j whether each member's a_j, and what it was computed from, are
+    finite.  The envelope c_j (rT)^j is a running product; with
+    q = rT/(j+2) < 1 the terms past j sum to at most env q/(1-q), and a
+    member's sum stops at the first j >= m where that is <= SERIES_TOL.
+    From j = 2rT on each step at least halves the envelope, so a finite one
+    stops within ~1,060 more steps: no term cap.  These scalars are worked
+    out member by member before any term, and the batch then steps its
+    terms until its last member stops, each member adding only its own, so
+    every member gets the bits it would get alone.  An overflow (a
+    coefficient or envelope at inf, or a term, what it came from or a
+    partial sum not finite) refuses its member with a ValueError naming rT
+    and gaussian.<name>_quadrature.  r = 0 adds no term.
 
     The tail is that truncation plus a rounding envelope,
-    (order + 2 + n) 2^-53 (max|acc_0| + sum_j c_j max|a_j|), n = len(acc).
-    Signed terms can cancel far below their sizes, and when the envelope
-    passes SERIES_TOL * max|sum| the sum is refused with the same ValueError.
+    (order + 2 + n) 2^-53 (max|acc_0| + sum_j c_j max|a_j|), n = the length
+    of a member's acc.  Signed terms can cancel far below their sizes, and
+    when the envelope passes SERIES_TOL * max|sum| the sum is refused with
+    the same ValueError.  The first refused member raises.
     """
-    reach = r * T
-    order, tail = 0, 0.0
-    mass = float(np.abs(acc).max())  # max|acc_0| + sum_j c_j max|a_j|
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            j, coef, env = 0, 1.0, 1.0
-            while r > 0.0:
-                j += 1
-                coef = coef * T / (j + 1)
-                env = env * reach / (j + 1)
-                if not (coef < math.inf and env < math.inf):
-                    raise OverflowError(f"term {j}'s coefficient or tail envelope is inf")
-                if j < m:
-                    continue
-                term = next(terms)
-                acc = acc + coef * term
-                mass += coef * float(np.abs(term).max())
-                q = reach / (j + 2)
-                if q < 1.0:
-                    tail = env * q / (1.0 - q)
-                    if tail <= SERIES_TOL:
-                        order = j
-                        break
-    except (FloatingPointError, OverflowError) as exc:
-        raise ValueError(
-            f"{name} series overflows double precision at {label} = {reach:.6g} "
-            f"({type(exc).__name__}: {exc}); the series-free route is "
-            f"gaussian.{name}_quadrature") from exc
-    rounding = (order + 2 + len(acc)) * 2.0 ** -53 * mass
-    size = float(np.abs(acc).max())
-    if rounding > SERIES_TOL * size:
-        raise ValueError(
-            f"{name} series cancels below its rounding at {label} = {reach:.6g} "
-            f"(envelope {rounding:.3g} against max|sum| {size:.6g}); the series-free "
-            f"route is gaussian.{name}_quadrature")
-    return finish(acc), order, tail + rounding
+    coefs, orders, tails, reaches, overflow = [], [], [], [], {}
+    for i, (ri, ti) in enumerate(zip(np.asarray(r, dtype=float).tolist(),
+                                     np.asarray(T, dtype=float).tolist())):
+        reach = ri * ti
+        reaches.append(reach)
+        j, coef, env, order, tail, own = 0, 1.0, 1.0, 0, 0.0, []
+        while ri > 0.0:
+            j += 1
+            coef = coef * ti / (j + 1)
+            env = env * reach / (j + 1)
+            if not (coef < math.inf and env < math.inf):
+                overflow[i] = f"term {j}'s coefficient or tail envelope is inf"
+                break
+            if j < m:
+                continue
+            own.append(coef)
+            q = reach / (j + 2)
+            if q < 1.0:
+                tail = env * q / (1.0 - q)
+                if tail <= SERIES_TOL:
+                    order = j
+                    break
+        coefs.append(own)
+        orders.append(order)
+        tails.append(tail)
+    counts = np.array([len(own) for own in coefs])
+    acc = np.array(acc, dtype=float)  # summed in place
+    shape = (len(coefs),) + (1,) * (acc.ndim - 1)  # a per-member value against acc
+    steps = np.zeros((counts.max(initial=0),) + shape)  # every member's c_j, a row per j
+    for i, own in enumerate(coefs):
+        steps[:len(own), i] = np.reshape(own, (-1,) + shape[1:])
+    flat = lambda a: a.reshape(len(coefs), -1)
+    mass = np.abs(flat(acc)).max(axis=1).tolist()  # max|acc_0| + sum_j c_j max|a_j|
+    sizes = np.empty(steps.shape[:2])  # max|a_j| of every member, a row per j
+    failed = np.zeros(len(coefs), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged member by member
+        for col, coef in enumerate(steps):
+            term, ok = next(terms)
+            on = counts > col
+            if not ok.all():
+                failed |= on & ~ok
+            if col < counts.min():
+                acc += coef * term
+            else:
+                np.add(acc, coef * term, out=acc, where=on.reshape(shape))
+            sizes[col] = np.abs(flat(term)).max(axis=1)
+    failed |= ~np.isfinite(flat(acc)).all(axis=1)  # a sum that overflowed stays so
+    top = np.abs(flat(acc)).max(axis=1).tolist()
+    rounding = []
+    for i, own in enumerate(coefs):
+        reach = f"{label} = {reaches[i]:.6g}"
+        if failed[i] or i in overflow:
+            why = "a term or its partial sum is not finite" if failed[i] else overflow[i]
+            raise ValueError(f"{name} series overflows double precision at {reach} ({why}); "
+                             f"the series-free route is gaussian.{name}_quadrature")
+        for coef, size in zip(own, sizes[:len(own), i].tolist()):
+            mass[i] += coef * size
+        rounding.append((orders[i] + 2 + acc.shape[1]) * 2.0 ** -53 * mass[i])
+        if rounding[i] > SERIES_TOL * top[i]:
+            raise ValueError(
+                f"{name} series cancels below its rounding at {reach} (envelope "
+                f"{rounding[i]:.3g} against max|sum| {top[i]:.6g}); the series-free "
+                f"route is gaussian.{name}_quadrature")
+    return finish(acc), orders, [t + e for t, e in zip(tails, rounding)]
 
 
 def sigma_T_quadrature(xi: InteractionMatrix, T: float) -> np.ndarray:
-    """Independent route: Sigma_T as one block exponential (Van Loan, IEEE TAC 1978).
+    """Sigma_T by the series-free route: sigma_T_quadrature_batch of one."""
+    return sigma_T_quadrature_batch([xi], [T])[0]
+
+
+def sigma_T_quadrature_batch(xis, Ts) -> np.ndarray:
+    """Independent route: Sigma_T as one block exponential (Van Loan, IEEE TAC 1978),
+    for each (xi, T) pair, the xi of one size, stacked along a leading axis.
 
     The time-T operator (Y, X) -> (T (xi Y + Y xi^T + X), 0) started at (0, I)
     ends at Y = int_0^T e^{s xi} e^{s xi^T} ds.  Its norm is at most
     T (2 ||xi||_inf + 1), so the truncation is certified at QUADRATURE_TOL *
-    ||Sigma_T||_max per scaling stage without the rho bound the series relies on.
+    ||Sigma_T||_max per scaling stage without the rho bound the series relies
+    on.  One expm_action call steps every member.
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    d = xi.dense()
+    d, T = _batch(xis, Ts)
+    dt = d.transpose(0, 2, 1)
+    scale = T[:, None, None]
 
     def apply(z):
         out = np.zeros(z.shape)
-        np.multiply(T, d @ z[0] + z[0] @ d.T + z[1], out=out[0])
+        np.multiply(scale, d @ z[:, 0] + z[:, 0] @ dt + z[:, 1], out=out[:, 0])
         return out
 
-    start = np.stack((np.zeros((xi.n, xi.n)), np.eye(xi.n)))
-    mu = T * (2.0 * float(np.linalg.norm(d, np.inf)) + 1.0)
-    return linalg.expm_action(apply, start, mu, tol=QUADRATURE_TOL)[0]
+    n = d.shape[1]
+    start = np.repeat(np.stack((np.zeros((n, n)), np.eye(n)))[None], len(d), axis=0)
+    mu = T * (2.0 * np.linalg.norm(d, np.inf, axis=(1, 2)) + 1.0)
+    return linalg.expm_action(apply, start, mu, tol=QUADRATURE_TOL)[:, 0]
 
 
 def _check_covariance(c, name) -> np.ndarray:
@@ -230,33 +295,56 @@ def subset_entropies(model: GaussianModel, masks):
     (a spectral evaluation, not a matrix log, so values near -1 stay
     stable); lower = Tr(A^2)/6 is asserted only in the small-time window
     T <= log2 / 2 rho; upper = e^{6 rho T} Tr(A^2) holds for all T.
+    subset_entropies_batch of one.
     """
-    exact, tr2 = _spectra(model, masks)
-    upper = linalg.checked_exp("subset_entropies", "6*rho*T", 6.0 * model.rho * model.T) * tr2
-    return exact, tr2 / 6.0, upper
+    return tuple(col[0] for col in subset_entropies_batch([model], masks))
 
 
-def _spectra(model: GaussianModel, masks) -> tuple[np.ndarray, np.ndarray]:
-    """Half the h-trace of A and Tr(A^2) at each nonempty bitmask, with no
-    factor e^{c rho T}; masks of one size share a single stacked eigenvalue call."""
-    masks = mask_array(masks, model.n)
+def subset_entropies_batch(models, masks):
+    """subset_entropies of each model, the models of one size, at the same
+    masks: (exact, lower, upper), a row per model.  The first model refused,
+    by its subset spectra or by its factor e^{6 rho T}, raises."""
+    exact, tr2, bad = _spectra(models, masks)
+    grow = []
+    for model, refused in zip(models, bad):
+        if refused:
+            raise InvalidCovariance(_NOT_POSITIVE)
+        grow.append(linalg.checked_exp("subset_entropies", "6*rho*T", 6.0 * model.rho * model.T))
+    return exact, tr2 / 6.0, np.array(grow)[:, None] * tr2
+
+
+def _spectra(models, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half the h-trace of A and Tr(A^2) at each nonempty bitmask, a row per
+    model, with no factor e^{c rho T}; and whether each model has a subset
+    eigenvalue <= -1 (its rows are then not to be read).  The models share
+    one size, and the masks of one size share a single stacked eigenvalue
+    call over every model."""
+    n = models[0].n
+    masks = mask_array(masks, n)
     if (masks == 0).any():
         raise ValueError("v must be nonempty")
-    ind = indicators(masks, model.n)
+    ind = indicators(masks, n)
     sizes = ind.sum(axis=1).astype(int)
-    exact = np.empty(masks.size)
-    tr2 = np.empty(masks.size)
+    sig = np.stack([model.sigma_T for model in models]).reshape(len(models), n * n)
+    scale = np.array([model.T for model in models])[:, None, None, None]
+    exact = np.empty((len(models), masks.size))
+    tr2 = np.empty((len(models), masks.size))
+    bad = np.zeros(len(models), dtype=bool)
     # the sizes present, ascending; np.unique would import numpy.ma
     for k in np.flatnonzero(np.bincount(sizes)):
         rows = np.nonzero(sizes == k)[0]
         mem = np.nonzero(ind[rows])[1].reshape(rows.size, k)
-        a = model.sigma_T[mem[:, :, None], mem[:, None, :]] / model.T - np.eye(k)
+        # np.take gathers C-ordered, which the sum of a * a below needs for its bits
+        a = np.take(sig, mem[:, :, None] * n + mem[:, None, :], axis=1)
+        a /= scale
+        a -= np.eye(k)
         lam = np.linalg.eigvalsh(a)
-        if (lam <= -1.0).any():
-            raise InvalidCovariance("subset covariance is numerically not positive definite")
-        exact[rows] = 0.5 * h(lam).sum(axis=1)
-        tr2[rows] = (a * a).reshape(rows.size, -1).sum(axis=1)
-    return exact, tr2
+        low = (lam <= -1.0).any(axis=(1, 2))
+        bad |= low
+        lam[low] = 0.0
+        exact[:, rows] = 0.5 * h(lam).sum(axis=2)
+        tr2[:, rows] = (a * a).reshape(len(models), rows.size, -1).sum(axis=2)
+    return exact, tr2, bad
 
 
 def clique_lower(xi: InteractionMatrix, masks, T: float) -> np.ndarray:
@@ -276,40 +364,55 @@ def max_upper(model: GaussianModel, masks) -> np.ndarray:
 
 
 def d_T(xi: InteractionMatrix, T: float) -> float:
-    """sum_i (sum_{m>=2} T^m/(m+1)! (xi^m)_ii)^2 by _series, tail controlled by rho^m.
+    """sum_i (sum_{m>=2} T^m/(m+1)! (xi^m)_ii)^2: d_T_batch of one."""
+    return float(d_T_batch([xi], [T])[0])
 
-    Vanishes whenever every diagonal of every power vanishes (e.g. strictly
-    triangular xi).  Cross-check: d_T_quadrature integrates e^{s xi} instead.
+
+def d_T_batch(xis, Ts) -> np.ndarray:
+    """d_T of each (xi, T) pair, the xi of one size, in one stacked series.
+
+    sum_i (sum_{m>=2} T^m/(m+1)! (xi^m)_ii)^2 by _series, tail controlled by
+    rho^m.  Vanishes whenever every diagonal of every power vanishes (e.g.
+    strictly triangular xi).  Cross-check: d_T_quadrature integrates e^{s xi}
+    instead.
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    d = xi.dense()
+    d, T = _batch(xis, Ts)
 
     def diagonals():
         power = d @ d
         while True:
-            yield np.diag(power)
+            yield power.diagonal(0, 1, 2), np.isfinite(power).all(axis=(1, 2))
             power = power @ d
 
-    return _series("d_T", "rho*T", xi.rho, T, diagonals(), np.zeros(xi.n), 2,
-                   lambda s: float((s * s).sum()))[0]
+    return _series("d_T", "rho*T", np.array([xi.rho for xi in xis]), T, diagonals(),
+                   np.zeros(d.shape[:2]), 2, lambda s: (s * s).sum(axis=1))[0]
 
 
 def d_T_quadrature(xi: InteractionMatrix, T: float) -> float:
-    """Same quantity through (1/T) int_0^T e^{s xi} ds minus the linear part.
+    """d_T by the series-free route: d_T_quadrature_batch of one."""
+    return float(d_T_quadrature_batch([xi], [T])[0])
+
+
+def d_T_quadrature_batch(xis, Ts) -> np.ndarray:
+    """d_T of each (xi, T) pair through (1/T) int_0^T e^{s xi} ds minus the linear part.
 
     The integral is the top block of exp(T [[xi, I], [0, 0]]) applied to
-    [0; I], certified at QUADRATURE_TOL times its largest entry per stage.
+    [0; I], certified at QUADRATURE_TOL times its largest entry per stage;
+    one expm_action call steps every member.
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    d = xi.dense()
-    eye, zero = np.eye(xi.n), np.zeros((xi.n, xi.n))
-    block = T * np.block([[d, eye], [zero, zero]])
-    m_t = linalg.expm_action(block.__matmul__, np.vstack((zero, eye)),
-                             np.linalg.norm(block, np.inf), tol=QUADRATURE_TOL)[:xi.n]
-    inner = np.diag(m_t / T - eye - (T / 2.0) * d)
-    return float((inner * inner).sum())
+    d, T = _batch(xis, Ts)
+    b, n = d.shape[:2]
+    eye = np.eye(n)
+    block = np.zeros((b, 2 * n, 2 * n))
+    block[:, :n, :n] = d
+    block[:, :n, n:] = eye
+    block *= T[:, None, None]
+    start = np.zeros((b, 2 * n, n))
+    start[:, n:] = eye
+    m_t = linalg.expm_action(block.__matmul__, start, np.linalg.norm(block, np.inf, axis=(1, 2)),
+                             tol=QUADRATURE_TOL)[:, :n]
+    inner = (m_t / T[:, None, None] - eye - (T / 2.0)[:, None, None] * d).diagonal(0, 1, 2)
+    return (inner * inner).sum(axis=1)
 
 
 def d_T_envelope(xi: InteractionMatrix, T: float) -> tuple[float, float]:
@@ -388,11 +491,17 @@ def avg_entropy(model: GaussianModel, k: int, mode: str = "enumerate",
 
 def _entropies(model: GaussianModel, masks) -> np.ndarray:
     """The exact subset entropies alone, CHUNK masks per call to bound memory."""
-    return np.concatenate([_spectra(model, masks[lo:hi])[0]
-                           for lo, hi in chunk_ranges(len(masks))])
+    out = []
+    for lo, hi in chunk_ranges(len(masks)):
+        exact, _, bad = _spectra([model], masks[lo:hi])
+        if bad[0]:
+            raise InvalidCovariance(_NOT_POSITIVE)
+        out.append(exact[0])
+    return np.concatenate(out)
 
 
-def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
+def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False,
+                         dt: float | None = None):
     """Two-sided bracket of the size-k average entropy.
 
     Default: (1/6, e^{6 rho T}) times the exact avg_trace_sq of
@@ -404,7 +513,8 @@ def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
     with S2 = sum xi_ij^2, R = sum_i (sum_j xi_ij^2)^2 and the usual pair
     weights w1, w2.  Lower bounds are meaningful in the small-time window.
     k may be an array of sizes, which gives two aligned arrays from one
-    d_T series; a scalar k gives two floats.
+    d_T series; a scalar k gives two floats.  A caller that already holds
+    d_T(model.xi, model.T) passes it as dt, and the series is not run again.
     """
     n = model.n
     T, rho = model.T, model.rho
@@ -415,7 +525,8 @@ def avg_entropy_sandwich(model: GaussianModel, k, explicit: bool = False):
     d = model.xi.dense()
     s2 = float((d * d).sum())
     r_sum = float(((d * d).sum(axis=1) ** 2).sum())
-    dt = d_T(model.xi, T)
+    if dt is None:
+        dt = d_T(model.xi, T)
     if n == 1:
         return (0.0, 0.0) if w1.ndim == 0 else (np.zeros(w1.shape), np.zeros(w1.shape))
     lower = (w1 * T * T / 2.0 * s2 + w2 * (4.0 * dt + T ** 4 / 9.0 * r_sum)) / 6.0

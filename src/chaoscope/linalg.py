@@ -27,56 +27,85 @@ _MAX_TAYLOR_TERMS = 200
 _DIRECT_LOG_PMF = 2.0 ** 32
 
 
-def expm_action(apply, b: np.ndarray, mu: float, tol: float = 1e-12) -> np.ndarray:
-    """e^A b by scaled truncated Taylor series, for an operator A.
+def expm_action(apply, b: np.ndarray, mu, tol: float = 1e-12) -> np.ndarray:
+    """e^A b by scaled truncated Taylor series, for an operator A, or for a
+    stack of operators in lockstep.
 
     apply is x -> A x on arrays shaped like b, and mu >= ||A||_inf bounds
     the norm A induces on the max-abs norm of such arrays (for a matrix a,
-    pass a.__matmul__ and ||a||_inf).  The exponential is taken in
-    s = ceil(mu / THETA_MAX) stages of e^{A/s}, each of norm
+    pass a.__matmul__ and ||a||_inf).  A 1-D array mu instead makes b a
+    stack, one member per entry along its leading axis, and apply maps such
+    stacks member by member; a float mu is a stack of one.  Each member is
+    taken in s = ceil(mu / THETA_MAX) stages of e^{A/s}, each of norm
     theta = mu / s <= THETA_MAX.  After term k of a stage the rest of its
     series is at most ||term_k|| (theta/(k+1)) / (1 - theta/(k+2)), a
     geometric envelope that holds only once k + 2 > theta, so no stage
     stops before that.  A stage stops once the envelope is within tol / s
     of its result's largest entry (absolute floor near zero), so each
-    stage's truncation is certified.  On signed 1-8 x 8 matrices of norm
-    up to 10 the result is within 1e-11 of the largest entry of scipy's
-    expm (about 1e-12 seen; tests/test_linalg.py).  Never forms an
-    eigendecomposition; for entrywise-nonnegative A and b every
-    intermediate stays nonnegative.  apply must return a new array, which
-    is divided in place.
+    stage's truncation is certified.  Members keep their own stages, terms
+    and stop tests, so each gets the bits it would get alone: one apply
+    serves every member still running, and a member that is done rides
+    along as zeros.  On signed 1-8 x 8 matrices of norm up to 10 the result
+    is within 1e-11 of the largest entry of scipy's expm (about 1e-12
+    seen; tests/test_linalg.py).  Never forms an eigendecomposition; for
+    entrywise-nonnegative A and b every intermediate stays nonnegative.
+    apply must return a new array, which is divided in place.
     """
-    b = np.asarray(b, dtype=float)
-    if not 0.0 <= mu < math.inf:
+    if np.ndim(mu) == 0:
+        return _expm_stack(lambda z: apply(z[0])[None], np.asarray(b)[None], [mu], tol)[0]
+    return _expm_stack(apply, b, mu, tol)
+
+
+def _expm_stack(apply, b, mu, tol: float) -> np.ndarray:
+    """expm_action on a stack: mu one norm bound per member of b.  The
+    members share each apply; the scalars of a member's stages, terms and
+    stop tests are its own, in the arithmetic of a lone operator."""
+    mu = np.asarray(mu, dtype=float).tolist()
+    if not all(0.0 <= x < math.inf for x in mu):
         raise ValueError("expm_action: an operator needs a finite norm bound mu >= 0")
-    if mu == 0.0 or not b.any():
-        return b.astype(float, copy=True)
-    stages = max(1, math.ceil(mu / THETA_MAX))
-    theta = mu / stages  # <= THETA_MAX
-    step_tol = tol / stages
-    out = b.astype(float, copy=True)
-    for _ in range(stages):
-        acc = out.copy()
-        term = out
-        bound = np.abs(out).max()
-        for k in range(1, _MAX_TAYLOR_TERMS):
-            term = apply(term)
-            term /= stages * k
+    acc = np.array(b, dtype=float)
+    members = (len(mu),) + (1,) * (acc.ndim - 1)  # a per-member value against acc
+    rows = acc.reshape(len(mu), -1)  # a view: member i's entries
+    stages = [max(1, math.ceil(x / THETA_MAX)) for x in mu]
+    left = list(stages)  # each member's stages still to run, the current one included
+    live = [x > 0.0 and bool(row.any()) for x, row in zip(mu, rows)]  # the rest keep b
+    term = np.where(np.array(live).reshape(members), acc, 0.0)
+    bound = np.abs(rows).max(axis=1).tolist()
+    k = [0 if on else 1 for on in live]  # the term count of a member's stage
+    while any(live):
+        running = [i for i, on in enumerate(live) if on]
+        for i in running:
+            k[i] += 1
+            if k[i] >= _MAX_TAYLOR_TERMS:
+                raise RuntimeError("expm_action: Taylor series failed to converge")
+        term = apply(term)
+        term /= np.array([s * kk for s, kk in zip(stages, k)]).reshape(members)
+        if len(running) == len(mu):
             acc += term
-            tn = np.abs(term).max()
-            bound += tn  # >= ||acc||_max once inflated past the sums' rounding
-            if k + 2 <= theta:  # the envelope below needs theta / (k + 2) < 1
+        else:
+            np.add(acc, term, out=acc, where=np.array(live).reshape(members))
+        sizes = np.abs(term.reshape(len(mu), -1)).max(axis=1).tolist()
+        for i in running:
+            bound[i] += sizes[i]  # >= ||acc||_max once inflated past the sums' rounding
+            theta = mu[i] / stages[i]  # <= THETA_MAX
+            if k[i] + 2 <= theta:  # the envelope below needs theta / (k + 2) < 1
                 continue
             # Remaining tail: ||term_k|| * sum_{j>=1} theta^j / prod(k+1..k+j)
             #   <= ||term_k|| * (theta/(k+1)) / (1 - theta/(k+2)).
-            rem = tn * (theta / (k + 1)) / (1.0 - theta / (k + 2))
-            if (rem <= step_tol * max(bound * (1.0 + 1e-12), 1e-300)
-                    and rem <= step_tol * max(np.abs(acc).max(), 1e-300)):
-                break
-        else:
-            raise RuntimeError("expm_action: Taylor series failed to converge")
-        out = acc
-    return out
+            rem = sizes[i] * (theta / (k[i] + 1)) / (1.0 - theta / (k[i] + 2))
+            step_tol = tol / stages[i]
+            if not rem <= step_tol * max(bound[i] * (1.0 + 1e-12), 1e-300):
+                continue
+            top = float(np.abs(rows[i]).max())
+            if not rem <= step_tol * max(top, 1e-300):
+                continue
+            # the stage ends: the next starts from its sum, and a member past
+            # its last rides along as zeros
+            left[i] -= 1
+            live[i] = left[i] > 0
+            term[i] = acc[i] if live[i] else 0.0
+            bound[i], k[i] = top, 0 if live[i] else 1
+    return acc
 
 
 def op_norm(a: np.ndarray) -> float:

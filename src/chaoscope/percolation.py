@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .matrix import (InteractionMatrix, indicators, mask_array, mask_members, step_pairs,
+from .matrix import (InteractionMatrix, indicators, mask_array, mask_members,
                      subset_mask, validate)
 from .rng import chunk_ranges, chunk_streams
 
@@ -86,94 +86,133 @@ def _table(F, masks: np.ndarray) -> np.ndarray:
 
 
 def _step_sum(f: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """sum_j rates[j, m] * (f[m + 2^j] - f[m]) at every row m of a table f, or
-    of a stack (a trailing column axis), for a (bits, rows) table rates.
+    """sum_j rates[..., j, m] * (f[..., m + 2^j] - f[..., m]) at every row m of
+    the last axis of f, for rates of shape (..., bits, rows).
 
-    Each bit j is one contiguous pass over the rows m < len(f) - 2^j, added
-    into the sum in j order.  Row m + 2^j is m with bit j added only where m
-    lacks bit j, so rates[j, m] must be 0.0 at the rows holding it; a finite
-    f then makes those terms vanish.
+    f is one table, or tables along leading axes (a column axis, a member
+    axis or both), and rates is one (bits, rows) table, or one per member
+    along a leading axis that matches f's first.  Row m + 2^j is m with bit
+    j added only where m lacks bit j, so rates[..., j, m] must be 0.0 at the
+    rows holding it, which include every m >= rows - 2^j; a finite f then
+    makes those terms vanish.  So each bit j is one contiguous pass over
+    all of f's tables end to end, its differences across a table's end
+    weighed by those zero rates, and the bits are added into the sum in j
+    order.
     """
     out = np.zeros(f.shape)
-    buf = np.empty(f.shape)
-    for j, rate in enumerate(rates):
+    buf = np.zeros(f.shape)
+    flat_f, flat_out, flat_buf = np.ravel(f), out.reshape(-1), buf.reshape(-1)
+    tables = buf.reshape(rates.shape[:-2] + (-1, f.shape[-1]))  # (members, tables, rows)
+    for j in range(rates.shape[-2]):
         s = 1 << j
-        step = np.subtract(f[s:], f[:-s], out=buf[s:])
-        step *= rate[:-s].reshape((-1,) + (1,) * (f.ndim - 1))
-        out[:-s] += step
+        np.subtract(flat_f[s:], flat_f[:-s], out=flat_buf[:-s])
+        tables *= rates[..., j, None, :]
+        flat_out[:-s] += flat_buf[:-s]
     return out
 
 
 class _Engine:
-    """Per-model tables for the exact subset engine, over the up-set of v.
+    """Tables for the exact subset engine over the up-set of v, for a batch of
+    models of one size, one member per entry of a leading axis.
 
     Started at the mask v, the process only adds sites, so it visits only
     the supersets v | u, u a subset of the free sites c outside v.  They form
     a copy of the lattice on c: masks[u] = v | u, with u in the bit order of
     c, so u = 0 is v itself; v = 0 gives the full lattice in mask order.
-    Site c[j] joins v | u at rate kappa * rates[j, u], rates[j, u] =
+    Site c[j] joins v | u at rate kappa * rates[:, j, u], rates[:, j, u] =
     sum_{i in v | u} xi[i, c[j]], added in index order, and 0.0 where u
     holds c[j], so that each up-set's rates and kernel steps (kappa *
     _step_sum) are bitwise a slice of the full lattice's.
 
-    The uniformization rate is lam = kappa * max_u sum_j rates[j, u], rows
-    added in j order, times 1 + 1e-12: the largest exit rate over the up-set,
-    never above the full lattice's, the least rate for which I + A/lam is
-    stochastic, inflated by a relative 1e-12 so that rounding cannot push a
-    diagonal entry below zero.  An up-set with no exit (v the full set, n =
-    1, or a zero matrix) has A = 0 and takes lam = kappa; its expectations
-    need no kernel step, since e^{tA}F = F, so curve_lam is 0 there.
+    A member's uniformization rate is lam = kappa * max_u sum_j rates[j, u],
+    rows added in j order, times 1 + 1e-12: the largest exit rate over the
+    up-set, never above the full lattice's, the least rate for which
+    I + A/lam is stochastic, inflated by a relative 1e-12 so that rounding
+    cannot push a diagonal entry below zero.  An up-set with no exit (v the
+    full set, n = 1, or a zero matrix) has A = 0 and takes lam = kappa; its
+    expectations need no kernel step, since e^{tA}F = F, so curve_lam is 0
+    there.  The kernels step a batch of tables, shape (members, rows) or
+    (members, c, rows), each member by its own rates, kappa and lam, and
+    every member gets the bits it would get alone.
     """
 
-    def __init__(self, model: PercolationModel, v: int = 0):
-        n = model.n
+    def __init__(self, models, v: int = 0):
+        n = models[0].n
         _require_exact(n)
-        self.kappa = model.kappa
-        d = model.xi.dense()
+        if any(model.n != n for model in models):
+            raise ValueError("a batch needs models of one size")
+        self.kappa = np.array([model.kappa for model in models])
+        d = np.stack([model.xi.dense() for model in models])
         free = [j for j in range(n) if not v >> j & 1]
-        rates = self.rates = np.zeros((len(free), 1 << len(free)))
+        rates = self.rates = np.zeros((len(models), len(free), 1 << len(free)))
         self.masks = np.full(1 << len(free), v, dtype=np.int64)
         size = 1
-        for i in range(n):  # rates[:, :size] covers the free sites below i
-            row = d[i, free][:, None]
+        for i in range(n):  # rates[..., :size] covers the free sites below i
+            row = d[:, i, free][:, :, None]
             if v >> i & 1:
-                rates[:, :size] += row
+                rates[:, :, :size] += row
             else:
-                np.add(rates[:, :size], row, out=rates[:, size:2 * size])
+                np.add(rates[:, :, :size], row, out=rates[:, :, size:2 * size])
                 np.bitwise_or(self.masks[:size], 1 << i, out=self.masks[size:2 * size])
                 size *= 2
-        for j, rate in enumerate(rates):
-            step_pairs(rate, j)[1][...] = 0.0  # c[j] cannot join a mask holding it
-        top = float(rates.sum(axis=0).max())
-        self.lam = model.kappa * top * (1.0 + 1e-12) if top > 0.0 else model.kappa
-        self.curve_lam = self.lam if top > 0.0 else 0.0
+        for j in range(len(free)):  # c[j] cannot join a u holding it
+            rates[:, j].reshape(len(models), -1, 2, 1 << j)[:, :, 1] = 0.0
+        top = rates.sum(axis=1).max(axis=1)
+        self.lam = np.where(top > 0.0, self.kappa * top * (1.0 + 1e-12), self.kappa)
+        self.curve_lam = np.where(top > 0.0, self.lam, 0.0)
 
     def apply_generator(self, f: np.ndarray) -> np.ndarray:
-        # f is one table over the up-set, or a stack (rows, c)
         out = _step_sum(f, self.rates)
-        out *= self.kappa
+        out *= _members(self.kappa, f)
         return out
 
     def apply_kernel(self, f: np.ndarray) -> np.ndarray:
         # one step of the uniformized (stochastic) kernel I + A/lam
         out = self.apply_generator(f)
-        out /= self.lam
+        out /= _members(self.lam, f)
         out += f
         return out
+
+
+def _members(values: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """One value per member, shaped to broadcast against a batch f."""
+    return values.reshape((-1,) + (1,) * (f.ndim - 1))
+
+
+def _batch_tables(Fs, masks: np.ndarray) -> np.ndarray:
+    """Each F's table at masks, stacked (members, rows) or (members, c, rows)."""
+    tables = [_table(F, masks) for F in Fs]
+    if len({t.shape for t in tables}) > 1:
+        raise ValueError("every F of a batch must give the same shape, "
+                         f"got {sorted({t.shape for t in tables})}")
+    return np.stack([t.T for t in tables])
+
+
+def _columns_last(out: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out, rows last as the kernels hold them, with a batch f's column axis,
+    if it has one, moved after the rows (a view), as callers read a stack."""
+    return np.swapaxes(out, -1, -2) if f.ndim == 3 else out
 
 
 def generator_apply(model: PercolationModel, F) -> np.ndarray:
     """Exact AF at all 2^n masks in mask order, column by column for a stack;
     F is called once, at np.arange(2^n).  AF([n]) = 0 and A annihilates
-    constants."""
-    eng = _Engine(model)
-    return eng.apply_generator(_table(F, eng.masks))
+    constants.  generator_apply_batch of one."""
+    return generator_apply_batch([model], [F])[0]
+
+
+def generator_apply_batch(models, Fs) -> np.ndarray:
+    """generator_apply of each (model, F) pair, the models of one size, in one
+    pass: shape (members, 2^n) or, for stacks of c columns, (members, 2^n, c)."""
+    eng = _Engine(models)
+    f = _batch_tables(Fs, eng.masks)
+    return _columns_last(eng.apply_generator(f), f)
 
 
 # ---------------------------------------------------------------------------
 # Exact expectations by uniformization
 
-def uniformized(kernel, f: np.ndarray, lam: float, times, tol: float,
+def uniformized(kernel, f: np.ndarray, lam, times, tol: float,
                 rate: float | None = None, horizon: float | None = None) -> np.ndarray:
     """e^{tA}f at each of the sorted times in one pass, a row per time.
 
@@ -189,34 +228,62 @@ def uniformized(kernel, f: np.ndarray, lam: float, times, tol: float,
     (de Souza e Silva & Gail, JACM 1989), with the tails summed from the top
     down, never as 1 - cumsum; it is certified at t_max * tol * ||f||_inf.
     At lam = 0 (no exit) the order is 0 and every row is f times its weight.
+
+    A 1-D array lam instead makes f a batch, one member per entry along its
+    leading axis, kernel steps such batches member by member, and the rows
+    of each member follow its axis.  Each member keeps its own order and
+    weights, so it gets the bits it would get alone: the batch steps until
+    its highest order, and a member past its own is stepped on with a
+    weight of 0.0.  A float lam is a batch of one.
     """
+    if np.ndim(lam) == 0:
+        return _uniformized(lambda x: kernel(x[0])[None], np.asarray(f)[None], [lam], times,
+                            tol, rate, horizon)[0]
+    return _uniformized(kernel, f, lam, times, tol, rate, horizon)
+
+
+def _uniformized(kernel, f, lam, times, tol, rate, horizon) -> np.ndarray:
+    """uniformized on a batch: lam one rate per member of f."""
     marks = [float(t) for t in times] + ([] if horizon is None else [float(horizon)])
     if not marks or not all(0 <= s <= t < math.inf for s, t in zip([0.0] + marks, marks)):
         raise ValueError(f"times must be finite, nonnegative and sorted, got {marks}")
     t_max = marks[-1]
-    kmax = linalg.poisson_truncation(lam * t_max, tol)
-    weights = [linalg.poisson_weights(lam * t, kmax) for t in marks[:len(times)]]
+    lams = [float(x) for x in lam]
+    orders = [linalg.poisson_truncation(x * t_max, tol) for x in lams]
+    rows = [[linalg.poisson_weights(x * t, kmax) for x, kmax in zip(lams, orders)]
+            for t in marks[:len(times)]]
     if rate is not None:
         if not 0 <= rate < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {rate}")
-        if lam == 0.0:
-            weights.append([t_max if rate == 0.0 else -math.expm1(-rate * t_max) / rate])
-        else:
-            total = lam + rate
-            mass = total * t_max
-            # the Poisson(mass) mass left beyond `top` is < 1e-20, far below t_max * tol
-            top = max(kmax + 1, linalg.poisson_truncation(mass, 1e-20))
-            tail = np.cumsum(linalg.poisson_weights(mass, top)[::-1])[::-1]
-            weights.append((lam / total) ** np.arange(kmax + 1) / total * tail[1:kmax + 2])
-    out = np.zeros((len(weights),) + f.shape)
+        rows.append([_integral_weights(x, kmax, rate, t_max) for x, kmax in zip(lams, orders)])
+    weights = np.zeros((len(lams), len(rows), max(orders) + 1))  # 0.0 past a member's order
+    for i, w in enumerate(weights):
+        for r, row in enumerate(rows):
+            w[r, :len(row[i])] = row[i]
+    # A member past its order adds its finite term times 0.0, a signed zero,
+    # to rows that start at +0.0 and so are never -0.0: no bit moves.
+    out = np.zeros((len(lams), len(rows)) + f.shape[1:])
     buf = np.empty(f.shape)
+    members = (len(lams),) + (1,) * (f.ndim - 1)  # a per-member value against f
     term = f
-    for k in range(kmax + 1):
+    for k in range(weights.shape[2]):
         if k:
             term = kernel(term)
-        for row, w in zip(out, weights):
-            row += np.multiply(term, w[k], out=buf)
+        for r in range(len(rows)):
+            out[:, r] += np.multiply(term, weights[:, r, k].reshape(members), out=buf)
     return out
+
+
+def _integral_weights(lam: float, kmax: int, rate: float, t_max: float):
+    """The integral row's weights of terms 0..kmax (see uniformized)."""
+    if lam == 0.0:
+        return [t_max if rate == 0.0 else -math.expm1(-rate * t_max) / rate]
+    total = lam + rate
+    mass = total * t_max
+    # the Poisson(mass) mass left beyond `top` is < 1e-20, far below t_max * tol
+    top = max(kmax + 1, linalg.poisson_truncation(mass, 1e-20))
+    tail = np.cumsum(linalg.poisson_weights(mass, top)[::-1])[::-1]
+    return (lam / total) ** np.arange(kmax + 1) / total * tail[1:kmax + 2]
 
 
 def exact_expectations(model: PercolationModel, F, v, times,
@@ -233,10 +300,22 @@ def exact_expectations(model: PercolationModel, F, v, times,
     w over the sites outside v in their bit order, so row 0 is v, at the
     largest exit rate over them (see _Engine).  Each time is certified at
     tol * max|F| and the integral at t_max * tol * max|F|, max|F| over the rows.
+    exact_expectations_batch of one.
     """
-    eng = _Engine(model, 0 if v is None else subset_mask(v, model.n))
-    return uniformized(eng.apply_kernel, _table(F, eng.masks), eng.curve_lam, times, tol, rate,
-                       horizon)
+    return exact_expectations_batch([model], [F], v, times, tol, rate, horizon)[0]
+
+
+def exact_expectations_batch(models, Fs, v, times, tol: float = 1e-10,
+                             rate: float | None = None,
+                             horizon: float | None = None) -> np.ndarray:
+    """exact_expectations of each (model, F) pair, the models of one size, from
+    the same v, in one uniformized pass over the batch: a leading member axis
+    before exact_expectations' shape.  Each member keeps its own rate lam
+    and truncation order, and its bits."""
+    eng = _Engine(models, 0 if v is None else subset_mask(v, models[0].n))
+    f = _batch_tables(Fs, eng.masks)
+    return _columns_last(uniformized(eng.apply_kernel, f, eng.curve_lam, times, tol, rate,
+                                     horizon), f)
 
 
 # ---------------------------------------------------------------------------
@@ -510,49 +589,69 @@ def expectation_bounds(model: PercolationModel, masks, times, x=None, G=None,
     exponential is taken.  Each scaling stage of step k is truncated within
     tol / stages times ||z_k||_max (entries only grow), and step j amplifies
     errors <= e^{mu_j} times, so z(times[K]) is within
-    tol sum_{k<=K} ||z_k|| prod_{j=k..K} e^{mu_j}.
+    tol sum_{k<=K} ||z_k|| prod_{j=k..K} e^{mu_j}.  expectation_bounds_batch of one.
     """
+    return expectation_bounds_batch([model], masks, times, None if x is None else [x],
+                                    None if G is None else [G], tol)[0]
+
+
+def expectation_bounds_batch(models, masks, times, xs=None, Gs=None,
+                             tol: float = 1e-12) -> np.ndarray:
+    """expectation_bounds of each model, the models of one size, at the same
+    masks and times, with its own x of xs and G of Gs (None: none for any):
+    a leading member axis before expectation_bounds' shape.  One expm_action
+    call per time steps every member's state."""
     times = [float(t) for t in times]
     if not all(0 <= s <= t < math.inf for s, t in zip([0.0] + times, times)):
         raise ValueError(f"t must be finite and nonnegative, and times sorted, got {times}")
-    _require_row_sums(model.xi)
-    ind = indicators(masks, model.n)
+    for model in models:
+        _require_row_sums(model.xi)
+    n = models[0].n
+    if any(model.n != n for model in models):
+        raise ValueError("a batch needs models of one size")
+    ind = indicators(masks, n)
     sizes = ind.sum(axis=1)
-    n, kappa, d = model.n, model.kappa, model.xi.dense()
-    z = np.zeros((n, 3 if G is None else n + 5))
-    if x is not None:
-        z[:, 0] = _check_payload(x, "x", (n,))
-        z[:, 1] = z[:, 0] + d @ z[:, 0]
-        z[:, 2] = z[:, 1] + d @ z[:, 1]
-    if G is not None:
-        z[:, 5:] = _check_payload(G, "G", (n, n))
+    kappa = np.array([model.kappa for model in models])
+    d = np.stack([model.xi.dense() for model in models])
+    dt = d.transpose(0, 2, 1)
+    z = np.zeros((len(models), n, 3 if Gs is None else n + 5))
+    if xs is not None:
+        z[:, :, 0] = [_check_payload(x, "x", (n,)) for x in xs]
+        z[:, :, 1] = z[:, :, 0] + (d @ z[:, :, :1])[:, :, 0]
+        z[:, :, 2] = z[:, :, 1] + (d @ z[:, :, 1:2])[:, :, 0]
+    if Gs is not None:
+        z[:, :, 5:] = [_check_payload(G, "G", (n, n)) for G in Gs]
     ells = np.array([ell for _, ell in FAMILIES.values()])
-    norm_d = float(np.linalg.norm(d, np.inf))
-    if G is None:
+    norm_d = np.linalg.norm(d, np.inf, axis=(1, 2))
+    if Gs is None:
         rate = kappa * norm_d  # mu per unit step
     else:
-        rate = max((kappa + 2.0) * norm_d + 2.0, 2.0 * kappa * norm_d)
-    out = np.zeros((len(times), sizes.size, len(FAMILIES)))  # columns in FAMILIES order
-    out[:, :, :3] = 1.0
+        rate = np.maximum((kappa + 2.0) * norm_d + 2.0, 2.0 * kappa * norm_d)
+    out = np.zeros((len(models), len(times), sizes.size, len(FAMILIES)))  # FAMILIES order
+    out[..., :3] = 1.0
+    per = kappa[:, None]  # a per-member value against a row of diagonals
     for i, (s, t) in enumerate(zip([0.0] + times, times)):
-        def apply(w, a=kappa * (t - s) * d, h=t - s):
+        def apply(w, a=(kappa * (t - s))[:, None, None] * d, h=t - s):
             res = a @ w
-            if G is not None:
-                res[:, 5:] += w[:, 5:] @ a.T
-                res[:, 3] += h * w[:, 5:].diagonal()
-                res[:, 4] += res[:, 5:].diagonal() / kappa + 2.0 * h * w[:, 5:].diagonal()
+            if Gs is not None:
+                res[:, :, 5:] += w[:, :, 5:] @ a.transpose(0, 2, 1)
+                diag = w[:, :, 5:].diagonal(0, 1, 2)
+                res[:, :, 3] += h * diag
+                res[:, :, 4] += res[:, :, 5:].diagonal(0, 1, 2) / per + 2.0 * h * diag
             return res
-        if x is not None or G is not None:
+        if xs is not None or Gs is not None:
             z = linalg.expm_action(apply, z, tol=tol, mu=(t - s) * rate)
-        out[i, :, 3:6] = ind @ z[:, :3]
-        if G is not None:
-            mid = d @ z[:, 5:] + z[:, 5:] @ d.T + z[:, 5:]
-            out[i, :, 6] = (np.einsum("mi,mi->m", ind @ z[:, 5:], ind)
-                            + ind @ (kappa * (d @ z[:, 3])))
-            out[i, :, 7] = (np.einsum("mi,mi->m", ind @ mid, ind)
-                            + ind @ (kappa * ((d + d @ d) @ z[:, 4])))
-        weight = np.array([_WEIGHT[ell] * math.exp(ell * kappa * t) for ell in ells])
-        out[i] *= weight * sizes[:, None] ** ells
+        out[:, i, :, 3:6] = ind @ z[:, :, :3]
+        if Gs is not None:
+            g = z[:, :, 5:]
+            mid = d @ g + g @ dt + g
+            drift0 = (d @ z[:, :, 3:4]) * kappa[:, None, None]
+            drift1 = ((d + d @ d) @ z[:, :, 4:5]) * kappa[:, None, None]
+            out[:, i, :, 6] = (np.einsum("bmi,mi->bm", ind @ g, ind) + (ind @ drift0)[:, :, 0])
+            out[:, i, :, 7] = (np.einsum("bmi,mi->bm", ind @ mid, ind) + (ind @ drift1)[:, :, 0])
+        weight = np.array([[_WEIGHT[ell] * math.exp(ell * model.kappa * t) for ell in ells]
+                           for model in models])
+        out[:, i] *= weight[:, None, :] * sizes[:, None] ** ells
     return out
 
 

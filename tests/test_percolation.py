@@ -199,17 +199,17 @@ def test_uniformization_rate_is_the_largest_exit_rate():
     mean_field = build_mean_field(16)
     directed = random_matrices(1, seed=41, n_lo=10, n_hi=10)[0]
     for xi, kappa in ((mean_field, 1.0), (directed, 0.7)):
-        lam = _Engine(PercolationModel(xi, kappa)).lam
+        lam = _Engine([PercolationModel(xi, kappa)]).lam[0]
         top = exit_rates(xi, kappa).max()
         assert top <= lam <= (1 + 1e-11) * top
     # the largest exit is from 8 of 16 sites: 8 * 8 / 15, where n = 16 was used
-    assert _Engine(PercolationModel(mean_field, 1.0)).lam == pytest.approx(64 / 15, rel=1e-11)
+    assert _Engine([PercolationModel(mean_field, 1.0)]).lam[0] == pytest.approx(64 / 15, rel=1e-11)
 
 
 def test_uniformized_kernel_is_stochastic():
     xi = random_matrices(1, seed=42, n_lo=5, n_hi=5)[0]
-    eng = _Engine(PercolationModel(xi, 1.4))
-    kernel = np.column_stack([eng.apply_kernel(e) for e in np.eye(32)])
+    eng = _Engine([PercolationModel(xi, 1.4)])
+    kernel = eng.apply_kernel(np.eye(32)[None])[0].T  # column c is the kernel on table c
     assert kernel.min() >= 0.0
     assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-15
 
@@ -217,7 +217,7 @@ def test_uniformized_kernel_is_stochastic():
 def test_models_without_exits_keep_f():
     for n in (1, 4):
         model = PercolationModel(InteractionMatrix(np.zeros((n, n))), 1.3)
-        assert _Engine(model).lam == 1.3
+        assert _Engine([model]).lam[0] == 1.3
         f = np.arange(1 << n) + 0.5
         for mask in range(1 << n):
             got = exact_expectations(model, lookup(f), mask_members(mask), [2.0])[0, 0]
@@ -241,19 +241,19 @@ def test_upset_route_matches_full_lattice(single_edge):
     for xi in matrices:
         n = xi.n
         model = PercolationModel(xi, float(gen.uniform(0.3, 1.5)))
-        lam = _Engine(model, 0).curve_lam
+        lam = _Engine([model], 0).curve_lam[0]
         for values in (gen.random(1 << n), gen.random((1 << n, 3)) - 0.5):
             F = lookup(values)
             cert = tol * np.abs(values).max()
             full = exact_expectations(model, F, None, times, tol, rate=0.4)
             for mask in range(1 << n):
                 v = mask_members(mask)
-                eng = _Engine(model, mask)
+                eng = _Engine([model], mask)
                 up = exact_expectations(model, F, v, times, tol, rate=0.4)
                 assert up.shape[1] == 1 << (n - len(v))
                 assert eng.masks[0] == mask and (eng.masks & mask == mask).all()
-                assert eng.curve_lam <= lam
-                if eng.curve_lam == lam:
+                assert eng.curve_lam[0] <= lam
+                if eng.curve_lam[0] == lam:
                     assert np.array_equal(up, full[:, eng.masks])
                 assert np.abs(up[:-1, 0] - full[:-1, mask]).max() <= cert
                 assert np.abs(up[-1, 0] - full[-1, mask]).max() <= times[-1] * cert
@@ -265,10 +265,10 @@ def test_kernel_step_matches_definition():
     # n = 8 runs the transposed layout of bits 0-3 and the plain one of bits 4-7
     xi = random_matrices(1, seed=43, n_lo=8, n_hi=8)[0]
     kappa = 0.9
-    eng = _Engine(PercolationModel(xi, kappa))
+    eng = _Engine([PercolationModel(xi, kappa)])
     f = stream(44).random(1 << 8)
-    want = f + brute_generator(xi, kappa, f) / eng.lam
-    assert np.abs(eng.apply_kernel(f) - want).max() <= 1e-13
+    want = f + brute_generator(xi, kappa, f) / eng.lam[0]
+    assert np.abs(eng.apply_kernel(f[None])[0] - want).max() <= 1e-13
 
 
 def test_stacked_tables_match_their_columns():
@@ -277,18 +277,18 @@ def test_stacked_tables_match_their_columns():
     for n in range(1, 11):
         gen = stream(60 + n)
         model = PercolationModel(random_substochastic(n, gen), float(gen.uniform(0.3, 1.0)))
-        eng = _Engine(model)
+        eng = _Engine([model])
         values = gen.random((1 << n, 3))
         stack = lookup(values)
         lhs = generator_apply(model, stack)
-        step = eng.apply_kernel(values)
+        step = eng.apply_kernel(values.T[None])[0]  # the column axis leads
         runs = [dict(times=times, rate=rate) for times in ((0.0, 0.4), (0.0, 0.4, 1.3, 2.0))
                 for rate in (0.0, 0.7)]
         stacked = [exact_expectations(model, stack, None, **run) for run in runs]
         for k in range(3):
             col = lookup(values[:, k])
             assert np.array_equal(lhs[:, k], generator_apply(model, col))
-            assert np.array_equal(step[:, k], eng.apply_kernel(values[:, k]))
+            assert np.array_equal(step[k], eng.apply_kernel(values[:, k][None])[0])
             for run, got in zip(runs, stacked):
                 # values at each time and the integral row
                 assert np.array_equal(got[..., k], exact_expectations(model, col, None, **run))

@@ -98,11 +98,33 @@ def _stack(n):
     return lambda masks: table[masks]
 
 
+class _PairBatch:
+    """The frozen engine behind the batch interface of _Engine: one frozen
+    engine per member, each stepping its member's tables with the rows
+    leading, as the frozen engine held them."""
+
+    def __init__(self, models, v=0):
+        self.engines = [_PairEngine(model, v) for model in models]
+        self.masks = self.engines[0].masks
+        self.lam = np.array([e.lam for e in self.engines])
+        self.curve_lam = np.array([e.curve_lam for e in self.engines])
+
+    def _each(self, step, f):
+        # a member's tables are (rows,) or (c, rows); the frozen step takes (rows, c)
+        return np.stack([step(e)(np.ascontiguousarray(g.T)).T for e, g in zip(self.engines, f)])
+
+    def apply_generator(self, f):
+        return self._each(lambda e: e.apply_generator, f)
+
+    def apply_kernel(self, f):
+        return self._each(lambda e: e.apply_kernel, f)
+
+
 def _both(monkeypatch, compute):
     """compute() through _step_sum, then through the frozen pair-view engine."""
     new = compute()
     with monkeypatch.context() as m:
-        m.setattr(perc, "_Engine", _PairEngine)
+        m.setattr(perc, "_Engine", _PairBatch)
         old = compute()
     return new, old
 
